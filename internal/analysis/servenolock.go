@@ -36,6 +36,9 @@ var servenolockRoots = map[string]bool{
 	"PackageETag":        true,
 	"FetchPackage":       true,
 	"FetchPackageTraced": true,
+	"OpenPackageCtx":     true,
+	"FetchChunkManifest": true,
+	"FetchPackageRange":  true,
 	"CacheStats":         true,
 }
 

@@ -7,16 +7,18 @@ import (
 
 // Snapfreeze enforces the snapshot immutability invariant from PR 2
 // (origin) and PR 3 (edge): the entire lock-free read path rests on
-// published snapshots never changing. tsr.snapshot and
-// edge.replicaState are built off to the side and swapped in with one
-// atomic.Pointer.Store; after that instant, concurrent readers hold
-// the pointer, so ANY field write is a data race and a correctness
+// published snapshots never changing. tsr.snapshot and the
+// tsr.Published generation inside it — which is also an edge replica's
+// whole published state — are built off to the side and swapped in
+// with one atomic.Pointer.Store; after that instant, concurrent readers
+// hold the pointer, so ANY field write is a data race and a correctness
 // bug. The analyzer freezes the types at the source level: their
 // fields may only be assigned inside the designated build/publish
-// functions, where the state is provably not yet shared.
+// functions, where the state is provably not yet shared. (Published
+// has none: tsr.Publish returns it as one composite literal.)
 var Snapfreeze = &Analyzer{
 	Name: "snapfreeze",
-	Doc:  "snapshot/replicaState fields may only be written in their build/publish functions",
+	Doc:  "snapshot/Published fields may only be written in their build/publish functions",
 	Applies: func(pkgPath string) bool {
 		return pathHasSuffixSegments(pkgPath, "internal/tsr") ||
 			pathHasSuffixSegments(pkgPath, "internal/edge")
@@ -28,8 +30,8 @@ var Snapfreeze = &Analyzer{
 // write its fields — the build/publish sites that run before the
 // atomic.Pointer.Store makes the value shared.
 var snapfreezeTypes = map[string]map[string]bool{
-	"snapshot":     {"publishLocked": true},
-	"replicaState": {"publish": true, "fullSync": true},
+	"snapshot":  {"publishLocked": true},
+	"Published": {},
 }
 
 func runSnapfreeze(pass *Pass) error {

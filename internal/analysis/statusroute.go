@@ -9,8 +9,9 @@ import (
 // Statusroute enforces the error-routing convention from PR 2's HTTP
 // hardening: handlers in internal/tsr, internal/edge, and cmd/* never
 // write error statuses ad hoc. Every error response goes through the
-// package's httpError(w, statusFor(err), err) helper, so status
-// mapping lives in exactly one switch per package (502 reserved for
+// httpError(w, statusFor(err), err) helper (tsr.HTTPError, which the
+// edge tier shares, or a cmd package's own httpError), so status
+// mapping lives in exactly one switch per tier (502 reserved for
 // upstream failures, 503 for availability, sentinel-driven 4xx) and
 // error bodies are uniformly JSON. Concretely: no calls to
 // http.Error, and no WriteHeader with an error status — constant
@@ -35,7 +36,7 @@ func runStatusroute(pass *Pass) error {
 			if !ok || fn.Body == nil || pass.InTestFile(fn.Pos()) {
 				continue
 			}
-			isHelper := fn.Name.Name == "httpError"
+			isHelper := fn.Name.Name == "httpError" || fn.Name.Name == "HTTPError"
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {

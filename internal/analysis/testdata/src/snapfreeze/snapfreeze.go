@@ -1,7 +1,8 @@
 // Package snapfreeze exercises the snapfreeze analyzer. The harness
-// loads it under tsr/internal/tsr, so the local snapshot and
-// replicaState types are frozen: field writes are legal only inside
-// the designated build/publish functions.
+// loads it under tsr/internal/tsr, so the local snapshot and Published
+// types are frozen: field writes are legal only inside the designated
+// build/publish functions (Published has none — it is built as one
+// composite literal).
 package snapfreeze
 
 type snapshot struct {
@@ -9,7 +10,7 @@ type snapshot struct {
 	hits int
 }
 
-type replicaState struct {
+type Published struct {
 	etag string
 	gen  int
 }
@@ -28,18 +29,13 @@ func mutateLive(s *snapshot) {
 	s.hits++      // want `snapshot\.hits is written outside`
 }
 
-// publish and fullSync are replicaState's designated build sites.
-func (r *replicaState) publish(etag string) {
-	r.etag = etag
-	r.gen++
+// Publish builds a Published without assigning a field.
+func Publish(prev *Published, etag string) Published {
+	return Published{etag: etag, gen: prev.gen + 1}
 }
 
-func fullSync(r *replicaState) {
-	r.etag = ""
-}
-
-func drift(r *replicaState) {
-	r.gen++ // want `replicaState\.gen is written outside`
+func drift(p *Published) {
+	p.gen++ // want `Published\.gen is written outside`
 }
 
 // scratch shares field names with snapshot but is not frozen: writes

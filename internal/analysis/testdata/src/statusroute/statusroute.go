@@ -21,6 +21,12 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	_, _ = w.Write([]byte(err.Error()))
 }
 
+// HTTPError is the same helper under its exported name (tsr.HTTPError,
+// which the edge tier calls).
+func HTTPError(w http.ResponseWriter, status int, err error) {
+	w.WriteHeader(status)
+}
+
 func badError(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "upstream down", http.StatusBadGateway) // want `http\.Error bypasses`
 }

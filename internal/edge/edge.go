@@ -30,6 +30,7 @@ import (
 	"tsr/internal/netsim"
 	"tsr/internal/store"
 	"tsr/internal/trace"
+	"tsr/internal/tsr"
 )
 
 // Error sentinels.
@@ -177,37 +178,24 @@ type Replica struct {
 	pulls flight.Group[[]byte]
 	syncs flight.Group[struct{}]
 
-	// served is the replica's published read state, swapped atomically
-	// like the origin's snapshot: reads never wait on a running sync.
-	served   atomic.Pointer[replicaState]
+	// served is the replica's published read state — the same
+	// tsr.Published value the origin's snapshot carries, delta window
+	// included — swapped atomically: reads never wait on a running sync.
+	served   atomic.Pointer[tsr.Published]
 	behavior atomic.Int32
 	stats    replicaCounters
 
 	// manifests memoizes chunk manifests per content hash (see
-	// chunkManifest in wire.go).
-	manifestMu sync.Mutex
-	manifests  map[[32]byte]*store.ChunkManifest
-}
-
-// replicaState is the immutable published state of a replica.
-type replicaState struct {
-	signed *index.Signed
-	etag   string
-	ix     *index.Index
-	// history retains the most recent published generations (this one
-	// last), so the replica can serve GET /index/delta to downstream
-	// replicas and clients exactly like the origin does — the same
-	// index.AppendGeneration machinery and index.HistoryWindow the
-	// origin uses, so the two delta windows cannot drift apart.
-	history []index.Generation
+	// FetchChunkManifestCtx in wire.go).
+	manifests tsr.ManifestMemo
 }
 
 // replicaCounters are the cumulative counters behind Stats.
 type replicaCounters struct {
+	tsr.ReadCounters                                       // serving tier, shared with the origin
 	syncs, deltaSyncs, fullSyncs, noopSyncs, fullFallbacks atomic.Int64
-	indexReads, packageReads, packageHits                  atomic.Int64
-	originPackages, notModified                            atomic.Int64
-	coalescedPulls, coalescedSyncs, deltaReads             atomic.Int64
+	packageHits, originPackages                            atomic.Int64
+	coalescedPulls, coalescedSyncs                         atomic.Int64
 	// Wire efficiency: differential pull-throughs, their byte ledger,
 	// and packages served streaming off the cache.
 	diffPulls, diffFallbacks          atomic.Int64
@@ -270,14 +258,14 @@ func (rep *Replica) Stats() Stats {
 		FullSyncs:      rep.stats.fullSyncs.Load(),
 		NoopSyncs:      rep.stats.noopSyncs.Load(),
 		FullFallbacks:  rep.stats.fullFallbacks.Load(),
-		IndexReads:     rep.stats.indexReads.Load(),
-		PackageReads:   rep.stats.packageReads.Load(),
+		IndexReads:     rep.stats.IndexReads.Load(),
+		PackageReads:   rep.stats.PackageReads.Load(),
 		PackageHits:    rep.stats.packageHits.Load(),
 		OriginPackages: rep.stats.originPackages.Load(),
-		NotModified:    rep.stats.notModified.Load(),
+		NotModified:    rep.stats.NotModified.Load(),
 		CoalescedPulls: rep.stats.coalescedPulls.Load(),
 		CoalescedSyncs: rep.stats.coalescedSyncs.Load(),
-		DeltaReads:     rep.stats.deltaReads.Load(),
+		DeltaReads:     rep.stats.DeltaReads.Load(),
 
 		DiffPulls:        rep.stats.diffPulls.Load(),
 		DiffFallbacks:    rep.stats.diffFallbacks.Load(),
@@ -292,8 +280,8 @@ func (rep *Replica) Stats() Stats {
 		s.Evictions = cs.Evictions
 	}
 	if st := rep.served.Load(); st != nil {
-		s.Sequence = st.ix.Sequence
-		s.ETag = st.etag
+		s.Sequence = st.Index.Sequence
+		s.ETag = st.ETag
 	}
 	return s
 }
@@ -348,7 +336,7 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 	if cur == nil {
 		return rep.fullSync(ctx, nil)
 	}
-	d, err := originFetchIndexDelta(ctx, rep.Origin, cur.etag)
+	d, err := originFetchIndexDelta(ctx, rep.Origin, cur.ETag)
 	if errors.Is(err, index.ErrDeltaUnchanged) {
 		rep.stats.noopSyncs.Add(1)
 		return nil
@@ -356,9 +344,9 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 	if err == nil {
 		var signed *index.Signed
 		var ix *index.Index
-		if signed, ix, err = d.Apply(cur.ix); err == nil {
-			if ix.Sequence < cur.ix.Sequence {
-				err = fmt.Errorf("edge: delta regressed sequence %d -> %d", cur.ix.Sequence, ix.Sequence)
+		if signed, ix, err = d.Apply(cur.Index); err == nil {
+			if ix.Sequence < cur.Index.Sequence {
+				err = fmt.Errorf("edge: delta regressed sequence %d -> %d", cur.Index.Sequence, ix.Sequence)
 			} else if err = rep.selfVerify(signed); err == nil {
 				rep.stats.deltaSyncs.Add(1)
 				rep.publish(signed, ix)
@@ -374,7 +362,7 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 
 // fullSync fetches and publishes the complete signed index. Caller
 // holds syncMu (not mu).
-func (rep *Replica) fullSync(ctx context.Context, cur *replicaState) error {
+func (rep *Replica) fullSync(ctx context.Context, cur *tsr.Published) error {
 	signed, _, err := originFetchIndexTagged(ctx, rep.Origin)
 	if err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
@@ -383,8 +371,8 @@ func (rep *Replica) fullSync(ctx context.Context, cur *replicaState) error {
 	if err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
 	}
-	if cur != nil && ix.Sequence < cur.ix.Sequence {
-		return fmt.Errorf("edge: origin served sequence %d < replica's %d (origin replay?)", ix.Sequence, cur.ix.Sequence)
+	if cur != nil && ix.Sequence < cur.Index.Sequence {
+		return fmt.Errorf("edge: origin served sequence %d < replica's %d (origin replay?)", ix.Sequence, cur.Index.Sequence)
 	}
 	if err := rep.selfVerify(signed); err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
@@ -408,18 +396,11 @@ func (rep *Replica) selfVerify(signed *index.Signed) error {
 func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	// The locally computed ETag is by construction what the origin
 	// serves for this generation (the digest of the signed form), so
-	// delta syncs and client If-None-Match revalidation agree on it.
-	etag := signed.ETag()
-	// Carry the generation history forward (copy-on-write, capped), so
-	// this replica can answer delta requests from downstreams exactly
-	// like the origin. Republishing the current generation (LoadState
-	// racing a sync) does not duplicate it.
-	var hist []index.Generation
-	if cur := rep.served.Load(); cur != nil {
-		hist = cur.history
-	}
-	hist = index.AppendGeneration(hist, etag, ix)
-	rep.served.Store(&replicaState{signed: signed, etag: etag, ix: ix, history: hist})
+	// delta syncs and client If-None-Match revalidation agree on it. The
+	// generation history is carried forward, so this replica can answer
+	// delta requests from downstreams exactly like the origin.
+	next := tsr.Publish(rep.served.Load(), signed, ix)
+	rep.served.Store(&next)
 	st := rep.store()
 	if it, ok := st.(store.Iterable); ok {
 		// The keep-set spans every retained generation, not just the new
@@ -429,7 +410,7 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 		// exactly the transfer the chunked sync saves. They age out when
 		// their generation leaves the delta window (or by LRU budget).
 		keep := make(map[string]struct{}, len(ix.Entries))
-		for _, gen := range hist {
+		for _, gen := range next.History {
 			for _, e := range gen.Index.Entries {
 				keep[cacheKey(e.Hash)] = struct{}{}
 			}
@@ -522,7 +503,7 @@ func (rep *Replica) LoadState() error {
 	}
 	rep.syncMu.Lock()
 	defer rep.syncMu.Unlock()
-	if cur := rep.served.Load(); cur != nil && cur.ix.Sequence >= ix.Sequence {
+	if cur := rep.served.Load(); cur != nil && cur.Index.Sequence >= ix.Sequence {
 		return nil // already serving this generation or newer
 	}
 	rep.publish(signed, ix)
@@ -532,10 +513,39 @@ func (rep *Replica) LoadState() error {
 // ETag returns the replica's current index ETag ("" before first sync).
 func (rep *Replica) ETag() string {
 	if st := rep.served.Load(); st != nil {
-		return st.etag
+		return st.ETag
 	}
 	return ""
 }
+
+// state returns the published generation every read answers from, or
+// why the replica cannot answer: Offline fails every request, and
+// before the first sync there is nothing to serve.
+func (rep *Replica) state() (*tsr.Published, error) {
+	if rep.Behavior() == Offline {
+		return nil, ErrOffline
+	}
+	st := rep.served.Load()
+	if st == nil {
+		return nil, ErrNotSynced
+	}
+	return st, nil
+}
+
+// IndexETag is ETag for the serving path: it fails like every other
+// read when the replica is offline or not synced yet, so a
+// revalidation cannot be answered 304 by a replica that would refuse
+// the body.
+func (rep *Replica) IndexETag() (string, error) {
+	st, err := rep.state()
+	if err != nil {
+		return "", err
+	}
+	return st.ETag, nil
+}
+
+// ReadCounters implements tsr.ReadView.
+func (rep *Replica) ReadCounters() *tsr.ReadCounters { return &rep.stats.ReadCounters }
 
 // FetchIndex implements pkgmgr.Source (and quorum.Source): the signed
 // index is served exactly as the origin published it — same bytes, same
@@ -558,19 +568,12 @@ func (rep *Replica) FetchIndexTaggedCtx(ctx context.Context) (_ *index.Signed, _
 		sp.End()
 	}()
 	sp.SetTier("edge")
-	return rep.fetchIndexTagged()
-}
-
-func (rep *Replica) fetchIndexTagged() (*index.Signed, string, error) {
-	if rep.Behavior() == Offline {
-		return nil, "", ErrOffline
+	st, err := rep.state()
+	if err != nil {
+		return nil, "", err
 	}
-	st := rep.served.Load()
-	if st == nil {
-		return nil, "", ErrNotSynced
-	}
-	rep.stats.indexReads.Add(1)
-	return st.signed.Clone(), st.etag, nil
+	rep.stats.IndexReads.Add(1)
+	return st.Signed.Clone(), st.ETag, nil
 }
 
 // FetchIndexDelta serves the delta from a retained generation to the
@@ -597,28 +600,13 @@ func (rep *Replica) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_
 		sp.End()
 	}()
 	sp.SetTier("edge")
-	return rep.fetchIndexDelta(sinceETag)
-}
-
-func (rep *Replica) fetchIndexDelta(sinceETag string) (*index.Delta, error) {
-	if rep.Behavior() == Offline {
-		return nil, ErrOffline
+	st, err := rep.state()
+	if err != nil {
+		return nil, err
 	}
-	st := rep.served.Load()
-	if st == nil {
-		return nil, ErrNotSynced
-	}
-	if sinceETag == st.etag {
-		rep.noteIndexNotModified()
-		rep.stats.deltaReads.Add(1)
-		return nil, index.ErrDeltaUnchanged
-	}
-	if base, ok := index.FindGeneration(st.history, sinceETag); ok {
-		rep.stats.indexReads.Add(1)
-		rep.stats.deltaReads.Add(1)
-		return index.ComputeDelta(sinceETag, base, st.signed, st.ix)
-	}
-	return nil, fmt.Errorf("%w: since %s", index.ErrNoDelta, sinceETag)
+	d, err := st.Delta(sinceETag)
+	rep.stats.NoteDelta(err)
+	return d, err
 }
 
 // FetchPackage implements pkgmgr.Source: serve from the local cache,
@@ -643,27 +631,31 @@ func (rep *Replica) FetchPackageCtx(ctx context.Context, name string) (_ []byte,
 	}()
 	sp.SetTier("edge")
 	sp.SetAttr("package", name)
-	entry, err := rep.resolveEntry(name)
-	if err != nil {
-		return nil, err
-	}
-	return rep.fetchEntry(ctx, name, entry)
+	raw, _, err := rep.FetchPackageTracedCtx(ctx, name)
+	return raw, err
 }
 
 // resolveEntry loads the published state once and resolves a package's
-// index entry in it. The HTTP handler uses the same single resolution
-// for the conditional check, the fetch, and the response headers, so
-// the ETag it emits always describes the bytes it serves even when a
-// sync publishes a new generation mid-request.
+// index entry in it. Every byte-producing read drives its fetch and the
+// ETag it reports from one such resolution, so the tag always describes
+// the bytes served even when a sync publishes a new generation
+// mid-request.
 func (rep *Replica) resolveEntry(name string) (index.Entry, error) {
-	if rep.Behavior() == Offline {
-		return index.Entry{}, ErrOffline
+	st, err := rep.state()
+	if err != nil {
+		return index.Entry{}, err
 	}
-	st := rep.served.Load()
-	if st == nil {
-		return index.Entry{}, ErrNotSynced
+	return st.Index.Lookup(name)
+}
+
+// PackageETag resolves a package to its strong ETag (the content hash
+// from the signed index) without touching its bytes.
+func (rep *Replica) PackageETag(name string) (string, error) {
+	entry, err := rep.resolveEntry(name)
+	if err != nil {
+		return "", err
 	}
-	return st.ix.Lookup(name)
+	return entry.ETag(), nil
 }
 
 // fetchEntry serves the bytes for one resolved index entry: local
@@ -673,7 +665,7 @@ func (rep *Replica) resolveEntry(name string) (index.Entry, error) {
 // exactly one origin pull; the N-1 followers share the verified bytes
 // (and count as coalesced pulls, not origin pulls).
 func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	rep.stats.packageReads.Add(1)
+	rep.stats.PackageReads.Add(1)
 	key := cacheKey(entry.Hash)
 	sp := trace.SpanFromContext(ctx)
 
@@ -750,14 +742,4 @@ func (rep *Replica) store() store.Store {
 		}
 	})
 	return rep.Cache
-}
-
-func (rep *Replica) noteIndexNotModified() {
-	rep.stats.indexReads.Add(1)
-	rep.stats.notModified.Add(1)
-}
-
-func (rep *Replica) notePackageNotModified() {
-	rep.stats.packageReads.Add(1)
-	rep.stats.notModified.Add(1)
 }

@@ -32,6 +32,7 @@ type edgeWorld struct {
 	signer  *keys.Pair
 	svc     *tsr.Service
 	tenant  *tsr.Repo
+	policy  []byte // the deployed policy, for deploying further tenants
 }
 
 func newEdgeWorld(t *testing.T) *edgeWorld {
@@ -82,7 +83,8 @@ func newEdgeWorld(t *testing.T) *edgeWorld {
 	}
 	w.svc = svc
 	w.publish(t, testPkg("app", "1.0-r0"), testPkg("lib", "1.0-r0"), testPkg("tool", "1.0-r0"))
-	id, _, _, err := svc.DeployPolicy([]byte(pol.String()))
+	w.policy = []byte(pol.String())
+	id, _, _, err := svc.DeployPolicy(w.policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +471,8 @@ func TestEdgeHandlerServesAndRevalidates(t *testing.T) {
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("revalidation status = %d, want 304", resp.StatusCode)
 	}
-	if resp.Header.Get(headerEdge) != "edge-na-1" {
-		t.Fatalf("%s = %q", headerEdge, resp.Header.Get(headerEdge))
+	if resp.Header.Get("X-Tsr-Edge") != "edge-na-1" {
+		t.Fatalf("X-Tsr-Edge = %q", resp.Header.Get("X-Tsr-Edge"))
 	}
 
 	// Package fetch through the HTTP client verifies against the index.

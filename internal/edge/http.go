@@ -1,203 +1,53 @@
 package edge
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 
 	"tsr/internal/index"
 	"tsr/internal/tsr"
 )
 
-// Wire headers. The index signature headers are the origin's, re-exposed
-// verbatim (an edge never re-signs); X-Tsr-Edge names the replica that
-// answered, so clients and operators can tell the tiers apart.
-const (
-	headerKeyName   = "X-Tsr-Key-Name"
-	headerSignature = "X-Tsr-Signature"
-	headerEdge      = "X-Tsr-Edge"
-)
-
-// Handler exposes replicas over the same read API as the origin, so a
-// tsr.Client (or any package manager) can be pointed at an edge
-// interchangeably:
+// Handler exposes replicas over the same read API as the origin —
+// literally the same routes (tsr.RegisterReadRoutes) — so a tsr.Client
+// (or any package manager) can be pointed at an edge interchangeably:
 //
-//	GET  /repos/{id}/index          the origin-signed metadata index
-//	GET  /repos/{id}/index/delta    delta from a retained generation (?since=<etag>)
-//	GET  /repos/{id}/packages/{pkg} a sanitized package (pull-through cache)
-//	GET  /repos/{id}/stats          replica sync/cache counters
-//	POST /repos/{id}/sync           trigger a sync now
-//	GET  /healthz                   liveness
+//	GET  /repos/{id}/index                 the origin-signed metadata index
+//	GET  /repos/{id}/index/delta           delta from a retained generation (?since=<etag>)
+//	GET  /repos/{id}/packages/{pkg}        a sanitized package (pull-through cache)
+//	GET  /repos/{id}/packages/{pkg}/chunks the package's chunk manifest
+//	GET  /repos/{id}/stats                 replica sync/cache counters
+//	POST /repos/{id}/sync                  trigger a sync now
+//	GET  /healthz                          liveness
 //
-// Write/trust endpoints (POST /policies, /refresh) intentionally do not
-// exist here: an edge cannot perform trusted operations.
+// Every read response carries X-Tsr-Edge: <name>, so clients and
+// operators can tell the tiers apart. Write/trust endpoints (POST
+// /policies, /refresh) intentionally do not exist here: an edge cannot
+// perform trusted operations.
 func Handler(replicas map[string]*Replica, name string) http.Handler {
 	mux := http.NewServeMux()
-	lookup := func(w http.ResponseWriter, r *http.Request) *Replica {
-		rep, ok := replicas[r.PathValue("id")]
+	find := func(id string) (*Replica, error) {
+		rep, ok := replicas[id]
 		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("edge: unknown repository %q", r.PathValue("id")))
-			return nil
+			return nil, fmt.Errorf("edge: unknown repository %q", id)
+		}
+		return rep, nil
+	}
+	tsr.RegisterReadRoutes(mux, func(id string) (tsr.ReadView, error) { return find(id) }, statusFor, name)
+	lookup := func(w http.ResponseWriter, r *http.Request) *Replica {
+		rep, err := find(r.PathValue("id"))
+		if err != nil {
+			tsr.HTTPError(w, http.StatusNotFound, err)
 		}
 		return rep
 	}
-	mux.HandleFunc("GET /repos/{id}/index", func(w http.ResponseWriter, r *http.Request) {
-		rep := lookup(w, r)
-		if rep == nil {
-			return
-		}
-		w.Header().Set(headerEdge, name)
-		w.Header().Set("Cache-Control", "no-cache")
-		if etag := rep.ETag(); etag != "" && tsr.ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			rep.noteIndexNotModified()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		signed, etag, err := rep.FetchIndexTaggedCtx(r.Context())
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.Header().Set("ETag", etag)
-		w.Header().Set(headerKeyName, signed.KeyName)
-		w.Header().Set(headerSignature, base64.StdEncoding.EncodeToString(signed.Sig))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		// Same discipline as the origin: the canonical signed text stays
-		// what the ETag and signature cover; gzip is negotiated transfer
-		// encoding on top of it.
-		tsr.WriteNegotiated(w, r, signed.Raw)
-	})
-	mux.HandleFunc("GET /repos/{id}/index/delta", func(w http.ResponseWriter, r *http.Request) {
-		rep := lookup(w, r)
-		if rep == nil {
-			return
-		}
-		w.Header().Set(headerEdge, name)
-		since := r.URL.Query().Get("since")
-		if since == "" {
-			httpError(w, http.StatusBadRequest, errors.New("missing since=<etag> query parameter"))
-			return
-		}
-		d, err := rep.FetchIndexDeltaCtx(r.Context(), since)
-		if errors.Is(err, index.ErrDeltaUnchanged) {
-			w.Header().Set("ETag", since)
-			w.Header().Set("Cache-Control", "no-cache")
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if err != nil {
-			// index.ErrNoDelta maps to 404: the caller falls back to a
-			// full index fetch, exactly like at the origin.
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.Header().Set("ETag", d.ToETag)
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		tsr.WriteNegotiated(w, r, d.Encode())
-	})
-	mux.HandleFunc("GET /repos/{id}/packages/{pkg}", func(w http.ResponseWriter, r *http.Request) {
-		rep := lookup(w, r)
-		if rep == nil {
-			return
-		}
-		pkg := r.PathValue("pkg")
-		w.Header().Set(headerEdge, name)
-		w.Header().Set("Cache-Control", "no-cache")
-		// Resolve the published state ONCE and drive the conditional
-		// check, the fetch, and the response headers from that single
-		// entry. Resolving per step (as this handler once did) let a
-		// sync publishing mid-request emit an ETag from a newer
-		// generation than the bytes served — a cache-poisoning gift to
-		// any intermediary that stores the pair.
-		entry, err := rep.resolveEntry(pkg)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		etag := entry.ETag()
-		// If-None-Match precedence over Range (RFC 9110): a revalidating
-		// client gets its 304 even when it also sent a Range.
-		if tsr.ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			rep.notePackageNotModified()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Accept-Ranges", "bytes")
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if r.Header.Get("Range") != "" {
-			// Range requests slice buffered already-verified bytes; the
-			// 206 carries the FULL representation's strong ETag (the
-			// content hash from the resolved entry, same as the body on
-			// this single resolution even across a concurrent sync).
-			raw, err := rep.fetchEntry(r.Context(), pkg, entry)
-			if err != nil {
-				httpError(w, statusFor(err), err)
-				return
-			}
-			if tsr.ServeRange(w, r, etag, raw) {
-				return
-			}
-			w.Write(raw)
-			return
-		}
-		// Full-body requests stream off the cache when possible
-		// (hash-as-you-copy, see openStream): a tampered cache entry
-		// aborts the response before the final block instead of
-		// delivering a complete-but-wrong body.
-		if rc, ok := rep.openStream(entry); ok {
-			defer rc.Close()
-			w.Header().Set("Content-Length", strconv.FormatInt(entry.Size, 10))
-			if _, err := io.Copy(w, rc); err != nil {
-				panic(http.ErrAbortHandler)
-			}
-			return
-		}
-		// The obs server span (when tracing is on) is the request's span;
-		// fetchEntry hangs the pull-through round trip and the
-		// served_from attribute off whatever span the context carries.
-		raw, err := rep.fetchEntry(r.Context(), pkg, entry)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.Write(raw)
-	})
-	mux.HandleFunc("GET /repos/{id}/packages/{pkg}/chunks", func(w http.ResponseWriter, r *http.Request) {
-		rep := lookup(w, r)
-		if rep == nil {
-			return
-		}
-		pkg := r.PathValue("pkg")
-		w.Header().Set(headerEdge, name)
-		m, entry, err := rep.chunkManifest(r.Context(), pkg)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		etag := entry.ETag()
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Cache-Control", "no-cache")
-		if tsr.ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		tsr.WriteNegotiated(w, r, tsr.EncodeChunkManifest(pkg, m))
-	})
 	mux.HandleFunc("GET /repos/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
 		rep := lookup(w, r)
 		if rep == nil {
 			return
 		}
-		writeJSON(w, rep.Stats())
+		tsr.WriteJSON(w, rep.Stats())
 	})
 	mux.HandleFunc("POST /repos/{id}/sync", func(w http.ResponseWriter, r *http.Request) {
 		rep := lookup(w, r)
@@ -209,28 +59,15 @@ func Handler(replicas map[string]*Replica, name string) http.Handler {
 		// (chained edges), is a 503 availability condition — not an
 		// upstream protocol error.
 		if err := rep.SyncCtx(r.Context()); err != nil {
-			httpError(w, statusFor(err), err)
+			tsr.HTTPError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, rep.Stats())
+		tsr.WriteJSON(w, rep.Stats())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok", "role": "edge", "edge": name})
+		tsr.WriteJSON(w, map[string]string{"status": "ok", "role": "edge", "edge": name})
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 func statusFor(err error) int {

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 
 	"tsr/internal/index"
 	"tsr/internal/store"
@@ -115,8 +114,8 @@ func (rep *Replica) previousCached(name string, entry index.Entry) []byte {
 		return nil
 	}
 	cache := rep.store()
-	for i := len(st.history) - 1; i >= 0; i-- {
-		old, err := st.history[i].Index.Lookup(name)
+	for i := len(st.History) - 1; i >= 0; i-- {
+		old, err := st.History[i].Index.Lookup(name)
 		if err != nil || old.Hash == entry.Hash {
 			continue
 		}
@@ -157,10 +156,6 @@ func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.En
 	return pulled, nil
 }
 
-// maxManifestMemo bounds the per-replica chunk-manifest memo (keyed by
-// content hash; cleared wholesale when full).
-const maxManifestMemo = 128
-
 // FetchChunkManifest serves the chunk manifest of a package this
 // replica serves — the same surface the origin exposes, so downstream
 // replicas and clients diff against an edge exactly like against the
@@ -171,43 +166,11 @@ func (rep *Replica) FetchChunkManifest(name string) (*store.ChunkManifest, error
 
 // FetchChunkManifestCtx is FetchChunkManifest under a caller context.
 func (rep *Replica) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
-	m, _, err := rep.chunkManifest(ctx, name)
-	return m, err
-}
-
-// chunkManifest resolves the entry and manifest together so the HTTP
-// handler tags the response with the entry's ETag — the same
-// single-resolution discipline as the package handler.
-func (rep *Replica) chunkManifest(ctx context.Context, name string) (*store.ChunkManifest, index.Entry, error) {
 	entry, err := rep.resolveEntry(name)
 	if err != nil {
-		return nil, index.Entry{}, err
+		return nil, err
 	}
-	rep.manifestMu.Lock()
-	m, ok := rep.manifests[entry.Hash]
-	rep.manifestMu.Unlock()
-	if ok {
-		return m, entry, nil
-	}
-	raw, err := rep.fetchEntry(ctx, name, entry)
-	if err != nil {
-		return nil, index.Entry{}, err
-	}
-	m = store.BuildManifest(raw)
-	if m.PackageHash != entry.Hash {
-		// Reachable under Corrupt behavior: a manifest over corrupted
-		// bytes would only mislead downstreams into useless range
-		// fetches, so refuse — the client's full-fetch fallback hits the
-		// same corruption and rejects it end-to-end.
-		return nil, index.Entry{}, fmt.Errorf("edge: %s: served bytes do not match the index entry", name)
-	}
-	rep.manifestMu.Lock()
-	if rep.manifests == nil || len(rep.manifests) >= maxManifestMemo {
-		rep.manifests = make(map[[32]byte]*store.ChunkManifest)
-	}
-	rep.manifests[entry.Hash] = m
-	rep.manifestMu.Unlock()
-	return m, entry, nil
+	return rep.manifests.Get(name, entry, func() ([]byte, error) { return rep.fetchEntry(ctx, name, entry) })
 }
 
 // FetchPackageRange serves length bytes of a package starting at off,
@@ -218,48 +181,56 @@ func (rep *Replica) FetchPackageRange(name string, off, length int64) ([]byte, e
 
 // FetchPackageRangeCtx is FetchPackageRange under a caller context.
 func (rep *Replica) FetchPackageRangeCtx(ctx context.Context, name string, off, length int64) ([]byte, error) {
+	raw, _, err := rep.FetchPackageTracedCtx(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	return tsr.SliceRange(name, raw, off, length)
+}
+
+// FetchPackageTracedCtx serves a package's buffered bytes — local cache
+// first, pull-through on a miss — with the ETag of the entry they were
+// fetched for. The HTTP tier slices Range responses from them. (From,
+// the origin's provenance, stays zero at an edge and is not sent.)
+func (rep *Replica) FetchPackageTracedCtx(ctx context.Context, name string) ([]byte, *tsr.FetchResult, error) {
+	entry, err := rep.resolveEntry(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, err := rep.fetchEntry(ctx, name, entry)
+	if err != nil {
+		return nil, nil, err
+	}
+	return raw, &tsr.FetchResult{ETag: entry.ETag()}, nil
+}
+
+// OpenPackageCtx opens a package for streaming serving: off the cache
+// through hash-as-you-copy verification (tsr.OpenVerified) when it
+// holds the entry — a tampered cache entry aborts the stream before the
+// final block and is dropped, so the next request heals via
+// pull-through — and through the buffered fetchEntry path otherwise
+// (cache miss, non-streaming store, or a misbehaving replica simulating
+// corruption, which needs the buffer to flip its byte).
+func (rep *Replica) OpenPackageCtx(ctx context.Context, name string) (*tsr.PackageStream, error) {
 	entry, err := rep.resolveEntry(name)
 	if err != nil {
 		return nil, err
 	}
+	res := &tsr.FetchResult{ETag: entry.ETag()}
+	if rep.Behavior() == Honest {
+		if rc, ok := tsr.OpenVerified(rep.store(), cacheKey(entry.Hash), entry); ok {
+			rep.stats.PackageReads.Add(1)
+			rep.stats.packageHits.Add(1)
+			rep.stats.streamedServes.Add(1)
+			return &tsr.PackageStream{ReadCloser: rc, Size: entry.Size, Res: res}, nil
+		}
+	}
+	// fetchEntry hangs the pull-through round trip and the served_from
+	// attribute off whatever span the context carries (the obs server
+	// span, when tracing is on).
 	raw, err := rep.fetchEntry(ctx, name, entry)
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || length < 0 || off+length > int64(len(raw)) {
-		return nil, fmt.Errorf("edge: package %s: range [%d,%d) outside %d bytes", name, off, off+length, len(raw))
-	}
-	return raw[off : off+length], nil
-}
-
-// openStream opens a cached package for streaming serving through
-// hash-as-you-copy verification (tsr.NewVerifiedReader): cached bytes
-// flow out without being buffered whole, and a tampered cache entry
-// aborts the stream before the final block and is dropped so the next
-// request heals via pull-through. ok=false (cache miss, non-streaming
-// store, or a misbehaving replica simulating corruption, which needs
-// the buffered path to flip its byte) sends the caller to fetchEntry.
-func (rep *Replica) openStream(entry index.Entry) (io.ReadCloser, bool) {
-	if rep.Behavior() != Honest {
-		return nil, false
-	}
-	sr, ok := rep.store().(store.Streamer)
-	if !ok {
-		return nil, false
-	}
-	key := cacheKey(entry.Hash)
-	rc, size, err := sr.Open(key)
-	if err != nil {
-		return nil, false
-	}
-	if size != entry.Size {
-		rc.Close()
-		return nil, false
-	}
-	rep.stats.packageReads.Add(1)
-	rep.stats.packageHits.Add(1)
-	rep.stats.streamedServes.Add(1)
-	return tsr.NewVerifiedReader(rc, entry.Hash, func() {
-		_ = rep.store().Delete(key)
-	}), true
+	return tsr.BufferedStream(raw, res), nil
 }

@@ -405,7 +405,7 @@ func AblationParallelDownload(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tenant.SetDownloadParallelism(parallel)
+		tenant.SetWorkers(parallel)
 		stats, err := tenant.Refresh()
 		if err != nil {
 			return nil, err

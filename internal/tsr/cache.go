@@ -95,11 +95,8 @@ func (r *Repo) loadCacheEntry(key string) (cacheEntry, error) {
 type counters struct {
 	// Refresh pipeline (RefreshStats aggregates).
 	refreshes, cacheHits, sanitized, rejected, downloaded, failed atomic.Int64
-	// Read tier (snapshot serving path).
-	indexReads, packageReads, notModified atomic.Int64
-	// deltaReads counts index reads answered as a delta (edge replica
-	// sync); each is also counted in indexReads.
-	deltaReads atomic.Int64
+	// Read tier (snapshot serving path), shared with the edge tier.
+	ReadCounters
 	// coalescedFills counts serving-path cache fills that shared
 	// another in-flight request's download+re-sanitization instead of
 	// running their own (flash-crowd coalescing).
@@ -187,10 +184,10 @@ func (r *Repo) CacheStats() CacheStats {
 		Rejected:       r.totals.rejected.Load(),
 		Downloaded:     r.totals.downloaded.Load(),
 		Failed:         r.totals.failed.Load(),
-		IndexReads:     r.totals.indexReads.Load(),
-		PackageReads:   r.totals.packageReads.Load(),
-		NotModified:    r.totals.notModified.Load(),
-		DeltaReads:     r.totals.deltaReads.Load(),
+		IndexReads:     r.totals.IndexReads.Load(),
+		PackageReads:   r.totals.PackageReads.Load(),
+		NotModified:    r.totals.NotModified.Load(),
+		DeltaReads:     r.totals.DeltaReads.Load(),
 		CoalescedFills: r.totals.coalescedFills.Load(),
 		ManifestReads:  r.totals.manifestReads.Load(),
 		RangeReads:     r.totals.rangeReads.Load(),

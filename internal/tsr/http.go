@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -21,12 +20,6 @@ import (
 	"tsr/internal/trace"
 )
 
-// HTTP wire headers for the signed index.
-const (
-	headerKeyName   = "X-Tsr-Key-Name"
-	headerSignature = "X-Tsr-Signature"
-)
-
 // maxPolicyBytes caps POST /policies request bodies; larger bodies are
 // refused with 413 rather than silently truncated.
 const maxPolicyBytes = 10 << 20
@@ -34,25 +27,31 @@ const maxPolicyBytes = 10 << 20
 // maxIngestBytes caps POST /repos/{id}/ingest request bodies.
 const maxIngestBytes = 64 << 20
 
-// Handler exposes the Service as the REST API of §5.2:
+// Handler exposes the Service as the REST API of §5.2 — the read API
+// every tier serves (RegisterReadRoutes) plus the origin's trusted
+// operations:
 //
-//	POST /policies                  deploy a policy (optional ?id= for
-//	                                router-chosen placement), returns
-//	                                repo id + public key + attestation
-//	                                report
-//	POST /repos/{id}/refresh        pull upstream and re-sanitize
-//	POST /repos/{id}/ingest         bulk-register original packages
-//	                                (chunk-framed body, crash-safe)
-//	GET  /repos/{id}/index          the signed metadata index
-//	GET  /repos/{id}/packages/{pkg} a sanitized package
-//	GET  /repos/{id}/rejected       rejected packages and reasons
-//	GET  /repos/{id}/findings       security findings
-//	GET  /repos/{id}/stats          cumulative refresh/cache counters
-//	GET  /stats                     service-wide: per-tenant counters,
-//	                                totals, scheduler snapshot
-//	GET  /healthz                   liveness
+//	GET  /repos/{id}/index                 the signed metadata index
+//	GET  /repos/{id}/index/delta           delta from a retained generation (?since=<etag>)
+//	GET  /repos/{id}/packages/{pkg}        a sanitized package
+//	GET  /repos/{id}/packages/{pkg}/chunks the package's chunk manifest
+//	POST /policies                         deploy a policy (optional ?id= for
+//	                                       router-chosen placement), returns
+//	                                       repo id + public key + attestation
+//	                                       report
+//	POST /repos/{id}/refresh               pull upstream and re-sanitize
+//	POST /repos/{id}/ingest                bulk-register original packages
+//	                                       (chunk-framed body, crash-safe)
+//	GET  /repos/{id}/scripts/{pkg}         a sanitized package's hook scripts
+//	GET  /repos/{id}/rejected              rejected packages and reasons
+//	GET  /repos/{id}/findings              security findings
+//	GET  /repos/{id}/stats                 cumulative refresh/cache counters
+//	GET  /stats                            service-wide: per-tenant counters,
+//	                                       totals, scheduler snapshot
+//	GET  /healthz                          liveness
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
+	RegisterReadRoutes(mux, func(id string) (ReadView, error) { return s.Repo(id) }, statusFor, "")
 	mux.HandleFunc("POST /policies", func(w http.ResponseWriter, r *http.Request) {
 		// MaxBytesReader (unlike a silent LimitReader) fails the read
 		// when the body exceeds the cap, instead of truncating the
@@ -62,19 +61,19 @@ func Handler(s *Service) http.Handler {
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("policy body exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		id, pub, report, err := s.DeployPolicyID(body, r.URL.Query().Get("id"))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, map[string]any{
+		WriteJSON(w, map[string]any{
 			"repository_id":       id,
 			"public_key":          string(pub),
 			"enclave_measurement": hex.EncodeToString(report.Measurement[:]),
@@ -86,7 +85,7 @@ func Handler(s *Service) http.Handler {
 	mux.HandleFunc("POST /repos/{id}/refresh", func(w http.ResponseWriter, r *http.Request) {
 		repo, err := s.Repo(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
 		stats, err := repo.RefreshCtx(r.Context())
@@ -94,10 +93,10 @@ func Handler(s *Service) http.Handler {
 			// 502 is reserved for upstream mirror/quorum failures;
 			// local validation/seal/plan errors map to 500 and a
 			// replay-detected refusal surfaces the rollback sentinel.
-			httpError(w, statusFor(err), err)
+			HTTPError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, map[string]any{
+		WriteJSON(w, map[string]any{
 			"sanitized":         stats.Sanitized,
 			"rejected":          stats.Rejected,
 			"downloaded":        stats.Downloaded,
@@ -112,7 +111,7 @@ func Handler(s *Service) http.Handler {
 	mux.HandleFunc("POST /repos/{id}/ingest", func(w http.ResponseWriter, r *http.Request) {
 		repo, err := s.Repo(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
 		// The body is a sequence of chunk-framed packages (the same
@@ -123,198 +122,45 @@ func Handler(s *Service) http.Handler {
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("ingest body exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		raws, err := DecodeIngestBody(body)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			HTTPError(w, http.StatusBadRequest, err)
 			return
 		}
 		stats, err := repo.RegisterPackages(r.Context(), raws)
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			HTTPError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, stats)
+		WriteJSON(w, stats)
 	})
 	mux.HandleFunc("GET /repos/{id}/stats", func(w http.ResponseWriter, r *http.Request) {
 		repo, err := s.Repo(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, repo.CacheStats())
+		WriteJSON(w, repo.CacheStats())
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Stats())
-	})
-	mux.HandleFunc("GET /repos/{id}/index", func(w http.ResponseWriter, r *http.Request) {
-		repo, err := s.Repo(r.PathValue("id"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		// The ETag is the digest of the signed index: it changes exactly
-		// when a refresh publishes a new snapshot, so clients revalidate
-		// with If-None-Match instead of re-downloading the full index. A
-		// match is answered from the tag alone — the index body is never
-		// even cloned.
-		etag, err := repo.IndexETag()
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.Header().Set("Cache-Control", "no-cache")
-		if ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			repo.noteIndexNotModified()
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		signed, etag, err := repo.FetchIndexTaggedCtx(r.Context())
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.Header().Set("ETag", etag)
-		w.Header().Set(headerKeyName, signed.KeyName)
-		w.Header().Set(headerSignature, base64.StdEncoding.EncodeToString(signed.Sig))
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		// The canonical signed text stays what the ETag and signature
-		// cover; gzip is negotiated transfer encoding on top of it.
-		WriteNegotiated(w, r, signed.Raw)
-	})
-	mux.HandleFunc("GET /repos/{id}/index/delta", func(w http.ResponseWriter, r *http.Request) {
-		repo, err := s.Repo(r.PathValue("id"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		since := r.URL.Query().Get("since")
-		if since == "" {
-			httpError(w, http.StatusBadRequest, errors.New("missing since=<etag> query parameter"))
-			return
-		}
-		d, err := repo.FetchIndexDeltaCtx(r.Context(), since)
-		if errors.Is(err, index.ErrDeltaUnchanged) {
-			// The base generation IS the current one: nothing to send.
-			w.Header().Set("ETag", since)
-			w.Header().Set("Cache-Control", "no-cache")
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if err != nil {
-			// index.ErrNoDelta maps to 404: the caller falls back to a
-			// full index fetch.
-			httpError(w, statusFor(err), err)
-			return
-		}
-		w.Header().Set("ETag", d.ToETag)
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		WriteNegotiated(w, r, d.Encode())
-	})
-	mux.HandleFunc("GET /repos/{id}/packages/{pkg}", func(w http.ResponseWriter, r *http.Request) {
-		repo, err := s.Repo(r.PathValue("id"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		pkg := r.PathValue("pkg")
-		// Conditional fast path: the package ETag is its content hash
-		// from the signed index, so a match skips the cache read (and
-		// any re-sanitization) entirely. Checked BEFORE Range — RFC 9110
-		// gives If-None-Match precedence, so a revalidating client gets
-		// its 304 even when it also sent a Range.
-		if etag, err := repo.PackageETag(pkg); err == nil &&
-			ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			repo.notePackageNotModified()
-			w.Header().Set("ETag", etag)
-			w.Header().Set("Cache-Control", "no-cache")
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		if r.Header.Get("Range") != "" {
-			// Range requests serve slices of buffered already-verified
-			// bytes: a 206 must never splice unverified data.
-			raw, res, err := repo.FetchPackageTracedCtx(r.Context(), pkg)
-			if err != nil {
-				httpError(w, statusFor(err), err)
-				return
-			}
-			w.Header().Set("ETag", res.ETag)
-			w.Header().Set("Cache-Control", "no-cache")
-			w.Header().Set("Accept-Ranges", "bytes")
-			w.Header().Set("X-Tsr-Served-From", res.From.String())
-			w.Header().Set("Content-Type", "application/octet-stream")
-			if ServeRange(w, r, res.ETag, raw) {
-				return
-			}
-			w.Write(raw)
-			return
-		}
-		// Full-body requests stream: hash-as-you-copy off the store when
-		// it can stream, buffered verified bytes otherwise (see
-		// OpenPackageCtx). A mid-stream verification failure aborts the
-		// response before the final block, so the client never receives a
-		// complete body that does not match the signed entry.
-		stream, err := repo.OpenPackageCtx(r.Context(), pkg)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		defer stream.Close()
-		w.Header().Set("ETag", stream.Res.ETag)
-		w.Header().Set("Cache-Control", "no-cache")
-		w.Header().Set("Accept-Ranges", "bytes")
-		w.Header().Set("X-Tsr-Served-From", stream.Res.From.String())
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(stream.Size, 10))
-		if _, err := io.Copy(w, stream); err != nil {
-			// Headers (and some bytes) are out: the only honest move is
-			// to kill the connection so the client sees a truncated
-			// transfer, not a complete-looking wrong body.
-			panic(http.ErrAbortHandler)
-		}
-	})
-	mux.HandleFunc("GET /repos/{id}/packages/{pkg}/chunks", func(w http.ResponseWriter, r *http.Request) {
-		repo, err := s.Repo(r.PathValue("id"))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		pkg := r.PathValue("pkg")
-		m, entry, err := repo.chunkManifest(r.Context(), pkg)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		// The manifest is immutable per content hash, so it shares the
-		// package's strong ETag and revalidates the same way.
-		etag := entry.ETag()
-		w.Header().Set("ETag", etag)
-		w.Header().Set("Cache-Control", "no-cache")
-		if ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		WriteNegotiated(w, r, EncodeChunkManifest(pkg, m))
+		WriteJSON(w, s.Stats())
 	})
 	mux.HandleFunc("GET /repos/{id}/scripts/{pkg}", func(w http.ResponseWriter, r *http.Request) {
 		repo, err := s.Repo(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
 		preview, err := repo.scriptPreview(r.PathValue("pkg"))
 		if err != nil {
-			httpError(w, statusFor(err), err)
+			HTTPError(w, statusFor(err), err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -323,33 +169,36 @@ func Handler(s *Service) http.Handler {
 	mux.HandleFunc("GET /repos/{id}/rejected", func(w http.ResponseWriter, r *http.Request) {
 		repo, err := s.Repo(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, repo.RejectedPackages())
+		WriteJSON(w, repo.RejectedPackages())
 	})
 	mux.HandleFunc("GET /repos/{id}/findings", func(w http.ResponseWriter, r *http.Request) {
 		repo, err := s.Repo(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, repo.Findings())
+		WriteJSON(w, repo.Findings())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
+		WriteJSON(w, map[string]string{"status": "ok"})
 	})
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON writes v as an indented JSON 200.
+func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
+// HTTPError writes the JSON error body every handler of both daemons
+// answers failures with; code comes from the tier's statusFor table.
+func HTTPError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})

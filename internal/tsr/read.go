@@ -1,0 +1,400 @@
+package tsr
+
+import (
+	"context"
+	"encoding/base64"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
+
+	"tsr/internal/index"
+	"tsr/internal/store"
+)
+
+// The read API — what a package manager sees as "a standard repository
+// mirror" (§4.3) — written once for both serving tiers. The origin
+// (*Repo) and the untrusted edge (*edge.Replica) publish the same kind
+// of generation, answer the same four routes from it, and differ only
+// in where package bytes come from, in their sentinel→status table,
+// and in one tier header. "A response's ETag always names the bytes it
+// carries" therefore has exactly one enforcement point: this file.
+
+// Published is one immutable published index generation: the read state
+// a tier swaps in with a single atomic pointer store, so requests never
+// wait on a refresh (origin) or a sync (edge). Nothing reachable from a
+// Published changes after Publish returns it.
+type Published struct {
+	Signed *index.Signed // the enclave-signed index, served verbatim
+	ETag   string        // strong ETag: the digest of the signed form
+	Index  *index.Index  // decoded form of Signed
+	// History holds the most recent generations (this one last, at most
+	// index.HistoryWindow) — the bases GET /index/delta can diff against.
+	History []index.Generation
+}
+
+// Publish builds the generation that follows prev (nil before the first
+// publish). The history is carried forward copy-on-write, so a reader
+// still holding prev keeps its own window, and republishing the same
+// generation does not duplicate it.
+func Publish(prev *Published, signed *index.Signed, ix *index.Index) Published {
+	var hist []index.Generation
+	if prev != nil {
+		hist = prev.History
+	}
+	etag := signed.ETag()
+	return Published{Signed: signed, ETag: etag, Index: ix, History: index.AppendGeneration(hist, etag, ix)}
+}
+
+// Delta returns the delta from the generation published under since to
+// this one: index.ErrDeltaUnchanged when since IS this generation, and
+// index.ErrNoDelta when the base is no longer retained (the caller
+// falls back to a full fetch).
+func (p *Published) Delta(since string) (*index.Delta, error) {
+	if since == p.ETag {
+		return nil, index.ErrDeltaUnchanged
+	}
+	if base, ok := index.FindGeneration(p.History, since); ok {
+		return index.ComputeDelta(since, base, p.Signed, p.Index)
+	}
+	return nil, fmt.Errorf("%w: since %s", index.ErrNoDelta, since)
+}
+
+// ReadCounters are the read-tier counters both tiers report in /stats.
+// Plain atomics: the serving path never takes a lock to count.
+type ReadCounters struct {
+	// IndexReads and PackageReads count requests answered from the
+	// published generation, conditional revalidations included.
+	IndexReads, PackageReads atomic.Int64
+	// NotModified counts revalidations answered 304; each is also a read.
+	NotModified atomic.Int64
+	// DeltaReads counts index reads answered through /index/delta; each
+	// is also an IndexRead.
+	DeltaReads atomic.Int64
+}
+
+// NoteDelta counts one Published.Delta answer. A delta revalidation IS
+// an index read answered from the tag alone, so it counts like the
+// full-index 304: operators watching /stats see the replica fleet's
+// polling either way.
+func (c *ReadCounters) NoteDelta(err error) {
+	switch {
+	case err == nil:
+		c.IndexReads.Add(1)
+		c.DeltaReads.Add(1)
+	case errors.Is(err, index.ErrDeltaUnchanged):
+		c.IndexReads.Add(1)
+		c.NotModified.Add(1)
+		c.DeltaReads.Add(1)
+	}
+}
+
+// ReadView is what the read routes need from a tier. Every method
+// answers from the tier's currently published generation without
+// blocking on a refresh or sync; *Repo and *edge.Replica implement it.
+type ReadView interface {
+	// IndexETag is the current index's ETag, without materializing the
+	// index — a revalidation that matches never touches the body.
+	IndexETag() (string, error)
+	FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error)
+	FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (*index.Delta, error)
+	// PackageETag resolves a package to its strong ETag (the content
+	// hash from the signed index) without touching its bytes.
+	PackageETag(name string) (string, error)
+	// OpenPackageCtx and FetchPackageTracedCtx produce a package's
+	// verified bytes — streamed, or buffered for range slicing —
+	// together with the ETag of the one resolution that produced them.
+	OpenPackageCtx(ctx context.Context, name string) (*PackageStream, error)
+	FetchPackageTracedCtx(ctx context.Context, name string) ([]byte, *FetchResult, error)
+	FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error)
+	ReadCounters() *ReadCounters
+}
+
+// HTTP wire headers. The index signature headers are the enclave's —
+// an edge re-exposes them verbatim, it never re-signs. The tier headers
+// tell the tiers apart: the origin reports how it produced a package,
+// an edge names the replica that answered.
+const (
+	headerKeyName    = "X-Tsr-Key-Name"
+	headerSignature  = "X-Tsr-Signature"
+	headerServedFrom = "X-Tsr-Served-From"
+	headerEdge       = "X-Tsr-Edge"
+)
+
+// RegisterReadRoutes registers the read API on mux:
+//
+//	GET /repos/{id}/index                 the signed metadata index
+//	GET /repos/{id}/index/delta           delta from a retained generation (?since=<etag>)
+//	GET /repos/{id}/packages/{pkg}        a sanitized package (Range / If-Range capable)
+//	GET /repos/{id}/packages/{pkg}/chunks the package's chunk manifest
+//
+// lookup resolves a repository id (its error is answered 404) and
+// statusFor is the tier's sentinel→status table. edge is empty at the
+// origin, which reports each package's provenance in X-Tsr-Served-From;
+// an edge passes its name, sent as X-Tsr-Edge on every response.
+//
+// Representation headers (ETag, Accept-Ranges, Content-Type,
+// Content-Length, X-Tsr-Served-From) are set only once the bytes are in
+// hand and come from the resolution that produced them, so an error
+// body never carries a package's validators.
+func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, error), statusFor func(error) int, edge string) {
+	view := func(w http.ResponseWriter, r *http.Request) ReadView {
+		if edge != "" {
+			w.Header().Set(headerEdge, edge)
+		}
+		v, err := lookup(r.PathValue("id"))
+		if err != nil {
+			HTTPError(w, http.StatusNotFound, err)
+			return nil
+		}
+		return v
+	}
+	// tagged sets the validator pair every 200, 206 and 304 carries.
+	tagged := func(w http.ResponseWriter, etag string) {
+		w.Header().Set("ETag", etag)
+		w.Header().Set("Cache-Control", "no-cache")
+	}
+	mux.HandleFunc("GET /repos/{id}/index", func(w http.ResponseWriter, r *http.Request) {
+		v := view(w, r)
+		if v == nil {
+			return
+		}
+		// The ETag is the digest of the signed index: it changes exactly
+		// when a new generation is published, so clients revalidate with
+		// If-None-Match instead of re-downloading the full index. A match
+		// is answered from the tag alone — the index body is never even
+		// cloned.
+		etag, err := v.IndexETag()
+		if err != nil {
+			HTTPError(w, statusFor(err), err)
+			return
+		}
+		if ETagMatch(r.Header.Get("If-None-Match"), etag) {
+			c := v.ReadCounters()
+			c.IndexReads.Add(1)
+			c.NotModified.Add(1)
+			tagged(w, etag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		signed, etag, err := v.FetchIndexTaggedCtx(r.Context())
+		if err != nil {
+			HTTPError(w, statusFor(err), err)
+			return
+		}
+		tagged(w, etag)
+		w.Header().Set(headerKeyName, signed.KeyName)
+		w.Header().Set(headerSignature, base64.StdEncoding.EncodeToString(signed.Sig))
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		// The canonical signed text stays what the ETag and signature
+		// cover; gzip is negotiated transfer encoding on top of it.
+		WriteNegotiated(w, r, signed.Raw)
+	})
+	mux.HandleFunc("GET /repos/{id}/index/delta", func(w http.ResponseWriter, r *http.Request) {
+		v := view(w, r)
+		if v == nil {
+			return
+		}
+		since := r.URL.Query().Get("since")
+		if since == "" {
+			HTTPError(w, http.StatusBadRequest, errors.New("missing since=<etag> query parameter"))
+			return
+		}
+		d, err := v.FetchIndexDeltaCtx(r.Context(), since)
+		if errors.Is(err, index.ErrDeltaUnchanged) {
+			// The base generation IS the current one: nothing to send.
+			tagged(w, since)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		if err != nil {
+			// index.ErrNoDelta maps to 404: the caller falls back to a
+			// full index fetch.
+			HTTPError(w, statusFor(err), err)
+			return
+		}
+		tagged(w, d.ToETag)
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		WriteNegotiated(w, r, d.Encode())
+	})
+	mux.HandleFunc("GET /repos/{id}/packages/{pkg}", func(w http.ResponseWriter, r *http.Request) {
+		v := view(w, r)
+		if v == nil {
+			return
+		}
+		pkg := r.PathValue("pkg")
+		// Conditional fast path: the package ETag is its content hash
+		// from the signed index, so a match skips the byte read (and any
+		// pull-through or re-sanitization) entirely. Checked BEFORE Range
+		// — RFC 9110 gives If-None-Match precedence, so a revalidating
+		// client gets its 304 even when it also sent a Range. A resolve
+		// error falls through: the fetch below reports it in full.
+		if etag, err := v.PackageETag(pkg); err == nil &&
+			ETagMatch(r.Header.Get("If-None-Match"), etag) {
+			c := v.ReadCounters()
+			c.PackageReads.Add(1)
+			c.NotModified.Add(1)
+			tagged(w, etag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		// Each fetch resolves the published state ONCE and returns the
+		// bytes together with that resolution's ETag, which is the only
+		// source of the headers below. Resolving per step (as the edge
+		// handler once did) let a publish landing mid-request emit an
+		// ETag from a newer generation than the bytes served — a
+		// cache-poisoning gift to any intermediary that stores the pair.
+		represent := func(res *FetchResult) {
+			tagged(w, res.ETag)
+			w.Header().Set("Accept-Ranges", "bytes")
+			if edge == "" {
+				w.Header().Set(headerServedFrom, res.From.String())
+			}
+			w.Header().Set("Content-Type", "application/octet-stream")
+		}
+		if r.Header.Get("Range") != "" {
+			// Range requests serve slices of buffered already-verified
+			// bytes: a 206 must never splice unverified data. It carries
+			// the FULL representation's strong ETag.
+			raw, res, err := v.FetchPackageTracedCtx(r.Context(), pkg)
+			if err != nil {
+				HTTPError(w, statusFor(err), err)
+				return
+			}
+			represent(res)
+			if !ServeRange(w, r, res.ETag, raw) {
+				w.Write(raw)
+			}
+			return
+		}
+		// Full-body requests stream: hash-as-you-copy off the store when
+		// it can stream, buffered verified bytes otherwise. A mid-stream
+		// verification failure aborts the response before the final
+		// block, so the client never receives a complete body that does
+		// not match the signed entry.
+		stream, err := v.OpenPackageCtx(r.Context(), pkg)
+		if err != nil {
+			HTTPError(w, statusFor(err), err)
+			return
+		}
+		defer stream.Close()
+		represent(stream.Res)
+		w.Header().Set("Content-Length", strconv.FormatInt(stream.Size, 10))
+		// Copy from the inner reader, not the wrapper: buffered bytes then
+		// write themselves out (io.WriterTo) without a copy buffer.
+		if _, err := io.Copy(w, stream.ReadCloser); err != nil {
+			// Headers (and some bytes) are out: the only honest move is
+			// to kill the connection so the client sees a truncated
+			// transfer, not a complete-looking wrong body.
+			panic(http.ErrAbortHandler)
+		}
+	})
+	mux.HandleFunc("GET /repos/{id}/packages/{pkg}/chunks", func(w http.ResponseWriter, r *http.Request) {
+		v := view(w, r)
+		if v == nil {
+			return
+		}
+		pkg := r.PathValue("pkg")
+		// The manifest is immutable per content hash, so it shares the
+		// package's strong ETag and revalidates the same way — against
+		// the resolved entry, BEFORE the manifest is built: on a memo
+		// miss that costs a full package fetch plus a chunking pass,
+		// which a 304 must not pay.
+		if etag, err := v.PackageETag(pkg); err == nil &&
+			ETagMatch(r.Header.Get("If-None-Match"), etag) {
+			tagged(w, etag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		m, err := v.FetchChunkManifestCtx(r.Context(), pkg)
+		if err != nil {
+			HTTPError(w, statusFor(err), err)
+			return
+		}
+		// Tagged from the manifest itself: the hash of the very bytes it
+		// was cut from.
+		tagged(w, index.Entry{Hash: m.PackageHash}.ETag())
+		w.Header().Set("Content-Type", "application/json")
+		WriteNegotiated(w, r, EncodeChunkManifest(pkg, m))
+	})
+}
+
+// maxManifestMemo bounds a ManifestMemo. Manifests are keyed by content
+// hash, so the memo survives republishes of unchanged packages; when it
+// fills, it is cleared wholesale (the next requests rebuild — manifests
+// are cheap relative to a package fetch).
+const maxManifestMemo = 128
+
+// ManifestMemo memoizes chunk manifests — content-defined chunk
+// boundaries plus per-chunk SHA-256, rooted in the signed entry via
+// PackageHash — per content hash. The zero value is ready to use.
+type ManifestMemo struct {
+	manifestMu sync.Mutex
+	manifests  map[[32]byte]*store.ChunkManifest
+}
+
+// Get returns the manifest of entry's content, cutting it from the
+// bytes fetch returns on a miss. Bytes that do not hash to the entry
+// (the tier republished during the build, or a replica simulating
+// corruption) are refused: a manifest over other bytes would only
+// mislead downstreams into useless range fetches, and their full-fetch
+// fallback meets the same bytes and rejects them end-to-end.
+func (mm *ManifestMemo) Get(name string, entry index.Entry, fetch func() ([]byte, error)) (*store.ChunkManifest, error) {
+	mm.manifestMu.Lock()
+	m, ok := mm.manifests[entry.Hash]
+	mm.manifestMu.Unlock()
+	if ok {
+		return m, nil
+	}
+	raw, err := fetch()
+	if err != nil {
+		return nil, err
+	}
+	m = store.BuildManifest(raw)
+	if m.PackageHash != entry.Hash {
+		return nil, fmt.Errorf("tsr: %s: bytes served for the chunk manifest do not match the index entry", name)
+	}
+	mm.manifestMu.Lock()
+	if mm.manifests == nil || len(mm.manifests) >= maxManifestMemo {
+		mm.manifests = make(map[[32]byte]*store.ChunkManifest)
+	}
+	mm.manifests[entry.Hash] = m
+	mm.manifestMu.Unlock()
+	return m, nil
+}
+
+// SliceRange returns a copy of length bytes of a package starting at
+// off, sliced from already-verified bytes — the in-process side of
+// chunk-aware sync.
+func SliceRange(name string, raw []byte, off, length int64) ([]byte, error) {
+	if off < 0 || length < 0 || off+length > int64(len(raw)) {
+		return nil, fmt.Errorf("tsr: package %s: range [%d,%d) outside %d bytes", name, off, off+length, len(raw))
+	}
+	return append([]byte(nil), raw[off:off+length]...), nil
+}
+
+// OpenVerified opens the blob at key for streaming through
+// hash-as-you-copy verification against entry (NewVerifiedReader): the
+// bytes flow out without ever being buffered whole, a mid-stream tamper
+// surfaces as an error before the final block is released, and the
+// poisoned blob is dropped so the next request heals. ok=false — the
+// store cannot stream, or does not hold exactly entry.Size bytes there
+// — sends the caller to its buffered, already-verified path.
+func OpenVerified(st store.Store, key string, entry index.Entry) (io.ReadCloser, bool) {
+	sr, ok := st.(store.Streamer)
+	if !ok {
+		return nil, false
+	}
+	rc, size, err := sr.Open(key)
+	if err != nil {
+		return nil, false
+	}
+	if size != entry.Size {
+		rc.Close()
+		return nil, false
+	}
+	return NewVerifiedReader(rc, entry.Hash, func() { _ = st.Delete(key) }), true
+}

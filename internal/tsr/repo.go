@@ -150,8 +150,7 @@ type Repo struct {
 	planDebt       map[string]bool         // packages whose current-version scripts did not inform the plan (fetch failed); re-fetched and re-planned next refresh
 	registered     map[string]index.Entry  // operator-registered original packages (batched ingest): name -> entry describing the ORIGINAL bytes; refresh sanitizes them alongside upstream targets unless an upstream package of the same name shadows the registration
 	keepStats      bool
-	seq            uint64             // local index sequence
-	history        []index.Generation // recent published generations, for delta sync (see snapshot.go)
+	seq            uint64 // local index sequence
 
 	// served is the published read state; see snapshot.go. Swapped in
 	// one atomic store at the end of a successful Refresh/RestoreState.
@@ -174,10 +173,8 @@ type Repo struct {
 	servedWrites   map[string]struct{}
 
 	// manifests memoizes chunk manifests by content hash for the
-	// differential-sync endpoint; see stream.go. Bounded by
-	// maxManifestMemo, cleared wholesale when full.
-	manifestMu sync.Mutex
-	manifests  map[[32]byte]*store.ChunkManifest
+	// differential-sync endpoint; see stream.go.
+	manifests ManifestMemo
 }
 
 // newRepo builds the tenant repository and its quorum reader.
@@ -263,10 +260,6 @@ func (r *Repo) SetWorkers(n int) {
 	defer r.mu.Unlock()
 	r.workers = max(n, 1)
 }
-
-// SetDownloadParallelism is the historical name of SetWorkers, kept for
-// the parallel-download ablation.
-func (r *Repo) SetDownloadParallelism(n int) { r.SetWorkers(n) }
 
 // ForceReplan drops the in-memory sanitization plan and upstream
 // fingerprint so the next Refresh rebuilds the plan from scratch. When

@@ -27,22 +27,15 @@ import (
 // wholesale (never mutates them in place once assigned), and
 // publishLocked copies the maps that refresh updates incrementally.
 type snapshot struct {
+	// Published is the signed local index (the index of sanitized
+	// packages) with its ETag and delta window — the same value an edge
+	// replica publishes, so the two tiers' read paths cannot drift apart.
+	Published
 	mode     CacheMode
-	upstream *index.Index  // verified upstream index the local entries derive from
-	local    *index.Index  // index of sanitized packages
-	localSig *index.Signed // signed local index served to clients
+	upstream *index.Index // verified upstream index the local entries derive from
 	plan     *sanitize.Plan
 	pinned   map[string]index.Entry // packages serving a previous version after a failed refresh
 	rejected map[string]string      // package -> rejection reason
-	etag     string                 // strong ETag derived from the signed index digest
-	// history holds the most recent published index generations
-	// (including this one, as the last element) so edge replicas can
-	// delta-sync: GET /index/delta?since=<etag> diffs a retained
-	// generation against the current index. Maintained copy-on-write
-	// via index.AppendGeneration, capped at index.HistoryWindow — the
-	// same machinery the edge tier retains its window with, so origin
-	// and edge delta endpoints can never drift apart.
-	history []index.Generation
 }
 
 // publishLocked builds a snapshot from the current refresh-side state
@@ -52,15 +45,19 @@ func (r *Repo) publishLocked() {
 	if r.local == nil || r.localSig == nil {
 		return
 	}
+	// The retained history rides on the previous snapshot. A republish of
+	// the same generation (e.g. SetCacheMode) does not duplicate it.
+	var prev *Published
+	if cur := r.served.Load(); cur != nil {
+		prev = &cur.Published
+	}
 	snap := &snapshot{
-		mode:     r.mode,
-		upstream: r.upstream,
-		local:    r.local,
-		localSig: r.localSig,
-		plan:     r.plan,
-		pinned:   make(map[string]index.Entry, len(r.pinned)),
-		rejected: make(map[string]string, len(r.rejected)),
-		etag:     r.localSig.ETag(),
+		Published: Publish(prev, r.localSig, r.local),
+		mode:      r.mode,
+		upstream:  r.upstream,
+		plan:      r.plan,
+		pinned:    make(map[string]index.Entry, len(r.pinned)),
+		rejected:  make(map[string]string, len(r.rejected)),
 	}
 	for k, v := range r.pinned {
 		snap.pinned[k] = v
@@ -68,11 +65,6 @@ func (r *Repo) publishLocked() {
 	for k, v := range r.rejected {
 		snap.rejected[k] = v
 	}
-	// Append this generation to the retained history (copy-on-write: a
-	// previously published snapshot keeps its own slice). A republish of
-	// the same generation (e.g. SetCacheMode) does not duplicate it.
-	r.history = index.AppendGeneration(r.history, snap.etag, r.local)
-	snap.history = r.history
 	r.served.Store(snap)
 }
 
@@ -88,36 +80,23 @@ func (r *Repo) FetchIndexDelta(sinceETag string) (*index.Delta, error) {
 
 // FetchIndexDeltaCtx is FetchIndexDelta under a caller context: when
 // the context is traced, the read runs as an origin-tier span.
-func (r *Repo) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (*index.Delta, error) {
+func (r *Repo) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *index.Delta, err error) {
 	_, sp := trace.Start(ctx, "origin.index_delta")
-	defer sp.End()
+	defer func() {
+		// 304/404 are protocol answers, not failures.
+		if err != nil && !errors.Is(err, index.ErrDeltaUnchanged) && !errors.Is(err, index.ErrNoDelta) {
+			sp.SetError(err)
+		}
+		sp.End()
+	}()
 	sp.SetTier("origin")
-	d, err := r.fetchIndexDelta(sinceETag)
-	if err != nil && !errors.Is(err, index.ErrDeltaUnchanged) && !errors.Is(err, index.ErrNoDelta) {
-		sp.SetError(err)
-	}
-	return d, err
-}
-
-func (r *Repo) fetchIndexDelta(sinceETag string) (*index.Delta, error) {
 	snap := r.served.Load()
 	if snap == nil {
 		return nil, ErrNotInitialized
 	}
-	if sinceETag == snap.etag {
-		// Counted like the full-index 304: a delta revalidation IS an
-		// index read, answered from the tag alone. Operators watching
-		// /stats see the replica fleet's polling either way.
-		r.noteIndexNotModified()
-		r.totals.deltaReads.Add(1)
-		return nil, index.ErrDeltaUnchanged
-	}
-	if base, ok := index.FindGeneration(snap.history, sinceETag); ok {
-		r.totals.indexReads.Add(1)
-		r.totals.deltaReads.Add(1)
-		return index.ComputeDelta(sinceETag, base, snap.localSig, snap.local)
-	}
-	return nil, fmt.Errorf("%w: since %s", index.ErrNoDelta, sinceETag)
+	d, err := snap.Delta(sinceETag)
+	r.totals.NoteDelta(err)
+	return d, err
 }
 
 // FetchIndex implements pkgmgr.Source: serves the signed local index
@@ -135,8 +114,8 @@ func (r *Repo) FetchIndexTagged() (*index.Signed, string, error) {
 	if snap == nil {
 		return nil, "", ErrNotInitialized
 	}
-	r.totals.indexReads.Add(1)
-	return snap.localSig.Clone(), snap.etag, nil
+	r.totals.IndexReads.Add(1)
+	return snap.Signed.Clone(), snap.ETag, nil
 }
 
 // FetchIndexTaggedCtx is FetchIndexTagged under a caller context: when
@@ -158,7 +137,7 @@ func (r *Repo) IndexETag() (string, error) {
 	if snap == nil {
 		return "", ErrNotInitialized
 	}
-	return snap.etag, nil
+	return snap.ETag, nil
 }
 
 // PackageETag returns the strong ETag of a served package without
@@ -170,28 +149,20 @@ func (r *Repo) PackageETag(name string) (string, error) {
 	if snap == nil {
 		return "", ErrNotInitialized
 	}
-	entry, err := snap.local.Lookup(name)
+	entry, err := snap.Index.Lookup(name)
 	if err != nil {
 		return "", err
 	}
 	return entry.ETag(), nil
 }
 
-// noteIndexNotModified / notePackageNotModified count an If-None-Match
-// revalidation answered 304. The read counter is bumped too: a 304 is
-// an index/package read served from the snapshot, just a cheaper one.
-func (r *Repo) noteIndexNotModified() {
-	r.totals.indexReads.Add(1)
-	r.totals.notModified.Add(1)
-}
-
-func (r *Repo) notePackageNotModified() {
-	r.totals.packageReads.Add(1)
-	r.totals.notModified.Add(1)
-}
+// ReadCounters implements ReadView.
+func (r *Repo) ReadCounters() *ReadCounters { return &r.totals.ReadCounters }
 
 // FetchResult describes how a FetchPackage request was served.
 type FetchResult struct {
+	// From is the origin's provenance; an edge leaves it zero and the
+	// read routes do not send it.
 	From ServedFrom
 	// Latency is the server-side time to produce the bytes: real time
 	// for cache reads and sanitization plus modeled download time.
@@ -250,7 +221,7 @@ func (r *Repo) fetchPackageTraced(ctx context.Context, name string) ([]byte, *Fe
 	if snap == nil {
 		return nil, nil, ErrNotInitialized
 	}
-	r.totals.packageReads.Add(1)
+	r.totals.PackageReads.Add(1)
 	raw, res, err := r.fetchFromSnapshot(ctx, snap, name)
 	if err == nil {
 		return raw, res, nil
@@ -299,7 +270,7 @@ func retryableServeError(err error) bool {
 // snapshot.
 func (r *Repo) fetchFromSnapshot(ctx context.Context, snap *snapshot, name string) ([]byte, *FetchResult, error) {
 	start := time.Now()
-	entry, err := snap.local.Lookup(name)
+	entry, err := snap.Index.Lookup(name)
 	if err != nil {
 		if reason, rejected := snap.rejected[name]; rejected {
 			return nil, nil, fmt.Errorf("%w: %s: %s", ErrUnsupportedPkg, name, reason)

@@ -3,75 +3,42 @@ package tsr
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"time"
 
-	"tsr/internal/index"
 	"tsr/internal/store"
 )
 
-// Origin-side wire efficiency (ROADMAP item 4): chunk manifests for
-// differential sync, byte-range reads, and streaming package serving.
-// All of it is derived from — and re-verified against — the published
-// snapshot's signed index; nothing here adds trusted state.
+// Origin-side wire efficiency: chunk manifests for differential sync,
+// byte-range reads, and streaming package serving, over the helpers the
+// edge tier shares (read.go). All of it is derived from — and
+// re-verified against — the published snapshot's signed index; nothing
+// here adds trusted state.
 
-// maxManifestMemo bounds the per-repo manifest memo. Manifests are
-// keyed by content hash, so the memo survives republishes of unchanged
-// packages; when it fills, it is cleared wholesale (the next requests
-// rebuild — manifests are cheap relative to a package fetch).
-const maxManifestMemo = 128
-
-// FetchChunkManifest returns the chunk manifest of a served package:
-// content-defined chunk boundaries plus per-chunk SHA-256, rooted in
-// the signed entry via PackageHash. Memoized per content hash.
+// FetchChunkManifest returns the chunk manifest of a served package
+// (see ManifestMemo).
 func (r *Repo) FetchChunkManifest(name string) (*store.ChunkManifest, error) {
 	return r.FetchChunkManifestCtx(context.Background(), name)
 }
 
 // FetchChunkManifestCtx is FetchChunkManifest under a caller context.
 func (r *Repo) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
-	m, _, err := r.chunkManifest(ctx, name)
-	return m, err
-}
-
-// chunkManifest resolves the entry and manifest together, so the HTTP
-// handler tags the response with the entry's ETag.
-func (r *Repo) chunkManifest(ctx context.Context, name string) (*store.ChunkManifest, index.Entry, error) {
 	snap := r.served.Load()
 	if snap == nil {
-		return nil, index.Entry{}, ErrNotInitialized
+		return nil, ErrNotInitialized
 	}
-	entry, err := snap.local.Lookup(name)
+	entry, err := snap.Index.Lookup(name)
 	if err != nil {
-		return nil, index.Entry{}, err
+		return nil, err
 	}
-	r.manifestMu.Lock()
-	m, ok := r.manifests[entry.Hash]
-	r.manifestMu.Unlock()
-	if ok {
+	m, err := r.manifests.Get(name, entry, func() ([]byte, error) {
+		raw, _, err := r.FetchPackageTracedCtx(ctx, name)
+		return raw, err
+	})
+	if err == nil {
 		r.totals.manifestReads.Add(1)
-		return m, entry, nil
 	}
-	raw, _, err := r.FetchPackageTracedCtx(ctx, name)
-	if err != nil {
-		return nil, index.Entry{}, err
-	}
-	m = store.BuildManifest(raw)
-	if m.PackageHash != entry.Hash {
-		// FetchPackage verified the bytes against the entry, so this is
-		// only reachable when the snapshot advanced between the lookup
-		// and the fetch; the caller retries.
-		return nil, index.Entry{}, fmt.Errorf("%w: %s: snapshot changed during manifest build", index.ErrNotFound, name)
-	}
-	r.manifestMu.Lock()
-	if r.manifests == nil || len(r.manifests) >= maxManifestMemo {
-		r.manifests = make(map[[32]byte]*store.ChunkManifest)
-	}
-	r.manifests[entry.Hash] = m
-	r.manifestMu.Unlock()
-	r.totals.manifestReads.Add(1)
-	return m, entry, nil
+	return m, err
 }
 
 // FetchPackageRange returns length bytes of the package starting at
@@ -87,14 +54,13 @@ func (r *Repo) FetchPackageRangeCtx(ctx context.Context, name string, off, lengt
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || length < 0 || off+length > int64(len(raw)) {
-		return nil, fmt.Errorf("tsr: package %s: range [%d,%d) outside %d bytes", name, off, off+length, len(raw))
-	}
 	r.totals.rangeReads.Add(1)
-	return append([]byte(nil), raw[off:off+length]...), nil
+	return SliceRange(name, raw, off, length)
 }
 
-// PackageStream is one package opened for streaming serving.
+// PackageStream is one package opened for streaming serving: verified
+// bytes, their size, and the result of the resolution that produced
+// them.
 type PackageStream struct {
 	io.ReadCloser
 	Size int64
@@ -102,39 +68,28 @@ type PackageStream struct {
 }
 
 // OpenPackageCtx opens a package for streaming: when the sanitized
-// cache store can stream (store.Streamer) and holds the entry, the
-// bytes flow from the store through hash-as-you-copy verification
-// (NewVerifiedReader) without ever being buffered whole; a mid-stream
-// tamper surfaces as an error before the final block is released, and
-// the poisoned cache entry is dropped so the next request heals via
+// cache holds the entry and can stream it, the bytes flow from the
+// store through hash-as-you-copy verification (OpenVerified) and a
+// tampered entry is dropped so the next request heals via
 // re-sanitization. Every other case (cache miss, CacheNone, pinned
 // versions, non-streaming store) falls back to the buffered —
 // already verified — serve path.
 func (r *Repo) OpenPackageCtx(ctx context.Context, name string) (*PackageStream, error) {
 	start := time.Now()
 	if snap := r.served.Load(); snap != nil && snap.mode == CacheBoth {
-		if sr, ok := r.svc.cfg.Store.(store.Streamer); ok {
-			if entry, err := snap.local.Lookup(name); err == nil {
-				key := r.sanitizedKey(name, entry.Hash)
-				if rc, size, err := sr.Open(key); err == nil {
-					if size == entry.Size {
-						r.totals.packageReads.Add(1)
-						r.totals.streamedServes.Add(1)
-						vr := NewVerifiedReader(rc, entry.Hash, func() {
-							_ = r.svc.cfg.Store.Delete(key)
-						})
-						return &PackageStream{
-							ReadCloser: vr,
-							Size:       size,
-							Res: &FetchResult{
-								From:    ServedSanitizedCache,
-								Latency: time.Since(start),
-								ETag:    entry.ETag(),
-							},
-						}, nil
-					}
-					rc.Close()
-				}
+		if entry, err := snap.Index.Lookup(name); err == nil {
+			if rc, ok := OpenVerified(r.svc.cfg.Store, r.sanitizedKey(name, entry.Hash), entry); ok {
+				r.totals.PackageReads.Add(1)
+				r.totals.streamedServes.Add(1)
+				return &PackageStream{
+					ReadCloser: rc,
+					Size:       entry.Size,
+					Res: &FetchResult{
+						From:    ServedSanitizedCache,
+						Latency: time.Since(start),
+						ETag:    entry.ETag(),
+					},
+				}, nil
 			}
 		}
 	}
@@ -142,9 +97,10 @@ func (r *Repo) OpenPackageCtx(ctx context.Context, name string) (*PackageStream,
 	if err != nil {
 		return nil, err
 	}
-	return &PackageStream{
-		ReadCloser: io.NopCloser(bytes.NewReader(raw)),
-		Size:       int64(len(raw)),
-		Res:        res,
-	}, nil
+	return BufferedStream(raw, res), nil
+}
+
+// BufferedStream wraps already-verified bytes as a PackageStream.
+func BufferedStream(raw []byte, res *FetchResult) *PackageStream {
+	return &PackageStream{ReadCloser: io.NopCloser(bytes.NewReader(raw)), Size: int64(len(raw)), Res: res}
 }

@@ -925,7 +925,7 @@ func TestParallelDownloadReducesModeledTime(t *testing.T) {
 		}
 		w.publish(t, pkgs...)
 		r := w.deploy(t)
-		r.SetDownloadParallelism(parallel)
+		r.SetWorkers(parallel)
 		stats, err := r.Refresh()
 		if err != nil {
 			t.Fatal(err)
