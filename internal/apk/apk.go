@@ -11,7 +11,10 @@
 //
 // Both segments are tar archives. The control segment's exact bytes are
 // what the signature covers, so Decode keeps them available for
-// verification and Encode is deterministic.
+// verification and Encode is deterministic. Encode and Decode reuse
+// pooled compressors and scratch buffers; a Reset gzip writer emits the
+// same bytes as a fresh one, so Encode output is byte-stable whichever
+// pooled writer produced it.
 package apk
 
 import (
@@ -19,12 +22,14 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -139,11 +144,13 @@ func (p *Package) UncompressedSize() int64 {
 // DataHash computes the SHA-256 of the encoded data segment; this is the
 // "hash of the package contents" stored in the control segment.
 func (p *Package) DataHash() ([32]byte, error) {
-	data, err := encodeDataSegment(p.Files)
-	if err != nil {
+	h := sha256.New()
+	if err := writeDataSegment(h, p.Files); err != nil {
 		return [32]byte{}, err
 	}
-	return sha256.Sum256(data), nil
+	var sum [32]byte
+	h.Sum(sum[:0])
+	return sum, nil
 }
 
 // ControlBytes renders the control segment exactly as Encode embeds it;
@@ -153,55 +160,108 @@ func (p *Package) ControlBytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return encodeControlSegment(p, hash)
+	var buf bytes.Buffer
+	if err := writeControlSegment(&buf, p, hash); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// Encode serializes the package to its on-wire form.
+// codec is the reusable state of one Encode or Decode: a compressor, a
+// decompressor and the scratch the three segments are built in. Pooling
+// it leaves the returned bytes (Encode) or file contents (Decode) as the
+// only per-call payload allocations.
+type codec struct {
+	zw  *gzip.Writer
+	zr  gzip.Reader
+	seg [3]bytes.Buffer // signature, control, data
+	out bytes.Buffer
+}
+
+// maxPooledScratch caps each scratch buffer a pooled codec keeps.
+// Pooled memory is live to the collector, so keeping the buffers of the
+// largest packages would raise the heap goal, and the resident size, of
+// every process that ever handled one. A larger buffer is dropped; the
+// next large call sizes a fresh one up front instead of growing it.
+const maxPooledScratch = 256 << 10
+
+var codecs = sync.Pool{New: func() any { return &codec{zw: gzip.NewWriter(nil)} }}
+
+func getCodec() *codec {
+	c := codecs.Get().(*codec)
+	for i := range c.seg {
+		c.seg[i].Reset()
+	}
+	c.out.Reset()
+	return c
+}
+
+func putCodec(c *codec) {
+	for _, b := range []*bytes.Buffer{&c.seg[0], &c.seg[1], &c.seg[2], &c.out} {
+		if b.Cap() > maxPooledScratch {
+			*b = bytes.Buffer{}
+		}
+	}
+	codecs.Put(c)
+}
+
+// Encode serializes the package to its on-wire form. The data segment
+// is tarred once: its digest goes into the control segment and its
+// bytes into the third gzip member.
 func Encode(p *Package) ([]byte, error) {
-	control, err := p.ControlBytes()
-	if err != nil {
+	c := getCodec()
+	defer putCodec(c)
+	// Content plus, per file, a header, a PAX extension and padding.
+	c.seg[2].Grow(int(p.UncompressedSize()) + len(p.Files)<<11 + 1<<10)
+	if err := writeDataSegment(&c.seg[2], p.Files); err != nil {
 		return nil, err
 	}
-	sigSeg, err := encodeSignatureSegment(p.Signatures)
-	if err != nil {
+	if err := writeControlSegment(&c.seg[1], p, sha256.Sum256(c.seg[2].Bytes())); err != nil {
 		return nil, err
 	}
-	dataSeg, err := encodeDataSegment(p.Files)
-	if err != nil {
+	if err := writeSignatureSegment(&c.seg[0], p.Signatures); err != nil {
 		return nil, err
 	}
-	var out bytes.Buffer
-	for _, seg := range [][]byte{sigSeg, control, dataSeg} {
-		gz := gzip.NewWriter(&out)
-		if _, err := gz.Write(seg); err != nil {
+	// Deflate expands incompressible input by well under 1%.
+	n := c.seg[0].Len() + c.seg[1].Len() + c.seg[2].Len()
+	c.out.Grow(n + n>>7 + 1<<10)
+	for i := range c.seg {
+		c.zw.Reset(&c.out)
+		if _, err := c.zw.Write(c.seg[i].Bytes()); err != nil {
 			return nil, fmt.Errorf("apk: compressing segment: %w", err)
 		}
-		if err := gz.Close(); err != nil {
+		if err := c.zw.Close(); err != nil {
 			return nil, fmt.Errorf("apk: compressing segment: %w", err)
 		}
 	}
-	return out.Bytes(), nil
+	return bytes.Clone(c.out.Bytes()), nil
 }
 
 // Decode parses an encoded package, verifying the control segment's
 // content hash against the data segment.
 func Decode(raw []byte) (*Package, error) {
-	segs, err := splitGzipMembers(raw, 3)
+	c := getCodec()
+	defer putCodec(c)
+	rest, err := c.inflate(raw, 3)
 	if err != nil {
 		return nil, err
+	}
+	if rest != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, rest)
 	}
 	p := &Package{}
-	if err := decodeSignatureSegment(segs[0], p); err != nil {
+	if err := decodeSignatureSegment(c.seg[0].Bytes(), p); err != nil {
 		return nil, err
 	}
-	declaredHash, err := decodeControlSegment(segs[1], p)
+	declaredHash, err := decodeControlSegment(c.seg[1].Bytes(), p)
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeDataSegment(segs[2], p); err != nil {
+	data := c.seg[2].Bytes()
+	if err := decodeDataSegment(data, p); err != nil {
 		return nil, err
 	}
-	actual := sha256.Sum256(segs[2])
+	actual := sha256.Sum256(data)
 	if actual != declaredHash {
 		return nil, fmt.Errorf("%w: declared %x, actual %x", ErrContentHash, declaredHash[:8], actual[:8])
 	}
@@ -214,120 +274,90 @@ func Decode(raw []byte) (*Package, error) {
 // larger) data segment is not touched, so the integrity check costs
 // roughly the same regardless of package size.
 func RawControlSegment(raw []byte) ([]byte, error) {
-	segs, err := splitGzipPrefix(raw, 2)
-	if err != nil {
+	c := getCodec()
+	defer putCodec(c)
+	if _, err := c.inflate(raw, 2); err != nil {
 		return nil, err
 	}
-	return segs[1], nil
+	return bytes.Clone(c.seg[1].Bytes()), nil
 }
 
-// splitGzipMembers decompresses exactly n concatenated gzip members and
-// requires the input to end after them.
-func splitGzipMembers(raw []byte, n int) ([][]byte, error) {
-	segs, r, err := splitMembers(raw, n)
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, r.Len())
-	}
-	return segs, nil
-}
-
-// splitGzipPrefix decompresses the first n members, ignoring the rest.
-func splitGzipPrefix(raw []byte, n int) ([][]byte, error) {
-	segs, _, err := splitMembers(raw, n)
-	return segs, err
-}
-
-func splitMembers(raw []byte, n int) ([][]byte, *bytes.Reader, error) {
+// inflate decompresses the first n concatenated gzip members of raw
+// into c.seg and returns how many bytes of raw follow them.
+func (c *codec) inflate(raw []byte, n int) (int, error) {
 	r := bytes.NewReader(raw)
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrFormat, err)
-	}
-	gz.Multistream(false)
-	var segs [][]byte
 	for i := 0; i < n; i++ {
-		var buf bytes.Buffer
-		if _, err := io.Copy(&buf, gz); err != nil {
-			return nil, nil, fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
-		}
-		segs = append(segs, buf.Bytes())
-		if i == n-1 {
-			break
-		}
-		if err := gz.Reset(r); err != nil {
-			if err == io.EOF {
-				return nil, nil, fmt.Errorf("%w: only %d of %d segments", ErrFormat, i+1, n)
+		if err := c.zr.Reset(r); err != nil {
+			if err == io.EOF && i > 0 {
+				return 0, fmt.Errorf("%w: only %d of %d segments", ErrFormat, i, n)
 			}
-			return nil, nil, fmt.Errorf("%w: segment %d: %v", ErrFormat, i+1, err)
+			return 0, fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
 		}
-		gz.Multistream(false)
+		c.zr.Multistream(false)
+		if i == 2 {
+			c.seg[2].Grow(dataSizeHint(raw, r.Len()))
+		}
+		if _, err := c.seg[i].ReadFrom(&c.zr); err != nil {
+			return 0, fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
+		}
 	}
-	return segs, r, nil
+	return r.Len(), nil
+}
+
+// maxPresize caps the data-segment scratch reserved from a size hint; a
+// larger segment grows past it as it inflates.
+const maxPresize = 16 << 20
+
+// dataSizeHint is the scratch to reserve for the data segment, taken
+// from the gzip trailer that ends raw (the segment's size mod 2^32).
+// The sender chose that number, so it is consulted only after the first
+// two members inflated cleanly, and it is capped by deflate's 1032:1
+// limit over the left compressed bytes and by maxPresize.
+func dataSizeHint(raw []byte, left int) int {
+	if len(raw) < 4 {
+		return 0
+	}
+	size := int64(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
+	return int(min(size, 1032*int64(left), maxPresize)) + bytes.MinRead
 }
 
 // tarEpoch is the fixed timestamp used for all archive members, keeping
 // encoding deterministic (same package bytes in, same bytes out).
 var tarEpoch = time.Unix(0, 0)
 
-func encodeSignatureSegment(sigs map[string][]byte) ([]byte, error) {
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
+func writeSignatureSegment(w io.Writer, sigs map[string][]byte) error {
+	tw := tar.NewWriter(w)
 	names := make([]string, 0, len(sigs))
 	for name := range sigs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		sig := sigs[name]
-		hdr := &tar.Header{
-			Name:    SignaturePrefix + name,
-			Mode:    0o644,
-			Size:    int64(len(sig)),
-			ModTime: tarEpoch,
-			Format:  tar.FormatPAX,
-		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return nil, fmt.Errorf("apk: signature segment: %w", err)
-		}
-		if _, err := tw.Write(sig); err != nil {
-			return nil, fmt.Errorf("apk: signature segment: %w", err)
+		if err := writeMember(tw, SignaturePrefix+name, 0o644, sigs[name], nil); err != nil {
+			return fmt.Errorf("apk: signature segment: %w", err)
 		}
 	}
 	if err := tw.Close(); err != nil {
-		return nil, fmt.Errorf("apk: signature segment: %w", err)
+		return fmt.Errorf("apk: signature segment: %w", err)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 func decodeSignatureSegment(seg []byte, p *Package) error {
-	tr := tar.NewReader(bytes.NewReader(seg))
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%w: signature segment: %v", ErrFormat, err)
-		}
+	return eachMember(seg, "signature", func(hdr *tar.Header, sig []byte) error {
 		if !strings.HasPrefix(hdr.Name, SignaturePrefix) {
 			return fmt.Errorf("%w: unexpected signature member %q", ErrFormat, hdr.Name)
-		}
-		sig, err := io.ReadAll(tr)
-		if err != nil {
-			return fmt.Errorf("%w: signature segment: %v", ErrFormat, err)
 		}
 		if p.Signatures == nil {
 			p.Signatures = make(map[string][]byte)
 		}
 		p.Signatures[strings.TrimPrefix(hdr.Name, SignaturePrefix)] = sig
-	}
+		return nil
+	})
 }
 
-// encodeControlSegment renders .PKGINFO and the script members.
-func encodeControlSegment(p *Package, dataHash [32]byte) ([]byte, error) {
+// writeControlSegment renders .PKGINFO and the script members.
+func writeControlSegment(w io.Writer, p *Package, dataHash [32]byte) error {
 	var info bytes.Buffer
 	fmt.Fprintf(&info, "pkgname = %s\n", p.Name)
 	fmt.Fprintf(&info, "pkgver = %s\n", p.Version)
@@ -341,71 +371,42 @@ func encodeControlSegment(p *Package, dataHash [32]byte) ([]byte, error) {
 	}
 	fmt.Fprintf(&info, "datahash = %x\n", dataHash)
 
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
-	write := func(name string, content []byte) error {
-		hdr := &tar.Header{
-			Name:    name,
-			Mode:    0o644,
-			Size:    int64(len(content)),
-			ModTime: tarEpoch,
-			Format:  tar.FormatPAX,
-		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return err
-		}
-		_, err := tw.Write(content)
-		return err
-	}
-	if err := write(ControlName, info.Bytes()); err != nil {
-		return nil, fmt.Errorf("apk: control segment: %w", err)
+	tw := tar.NewWriter(w)
+	if err := writeMember(tw, ControlName, 0o644, info.Bytes(), nil); err != nil {
+		return fmt.Errorf("apk: control segment: %w", err)
 	}
 	for _, name := range p.ScriptNames() {
-		if err := write("."+name, []byte(p.Scripts[name])); err != nil {
-			return nil, fmt.Errorf("apk: control segment: %w", err)
+		if err := writeMember(tw, "."+name, 0o644, []byte(p.Scripts[name]), nil); err != nil {
+			return fmt.Errorf("apk: control segment: %w", err)
 		}
 	}
 	if err := tw.Close(); err != nil {
-		return nil, fmt.Errorf("apk: control segment: %w", err)
+		return fmt.Errorf("apk: control segment: %w", err)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 func decodeControlSegment(seg []byte, p *Package) ([32]byte, error) {
 	var dataHash [32]byte
 	seenInfo := false
-	tr := tar.NewReader(bytes.NewReader(seg))
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return dataHash, fmt.Errorf("%w: control segment: %v", ErrFormat, err)
-		}
-		content, err := io.ReadAll(tr)
-		if err != nil {
-			return dataHash, fmt.Errorf("%w: control segment: %v", ErrFormat, err)
-		}
+	err := eachMember(seg, "control", func(hdr *tar.Header, content []byte) error {
 		if hdr.Name == ControlName {
 			seenInfo = true
-			if err := parsePkgInfo(content, p, &dataHash); err != nil {
-				return dataHash, err
-			}
-			continue
+			return parsePkgInfo(content, p, &dataHash)
 		}
 		if !strings.HasPrefix(hdr.Name, ".") {
-			return dataHash, fmt.Errorf("%w: unexpected control member %q", ErrFormat, hdr.Name)
+			return fmt.Errorf("%w: unexpected control member %q", ErrFormat, hdr.Name)
 		}
 		if p.Scripts == nil {
 			p.Scripts = make(map[string]string)
 		}
 		p.Scripts[strings.TrimPrefix(hdr.Name, ".")] = string(content)
+		return nil
+	})
+	if err == nil && !seenInfo {
+		err = fmt.Errorf("%w: missing %s", ErrFormat, ControlName)
 	}
-	if !seenInfo {
-		return dataHash, fmt.Errorf("%w: missing %s", ErrFormat, ControlName)
-	}
-	return dataHash, nil
+	return dataHash, err
 }
 
 func parsePkgInfo(content []byte, p *Package, dataHash *[32]byte) error {
@@ -443,55 +444,34 @@ func parsePkgInfo(content []byte, p *Package, dataHash *[32]byte) error {
 	return nil
 }
 
-func encodeDataSegment(files []File) ([]byte, error) {
-	var buf bytes.Buffer
-	tw := tar.NewWriter(&buf)
+// writeDataSegment tars the files in path order.
+func writeDataSegment(w io.Writer, files []File) error {
+	tw := tar.NewWriter(w)
 	sorted := append([]File(nil), files...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	for _, f := range sorted {
 		if !strings.HasPrefix(f.Path, "/") {
-			return nil, fmt.Errorf("%w: file path %q not absolute", ErrFormat, f.Path)
+			return fmt.Errorf("%w: file path %q not absolute", ErrFormat, f.Path)
 		}
-		hdr := &tar.Header{
-			Name:    strings.TrimPrefix(f.Path, "/"),
-			Mode:    int64(f.Mode),
-			Size:    int64(len(f.Content)),
-			ModTime: tarEpoch,
-			Format:  tar.FormatPAX,
-		}
+		var pax map[string]string
 		if len(f.Xattrs) > 0 {
-			hdr.PAXRecords = make(map[string]string, len(f.Xattrs))
+			pax = make(map[string]string, len(f.Xattrs))
 			for k, v := range f.Xattrs {
-				hdr.PAXRecords[paxXattrPrefix+k] = string(v)
+				pax[paxXattrPrefix+k] = string(v)
 			}
 		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			return nil, fmt.Errorf("apk: data segment: %w", err)
-		}
-		if _, err := tw.Write(f.Content); err != nil {
-			return nil, fmt.Errorf("apk: data segment: %w", err)
+		if err := writeMember(tw, strings.TrimPrefix(f.Path, "/"), int64(f.Mode), f.Content, pax); err != nil {
+			return fmt.Errorf("apk: data segment: %w", err)
 		}
 	}
 	if err := tw.Close(); err != nil {
-		return nil, fmt.Errorf("apk: data segment: %w", err)
+		return fmt.Errorf("apk: data segment: %w", err)
 	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 func decodeDataSegment(seg []byte, p *Package) error {
-	tr := tar.NewReader(bytes.NewReader(seg))
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("%w: data segment: %v", ErrFormat, err)
-		}
-		content, err := io.ReadAll(tr)
-		if err != nil {
-			return fmt.Errorf("%w: data segment: %v", ErrFormat, err)
-		}
+	return eachMember(seg, "data", func(hdr *tar.Header, content []byte) error {
 		f := File{
 			Path:    "/" + hdr.Name,
 			Mode:    uint32(hdr.Mode),
@@ -506,5 +486,52 @@ func decodeDataSegment(seg []byte, p *Package) error {
 			}
 		}
 		p.Files = append(p.Files, f)
+		return nil
+	})
+}
+
+// writeMember appends one member with the fixed header fields every
+// segment uses.
+func writeMember(tw *tar.Writer, name string, mode int64, content []byte, pax map[string]string) error {
+	hdr := &tar.Header{
+		Name:       name,
+		Mode:       mode,
+		Size:       int64(len(content)),
+		ModTime:    tarEpoch,
+		Format:     tar.FormatPAX,
+		PAXRecords: pax,
+	}
+	if err := tw.WriteHeader(hdr); err != nil {
+		return err
+	}
+	_, err := tw.Write(content)
+	return err
+}
+
+// eachMember calls fn with every member of the tar segment seg and a
+// copy of its content in an exact-size slice. The slice is allocated
+// only once the header's size is known to fit in what is left of the
+// segment, so a hostile header gets ErrFormat, not a large allocation.
+func eachMember(seg []byte, what string, fn func(hdr *tar.Header, content []byte) error) error {
+	br := bytes.NewReader(seg)
+	tr := tar.NewReader(br)
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %s segment: %v", ErrFormat, what, err)
+		}
+		if hdr.Size < 0 || hdr.Size > int64(br.Len()) {
+			return fmt.Errorf("%w: %s segment: member %q claims %d bytes, %d left", ErrFormat, what, hdr.Name, hdr.Size, br.Len())
+		}
+		content := make([]byte, hdr.Size)
+		if _, err := io.ReadFull(tr, content); err != nil {
+			return fmt.Errorf("%w: %s segment: %v", ErrFormat, what, err)
+		}
+		if err := fn(hdr, content); err != nil {
+			return err
+		}
 	}
 }

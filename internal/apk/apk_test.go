@@ -1,12 +1,18 @@
 package apk
 
 import (
+	"archive/tar"
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,14 +113,14 @@ func TestDecodeRejectsTamperedData(t *testing.T) {
 }
 
 // rawSegments splits an encoded package into its three uncompressed
-// segments via the package's own splitter (tested separately below).
+// segments via the package's own decompressor.
 func rawSegments(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
-	segs, err := splitGzipMembers(raw, 3)
-	if err != nil {
+	var c codec
+	if _, err := c.inflate(raw, 3); err != nil {
 		t.Fatal(err)
 	}
-	return segs
+	return [][]byte{c.seg[0].Bytes(), c.seg[1].Bytes(), c.seg[2].Bytes()}
 }
 
 // rebuild re-gzips three segments into package wire format.
@@ -133,27 +139,215 @@ func rebuild(t *testing.T, segs ...[]byte) []byte {
 	return out.Bytes()
 }
 
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte("not gzip")); !errors.Is(err, ErrFormat) {
-		t.Fatalf("garbage: err = %v", err)
-	}
-	// Too few segments.
+// decodeErrorInputs are malformed packages Decode must reject with
+// ErrFormat: garbage, too few segments, trailing bytes after three.
+func decodeErrorInputs(t testing.TB) map[string][]byte {
 	var one bytes.Buffer
 	gz := gzipWriter(&one)
 	gz.Write([]byte("x"))
 	gz.Close()
-	if _, err := Decode(one.Bytes()); !errors.Is(err, ErrFormat) {
-		t.Fatalf("one segment: err = %v", err)
+	return map[string][]byte{
+		"garbage":        []byte("not gzip"),
+		"one segment":    one.Bytes(),
+		"trailing bytes": append(mustEncode(t, samplePackage()), 0xFF),
 	}
-	// Trailing garbage after three segments.
-	p := samplePackage()
+}
+
+func TestDecodeErrors(t *testing.T) {
+	for name, raw := range decodeErrorInputs(t) {
+		if _, err := Decode(raw); !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: err = %v", name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsOversizedMember: a tar header claiming more bytes
+// than its segment holds is ErrFormat in every segment, and Decode does
+// not allocate the claimed size first.
+func TestDecodeRejectsOversizedMember(t *testing.T) {
+	const claimed = 64 << 20
+	var hostile bytes.Buffer
+	tw := tar.NewWriter(&hostile)
+	if err := tw.WriteHeader(&tar.Header{Name: ".SIGN.RSA.x", Mode: 0o644, Size: claimed}); err != nil {
+		t.Fatal(err)
+	}
+	tw.Write([]byte("only these bytes follow"))
+	hostile.Write(make([]byte, 1024)) // no Close: the member stays short
+
+	segs := rawSegments(t, mustEncode(t, samplePackage()))
+	for i := range segs {
+		parts := append([][]byte(nil), segs...)
+		parts[i] = hostile.Bytes()
+		raw := rebuild(t, parts...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("segment %d: err = %v, want ErrFormat", i, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= claimed/4 {
+			t.Fatalf("segment %d: Decode allocated %d bytes for a member claiming %d", i, n, claimed)
+		}
+	}
+}
+
+// TestDecodeDistrustsSizeTrailer: the gzip trailer that ends a package
+// is the sender's claim of the data segment's size. A trailer claiming
+// 64 MiB must not buy a large allocation, whether the first member is
+// garbage (64 KiB of it, enough for deflate's 1032:1 limit to allow the
+// claim) or the first two members are valid and only the data member
+// lies.
+func TestDecodeDistrustsSizeTrailer(t *testing.T) {
+	const claimed, budget = 64 << 20, 1 << 20
+	lie := binary.LittleEndian.AppendUint32(nil, claimed)
+	valid := mustEncode(t, samplePackage())
+	inputs := map[string][]byte{
+		"garbage":           append(bytes.Repeat([]byte{0x1F}, 64<<10), lie...),
+		"lying data member": append(valid[:len(valid)-4:len(valid)-4], lie...),
+	}
+	Decode(valid) // warm the codec pool
+	for name, raw := range inputs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(raw)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFormat) {
+			t.Fatalf("%s: err = %v, want ErrFormat", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= budget {
+			t.Fatalf("%s: Decode allocated %d bytes for a trailer claiming %d", name, n, claimed)
+		}
+	}
+}
+
+func mustEncode(t testing.TB, p *Package) []byte {
+	t.Helper()
 	raw, err := Encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(append(raw, 0xFF)); !errors.Is(err, ErrFormat) {
-		t.Fatalf("trailing bytes: err = %v", err)
+	return raw
+}
+
+// largePackage has files of seeded pseudo-random content totalling
+// about size bytes, so that compressing it works a flate window hard.
+func largePackage(name string, seed int64, size int) *Package {
+	rng := rand.New(rand.NewSource(seed))
+	p := &Package{Name: name, Version: "1.0-r0", Depends: []string{"musl"},
+		Scripts: map[string]string{"post-install": "true\n"}}
+	for i := 0; i < 4; i++ {
+		content := make([]byte, size/4)
+		rng.Read(content[:len(content)/2]) // half random, half zeros
+		p.Files = append(p.Files, File{Path: fmt.Sprintf("/usr/lib/%s/%d", name, i), Mode: 0o644, Content: content})
 	}
+	p.Signatures = map[string][]byte{"k": []byte(name)}
+	return p
+}
+
+// freshEncode builds the encoding of p with none of Encode's pooled
+// state: segments tarred into fresh buffers, the control segment via
+// ControlBytes, and a new gzip writer per member.
+func freshEncode(t *testing.T, p *Package) []byte {
+	t.Helper()
+	var sig, data bytes.Buffer
+	if err := writeSignatureSegment(&sig, p.Signatures); err != nil {
+		t.Fatal(err)
+	}
+	control, err := p.ControlBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeDataSegment(&data, p.Files); err != nil {
+		t.Fatal(err)
+	}
+	return rebuild(t, sig.Bytes(), control, data.Bytes())
+}
+
+// TestEncodeMatchesFreshWriter: a pooled writer and scratch that just
+// encoded a large package must leave no trace in the next encoding.
+func TestEncodeMatchesFreshWriter(t *testing.T) {
+	mustEncode(t, largePackage("big", 1, 1<<20))
+	p := samplePackage()
+	if got, want := mustEncode(t, p), freshEncode(t, p); !bytes.Equal(got, want) {
+		t.Fatalf("Encode after a large package = %d bytes, fresh writers give %d", len(got), len(want))
+	}
+}
+
+// TestEncodeConcurrent: goroutines encoding different packages at once
+// through the shared pool each get their serial encoding.
+func TestEncodeConcurrent(t *testing.T) {
+	const n = 8
+	pkgs := make([]*Package, n)
+	serial := make([][]byte, n)
+	for i := range pkgs {
+		pkgs[i] = largePackage(fmt.Sprintf("p%d", i), int64(i), (i+1)*16<<10)
+		serial[i] = mustEncode(t, pkgs[i])
+	}
+	var wg sync.WaitGroup
+	for i := range pkgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				raw, err := Encode(pkgs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(raw, serial[i]) {
+					t.Errorf("package %d round %d: concurrent encoding differs from serial", i, round)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// FuzzDecode: Decode never panics, fails only with its sentinels, and
+// whatever it accepts survives Encode → Decode unchanged up to the
+// order Encode imposes (dependencies and files sorted).
+func FuzzDecode(f *testing.F) {
+	f.Add(mustEncode(f, samplePackage()))
+	dup := samplePackage()
+	for i := 0; i < 20; i++ {
+		dup.Files = append(dup.Files, File{Path: "/etc/ntp.conf", Mode: 0o600, Content: []byte{byte(i)}})
+	}
+	f.Add(mustEncode(f, dup))
+	for _, raw := range decodeErrorInputs(f) {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		p, err := Decode(raw)
+		if err != nil {
+			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrContentHash) {
+				t.Fatalf("unexpected error %v", err)
+			}
+			return
+		}
+		again, err := Encode(p)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded package: %v", err)
+		}
+		q, err := Decode(again)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded package: %v", err)
+		}
+		sort.Strings(p.Depends)
+		sortFiles(p.Files)
+		sortFiles(q.Files)
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the package:\n got %+v\nwant %+v", q, p)
+		}
+	})
+}
+
+// sortFiles orders files by every field, so two packages holding the
+// same files compare equal whatever order Encode left duplicate paths in.
+func sortFiles(files []File) {
+	key := func(f File) string { return fmt.Sprintf("%s\x00%o\x00%x\x00%v", f.Path, f.Mode, f.Content, f.Xattrs) }
+	sort.Slice(files, func(i, j int) bool { return key(files[i]) < key(files[j]) })
 }
 
 func TestSignVerify(t *testing.T) {

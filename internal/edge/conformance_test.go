@@ -204,11 +204,18 @@ func TestReadAPIConformance(t *testing.T) {
 		{name: "chunks 404", path: "/packages/nope/chunks", wantStatus: 404},
 	}
 	// --- common: unknown repository 404, not-ready 503, on every route ---
-	for _, route := range []string{"/index", deltaPath(tag), "/packages/blob", "/packages/blob/chunks"} {
+	// Rows are named for the route, not its path: the delta path carries
+	// the index ETag, which changes from run to run.
+	for _, route := range []struct{ name, path string }{
+		{"/index", "/index"},
+		{"/index/delta?since=current", deltaPath(tag)},
+		{"/packages/blob", "/packages/blob"},
+		{"/packages/blob/chunks", "/packages/blob/chunks"},
+	} {
 		rows = append(rows,
-			readRow{name: "unknown repo " + route, repo: "r0000000000000000", path: route, wantStatus: 404},
-			readRow{name: "not ready " + route, repo: cold, path: route, wantStatus: 503},
-			readRow{name: "not ready, revalidating " + route, repo: cold, path: route, request: inm("*"), wantStatus: 503},
+			readRow{name: "unknown repo " + route.name, repo: "r0000000000000000", path: route.path, wantStatus: 404},
+			readRow{name: "not ready " + route.name, repo: cold, path: route.path, wantStatus: 503},
+			readRow{name: "not ready, revalidating " + route.name, repo: cold, path: route.path, request: inm("*"), wantStatus: 503},
 		)
 	}
 
@@ -271,17 +278,19 @@ func TestEdgeFailuresCarryNoValidators(t *testing.T) {
 	h := Handler(map[string]*Replica{"off": offline, "cut": cut}, "conf-edge")
 
 	var rows []readRow
-	for _, route := range []struct{ path, tag string }{
-		{"/index", tag},
-		{"/index/delta?since=" + url.QueryEscape(tag), tag},
-		{"/packages/app", appTag},
-		{"/packages/app/chunks", appTag},
+	// Rows are named for the route, not its path: the delta path carries
+	// the index ETag, which changes from run to run.
+	for _, route := range []struct{ name, path, tag string }{
+		{"/index", "/index", tag},
+		{"/index/delta?since=current", "/index/delta?since=" + url.QueryEscape(tag), tag},
+		{"/packages/app", "/packages/app", appTag},
+		{"/packages/app/chunks", "/packages/app/chunks", appTag},
 	} {
 		rows = append(rows,
-			readRow{name: "offline " + route.path, repo: "off", path: route.path, wantStatus: 503},
-			readRow{name: "offline, If-None-Match current " + route.path, repo: "off", path: route.path,
+			readRow{name: "offline " + route.name, repo: "off", path: route.path, wantStatus: 503},
+			readRow{name: "offline, If-None-Match current " + route.name, repo: "off", path: route.path,
 				request: map[string]string{"If-None-Match": route.tag}, wantStatus: 503},
-			readRow{name: "offline, If-None-Match * " + route.path, repo: "off", path: route.path,
+			readRow{name: "offline, If-None-Match * " + route.name, repo: "off", path: route.path,
 				request: map[string]string{"If-None-Match": "*"}, wantStatus: 503},
 		)
 	}

@@ -85,11 +85,13 @@ func ComputeDelta(fromETag string, old *Index, curSig *Signed, cur *Index) (*Del
 
 // Apply reconstructs the new generation from the base index: it clones
 // the base, applies the upserts and removals, re-encodes (encoding is
-// deterministic), and wraps the bytes with the delta's signature. The
-// result is self-verified: its ETag — covering raw bytes, key name, and
-// signature — must equal ToETag, or ErrDeltaMismatch is returned. A
-// tampered delta therefore cannot produce a usable index, even on a
-// receiver that never checks the RSA signature itself.
+// deterministic), and wraps the bytes with the delta's signature. Its
+// ETag — covering raw bytes, key name, and signature — must equal
+// ToETag, or ErrDeltaMismatch is returned. That is a transport-integrity
+// check, not a trust check: ToETag arrives in the same untrusted delta,
+// so whoever can alter the upserts can alter ToETag to match. It catches
+// a corrupted or mis-based delta; a receiver must still verify the
+// signature on the result before trusting it.
 func (d *Delta) Apply(base *Index) (*Signed, *Index, error) {
 	if base == nil {
 		return nil, nil, fmt.Errorf("%w: nil base", ErrDeltaMismatch)

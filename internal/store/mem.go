@@ -85,6 +85,28 @@ func (m *Mem) Put(key string, data []byte) error {
 
 // Get implements Store.
 func (m *Mem) Get(key string) ([]byte, error) {
+	raw, err := m.stored(key)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), raw...), nil
+}
+
+// Open implements Streamer. The stream reads the stored slice itself,
+// without a copy: a stored value is never written after Put (Tamper
+// swaps in a mutated copy), so an open stream keeps reading exactly
+// the bytes it opened.
+func (m *Mem) Open(key string) (io.ReadCloser, int64, error) {
+	raw, err := m.stored(key)
+	if err != nil {
+		return nil, 0, err
+	}
+	return io.NopCloser(bytes.NewReader(raw)), int64(len(raw)), nil
+}
+
+// stored returns the stored value for key, marking it used. Callers
+// must not write to it.
+func (m *Mem) stored(key string) ([]byte, error) {
 	s := &m.shards[shardOf(key)]
 	s.mu.RLock()
 	e, ok := s.data[key]
@@ -93,18 +115,7 @@ func (m *Mem) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	e.atime.Store(m.clock.Add(1))
-	return append([]byte(nil), e.raw...), nil
-}
-
-// Open implements Streamer. Mem has no payload larger than memory by
-// construction, so the stream is a reader over a private copy — the
-// value is streaming-shaped plumbing, not saved bytes.
-func (m *Mem) Open(key string) (io.ReadCloser, int64, error) {
-	data, err := m.Get(key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
+	return e.raw, nil
 }
 
 // Delete implements Store.
@@ -214,7 +225,9 @@ func (m *Mem) maybeEvict() {
 // --- §5.5 adversary hooks ----------------------------------------------
 
 // Tamper flips a byte in the stored value — the root adversary
-// corrupting the cache in place.
+// corrupting the cache. The flipped copy replaces the entry rather than
+// being written in place, because Open shares stored slices with the
+// streams it returns.
 func (m *Mem) Tamper(key string) error {
 	s := &m.shards[shardOf(key)]
 	s.mu.Lock()
@@ -224,7 +237,10 @@ func (m *Mem) Tamper(key string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	if len(e.raw) > 0 {
-		e.raw[len(e.raw)/2] ^= 0xFF
+		t := &memEntry{raw: append([]byte(nil), e.raw...)}
+		t.raw[len(t.raw)/2] ^= 0xFF
+		t.atime.Store(e.atime.Load())
+		s.data[key] = t
 	}
 	return nil
 }

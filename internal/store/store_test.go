@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -339,11 +340,28 @@ func TestMemTamperSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
+	// Open shares the stored slice, so Tamper must not write into it: a
+	// stream opened before the attack reads what it opened, a later
+	// one reads the tampered value.
+	before, _, err := m.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Tamper("a"); err != nil {
 		t.Fatal(err)
 	}
+	if got, _ := io.ReadAll(before); string(got) != "aaaa" {
+		t.Fatalf("stream opened before Tamper read %q", got)
+	}
 	if got, _ := m.Get("a"); string(got) == "aaaa" {
 		t.Fatal("Tamper did not change the value")
+	}
+	after, _, err := m.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := io.ReadAll(after); string(got) == "aaaa" {
+		t.Fatal("stream opened after Tamper read the original value")
 	}
 	if err := m.Tamper("absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Tamper absent = %v", err)

@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/base64"
@@ -9,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -26,6 +28,10 @@ const maxPolicyBytes = 10 << 20
 
 // maxIngestBytes caps POST /repos/{id}/ingest request bodies.
 const maxIngestBytes = 64 << 20
+
+// maxPackagePresize caps the buffer a client reserves for a package
+// before its bytes arrive; larger packages grow the buffer as they read.
+const maxPackagePresize = 16 << 20
 
 // Handler exposes the Service as the REST API of §5.2 — the read API
 // every tier serves (RegisterReadRoutes) plus the origin's trusted
@@ -538,13 +544,20 @@ func (c *Client) fetchPackageVerified(ctx context.Context, name string, entry in
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tsr client: package %s: %s", name, readErr(resp))
 	}
-	// The index entry bounds the read: a server streaming endless data
-	// is cut off at the declared size (+1 byte to detect overrun).
-	//lint:allow streamserve client-side verification requires the whole body; bounded by the signed entry size
-	raw, err := io.ReadAll(io.LimitReader(&countReader{r: resp.Body, n: &c.wire.packageBytes}, entry.Size+1))
-	if err != nil {
+	// The entry size bounds the read: a server streaming endless data is
+	// cut off at the declared size, and the one spare byte detects an
+	// overrun. It also sizes the buffer, but only up to
+	// maxPackagePresize: the entry is not yet verified, so a huge size
+	// must cost no more memory than the bytes that actually arrive.
+	if entry.Size < 0 || entry.Size == math.MaxInt64 {
+		return nil, fmt.Errorf("tsr client: package %s: index entry declares %d bytes", name, entry.Size)
+	}
+	// The MinRead slack lets ReadFrom meet EOF without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, min(entry.Size, maxPackagePresize)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(&countReader{r: resp.Body, n: &c.wire.packageBytes}, entry.Size+1)); err != nil {
 		return nil, fmt.Errorf("tsr client: %w", err)
 	}
+	raw := buf.Bytes()
 	if int64(len(raw)) != entry.Size || sha256.Sum256(raw) != entry.Hash {
 		return nil, fmt.Errorf("tsr client: package %s: served bytes do not match the signed index entry (corrupt mirror or edge)", name)
 	}

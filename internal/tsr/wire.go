@@ -181,42 +181,82 @@ func NewVerifiedReader(src io.ReadCloser, want [sha256.Size]byte, onFail func())
 	return &verifiedReader{src: src, want: want, onFail: onFail, h: sha256.New()}
 }
 
+// verifiedBlock is the read size of a verifiedReader. At most two
+// blocks are live (the one being released and the one held back), so
+// each reader owns two and alternates them.
+const verifiedBlock = 32 << 10
+
 type verifiedReader struct {
 	src     io.ReadCloser
 	want    [sha256.Size]byte
 	onFail  func()
 	h       hash.Hash
-	ready   []byte // verified-for-release bytes
-	pending []byte // read and hashed, held until the next block or EOF verdict
+	blocks  [2][]byte // allocated on first use
+	next    int       // index of the block the next advance reads into
+	ready   []byte    // verified-for-release bytes
+	pending []byte    // read and hashed, held until the next block or EOF verdict
 	fin     bool
 	err     error
 }
 
 func (v *verifiedReader) Read(p []byte) (int, error) {
-	for len(v.ready) == 0 {
-		if v.err != nil {
-			return 0, v.err
-		}
-		if v.fin {
-			return 0, io.EOF
-		}
-		v.advance()
+	if err := v.fill(); err != nil {
+		return 0, err
 	}
 	n := copy(p, v.ready)
 	v.ready = v.ready[n:]
 	return n, nil
 }
 
+// WriteTo streams the verified bytes to w straight from the reader's
+// own blocks, so io.Copy needs no buffer of its own.
+func (v *verifiedReader) WriteTo(w io.Writer) (int64, error) {
+	var total int64
+	for {
+		if err := v.fill(); err == io.EOF {
+			return total, nil
+		} else if err != nil {
+			return total, err
+		}
+		n, err := w.Write(v.ready)
+		total += int64(n)
+		v.ready = v.ready[n:]
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// fill advances until verified bytes are ready to release, or returns
+// io.EOF at the verified end of the stream or the error that ended it.
+func (v *verifiedReader) fill() error {
+	for len(v.ready) == 0 {
+		if v.err != nil {
+			return v.err
+		}
+		if v.fin {
+			return io.EOF
+		}
+		v.advance()
+	}
+	return nil
+}
+
 // advance reads one block, releasing the previously pending block —
 // or, at EOF, verifies the whole-stream hash before releasing the last
-// one.
+// one. It runs only once ready is drained, so the block it reads into
+// is never one a caller is still being handed.
 func (v *verifiedReader) advance() {
-	block := make([]byte, 32<<10)
+	if v.blocks[v.next] == nil {
+		v.blocks[v.next] = make([]byte, verifiedBlock)
+	}
+	block := v.blocks[v.next]
 	n, err := v.src.Read(block)
 	if n > 0 {
 		v.h.Write(block[:n])
 		v.ready = v.pending
 		v.pending = block[:n]
+		v.next ^= 1
 		return
 	}
 	switch err {

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"tsr/internal/apk"
 	"tsr/internal/store"
@@ -560,5 +562,47 @@ func TestStreamedServeCounts(t *testing.T) {
 	}
 	if after := r.CacheStats().StreamedServes; after != before+1 {
 		t.Fatalf("streamed serves %d -> %d, want +1", before, after)
+	}
+}
+
+// TestVerifiedReader: bytes come out intact through Read and through
+// WriteTo at every size around the block boundary, although the reader
+// reuses two blocks; a stream that does not hash to the wanted digest
+// fails with ErrCacheTampered before its last byte is released, and
+// runs onFail once.
+func TestVerifiedReader(t *testing.T) {
+	for _, size := range []int{0, 1, verifiedBlock - 1, verifiedBlock, verifiedBlock + 1, 3*verifiedBlock + 7} {
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(data)
+		open := func(want [sha256.Size]byte, onFail func()) io.ReadCloser {
+			return NewVerifiedReader(io.NopCloser(iotest.HalfReader(bytes.NewReader(data))), want, onFail)
+		}
+		if err := iotest.TestReader(open(sha256.Sum256(data), nil), data); err != nil {
+			t.Fatalf("size %d, Read: %v", size, err)
+		}
+		var out bytes.Buffer
+		if _, err := io.Copy(&out, open(sha256.Sum256(data), nil)); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("size %d, WriteTo: %d bytes, err %v", size, out.Len(), err)
+		}
+		for _, mode := range []string{"Read", "WriteTo"} {
+			fails := 0
+			vr := open([sha256.Size]byte{}, func() { fails++ })
+			var err error
+			if mode == "Read" {
+				var got []byte
+				got, err = io.ReadAll(vr)
+				out.Reset()
+				out.Write(got)
+			} else {
+				out.Reset()
+				_, err = io.Copy(&out, vr)
+			}
+			if !errors.Is(err, ErrCacheTampered) || fails != 1 {
+				t.Fatalf("size %d, %s, wrong digest: err %v, onFail ran %d times", size, mode, err, fails)
+			}
+			if size > 0 && out.Len() >= size {
+				t.Fatalf("size %d, %s, wrong digest: released all %d bytes", size, mode, out.Len())
+			}
+		}
 	}
 }
