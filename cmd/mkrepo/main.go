@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 
 	"tsr/internal/apk"
-	"tsr/internal/deb"
 	"tsr/internal/index"
 	"tsr/internal/keys"
 	"tsr/internal/repo"
@@ -34,15 +33,11 @@ func run(args []string) error {
 	scale := fs.Float64("scale", 0.01, "population scale")
 	seed := fs.Int64("seed", 1, "workload seed")
 	which := fs.String("repo", "all", "main, community, or all")
-	format := fs.String("format", "apk", "package format: apk or deb")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("-out is required")
-	}
-	if *format != "apk" && *format != "deb" {
-		return fmt.Errorf("-format must be apk or deb")
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
@@ -65,22 +60,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		var raw []byte
-		if *format == "deb" {
-			if err := deb.Sign(p, signer); err != nil {
-				return err
-			}
-			raw, err = deb.Encode(p)
-		} else {
-			if err := apk.Sign(p, signer); err != nil {
-				return err
-			}
-			raw, err = apk.Encode(p)
+		if err := apk.Sign(p, signer); err != nil {
+			return err
 		}
+		raw, err := apk.Encode(p)
 		if err != nil {
 			return err
 		}
-		name := fmt.Sprintf("%s-%s.%s", p.Name, p.Version, *format)
+		name := fmt.Sprintf("%s-%s.apk", p.Name, p.Version)
 		if err := os.WriteFile(filepath.Join(*out, name), raw, 0o644); err != nil {
 			return err
 		}

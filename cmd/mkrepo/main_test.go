@@ -68,35 +68,12 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunDebFormat(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-out", dir, "-scale", "0.003", "-format", "deb"}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var debs int
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".deb") {
-			debs++
-			raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.HasPrefix(string(raw), "!<arch>\n") {
-				t.Fatalf("%s is not an ar archive", e.Name())
-			}
-		}
-	}
-	if debs == 0 {
-		t.Fatal("no .deb files written")
-	}
-}
-
+// TestRunBadFormat pins that mkrepo writes apk only: there is no
+// -format flag to select another package format.
 func TestRunBadFormat(t *testing.T) {
-	if err := run([]string{"-out", t.TempDir(), "-format", "rpm"}); err == nil {
-		t.Fatal("want error for unsupported format")
+	for _, format := range []string{"deb", "rpm"} {
+		if err := run([]string{"-out", t.TempDir(), "-format", format}); err == nil {
+			t.Fatalf("-format %s: want error, mkrepo is apk-only", format)
+		}
 	}
 }

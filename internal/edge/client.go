@@ -441,7 +441,7 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 			continue
 		}
 		c.charge(ep, wireBytes)
-		if int64(len(raw)) != entry.Size || sha256.Sum256(raw) != entry.Hash {
+		if !entry.Matches(raw) {
 			c.mu.Lock()
 			c.stats.RejectedBytes++
 			c.mu.Unlock()
@@ -486,7 +486,7 @@ func (c *FailoverClient) cachedPackage(entry index.Entry) []byte {
 		return nil
 	}
 	raw, err := c.PkgCache.Get(cacheKey(entry.Hash))
-	if err != nil || int64(len(raw)) != entry.Size || sha256.Sum256(raw) != entry.Hash {
+	if err != nil || !entry.Matches(raw) {
 		return nil
 	}
 	return raw

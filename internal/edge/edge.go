@@ -16,7 +16,6 @@ package edge
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -671,7 +670,7 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 
 	cache := rep.store()
 	raw, cacheErr := cache.Get(key)
-	if cacheErr == nil && int64(len(raw)) == entry.Size && sha256.Sum256(raw) == entry.Hash {
+	if cacheErr == nil && entry.Matches(raw) {
 		rep.stats.packageHits.Add(1)
 		sp.SetAttr("served_from", "cache")
 	} else {
@@ -686,8 +685,7 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 			// Re-check the cache inside the flight: a miss that queued
 			// behind a completed fill (the flight ended, the bytes
 			// landed) must not pull the origin again.
-			if cached, err := cache.Get(key); err == nil &&
-				int64(len(cached)) == entry.Size && sha256.Sum256(cached) == entry.Hash {
+			if cached, err := cache.Get(key); err == nil && entry.Matches(cached) {
 				return cached, nil
 			}
 			// pullPackage tries a differential fetch against a cached

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -98,7 +97,7 @@ func diffFetch(ctx context.Context, src any, name string, entry index.Entry, old
 	if err != nil {
 		return nil, st, err
 	}
-	if int64(len(out)) != entry.Size || sha256.Sum256(out) != entry.Hash {
+	if !entry.Matches(out) {
 		return nil, st, fmt.Errorf("edge: %s: differentially reassembled bytes do not match the signed index entry", name)
 	}
 	return out, st, nil
@@ -120,7 +119,7 @@ func (rep *Replica) previousCached(name string, entry index.Entry) []byte {
 			continue
 		}
 		raw, err := cache.Get(cacheKey(old.Hash))
-		if err != nil || int64(len(raw)) != old.Size || sha256.Sum256(raw) != old.Hash {
+		if err != nil || !old.Matches(raw) {
 			continue
 		}
 		return raw
@@ -150,7 +149,7 @@ func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.En
 		return nil, fmt.Errorf("edge: pull-through %s: %w", name, err)
 	}
 	rep.stats.originPackages.Add(1)
-	if int64(len(pulled)) != entry.Size || sha256.Sum256(pulled) != entry.Hash {
+	if !entry.Matches(pulled) {
 		return nil, fmt.Errorf("edge: origin served wrong bytes for %s (not cached)", name)
 	}
 	return pulled, nil

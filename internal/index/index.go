@@ -43,6 +43,12 @@ func (e Entry) ETag() string {
 	return `"` + hex.EncodeToString(e.Hash[:]) + `"`
 }
 
+// Matches reports whether raw is exactly the package the entry
+// describes: its size first (cheap), then its SHA-256.
+func (e Entry) Matches(raw []byte) bool {
+	return int64(len(raw)) == e.Size && sha256.Sum256(raw) == e.Hash
+}
+
 // Index is the repository metadata index.
 type Index struct {
 	// Origin names the repository that generated the index (e.g.

@@ -352,7 +352,7 @@ func (m *Manager) fetchVerified(name string) (*apk.Package, []byte, Report, erro
 	if int64(len(raw)) != entry.Size {
 		return nil, nil, rep, fmt.Errorf("%w: %s: index %d, wire %d", ErrSizeMismatch, name, entry.Size, len(raw))
 	}
-	if sha256.Sum256(raw) != entry.Hash {
+	if !entry.Matches(raw) {
 		return nil, nil, rep, fmt.Errorf("%w: %s", ErrHashMismatch, name)
 	}
 	p, _, err := apk.VerifyRaw(raw, m.pkgRing)

@@ -19,11 +19,13 @@ import (
 
 // Client-side wire efficiency: compressed index transfer accounting,
 // chunk-manifest + byte-range fetches, and chunk-aware differential
-// package download. The trust model is unchanged — the manifest is
-// untrusted transfer metadata, and every reassembled package must hash
-// to the signed index entry before it is returned or cached; any
-// failure on the differential path falls back to a verified full
-// fetch.
+// package download. The manifest is untrusted transfer metadata, and
+// every reassembled package must match its index entry's size and hash
+// before it is returned or cached; any failure on the differential path
+// falls back to a checked full fetch. The index those entries come from
+// is NOT signature-verified by this client (see Client.FetchPackage):
+// the check is transport integrity, and trust comes from the caller
+// (pkgmgr.Manager, edge.FailoverClient; ROADMAP item 1(b)).
 
 // wireCounters are the client's cumulative wire-traffic counters.
 type wireCounters struct {
@@ -217,7 +219,7 @@ func pkgCacheKey(hash [sha256.Size]byte) string {
 // present and verifying (the cache is untrusted), or nil.
 func (c *Client) cachedPackage(entry index.Entry) []byte {
 	raw, err := c.PkgCache.Get(pkgCacheKey(entry.Hash))
-	if err != nil || int64(len(raw)) != entry.Size || sha256.Sum256(raw) != entry.Hash {
+	if err != nil || !entry.Matches(raw) {
 		return nil
 	}
 	return raw
@@ -306,7 +308,7 @@ func (c *Client) fetchPackageDiff(ctx context.Context, name string, entry index.
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(out)) != entry.Size || sha256.Sum256(out) != entry.Hash {
+	if !entry.Matches(out) {
 		return nil, fmt.Errorf("tsr client: package %s: differentially reassembled bytes do not match the signed index entry", name)
 	}
 	c.wire.chunksReused.Add(st.ChunksReused)

@@ -176,9 +176,10 @@ func TestDeltaHTTPEndpoint(t *testing.T) {
 	}
 }
 
-// TestClientFetchPackageRejectsCorruptBytes: the HTTP client verifies
-// package bytes against the signed index entry and fails fast on a
-// corrupting server instead of handing tampered bytes to the caller.
+// TestClientFetchPackageRejectsCorruptBytes: the HTTP client checks
+// package bytes against the index entry it holds (transport integrity;
+// the client does not verify the index signature) and fails fast on a
+// corrupting server instead of handing mangled bytes to the caller.
 func TestClientFetchPackageRejectsCorruptBytes(t *testing.T) {
 	w, r := refreshedWorld(t)
 	inner := Handler(w.svc)
@@ -206,7 +207,7 @@ func TestClientFetchPackageRejectsCorruptBytes(t *testing.T) {
 	// Corrupting server: fail fast.
 	corrupt = true
 	_, err := client.FetchPackage("app")
-	if err == nil || !strings.Contains(err.Error(), "do not match the signed index entry") {
+	if err == nil || !strings.Contains(err.Error(), "do not match the unverified index entry") {
 		t.Fatalf("err = %v, want an index-entry mismatch", err)
 	}
 	// A package the index does not list is refused before any download.

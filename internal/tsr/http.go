@@ -490,10 +490,15 @@ func (c *Client) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *i
 }
 
 // FetchPackage implements pkgmgr.Source. Before returning, the
-// downloaded bytes are verified against the package's entry in the
-// (signed) metadata index, so a corrupt mirror, edge, or middlebox is
-// detected here — fail fast — rather than handing tampered bytes to
-// the caller. A mismatch may also mean the cached index is simply
+// downloaded bytes are checked against the package's size and hash in
+// the index this client holds, so a corrupt mirror, edge, or middlebox
+// is detected here — fail fast — rather than handing mangled bytes to
+// the caller. That is a transport-integrity check only: currentIndex
+// decodes the index without verifying its signature, so the entry is
+// whatever the server sent. Trust comes from the caller —
+// pkgmgr.Manager and edge.FailoverClient verify the signed index and
+// re-check every package against it (ROADMAP item 1(b) moves that
+// acceptance into one kernel). A mismatch may also mean the cached index is simply
 // stale (the server republished while this client held an old
 // generation — e.g. a long-lived client across an origin refresh), so
 // the index is revalidated once and the download retried against the
@@ -558,8 +563,8 @@ func (c *Client) fetchPackageVerified(ctx context.Context, name string, entry in
 		return nil, fmt.Errorf("tsr client: %w", err)
 	}
 	raw := buf.Bytes()
-	if int64(len(raw)) != entry.Size || sha256.Sum256(raw) != entry.Hash {
-		return nil, fmt.Errorf("tsr client: package %s: served bytes do not match the signed index entry (corrupt mirror or edge)", name)
+	if !entry.Matches(raw) {
+		return nil, fmt.Errorf("tsr client: package %s: served bytes do not match the unverified index entry (corrupt mirror or edge)", name)
 	}
 	c.wire.fullFetches.Add(1)
 	return raw, nil

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"tsr/internal/apk"
 	"tsr/internal/index"
@@ -100,13 +99,6 @@ func (r *Repo) StageIngest(raws [][]byte) error {
 	return err
 }
 
-// registerReplay re-runs a journaled batch during RestoreAll. No new
-// journal entry is appended; the caller (Journal.Replay) commits the
-// existing one when this returns nil.
-func (r *Repo) registerReplay(ctx context.Context, raws [][]byte) (*IngestStats, error) {
-	return r.registerScheduled(ctx, raws)
-}
-
 // registerScheduled admits the batch through the global scheduler and
 // processes it under the repository lock.
 func (r *Repo) registerScheduled(ctx context.Context, raws [][]byte) (stats *IngestStats, err error) {
@@ -142,17 +134,9 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 			return nil, fmt.Errorf("tsr: ingest needs a sanitization plan: %w", err)
 		}
 	}
-	san := &sanitize.Sanitizer{
-		Plan:      r.plan,
-		TrustRing: r.trust,
-		SignKey:   r.signKey,
-		EPC:       r.svc.cfg.EPC,
-	}
-
 	// Decode and screen the batch sequentially (cheap), then sanitize
 	// the survivors in worker batches leased from the global pool.
 	type job struct {
-		name  string
 		raw   []byte
 		entry index.Entry // describes the ORIGINAL bytes
 		pkg   *apk.Package
@@ -182,9 +166,8 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		seen[p.Name] = true
 		hash := sha256.Sum256(raw)
 		jobs = append(jobs, job{
-			name: p.Name,
-			raw:  raw,
-			pkg:  p,
+			raw: raw,
+			pkg: p,
 			entry: index.Entry{
 				Name: p.Name, Version: p.Version, Size: int64(len(raw)),
 				Hash: hash, Depends: p.Depends,
@@ -192,62 +175,21 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		})
 	}
 
-	type out struct {
-		newEntry index.Entry // describes the SANITIZED bytes
-		ok       bool
-		cacheHit bool
-		reject   string
-		err      error
-	}
-	outs := make([]out, len(jobs))
-	workers := r.workers
+	// Every package goes through the sanitization cache whatever the
+	// CacheMode: a replayed batch must land as pure cache hits.
+	san := r.sanitizer(r.plan)
 	planHash := r.planHash
-	for base := 0; base < len(jobs); {
-		lease := g.Acquire(min(workers, len(jobs)-base))
-		batch := jobs[base : base+lease]
-		var wg sync.WaitGroup
-		for j := range batch {
-			wg.Add(1)
-			go func(o *out, jb job) {
-				defer wg.Done()
-				// Original bytes first: refresh re-sanitization and
-				// on-demand serving read them back by content hash.
-				if err := r.svc.cfg.Store.Put(r.origKey(jb.name, jb.entry.Hash), jb.raw); err != nil {
-					o.err = err
-					return
-				}
-				key := r.sanCacheKey(jb.entry.Hash, planHash)
-				if ce, err := r.loadCacheEntry(key); err == nil {
-					o.newEntry = index.Entry{Name: jb.name, Version: jb.entry.Version, Size: ce.Size, Hash: ce.Hash, Depends: jb.entry.Depends}
-					o.ok, o.cacheHit = true, true
-					return
-				}
-				res, err := san.Sanitize(jb.raw)
-				if err != nil {
-					if errors.Is(err, sanitize.ErrUnsupported) || errors.Is(err, apk.ErrUntrusted) {
-						o.reject = err.Error()
-						return
-					}
-					o.err = fmt.Errorf("tsr: sanitizing %s: %w", jb.name, err)
-					return
-				}
-				sum := sha256.Sum256(res.Raw)
-				if err := r.svc.cfg.Store.Put(r.sanitizedKey(jb.name, sum), res.Raw); err != nil {
-					o.err = err
-					return
-				}
-				if err := r.storeCacheEntry(cacheEntry{Key: key, Size: int64(len(res.Raw)), Hash: sum}); err != nil {
-					o.err = err
-					return
-				}
-				o.newEntry = index.Entry{Name: jb.name, Version: jb.entry.Version, Size: int64(len(res.Raw)), Hash: sum, Depends: jb.entry.Depends}
-				o.ok = true
-			}(&outs[base+j], batch[j])
+	outs := make([]sanOut, len(jobs))
+	runBatches(g, r.workers, len(jobs), func(i int) {
+		jb := &jobs[i]
+		// Original bytes first: refresh re-sanitization and on-demand
+		// serving read them back by content hash.
+		if err := r.svc.cfg.Store.Put(r.origKey(jb.entry.Name, jb.entry.Hash), jb.raw); err != nil {
+			outs[i].err = err
+			return
 		}
-		wg.Wait()
-		g.Release(lease)
-		base += lease
-	}
+		outs[i], _ = r.sanitizeCached(san, planHash, jb.entry, jb.raw, true)
+	}, nil)
 
 	// Merge the accepted packages into the local index. A batch whose
 	// every package is already registered at the same content (a
@@ -263,22 +205,22 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		jb := &jobs[i]
 		switch {
 		case o.err != nil:
-			reject(jb.name, o.err.Error())
+			reject(jb.entry.Name, o.err.Error())
 			if firstErr == nil {
 				firstErr = o.err
 			}
 		case o.reject != "":
-			reject(jb.name, o.reject)
-		case o.ok:
-			if old, err := newLocal.Lookup(jb.name); err != nil || old.Hash != o.newEntry.Hash {
-				newLocal.Add(o.newEntry)
+			reject(jb.entry.Name, o.reject)
+		default:
+			if old, err := newLocal.Lookup(jb.entry.Name); err != nil || old.Hash != o.entry.Hash {
+				newLocal.Add(o.entry)
 				changed = true
 			}
-			if re, ok := r.registered[jb.name]; !ok || re.Hash != jb.entry.Hash {
-				r.registered[jb.name] = jb.entry
+			if re, ok := r.registered[jb.entry.Name]; !ok || re.Hash != jb.entry.Hash {
+				r.registered[jb.entry.Name] = jb.entry
 				changed = true
 			}
-			r.scripts[jb.name] = scriptsEntry{digest: jb.entry.Hash, scripts: jb.pkg.Scripts}
+			r.scripts[jb.entry.Name] = scriptsEntry{digest: jb.entry.Hash, scripts: jb.pkg.Scripts}
 			stats.Registered++
 			if o.cacheHit {
 				stats.CacheHits++
@@ -300,25 +242,14 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		return stats, nil
 	}
 
-	newLocal.Sequence = r.seq + 1
-	signedLocal, err := index.Sign(newLocal, r.signKey)
-	if err != nil {
+	if err := r.publishNextLocked(newLocal, nil); err != nil {
 		return stats, err
 	}
-	r.local = newLocal
-	r.localSig = signedLocal
-	r.seq = newLocal.Sequence
-	r.publishLocked()
 	stats.Sequence = r.seq
 	r.totals.ingested.Add(int64(stats.Registered))
 	r.totals.sanitized.Add(int64(stats.Sanitized))
 	r.totals.cacheHits.Add(int64(stats.CacheHits))
-	if r.svc.cfg.AutoPersist {
-		if err := r.checkpointLocked(); err != nil {
-			return stats, fmt.Errorf("tsr: ingest published but checkpoint failed: %w", err)
-		}
-	}
-	return stats, nil
+	return stats, r.autoCheckpointLocked("ingest")
 }
 
 // rebuildPlanLocked deterministically rebuilds the sanitization plan

@@ -204,7 +204,8 @@ func (s *Service) replayIngests(restored []RestoredRepo) {
 		if !ok {
 			return nil // tenant undeployed since the append: drop it
 		}
-		_, err = r.registerReplay(context.Background(), raws)
+		// No new journal entry: Replay commits this one on a nil return.
+		_, err = r.registerScheduled(context.Background(), raws)
 		rr := byID[id]
 		if err != nil {
 			if rr != nil && rr.ReplayErr == nil {

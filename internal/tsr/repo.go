@@ -3,11 +3,11 @@ package tsr
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -287,11 +287,7 @@ func (r *Repo) KeepStats(keep bool) {
 // publish it falls back to the refresh-side state.
 func (r *Repo) RejectedPackages() map[string]string {
 	if snap := r.served.Load(); snap != nil {
-		out := make(map[string]string, len(snap.rejected))
-		for k, v := range snap.rejected {
-			out[k] = v
-		}
-		return out
+		return maps.Clone(snap.rejected)
 	}
 	if !r.mu.TryLock() {
 		// Nothing published yet and the first refresh is in flight:
@@ -300,31 +296,16 @@ func (r *Repo) RejectedPackages() map[string]string {
 		return map[string]string{}
 	}
 	defer r.mu.Unlock()
-	out := make(map[string]string, len(r.rejected))
-	for k, v := range r.rejected {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.rejected)
 }
 
-// Findings returns the security findings of the published plan
-// (lock-free; falls back to the refresh-side plan before the first
-// publish).
+// Findings returns the security findings of the plan Plan returns.
 func (r *Repo) Findings() []sanitize.Finding {
-	if snap := r.served.Load(); snap != nil {
-		if snap.plan == nil {
-			return nil
-		}
-		return append([]sanitize.Finding(nil), snap.plan.Findings...)
-	}
-	if !r.mu.TryLock() {
-		return nil // first refresh in flight; nothing published yet
-	}
-	defer r.mu.Unlock()
-	if r.plan == nil {
+	plan := r.Plan()
+	if plan == nil {
 		return nil
 	}
-	return append([]sanitize.Finding(nil), r.plan.Findings...)
+	return append([]sanitize.Finding(nil), plan.Findings...)
 }
 
 // Cache key builders. Package byte caches are content-addressed per
@@ -338,28 +319,6 @@ func (r *Repo) origKey(name string, hash [32]byte) string {
 }
 func (r *Repo) sanitizedKey(name string, hash [32]byte) string {
 	return r.ID + "/san/" + name + "@" + hex.EncodeToString(hash[:16])
-}
-
-// stages sequences a refresh cycle's child spans without nesting the
-// cycle's body in closures: next ends the stage span in flight and
-// opens the named one, and close ends the last stage, attributing the
-// cycle's error to it. Every stage span is a direct child of the
-// caller's context span, so the refresh renders as one flat tree.
-type stages struct {
-	ctx context.Context
-	sp  *trace.Span
-}
-
-func newStages(ctx context.Context) *stages { return &stages{ctx: ctx} }
-
-func (t *stages) next(name string) {
-	t.sp.End()
-	_, t.sp = trace.Start(t.ctx, name) //lint:allow spanend every stage span is ended by the following next or by the deferred close
-}
-
-func (t *stages) close(err error) {
-	t.sp.SetError(err)
-	t.sp.End()
 }
 
 // Refresh performs the §5.4 cycle: quorum-read the upstream metadata
@@ -379,7 +338,7 @@ func (t *stages) close(err error) {
 // Refresh holds the repository lock for the whole cycle, but the
 // serving path reads the previously published snapshot, so clients are
 // never blocked: the new state becomes visible all at once via
-// publishLocked, and any early error return keeps the old snapshot
+// publishNextLocked, and any early error return keeps the old snapshot
 // serving.
 func (r *Repo) Refresh() (*RefreshStats, error) {
 	return r.RefreshCtx(context.Background())
@@ -431,564 +390,18 @@ func (r *Repo) refreshScheduled(ctx context.Context, pri sched.Priority) (stats 
 	return stats, err
 }
 
-// refreshGranted is the refresh cycle body, already admitted by the
-// scheduler and holding g for worker-slot leases.
-func (r *Repo) refreshGranted(ctx context.Context, g *sched.Grant) (stats *RefreshStats, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	workers := r.workers
-	mode := r.mode
-	stats = &RefreshStats{Workers: workers}
-	// Stage spans: each st.next ends the previous stage's span and
-	// opens the named one; the deferred close ends whichever stage is
-	// in flight when the cycle returns — including early error
-	// unwinds — and attributes the cycle's error to it.
-	st := newStages(ctx)
-	defer func() { st.close(err) }()
-
-	st.next("refresh.quorum")
-	qres, err := r.reader.Read()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrUpstream, err)
-	}
-	stats.QuorumLatency = qres.Elapsed
-	stats.MirrorsContacted = qres.Contacted
-	newUpstream, err := qres.Index.Verify(r.trust)
-	if err != nil {
-		return nil, fmt.Errorf("%w: verifying upstream index: %w", ErrUpstream, err)
-	}
-	if r.upstream != nil && newUpstream.Sequence < r.upstream.Sequence {
-		// A quorum of mirrors agreeing on an older index than one we
-		// already verified: treat as replay and refuse.
-		return nil, fmt.Errorf("%w: %w: upstream sequence %d < %d", ErrUpstream, ErrRollback, newUpstream.Sequence, r.upstream.Sequence)
-	}
-	upstreamDigest := qres.Index.Digest()
-
-	// Determine work: on the first refresh everything is "added".
-	var added, changed []string
-	if r.upstream == nil {
-		added = newUpstream.Names()
-	} else {
-		added, changed, _ = index.Diff(r.upstream, newUpstream)
-	}
-	work := make([]string, 0, len(added)+len(changed))
-	inWork := make(map[string]bool, len(added)+len(changed))
-	for _, name := range append(append([]string(nil), added...), changed...) {
-		// The §4.5 private/closed policy variant: packages outside the
-		// whitelist (or on the blacklist) are excluded up front.
-		if !r.policy.Allows(name) {
-			r.rejected[name] = "excluded by policy whitelist/blacklist"
-			stats.Rejected++
-			continue
-		}
-		work = append(work, name)
-		inWork[name] = true
-	}
-	// Re-fetch packages carrying plan debt: their current scripts never
-	// informed the plan (the fetch failed), so they must be retried
-	// even though the upstream diff does not list them.
-	for name := range r.planDebt {
-		if inWork[name] || !r.policy.Allows(name) {
-			continue
-		}
-		if _, err := newUpstream.Lookup(name); err != nil {
-			continue
-		}
-		work = append(work, name)
-		inWork[name] = true
-	}
-	stats.Unchanged = len(newUpstream.Entries) - len(work)
-
-	st.next("refresh.fetch")
-	// Stage 1: fetch originals of added/changed packages in worker
-	// batches and decode their scripts for the plan scan. Each batch of
-	// concurrent transfers costs one round trip plus its aggregate
-	// payload at the path bandwidth. Failures are per-package, not
-	// fatal.
-	failed := make(map[string]string)
-	raws := make(map[string][]byte, len(work))
-	type fetchOut struct {
-		raw     []byte
-		dlBytes int64
-		scripts map[string]string
-		decoded bool
-		err     error
-	}
-	fouts := make([]fetchOut, len(work))
-	for base := 0; base < len(work); {
-		// Lease this batch's goroutines from the global pool: the batch
-		// shrinks below the per-repo workers cap when other tenants hold
-		// slots, so the fleet-wide in-flight total stays bounded.
-		lease := g.Acquire(min(workers, len(work)-base))
-		batch := work[base : base+lease]
-		var wg sync.WaitGroup
-		for j := range batch {
-			wg.Add(1)
-			go func(out *fetchOut, name string) {
-				defer wg.Done()
-				entry, err := newUpstream.Lookup(name)
-				if err != nil {
-					out.err = err
-					return
-				}
-				out.raw, out.dlBytes, out.err = r.obtainOriginal(mode, name, entry)
-				if out.err != nil {
-					return
-				}
-				if p, err := apk.Decode(out.raw); err == nil {
-					out.scripts, out.decoded = p.Scripts, true
-				}
-			}(&fouts[base+j], batch[j])
-		}
-		wg.Wait()
-		batchDl := make([]int64, 0, len(batch))
-		for j := range batch {
-			batchDl = append(batchDl, fouts[base+j].dlBytes)
-		}
-		r.chargeBatchDownloads(stats, batchDl)
-		g.Release(lease)
-		base += lease
-	}
-	// Plan debt: packages whose scripts at the current upstream version
-	// are still unknown after stage 1. They keep forcing plan rebuilds
-	// and re-fetches until they heal — reusing a plan that never saw a
-	// package's scripts would strip its account commands without
-	// provisioning the accounts.
-	newPlanDebt := make(map[string]bool)
-	for i, name := range work {
-		if fouts[i].err != nil {
-			failed[name] = fouts[i].err.Error()
-			newPlanDebt[name] = true
-			continue
-		}
-		raws[name] = fouts[i].raw
-		if fouts[i].decoded {
-			if entry, err := newUpstream.Lookup(name); err == nil {
-				r.scripts[name] = scriptsEntry{digest: entry.Hash, scripts: fouts[i].scripts}
-			}
-		} else {
-			newPlanDebt[name] = true
-		}
-	}
-
-	st.next("refresh.plan")
-	// (Re)build the sanitization plan from ALL package scripts (the
-	// repository-wide scan of §4.2). When the upstream index is
-	// byte-identical to the last one planned against — and no package
-	// carries plan debt — the existing plan is reused outright;
-	// otherwise the scan runs over the script cache, decoding only
-	// packages it has not seen.
-	plan := r.plan
-	if plan == nil || upstreamDigest != r.upstreamDigest || len(r.planDebt) > 0 || len(newPlanDebt) > 0 {
-		plan, err = sanitize.BuildPlan(&scriptCacheSource{repo: r, idx: newUpstream, failed: failed}, r.policy.InitConfigFiles, r.signKey)
-		if err != nil {
-			return nil, err
-		}
-	}
-	planHash := plan.Hash()
-	replanned := planHash != r.planHash
-
-	san := &sanitize.Sanitizer{
-		Plan:      plan,
-		TrustRing: r.trust,
-		SignKey:   r.signKey,
-		EPC:       r.svc.cfg.EPC,
-	}
-
-	st.next("refresh.sanitize")
-	// Stage 2 targets: every policy-allowed package in the upstream
-	// index. The content-addressed cache — keyed by (original digest,
-	// plan hash) — decides which actually get sanitized, so unchanged
-	// packages under an unchanged plan cost one sealed-metadata read
-	// regardless of why they were targeted. Packages that failed stage
-	// 1 are skipped here; previously rejected packages stay rejected
-	// without a new attempt while their (digest, plan) pair is
-	// unchanged. Under CacheNone the sanitization cache is off, so
-	// unchanged packages carry their previous index entries forward
-	// instead of being re-sanitized (CacheNone is a Figure 10 package
-	// *serving* scenario; the refresh stays incremental).
-	var carried []index.Entry
-	targets := make([]index.Entry, 0, len(newUpstream.Entries))
-	for _, e := range newUpstream.Entries {
-		if !r.policy.Allows(e.Name) {
-			continue
-		}
-		if _, ok := failed[e.Name]; ok {
-			continue
-		}
-		if r.rejectedKey[e.Name] == r.sanCacheKey(e.Hash, planHash) {
-			continue
-		}
-		if mode == CacheNone && !replanned && !inWork[e.Name] && r.local != nil {
-			if old, err := r.local.Lookup(e.Name); err == nil {
-				carried = append(carried, old)
-				continue
-			}
-		}
-		targets = append(targets, e)
-	}
-	// Operator-registered packages (batched ingest) join the targets —
-	// their originals sit in the cache under the same content-addressed
-	// keys, so the sanitization cache treats them exactly like upstream
-	// packages. An upstream package of the same name shadows the
-	// registration (the mirror fleet outranks the operator).
-	if len(r.registered) > 0 {
-		regNames := make([]string, 0, len(r.registered))
-		for name := range r.registered {
-			regNames = append(regNames, name)
-		}
-		sort.Strings(regNames)
-		for _, name := range regNames {
-			e := r.registered[name]
-			if _, err := newUpstream.Lookup(name); err == nil {
-				continue
-			}
-			if !r.policy.Allows(name) {
-				continue
-			}
-			if r.rejectedKey[name] == r.sanCacheKey(e.Hash, planHash) {
-				continue
-			}
-			targets = append(targets, e)
-		}
-	}
-
-	// Workers keep only the result metadata needed for accounting; the
-	// full Result (sanitized bytes plus the decoded package) is
-	// retained only under KeepStats, and each fetched original is
-	// released once its stage-2 batch completes. Peak memory is the
-	// stage-1 originals still awaiting sanitization plus one batch of
-	// in-flight packages — not the whole repository's results.
-	type sanOut struct {
-		newEntry   index.Entry
-		ok         bool
-		fresh      bool          // a cache miss that was sanitized
-		native     time.Duration // measured sanitization CPU time
-		workingSet int64         // modeled enclave working set
-		res        *sanitize.Result
-		cacheHit   bool
-		dlBytes    int64
-		reject     string
-		err        error
-	}
-	keepStats := r.keepStats
-	souts := make([]sanOut, len(targets))
-	for base := 0; base < len(targets); {
-		lease := g.Acquire(min(workers, len(targets)-base))
-		batch := targets[base : base+lease]
-		var wg sync.WaitGroup
-		for j := range batch {
-			wg.Add(1)
-			go func(out *sanOut, e index.Entry) {
-				defer wg.Done()
-				key := r.sanCacheKey(e.Hash, planHash)
-				if mode != CacheNone {
-					if ce, err := r.loadCacheEntry(key); err == nil {
-						out.newEntry = index.Entry{Name: e.Name, Version: e.Version, Size: ce.Size, Hash: ce.Hash, Depends: e.Depends}
-						out.ok, out.cacheHit = true, true
-						return
-					}
-				}
-				raw := raws[e.Name]
-				if raw == nil {
-					var err error
-					raw, out.dlBytes, err = r.obtainOriginal(mode, e.Name, e)
-					if err != nil {
-						out.err = err
-						return
-					}
-				}
-				res, err := san.Sanitize(raw)
-				if err != nil {
-					// Policy enforcement (§4.5): packages with
-					// unsupported scripts or not "created by trusted
-					// entities" are excluded from the repository, not
-					// fatal to the refresh.
-					if errors.Is(err, sanitize.ErrUnsupported) || errors.Is(err, apk.ErrUntrusted) {
-						out.reject = err.Error()
-						return
-					}
-					out.err = fmt.Errorf("tsr: sanitizing %s: %w", e.Name, err)
-					return
-				}
-				sum := sha256.Sum256(res.Raw)
-				if err := r.svc.cfg.Store.Put(r.sanitizedKey(e.Name, sum), res.Raw); err != nil {
-					out.err = err
-					return
-				}
-				if mode != CacheNone {
-					if err := r.storeCacheEntry(cacheEntry{Key: key, Size: int64(len(res.Raw)), Hash: sum}); err != nil {
-						out.err = err
-						return
-					}
-				}
-				out.fresh = true
-				out.native = res.Phases.Total()
-				out.workingSet = res.WorkingSet
-				if keepStats {
-					out.res = res
-				}
-				out.newEntry = index.Entry{Name: e.Name, Version: e.Version, Size: int64(len(res.Raw)), Hash: sum, Depends: e.Depends}
-				out.ok = true
-			}(&souts[base+j], batch[j])
-		}
-		wg.Wait()
-		// Charge the batch's modeled costs: downloads as one round of
-		// concurrent transfers, and SGX paging from the batch's
-		// combined working set (worker threads share the EPC).
-		batchDl := make([]int64, 0, len(batch))
-		var workingSets []int64
-		for j := range batch {
-			batchDl = append(batchDl, souts[base+j].dlBytes)
-			if souts[base+j].fresh {
-				workingSets = append(workingSets, souts[base+j].workingSet)
-			}
-		}
-		r.chargeBatchDownloads(stats, batchDl)
-		if f := r.svc.cfg.EPC.SharedFactor(workingSets); f > 1 && len(workingSets) > 0 {
-			for j := range batch {
-				if souts[base+j].fresh {
-					stats.SGXOverhead += time.Duration(float64(souts[base+j].native) * (f - 1))
-				}
-			}
-		}
-		// The originals of this batch are no longer needed in memory
-		// (serving paths re-read them from the original cache).
-		for j := range batch {
-			delete(raws, batch[j].Name)
-		}
-		g.Release(lease)
-		base += lease
-	}
-
-	st.next("refresh.sign")
-	// Rebuild the local index from cache hits plus fresh results.
-	newLocal := &index.Index{Origin: "tsr-" + r.ID, Sequence: r.seq + 1}
-	for i := range souts {
-		out := &souts[i]
-		name := targets[i].Name
-		switch {
-		case out.err != nil:
-			failed[name] = out.err.Error()
-		case out.reject != "":
-			r.rejected[name] = out.reject
-			r.rejectedKey[name] = r.sanCacheKey(targets[i].Hash, planHash)
-			stats.Rejected++
-		case out.ok:
-			delete(r.rejected, name)
-			delete(r.rejectedKey, name)
-			newLocal.Add(out.newEntry)
-			if out.cacheHit {
-				stats.CacheHits++
-			} else {
-				stats.Sanitized++
-				stats.SanitizeTime += out.native
-				if out.res != nil {
-					stats.Results = append(stats.Results, out.res)
-				}
-			}
-		}
-	}
-	// CacheNone carries unchanged packages' previous entries forward.
-	for _, e := range carried {
-		newLocal.Add(e)
-	}
-	// Per-package failures are surfaced, not fatal. While the plan is
-	// unchanged the previous (still consistent) entry keeps serving;
-	// after a replan a stale entry would carry the old preamble, so the
-	// package drops out until a later refresh succeeds. The upstream
-	// entry the served version came from is pinned so that on-demand
-	// re-sanitization keeps verifying against the right original until
-	// the update succeeds — without the pin, a fetch would rebuild the
-	// NEW version and raise a spurious tamper alarm when its hash does
-	// not match the carried index entry.
-	newPinned := make(map[string]index.Entry)
-	for name, msg := range failed {
-		stats.Errors = append(stats.Errors, PackageError{Name: name, Err: msg})
-		if !replanned && r.local != nil {
-			if old, err := r.local.Lookup(name); err == nil {
-				newLocal.Add(old)
-				if pe, ok := r.pinned[name]; ok {
-					newPinned[name] = pe
-				} else if r.upstream != nil {
-					if pe, err := r.upstream.Lookup(name); err == nil {
-						newPinned[name] = pe
-					}
-				}
-			}
-		}
-	}
-	sort.Slice(stats.Errors, func(i, j int) bool { return stats.Errors[i].Name < stats.Errors[j].Name })
-
-	signedLocal, err := index.Sign(newLocal, r.signKey)
-	if err != nil {
-		return nil, err
-	}
-
-	st.next("refresh.publish")
-	// Evict state for packages that left the upstream: script cache and
-	// rejection bookkeeping would otherwise grow forever under churn.
-	// Registered packages live outside the upstream index, so their
-	// state survives until Unregister.
-	for name := range r.scripts {
-		if _, ok := r.registered[name]; ok {
-			continue
-		}
-		if _, err := newUpstream.Lookup(name); err != nil {
-			delete(r.scripts, name)
-		}
-	}
-	for name := range r.rejected {
-		if _, ok := r.registered[name]; ok {
-			continue
-		}
-		if _, err := newUpstream.Lookup(name); err != nil {
-			delete(r.rejected, name)
-			delete(r.rejectedKey, name)
-		}
-	}
-
-	oldLocal, oldUpstream, oldPinned := r.local, r.upstream, r.pinned
-	oldPlanHash := r.planHash
-	r.upstream = newUpstream
-	r.upstreamDigest = upstreamDigest
-	r.plan = plan
-	r.planHash = planHash
-	r.local = newLocal
-	r.localSig = signedLocal
-	r.seq = newLocal.Sequence
-	r.pinned = newPinned
-	r.planDebt = newPlanDebt
-	// Build-then-publish: the new read state becomes visible to clients
-	// in one atomic store, only now that the whole cycle succeeded.
-	r.publishLocked()
-
-	// Evict cache generations nothing references anymore: byte blobs
-	// addressed by (name, hash) pairs that appear in the outgoing
-	// indexes but in neither the incoming ones nor the pinned set that
-	// on-demand rebuilds still need. Old-snapshot readers in flight at
-	// publish time can race an eviction; FetchPackageTraced retries
-	// against the fresh snapshot when that happens.
-	if oldLocal != nil {
-		for _, e := range oldLocal.Entries {
-			if ne, err := newLocal.Lookup(e.Name); err == nil && ne.Hash == e.Hash {
-				continue
-			}
-			_ = r.svc.cfg.Store.Delete(r.sanitizedKey(e.Name, e.Hash))
-		}
-	}
-	evictOrig := func(name string, hash [32]byte) {
-		if pe, ok := newPinned[name]; ok && pe.Hash == hash {
-			return
-		}
-		if re, ok := r.registered[name]; ok && re.Hash == hash {
-			return
-		}
-		if ne, err := newUpstream.Lookup(name); err == nil && ne.Hash == hash {
-			return
-		}
-		_ = r.svc.cfg.Store.Delete(r.origKey(name, hash))
-	}
-	if oldUpstream != nil {
-		for _, e := range oldUpstream.Entries {
-			evictOrig(e.Name, e.Hash)
-		}
-	}
-	for name, pe := range oldPinned {
-		evictOrig(name, pe.Hash)
-	}
-	// The sealed sanitization-cache metadata follows its generation:
-	// (digest, plan) pairs the new state no longer produces are deleted
-	// together with their byte blobs. Otherwise a recurring pair — e.g.
-	// an upstream version rollback A→B→A — would cache-hit metadata
-	// whose sanitized bytes were evicted with the old generation and
-	// publish an index entry with no bytes behind it. (After a
-	// ForceReplan oldPlanHash is zero and these deletes address keys
-	// that never existed — harmless no-ops.)
-	if oldPlanHash != planHash {
-		// Registered packages' cache metadata under the outgoing plan is
-		// equally stale (their bytes were re-sanitized above).
-		for _, e := range r.registered {
-			_ = r.svc.cfg.Store.Delete(r.sanCacheKey(e.Hash, oldPlanHash))
-		}
-	}
-	if oldUpstream != nil && oldPlanHash != planHash {
-		for _, e := range oldUpstream.Entries {
-			_ = r.svc.cfg.Store.Delete(r.sanCacheKey(e.Hash, oldPlanHash))
-		}
-	} else if oldUpstream != nil {
-		for _, e := range oldUpstream.Entries {
-			if ne, err := newUpstream.Lookup(e.Name); err == nil && ne.Hash == e.Hash {
-				continue
-			}
-			_ = r.svc.cfg.Store.Delete(r.sanCacheKey(e.Hash, oldPlanHash))
-		}
-	}
-	// Reconcile serving-path writes: a reader racing an earlier publish
-	// may have re-created a blob its eviction pass had already deleted
-	// (repairing a tampered cache, or re-downloading an original). Any
-	// recorded key the state just published does not reference is such
-	// a resurrected stale generation — delete it now. Steady state has
-	// no recorded writes, so the keep-set is only built when needed.
-	r.servedWritesMu.Lock()
-	recorded := r.servedWrites
-	if len(recorded) > 0 {
-		r.servedWrites = make(map[string]struct{})
-	}
-	r.servedWritesMu.Unlock()
-	if len(recorded) > 0 {
-		keep := make(map[string]struct{}, len(newLocal.Entries)+len(newUpstream.Entries)+len(newPinned))
-		for _, e := range newLocal.Entries {
-			keep[r.sanitizedKey(e.Name, e.Hash)] = struct{}{}
-		}
-		for _, e := range newUpstream.Entries {
-			keep[r.origKey(e.Name, e.Hash)] = struct{}{}
-		}
-		for name, pe := range newPinned {
-			keep[r.origKey(name, pe.Hash)] = struct{}{}
-		}
-		for name, re := range r.registered {
-			keep[r.origKey(name, re.Hash)] = struct{}{}
-		}
-		for key := range recorded {
-			if _, ok := keep[key]; !ok {
-				_ = r.svc.cfg.Store.Delete(key)
-			}
-		}
-	}
-
-	r.totals.refreshes.Add(1)
-	r.totals.cacheHits.Add(int64(stats.CacheHits))
-	r.totals.sanitized.Add(int64(stats.Sanitized))
-	r.totals.rejected.Add(int64(stats.Rejected))
-	r.totals.downloaded.Add(int64(stats.Downloaded))
-	r.totals.failed.Add(int64(len(stats.Errors)))
-	// Under AutoPersist every successful refresh checkpoints the sealed
-	// state, so a crash at any later instant restarts warm into this
-	// generation. The refresh itself has already published — a
-	// checkpoint failure is surfaced as an operational error (the
-	// in-memory service keeps serving; durability is degraded until a
-	// checkpoint succeeds).
-	if r.svc.cfg.AutoPersist {
-		st.next("refresh.seal")
-		if err := r.checkpointLocked(); err != nil {
-			return stats, fmt.Errorf("tsr: refresh published but checkpoint failed: %w", err)
-		}
-	}
-	return stats, nil
-}
-
 // obtainOriginal returns the original package bytes, from the
 // original cache when allowed, else from a mirror (verifying size and
 // hash against the trusted upstream index entry). The returned count is
 // the number of bytes downloaded over the network (zero on cache hit);
 // the caller charges the modeled transfer time via chargeDownload.
-// It takes the cache mode explicitly so refresh workers can call it
+// cached says whether the original cache is in use (any mode but
+// CacheNone); passing it explicitly lets refresh workers call this
 // without holding the repository lock.
-func (r *Repo) obtainOriginal(mode CacheMode, name string, entry index.Entry) ([]byte, int64, error) {
-	if mode != CacheNone {
+func (r *Repo) obtainOriginal(cached bool, name string, entry index.Entry) ([]byte, int64, error) {
+	if cached {
 		if raw, err := r.svc.cfg.Store.Get(r.origKey(name, entry.Hash)); err == nil {
-			if int64(len(raw)) == entry.Size && sha256.Sum256(raw) == entry.Hash {
+			if entry.Matches(raw) {
 				return raw, 0, nil
 			}
 			// Tampered original cache: fall through to re-download.
@@ -1001,11 +414,11 @@ func (r *Repo) obtainOriginal(mode CacheMode, name string, entry index.Entry) ([
 			lastErr = err
 			continue
 		}
-		if int64(len(raw)) != entry.Size || sha256.Sum256(raw) != entry.Hash {
+		if !entry.Matches(raw) {
 			lastErr = fmt.Errorf("tsr: mirror served wrong bytes for %s", name)
 			continue
 		}
-		if mode != CacheNone {
+		if cached {
 			if err := r.svc.cfg.Store.Put(r.origKey(name, entry.Hash), raw); err != nil {
 				return nil, 0, err
 			}
@@ -1018,20 +431,20 @@ func (r *Repo) obtainOriginal(mode CacheMode, name string, entry index.Entry) ([
 	return nil, 0, fmt.Errorf("tsr: downloading %s: %w", name, lastErr)
 }
 
-// chargeBatchDownloads accounts one worker batch's downloads: per-item
-// byte counts are summed (zero means a cache hit) and charged as one
-// round of concurrent transfers.
-func (r *Repo) chargeBatchDownloads(stats *RefreshStats, dlBytes []int64) {
+// chargeBatchDownloads accounts one worker batch of n items, item i
+// having downloaded dlBytes(i) bytes (zero means a cache hit): the
+// downloads are charged as one round of concurrent transfers.
+func (r *Repo) chargeBatchDownloads(stats *RefreshStats, n int, dlBytes func(i int) int64) {
 	var total int64
-	n := 0
-	for _, b := range dlBytes {
-		if b > 0 {
+	count := 0
+	for i := 0; i < n; i++ {
+		if b := dlBytes(i); b > 0 {
 			total += b
-			n++
+			count++
 		}
 	}
-	stats.Downloaded += n
-	stats.DownloadTime += r.chargeDownload(total, n)
+	stats.Downloaded += count
+	stats.DownloadTime += r.chargeDownload(total, count)
 }
 
 // chargeDownload charges the modeled transfer time for a batch of
@@ -1107,7 +520,7 @@ func (s *scriptCacheSource) fromStore(entry index.Entry) (map[string]string, boo
 	if err != nil {
 		return nil, false
 	}
-	if int64(len(cached)) != entry.Size || sha256.Sum256(cached) != entry.Hash {
+	if !entry.Matches(cached) {
 		return nil, false // stale or tampered original cache; do not trust
 	}
 	p, err := apk.Decode(cached)

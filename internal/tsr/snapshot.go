@@ -2,10 +2,10 @@ package tsr
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"tsr/internal/index"
@@ -56,14 +56,8 @@ func (r *Repo) publishLocked() {
 		mode:      r.mode,
 		upstream:  r.upstream,
 		plan:      r.plan,
-		pinned:    make(map[string]index.Entry, len(r.pinned)),
-		rejected:  make(map[string]string, len(r.rejected)),
-	}
-	for k, v := range r.pinned {
-		snap.pinned[k] = v
-	}
-	for k, v := range r.rejected {
-		snap.rejected[k] = v
+		pinned:    maps.Clone(r.pinned),
+		rejected:  maps.Clone(r.rejected),
 	}
 	r.served.Store(snap)
 }
@@ -279,7 +273,7 @@ func (r *Repo) fetchFromSnapshot(ctx context.Context, snap *snapshot, name strin
 	}
 	if snap.mode == CacheBoth {
 		if raw, err := r.svc.cfg.Store.Get(r.sanitizedKey(name, entry.Hash)); err == nil {
-			if int64(len(raw)) == entry.Size && sha256.Sum256(raw) == entry.Hash {
+			if entry.Matches(raw) {
 				return raw, &FetchResult{From: ServedSanitizedCache, Latency: time.Since(start), ETag: entry.ETag()}, nil
 			}
 			// Cache tampered or rolled back. Re-sanitize from original.
@@ -363,7 +357,7 @@ func (r *Repo) resanitize(snap *snapshot, name string, entry index.Entry, start 
 		}
 	}
 	from := ServedOriginalCache
-	orig, dlBytes, err := r.obtainOriginal(snap.mode, name, upEntry)
+	orig, dlBytes, err := r.obtainOriginal(snap.mode != CacheNone, name, upEntry)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -377,20 +371,14 @@ func (r *Repo) resanitize(snap *snapshot, name string, entry index.Entry, start 
 			r.noteServedWrite(r.origKey(name, upEntry.Hash))
 		}
 	}
-	san := &sanitize.Sanitizer{
-		Plan:      snap.plan,
-		TrustRing: r.trust,
-		SignKey:   r.signKey,
-		EPC:       r.svc.cfg.EPC,
-	}
-	res, err := san.Sanitize(orig)
+	res, err := r.sanitizer(snap.plan).Sanitize(orig)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Sanitization is fully deterministic (PKCS#1 v1.5 signatures and
 	// the archive encoding are both deterministic), so the re-sanitized
 	// bytes must hash to exactly the in-enclave index entry.
-	if int64(len(res.Raw)) != entry.Size || sha256.Sum256(res.Raw) != entry.Hash {
+	if !entry.Matches(res.Raw) {
 		return nil, nil, fmt.Errorf("%w: %s (re-sanitized bytes differ from index)", ErrCacheTampered, name)
 	}
 	// Repair the sanitized cache only when this snapshot is still the
