@@ -11,10 +11,12 @@
 //
 // Both segments are tar archives. The control segment's exact bytes are
 // what the signature covers, so Decode keeps them available for
-// verification and Encode is deterministic. Encode and Decode reuse
-// pooled compressors and scratch buffers; a Reset gzip writer emits the
-// same bytes as a fresh one, so Encode output is byte-stable whichever
-// pooled writer produced it.
+// verification and Encode is deterministic. Decode, DecodeMeta and
+// Rewrite read the data segment through one streamed walker, so they
+// make the same format and hash checks. Encode, Decode and Rewrite
+// reuse pooled compressors and scratch buffers; a Reset gzip writer
+// emits the same bytes as a fresh one, so output is byte-stable
+// whichever pooled writer produced it.
 package apk
 
 import (
@@ -22,10 +24,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"sort"
 	"strings"
@@ -83,41 +85,6 @@ type Package struct {
 	Signatures map[string][]byte
 }
 
-// Clone returns a deep copy, used by the sanitizer which rewrites the
-// package without mutating the original.
-func (p *Package) Clone() *Package {
-	cp := &Package{
-		Name:    p.Name,
-		Version: p.Version,
-		Arch:    p.Arch,
-		Depends: append([]string(nil), p.Depends...),
-	}
-	if p.Scripts != nil {
-		cp.Scripts = make(map[string]string, len(p.Scripts))
-		for k, v := range p.Scripts {
-			cp.Scripts[k] = v
-		}
-	}
-	if p.Signatures != nil {
-		cp.Signatures = make(map[string][]byte, len(p.Signatures))
-		for k, v := range p.Signatures {
-			cp.Signatures[k] = append([]byte(nil), v...)
-		}
-	}
-	cp.Files = make([]File, len(p.Files))
-	for i, f := range p.Files {
-		nf := File{Path: f.Path, Mode: f.Mode, Content: append([]byte(nil), f.Content...)}
-		if f.Xattrs != nil {
-			nf.Xattrs = make(map[string][]byte, len(f.Xattrs))
-			for k, v := range f.Xattrs {
-				nf.Xattrs[k] = append([]byte(nil), v...)
-			}
-		}
-		cp.Files[i] = nf
-	}
-	return cp
-}
-
 // ScriptNames returns the script hook names in sorted order.
 func (p *Package) ScriptNames() []string {
 	names := make([]string, 0, len(p.Scripts))
@@ -167,15 +134,16 @@ func (p *Package) ControlBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// codec is the reusable state of one Encode or Decode: a compressor, a
-// decompressor and the scratch the three segments are built in. Pooling
-// it leaves the returned bytes (Encode) or file contents (Decode) as the
+// codec is the reusable state of one Encode, Decode or Rewrite: a
+// decompressor, the scratch the segments are built in and the one
+// data-segment file being read. Pooling it, and the compressors, leaves
+// the returned bytes (Encode, Rewrite) or file contents (Decode) as the
 // only per-call payload allocations.
 type codec struct {
-	zw  *gzip.Writer
-	zr  gzip.Reader
-	seg [3]bytes.Buffer // signature, control, data
-	out bytes.Buffer
+	zr   gzip.Reader
+	seg  [3]bytes.Buffer // signature, control, data
+	out  bytes.Buffer
+	file []byte
 }
 
 // maxPooledScratch caps each scratch buffer a pooled codec keeps.
@@ -185,7 +153,15 @@ type codec struct {
 // next large call sizes a fresh one up front instead of growing it.
 const maxPooledScratch = 256 << 10
 
-var codecs = sync.Pool{New: func() any { return &codec{zw: gzip.NewWriter(nil)} }}
+var codecs = sync.Pool{New: func() any { return new(codec) }}
+
+// compressors pools gzip writers apart from the codecs. A writer is
+// taken only for the burst that compresses, so it is most likely the
+// one this P used last, its 640 KiB of deflate tables still in cache.
+// Held through a whole Rewrite, as a codec is, it went cold while the
+// files were signed: in a CPU profile of the benchmark on a 2-vCPU
+// host, deflate then cost about a third more per sanitized package.
+var compressors = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
 
 func getCodec() *codec {
 	c := codecs.Get().(*codec)
@@ -201,6 +177,9 @@ func putCodec(c *codec) {
 		if b.Cap() > maxPooledScratch {
 			*b = bytes.Buffer{}
 		}
+	}
+	if cap(c.file) > maxPooledScratch {
+		c.file = nil
 	}
 	codecs.Put(c)
 }
@@ -225,47 +204,208 @@ func Encode(p *Package) ([]byte, error) {
 	// Deflate expands incompressible input by well under 1%.
 	n := c.seg[0].Len() + c.seg[1].Len() + c.seg[2].Len()
 	c.out.Grow(n + n>>7 + 1<<10)
+	zw := compressors.Get().(*gzip.Writer)
+	defer compressors.Put(zw)
 	for i := range c.seg {
-		c.zw.Reset(&c.out)
-		if _, err := c.zw.Write(c.seg[i].Bytes()); err != nil {
-			return nil, fmt.Errorf("apk: compressing segment: %w", err)
-		}
-		if err := c.zw.Close(); err != nil {
-			return nil, fmt.Errorf("apk: compressing segment: %w", err)
+		if err := compress(zw, &c.out, c.seg[i].Bytes()); err != nil {
+			return nil, err
 		}
 	}
 	return bytes.Clone(c.out.Bytes()), nil
 }
 
+// compress appends seg to dst as one gzip member.
+func compress(zw *gzip.Writer, dst *bytes.Buffer, seg []byte) error {
+	zw.Reset(dst)
+	if _, err := zw.Write(seg); err != nil {
+		return fmt.Errorf("apk: compressing segment: %w", err)
+	}
+	if err := zw.Close(); err != nil {
+		return fmt.Errorf("apk: compressing segment: %w", err)
+	}
+	return nil
+}
+
 // Decode parses an encoded package, verifying the control segment's
 // content hash against the data segment.
-func Decode(raw []byte) (*Package, error) {
+func Decode(raw []byte) (*Package, error) { return decode(raw, true) }
+
+// DecodeMeta is Decode without the file contents, for callers that read
+// only a package's metadata or scripts. It makes every check Decode
+// makes — member framing, tar headers, the data-segment hash, no
+// trailing bytes — so it fails exactly where Decode fails, but it
+// streams the data segment through the hash, discards it, and returns
+// the package with Files nil. What it allocates does not grow with the
+// data segment.
+func DecodeMeta(raw []byte) (*Package, error) { return decode(raw, false) }
+
+func decode(raw []byte, files bool) (*Package, error) {
 	c := getCodec()
 	defer putCodec(c)
-	rest, err := c.inflate(raw, 3)
+	r, p, declared, err := c.readHead(raw)
 	if err != nil {
 		return nil, err
 	}
-	if rest != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, rest)
+	var keep func(f *File) error
+	if files {
+		keep = func(f *File) error {
+			f.Content = append(make([]byte, 0, len(f.Content)), f.Content...)
+			p.Files = append(p.Files, *f)
+			return nil
+		}
 	}
-	p := &Package{}
-	if err := decodeSignatureSegment(c.seg[0].Bytes(), p); err != nil {
+	if err := c.walkData(r, declared, keep); err != nil {
 		return nil, err
-	}
-	declaredHash, err := decodeControlSegment(c.seg[1].Bytes(), p)
-	if err != nil {
-		return nil, err
-	}
-	data := c.seg[2].Bytes()
-	if err := decodeDataSegment(data, p); err != nil {
-		return nil, err
-	}
-	actual := sha256.Sum256(data)
-	if actual != declaredHash {
-		return nil, fmt.Errorf("%w: declared %x, actual %x", ErrContentHash, declaredHash[:8], actual[:8])
 	}
 	return p, nil
+}
+
+// A Rewriter supplies the caller's steps of Rewrite.
+type Rewriter interface {
+	// Control vets the package before its data member is inflated: p
+	// holds the metadata, scripts and signatures (Files nil), and
+	// control the exact control-segment bytes the signatures cover,
+	// valid until Control returns. Control may replace p.Scripts; the
+	// output carries p's metadata and scripts.
+	Control(p *Package, control []byte) error
+	// File is called with each data-segment file in archive order;
+	// f.Content is valid until File returns. File may set f.Xattrs,
+	// which the output then carries.
+	File(f *File) error
+	// Sign signs the output's control segment. The signature, under
+	// keyName, becomes the output's only signature.
+	Sign(control []byte) (keyName string, sig []byte, err error)
+}
+
+// Rewrite re-encodes raw in one streamed pass, with the checks Decode
+// makes. It inflates the signature and control members and hands them
+// to rw.Control before any data is inflated; it then streams the data
+// member file by file through rw.File into the output's compressed
+// data member, hashing both sides as they pass; last it renders the
+// control segment with the new data hash and signs it with rw.Sign.
+// Besides raw, only the compressed output, one file and a bounded
+// batch of the output tar stream (see memberWriter) are held. Files
+// keep their archive order, so a path-sorted input yields exactly the
+// bytes Encode gives for the rewritten package.
+func Rewrite(raw []byte, rw Rewriter) ([]byte, error) {
+	c := getCodec()
+	defer putCodec(c)
+	r, p, declared, err := c.readHead(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := rw.Control(p, c.seg[1].Bytes()); err != nil {
+		return nil, err
+	}
+
+	// The output's data member is the input's plus, per file, a
+	// signature that does not compress.
+	c.seg[2].Grow(r.Len() + r.Len()>>3 + 8<<10)
+	m := &memberWriter{buf: &c.out, dst: &c.seg[2], h: sha256.New()}
+	defer m.release()
+	tw := tar.NewWriter(m)
+	err = c.walkData(r, declared, func(f *File) error {
+		if err := rw.File(f); err != nil {
+			return err
+		}
+		return writeFile(tw, f)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := tw.Close(); err != nil {
+		return nil, fmt.Errorf("apk: data segment: %w", err)
+	}
+	// The end-of-archive blocks guarantee a flush, so m.zw is set.
+	if err := m.flush(); err != nil {
+		return nil, err
+	}
+	if err := m.zw.Close(); err != nil {
+		return nil, fmt.Errorf("apk: compressing segment: %w", err)
+	}
+	var sum [32]byte
+	m.h.Sum(sum[:0])
+
+	c.seg[1].Reset()
+	if err := writeControlSegment(&c.seg[1], p, sum); err != nil {
+		return nil, err
+	}
+	name, sig, err := rw.Sign(c.seg[1].Bytes())
+	if err != nil {
+		return nil, err
+	}
+	c.seg[0].Reset()
+	if err := writeSignatureSegment(&c.seg[0], map[string][]byte{name: sig}); err != nil {
+		return nil, err
+	}
+	for i := 0; i < 2; i++ {
+		if err := compress(m.zw, &c.out, c.seg[i].Bytes()); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]byte, 0, c.out.Len()+c.seg[2].Len())
+	return append(append(out, c.out.Bytes()...), c.seg[2].Bytes()...), nil
+}
+
+// batchSize is the least run of tar stream a memberWriter compresses
+// at once.
+const batchSize = maxPooledScratch / 2
+
+// memberWriter hashes a tar stream and compresses it into dst as one
+// gzip member. It hands the stream on in runs of at least batchSize
+// bytes, buffered in buf, and takes its compressor at the first run, so
+// that deflate works in long bursts on warm tables instead of between
+// every file's signing. A write of batchSize or more goes straight
+// through, so buf stays under twice batchSize.
+type memberWriter struct {
+	buf, dst *bytes.Buffer
+	h        hash.Hash
+	zw       *gzip.Writer
+}
+
+func (m *memberWriter) Write(p []byte) (int, error) {
+	if len(p) >= batchSize {
+		if err := m.flush(); err != nil {
+			return 0, err
+		}
+		if err := m.emit(p); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
+	m.buf.Write(p)
+	if m.buf.Len() >= batchSize {
+		if err := m.flush(); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
+}
+
+// flush compresses what buf holds.
+func (m *memberWriter) flush() error {
+	err := m.emit(m.buf.Bytes())
+	m.buf.Reset()
+	return err
+}
+
+func (m *memberWriter) emit(p []byte) error {
+	if m.zw == nil {
+		m.zw = compressors.Get().(*gzip.Writer)
+		m.zw.Reset(m.dst)
+	}
+	m.h.Write(p)
+	if _, err := m.zw.Write(p); err != nil {
+		return fmt.Errorf("apk: compressing segment: %w", err)
+	}
+	return nil
+}
+
+// release returns the compressor, if one was taken, to the pool.
+func (m *memberWriter) release() {
+	if m.zw != nil {
+		compressors.Put(m.zw)
+	}
 }
 
 // RawControlSegment extracts the exact control segment bytes from an
@@ -276,49 +416,150 @@ func Decode(raw []byte) (*Package, error) {
 func RawControlSegment(raw []byte) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)
-	if _, err := c.inflate(raw, 2); err != nil {
-		return nil, err
+	r := bytes.NewReader(raw)
+	for i := 0; i < 2; i++ {
+		if err := c.inflate(r, i); err != nil {
+			return nil, err
+		}
 	}
 	return bytes.Clone(c.seg[1].Bytes()), nil
 }
 
-// inflate decompresses the first n concatenated gzip members of raw
-// into c.seg and returns how many bytes of raw follow them.
-func (c *codec) inflate(raw []byte, n int) (int, error) {
+// readHead inflates and parses the signature and control members of
+// raw. It returns the reader positioned at the data member and the data
+// hash the control segment declares; the control bytes stay in
+// c.seg[1].
+func (c *codec) readHead(raw []byte) (*bytes.Reader, *Package, [32]byte, error) {
 	r := bytes.NewReader(raw)
-	for i := 0; i < n; i++ {
-		if err := c.zr.Reset(r); err != nil {
-			if err == io.EOF && i > 0 {
-				return 0, fmt.Errorf("%w: only %d of %d segments", ErrFormat, i, n)
-			}
-			return 0, fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
-		}
-		c.zr.Multistream(false)
-		if i == 2 {
-			c.seg[2].Grow(dataSizeHint(raw, r.Len()))
-		}
-		if _, err := c.seg[i].ReadFrom(&c.zr); err != nil {
-			return 0, fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
+	for i := 0; i < 2; i++ {
+		if err := c.inflate(r, i); err != nil {
+			return nil, nil, [32]byte{}, err
 		}
 	}
-	return r.Len(), nil
+	p := &Package{}
+	if err := decodeSignatureSegment(c.seg[0].Bytes(), p); err != nil {
+		return nil, nil, [32]byte{}, err
+	}
+	declared, err := decodeControlSegment(c.seg[1].Bytes(), p)
+	if err != nil {
+		return nil, nil, [32]byte{}, err
+	}
+	return r, p, declared, nil
 }
 
-// maxPresize caps the data-segment scratch reserved from a size hint; a
-// larger segment grows past it as it inflates.
+// inflate decompresses the next gzip member of r, segment i, into
+// c.seg[i].
+func (c *codec) inflate(r *bytes.Reader, i int) error {
+	if err := c.openMember(r, i); err != nil {
+		return err
+	}
+	if _, err := c.seg[i].ReadFrom(&c.zr); err != nil {
+		return fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
+	}
+	return nil
+}
+
+// openMember points c.zr at the next gzip member of r, segment i.
+// Reading from a bytes.Reader, the decompressor consumes exactly the
+// member, so r.Len() is what follows it.
+func (c *codec) openMember(r *bytes.Reader, i int) error {
+	if err := c.zr.Reset(r); err != nil {
+		if err == io.EOF && i > 0 {
+			return fmt.Errorf("%w: only %d of 3 segments", ErrFormat, i)
+		}
+		return fmt.Errorf("%w: segment %d: %v", ErrFormat, i, err)
+	}
+	c.zr.Multistream(false)
+	return nil
+}
+
+// walkData is the one reader of data segments: it streams the data
+// member at r's position through gunzip, a SHA-256 and a tar reader,
+// and calls fn with each member in archive order as a File whose
+// Content holds the member's bytes until fn returns. With fn nil the
+// bytes only pass through the hash. After the last member it hashes
+// whatever follows the end-of-archive marker, requires that nothing
+// follows the member in raw, and checks the hash against declared.
+func (c *codec) walkData(r *bytes.Reader, declared [32]byte, fn func(f *File) error) error {
+	if err := c.openMember(r, 2); err != nil {
+		return err
+	}
+	h := sha256.New()
+	in := io.TeeReader(&c.zr, h)
+	tr := tar.NewReader(in)
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("%w: data segment: %v", ErrFormat, err)
+		}
+		if fn == nil {
+			if _, err := io.CopyN(io.Discard, tr, hdr.Size); err != nil {
+				return fmt.Errorf("%w: data segment: member %q: %v", ErrFormat, hdr.Name, err)
+			}
+			continue
+		}
+		f := File{Path: "/" + hdr.Name, Mode: uint32(hdr.Mode)}
+		if f.Content, err = c.readFile(tr, hdr.Size, r.Len()); err != nil {
+			return fmt.Errorf("%w: data segment: member %q: %v", ErrFormat, hdr.Name, err)
+		}
+		for k, v := range hdr.PAXRecords {
+			if strings.HasPrefix(k, paxXattrPrefix) {
+				if f.Xattrs == nil {
+					f.Xattrs = make(map[string][]byte)
+				}
+				f.Xattrs[strings.TrimPrefix(k, paxXattrPrefix)] = []byte(v)
+			}
+		}
+		if err := fn(&f); err != nil {
+			return err
+		}
+	}
+	if _, err := io.Copy(io.Discard, in); err != nil {
+		return fmt.Errorf("%w: data segment: %v", ErrFormat, err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrFormat, r.Len())
+	}
+	var actual [32]byte
+	h.Sum(actual[:0])
+	if actual != declared {
+		return fmt.Errorf("%w: declared %x, actual %x", ErrContentHash, declared[:8], actual[:8])
+	}
+	return nil
+}
+
+// maxPresize caps the file scratch reserved from a member's header.
 const maxPresize = 16 << 20
 
-// dataSizeHint is the scratch to reserve for the data segment, taken
-// from the gzip trailer that ends raw (the segment's size mod 2^32).
-// The sender chose that number, so it is consulted only after the first
-// two members inflated cleanly, and it is capped by deflate's 1032:1
-// limit over the left compressed bytes and by maxPresize.
-func dataSizeHint(raw []byte, left int) int {
-	if len(raw) < 4 {
-		return 0
+// readFile reads a size-byte member from src into c.file. The size is
+// the sender's claim, so the scratch is reserved up front only up to
+// what the compressed bytes left in the package can inflate to
+// (deflate's 1032:1 limit plus the decompressor's 32 KiB window) and
+// otherwise grows as bytes arrive: a header claiming more than follows
+// fails with a short read, not a large allocation.
+func (c *codec) readFile(src io.Reader, size int64, left int) ([]byte, error) {
+	buf := c.file[:0]
+	if want := min(size, 1032*int64(left)+64<<10, maxPresize); int64(cap(buf)) < want {
+		buf = make([]byte, 0, want)
 	}
-	size := int64(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
-	return int(min(size, 1032*int64(left), maxPresize)) + bytes.MinRead
+	defer func() { c.file = buf }()
+	for int64(len(buf)) < size {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := src.Read(buf[len(buf):min(int64(cap(buf)), size)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF && int64(len(buf)) < size {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // tarEpoch is the fixed timestamp used for all archive members, keeping
@@ -449,19 +690,9 @@ func writeDataSegment(w io.Writer, files []File) error {
 	tw := tar.NewWriter(w)
 	sorted := append([]File(nil), files...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-	for _, f := range sorted {
-		if !strings.HasPrefix(f.Path, "/") {
-			return fmt.Errorf("%w: file path %q not absolute", ErrFormat, f.Path)
-		}
-		var pax map[string]string
-		if len(f.Xattrs) > 0 {
-			pax = make(map[string]string, len(f.Xattrs))
-			for k, v := range f.Xattrs {
-				pax[paxXattrPrefix+k] = string(v)
-			}
-		}
-		if err := writeMember(tw, strings.TrimPrefix(f.Path, "/"), int64(f.Mode), f.Content, pax); err != nil {
-			return fmt.Errorf("apk: data segment: %w", err)
+	for i := range sorted {
+		if err := writeFile(tw, &sorted[i]); err != nil {
+			return err
 		}
 	}
 	if err := tw.Close(); err != nil {
@@ -470,24 +701,22 @@ func writeDataSegment(w io.Writer, files []File) error {
 	return nil
 }
 
-func decodeDataSegment(seg []byte, p *Package) error {
-	return eachMember(seg, "data", func(hdr *tar.Header, content []byte) error {
-		f := File{
-			Path:    "/" + hdr.Name,
-			Mode:    uint32(hdr.Mode),
-			Content: content,
+// writeFile appends one data-segment file, its xattrs as PAX records.
+func writeFile(tw *tar.Writer, f *File) error {
+	if !strings.HasPrefix(f.Path, "/") {
+		return fmt.Errorf("%w: file path %q not absolute", ErrFormat, f.Path)
+	}
+	var pax map[string]string
+	if len(f.Xattrs) > 0 {
+		pax = make(map[string]string, len(f.Xattrs))
+		for k, v := range f.Xattrs {
+			pax[paxXattrPrefix+k] = string(v)
 		}
-		for k, v := range hdr.PAXRecords {
-			if strings.HasPrefix(k, paxXattrPrefix) {
-				if f.Xattrs == nil {
-					f.Xattrs = make(map[string][]byte)
-				}
-				f.Xattrs[strings.TrimPrefix(k, paxXattrPrefix)] = []byte(v)
-			}
-		}
-		p.Files = append(p.Files, f)
-		return nil
-	})
+	}
+	if err := writeMember(tw, strings.TrimPrefix(f.Path, "/"), int64(f.Mode), f.Content, pax); err != nil {
+		return fmt.Errorf("apk: data segment: %w", err)
+	}
+	return nil
 }
 
 // writeMember appends one member with the fixed header fields every

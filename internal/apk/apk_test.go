@@ -117,8 +117,11 @@ func TestDecodeRejectsTamperedData(t *testing.T) {
 func rawSegments(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
 	var c codec
-	if _, err := c.inflate(raw, 3); err != nil {
-		t.Fatal(err)
+	r := bytes.NewReader(raw)
+	for i := range c.seg {
+		if err := c.inflate(r, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return [][]byte{c.seg[0].Bytes(), c.seg[1].Bytes(), c.seg[2].Bytes()}
 }
@@ -307,7 +310,9 @@ func TestEncodeConcurrent(t *testing.T) {
 
 // FuzzDecode: Decode never panics, fails only with its sentinels, and
 // whatever it accepts survives Encode → Decode unchanged up to the
-// order Encode imposes (dependencies and files sorted).
+// order Encode imposes (dependencies and files sorted). DecodeMeta
+// fails exactly where Decode fails and otherwise returns the same
+// package without its files.
 func FuzzDecode(f *testing.F) {
 	f.Add(mustEncode(f, samplePackage()))
 	dup := samplePackage()
@@ -320,6 +325,17 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		p, err := Decode(raw)
+		meta, metaErr := DecodeMeta(raw)
+		if (err == nil) != (metaErr == nil) {
+			t.Fatalf("Decode err = %v, DecodeMeta err = %v", err, metaErr)
+		}
+		if err == nil {
+			whole := *p
+			whole.Files = nil
+			if !reflect.DeepEqual(meta, &whole) {
+				t.Fatalf("DecodeMeta = %+v, Decode without files = %+v", meta, &whole)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrContentHash) {
 				t.Fatalf("unexpected error %v", err)
@@ -428,23 +444,6 @@ func TestSignatureSurvivesReencode(t *testing.T) {
 	}
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatal("decode/encode roundtrip changed bytes")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	p := samplePackage()
-	cp := p.Clone()
-	cp.Files[0].Content[0] = 'X'
-	cp.Scripts["post-install"] = "changed"
-	cp.Depends[0] = "changed"
-	if p.Files[0].Content[0] == 'X' {
-		t.Fatal("clone aliases file content")
-	}
-	if p.Scripts["post-install"] == "changed" {
-		t.Fatal("clone aliases scripts")
-	}
-	if p.Depends[0] == "changed" {
-		t.Fatal("clone aliases depends")
 	}
 }
 

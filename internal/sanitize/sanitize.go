@@ -29,9 +29,7 @@ func (p Phases) Total() time.Duration {
 
 // Result describes one sanitized package.
 type Result struct {
-	// Package is the sanitized, re-signed package.
-	Package *apk.Package
-	// Raw is its encoded wire form.
+	// Raw is the sanitized, re-signed package in its wire form.
 	Raw []byte
 	// OriginalSize and SanitizedSize are the wire sizes before/after —
 	// the Figure 9 size overhead.
@@ -43,7 +41,10 @@ type Result struct {
 	// (Figure 12); Total sanitization time inside SGX is
 	// Phases.Total() + SGXOverhead.
 	SGXOverhead time.Duration
-	// WorkingSet is the modeled enclave working set.
+	// WorkingSet is the enclave working set of the paper's model
+	// (Figures 8 and 12): the wire form in and out plus two whole
+	// decoded copies of the package. It is not what Sanitize holds,
+	// which streams the data segment one file at a time.
 	WorkingSet int64
 	// ExceedsEPC marks packages whose working set spills out of the
 	// EPC (the triangle markers of Figure 8).
@@ -100,84 +101,21 @@ func (s *Sanitizer) parsedPreamble() (*script.Script, error) {
 	return s.preambleParsed, s.preambleErr
 }
 
-// Sanitize verifies, rewrites, re-signs and re-encodes one package.
+// Sanitize verifies, rewrites, re-signs and re-encodes one package in
+// one streamed pass (apk.Rewrite): the upstream signature is checked
+// over the raw control segment before any package data is inflated,
+// then the scripts are rewritten, then each data-segment file is signed
+// on its way from the input archive to the output one.
 func (s *Sanitizer) Sanitize(raw []byte) (*Result, error) {
-	res := &Result{OriginalSize: int64(len(raw))}
-
-	// Phase: integrity + authenticity check (signature over the exact
-	// control segment bytes).
-	start := time.Now()
-	control, err := apk.RawControlSegment(raw)
+	j := &job{s: s, res: &Result{OriginalSize: int64(len(raw))}, start: time.Now()}
+	out, err := apk.Rewrite(raw, j)
 	if err != nil {
 		return nil, err
 	}
-	sigOK := false
-	var decoded *apk.Package
-	res.Phases.CheckIntegrity = time.Since(start)
-
-	// Phase: archive processing (full decode: gunzip + untar + hash).
-	start = time.Now()
-	decoded, err = apk.Decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Archive = time.Since(start)
-
-	start = time.Now()
-	for _, sig := range decoded.Signatures {
-		// Key names inside the package are hints; policy rings label
-		// keys locally, so try every trusted key.
-		if _, err := s.TrustRing.VerifyAny(control, sig); err == nil {
-			sigOK = true
-			break
-		}
-	}
-	if !sigOK {
-		return nil, fmt.Errorf("%w: %s-%s", apk.ErrUntrusted, decoded.Name, decoded.Version)
-	}
-	res.Phases.CheckIntegrity += time.Since(start)
-
-	res.FileCount = decoded.FileCount()
-	res.UncompressedSize = decoded.UncompressedSize()
-
-	// Phase: script modification.
-	start = time.Now()
-	sanitized := decoded.Clone()
-	if err := s.rewriteScripts(sanitized); err != nil {
-		return nil, err
-	}
-	res.Phases.ModifyScripts = time.Since(start)
-
-	// Phase: signature generation — one per data-segment file, stored
-	// in PAX headers (§5.3).
-	start = time.Now()
-	for i := range sanitized.Files {
-		f := &sanitized.Files[i]
-		sig, err := s.SignKey.Sign(f.Content)
-		if err != nil {
-			return nil, err
-		}
-		if f.Xattrs == nil {
-			f.Xattrs = make(map[string][]byte, 1)
-		}
-		f.Xattrs[apk.XattrIMA] = sig
-	}
-	// Replace the upstream package signature with TSR's.
-	sanitized.Signatures = nil
-	if err := apk.Sign(sanitized, s.SignKey); err != nil {
-		return nil, err
-	}
-	res.Phases.GenerateSigs = time.Since(start)
-
-	// Phase: archive processing (re-encode: tar + gzip).
-	start = time.Now()
-	out, err := apk.Encode(sanitized)
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Archive += time.Since(start)
-
-	res.Package = sanitized
+	res := j.res
+	// Archive processing (decompress + recompress) is what the pass
+	// spent outside the other three phases.
+	res.Phases.Archive = time.Since(j.start) - res.Phases.CheckIntegrity - res.Phases.ModifyScripts - res.Phases.GenerateSigs
 	res.Raw = out
 	res.SanitizedSize = int64(len(out))
 
@@ -188,6 +126,64 @@ func (s *Sanitizer) Sanitize(raw []byte) (*Result, error) {
 	res.ExceedsEPC = s.EPC.ExceedsEPC(res.WorkingSet)
 	res.SGXOverhead = s.EPC.Overhead(res.WorkingSet, res.Phases.Total())
 	return res, nil
+}
+
+// job is one Sanitize call's side of apk.Rewrite; it times the phases
+// and counts the files as they stream past.
+type job struct {
+	s     *Sanitizer
+	res   *Result
+	start time.Time
+}
+
+// Control checks the upstream signature over the exact control segment
+// bytes, then rewrites the scripts.
+func (j *job) Control(p *apk.Package, control []byte) error {
+	sigOK := false
+	for _, sig := range p.Signatures {
+		// Key names inside the package are hints; policy rings label
+		// keys locally, so try every trusted key.
+		if _, err := j.s.TrustRing.VerifyAny(control, sig); err == nil {
+			sigOK = true
+			break
+		}
+	}
+	if !sigOK {
+		return fmt.Errorf("%w: %s-%s", apk.ErrUntrusted, p.Name, p.Version)
+	}
+	j.res.Phases.CheckIntegrity = time.Since(j.start)
+
+	start := time.Now()
+	if err := j.s.rewriteScripts(p); err != nil {
+		return err
+	}
+	j.res.Phases.ModifyScripts = time.Since(start)
+	return nil
+}
+
+// File issues the file's signature, stored in a PAX header (§5.3).
+func (j *job) File(f *apk.File) error {
+	start := time.Now()
+	sig, err := j.s.SignKey.Sign(f.Content)
+	if err != nil {
+		return err
+	}
+	if f.Xattrs == nil {
+		f.Xattrs = make(map[string][]byte, 1)
+	}
+	f.Xattrs[apk.XattrIMA] = sig
+	j.res.FileCount++
+	j.res.UncompressedSize += int64(len(f.Content))
+	j.res.Phases.GenerateSigs += time.Since(start)
+	return nil
+}
+
+// Sign replaces the upstream package signature with TSR's.
+func (j *job) Sign(control []byte) (string, []byte, error) {
+	start := time.Now()
+	sig, err := j.s.SignKey.Sign(control)
+	j.res.Phases.GenerateSigs += time.Since(start)
+	return j.s.SignKey.Name, sig, err
 }
 
 // rewriteScripts rewrites every hook per §4.2 and rejects unsupported

@@ -1,11 +1,18 @@
 package sanitize
 
 import (
+	"archive/tar"
+	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tsr/internal/apk"
 	"tsr/internal/attest"
@@ -14,12 +21,13 @@ import (
 	"tsr/internal/osimage"
 	"tsr/internal/policy"
 	"tsr/internal/script"
+	"tsr/internal/workload"
 )
 
 // fixtures ------------------------------------------------------------
 
-func upstream(t *testing.T) *keys.Pair { t.Helper(); return keys.Shared.MustGet("alpine-pkg-signer") }
-func tsrKey(t *testing.T) *keys.Pair   { t.Helper(); return keys.Shared.MustGet("tsr-repo-key") }
+func upstream(t testing.TB) *keys.Pair { t.Helper(); return keys.Shared.MustGet("alpine-pkg-signer") }
+func tsrKey(t testing.TB) *keys.Pair   { t.Helper(); return keys.Shared.MustGet("tsr-repo-key") }
 
 var initFiles = []policy.ConfigFile{
 	{Path: osimage.PasswdPath, Content: "root:x:0:0:root:/root:/bin/ash\n"},
@@ -27,7 +35,7 @@ var initFiles = []policy.ConfigFile{
 }
 
 // buildPlan scans the given packages.
-func buildPlan(t *testing.T, pkgs ...*apk.Package) *Plan {
+func buildPlan(t testing.TB, pkgs ...*apk.Package) *Plan {
 	t.Helper()
 	plan, err := BuildPlan(&SliceSource{Packages: pkgs}, initFiles, tsrKey(t))
 	if err != nil {
@@ -36,7 +44,7 @@ func buildPlan(t *testing.T, pkgs ...*apk.Package) *Plan {
 	return plan
 }
 
-func sanitizer(t *testing.T, plan *Plan) *Sanitizer {
+func sanitizer(t testing.TB, plan *Plan) *Sanitizer {
 	t.Helper()
 	return &Sanitizer{
 		Plan:      plan,
@@ -46,7 +54,7 @@ func sanitizer(t *testing.T, plan *Plan) *Sanitizer {
 	}
 }
 
-func signedPkg(t *testing.T, name string, scripts map[string]string, files ...apk.File) *apk.Package {
+func signedPkg(t testing.TB, name string, scripts map[string]string, files ...apk.File) *apk.Package {
 	t.Helper()
 	if files == nil {
 		files = []apk.File{{Path: "/usr/bin/" + name, Mode: 0o755, Content: []byte(name)}}
@@ -58,13 +66,23 @@ func signedPkg(t *testing.T, name string, scripts map[string]string, files ...ap
 	return p
 }
 
-func encode(t *testing.T, p *apk.Package) []byte {
+func encode(t testing.TB, p *apk.Package) []byte {
 	t.Helper()
 	raw, err := apk.Encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// sanitized decodes a Sanitize result's wire form.
+func sanitized(t *testing.T, res *Result) *apk.Package {
+	t.Helper()
+	p, err := apk.Decode(res.Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // plan tests -----------------------------------------------------------
@@ -151,7 +169,7 @@ func TestSanitizeSignsEveryFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := keys.NewRing(tsrKey(t).Public())
-	for _, f := range res.Package.Files {
+	for _, f := range sanitized(t, res).Files {
 		sig, ok := f.Xattrs[apk.XattrIMA]
 		if !ok {
 			t.Fatalf("%s: no IMA signature", f.Path)
@@ -161,10 +179,10 @@ func TestSanitizeSignsEveryFile(t *testing.T) {
 		}
 	}
 	// The sanitized package is signed by TSR, not the upstream signer.
-	if _, ok := res.Package.Signatures[tsrKey(t).Name]; !ok {
+	if _, ok := sanitized(t, res).Signatures[tsrKey(t).Name]; !ok {
 		t.Fatal("no TSR package signature")
 	}
-	if _, ok := res.Package.Signatures[upstream(t).Name]; ok {
+	if _, ok := sanitized(t, res).Signatures[upstream(t).Name]; ok {
 		t.Fatal("upstream signature should be replaced")
 	}
 	// And the wire form verifies against the TSR key.
@@ -173,14 +191,31 @@ func TestSanitizeSignsEveryFile(t *testing.T) {
 	}
 }
 
-func TestSanitizeRejectsUntrustedUpstream(t *testing.T) {
-	evil := keys.Shared.MustGet("evil-signer")
+// untrustedPkg is signed by a key the sanitizer's ring does not hold.
+func untrustedPkg(t testing.TB) *apk.Package {
+	t.Helper()
 	p := &apk.Package{Name: "evil", Version: "1", Files: []apk.File{{Path: "/e", Mode: 0o644, Content: []byte("x")}}}
-	if err := apk.Sign(p, evil); err != nil {
+	if err := apk.Sign(p, keys.Shared.MustGet("evil-signer")); err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// configChangePkg's script rewrites a configuration file in place.
+func configChangePkg(t testing.TB) *apk.Package {
+	return signedPkg(t, "roundcubemail", map[string]string{
+		"post-install": "sed -i s/old/new/ /etc/roundcube.conf\n",
+	})
+}
+
+// shellActivationPkg's script activates a login shell.
+func shellActivationPkg(t testing.TB) *apk.Package {
+	return signedPkg(t, "bash", map[string]string{"post-install": "add-shell /bin/bash\n"})
+}
+
+func TestSanitizeRejectsUntrustedUpstream(t *testing.T) {
 	s := sanitizer(t, buildPlan(t))
-	if _, err := s.Sanitize(encode(t, p)); !errors.Is(err, apk.ErrUntrusted) {
+	if _, err := s.Sanitize(encode(t, untrustedPkg(t))); !errors.Is(err, apk.ErrUntrusted) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -194,7 +229,7 @@ func TestSanitizeRewritesAccountScript(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Package.Scripts["post-install"]
+	out := sanitized(t, res).Scripts["post-install"]
 	// Preamble present, original adduser removed, mkdir kept, setfattr
 	// installs the predicted config signatures.
 	if !strings.Contains(out, "TSR canonical account provisioning") {
@@ -214,19 +249,15 @@ func TestSanitizeRewritesAccountScript(t *testing.T) {
 }
 
 func TestSanitizeRejectsConfigChange(t *testing.T) {
-	p := signedPkg(t, "roundcubemail", map[string]string{
-		"post-install": "sed -i s/old/new/ /etc/roundcube.conf\n",
-	})
 	s := sanitizer(t, buildPlan(t))
-	if _, err := s.Sanitize(encode(t, p)); !errors.Is(err, ErrUnsupported) {
+	if _, err := s.Sanitize(encode(t, configChangePkg(t))); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSanitizeRejectsShellActivation(t *testing.T) {
-	p := signedPkg(t, "bash", map[string]string{"post-install": "add-shell /bin/bash\n"})
 	s := sanitizer(t, buildPlan(t))
-	if _, err := s.Sanitize(encode(t, p)); !errors.Is(err, ErrUnsupported) {
+	if _, err := s.Sanitize(encode(t, shellActivationPkg(t))); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -240,7 +271,7 @@ func TestSanitizeStripsEmptyPassword(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Package.Scripts["post-install"]
+	out := sanitized(t, res).Scripts["post-install"]
 	if strings.Contains(out, "passwd -d") {
 		t.Fatalf("passwd -d survived sanitization:\n%s", out)
 	}
@@ -260,7 +291,7 @@ func TestSanitizeTouchGetsSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := res.Package.Scripts["post-install"]
+	out := sanitized(t, res).Scripts["post-install"]
 	idx := strings.Index(out, "touch /var/run/pid.pid")
 	if idx < 0 {
 		t.Fatalf("touch lost:\n%s", out)
@@ -331,7 +362,7 @@ func TestSanitizedScriptsParseAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for hook, src := range res.Package.Scripts {
+	for hook, src := range sanitized(t, res).Scripts {
 		if _, err := script.Parse(src); err != nil {
 			t.Fatalf("%s does not reparse: %v\n%s", hook, err, src)
 		}
@@ -362,7 +393,7 @@ func TestSanitizedInstallOrderIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range order {
-			parsed := script.MustParse(r.Package.Scripts["post-install"])
+			parsed := script.MustParse(sanitized(t, r).Scripts["post-install"])
 			if err := script.Exec(parsed, img); err != nil {
 				t.Fatal(err)
 			}
@@ -412,10 +443,10 @@ func TestSanitizedUpdateAttestsClean(t *testing.T) {
 	verifier.WhitelistImage(img)
 
 	// "Install": run the sanitized script, extract files with xattrs.
-	if err := script.Exec(script.MustParse(res.Package.Scripts["post-install"]), img); err != nil {
+	if err := script.Exec(script.MustParse(sanitized(t, res).Scripts["post-install"]), img); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Package.Files {
+	for _, f := range sanitized(t, res).Files {
 		if err := img.FS.WriteFile(f.Path, f.Content, f.Mode); err != nil {
 			t.Fatal(err)
 		}
@@ -540,4 +571,342 @@ func TestPreambleRendersProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// streamed sanitization --------------------------------------------------
+
+// referenceSanitize is the oracle for Sanitize's output: the package is
+// decoded whole, copied, its scripts rewritten and every file signed,
+// then re-signed with apk.Sign and re-encoded with apk.Encode.
+func referenceSanitize(s *Sanitizer, raw []byte) (*Result, error) {
+	control, err := apk.RawControlSegment(raw)
+	if err != nil {
+		return nil, err
+	}
+	p, err := apk.Decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	trusted := false
+	for _, sig := range p.Signatures {
+		if _, err := s.TrustRing.VerifyAny(control, sig); err == nil {
+			trusted = true
+		}
+	}
+	if !trusted {
+		return nil, fmt.Errorf("%w: %s-%s", apk.ErrUntrusted, p.Name, p.Version)
+	}
+	cp := *p
+	if err := s.rewriteScripts(&cp); err != nil {
+		return nil, err
+	}
+	res := &Result{OriginalSize: int64(len(raw))}
+	cp.Files = make([]apk.File, len(p.Files))
+	for i, f := range p.Files {
+		sig, err := s.SignKey.Sign(f.Content)
+		if err != nil {
+			return nil, err
+		}
+		xattrs := map[string][]byte{apk.XattrIMA: sig}
+		for k, v := range f.Xattrs {
+			if k != apk.XattrIMA {
+				xattrs[k] = v
+			}
+		}
+		cp.Files[i] = apk.File{Path: f.Path, Mode: f.Mode, Content: f.Content, Xattrs: xattrs}
+		res.FileCount++
+		res.UncompressedSize += int64(len(f.Content))
+	}
+	cp.Signatures = nil
+	if err := apk.Sign(&cp, s.SignKey); err != nil {
+		return nil, err
+	}
+	if res.Raw, err = apk.Encode(&cp); err != nil {
+		return nil, err
+	}
+	res.SanitizedSize = int64(len(res.Raw))
+	res.WorkingSet = res.OriginalSize + 2*res.UncompressedSize + res.SanitizedSize
+	return res, nil
+}
+
+// catalogPackages builds, signs and encodes one catalog package per
+// workload category plus the largest and the most-files spec of a
+// 0.02-scale population. The EPC tail (130-260 MB packages) is left
+// out to keep a run under a few seconds; the largest spec is then a
+// few MB.
+func catalogPackages(t testing.TB, seed int64) (pkgs []*apk.Package, raws map[string][]byte) {
+	t.Helper()
+	gen := workload.New(workload.Config{Seed: seed, Scale: 0.02, EPCTailProb: 1e-12})
+	specs := gen.Specs()
+	chosen := map[string]workload.Spec{}
+	largest, most := specs[0], specs[0]
+	for _, spec := range specs {
+		if _, ok := chosen[spec.Category.String()]; !ok {
+			chosen[spec.Category.String()] = spec
+		}
+		if spec.TotalSize > largest.TotalSize {
+			largest = spec
+		}
+		if spec.FileCount > most.FileCount {
+			most = spec
+		}
+	}
+	chosen["largest"], chosen["most-files"] = largest, most
+	raws = make(map[string][]byte, len(chosen))
+	for row, spec := range chosen {
+		p, err := gen.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := apk.Sign(p, upstream(t)); err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+		raws[row] = encode(t, p)
+	}
+	return pkgs, raws
+}
+
+// TestSanitizeMatchesReference: the streamed pass gives the oracle's
+// bytes, counts and working set on catalog packages, and the oracle's
+// error where it rejects one.
+func TestSanitizeMatchesReference(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		pkgs, raws := catalogPackages(t, seed)
+		s := sanitizer(t, buildPlan(t, pkgs...))
+		for row, raw := range raws {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, row), func(t *testing.T) {
+				t.Parallel()
+				want, wantErr := referenceSanitize(s, raw)
+				got, err := s.Sanitize(raw)
+				if wantErr != nil || err != nil {
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("err = %v, reference err = %v", err, wantErr)
+					}
+					return
+				}
+				if !bytes.Equal(got.Raw, want.Raw) {
+					t.Fatalf("streamed output (%d B) differs from the reference (%d B)", len(got.Raw), len(want.Raw))
+				}
+				if got.FileCount != want.FileCount || got.UncompressedSize != want.UncompressedSize || got.WorkingSet != want.WorkingSet {
+					t.Fatalf("files/size/working set = %d/%d/%d, reference %d/%d/%d",
+						got.FileCount, got.UncompressedSize, got.WorkingSet, want.FileCount, want.UncompressedSize, want.WorkingSet)
+				}
+			})
+		}
+	}
+	// Files out of path order stay in archive order: the bytes differ
+	// from the reference, which Encode sorts, but the package is the
+	// same set of files, signed.
+	t.Run("unsorted", func(t *testing.T) {
+		files := []apk.File{
+			{Path: "/usr/share/u/zz", Mode: 0o644, Content: []byte("last by path")},
+			{Path: "/usr/bin/u", Mode: 0o755, Content: []byte("first by path")},
+			{Path: "/etc/u.conf", Mode: 0o644, Content: []byte("k=v\n")},
+		}
+		raw := handBuilt(t, upstream(t), dataTar(t, files...), nil)
+		s := sanitizer(t, buildPlan(t))
+		got, err := s.Sanitize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := referenceSanitize(s, raw); err != nil || bytes.Equal(got.Raw, want.Raw) {
+			t.Fatalf("reference err = %v; the output should differ from the path-sorted reference", err)
+		}
+		p, _, err := apk.VerifyRaw(got.Raw, keys.NewRing(tsrKey(t).Public()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Files) != len(files) {
+			t.Fatalf("%d files, want %d", len(p.Files), len(files))
+		}
+		for i, f := range p.Files {
+			if f.Path != files[i].Path || !bytes.Equal(f.Content, files[i].Content) || len(f.Xattrs[apk.XattrIMA]) != keys.SignatureSize {
+				t.Fatalf("file %d = %s, want %s, signed", i, f.Path, files[i].Path)
+			}
+		}
+	})
+}
+
+// dataTar tars files in the given order, as a data segment.
+func dataTar(t testing.TB, files ...apk.File) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	for _, f := range files {
+		hdr := &tar.Header{Name: strings.TrimPrefix(f.Path, "/"), Mode: int64(f.Mode), Size: int64(len(f.Content)),
+			ModTime: time.Unix(0, 0), Format: tar.FormatPAX}
+		if err := tw.WriteHeader(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(f.Content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// handBuilt assembles a package "hand" around the data segment data,
+// signed by signer. The control segment declares the hash of declared,
+// or of data when declared is nil.
+func handBuilt(t testing.TB, signer *keys.Pair, data, declared []byte) []byte {
+	t.Helper()
+	if declared == nil {
+		declared = data
+	}
+	member := func(tw *tar.Writer, name string, content []byte) {
+		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(content))}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var control, sigs bytes.Buffer
+	tw := tar.NewWriter(&control)
+	member(tw, apk.ControlName, []byte(fmt.Sprintf("pkgname = hand\npkgver = 1.0-r0\ndatahash = %x\n", sha256.Sum256(declared))))
+	tw.Close()
+	sig, err := signer.Sign(control.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw = tar.NewWriter(&sigs)
+	member(tw, apk.SignaturePrefix+signer.Name, sig)
+	tw.Close()
+	var out bytes.Buffer
+	for _, seg := range [][]byte{sigs.Bytes(), control.Bytes(), data} {
+		zw := gzip.NewWriter(&out)
+		zw.Write(seg)
+		zw.Close()
+	}
+	return out.Bytes()
+}
+
+// TestSanitizeChecksSignatureBeforeData pins the error precedence of
+// the streamed pass: the upstream signature is checked before the data
+// member is inflated, so a package both untrusted and carrying a data
+// segment its control segment does not describe is ErrUntrusted. The
+// same data under a trusted signature is ErrContentHash.
+func TestSanitizeChecksSignatureBeforeData(t *testing.T) {
+	s := sanitizer(t, buildPlan(t))
+	data := dataTar(t, apk.File{Path: "/x", Mode: 0o644, Content: []byte("swapped")})
+	other := dataTar(t, apk.File{Path: "/x", Mode: 0o644, Content: []byte("declared")})
+	if _, err := s.Sanitize(handBuilt(t, keys.Shared.MustGet("evil-signer"), data, other)); !errors.Is(err, apk.ErrUntrusted) {
+		t.Fatalf("untrusted and corrupt: err = %v, want ErrUntrusted", err)
+	}
+	if _, err := s.Sanitize(handBuilt(t, upstream(t), data, other)); !errors.Is(err, apk.ErrContentHash) {
+		t.Fatalf("trusted and corrupt: err = %v, want ErrContentHash", err)
+	}
+}
+
+// TestSanitizeDistrustsMemberSize: a trusted package whose data member
+// has a tar header claiming 64 MiB for a 1 KiB file is ErrFormat, and
+// the claim buys no large allocation.
+func TestSanitizeDistrustsMemberSize(t *testing.T) {
+	const claimed, budget = 64 << 20, 1 << 20
+	var hostile bytes.Buffer
+	tw := tar.NewWriter(&hostile)
+	if err := tw.WriteHeader(&tar.Header{Name: "usr/bin/x", Mode: 0o755, Size: claimed}); err != nil {
+		t.Fatal(err)
+	}
+	tw.Write(bytes.Repeat([]byte{0x5A}, 1<<10))
+	hostile.Write(make([]byte, 1024)) // no Close: the member stays short
+	raw := handBuilt(t, upstream(t), hostile.Bytes(), nil)
+
+	s := sanitizer(t, buildPlan(t))
+	if _, err := s.Sanitize(encode(t, signedPkg(t, "warm", nil))); err != nil { // warm the codec pool
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.Sanitize(raw)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, apk.ErrFormat) {
+		t.Fatalf("err = %v, want ErrFormat", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= budget {
+		t.Fatalf("Sanitize allocated %d bytes for a member claiming %d", n, claimed)
+	}
+}
+
+// TestSanitizeConcurrent: goroutines sharing one Sanitizer, and the
+// pooled codec behind it, each get their serial output.
+func TestSanitizeConcurrent(t *testing.T) {
+	var pkgs []*apk.Package
+	for i := 0; i < 6; i++ {
+		var files []apk.File
+		for j := 0; j <= i; j++ {
+			files = append(files, apk.File{Path: fmt.Sprintf("/usr/lib/c%d/%d", i, j), Mode: 0o644,
+				Content: bytes.Repeat([]byte{byte(i), byte(j), 0x5A}, (i+1)*(8<<10))})
+		}
+		pkgs = append(pkgs, signedPkg(t, fmt.Sprintf("c%d", i), map[string]string{"post-install": fmt.Sprintf("adduser -S c%d\n", i)}, files...))
+	}
+	s := sanitizer(t, buildPlan(t, pkgs...))
+	var inputs, serial [][]byte
+	for _, p := range pkgs {
+		raw := encode(t, p)
+		res, err := s.Sanitize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs, serial = append(inputs, raw), append(serial, res.Raw)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range inputs {
+				k := (i + g) % len(inputs)
+				res, err := s.Sanitize(inputs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(res.Raw, serial[k]) {
+					t.Errorf("goroutine %d: input %d sanitized differently from serial", g, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// FuzzSanitize: whatever the input, Sanitize does not panic, and it
+// either fails or returns a package that verifies under the TSR key.
+func FuzzSanitize(f *testing.F) {
+	pkgs := []*apk.Package{untrustedPkg(f), configChangePkg(f), shellActivationPkg(f),
+		signedPkg(f, "svc", map[string]string{"post-install": "addgroup -S svc\nadduser -S -G svc svc\ntouch /var/run/svc.pid\n"})}
+	gen := workload.New(workload.Config{Seed: 1, Scale: 0.002, EPCTailProb: 1e-12})
+	for _, spec := range gen.Specs() {
+		if spec.TotalSize > 16<<10 || len(pkgs) >= 12 {
+			continue
+		}
+		p, err := gen.Build(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := apk.Sign(p, upstream(f)); err != nil {
+			f.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	for _, p := range pkgs {
+		f.Add(encode(f, p))
+	}
+	s := sanitizer(f, buildPlan(f, pkgs...))
+	ring := keys.NewRing(tsrKey(f).Public())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		res, err := s.Sanitize(raw)
+		if err != nil {
+			return
+		}
+		if _, _, err := apk.VerifyRaw(res.Raw, ring); err != nil {
+			t.Fatalf("accepted input sanitized to a package that does not verify: %v", err)
+		}
+	})
 }

@@ -156,16 +156,15 @@ func (s *FS) scrub() error {
 	})
 }
 
-// frame renders the on-disk representation of one entry.
-func frame(key string, data []byte) []byte {
-	buf := make([]byte, fsHeaderLen+len(key)+len(data))
+// frameHeader renders the part of an entry's on-disk frame that
+// precedes the payload: magic, lengths, the payload CRC, and the key.
+func frameHeader(key string, data []byte) []byte {
+	buf := make([]byte, fsHeaderLen, fsHeaderLen+len(key))
 	copy(buf[0:4], fsMagic)
 	binary.BigEndian.PutUint32(buf[4:8], uint32(len(key)))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(len(data)))
 	binary.BigEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(data))
-	copy(buf[fsHeaderLen:], key)
-	copy(buf[fsHeaderLen+len(key):], data)
-	return buf
+	return append(buf, key...)
 }
 
 // readFrameHeader parses one entry file's frame header and key,
@@ -243,7 +242,13 @@ func (s *FS) Put(key string, data []byte) error {
 		return fmt.Errorf("store: put %q: %w", key, err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(frame(key, data)); err != nil {
+	// Header and payload go out as two writes, so the payload is never
+	// copied into a frame buffer.
+	_, err = tmp.Write(frameHeader(key, data))
+	if err == nil {
+		_, err = tmp.Write(data)
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("store: put %q: %w", key, err)

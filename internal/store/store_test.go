@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -201,6 +204,40 @@ func TestFSReopenKeepsEntries(t *testing.T) {
 // written but before the rename must leave no corrupt entry visible
 // after restart — the torn temp file is scrubbed away and the key
 // reads as a clean miss (or its previous value, if one existed).
+// frame renders the on-disk representation of one entry: magic, key
+// length, payload length, payload CRC, key, payload.
+func frame(key string, data []byte) []byte {
+	buf := make([]byte, fsHeaderLen+len(key)+len(data))
+	copy(buf[0:4], fsMagic)
+	binary.BigEndian.PutUint32(buf[4:8], uint32(len(key)))
+	binary.BigEndian.PutUint64(buf[8:16], uint64(len(data)))
+	binary.BigEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(data))
+	copy(buf[fsHeaderLen:], key)
+	copy(buf[fsHeaderLen+len(key):], data)
+	return buf
+}
+
+// TestFSPutWritesFrame pins the on-disk bytes of an entry.
+func TestFSPutWritesFrame(t *testing.T) {
+	s, err := OpenFS(t.TempDir(), FSOptions{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{nil, []byte("payload"), bytes.Repeat([]byte{0xA5}, 1<<20)} {
+		key := fmt.Sprintf("pkg@%d", len(data))
+		if err := s.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(s.pathFor(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, frame(key, data)) {
+			t.Fatalf("%s: on-disk frame differs (%d bytes, want %d)", key, len(got), fsHeaderLen+len(key)+len(data))
+		}
+	}
+}
+
 func TestFSCrashBetweenTempWriteAndRename(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenFS(dir, FSOptions{})

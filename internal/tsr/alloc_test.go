@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"tsr/internal/apk"
+	"tsr/internal/keys"
+	"tsr/internal/sanitize"
+	"tsr/internal/store"
 )
 
 // raceEnabled is set by race_test.go: the race detector makes sync.Pool
@@ -27,7 +30,22 @@ const (
 	// A verified copy owns two read blocks; anything else it allocates
 	// is a fixed-size struct, hash state or wrapper.
 	verifiedCopyBudget = 2*verifiedBlock + 4<<10
+	// DecodeMeta streams the data segment through the hash, so what it
+	// allocates is headers, scripts and signatures, whatever the size.
+	decodeMetaBudget = 16 << 10
+	// A disk Put writes the payload as it is: only names, the frame
+	// header and file handles are allocated.
+	fsPutBudget = 16 << 10
 )
+
+// sanitizeBudget is what one streamed Sanitize may allocate: the output
+// twice (the compressed data member it builds, then the package it
+// returns), one file's scratch, per file a signature, headers and PAX
+// records, and a fixed allowance for the control and signature
+// segments.
+func sanitizeBudget(out, largestFile, files int) uint64 {
+	return uint64(2*out + largestFile + files*8<<10 + 64<<10)
+}
 
 // bytesPerCall reports the heap bytes one call of f allocates, after a
 // warm-up call, as the least of three rounds' averages so that an
@@ -50,7 +68,9 @@ func bytesPerCall(runs int, f func()) uint64 {
 
 // TestAllocBudget fails when the package byte path starts allocating
 // more than its payload again: apk.Encode and apk.Decode of a 64 KiB
-// package, and a 1 MiB copy through NewVerifiedReader.
+// package, apk.DecodeMeta of a 64 KiB and a 1 MiB one, a streamed
+// Sanitize of a 16-file 256 KiB package, a 1 MiB disk store Put, and a
+// 1 MiB copy through NewVerifiedReader.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse")
@@ -79,6 +99,65 @@ func TestAllocBudget(t *testing.T) {
 		})
 		if got >= budget {
 			t.Fatalf("Decode of %d bytes allocates %d B/call, budget %d", p.UncompressedSize(), got, budget)
+		}
+	})
+	t.Run("apk.DecodeMeta", func(t *testing.T) {
+		for _, fileSize := range []int{16 << 10, 256 << 10} {
+			raw, err := apk.Encode(bigPackage("budget", "1.0-r0", 4, fileSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bytesPerCall(20, func() {
+				if _, err := apk.DecodeMeta(raw); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got >= decodeMetaBudget {
+				t.Fatalf("DecodeMeta of a %d KiB data segment allocates %d B/call, budget %d", 4*fileSize>>10, got, decodeMetaBudget)
+			}
+		}
+	})
+	t.Run("sanitize.Sanitize", func(t *testing.T) {
+		const files, fileSize = 16, 16 << 10
+		signer, tsrKey := keys.Shared.MustGet("alpine-distro-key"), keys.Shared.MustGet("budget-tsr")
+		p := bigPackage("budget-san", "1.0-r0", files, fileSize)
+		if err := apk.Sign(p, signer); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := apk.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sanitize.BuildPlan(&sanitize.SliceSource{Packages: []*apk.Package{p}}, nil, tsrKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		san := &sanitize.Sanitizer{Plan: plan, TrustRing: keys.NewRing(signer.Public()), SignKey: tsrKey}
+		var out int
+		got := bytesPerCall(5, func() {
+			res, err := san.Sanitize(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = len(res.Raw)
+		})
+		if budget := sanitizeBudget(out, fileSize, files); got > budget {
+			t.Fatalf("Sanitize of %d files, %d B, allocates %d B/call, budget %d", files, p.UncompressedSize(), got, budget)
+		}
+	})
+	t.Run("store.FS.Put", func(t *testing.T) {
+		fs, err := store.OpenFS(t.TempDir(), store.FSOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte("payload!"), (1<<20)/8)
+		got := bytesPerCall(20, func() {
+			if err := fs.Put("budget@1", data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got >= fsPutBudget {
+			t.Fatalf("1 MiB Put allocates %d B/call, budget %d", got, fsPutBudget)
 		}
 	})
 	t.Run("VerifiedReader", func(t *testing.T) {

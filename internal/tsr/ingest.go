@@ -147,7 +147,7 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 	}
 	seen := make(map[string]bool, len(raws))
 	for i, raw := range raws {
-		p, err := apk.Decode(raw)
+		p, err := apk.DecodeMeta(raw)
 		if err != nil {
 			reject(fmt.Sprintf("batch[%d]", i), fmt.Sprintf("undecodable package: %v", err))
 			continue

@@ -293,7 +293,7 @@ func (c *cycle) fetch() {
 		if out.err != nil {
 			return
 		}
-		if p, err := apk.Decode(out.raw); err == nil {
+		if p, err := apk.DecodeMeta(out.raw); err == nil {
 			out.scripts, out.decoded = p.Scripts, true
 		}
 	}, func(lo, hi int) {

@@ -523,7 +523,7 @@ func (s *scriptCacheSource) fromStore(entry index.Entry) (map[string]string, boo
 	if !entry.Matches(cached) {
 		return nil, false // stale or tampered original cache; do not trust
 	}
-	p, err := apk.Decode(cached)
+	p, err := apk.DecodeMeta(cached)
 	if err != nil {
 		return nil, false
 	}
@@ -714,7 +714,7 @@ func (r *Repo) scriptPreview(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	p, err := apk.Decode(raw)
+	p, err := apk.DecodeMeta(raw)
 	if err != nil {
 		return "", err
 	}
