@@ -119,9 +119,10 @@ func (s *Sanitizer) Sanitize(raw []byte) (*Result, error) {
 	res.Raw = out
 	res.SanitizedSize = int64(len(out))
 
-	// SGX model: the working set is the wire form plus the decoded and
+	// SGX model, as the paper sizes it: the wire form plus decoded and
 	// re-encoded in-memory copies ("TSR extracts and manipulates the
-	// package completely in the memory", §6.2).
+	// package completely in the memory", §6.2). The streamed pass holds
+	// far less; Figures 8 and 12 keep the paper's formula.
 	res.WorkingSet = res.OriginalSize + 2*res.UncompressedSize + res.SanitizedSize
 	res.ExceedsEPC = s.EPC.ExceedsEPC(res.WorkingSet)
 	res.SGXOverhead = s.EPC.Overhead(res.WorkingSet, res.Phases.Total())
