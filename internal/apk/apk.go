@@ -416,13 +416,23 @@ func (m *memberWriter) release() {
 func RawControlSegment(raw []byte) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)
+	if _, err := c.inflateHead(raw); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(c.seg[1].Bytes()), nil
+}
+
+// inflateHead decompresses the signature and control members of raw
+// into c.seg[0] and c.seg[1] and returns the reader positioned at the
+// data member.
+func (c *codec) inflateHead(raw []byte) (*bytes.Reader, error) {
 	r := bytes.NewReader(raw)
 	for i := 0; i < 2; i++ {
 		if err := c.inflate(r, i); err != nil {
 			return nil, err
 		}
 	}
-	return bytes.Clone(c.seg[1].Bytes()), nil
+	return r, nil
 }
 
 // readHead inflates and parses the signature and control members of
@@ -430,11 +440,9 @@ func RawControlSegment(raw []byte) ([]byte, error) {
 // hash the control segment declares; the control bytes stay in
 // c.seg[1].
 func (c *codec) readHead(raw []byte) (*bytes.Reader, *Package, [32]byte, error) {
-	r := bytes.NewReader(raw)
-	for i := 0; i < 2; i++ {
-		if err := c.inflate(r, i); err != nil {
-			return nil, nil, [32]byte{}, err
-		}
+	r, err := c.inflateHead(raw)
+	if err != nil {
+		return nil, nil, [32]byte{}, err
 	}
 	p := &Package{}
 	if err := decodeSignatureSegment(c.seg[0].Bytes(), p); err != nil {

@@ -134,7 +134,7 @@ func TestAllocBudget(t *testing.T) {
 		}
 		san := &sanitize.Sanitizer{Plan: plan, TrustRing: keys.NewRing(signer.Public()), SignKey: tsrKey}
 		var out int
-		got := bytesPerCall(5, func() {
+		got := bytesPerCall(20, func() {
 			res, err := san.Sanitize(raw)
 			if err != nil {
 				t.Fatal(err)
