@@ -33,6 +33,7 @@ var servenolockRoots = map[string]bool{
 	"FetchIndexTagged":   true,
 	"FetchIndexDelta":    true,
 	"IndexETag":          true,
+	"Current":            true,
 	"PackageETag":        true,
 	"FetchPackage":       true,
 	"FetchPackageTraced": true,

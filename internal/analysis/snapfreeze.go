@@ -15,10 +15,14 @@ import (
 // bug. The analyzer freezes the types at the source level: their
 // fields may only be assigned inside the designated build/publish
 // functions, where the state is provably not yet shared. (Published
-// has none: tsr.Publish returns it as one composite literal.)
+// has none: tsr.Publish returns it as one composite literal.) A
+// generation's wire memo (tsr.wireMemo, tsr.deltaWire) is shared from
+// the moment it is published and filled later, so its fields may be
+// written only by its fill functions, each run under its sync.Once;
+// every reader, the serving routes included, sees them after the Once.
 var Snapfreeze = &Analyzer{
 	Name: "snapfreeze",
-	Doc:  "snapshot/Published fields may only be written in their build/publish functions",
+	Doc:  "snapshot/Published fields may only be written in their build/publish functions, wire-memo fields in their fill functions",
 	Applies: func(pkgPath string) bool {
 		return pathHasSuffixSegments(pkgPath, "internal/tsr") ||
 			pathHasSuffixSegments(pkgPath, "internal/edge")
@@ -28,10 +32,13 @@ var Snapfreeze = &Analyzer{
 
 // snapfreezeTypes maps each frozen type to the functions allowed to
 // write its fields — the build/publish sites that run before the
-// atomic.Pointer.Store makes the value shared.
+// atomic.Pointer.Store makes the value shared, and the memo fills that
+// run once under a sync.Once.
 var snapfreezeTypes = map[string]map[string]bool{
 	"snapshot":  {"publishLocked": true},
 	"Published": {},
+	"wireMemo":  {"fillIndex": true},
+	"deltaWire": {"fill": true},
 }
 
 func runSnapfreeze(pass *Pass) error {

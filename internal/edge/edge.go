@@ -517,10 +517,10 @@ func (rep *Replica) ETag() string {
 	return ""
 }
 
-// state returns the published generation every read answers from, or
-// why the replica cannot answer: Offline fails every request, and
-// before the first sync there is nothing to serve.
-func (rep *Replica) state() (*tsr.Published, error) {
+// Current implements tsr.ReadView: the published generation every read
+// answers from, or why the replica cannot answer. Offline fails every
+// request, and before the first sync there is nothing to serve.
+func (rep *Replica) Current() (*tsr.Published, error) {
 	if rep.Behavior() == Offline {
 		return nil, ErrOffline
 	}
@@ -529,18 +529,6 @@ func (rep *Replica) state() (*tsr.Published, error) {
 		return nil, ErrNotSynced
 	}
 	return st, nil
-}
-
-// IndexETag is ETag for the serving path: it fails like every other
-// read when the replica is offline or not synced yet, so a
-// revalidation cannot be answered 304 by a replica that would refuse
-// the body.
-func (rep *Replica) IndexETag() (string, error) {
-	st, err := rep.state()
-	if err != nil {
-		return "", err
-	}
-	return st.ETag, nil
 }
 
 // ReadCounters implements tsr.ReadView.
@@ -567,7 +555,7 @@ func (rep *Replica) FetchIndexTaggedCtx(ctx context.Context) (_ *index.Signed, _
 		sp.End()
 	}()
 	sp.SetTier("edge")
-	st, err := rep.state()
+	st, err := rep.Current()
 	if err != nil {
 		return nil, "", err
 	}
@@ -599,7 +587,7 @@ func (rep *Replica) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_
 		sp.End()
 	}()
 	sp.SetTier("edge")
-	st, err := rep.state()
+	st, err := rep.Current()
 	if err != nil {
 		return nil, err
 	}
@@ -640,7 +628,7 @@ func (rep *Replica) FetchPackageCtx(ctx context.Context, name string) (_ []byte,
 // the bytes served even when a sync publishes a new generation
 // mid-request.
 func (rep *Replica) resolveEntry(name string) (index.Entry, error) {
-	st, err := rep.state()
+	st, err := rep.Current()
 	if err != nil {
 		return index.Entry{}, err
 	}

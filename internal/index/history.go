@@ -32,12 +32,13 @@ func AppendGeneration(hist []Generation, etag string, ix *Index) []Generation {
 	return next
 }
 
-// FindGeneration returns the retained index published under etag.
-func FindGeneration(hist []Generation, etag string) (*Index, bool) {
-	for _, gen := range hist {
+// FindGeneration returns the position in hist of the generation
+// published under etag.
+func FindGeneration(hist []Generation, etag string) (int, bool) {
+	for i, gen := range hist {
 		if gen.ETag == etag {
-			return gen.Index, true
+			return i, true
 		}
 	}
-	return nil, false
+	return 0, false
 }

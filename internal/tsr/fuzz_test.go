@@ -1,6 +1,8 @@
 package tsr
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -51,6 +53,24 @@ func FuzzETagMatch(f *testing.F) {
 			if !ETagMatch(etag+", "+header, etag) {
 				t.Fatalf("ETagMatch(%q, %q) = false, head-of-list tag must match", etag+", "+header, etag)
 			}
+		}
+	})
+}
+
+// FuzzAcceptsGzip asserts the Accept-Encoding reader's contract on
+// arbitrary header bytes: no panic, and an explicit gzip;q=0 appended
+// to any header refuses gzip, whatever the header listed before it.
+func FuzzAcceptsGzip(f *testing.F) {
+	for _, row := range acceptsGzipRows {
+		f.Add(row.header)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.Header["Accept-Encoding"] = []string{header}
+		AcceptsGzip(req)
+		req.Header["Accept-Encoding"] = []string{header + ", gzip;q=0"}
+		if AcceptsGzip(req) {
+			t.Fatalf("AcceptsGzip(%q) = true after an explicit gzip;q=0", header+", gzip;q=0")
 		}
 	})
 }

@@ -2,7 +2,6 @@ package tsr
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 
 	"tsr/internal/index"
 	"tsr/internal/store"
+	"tsr/internal/trace"
 )
 
 // The read API — what a package manager sees as "a standard repository
@@ -34,19 +34,27 @@ type Published struct {
 	// History holds the most recent generations (this one last, at most
 	// index.HistoryWindow) — the bases GET /index/delta can diff against.
 	History []index.Generation
+	// wire memoizes the generation's wire forms (wire.go). It starts
+	// empty: each form is built by the first request that needs it, so a
+	// publish nobody reads pays for none of them.
+	wire *wireMemo
 }
 
 // Publish builds the generation that follows prev (nil before the first
 // publish). The history is carried forward copy-on-write, so a reader
 // still holding prev keeps its own window, and republishing the same
-// generation does not duplicate it.
+// generation does not duplicate it — nor its wire forms.
 func Publish(prev *Published, signed *index.Signed, ix *index.Index) Published {
+	etag := signed.ETag()
 	var hist []index.Generation
+	wire := new(wireMemo)
 	if prev != nil {
 		hist = prev.History
+		if prev.ETag == etag {
+			wire = prev.wire
+		}
 	}
-	etag := signed.ETag()
-	return Published{Signed: signed, ETag: etag, Index: ix, History: index.AppendGeneration(hist, etag, ix)}
+	return Published{Signed: signed, ETag: etag, Index: ix, History: index.AppendGeneration(hist, etag, ix), wire: wire}
 }
 
 // Delta returns the delta from the generation published under since to
@@ -54,13 +62,23 @@ func Publish(prev *Published, signed *index.Signed, ix *index.Index) Published {
 // index.ErrNoDelta when the base is no longer retained (the caller
 // falls back to a full fetch).
 func (p *Published) Delta(since string) (*index.Delta, error) {
+	base, err := p.base(since)
+	if err != nil {
+		return nil, err
+	}
+	return index.ComputeDelta(since, p.History[base].Index, p.Signed, p.Index)
+}
+
+// base is the position in History of the generation published under
+// since, with Delta's errors when there is none to diff against.
+func (p *Published) base(since string) (int, error) {
 	if since == p.ETag {
-		return nil, index.ErrDeltaUnchanged
+		return 0, index.ErrDeltaUnchanged
 	}
-	if base, ok := index.FindGeneration(p.History, since); ok {
-		return index.ComputeDelta(since, base, p.Signed, p.Index)
+	if i, ok := index.FindGeneration(p.History, since); ok {
+		return i, nil
 	}
-	return nil, fmt.Errorf("%w: since %s", index.ErrNoDelta, since)
+	return 0, fmt.Errorf("%w: since %s", index.ErrNoDelta, since)
 }
 
 // ReadCounters are the read-tier counters both tiers report in /stats.
@@ -96,11 +114,10 @@ func (c *ReadCounters) NoteDelta(err error) {
 // answers from the tier's currently published generation without
 // blocking on a refresh or sync; *Repo and *edge.Replica implement it.
 type ReadView interface {
-	// IndexETag is the current index's ETag, without materializing the
-	// index — a revalidation that matches never touches the body.
-	IndexETag() (string, error)
-	FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error)
-	FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (*index.Delta, error)
+	// Current is the published generation, or why the tier cannot serve
+	// one. The index routes answer a request, revalidation and body
+	// alike, from one call, so the ETag sent always names the bytes sent.
+	Current() (*Published, error)
 	// PackageETag resolves a package to its strong ETag (the content
 	// hash from the signed index) without touching its bytes.
 	PackageETag(name string) (string, error)
@@ -157,41 +174,45 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 		w.Header().Set("ETag", etag)
 		w.Header().Set("Cache-Control", "no-cache")
 	}
+	// The index spans name the tier that answered, as the in-process
+	// fetches of each tier do.
+	tier := "origin"
+	if edge != "" {
+		tier = "edge"
+	}
+	indexSpan, deltaSpan := tier+".index", tier+".index_delta"
 	mux.HandleFunc("GET /repos/{id}/index", func(w http.ResponseWriter, r *http.Request) {
 		v := view(w, r)
 		if v == nil {
 			return
 		}
+		p, err := v.Current()
+		if err != nil {
+			HTTPError(w, statusFor(err), err)
+			return
+		}
+		c := v.ReadCounters()
+		c.IndexReads.Add(1)
+		tagged(w, p.ETag)
 		// The ETag is the digest of the signed index: it changes exactly
 		// when a new generation is published, so clients revalidate with
 		// If-None-Match instead of re-downloading the full index. A match
-		// is answered from the tag alone — the index body is never even
-		// cloned.
-		etag, err := v.IndexETag()
-		if err != nil {
-			HTTPError(w, statusFor(err), err)
-			return
-		}
-		if ETagMatch(r.Header.Get("If-None-Match"), etag) {
-			c := v.ReadCounters()
-			c.IndexReads.Add(1)
+		// is answered from the tag alone.
+		if ETagMatch(r.Header.Get("If-None-Match"), p.ETag) {
 			c.NotModified.Add(1)
-			tagged(w, etag)
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		signed, etag, err := v.FetchIndexTaggedCtx(r.Context())
-		if err != nil {
-			HTTPError(w, statusFor(err), err)
-			return
-		}
-		tagged(w, etag)
-		w.Header().Set(headerKeyName, signed.KeyName)
-		w.Header().Set(headerSignature, base64.StdEncoding.EncodeToString(signed.Sig))
+		_, sp := trace.Start(r.Context(), indexSpan)
+		sp.SetTier(tier)
+		m := p.indexWire()
+		sp.End()
+		w.Header().Set(headerKeyName, p.Signed.KeyName)
+		w.Header().Set(headerSignature, m.signature)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		// The canonical signed text stays what the ETag and signature
 		// cover; gzip is negotiated transfer encoding on top of it.
-		WriteNegotiated(w, r, signed.Raw)
+		writeEncoded(w, r, p.Signed.Raw, m.indexGz)
 	})
 	mux.HandleFunc("GET /repos/{id}/index/delta", func(w http.ResponseWriter, r *http.Request) {
 		v := view(w, r)
@@ -203,7 +224,19 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 			HTTPError(w, http.StatusBadRequest, errors.New("missing since=<etag> query parameter"))
 			return
 		}
-		d, err := v.FetchIndexDeltaCtx(r.Context(), since)
+		_, sp := trace.Start(r.Context(), deltaSpan)
+		sp.SetTier(tier)
+		p, err := v.Current()
+		var d *deltaWire
+		if err == nil {
+			d, err = p.deltaWire(since)
+			v.ReadCounters().NoteDelta(err)
+		}
+		// 304 and 404 are protocol answers, not failures.
+		if err != nil && !errors.Is(err, index.ErrDeltaUnchanged) && !errors.Is(err, index.ErrNoDelta) {
+			sp.SetError(err)
+		}
+		sp.End()
 		if errors.Is(err, index.ErrDeltaUnchanged) {
 			// The base generation IS the current one: nothing to send.
 			tagged(w, since)
@@ -216,9 +249,9 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 			HTTPError(w, statusFor(err), err)
 			return
 		}
-		tagged(w, d.ToETag)
+		tagged(w, p.ETag)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		WriteNegotiated(w, r, d.Encode())
+		writeEncoded(w, r, d.raw, d.gz)
 	})
 	mux.HandleFunc("GET /repos/{id}/packages/{pkg}", func(w http.ResponseWriter, r *http.Request) {
 		v := view(w, r)

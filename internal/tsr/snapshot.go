@@ -127,11 +127,21 @@ func (r *Repo) FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, 
 // the cheap path for If-None-Match revalidation, where a match means
 // the body is never materialized at all.
 func (r *Repo) IndexETag() (string, error) {
+	p, err := r.Current()
+	if err != nil {
+		return "", err
+	}
+	return p.ETag, nil
+}
+
+// Current implements ReadView: the published generation, which the read
+// routes serve with its memoized wire forms.
+func (r *Repo) Current() (*Published, error) {
 	snap := r.served.Load()
 	if snap == nil {
-		return "", ErrNotInitialized
+		return nil, ErrNotInitialized
 	}
-	return snap.ETag, nil
+	return &snap.Published, nil
 }
 
 // PackageETag returns the strong ETag of a served package without

@@ -1,8 +1,10 @@
 package tsr
 
 import (
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -13,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"tsr/internal/index"
 	"tsr/internal/store"
 )
 
@@ -25,23 +28,45 @@ import (
 // manifests are untrusted metadata rooted in the signed entry hash.
 
 // AcceptsGzip reports whether the request's Accept-Encoding admits
-// gzip. Quality values are honored only as far as rejecting an
-// explicit q=0; any other listing of gzip (or identity-free *) is a
-// yes.
+// gzip (RFC 9110 §12.5.3): a gzip listing, or failing one a *, with a
+// nonzero weight. An explicit gzip refusal (gzip;q=0) wins over any
+// other listing, the wildcard included.
 func AcceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		coding = strings.ToLower(strings.TrimSpace(coding))
-		if coding != "gzip" && coding != "*" {
+	accept := false
+	for rest := r.Header.Get("Accept-Encoding"); rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
+		coding, params, _ := strings.Cut(part, ";")
+		coding = strings.TrimSpace(coding)
+		isGzip := strings.EqualFold(coding, "gzip")
+		if !isGzip && coding != "*" {
 			continue
 		}
-		q := strings.TrimSpace(params)
-		if strings.HasPrefix(q, "q=") && strings.TrimPrefix(q, "q=") == "0" {
-			continue
+		if nonzeroWeight(params) {
+			accept = true
+		} else if isGzip {
+			return false
 		}
-		return true
 	}
-	return false
+	return accept
+}
+
+// nonzeroWeight reports whether an Accept-Encoding member's parameters
+// leave it acceptable: no q parameter, or a q (any case) whose value is
+// not zero — "0", "0.0" and "0.000" all are (RFC 9110 §12.4.2). A
+// malformed weight is read leniently, as no weight at all.
+func nonzeroWeight(params string) bool {
+	for params != "" {
+		var param string
+		param, params, _ = strings.Cut(params, ";")
+		name, value, ok := strings.Cut(param, "=")
+		if !ok || !strings.EqualFold(strings.TrimSpace(name), "q") {
+			continue
+		}
+		q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+		return err != nil || q > 0
+	}
+	return true
 }
 
 // gzipPool recycles gzip writers across requests; compression level is
@@ -51,29 +76,100 @@ var gzipPool = sync.Pool{New: func() any {
 	return zw
 }}
 
+// gzipped returns body compressed at the fixed gzip level, or nil when
+// that does not make it smaller — the body is then always sent as is.
+func gzipped(body []byte) []byte {
+	var buf bytes.Buffer
+	zw := gzipPool.Get().(*gzip.Writer)
+	zw.Reset(&buf)
+	_, werr := zw.Write(body)
+	cerr := zw.Close()
+	gzipPool.Put(zw)
+	if werr != nil || cerr != nil || buf.Len() >= len(body) {
+		return nil
+	}
+	return buf.Bytes()
+}
+
 // WriteNegotiated writes body either identity or gzip-compressed
 // according to the request's Accept-Encoding, with correct
 // Content-Length and Vary headers. The body bytes passed in stay the
 // canonical representation (ETags and signatures are computed over
 // them); gzip is pure transfer encoding-after-the-fact.
 func WriteNegotiated(w http.ResponseWriter, r *http.Request, body []byte) {
-	w.Header().Add("Vary", "Accept-Encoding")
+	var gz []byte
 	if AcceptsGzip(r) {
-		var buf strings.Builder
-		zw := gzipPool.Get().(*gzip.Writer)
-		zw.Reset(&buf)
-		_, werr := zw.Write(body)
-		cerr := zw.Close()
-		gzipPool.Put(zw)
-		if werr == nil && cerr == nil && buf.Len() < len(body) {
-			w.Header().Set("Content-Encoding", "gzip")
-			w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-			io.WriteString(w, buf.String())
-			return
-		}
+		gz = gzipped(body)
+	}
+	writeEncoded(w, r, body, gz)
+}
+
+// writeEncoded is WriteNegotiated for a body whose gzip'd form gz (nil
+// when gzip does not shrink it) is already built: gz goes out when the
+// request accepts gzip, body otherwise.
+func writeEncoded(w http.ResponseWriter, r *http.Request, body, gz []byte) {
+	w.Header().Add("Vary", "Accept-Encoding")
+	if gz != nil && AcceptsGzip(r) {
+		w.Header().Set("Content-Encoding", "gzip")
+		body = gz
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.Write(body)
+}
+
+// wireMemo is one published generation's wire forms, each built once,
+// by the first request that needs it, and then served to every request
+// on that generation as the same bytes: the index route sends no clone
+// and compresses nothing per request, the delta route diffs nothing.
+// Its fields are written only by its fill functions (snapfreeze).
+type wireMemo struct {
+	indexOnce sync.Once
+	signature string // the X-Tsr-Signature value: base64 of Signed.Sig
+	indexGz   []byte // Signed.Raw gzip'd; nil when gzip does not shrink it
+	// deltas[i] is the delta from History[i]. Slots exist only for
+	// retained bases, so no stream of since= values can grow the memo.
+	deltas [index.HistoryWindow]deltaWire
+}
+
+// deltaWire is the encoded delta from one retained base to its
+// generation, and the encoding gzip'd (nil when that does not shrink).
+type deltaWire struct {
+	once    sync.Once
+	raw, gz []byte
+	err     error
+}
+
+// indexWire returns p's memo with the index forms filled.
+func (p *Published) indexWire() *wireMemo {
+	m := p.wire
+	m.indexOnce.Do(func() { m.fillIndex(p.Signed) })
+	return m
+}
+
+func (m *wireMemo) fillIndex(signed *index.Signed) {
+	m.signature = base64.StdEncoding.EncodeToString(signed.Sig)
+	m.indexGz = gzipped(signed.Raw)
+}
+
+// deltaWire is the wire form of Delta(since). An unknown base is
+// refused before any memo slot is touched.
+func (p *Published) deltaWire(since string) (*deltaWire, error) {
+	i, err := p.base(since)
+	if err != nil {
+		return nil, err
+	}
+	d := &p.wire.deltas[i]
+	d.once.Do(func() { d.fill(p.Delta(since)) })
+	return d, d.err
+}
+
+func (d *deltaWire) fill(delta *index.Delta, err error) {
+	if err != nil {
+		d.err = err
+		return
+	}
+	d.raw = delta.Encode()
+	d.gz = gzipped(d.raw)
 }
 
 // ParseRange parses a single-range `bytes=` Range header against a

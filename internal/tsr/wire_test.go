@@ -606,3 +606,46 @@ func TestVerifiedReader(t *testing.T) {
 		}
 	}
 }
+
+// acceptsGzipRows are Accept-Encoding headers and whether they admit
+// gzip. FuzzAcceptsGzip seeds from them.
+var acceptsGzipRows = []struct {
+	header string
+	want   bool
+}{
+	{"", false},
+	{"identity", false},
+	{"gzip", true},
+	{"GZIP", true},
+	{"br, gzip", true},
+	{"gzip;q=1", true},
+	{"gzip;q=0.5", true},
+	{"gzip; q=0.001", true},
+	{"*", true},
+	{"*;q=0", false},
+	{"*;q=0, gzip", true},
+	{"gzip;q=0", false},
+	{"gzip;q=0.0", false},
+	{"gzip; q=0.000", false},
+	{"gzip;Q=0", false},
+	{"gzip ; q = 0", false},
+	{"gzip;q=0, *", false},
+	{"*, gzip;q=0", false},
+	{"gzip;q=0, gzip", false},
+	{"br;q=0, gzip;q=0.8", true},
+	{"gzip;level=9", true},
+	{"gzip;q=bogus", true},
+}
+
+// TestAcceptsGzip: weights are read as RFC 9110 §12.4.2 writes them —
+// any case, any zero spelling — and an explicit gzip refusal beats a
+// wildcard (§12.5.3).
+func TestAcceptsGzip(t *testing.T) {
+	for _, row := range acceptsGzipRows {
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.Header.Set("Accept-Encoding", row.header)
+		if got := AcceptsGzip(req); got != row.want {
+			t.Errorf("AcceptsGzip(%q) = %v, want %v", row.header, got, row.want)
+		}
+	}
+}
