@@ -57,20 +57,14 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"strconv"
 	"sync"
-	"syscall"
-	"time"
 
 	"tsr/internal/apk"
+	"tsr/internal/daemon"
 	"tsr/internal/enclave"
 	"tsr/internal/keys"
 	"tsr/internal/mirror"
@@ -79,7 +73,6 @@ import (
 	"tsr/internal/policy"
 	"tsr/internal/quorum"
 	"tsr/internal/repo"
-	"tsr/internal/sched"
 	"tsr/internal/store"
 	"tsr/internal/tpm"
 	"tsr/internal/trace"
@@ -87,14 +80,7 @@ import (
 	"tsr/internal/workload"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "tsrd:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("tsrd", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("tsrd", flag.ContinueOnError)
@@ -157,163 +143,17 @@ func run(ctx context.Context, args []string) error {
 	}
 	tracer := trace.NewTracer(trace.Config{Tier: "origin"})
 	if *autoRefresh > 0 {
-		go autoRefreshLoop(ctx, svc, *autoRefresh, tracer, log)
+		go daemon.AutoRefresh(ctx, svc, *autoRefresh, tracer, log)
 		log.Info("auto-refresh enabled", "every", *autoRefresh)
 	}
 	if *debugAddr != "" {
-		go servePprof(*debugAddr, log)
-	}
-	server := &http.Server{
-		Addr:              *addr,
-		Handler:           obs.New(obs.Options{MaxInflight: *maxInflight, Tracer: tracer, Sched: svc.Scheduler()}).Wrap(tsr.Handler(svc)),
-		ReadHeaderTimeout: 10 * time.Second,
+		go daemon.ServePprof(ctx, *debugAddr, log)
 	}
 	log.Info("listening", "addr", *addr, "max_inflight", *maxInflight,
 		"refresh_workers", *refreshWorkers, "sched_max_active", *schedMaxActive,
 		"metrics", "/metrics", "traces", "/debug/traces")
-	return serveUntilDone(ctx, server, log)
-}
-
-// servePprof exposes the net/http/pprof handlers on their own listen
-// address, so profiling never rides the public API (and never competes
-// with admission control).
-func servePprof(addr string, log *slog.Logger) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	log.Info("pprof listening", "addr", addr)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Error("pprof server failed", "err", err)
-	}
-}
-
-// serveUntilDone runs the server until it fails or the context is
-// canceled (SIGINT/SIGTERM), then drains in-flight requests through
-// http.Server.Shutdown with a deadline. (cmd/tsredge carries the same
-// helper; main packages cannot share code.)
-func serveUntilDone(ctx context.Context, server *http.Server, log *slog.Logger) error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-		log.Info("signal received, draining connections")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := server.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		log.Info("stopped")
-		return nil
-	}
-}
-
-// autoRefreshLoop keeps every deployed repository fresh until the
-// context is canceled. Each repository gets its own deadline series
-//
-//	start + Stagger(id, every) + round*every + Jitter(id, round, every/10)
-//
-// so a fleet of tenants spreads across the interval instead of firing
-// as a thundering herd, and the spread is deterministic across
-// restarts. Due repositories refresh concurrently on the Background
-// band of the service's global scheduler — the scheduler, not this
-// loop, bounds how many actually run — with a per-repo in-flight guard
-// so a slow cycle is never stacked on itself. Repositories deployed at
-// runtime are picked up on the next tick. The snapshot read path keeps
-// serving the previous published state during each cycle, so the
-// daemon stays fully responsive to package managers throughout.
-func autoRefreshLoop(ctx context.Context, svc *tsr.Service, every time.Duration, tracer *trace.Tracer, log *slog.Logger) {
-	type repoState struct {
-		round uint64
-		next  time.Time
-		busy  bool
-	}
-	var mu sync.Mutex
-	states := map[string]*repoState{}
-	start := time.Now()
-	deadline := func(id string, round uint64) time.Time {
-		d := sched.Stagger(id, every) + time.Duration(round)*every
-		if round > 0 {
-			d += sched.Jitter(id, round, every/10)
-		}
-		return start.Add(d)
-	}
-	// Fine-grained ticker: deadlines land anywhere in the interval, so
-	// the loop polls well below `every` (bounded to [50ms, 1s]).
-	tick := min(max(every/20, 50*time.Millisecond), time.Second)
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	// Each cycle runs under the daemon's tracer, so auto-refreshes show
-	// up in /debug/traces with per-stage child spans exactly like
-	// operator-triggered POST /refresh cycles do.
-	tctx := trace.NewContext(ctx, tracer)
-	for {
-		var now time.Time
-		select {
-		case <-ctx.Done():
-			return
-		case now = <-ticker.C:
-		}
-		ids := svc.RepoIDs()
-		live := make(map[string]bool, len(ids))
-		for _, id := range ids {
-			live[id] = true
-		}
-		mu.Lock()
-		for id := range states {
-			if !live[id] {
-				delete(states, id) // undeployed since last tick
-			}
-		}
-		due := make([]string, 0, len(ids))
-		for _, id := range ids {
-			st := states[id]
-			if st == nil {
-				st = &repoState{next: deadline(id, 0)}
-				states[id] = st
-			}
-			if !st.busy && !now.Before(st.next) {
-				st.busy = true
-				due = append(due, id)
-			}
-		}
-		mu.Unlock()
-		for _, id := range due {
-			go func(id string) {
-				defer func() {
-					mu.Lock()
-					if st := states[id]; st != nil {
-						st.busy = false
-						// Skip rounds a long cycle (or a stalled box) ran
-						// past, so recovery is one refresh, not a burst.
-						for {
-							st.round++
-							if next := deadline(id, st.round); next.After(time.Now()) {
-								st.next = next
-								break
-							}
-						}
-					}
-					mu.Unlock()
-				}()
-				repo, err := svc.Repo(id)
-				if err != nil {
-					return // undeployed between listing and lookup
-				}
-				if _, err := repo.RefreshBackgroundCtx(tctx); err != nil {
-					log.Error("auto-refresh failed", "repo", id, "err", err)
-				}
-			}(id)
-		}
-	}
+	return daemon.Serve(ctx, *addr, tsr.Handler(svc),
+		obs.Options{MaxInflight: *maxInflight, Tracer: tracer, Sched: svc.Scheduler()}, log)
 }
 
 // hostDeps are the host-side pieces a service is built on. The memory
@@ -338,7 +178,7 @@ type hostDeps struct {
 // would be self-defeating.
 type hostState struct {
 	SealRoot    string            `json:"seal_root"`
-	TPMCounters map[string]uint64 `json:"tpm_counters"`
+	TPMCounters map[uint32]uint64 `json:"tpm_counters"`
 	DistroPEM   string            `json:"distro_key_pem"`
 }
 
@@ -380,13 +220,13 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 		return hostDeps{}, fmt.Errorf("host state %s: %w", hostStatePath, err)
 	}
 	hostTPM := tpm.New(keys.Shared.MustGet("tsrd-tpm-ak"))
-	hostTPM.RestoreCounters(decodeCounters(hs.TPMCounters))
+	hostTPM.RestoreCounters(hs.TPMCounters)
 	// Persist the NV bank on every counter bump, like hardware would.
 	var saveMu sync.Mutex
 	hostTPM.OnIncrement = func(uint32, uint64) {
 		saveMu.Lock()
 		defer saveMu.Unlock()
-		hs.TPMCounters = encodeCounters(hostTPM.Counters())
+		hs.TPMCounters = hostTPM.Counters()
 		if err := saveHostState(hostStatePath, hs); err != nil {
 			log.Error("persisting host state failed", "path", hostStatePath, "err", err)
 		}
@@ -428,7 +268,7 @@ func loadOrInitHostState(path string) (*hostState, error) {
 	}
 	hs := &hostState{
 		SealRoot:    hex.EncodeToString(root[:]),
-		TPMCounters: map[string]uint64{},
+		TPMCounters: map[uint32]uint64{},
 		DistroPEM:   string(pem),
 	}
 	if err := saveHostState(path, hs); err != nil {
@@ -450,26 +290,6 @@ func saveHostState(path string, hs *hostState) error {
 	return os.Rename(tmp, path)
 }
 
-func encodeCounters(bank map[uint32]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(bank))
-	for id, v := range bank {
-		out[strconv.FormatUint(uint64(id), 10)] = v
-	}
-	return out
-}
-
-func decodeCounters(bank map[string]uint64) map[uint32]uint64 {
-	out := make(map[uint32]uint64, len(bank))
-	for id, v := range bank {
-		n, err := strconv.ParseUint(id, 10, 32)
-		if err != nil {
-			continue
-		}
-		out[uint32(n)] = v
-	}
-	return out
-}
-
 // svcLimits groups the concurrency knobs a service is built with: the
 // per-repository batch cap and the global scheduler bounds.
 type svcLimits struct {
@@ -481,11 +301,10 @@ type svcLimits struct {
 // buildService generates the synthetic deployment (repository, mirrors,
 // TSR service) on the given host and returns the service plus a
 // ready-to-use policy text.
-func buildService(scaleV float64, seedV int64, lim svcLimits, deps hostDeps, log *slog.Logger) (*tsr.Service, string, error) {
-	scale, seed := &scaleV, &seedV
-	log.Info("generating synthetic repository", "scale", *scale)
+func buildService(scale float64, seed int64, lim svcLimits, deps hostDeps, log *slog.Logger) (*tsr.Service, string, error) {
+	log.Info("generating synthetic repository", "scale", scale)
 	origin := repo.New("alpine", deps.distro)
-	gen := workload.New(workload.Config{Seed: *seed, Scale: *scale})
+	gen := workload.New(workload.Config{Seed: seed, Scale: scale})
 	for _, spec := range gen.Specs() {
 		p, err := gen.Build(spec)
 		if err != nil {
@@ -512,7 +331,7 @@ func buildService(scaleV float64, seedV int64, lim svcLimits, deps hostDeps, log
 		Platform:       deps.platform,
 		TPM:            deps.tpm,
 		Clock:          netsim.RealClock{},
-		Link:           netsim.DefaultLinkModel(netsim.NewRNG(*seed)),
+		Link:           netsim.DefaultLinkModel(netsim.NewRNG(seed)),
 		Local:          netsim.Europe,
 		Store:          deps.store,
 		AutoPersist:    deps.persist,

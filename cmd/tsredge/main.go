@@ -38,21 +38,14 @@ package main
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"flag"
-	"fmt"
-	"log/slog"
-	"math/rand"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"tsr/internal/daemon"
 	"tsr/internal/edge"
 	"tsr/internal/obs"
 	"tsr/internal/store"
@@ -60,14 +53,7 @@ import (
 	"tsr/internal/tsr"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "tsredge:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("tsredge", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("tsredge", flag.ContinueOnError)
@@ -139,104 +125,14 @@ func run(ctx context.Context, args []string) error {
 	} else {
 		log.Info("synced from origin", "repo", *repoID, "origin", *originURL, "etag", rep.ETag())
 	}
-	go syncLoop(tctx, rep, *syncEvery, log)
+	// The loop context is traced, so periodic syncs land in
+	// /debug/traces as edge.sync trees like POST /sync ones do.
+	go daemon.SyncLoop(tctx, rep, *syncEvery, log)
 	if *debugAddr != "" {
-		go servePprof(*debugAddr, log)
-	}
-
-	server := &http.Server{
-		Addr:              *addr,
-		Handler:           obs.New(obs.Options{MaxInflight: *maxInflight, Tracer: tracer}).Wrap(edge.Handler(map[string]*edge.Replica{*repoID: rep}, *name)),
-		ReadHeaderTimeout: 10 * time.Second,
+		go daemon.ServePprof(ctx, *debugAddr, log)
 	}
 	log.Info("serving", "repo", *repoID, "addr", *addr, "cache_budget_mib", *cacheMB,
 		"sync_every", *syncEvery, "max_inflight", *maxInflight, "metrics", "/metrics", "traces", "/debug/traces")
-	return serveUntilDone(ctx, server, log)
-}
-
-// servePprof exposes the net/http/pprof handlers on their own listen
-// address, so profiling never rides the public API (and never competes
-// with admission control). (cmd/tsrd carries the same helper; main
-// packages cannot share code.)
-func servePprof(addr string, log *slog.Logger) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-	log.Info("pprof listening", "addr", addr)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Error("pprof server failed", "err", err)
-	}
-}
-
-// syncLoop keeps the replica converging on the origin until the context
-// is canceled. Warm iterations are delta syncs (or 304-style no-ops);
-// failures are logged and retried on the next tick. Each interval
-// carries ±10% jitter: a fleet of edges started together (a rolling
-// deploy, a recovered rack) would otherwise delta-sync in lockstep and
-// hit the origin as one synchronized thundering herd forever.
-func syncLoop(ctx context.Context, rep *edge.Replica, every time.Duration, log *slog.Logger) {
-	rng := rand.New(rand.NewSource(cryptoSeed()))
-	timer := time.NewTimer(jitter(rng, every))
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		// The loop context is traced (see run), so periodic syncs land
-		// in /debug/traces as edge.sync trees like POST /sync ones do.
-		if err := rep.SyncCtx(ctx); err != nil {
-			log.Error("sync failed", "err", err)
-		}
-		timer.Reset(jitter(rng, every))
-	}
-}
-
-// cryptoSeed derives a jitter-RNG seed from crypto/rand. A wall-clock
-// seed (the previous implementation) gives every replica in a
-// simultaneously deployed fleet a near-identical seed — and detrand
-// flags it as the classic unreproducible-failure pattern; entropy from
-// the kernel keeps the phases independent instead.
-func cryptoSeed() int64 {
-	var b [8]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		// No kernel entropy: fall back to something per-process. The
-		// jitter degrades (possible fleet alignment), nothing breaks.
-		return int64(os.Getpid())
-	}
-	return int64(binary.LittleEndian.Uint64(b[:]))
-}
-
-// jitter spreads an interval uniformly over [0.9d, 1.1d].
-func jitter(rng *rand.Rand, d time.Duration) time.Duration {
-	return d + time.Duration((rng.Float64()*0.2-0.1)*float64(d))
-}
-
-// serveUntilDone runs the server until it fails or the context is
-// canceled (SIGINT/SIGTERM), then drains in-flight requests through
-// http.Server.Shutdown with a deadline.
-func serveUntilDone(ctx context.Context, server *http.Server, log *slog.Logger) error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-		log.Info("signal received, draining connections")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := server.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		log.Info("stopped")
-		return nil
-	}
+	return daemon.Serve(ctx, *addr, edge.Handler(map[string]*edge.Replica{*repoID: rep}, *name),
+		obs.Options{MaxInflight: *maxInflight, Tracer: tracer}, log)
 }

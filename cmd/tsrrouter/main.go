@@ -1,73 +1,35 @@
 // Command tsrrouter shards tenant repositories across a fleet of tsrd
-// origin instances with a consistent-hash ring (internal/ring): every
-// repo id hashes to one backend, so each tenant's caches, sealed
-// checkpoints, and scheduler history live on exactly one box, and
-// adding a backend re-homes only ~1/N of the tenants.
+// origins with a consistent-hash ring: every repository id hashes to
+// one backend, its owner, which holds the tenant's caches, sealed
+// checkpoints and signing key, and adding a backend re-homes only ~1/N
+// of the tenants. The router itself is daemon.Router: single-homed, so
+// while an owner is down its tenants answer 502.
 //
 // Usage:
 //
 //	tsrrouter -backends http://tsrd0:8473,http://tsrd1:8473
-//	          [-addr :8474] [-replicas 128] [-health-interval 5s]
+//	          [-addr :8474] [-replicas 128]
 //	          [-max-inflight 256] [-log-format text|json]
-//
-// Placement happens at deploy time: POST /policies GENERATES the repo
-// id at the router (or honors a caller-supplied ?id=) and forwards the
-// deploy to the ring owner with ?id= pinned, so the owner — not the
-// backend's own id generator — names the tenant and every later
-// request for that id hashes to the same box with no placement table.
-//
-// All /repos/{id}/... traffic is reverse-proxied to the id's owner.
-// When the owner fails its health probe (or a proxied request errors),
-// requests re-rank to the next node in ring order — useful for reads
-// served from a replica that restored the tenant's checkpoint; writes
-// to a non-owner simply 404 until the owner returns, which is the
-// honest answer for single-homed tenants.
-//
-// GET /stats fans out to every backend and returns the per-backend
-// service stats keyed by backend URL; GET /ring reports placement and
-// health for operators.
 package main
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
 	"flag"
-	"fmt"
-	"io"
-	"log/slog"
-	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
-	"time"
 
+	"tsr/internal/daemon"
 	"tsr/internal/obs"
-	"tsr/internal/ring"
 	"tsr/internal/trace"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "tsrrouter:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("tsrrouter", run) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("tsrrouter", flag.ContinueOnError)
 	addr := fs.String("addr", ":8474", "listen address")
 	backends := fs.String("backends", "", "comma-separated tsrd base URLs (required)")
 	replicas := fs.Int("replicas", 0, "virtual replicas per backend on the hash ring (0 = default)")
-	healthInterval := fs.Duration("health-interval", 5*time.Second, "backend /healthz probe interval (0 disables probing)")
 	maxInflight := fs.Int64("max-inflight", 256, "admission control: max concurrently served requests (0 = unlimited)")
 	logFormat := fs.String("log-format", "text", "operational log format: text or json")
 	if err := fs.Parse(args); err != nil {
@@ -77,357 +39,11 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	rt, err := newRouter(strings.Split(*backends, ","), *replicas, log)
+	rt, err := daemon.NewRouter(strings.Split(*backends, ","), *replicas, log)
 	if err != nil {
 		return err
-	}
-	if *healthInterval > 0 {
-		go rt.healthLoop(ctx, *healthInterval)
 	}
 	tracer := trace.NewTracer(trace.Config{Tier: "router"})
-	server := &http.Server{
-		Addr:              *addr,
-		Handler:           obs.New(obs.Options{MaxInflight: *maxInflight, Tracer: tracer}).Wrap(rt.handler()),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	log.Info("listening", "addr", *addr, "backends", len(rt.nodes), "max_inflight", *maxInflight)
-	return serveUntilDone(ctx, server, log)
-}
-
-// serveUntilDone runs the server until it fails or the context is
-// canceled, then drains in-flight requests. (Same helper as tsrd and
-// tsredge; main packages cannot share code.)
-func serveUntilDone(ctx context.Context, server *http.Server, log *slog.Logger) error {
-	errCh := make(chan error, 1)
-	go func() { errCh <- server.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	case <-ctx.Done():
-		log.Info("signal received, draining connections")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := server.Shutdown(shutdownCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		log.Info("stopped")
-		return nil
-	}
-}
-
-// router is the shared state: the immutable placement ring, one
-// reverse proxy per backend, and the mutable health view that re-ranks
-// owners.
-type router struct {
-	ring    *ring.Ring
-	nodes   []string // ring node names == normalized backend base URLs
-	proxies map[string]*httputil.ReverseProxy
-	client  *http.Client // health probes, deploy + stats fan-out
-	log     *slog.Logger
-
-	mu   sync.RWMutex
-	down map[string]bool
-}
-
-// newRouter parses the backend list and builds the ring. Backend URLs
-// are normalized (trailing slash stripped) so the ring key, the proxy
-// target, and the /stats map key are byte-identical.
-func newRouter(backends []string, replicas int, log *slog.Logger) (*router, error) {
-	rt := &router{
-		proxies: map[string]*httputil.ReverseProxy{},
-		client:  &http.Client{Timeout: 2 * time.Minute},
-		log:     log,
-		down:    map[string]bool{},
-	}
-	for _, b := range backends {
-		b = strings.TrimRight(strings.TrimSpace(b), "/")
-		if b == "" {
-			continue
-		}
-		u, err := url.Parse(b)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("backend %q: not an absolute URL", b)
-		}
-		if _, dup := rt.proxies[b]; dup {
-			continue
-		}
-		node := b
-		p := httputil.NewSingleHostReverseProxy(u)
-		p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-			// A transport failure is the passive health signal: mark the
-			// node down so the next request re-ranks without waiting for
-			// the probe loop; the probe brings it back.
-			rt.setDown(node, true)
-			rt.log.Error("proxy to backend failed", "backend", node, "path", r.URL.Path, "err", err)
-			httpError(w, http.StatusBadGateway, fmt.Errorf("backend %s unreachable: %w", node, err))
-		}
-		rt.proxies[node] = p
-		rt.nodes = append(rt.nodes, node)
-	}
-	if len(rt.nodes) == 0 {
-		return nil, errors.New("no backends (set -backends http://host:port,...)")
-	}
-	rt.ring = ring.New(replicas, rt.nodes...)
-	rt.nodes = rt.ring.Nodes()
-	return rt, nil
-}
-
-func (rt *router) setDown(node string, down bool) {
-	rt.mu.Lock()
-	was := rt.down[node]
-	if down {
-		rt.down[node] = true
-	} else {
-		delete(rt.down, node)
-	}
-	rt.mu.Unlock()
-	if was != down {
-		if down {
-			rt.log.Warn("backend down", "backend", node)
-		} else {
-			rt.log.Info("backend healthy", "backend", node)
-		}
-	}
-}
-
-func (rt *router) isDown(node string) bool {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.down[node]
-}
-
-// pick returns the backend serving id: the ring owner, re-ranked past
-// unhealthy nodes in ring order. With every candidate down it returns
-// the true owner — the request fails loudly at the proxy rather than
-// silently at a node that never held the tenant.
-func (rt *router) pick(id string) string {
-	owners := rt.ring.Owners(id, len(rt.nodes))
-	for _, node := range owners {
-		if !rt.isDown(node) {
-			return node
-		}
-	}
-	return owners[0]
-}
-
-// healthLoop probes every backend's /healthz on the interval.
-func (rt *router) healthLoop(ctx context.Context, every time.Duration) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			rt.probeAll(ctx)
-		}
-	}
-}
-
-// probeAll checks every backend once, concurrently.
-func (rt *router) probeAll(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, node := range rt.nodes {
-		wg.Add(1)
-		go func(node string) {
-			defer wg.Done()
-			rt.setDown(node, !rt.probe(ctx, node))
-		}(node)
-	}
-	wg.Wait()
-}
-
-func (rt *router) probe(ctx context.Context, node string) bool {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
-// maxPolicyBytes caps POST /policies bodies, mirroring the origin's
-// own cap so the router never buffers more than the backend accepts.
-const maxPolicyBytes = 10 << 20
-
-func (rt *router) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /policies", rt.deploy)
-	mux.HandleFunc("/repos/{id}/", rt.proxyRepo)
-	mux.HandleFunc("/repos/{id}", rt.proxyRepo)
-	mux.HandleFunc("GET /stats", rt.stats)
-	mux.HandleFunc("GET /ring", rt.ringInfo)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	return mux
-}
-
-// deploy places a new tenant: the router names the repository (or
-// honors a well-formed caller ?id=), hashes it to its owner, and
-// forwards the deploy there with ?id= pinned. The response streams
-// back verbatim — it is the OWNER's attestation report and public key,
-// which the client verifies end-to-end; the router adds the placement
-// in an X-Tsr-Backend header without touching the body.
-func (rt *router) deploy(w http.ResponseWriter, r *http.Request) {
-	//lint:allow streamserve policy upload, bounded by maxPolicyBytes; not a package body
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("policy body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		id, err = newRepoID()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	node := rt.pick(id)
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		node+"/policies?id="+url.QueryEscape(id), strings.NewReader(string(body)))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.setDown(node, true)
-		httpError(w, http.StatusBadGateway, fmt.Errorf("deploy to %s: %w", node, err))
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.Header().Set("X-Tsr-Backend", node)
-	//lint:allow statusroute proxy relays the backend's own status verbatim; there is no router-side error to classify
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-}
-
-// newRepoID draws a fresh repository id in the service's id alphabet
-// ("r" + 16 hex digits).
-func newRepoID() (string, error) {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", err
-	}
-	return "r" + hex.EncodeToString(b[:]), nil
-}
-
-// proxyRepo forwards any /repos/{id}/... request to the id's backend.
-func (rt *router) proxyRepo(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if id == "" {
-		httpError(w, http.StatusNotFound, errors.New("missing repository id"))
-		return
-	}
-	node := rt.pick(id)
-	w.Header().Set("X-Tsr-Backend", node)
-	rt.proxies[node].ServeHTTP(w, r)
-}
-
-// stats fans GET /stats out to every backend and returns the raw
-// per-backend documents keyed by backend URL, with unreachable
-// backends listed separately — the fleet-wide view of the per-service
-// tenant totals and scheduler snapshots.
-func (rt *router) stats(w http.ResponseWriter, r *http.Request) {
-	type result struct {
-		node string
-		doc  json.RawMessage
-		err  error
-	}
-	results := make([]result, len(rt.nodes))
-	var wg sync.WaitGroup
-	for i, node := range rt.nodes {
-		wg.Add(1)
-		go func(i int, node string) {
-			defer wg.Done()
-			results[i] = result{node: node, err: errors.New("unreachable")}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node+"/stats", nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			//lint:allow streamserve stats fan-out, small JSON documents; not a package body
-			doc, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				results[i].err = fmt.Errorf("HTTP %d from %s", resp.StatusCode, node)
-				return
-			}
-			results[i] = result{node: node, doc: doc}
-		}(i, node)
-	}
-	wg.Wait()
-	doc := struct {
-		Backends    map[string]json.RawMessage `json:"backends"`
-		Unreachable map[string]string          `json:"unreachable,omitempty"`
-	}{Backends: map[string]json.RawMessage{}}
-	for _, res := range results {
-		if res.err != nil {
-			if doc.Unreachable == nil {
-				doc.Unreachable = map[string]string{}
-			}
-			doc.Unreachable[res.node] = res.err.Error()
-			continue
-		}
-		doc.Backends[res.node] = res.doc
-	}
-	writeJSON(w, doc)
-}
-
-// ringInfo reports placement for operators: the node list with health,
-// and — with ?id= — the failover ranking for one repository.
-func (rt *router) ringInfo(w http.ResponseWriter, r *http.Request) {
-	type nodeInfo struct {
-		Node    string `json:"node"`
-		Healthy bool   `json:"healthy"`
-	}
-	doc := struct {
-		Nodes  []nodeInfo `json:"nodes"`
-		Owners []string   `json:"owners,omitempty"`
-	}{}
-	for _, n := range rt.nodes {
-		doc.Nodes = append(doc.Nodes, nodeInfo{Node: n, Healthy: !rt.isDown(n)})
-	}
-	if id := r.URL.Query().Get("id"); id != "" {
-		doc.Owners = rt.ring.Owners(id, len(rt.nodes))
-	}
-	writeJSON(w, doc)
-}
-
-// httpError writes a JSON error response (the same convention every
-// daemon in this repo uses).
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	log.Info("listening", "addr", *addr, "backends", len(rt.Nodes()), "max_inflight", *maxInflight)
+	return daemon.Serve(ctx, *addr, rt.Handler(), obs.Options{MaxInflight: *maxInflight, Tracer: tracer}, log)
 }

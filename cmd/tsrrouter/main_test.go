@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"tsr/internal/daemon"
 	"tsr/internal/obs"
 )
 
@@ -26,17 +28,14 @@ func testLogger() *slog.Logger {
 
 // stubBackend is a minimal tsrd stand-in that records what reaches it.
 type stubBackend struct {
-	srv      *httptest.Server
-	name     string
-	deploys  atomic.Int64
-	indexes  atomic.Int64
-	lastID   atomic.Value // string: last ?id= seen on /policies
-	healthOK atomic.Bool
+	srv     *httptest.Server
+	name    string
+	deploys atomic.Int64
+	lastID  atomic.Value // string: last ?id= seen on /policies
 }
 
 func newStubBackend(name string) *stubBackend {
 	b := &stubBackend{name: name}
-	b.healthOK.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /policies", func(w http.ResponseWriter, r *http.Request) {
 		b.deploys.Add(1)
@@ -46,32 +45,21 @@ func newStubBackend(name string) *stubBackend {
 			"repository_id": r.URL.Query().Get("id"), "backend": name,
 		})
 	})
-	mux.HandleFunc("GET /repos/{id}/index", func(w http.ResponseWriter, r *http.Request) {
-		b.indexes.Add(1)
-		_, _ = w.Write([]byte("index-from-" + name))
-	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(map[string]string{"backend": name})
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		if !b.healthOK.Load() {
-			httpError(w, http.StatusServiceUnavailable, io.ErrUnexpectedEOF)
-			return
-		}
-		_, _ = w.Write([]byte("ok"))
 	})
 	b.srv = httptest.NewServer(mux)
 	return b
 }
 
 // twoBackendRouter builds a router over two live stubs.
-func twoBackendRouter(t *testing.T) (*router, *stubBackend, *stubBackend) {
+func twoBackendRouter(t *testing.T) (*daemon.Router, *stubBackend, *stubBackend) {
 	t.Helper()
 	a, b := newStubBackend("a"), newStubBackend("b")
 	t.Cleanup(a.srv.Close)
 	t.Cleanup(b.srv.Close)
-	rt, err := newRouter([]string{a.srv.URL, b.srv.URL}, 0, testLogger())
+	rt, err := daemon.NewRouter([]string{a.srv.URL, b.srv.URL}, 0, testLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +75,10 @@ func byURL(a, b *stubBackend, node string) *stubBackend {
 }
 
 func TestNewRouterValidation(t *testing.T) {
-	if _, err := newRouter([]string{""}, 0, testLogger()); err == nil {
+	if _, err := daemon.NewRouter([]string{""}, 0, testLogger()); err == nil {
 		t.Fatal("want error for empty backend list")
 	}
-	if _, err := newRouter([]string{"not a url"}, 0, testLogger()); err == nil {
+	if _, err := daemon.NewRouter([]string{"not a url"}, 0, testLogger()); err == nil {
 		t.Fatal("want error for relative backend URL")
 	}
 }
@@ -100,7 +88,7 @@ func TestNewRouterValidation(t *testing.T) {
 // with the placement.
 func TestDeployPlacement(t *testing.T) {
 	rt, a, b := twoBackendRouter(t)
-	h := rt.handler()
+	h := rt.Handler()
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/policies", strings.NewReader("mirrors: []")))
@@ -117,7 +105,7 @@ func TestDeployPlacement(t *testing.T) {
 	if !regexp.MustCompile(`^r[0-9a-f]{16}$`).MatchString(resp.RepositoryID) {
 		t.Fatalf("router generated id %q, want r + 16 hex digits", resp.RepositoryID)
 	}
-	owner := rt.ring.Owner(resp.RepositoryID)
+	owner := rt.Owner(resp.RepositoryID)
 	if got := rec.Header().Get("X-Tsr-Backend"); got != owner {
 		t.Fatalf("X-Tsr-Backend = %s, ring owner = %s", got, owner)
 	}
@@ -134,84 +122,9 @@ func TestDeployPlacement(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("deploy status = %d", rec.Code)
 	}
-	pinnedOwner := byURL(a, b, rt.ring.Owner("rfeedfacefeedface"))
+	pinnedOwner := byURL(a, b, rt.Owner("rfeedfacefeedface"))
 	if pinnedOwner.lastID.Load().(string) != "rfeedfacefeedface" {
 		t.Fatalf("pinned id not forwarded to its owner %s", pinnedOwner.name)
-	}
-}
-
-// TestProxyAndFailover: /repos/{id}/... goes to the ring owner; when
-// the owner is down it re-ranks to the next node in ring order, and
-// recovers when the owner comes back.
-func TestProxyAndFailover(t *testing.T) {
-	rt, a, b := twoBackendRouter(t)
-	h := rt.handler()
-	const id = "r0123456789abcdef"
-	owners := rt.ring.Owners(id, 2)
-	first, second := byURL(a, b, owners[0]), byURL(a, b, owners[1])
-
-	get := func() (string, string) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/repos/"+id+"/index", nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("index status = %d", rec.Code)
-		}
-		return rec.Body.String(), rec.Header().Get("X-Tsr-Backend")
-	}
-
-	body, backend := get()
-	if body != "index-from-"+first.name || backend != owners[0] {
-		t.Fatalf("healthy routing: got %q via %s, want owner %s", body, backend, owners[0])
-	}
-	rt.setDown(owners[0], true)
-	if body, backend = get(); body != "index-from-"+second.name || backend != owners[1] {
-		t.Fatalf("failover: got %q via %s, want next owner %s", body, backend, owners[1])
-	}
-	rt.setDown(owners[0], false)
-	if body, _ = get(); body != "index-from-"+first.name {
-		t.Fatalf("recovery: got %q, want owner %s again", body, first.name)
-	}
-}
-
-// TestProxyErrorMarksDown: a dead backend 502s once and is marked down
-// by the proxy's error handler, so the next request fails over without
-// waiting for a probe.
-func TestProxyErrorMarksDown(t *testing.T) {
-	rt, a, b := twoBackendRouter(t)
-	h := rt.handler()
-	const id = "r0123456789abcdef"
-	owners := rt.ring.Owners(id, 2)
-	byURL(a, b, owners[0]).srv.Close() // kill the owner
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/repos/"+id+"/index", nil))
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("dead owner status = %d, want 502", rec.Code)
-	}
-	if !rt.isDown(owners[0]) {
-		t.Fatal("proxy error did not mark the backend down")
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/repos/"+id+"/index", nil))
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Tsr-Backend") != owners[1] {
-		t.Fatalf("after passive detection: status %d via %s, want 200 via %s",
-			rec.Code, rec.Header().Get("X-Tsr-Backend"), owners[1])
-	}
-}
-
-// TestHealthProbe: probeAll flips backends down on failing /healthz
-// and back up on recovery.
-func TestHealthProbe(t *testing.T) {
-	rt, a, _ := twoBackendRouter(t)
-	a.healthOK.Store(false)
-	rt.probeAll(context.Background())
-	if !rt.isDown(a.srv.URL) {
-		t.Fatal("failing probe did not mark backend down")
-	}
-	a.healthOK.Store(true)
-	rt.probeAll(context.Background())
-	if rt.isDown(a.srv.URL) {
-		t.Fatal("passing probe did not bring backend back")
 	}
 }
 
@@ -219,7 +132,7 @@ func TestHealthProbe(t *testing.T) {
 // keyed by backend URL, and reports unreachable backends separately.
 func TestStatsFanOut(t *testing.T) {
 	rt, a, b := twoBackendRouter(t)
-	h := rt.handler()
+	h := rt.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	if rec.Code != http.StatusOK {
@@ -251,11 +164,11 @@ func TestStatsFanOut(t *testing.T) {
 	}
 }
 
-// TestRingInfo: the operator view lists every node with health and
-// ranks owners for a queried id.
+// TestRingInfo: the operator view lists every node in ring order and
+// names the owner of a queried id.
 func TestRingInfo(t *testing.T) {
 	rt, _, _ := twoBackendRouter(t)
-	h := rt.handler()
+	h := rt.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
 		"/ring?id="+url.QueryEscape("r0123456789abcdef"), nil))
@@ -263,20 +176,17 @@ func TestRingInfo(t *testing.T) {
 		t.Fatalf("ring status = %d", rec.Code)
 	}
 	var doc struct {
-		Nodes []struct {
-			Node    string `json:"node"`
-			Healthy bool   `json:"healthy"`
-		} `json:"nodes"`
-		Owners []string `json:"owners"`
+		Nodes []string `json:"nodes"`
+		Owner string   `json:"owner"`
 	}
 	if err := json.NewDecoder(rec.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Nodes) != 2 || !doc.Nodes[0].Healthy || !doc.Nodes[1].Healthy {
-		t.Fatalf("nodes = %v", doc.Nodes)
+	if !slices.Equal(doc.Nodes, rt.Nodes()) || len(doc.Nodes) != 2 {
+		t.Fatalf("nodes = %v, want %v", doc.Nodes, rt.Nodes())
 	}
-	if len(doc.Owners) != 2 || doc.Owners[0] != rt.ring.Owner("r0123456789abcdef") {
-		t.Fatalf("owners = %v", doc.Owners)
+	if doc.Owner != rt.Owner("r0123456789abcdef") {
+		t.Fatalf("owner = %q, want %q", doc.Owner, rt.Owner("r0123456789abcdef"))
 	}
 }
 

@@ -19,6 +19,12 @@ func TestStatusroute(t *testing.T) {
 	analysistest.Run(t, analysis.Statusroute, "testdata/src/statusroute", "tsr/cmd/statusroutesim")
 }
 
+// TestStatusrouteDaemon holds the shard router, which lives in
+// internal/daemon, to the same convention as the cmd packages.
+func TestStatusrouteDaemon(t *testing.T) {
+	analysistest.Run(t, analysis.Statusroute, "testdata/src/statusroutedaemon", "tsr/internal/daemon")
+}
+
 func TestSnapfreeze(t *testing.T) {
 	analysistest.Run(t, analysis.Snapfreeze, "testdata/src/snapfreeze", "tsr/internal/tsr")
 }

@@ -7,10 +7,11 @@ import (
 )
 
 // Statusroute enforces the error-routing convention from PR 2's HTTP
-// hardening: handlers in internal/tsr, internal/edge, and cmd/* never
-// write error statuses ad hoc. Every error response goes through the
-// httpError(w, statusFor(err), err) helper (tsr.HTTPError, which the
-// edge tier shares, or a cmd package's own httpError), so status
+// hardening: handlers in internal/tsr, internal/edge, internal/daemon
+// (the shard router) and cmd/* never write error statuses ad hoc.
+// Every error response goes through the httpError(w, statusFor(err),
+// err) helper (tsr.HTTPError, which the edge tier and the router share,
+// or a cmd package's own httpError), so status
 // mapping lives in exactly one switch per tier (502 reserved for
 // upstream failures, 503 for availability, sentinel-driven 4xx) and
 // error bodies are uniformly JSON. Concretely: no calls to
@@ -23,6 +24,7 @@ var Statusroute = &Analyzer{
 	Applies: func(pkgPath string) bool {
 		return pathHasSuffixSegments(pkgPath, "internal/tsr") ||
 			pathHasSuffixSegments(pkgPath, "internal/edge") ||
+			pathHasSuffixSegments(pkgPath, "internal/daemon") ||
 			pathHasSegment(pkgPath, "cmd")
 	},
 	Run: runStatusroute,

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tsr/internal/apk"
@@ -74,8 +75,11 @@ func sanitizeBudget(out, largestFile, files int) uint64 {
 
 // bytesPerCall reports the heap bytes one call of f allocates, after a
 // warm-up call, as the least of three rounds' averages so that an
-// allocation by some other goroutine does not fail a budget.
+// allocation by some other goroutine does not fail a budget. GC is off
+// from the warm-up on: a collection empties the sync.Pool codecs, and
+// the refill would be counted against the call.
 func bytesPerCall(runs int, f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	best := uint64(math.MaxUint64)
 	var ms runtime.MemStats

@@ -59,19 +59,8 @@ func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	RegisterReadRoutes(mux, func(id string) (ReadView, error) { return s.Repo(id) }, statusFor, "")
 	mux.HandleFunc("POST /policies", func(w http.ResponseWriter, r *http.Request) {
-		// MaxBytesReader (unlike a silent LimitReader) fails the read
-		// when the body exceeds the cap, instead of truncating the
-		// policy and parsing the prefix as if it were complete.
-		//lint:allow streamserve policy upload, bounded by maxPolicyBytes; not a package body
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBytes))
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				HTTPError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("policy body exceeds %d bytes", tooBig.Limit))
-				return
-			}
-			HTTPError(w, http.StatusBadRequest, err)
+		body, ok := ReadPolicyBody(w, r)
+		if !ok {
 			return
 		}
 		id, pub, report, err := s.DeployPolicyID(body, r.URL.Query().Get("id"))
@@ -192,6 +181,27 @@ func Handler(s *Service) http.Handler {
 		WriteJSON(w, map[string]string{"status": "ok"})
 	})
 	return mux
+}
+
+// ReadPolicyBody reads a POST /policies body for the origin and the
+// shard router alike. MaxBytesReader (unlike a silent LimitReader)
+// fails the read when the body exceeds maxPolicyBytes, instead of
+// truncating the policy and parsing the prefix as if it were complete.
+// On failure it has answered the request (413 over the cap, 400
+// otherwise) and reports false.
+func ReadPolicyBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	//lint:allow streamserve policy upload, bounded by maxPolicyBytes; not a package body
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBytes))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		HTTPError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("policy body exceeds %d bytes", tooBig.Limit))
+	} else {
+		HTTPError(w, http.StatusBadRequest, err)
+	}
+	return nil, false
 }
 
 // WriteJSON writes v as an indented JSON 200.

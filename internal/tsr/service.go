@@ -144,6 +144,17 @@ func (s *Service) Attest(reportData [64]byte) (*enclave.Report, error) {
 // on this to pre-compute a repo's shard placement before deploying it.
 var repoIDPattern = regexp.MustCompile(`^r[0-9a-f]{16}$`)
 
+// NewRepoID draws a fresh repository id in the one format
+// repoIDPattern admits. The shard router names tenants with it before
+// it forwards their deploy.
+func NewRepoID() (string, error) {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("tsr: repository id: %w", err)
+	}
+	return "r" + hex.EncodeToString(b[:]), nil
+}
+
 // DeployPolicy validates a policy, creates the tenant repository with a
 // fresh signing key generated inside the enclave, and returns the
 // repository id, the public signing key (PEM), and an attestation
@@ -169,12 +180,8 @@ func (s *Service) DeployPolicyID(raw []byte, id string) (repoID string, publicKe
 			return "", nil, nil, fmt.Errorf("tsr: repository id %q must match %s", id, repoIDPattern)
 		}
 		repoID = id
-	} else {
-		var idBytes [8]byte
-		if _, err := rand.Read(idBytes[:]); err != nil {
-			return "", nil, nil, fmt.Errorf("tsr: repository id: %w", err)
-		}
-		repoID = "r" + hex.EncodeToString(idBytes[:])
+	} else if repoID, err = NewRepoID(); err != nil {
+		return "", nil, nil, err
 	}
 	s.mu.RLock()
 	_, taken := s.repos[repoID]
