@@ -3,8 +3,8 @@
 // system's security and performance arguments rest on — edges never
 // sign, handler errors route through statusFor, published snapshots
 // are frozen, the serving path is lock-free, deterministic packages
-// stay deterministic, and outgoing HTTP always carries a context and
-// a timeout. docs/LINT.md describes each invariant and where it came
+// stay deterministic, outgoing HTTP always carries a context and a
+// timeout, and blobs read from a store are never written. docs/LINT.md describes each invariant and where it came
 // from.
 //
 // The API deliberately mirrors the shape of golang.org/x/tools'

@@ -58,10 +58,14 @@ func TestStreamserve(t *testing.T) {
 	analysistest.Run(t, analysis.Streamserve, "testdata/src/streamserve", "tsr/internal/tsr")
 }
 
+func TestBlobview(t *testing.T) {
+	analysistest.Run(t, analysis.Blobview, "testdata/src/blobview", "tsr/internal/edge")
+}
+
 func TestRegistryByName(t *testing.T) {
 	all, ok := analysis.ByName(nil)
-	if !ok || len(all) != 8 {
-		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 8", len(all), ok)
+	if !ok || len(all) != 9 {
+		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 9", len(all), ok)
 	}
 	subset, ok := analysis.ByName([]string{"detrand", "noresign"})
 	if !ok || len(subset) != 2 || subset[0].Name != "detrand" || subset[1].Name != "noresign" {

@@ -12,6 +12,7 @@ func All() []*Analyzer {
 		Ctxhttp,
 		Spanend,
 		Streamserve,
+		Blobview,
 	}
 }
 

@@ -1,0 +1,100 @@
+// Package blobview exercises the blobview analyzer. The harness loads
+// it under tsr/internal/edge: slices read from a store.Store, from the
+// edge's fetchEntry/previousCached, or from the ClientCache read
+// methods, and slices handed to a store's Put, are read-only.
+package blobview
+
+import (
+	"crypto/sha256"
+
+	"tsr/internal/store"
+)
+
+type Replica struct{ cache store.Store }
+
+func (rep *Replica) fetchEntry(name string) ([]byte, error) { return rep.cache.Get(name) }
+
+func (rep *Replica) previousCached(name string) []byte {
+	raw, _ := rep.cache.Get(name)
+	return raw
+}
+
+type ClientCache struct{}
+
+func (cc *ClientCache) Cached(st store.Store, key string) []byte {
+	raw, _ := st.Get(key)
+	return raw
+}
+
+// corruptHit flips a byte of the shared cache entry itself.
+func corruptHit(st store.Store, key string) {
+	raw, err := st.Get(key)
+	if err != nil {
+		return
+	}
+	raw[len(raw)/2] ^= 0xFF // want `raw is a read-only blob view \(it came from a store read\)`
+}
+
+// concreteStore reads through *store.Mem, which implements store.Store.
+func concreteStore(m *store.Mem) {
+	var raw, _ = m.Get("k")
+	raw[0]++             // want `raw is a read-only blob view`
+	copy(raw[1:], "ab")  // want `raw is a read-only blob view`
+	copy(raw, []byte{1}) // want `raw is a read-only blob view`
+}
+
+func sources(rep *Replica, cc *ClientCache) {
+	hit, _ := rep.fetchEntry("p")
+	hit[0] = 1 // want `hit is a read-only blob view`
+	if old := rep.previousCached("p"); old != nil {
+		old[0] = 2 // want `old is a read-only blob view`
+	}
+	pkg := cc.Cached(rep.cache, "p")
+	pkg[0] = 3 // want `pkg is a read-only blob view`
+}
+
+// reuseAfterPut keeps writing into a buffer the store now owns.
+func reuseAfterPut(st store.Store, buf []byte) {
+	_ = st.Put("k", buf)
+	buf[0] = 0 // want `buf is a read-only blob view \(it was handed to Put, which owns it\)`
+}
+
+// corruptCopy is the wanted shape for a writer: copy to a new name.
+func corruptCopy(st store.Store, key string) []byte {
+	raw, err := st.Get(key)
+	if err != nil || len(raw) == 0 {
+		return raw
+	}
+	out := append([]byte(nil), raw...)
+	out[len(out)/2] ^= 0xFF
+	return out
+}
+
+// verify only reads the view: hashing, slicing and ranging are fine.
+func verify(st store.Store, key string, want [sha256.Size]byte) bool {
+	raw, err := st.Get(key)
+	if err != nil {
+		return false
+	}
+	n := 0
+	for _, b := range raw[:len(raw)/2] {
+		n += int(b)
+	}
+	return n >= 0 && sha256.Sum256(raw) == want
+}
+
+// fresh buffers a caller allocated itself may be written freely.
+func fresh(st store.Store) {
+	buf := make([]byte, 8)
+	buf[0] = 1
+	copy(buf[1:], "x")
+	_ = st.Put("k", append([]byte(nil), buf...))
+	buf[2] = 2
+}
+
+// allowed shows the escape hatch, which needs a reason.
+func allowed(st store.Store) {
+	raw, _ := st.Get("scratch")
+	//lint:allow blobview test-only scratch key that no reader shares
+	raw[0] = 1
+}

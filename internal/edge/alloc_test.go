@@ -32,10 +32,12 @@ const (
 	// An index 304 is answered from the ETag alone: its validator
 	// headers and the tier header are all it allocates.
 	index304Budget = 64
-	// Package and chunk-manifest GETs, pinned where they stand: a
-	// streamed package owns two verified-read blocks; a manifest is
-	// rendered and gzip'd per request.
-	packageRouteBudget = 2*(32<<10) + 8<<10
+	// A package GET streams through pooled verified-read blocks, and a
+	// Range GET slices the cached bytes without copying them, so both
+	// allocate only headers and per-request state, whatever the package
+	// size. A chunk manifest is rendered and gzip'd per request.
+	packageRouteBudget = 8 << 10
+	rangeRouteBudget   = 4 << 10
 	chunksRouteBudget  = 10 << 10
 )
 
@@ -62,10 +64,10 @@ func bytesPerCall(runs int, f func()) uint64 {
 }
 
 // budgetIndex is an n-entry index shaped like a real catalog's —
-// distinct incompressible hashes, a dependency each — plus a "blob"
-// entry for pkg. Entry 0's version carries the sequence, so consecutive
+// distinct incompressible hashes, a dependency each — plus an entry for
+// each of pkgs. Entry 0's version carries the sequence, so consecutive
 // generations differ in exactly one entry.
-func budgetIndex(n int, seq uint64, pkg []byte) *index.Index {
+func budgetIndex(n int, seq uint64, pkgs map[string][]byte) *index.Index {
 	ix := &index.Index{Origin: "budget", Sequence: seq}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("pkg-%05d", i)
@@ -76,19 +78,24 @@ func budgetIndex(n int, seq uint64, pkg []byte) *index.Index {
 		}
 		ix.Add(e)
 	}
-	ix.Add(index.Entry{Name: "blob", Version: "1.0-r0", Size: int64(len(pkg)), Hash: sha256.Sum256(pkg)})
+	for name, pkg := range pkgs {
+		ix.Add(index.Entry{Name: name, Version: "1.0-r0", Size: int64(len(pkg)), Hash: sha256.Sum256(pkg)})
+	}
 	return ix
 }
 
 // TestAllocBudget holds edge.Handler's read routes to their budgets: the
 // index and delta GETs at ~500 and ~5,000 entries under one fixed
-// bound, the 304, package and chunk-manifest GETs where they stand.
+// bound, a 64 KiB Range GET of a cached package over 1 MiB under
+// another, the 304, package and chunk-manifest GETs where they stand.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse")
 	}
-	pkg := make([]byte, 6*64<<10)
-	rand.New(rand.NewSource(29)).Read(pkg)
+	rng := rand.New(rand.NewSource(29))
+	pkgs := map[string][]byte{"blob": make([]byte, 6*64<<10), "big": make([]byte, 5*256<<10)}
+	rng.Read(pkgs["blob"])
+	rng.Read(pkgs["big"])
 	sw := newSliceWriter()
 	check := func(t *testing.T, h http.Handler, target string, hdr map[string]string, want int, budget uint64) {
 		t.Helper()
@@ -111,11 +118,11 @@ func TestAllocBudget(t *testing.T) {
 	}
 	gz := map[string]string{"Accept-Encoding": "gzip"}
 	for _, n := range []int{500, 5000} {
-		origin := &scriptedOrigin{pkgs: map[string][]byte{"blob": pkg}}
+		origin := &scriptedOrigin{pkgs: pkgs}
 		rep := &Replica{RepoID: "r", Origin: origin}
 		var tags []string
 		for seq := uint64(1); seq <= 2; seq++ {
-			signed, err := index.Sign(budgetIndex(n, seq, pkg), keys.Shared.MustGet("edge-budget"))
+			signed, err := index.Sign(budgetIndex(n, seq, pkgs), keys.Shared.MustGet("edge-budget"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,6 +143,9 @@ func TestAllocBudget(t *testing.T) {
 			t.Run("edge/package", func(t *testing.T) {
 				check(t, h, "/repos/r/packages/blob", nil, http.StatusOK, packageRouteBudget)
 				check(t, h, "/repos/r/packages/blob/chunks", gz, http.StatusOK, chunksRouteBudget)
+			})
+			t.Run("edge/range", func(t *testing.T) {
+				check(t, h, "/repos/r/packages/big", map[string]string{"Range": "bytes=0-65535"}, http.StatusPartialContent, rangeRouteBudget)
 			})
 		}
 	}

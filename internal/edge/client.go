@@ -2,7 +2,6 @@ package edge
 
 import (
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -15,6 +14,7 @@ import (
 	"tsr/internal/quorum"
 	"tsr/internal/store"
 	"tsr/internal/trace"
+	"tsr/internal/tsr"
 )
 
 // Client-side error sentinels.
@@ -96,10 +96,10 @@ type FailoverClient struct {
 	PkgCache store.Store
 
 	mu       sync.Mutex
-	minSeq   uint64                       // freshness floor: highest verified sequence accepted
-	cachedIx *index.Index                 // decoded verified index (package hash lookups)
-	failures []int                        // consecutive failures per endpoint
-	lastHash map[string][sha256.Size]byte // package name -> hash of the last verified fetch (diff base)
+	minSeq   uint64          // freshness floor: highest verified sequence accepted
+	cachedIx *index.Index    // decoded verified index (package hash lookups)
+	failures []int           // consecutive failures per endpoint
+	pkgs     tsr.ClientCache // verified packages over PkgCache
 	stats    FailoverStats
 }
 
@@ -374,7 +374,9 @@ func (c *FailoverClient) accept(ix *index.Index) {
 // every endpoint is rejected, the mismatch may mean this client's
 // cached index is simply stale (the origin republished and the fleet
 // moved on), so the index is revalidated once and the fetch retried
-// against the fresh entry before the failure is final.
+// against the fresh entry before the failure is final. With a PkgCache
+// the returned bytes may be the cached entry itself, so they are
+// read-only.
 func (c *FailoverClient) FetchPackage(name string) ([]byte, error) {
 	return c.FetchPackageCtx(context.Background(), name)
 }
@@ -425,7 +427,7 @@ func (c *FailoverClient) FetchPackageCtx(ctx context.Context, name string) (_ []
 // any differential failure degrades to a full fetch from the same
 // endpoint, so the failover semantics are unchanged.
 func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	if raw := c.cachedPackage(entry); raw != nil {
+	if raw := c.pkgs.Cached(c.PkgCache, entry); raw != nil {
 		c.mu.Lock()
 		c.stats.CacheHits++
 		c.mu.Unlock()
@@ -450,7 +452,7 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 			continue
 		}
 		c.noteServed(i, attempt)
-		c.rememberPackage(name, entry, raw)
+		c.pkgs.Remember(c.PkgCache, name, entry, raw)
 		return raw, nil
 	}
 	return nil, fmt.Errorf("%w: package %s: %w", ErrAllEndpointsFailed, name, errors.Join(errs...))
@@ -459,69 +461,22 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 // fetchFromEndpoint pulls one package from one endpoint, differentially
 // when possible, and reports the modeled wire bytes the transfer cost.
 func (c *FailoverClient) fetchFromEndpoint(ctx context.Context, ep Endpoint, name string, entry index.Entry) ([]byte, int64, error) {
-	if c.PkgCache != nil {
-		if old := c.previousPackage(name, entry); old != nil {
-			out, st, err := diffFetch(ctx, ep.Fetcher, name, entry, old)
-			if err == nil {
-				c.mu.Lock()
-				c.stats.DiffFetches++
-				c.mu.Unlock()
-				return out, st.BytesFetched, nil
-			}
-			if !errors.Is(err, errDiffUnsupported) {
-				c.mu.Lock()
-				c.stats.DiffFallbacks++
-				c.mu.Unlock()
-			}
+	if old := c.pkgs.Previous(c.PkgCache, name, entry); old != nil {
+		out, st, err := diffFetch(ctx, ep.Fetcher, name, entry, old)
+		if err == nil {
+			c.mu.Lock()
+			c.stats.DiffFetches++
+			c.mu.Unlock()
+			return out, st.BytesFetched, nil
+		}
+		if !errors.Is(err, errDiffUnsupported) {
+			c.mu.Lock()
+			c.stats.DiffFallbacks++
+			c.mu.Unlock()
 		}
 	}
 	raw, err := originFetchPackage(ctx, ep.Fetcher, name)
 	return raw, entry.Size, err
-}
-
-// cachedPackage returns the exact requested bytes from PkgCache when
-// present and verifying (the cache is untrusted), or nil.
-func (c *FailoverClient) cachedPackage(entry index.Entry) []byte {
-	if c.PkgCache == nil {
-		return nil
-	}
-	raw, err := c.PkgCache.Get(cacheKey(entry.Hash))
-	if err != nil || !entry.Matches(raw) {
-		return nil
-	}
-	return raw
-}
-
-// rememberPackage caches verified bytes and records the name→hash
-// association the next differential fetch diffs against.
-func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []byte) {
-	if c.PkgCache == nil {
-		return
-	}
-	_ = c.PkgCache.Put(cacheKey(entry.Hash), raw)
-	c.mu.Lock()
-	if c.lastHash == nil {
-		c.lastHash = make(map[string][sha256.Size]byte)
-	}
-	c.lastHash[name] = entry.Hash
-	c.mu.Unlock()
-}
-
-// previousPackage returns the verified bytes of the version of name
-// this client last fetched, when still cached and different from the
-// wanted entry.
-func (c *FailoverClient) previousPackage(name string, entry index.Entry) []byte {
-	c.mu.Lock()
-	prev, ok := c.lastHash[name]
-	c.mu.Unlock()
-	if !ok || prev == entry.Hash {
-		return nil
-	}
-	raw, err := c.PkgCache.Get(cacheKey(prev))
-	if err != nil || sha256.Sum256(raw) != prev {
-		return nil
-	}
-	return raw
 }
 
 // entryFor looks the package up in the verified index, fetching the

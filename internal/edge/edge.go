@@ -601,7 +601,8 @@ func (rep *Replica) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_
 // verified against the index entry hash BEFORE they are cached or
 // served, so a corrupt origin path cannot poison the cache; cached
 // bytes are re-verified on every hit, so local disk tampering degrades
-// to a pull-through miss instead of serving garbage.
+// to a pull-through miss instead of serving garbage. The returned bytes
+// are read-only: they may be the cache entry itself.
 func (rep *Replica) FetchPackage(name string) ([]byte, error) {
 	return rep.FetchPackageCtx(context.Background(), name)
 }
@@ -699,13 +700,15 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 			sp.LinkCoalesced(trace.SpanFromContext(leaderCtx))
 		}
 	}
-	// Copy before returning: the raw slice is shared with the cache and
-	// with coalesced waiters, and must stay immutable.
-	out := append([]byte(nil), raw...)
-	if rep.Behavior() == Corrupt && len(out) > 0 {
+	// raw is the verified slice the cache and coalesced waiters share,
+	// returned as is under the store's read-only contract. Only the
+	// Corrupt simulation copies, because it has to flip a byte.
+	if rep.Behavior() == Corrupt && len(raw) > 0 {
+		out := append([]byte(nil), raw...)
 		out[len(out)/2] ^= 0xFF
+		return out, nil
 	}
-	return out, nil
+	return raw, nil
 }
 
 // store returns the replica's blob store, lazily defaulting to a

@@ -31,6 +31,7 @@ type edgeWorld struct {
 	mirrors []*mirror.Mirror
 	signer  *keys.Pair
 	svc     *tsr.Service
+	store   *store.Mem // the origin's package store
 	tenant  *tsr.Repo
 	policy  []byte // the deployed policy, for deploying further tenants
 }
@@ -38,7 +39,7 @@ type edgeWorld struct {
 func newEdgeWorld(t *testing.T) *edgeWorld {
 	t.Helper()
 	signer := keys.Shared.MustGet("edge-test-distro")
-	w := &edgeWorld{repo: repo.New("alpine-main", signer), signer: signer}
+	w := &edgeWorld{repo: repo.New("alpine-main", signer), signer: signer, store: store.NewMem()}
 	byHost := make(map[string]*mirror.Mirror)
 	var pol strings.Builder
 	pol.WriteString("mirrors:\n")
@@ -68,7 +69,7 @@ func newEdgeWorld(t *testing.T) *edgeWorld {
 		Clock:    netsim.NewVirtualClock(time.Time{}),
 		Link:     netsim.DefaultLinkModel(netsim.NewRNG(11)),
 		Local:    netsim.Europe,
-		Store:    tsr.NewMemStore(),
+		Store:    w.store,
 		EPC:      enclave.DefaultCostModel(),
 		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
 			mm, ok := byHost[m.Hostname]

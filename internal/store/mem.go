@@ -61,14 +61,15 @@ func shardOf(key string) int {
 // Pin implements Pinner.
 func (m *Mem) Pin(prefix string) { m.pins = append(m.pins, prefix) }
 
-// Put implements Store. Under a budget, an unpinned blob larger than
-// the whole budget is dropped silently — caching it would evict
-// everything else for one entry that cannot even fit.
+// Put implements Store, keeping data itself as the stored value. Under
+// a budget, an unpinned blob larger than the whole budget is dropped
+// silently — caching it would evict everything else for one entry that
+// cannot even fit.
 func (m *Mem) Put(key string, data []byte) error {
 	if m.budget > 0 && int64(len(data)) > m.budget && !pinned(m.pins, key) {
 		return nil
 	}
-	e := &memEntry{raw: append([]byte(nil), data...)}
+	e := &memEntry{raw: data}
 	e.atime.Store(m.clock.Add(1))
 	s := &m.shards[shardOf(key)]
 	s.mu.Lock()
@@ -83,30 +84,21 @@ func (m *Mem) Put(key string, data []byte) error {
 	return nil
 }
 
-// Get implements Store.
-func (m *Mem) Get(key string) ([]byte, error) {
-	raw, err := m.stored(key)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), raw...), nil
-}
-
-// Open implements Streamer. The stream reads the stored slice itself,
-// without a copy: a stored value is never written after Put (Tamper
-// swaps in a mutated copy), so an open stream keeps reading exactly
-// the bytes it opened.
+// Open implements Streamer. Get and the stream Open returns both hand
+// out the stored slice itself, without a copy: a stored value is never
+// written after Put (Tamper swaps in a mutated copy), so a Get result
+// or an open stream keeps exactly the bytes it was given.
 func (m *Mem) Open(key string) (io.ReadCloser, int64, error) {
-	raw, err := m.stored(key)
+	raw, err := m.Get(key)
 	if err != nil {
 		return nil, 0, err
 	}
 	return io.NopCloser(bytes.NewReader(raw)), int64(len(raw)), nil
 }
 
-// stored returns the stored value for key, marking it used. Callers
-// must not write to it.
-func (m *Mem) stored(key string) ([]byte, error) {
+// Get implements Store, returning the stored value itself and marking
+// it used.
+func (m *Mem) Get(key string) ([]byte, error) {
 	s := &m.shards[shardOf(key)]
 	s.mu.RLock()
 	e, ok := s.data[key]
@@ -226,8 +218,8 @@ func (m *Mem) maybeEvict() {
 
 // Tamper flips a byte in the stored value — the root adversary
 // corrupting the cache. The flipped copy replaces the entry rather than
-// being written in place, because Open shares stored slices with the
-// streams it returns.
+// being written in place, because Get and Open hand the stored slice
+// itself to their callers.
 func (m *Mem) Tamper(key string) error {
 	s := &m.shards[shardOf(key)]
 	s.mu.Lock()
@@ -261,7 +253,8 @@ func (m *Mem) Snapshot() map[string][]byte {
 
 // Restore overwrites the store with a previous snapshot (the rollback
 // attack of §5.5: "reverting software packages and the metadata index
-// to the outdated versions").
+// to the outdated versions"). Like Put, it takes ownership of snap's
+// values.
 func (m *Mem) Restore(snap map[string][]byte) {
 	for i := range m.shards {
 		s := &m.shards[i]

@@ -34,6 +34,15 @@ import (
 var ErrNotFound = errors.New("store: key not found")
 
 // Store is the minimal mutable blob-store surface.
+//
+// Blobs move without defensive copies in either direction. A Get
+// result is read-only: it may be the stored value itself, so a caller
+// must not write into it. Put takes ownership of data: the caller must
+// not write into the slice after handing it over. Neither copy would
+// protect anything, since every reader re-verifies what it gets back
+// (see the package doc); a later Put, Delete or Tamper of the same key
+// replaces the stored value rather than editing it, so a slice a
+// caller already holds keeps its bytes.
 type Store interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)

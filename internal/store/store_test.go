@@ -418,6 +418,49 @@ func TestMemTamperSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestHeldBytesSurviveMutation pins the other half of the copy-free
+// contract: Get results and open streams may share the stored value, so
+// no store may edit a value in place. A slice from Get, or a stream from
+// Open, taken before an overwriting Put, a Delete or a Tamper keeps the
+// bytes it was given.
+func TestHeldBytesSurviveMutation(t *testing.T) {
+	mutations := map[string]func(s Store) error{
+		"put":    func(s Store) error { return s.Put("k", []byte("overwritten")) },
+		"delete": func(s Store) error { return s.Delete("k") },
+		"tamper": func(s Store) error { return s.(*Mem).Tamper("k") },
+	}
+	for name, s := range openBoth(t) {
+		for mut, apply := range mutations {
+			if _, isMem := s.(*Mem); mut == "tamper" && !isMem {
+				continue // only Mem plays the cache adversary
+			}
+			t.Run(name+"/"+mut, func(t *testing.T) {
+				if err := s.Put("k", []byte("original")); err != nil {
+					t.Fatal(err)
+				}
+				held, err := s.Get("k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream, _, err := s.(Streamer).Open("k")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer stream.Close()
+				if err := apply(s); err != nil {
+					t.Fatal(err)
+				}
+				if string(held) != "original" {
+					t.Fatalf("Get result after %s = %q", mut, held)
+				}
+				if got, err := io.ReadAll(stream); err != nil || string(got) != "original" {
+					t.Fatalf("stream after %s read %q, %v", mut, got, err)
+				}
+			})
+		}
+	}
+}
+
 // TestPinnedKeysSurviveBudget: pinned prefixes are exempt from LRU
 // eviction and from the oversized-blob drop — the journal an edge
 // replica persists beside its package cache must survive arbitrary

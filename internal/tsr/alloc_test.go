@@ -33,15 +33,18 @@ const (
 	// Decode copies each file once into an exact-size slice; the rest
 	// is headers and maps, so 4x the uncompressed size is generous.
 	decodeBudgetFactor = 4
-	// A verified copy owns two read blocks; anything else it allocates
-	// is a fixed-size struct, hash state or wrapper.
-	verifiedCopyBudget = 2*verifiedBlock + 4<<10
+	// A verified copy takes its two read blocks from a pool; what it
+	// allocates is a fixed-size struct, hash state or wrapper.
+	verifiedCopyBudget = 4 << 10
 	// DecodeMeta streams the data segment through the hash, so what it
 	// allocates is headers, scripts and signatures, whatever the size.
 	decodeMetaBudget = 16 << 10
 	// A disk Put writes the payload as it is: only names, the frame
 	// header and file handles are allocated.
 	fsPutBudget = 16 << 10
+	// A memory Put keeps the slice it is handed and a Get hands it back:
+	// only the entry record is allocated, whatever the blob size.
+	memPutGetBudget = 1 << 10
 	// An index or delta GET sends its generation's memoized bytes, so it
 	// allocates only routing, headers and counters, whatever the index
 	// size: a copy of even a 500-entry index would not fit.
@@ -49,10 +52,12 @@ const (
 	// An index 304 is answered from the ETag alone: its validator
 	// headers, and on an edge the tier header, are all it allocates.
 	index304Budget = 64
-	// Package and chunk-manifest GETs, pinned where they stand: a
-	// streamed package owns two verified-read blocks; a manifest is
-	// rendered and gzip'd per request.
-	packageRouteBudget = 2*verifiedBlock + 8<<10
+	// A package GET streams through pooled verified-read blocks, and a
+	// Range GET slices the cached bytes without copying them, so both
+	// allocate only headers and per-request state, whatever the package
+	// size. A chunk manifest is rendered and gzip'd per request.
+	packageRouteBudget = 8 << 10
+	rangeRouteBudget   = 4 << 10
 	chunksRouteBudget  = 10 << 10
 )
 
@@ -98,8 +103,9 @@ func bytesPerCall(runs int, f func()) uint64 {
 // TestAllocBudget fails when the package byte path starts allocating
 // more than its payload again: apk.Encode and apk.Decode of a 64 KiB
 // package, apk.DecodeMeta of a 64 KiB and a 1 MiB one, a streamed
-// Sanitize of a 16-file 256 KiB package, a 1 MiB disk store Put, and a
-// 1 MiB copy through NewVerifiedReader. It also holds WriteNegotiated
+// Sanitize of a 16-file 256 KiB package, a 1 MiB disk store Put, a
+// 1 MiB memory store Put and Get, and a 1 MiB copy through
+// NewVerifiedReader. It also holds WriteNegotiated
 // and the origin's read routes to their budgets (readRouteBudgets).
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -190,6 +196,22 @@ func TestAllocBudget(t *testing.T) {
 			t.Fatalf("1 MiB Put allocates %d B/call, budget %d", got, fsPutBudget)
 		}
 	})
+	t.Run("store.Mem.PutGet", func(t *testing.T) {
+		m := store.NewMem()
+		data := bytes.Repeat([]byte("payload!"), (1<<20)/8)
+		got := bytesPerCall(20, func() {
+			if err := m.Put("budget@1", data); err != nil {
+				t.Fatal(err)
+			}
+			if raw, err := m.Get("budget@1"); err != nil || len(raw) != len(data) {
+				t.Fatalf("Get: %d bytes, %v", len(raw), err)
+			}
+		})
+		if got > memPutGetBudget {
+			t.Fatalf("1 MiB Put and Get allocate %d B/call, budget %d", got, memPutGetBudget)
+		}
+		t.Logf("1 MiB Put and Get: %d B/call", got)
+	})
 	t.Run("VerifiedReader", func(t *testing.T) {
 		data := bytes.Repeat([]byte("verified"), (1<<20)/8)
 		want := sha256.Sum256(data)
@@ -198,10 +220,12 @@ func TestAllocBudget(t *testing.T) {
 			if n, err := io.Copy(io.Discard, vr); err != nil || n != int64(len(data)) {
 				t.Fatalf("copied %d bytes, err %v", n, err)
 			}
+			vr.Close()
 		})
 		if got > verifiedCopyBudget {
 			t.Fatalf("1 MiB verified copy allocates %d B/call, budget %d", got, verifiedCopyBudget)
 		}
+		t.Logf("1 MiB verified copy: %d B/call", got)
 	})
 	readRouteBudgets(t)
 }
@@ -260,15 +284,19 @@ func publishSynthetic(t *testing.T, r *Repo, ix *index.Index) *Published {
 
 // readRouteBudgets serves each read route through tsr.Handler and holds
 // it to its budget: the index and delta GETs at ~500 and ~5,000 entries
-// under one fixed bound, the 304, package and chunk-manifest GETs where
+// under one fixed bound, a 64 KiB Range GET of a cached package over
+// 1 MiB under another, the 304, package and chunk-manifest GETs where
 // they stand. (The edge package holds edge.Handler to the same budgets:
 // it imports this one, so its rows cannot live here.)
 func readRouteBudgets(t *testing.T) {
 	w := newWorld(t, 3)
-	w.publish(t, bigPackage("blob", "1.0-r0", 6, 64<<10))
+	w.publish(t, bigPackage("blob", "1.0-r0", 6, 64<<10), bigPackage("big", "1.0-r0", 5, 256<<10))
 	pkgTenant := w.deploy(t)
 	if _, err := pkgTenant.Refresh(); err != nil {
 		t.Fatal(err)
+	}
+	if big, err := pkgTenant.FetchPackage("big"); err != nil || len(big) < 1<<20 {
+		t.Fatalf("big package: %d bytes, %v; the Range row needs at least 1 MiB", len(big), err)
 	}
 	h := Handler(w.svc)
 	d := &discardWriter{h: make(http.Header)}
@@ -321,5 +349,8 @@ func readRouteBudgets(t *testing.T) {
 	t.Run("origin/package", func(t *testing.T) {
 		check(t, prefix, nil, http.StatusOK, packageRouteBudget)
 		check(t, prefix+"/chunks", gz, http.StatusOK, chunksRouteBudget)
+	})
+	t.Run("origin/range", func(t *testing.T) {
+		check(t, "/repos/"+pkgTenant.ID+"/packages/big", map[string]string{"Range": "bytes=0-65535"}, http.StatusPartialContent, rangeRouteBudget)
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"tsr/internal/index"
@@ -215,43 +216,56 @@ func pkgCacheKey(hash [sha256.Size]byte) string {
 	return "pkg/" + hex.EncodeToString(hash[:])
 }
 
-// cachedPackage returns the exact requested bytes from PkgCache when
-// present and verifying (the cache is untrusted), or nil.
-func (c *Client) cachedPackage(entry index.Entry) []byte {
-	raw, err := c.PkgCache.Get(pkgCacheKey(entry.Hash))
+// ClientCache is a client's memory of the packages it verified, kept
+// over an untrusted PkgCache store: the bytes by content hash, and per
+// name the entry of the last verified fetch, the base of the next
+// differential fetch. Every read re-verifies against an entry. The zero
+// value is ready, and a nil store makes every read a miss and Remember
+// a no-op. tsr.Client and edge.FailoverClient both hold one.
+type ClientCache struct {
+	mu   sync.Mutex
+	last map[string]index.Entry // package name -> size and hash of the last verified fetch
+}
+
+// Cached returns entry's bytes from st when present and verifying, or
+// nil. The bytes are read-only: they may be the stored value itself.
+func (cc *ClientCache) Cached(st store.Store, entry index.Entry) []byte {
+	if st == nil {
+		return nil
+	}
+	raw, err := st.Get(pkgCacheKey(entry.Hash))
 	if err != nil || !entry.Matches(raw) {
 		return nil
 	}
 	return raw
 }
 
-// rememberPackage caches verified package bytes and records the
-// name→hash association the next differential fetch diffs against.
-func (c *Client) rememberPackage(name string, entry index.Entry, raw []byte) {
-	_ = c.PkgCache.Put(pkgCacheKey(entry.Hash), raw)
-	c.mu.Lock()
-	if c.lastHash == nil {
-		c.lastHash = make(map[string][sha256.Size]byte)
+// Remember stores verified package bytes in st, which takes ownership
+// of raw, and records entry as name's diff base.
+func (cc *ClientCache) Remember(st store.Store, name string, entry index.Entry, raw []byte) {
+	if st == nil {
+		return
 	}
-	c.lastHash[name] = entry.Hash
-	c.mu.Unlock()
+	_ = st.Put(pkgCacheKey(entry.Hash), raw)
+	cc.mu.Lock()
+	if cc.last == nil {
+		cc.last = make(map[string]index.Entry)
+	}
+	cc.last[name] = index.Entry{Size: entry.Size, Hash: entry.Hash}
+	cc.mu.Unlock()
 }
 
-// previousPackage returns the verified bytes of the version of name
-// this client last fetched, when they are still cached and differ from
-// the wanted entry.
-func (c *Client) previousPackage(name string, entry index.Entry) []byte {
-	c.mu.Lock()
-	prev, ok := c.lastHash[name]
-	c.mu.Unlock()
-	if !ok || prev == entry.Hash {
+// Previous returns the verified bytes of the version of name last
+// remembered, when they are still cached and differ from the wanted
+// entry. Like Cached, the bytes are read-only.
+func (cc *ClientCache) Previous(st store.Store, name string, entry index.Entry) []byte {
+	cc.mu.Lock()
+	prev, ok := cc.last[name]
+	cc.mu.Unlock()
+	if !ok || prev.Hash == entry.Hash {
 		return nil
 	}
-	raw, err := c.PkgCache.Get(pkgCacheKey(prev))
-	if err != nil || sha256.Sum256(raw) != prev {
-		return nil
-	}
-	return raw
+	return cc.Cached(st, prev)
 }
 
 // fetchPackageAny serves one package using the cheapest trustworthy
@@ -262,15 +276,15 @@ func (c *Client) fetchPackageAny(ctx context.Context, name string, entry index.E
 	if c.PkgCache == nil {
 		return c.fetchPackageVerified(ctx, name, entry)
 	}
-	if raw := c.cachedPackage(entry); raw != nil {
+	if raw := c.pkgs.Cached(c.PkgCache, entry); raw != nil {
 		c.wire.cacheHits.Add(1)
 		return raw, nil
 	}
-	if old := c.previousPackage(name, entry); old != nil {
+	if old := c.pkgs.Previous(c.PkgCache, name, entry); old != nil {
 		raw, err := c.fetchPackageDiff(ctx, name, entry, old)
 		if err == nil {
 			c.wire.diffFetches.Add(1)
-			c.rememberPackage(name, entry, raw)
+			c.pkgs.Remember(c.PkgCache, name, entry, raw)
 			return raw, nil
 		}
 		// Any differential failure — tampered manifest, stale ranges,
@@ -281,7 +295,7 @@ func (c *Client) fetchPackageAny(ctx context.Context, name string, entry index.E
 	if err != nil {
 		return nil, err
 	}
-	c.rememberPackage(name, entry, raw)
+	c.pkgs.Remember(c.PkgCache, name, entry, raw)
 	return raw, nil
 }
 

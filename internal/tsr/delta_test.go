@@ -191,6 +191,7 @@ func TestClientFetchPackageRejectsCorruptBytes(t *testing.T) {
 				rw.WriteHeader(http.StatusInternalServerError)
 				return
 			}
+			raw = append([]byte(nil), raw...) // the served bytes are read-only
 			raw[len(raw)/2] ^= 0xFF
 			rw.Write(raw)
 			return

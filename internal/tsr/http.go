@@ -3,7 +3,6 @@ package tsr
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
@@ -320,10 +319,10 @@ type Client struct {
 	PkgCache store.Store
 
 	mu        sync.Mutex
-	cached    *index.Signed                // last 200 index response (body + signature)
-	cachedTag string                       // its ETag, sent as If-None-Match
-	cachedIx  *index.Index                 // decoded form of cached (lazy; for package verification)
-	lastHash  map[string][sha256.Size]byte // package name -> hash of the last verified fetch (diff base)
+	cached    *index.Signed // last 200 index response (body + signature)
+	cachedTag string        // its ETag, sent as If-None-Match
+	cachedIx  *index.Index  // decoded form of cached (lazy; for package verification)
+	pkgs      ClientCache   // verified packages over PkgCache
 
 	wire wireCounters
 }
@@ -512,7 +511,8 @@ func (c *Client) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *i
 // stale (the server republished while this client held an old
 // generation — e.g. a long-lived client across an origin refresh), so
 // the index is revalidated once and the download retried against the
-// fresh entry before the failure is final.
+// fresh entry before the failure is final. With a PkgCache the returned
+// bytes may be the cached entry itself, so they are read-only.
 func (c *Client) FetchPackage(name string) ([]byte, error) {
 	return c.FetchPackageCtx(nil, name)
 }

@@ -279,6 +279,7 @@ func TestTamperedCheckpointComesUpCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob = append([]byte(nil), blob...) // a Get result is read-only
 	blob[len(blob)/2] ^= 0xFF
 	if err := w1.backing.Put(StateStoreKey(r1.ID), blob); err != nil {
 		t.Fatal(err)

@@ -176,7 +176,8 @@ type FetchResult struct {
 	ETag string
 }
 
-// FetchPackage implements pkgmgr.Source.
+// FetchPackage implements pkgmgr.Source. The returned bytes are
+// read-only: they may be the sanitized-cache entry itself.
 func (r *Repo) FetchPackage(name string) ([]byte, error) {
 	raw, _, err := r.FetchPackageTraced(name)
 	return raw, err
@@ -323,15 +324,10 @@ func (r *Repo) fillCoalesced(ctx context.Context, snap *snapshot, name string, e
 	if err != nil {
 		return nil, nil, err
 	}
-	// Every caller — leader included — gets its own COPY of the bytes:
-	// every FetchPackage caller has always owned its returned slice
-	// (the mem store copies on Get, resanitize allocates fresh), and
-	// with followers possibly still mid-copy when the leader's Do
-	// returns, a caller mutating a shared buffer must not corrupt the
-	// verified bytes the rest of the cohort is holding.
-	raw := append([]byte(nil), v.raw...)
+	// The whole cohort shares the verified bytes, which are also the
+	// sanitized-cache entry: like a cache hit, they are read-only.
 	if leader {
-		return raw, v.res, nil
+		return v.raw, v.res, nil
 	}
 	r.totals.coalescedFills.Add(1)
 	// The follower's span did not perform the fill: link it to the
@@ -339,7 +335,7 @@ func (r *Repo) fillCoalesced(ctx context.Context, snap *snapshot, name string, e
 	trace.SpanFromContext(ctx).LinkCoalesced(trace.SpanFromContext(leaderCtx))
 	// Followers get their own result: same provenance and ETag, their
 	// own wall-clock wait (which is ≤ the leader's full fill time).
-	return raw, &FetchResult{From: v.res.From, Latency: time.Since(start), ETag: v.res.ETag}, nil
+	return v.raw, &FetchResult{From: v.res.From, Latency: time.Since(start), ETag: v.res.ETag}, nil
 }
 
 // resanitize rebuilds the sanitized package from the original (cached

@@ -7,6 +7,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -279,18 +280,26 @@ func NewVerifiedReader(src io.ReadCloser, want [sha256.Size]byte, onFail func())
 
 // verifiedBlock is the read size of a verifiedReader. At most two
 // blocks are live (the one being released and the one held back), so
-// each reader owns two and alternates them.
+// each reader holds two and alternates them.
 const verifiedBlock = 32 << 10
+
+// verifiedBlocks pools both read blocks of a verifiedReader as one
+// array: a reader takes one on its first read and Close returns it.
+var verifiedBlocks = sync.Pool{New: func() any { return new([2 * verifiedBlock]byte) }}
+
+// errVerifiedClosed is what a verifiedReader returns once closed: its
+// blocks may already serve another reader.
+var errVerifiedClosed = errors.New("tsr: read from a closed verified reader")
 
 type verifiedReader struct {
 	src     io.ReadCloser
 	want    [sha256.Size]byte
 	onFail  func()
 	h       hash.Hash
-	blocks  [2][]byte // allocated on first use
-	next    int       // index of the block the next advance reads into
-	ready   []byte    // verified-for-release bytes
-	pending []byte    // read and hashed, held until the next block or EOF verdict
+	blocks  *[2 * verifiedBlock]byte // from verifiedBlocks on first use
+	next    int                      // index of the block the next advance reads into
+	ready   []byte                   // verified-for-release bytes
+	pending []byte                   // read and hashed, held until the next block or EOF verdict
 	fin     bool
 	err     error
 }
@@ -343,10 +352,10 @@ func (v *verifiedReader) fill() error {
 // one. It runs only once ready is drained, so the block it reads into
 // is never one a caller is still being handed.
 func (v *verifiedReader) advance() {
-	if v.blocks[v.next] == nil {
-		v.blocks[v.next] = make([]byte, verifiedBlock)
+	if v.blocks == nil {
+		v.blocks = verifiedBlocks.Get().(*[2 * verifiedBlock]byte)
 	}
-	block := v.blocks[v.next]
+	block := v.blocks[v.next*verifiedBlock : (v.next+1)*verifiedBlock]
 	n, err := v.src.Read(block)
 	if n > 0 {
 		v.h.Write(block[:n])
@@ -379,7 +388,20 @@ func (v *verifiedReader) advance() {
 	}
 }
 
-func (v *verifiedReader) Close() error { return v.src.Close() }
+// Close closes the source and returns the reader's blocks to the pool.
+// It is idempotent; a read after it fails.
+func (v *verifiedReader) Close() error {
+	if v.err == errVerifiedClosed {
+		return nil
+	}
+	v.ready, v.pending = nil, nil
+	v.err = errVerifiedClosed
+	if v.blocks != nil {
+		verifiedBlocks.Put(v.blocks)
+		v.blocks = nil
+	}
+	return v.src.Close()
+}
 
 // wireManifest is the JSON wire form of a chunk manifest.
 type wireManifest struct {

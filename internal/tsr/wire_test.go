@@ -12,10 +12,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
 	"tsr/internal/apk"
+	"tsr/internal/index"
 	"tsr/internal/store"
 )
 
@@ -606,6 +608,76 @@ func TestVerifiedReader(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifiedReaderClose: Close hands the pooled blocks back mid-stream
+// too, so a closed reader must release nothing more — not even bytes it
+// had already verified — and closing twice closes the source once.
+func TestVerifiedReaderClose(t *testing.T) {
+	data := make([]byte, 3*verifiedBlock)
+	rand.New(rand.NewSource(31)).Read(data)
+	src := &closeCounter{Reader: bytes.NewReader(data)}
+	vr := NewVerifiedReader(src, sha256.Sum256(data), nil)
+	if _, err := io.ReadFull(vr, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := vr.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	if src.closes != 1 {
+		t.Fatalf("source closed %d times, want 1", src.closes)
+	}
+	if n, err := vr.Read(make([]byte, 10)); n != 0 || err == nil || err == io.EOF {
+		t.Fatalf("Read after Close = %d, %v; want 0 and a non-EOF error", n, err)
+	}
+	if n, err := io.Copy(io.Discard, vr); n != 0 || err == nil {
+		t.Fatalf("WriteTo after Close = %d, %v; want 0 and an error", n, err)
+	}
+}
+
+// TestVerifiedReadersConcurrent streams one stored package through many
+// verified readers at once: the pooled blocks pass from each closed
+// reader to the next, and the stored slice is shared by all of them,
+// yet every stream must deliver exactly the stored bytes.
+func TestVerifiedReadersConcurrent(t *testing.T) {
+	data := make([]byte, 3*verifiedBlock+17)
+	rand.New(rand.NewSource(37)).Read(data)
+	entry := index.Entry{Size: int64(len(data)), Hash: sha256.Sum256(data)}
+	st := store.NewMem()
+	if err := st.Put("pkg", data); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rc, ok := OpenVerified(st, "pkg", entry)
+				if !ok {
+					t.Error("OpenVerified refused the stored entry")
+					return
+				}
+				var out bytes.Buffer
+				_, err := io.Copy(&out, rc)
+				rc.Close()
+				if err != nil || !bytes.Equal(out.Bytes(), data) {
+					t.Errorf("stream %d: %d bytes, %v", i, out.Len(), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+type closeCounter struct {
+	io.Reader
+	closes int
+}
+
+func (c *closeCounter) Close() error { c.closes++; return nil }
 
 // acceptsGzipRows are Accept-Encoding headers and whether they admit
 // gzip. FuzzAcceptsGzip seeds from them.
