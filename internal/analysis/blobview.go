@@ -13,11 +13,12 @@ import (
 // slice would corrupt the cache for everyone sharing it. Within each
 // function, the analyzer marks the identifiers assigned from a store's
 // Get, from the edge's fetchEntry or previousCached, or from the
-// ClientCache read methods, and the identifiers passed as data to a
-// store's Put; it reports an element write to any of them or a copy
-// into them. A "store" is any type that implements store.Store. The
-// rule is flow-insensitive: a name that ever holds a view is a view
-// for the whole function, so a private copy takes a new name.
+// FailoverClient's cachedPackage or previousPackage, and the
+// identifiers passed as data to a store's Put; it reports an element
+// write to any of them or a copy into them. A "store" is any type that
+// implements store.Store. The rule is flow-insensitive: a name that
+// ever holds a view is a view for the whole function, so a private
+// copy takes a new name.
 var Blobview = &Analyzer{
 	Name: "blobview",
 	Doc:  "store Get results and the slices handed to Put are read-only",
@@ -35,8 +36,8 @@ var Blobview = &Analyzer{
 // blobviewSources are the non-store functions that hand out read-only
 // views, by receiver type and method name.
 var blobviewSources = map[string]map[string]bool{
-	"Replica":     {"fetchEntry": true, "previousCached": true},
-	"ClientCache": {"Cached": true, "Previous": true},
+	"Replica":        {"fetchEntry": true, "previousCached": true},
+	"FailoverClient": {"cachedPackage": true, "previousPackage": true},
 }
 
 func runBlobview(pass *Pass) error {

@@ -1,7 +1,8 @@
 // Package blobview exercises the blobview analyzer. The harness loads
 // it under tsr/internal/edge: slices read from a store.Store, from the
-// edge's fetchEntry/previousCached, or from the ClientCache read
-// methods, and slices handed to a store's Put, are read-only.
+// edge's fetchEntry/previousCached, or from the FailoverClient's
+// cachedPackage/previousPackage, and slices handed to a store's Put,
+// are read-only.
 package blobview
 
 import (
@@ -19,10 +20,10 @@ func (rep *Replica) previousCached(name string) []byte {
 	return raw
 }
 
-type ClientCache struct{}
+type FailoverClient struct{ PkgCache store.Store }
 
-func (cc *ClientCache) Cached(st store.Store, key string) []byte {
-	raw, _ := st.Get(key)
+func (c *FailoverClient) cachedPackage(key string) []byte {
+	raw, _ := c.PkgCache.Get(key)
 	return raw
 }
 
@@ -43,13 +44,13 @@ func concreteStore(m *store.Mem) {
 	copy(raw, []byte{1}) // want `raw is a read-only blob view`
 }
 
-func sources(rep *Replica, cc *ClientCache) {
+func sources(rep *Replica, c *FailoverClient) {
 	hit, _ := rep.fetchEntry("p")
 	hit[0] = 1 // want `hit is a read-only blob view`
 	if old := rep.previousCached("p"); old != nil {
 		old[0] = 2 // want `old is a read-only blob view`
 	}
-	pkg := cc.Cached(rep.cache, "p")
+	pkg := c.cachedPackage("p")
 	pkg[0] = 3 // want `pkg is a read-only blob view`
 }
 

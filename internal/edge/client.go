@@ -14,17 +14,12 @@ import (
 	"tsr/internal/quorum"
 	"tsr/internal/store"
 	"tsr/internal/trace"
-	"tsr/internal/tsr"
 )
 
 // Client-side error sentinels.
 var (
 	// ErrNoEndpoints: the client has no endpoints configured.
 	ErrNoEndpoints = errors.New("edge: no endpoints configured")
-	// ErrStale marks an index that verified correctly but carries a
-	// lower sequence than one this client already accepted — the
-	// frozen/replayed-replica signature failure mode.
-	ErrStale = errors.New("edge: endpoint served a stale (replayed) index")
 	// ErrAllEndpointsFailed: every endpoint was tried and rejected.
 	ErrAllEndpointsFailed = errors.New("edge: all endpoints failed")
 )
@@ -60,11 +55,12 @@ const failPenalty = 250 * time.Millisecond
 //
 //   - latency-aware selection: endpoints are ranked by modeled RTT from
 //     the client's continent (netsim), demoted while they misbehave;
-//   - end-to-end verification: every index must carry a valid origin
-//     signature AND a sequence no older than the freshest this client
-//     has accepted (defeating frozen/replaying replicas); every package
-//     must hash to its entry in that verified index (defeating
-//     tampering replicas) — unverified bytes are never returned;
+//   - end-to-end verification: every index must pass
+//     index.AcceptIndex — a valid origin signature AND a sequence no
+//     older than the freshest this client has accepted (defeating
+//     frozen/replaying replicas); every package must hash to its entry
+//     in that accepted index (defeating tampering replicas) —
+//     unverified bytes are never returned;
 //   - automatic failover: any verification or transport failure moves
 //     on to the next-best endpoint;
 //   - an optional quorum mode (QuorumK ≥ 3): FetchIndex cross-checks
@@ -80,7 +76,8 @@ type FailoverClient struct {
 	// Clock is advanced by the modeled transfer time of each request.
 	Clock netsim.Clock
 	// TrustRing verifies index signatures: the tenant repository's
-	// public key from policy deployment (Figure 7).
+	// public key from policy deployment (Figure 7). Without one the
+	// client accepts nothing (index.ErrUntrusted).
 	TrustRing *keys.Ring
 	// Endpoints are the origin and edges to read from.
 	Endpoints []Endpoint
@@ -96,10 +93,10 @@ type FailoverClient struct {
 	PkgCache store.Store
 
 	mu       sync.Mutex
-	minSeq   uint64          // freshness floor: highest verified sequence accepted
-	cachedIx *index.Index    // decoded verified index (package hash lookups)
-	failures []int           // consecutive failures per endpoint
-	pkgs     tsr.ClientCache // verified packages over PkgCache
+	floor    index.Floor            // freshness floor of cachedIx
+	cachedIx *index.Index           // the accepted index (package hash lookups)
+	failures []int                  // consecutive failures per endpoint
+	lastPkg  map[string]index.Entry // package name -> last verified fetch (the diff base)
 	stats    FailoverStats
 }
 
@@ -111,6 +108,8 @@ type FailoverStats struct {
 	// endpoint.
 	Failovers int64 `json:"failovers"`
 	// Rejection reasons (each also triggers a failover attempt).
+	// RejectedStale counts index.ErrStale and index.ErrFork refusals;
+	// RejectedSignature counts the other refusals of a decodable answer.
 	RejectedSignature int64 `json:"rejected_signature"`
 	RejectedStale     int64 `json:"rejected_stale"`
 	RejectedBytes     int64 `json:"rejected_bytes"`
@@ -192,9 +191,9 @@ func (c *FailoverClient) charge(ep Endpoint, bytes int64) {
 	}
 }
 
-// FetchIndex implements pkgmgr.Source. The returned index is verified
-// (signature + freshness) before it is returned; the decoded form is
-// cached for package hash checks.
+// FetchIndex implements pkgmgr.Source. The returned index has passed
+// index.AcceptIndex (signature + freshness) before it is returned; the
+// decoded form is kept for package hash checks.
 func (c *FailoverClient) FetchIndex() (*index.Signed, error) {
 	return c.FetchIndexCtx(context.Background())
 }
@@ -229,13 +228,11 @@ func (c *FailoverClient) FetchIndexCtx(ctx context.Context) (_ *index.Signed, er
 			continue
 		}
 		c.charge(ep, signed.Size())
-		ix, err := c.verify(signed)
-		if err != nil {
+		if _, err := c.accept(signed); err != nil {
 			c.noteFailure(i)
 			errs = append(errs, fmt.Errorf("%s: %w", ep.Name, err))
 			continue
 		}
-		c.accept(ix)
 		c.noteServed(i, attempt)
 		return signed, nil
 	}
@@ -276,18 +273,17 @@ func (c *FailoverClient) fetchIndexQuorum(ctx context.Context) (*index.Signed, e
 	if err != nil {
 		return nil, fmt.Errorf("edge: quorum cross-check: %w", err)
 	}
-	ix, err := c.verify(res.Index)
+	floor, err := c.accept(res.Index)
 	if err != nil {
 		return nil, fmt.Errorf("edge: quorum cross-check: %w", err)
 	}
-	c.accept(ix)
 	// Health and stats mirror the single-endpoint path: members that
 	// served the agreed index are credited and healed; members that
 	// served something else (a frozen or tampering edge the quorum
 	// outvoted) are demoted so later reads — quorum or not — stop
-	// preferring them, and an outvoted index older than the agreed one
-	// counts as a stale rejection. Transport failures were noted by the
-	// adapter.
+	// preferring them, and an outvoted index the acceptance rule calls
+	// stale against the agreed one counts as a stale rejection.
+	// Transport failures were noted by the adapter.
 	winner := res.Index.Digest()
 	for _, src := range sources {
 		switch {
@@ -295,7 +291,7 @@ func (c *FailoverClient) fetchIndexQuorum(ctx context.Context) (*index.Signed, e
 		case src.got.Digest() == winner:
 			c.noteServed(src.ep, 0)
 		default:
-			if lost, err := index.Decode(src.got.Raw); err == nil && lost.Sequence < ix.Sequence {
+			if _, _, err := index.AcceptIndex(floor, src.got, c.TrustRing); errors.Is(err, index.ErrStale) {
 				c.mu.Lock()
 				c.stats.RejectedStale++
 				c.mu.Unlock()
@@ -329,42 +325,24 @@ func (s *quorumSource) FetchIndex() (*index.Signed, error) {
 	return signed, nil
 }
 
-// verify checks the origin signature and the freshness floor, returning
-// the decoded index.
-func (c *FailoverClient) verify(signed *index.Signed) (*index.Index, error) {
-	if c.TrustRing != nil {
-		if err := signed.VerifySignature(c.TrustRing); err != nil {
-			c.mu.Lock()
-			c.stats.RejectedSignature++
-			c.mu.Unlock()
-			return nil, err
-		}
-	}
-	ix, err := index.Decode(signed.Raw)
-	if err != nil {
-		return nil, err
-	}
+// accept runs signed through index.AcceptIndex against the client's
+// floor and, when it passes, commits the new floor together with the
+// decoded index — under one lock, so concurrent fetches cannot move the
+// client's view backwards. It books every refusal into the stats and
+// returns the floor in force afterwards.
+func (c *FailoverClient) accept(signed *index.Signed) (index.Floor, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ix.Sequence < c.minSeq {
+	ix, floor, err := index.AcceptIndex(c.floor, signed, c.TrustRing)
+	switch {
+	case err == nil:
+		c.floor, c.cachedIx = floor, ix
+	case errors.Is(err, index.ErrStale), errors.Is(err, index.ErrFork):
 		c.stats.RejectedStale++
-		return nil, fmt.Errorf("%w: sequence %d < accepted %d", ErrStale, ix.Sequence, c.minSeq)
+	case !errors.Is(err, index.ErrFormat):
+		c.stats.RejectedSignature++
 	}
-	return ix, nil
-}
-
-// accept records a verified index as the client's current view. The
-// cached index only moves forward: a concurrent fetch that verified an
-// older (pre-floor-raise) generation must not replace a newer one.
-func (c *FailoverClient) accept(ix *index.Index) {
-	c.mu.Lock()
-	if ix.Sequence > c.minSeq {
-		c.minSeq = ix.Sequence
-	}
-	if c.cachedIx == nil || ix.Sequence >= c.cachedIx.Sequence {
-		c.cachedIx = ix
-	}
-	c.mu.Unlock()
+	return c.floor, err
 }
 
 // FetchPackage implements pkgmgr.Source: the bytes are verified against
@@ -427,7 +405,7 @@ func (c *FailoverClient) FetchPackageCtx(ctx context.Context, name string) (_ []
 // any differential failure degrades to a full fetch from the same
 // endpoint, so the failover semantics are unchanged.
 func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	if raw := c.pkgs.Cached(c.PkgCache, entry); raw != nil {
+	if raw := c.cachedPackage(entry); raw != nil {
 		c.mu.Lock()
 		c.stats.CacheHits++
 		c.mu.Unlock()
@@ -452,16 +430,60 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 			continue
 		}
 		c.noteServed(i, attempt)
-		c.pkgs.Remember(c.PkgCache, name, entry, raw)
+		c.rememberPackage(name, entry, raw)
 		return raw, nil
 	}
 	return nil, fmt.Errorf("%w: package %s: %w", ErrAllEndpointsFailed, name, errors.Join(errs...))
 }
 
+// cachedPackage returns entry's bytes from PkgCache when present and
+// verifying, or nil. PkgCache is untrusted (content-addressed in the
+// replica's cacheKey shape), so every read re-verifies. The bytes are
+// read-only: they may be the stored value itself.
+func (c *FailoverClient) cachedPackage(entry index.Entry) []byte {
+	if c.PkgCache == nil {
+		return nil
+	}
+	raw, err := c.PkgCache.Get(cacheKey(entry.Hash))
+	if err != nil || !entry.Matches(raw) {
+		return nil
+	}
+	return raw
+}
+
+// rememberPackage stores verified package bytes in PkgCache, which
+// takes ownership of raw, and records entry as name's diff base.
+func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []byte) {
+	if c.PkgCache == nil {
+		return
+	}
+	_ = c.PkgCache.Put(cacheKey(entry.Hash), raw)
+	c.mu.Lock()
+	if c.lastPkg == nil {
+		c.lastPkg = make(map[string]index.Entry)
+	}
+	c.lastPkg[name] = index.Entry{Size: entry.Size, Hash: entry.Hash}
+	c.mu.Unlock()
+}
+
+// previousPackage returns the verified bytes of the version of name
+// last remembered, when they are still cached and differ from the
+// wanted entry — the base of a differential fetch. Like cachedPackage,
+// the bytes are read-only.
+func (c *FailoverClient) previousPackage(name string, entry index.Entry) []byte {
+	c.mu.Lock()
+	prev, ok := c.lastPkg[name]
+	c.mu.Unlock()
+	if !ok || prev.Hash == entry.Hash {
+		return nil
+	}
+	return c.cachedPackage(prev)
+}
+
 // fetchFromEndpoint pulls one package from one endpoint, differentially
 // when possible, and reports the modeled wire bytes the transfer cost.
 func (c *FailoverClient) fetchFromEndpoint(ctx context.Context, ep Endpoint, name string, entry index.Entry) ([]byte, int64, error) {
-	if old := c.pkgs.Previous(c.PkgCache, name, entry); old != nil {
+	if old := c.previousPackage(name, entry); old != nil {
 		out, st, err := diffFetch(ctx, ep.Fetcher, name, entry, old)
 		if err == nil {
 			c.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tsr/internal/index"
 	"tsr/internal/keys"
 	"tsr/internal/netsim"
 	"tsr/internal/osimage"
@@ -91,8 +92,8 @@ func TestFailoverRejectsStaleReplica(t *testing.T) {
 	// rather than silently accept the replay.
 	near.SetBehavior(Offline)
 	_, err := c.FetchIndex()
-	if !errors.Is(err, ErrAllEndpointsFailed) || !errors.Is(err, ErrStale) {
-		t.Fatalf("err = %v, want ErrAllEndpointsFailed wrapping ErrStale", err)
+	if !errors.Is(err, ErrAllEndpointsFailed) || !errors.Is(err, index.ErrStale) {
+		t.Fatalf("err = %v, want ErrAllEndpointsFailed wrapping index.ErrStale", err)
 	}
 	if s := c.Stats(); s.RejectedStale != 1 {
 		t.Fatalf("stats = %+v, want RejectedStale=1", s)
@@ -218,8 +219,8 @@ func TestQuorumCrossCheck(t *testing.T) {
 	c.QuorumK = 0
 	reps[1].SetBehavior(Offline)
 	reps[2].SetBehavior(Offline)
-	if _, err := c.FetchIndex(); !errors.Is(err, ErrStale) {
-		t.Fatalf("err = %v, want ErrStale from the frozen replica", err)
+	if _, err := c.FetchIndex(); !errors.Is(err, index.ErrStale) {
+		t.Fatalf("err = %v, want index.ErrStale from the frozen replica", err)
 	}
 }
 
@@ -252,5 +253,20 @@ func TestFailoverClientDrivesPackageManager(t *testing.T) {
 	s := c.Stats()
 	if s.PerEndpoint["edge-eu"] == 0 {
 		t.Fatalf("install bypassed the near edge: %v", s.PerEndpoint)
+	}
+}
+
+// TestFailoverClientFailsClosedWithoutRing: a client with no trust ring
+// cannot verify any index, so every answer is refused and no package
+// is served.
+func TestFailoverClientFailsClosedWithoutRing(t *testing.T) {
+	w := newEdgeWorld(t)
+	c := newClient(w, Endpoint{Name: "origin", Continent: netsim.Europe, Fetcher: w.tenant})
+	c.TrustRing = nil
+	if _, err := c.FetchIndex(); !errors.Is(err, index.ErrUntrusted) {
+		t.Fatalf("FetchIndex err = %v, want index.ErrUntrusted", err)
+	}
+	if _, err := c.FetchPackage("app"); !errors.Is(err, index.ErrUntrusted) {
+		t.Fatalf("FetchPackage err = %v, want index.ErrUntrusted", err)
 	}
 }

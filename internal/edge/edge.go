@@ -142,8 +142,8 @@ type Replica struct {
 	// TrustRing optionally holds the origin repository's public signing
 	// key. A replica that has it self-verifies every synced index — a
 	// broken origin (or a middlebox) is then detected at sync time
-	// instead of at the clients. The replica works without it: clients
-	// verify end-to-end regardless.
+	// instead of at the clients. The replica works without it: it is an
+	// untrusted cache, and clients verify end-to-end regardless.
 	TrustRing *keys.Ring
 	// CacheBudget bounds the package cache in bytes (default
 	// DefaultCacheBudget). Only consulted when Cache is nil.
@@ -166,6 +166,9 @@ type Replica struct {
 	// origin round trips a sync performs happen under syncMu alone, so
 	// a slow origin cannot block package requests.
 	syncMu sync.Mutex
+	// floor is the freshness floor of the served generation (see
+	// admit). Guarded by syncMu.
+	floor index.Floor
 	// cacheOnce guards the lazy default for Cache.
 	cacheOnce sync.Once
 
@@ -288,11 +291,10 @@ func (rep *Replica) Stats() Stats {
 // Sync brings the replica up to date with its origin: the full signed
 // index on first contact, then deltas keyed by the current ETag. Every
 // path self-verifies — an applied delta must reproduce the advertised
-// signed index byte-for-byte (index.Delta.Apply checks the ETag), the
-// sequence must not regress, and the signature is checked when the
-// replica carries the origin's public key. Any delta failure falls back
-// to a full fetch; a Freeze replica returns immediately and keeps
-// replaying its pinned state.
+// signed index byte-for-byte (index.Delta.Apply checks the ETag), and
+// the result must pass admit. Any delta failure falls back to a full
+// fetch; a Freeze replica returns immediately and keeps replaying its
+// pinned state.
 //
 // Concurrent Sync calls coalesce: callers arriving while a sync is in
 // flight wait for it and share its result instead of queueing another
@@ -333,7 +335,7 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 	cur := rep.served.Load()
 	rep.stats.syncs.Add(1)
 	if cur == nil {
-		return rep.fullSync(ctx, nil)
+		return rep.fullSync(ctx)
 	}
 	d, err := originFetchIndexDelta(ctx, rep.Origin, cur.ETag)
 	if errors.Is(err, index.ErrDeltaUnchanged) {
@@ -344,24 +346,21 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 		var signed *index.Signed
 		var ix *index.Index
 		if signed, ix, err = d.Apply(cur.Index); err == nil {
-			if ix.Sequence < cur.Index.Sequence {
-				err = fmt.Errorf("edge: delta regressed sequence %d -> %d", cur.Index.Sequence, ix.Sequence)
-			} else if err = rep.selfVerify(signed); err == nil {
+			if err = rep.admit(signed, ix); err == nil {
 				rep.stats.deltaSyncs.Add(1)
-				rep.publish(signed, ix)
 				return nil
 			}
 		}
 	}
 	// Delta unavailable (base older than the origin's retained
-	// history), corrupt, or failed self-verification: full fetch.
+	// history), corrupt, or refused by admit: full fetch.
 	rep.stats.fullFallbacks.Add(1)
-	return rep.fullSync(ctx, cur)
+	return rep.fullSync(ctx)
 }
 
 // fullSync fetches and publishes the complete signed index. Caller
 // holds syncMu (not mu).
-func (rep *Replica) fullSync(ctx context.Context, cur *tsr.Published) error {
+func (rep *Replica) fullSync(ctx context.Context) error {
 	signed, _, err := originFetchIndexTagged(ctx, rep.Origin)
 	if err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
@@ -370,23 +369,33 @@ func (rep *Replica) fullSync(ctx context.Context, cur *tsr.Published) error {
 	if err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
 	}
-	if cur != nil && ix.Sequence < cur.Index.Sequence {
-		return fmt.Errorf("edge: origin served sequence %d < replica's %d (origin replay?)", ix.Sequence, cur.Index.Sequence)
-	}
-	if err := rep.selfVerify(signed); err != nil {
+	if err := rep.admit(signed, ix); err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
 	}
 	rep.stats.fullSyncs.Add(1)
-	rep.publish(signed, ix)
 	return nil
 }
 
-// selfVerify checks the origin signature when a trust ring is present.
-func (rep *Replica) selfVerify(signed *index.Signed) error {
-	if rep.TrustRing == nil {
-		return nil
+// admit publishes a synced index if the replica may serve it: the
+// origin signature must check when the replica holds the ring, and the
+// index must pass the floor step of index.AcceptIndex — never older
+// than the generation served (index.ErrStale, an origin replay), nor a
+// second body at its sequence (index.ErrFork). The replica is an
+// untrusted cache, so it may stay ring-less; clients run the whole
+// rule. Caller holds syncMu.
+func (rep *Replica) admit(signed *index.Signed, ix *index.Index) error {
+	if rep.TrustRing != nil {
+		if err := signed.VerifySignature(rep.TrustRing); err != nil {
+			return err
+		}
 	}
-	return signed.VerifySignature(rep.TrustRing)
+	floor, err := rep.floor.Step(ix, signed)
+	if err != nil {
+		return err
+	}
+	rep.floor = floor
+	rep.publish(signed, ix)
+	return nil
 }
 
 // publish swaps in the new state, prunes cached packages the new index
@@ -480,8 +489,7 @@ func decodeReplicaState(raw []byte) (*index.Signed, error) {
 // immediately and its next Sync resumes with a delta from the restored
 // generation instead of a full index fetch. The loaded bytes are as
 // untrusted as the rest of the store: they must decode, they must pass
-// the optional TrustRing self-check, and clients verify end-to-end
-// regardless. A rolled-back edge data dir simply restores an older
+// admit, and clients verify end-to-end regardless. A rolled-back edge data dir simply restores an older
 // generation — the next delta sync moves it forward, and the
 // FailoverClient's sequence floor protects clients meanwhile.
 func (rep *Replica) LoadState() error {
@@ -497,15 +505,14 @@ func (rep *Replica) LoadState() error {
 	if err != nil {
 		return fmt.Errorf("edge: persisted index state: %w", err)
 	}
-	if err := rep.selfVerify(signed); err != nil {
-		return fmt.Errorf("edge: persisted index state: %w", err)
-	}
 	rep.syncMu.Lock()
 	defer rep.syncMu.Unlock()
-	if cur := rep.served.Load(); cur != nil && cur.Index.Sequence >= ix.Sequence {
-		return nil // already serving this generation or newer
+	switch err := rep.admit(signed, ix); {
+	case errors.Is(err, index.ErrStale):
+		return nil // already serving a newer generation
+	case err != nil:
+		return fmt.Errorf("edge: persisted index state: %w", err)
 	}
-	rep.publish(signed, ix)
 	return nil
 }
 

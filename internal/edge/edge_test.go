@@ -27,13 +27,16 @@ import (
 // edgeWorld is an origin deployment (repository, mirrors, TSR service,
 // one refreshed tenant) for edge tests.
 type edgeWorld struct {
-	repo    *repo.Repository
-	mirrors []*mirror.Mirror
-	signer  *keys.Pair
-	svc     *tsr.Service
-	store   *store.Mem // the origin's package store
-	tenant  *tsr.Repo
-	policy  []byte // the deployed policy, for deploying further tenants
+	repo     *repo.Repository
+	mirrors  []*mirror.Mirror
+	signer   *keys.Pair
+	svc      *tsr.Service
+	store    *store.Mem // the origin's package store
+	tenant   *tsr.Repo
+	policy   []byte // the deployed policy, for deploying further tenants
+	platform *enclave.Platform
+	tpm      *tpm.TPM
+	resolve  func(policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) // the world's mirrors
 }
 
 func newEdgeWorld(t *testing.T) *edgeWorld {
@@ -63,40 +66,57 @@ func newEdgeWorld(t *testing.T) *edgeWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := tsr.New(tsr.Config{
-		Platform: platform,
-		TPM:      tpm.New(keys.Shared.MustGet("edge-test-tpm")),
-		Clock:    netsim.NewVirtualClock(time.Time{}),
-		Link:     netsim.DefaultLinkModel(netsim.NewRNG(11)),
-		Local:    netsim.Europe,
-		Store:    w.store,
-		EPC:      enclave.DefaultCostModel(),
-		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := byHost[m.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("no mirror %q", m.Hostname)
-			}
-			return mm, mm, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	w.platform, w.tpm = platform, tpm.New(keys.Shared.MustGet("edge-test-tpm"))
+	w.resolve = func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
+		mm, ok := byHost[m.Hostname]
+		if !ok {
+			return nil, nil, fmt.Errorf("no mirror %q", m.Hostname)
+		}
+		return mm, mm, nil
 	}
-	w.svc = svc
+	w.svc = w.newService(t, tsr.Config{
+		Store:   w.store,
+		Link:    netsim.DefaultLinkModel(netsim.NewRNG(11)),
+		Resolve: w.resolve,
+	})
 	w.publish(t, testPkg("app", "1.0-r0"), testPkg("lib", "1.0-r0"), testPkg("tool", "1.0-r0"))
 	w.policy = []byte(pol.String())
-	id, _, _, err := svc.DeployPolicy(w.policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.tenant, err = svc.Repo(id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w.tenant = w.deploy(t, w.svc)
 	if _, err := w.tenant.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// newService starts an origin on the world's host hardware (enclave
+// platform and TPM survive across the services of one world, as they
+// would across restarts) with cfg's store, link, resolver and
+// persistence.
+func (w *edgeWorld) newService(t *testing.T, cfg tsr.Config) *tsr.Service {
+	t.Helper()
+	cfg.Platform, cfg.TPM = w.platform, w.tpm
+	cfg.Clock = netsim.NewVirtualClock(time.Time{})
+	cfg.Local = netsim.Europe
+	cfg.EPC = enclave.DefaultCostModel()
+	svc, err := tsr.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// deploy deploys the world's policy on svc.
+func (w *edgeWorld) deploy(t *testing.T, svc *tsr.Service) *tsr.Repo {
+	t.Helper()
+	id, _, _, err := svc.DeployPolicy(w.policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := svc.Repo(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func testPkg(name, version string) *apk.Package {

@@ -5,11 +5,13 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"tsr/internal/apk"
@@ -212,6 +214,72 @@ func TestFailoverClientDifferentialFetch(t *testing.T) {
 	}
 	if s := c.Stats(); s.DiffFetches != 1 || s.DiffFallbacks != 0 {
 		t.Fatalf("version bump did not fetch differentially: %+v", s)
+	}
+}
+
+// TestFailoverClientDiffTamperedManifestFallsBack: a chunk manifest
+// that does not root in the accepted entry is rejected, and the client
+// degrades to a full fetch from the same endpoint — wrong bytes are
+// never returned.
+func TestFailoverClientDiffTamperedManifestFallsBack(t *testing.T) {
+	w := newEdgeWorld(t)
+	w.publish(t, bigEdgePkg("bigapp", "1.0-r0", 8, 32<<10))
+	if _, err := w.tenant.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	inner := tsr.Handler(w.svc)
+	// A corrupting middlebox: chunk-manifest responses get their
+	// package hash zeroed; everything else passes through.
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if !strings.HasSuffix(req.URL.Path, "/chunks") {
+			inner.ServeHTTP(rw, req)
+			return
+		}
+		req.Header.Del("Accept-Encoding") // keep the recorded body identity-coded
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, req)
+		var doc map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			rw.WriteHeader(rec.Code)
+			rw.Write(rec.Body.Bytes())
+			return
+		}
+		doc["hash"] = strings.Repeat("00", 32)
+		tampered, _ := json.Marshal(doc)
+		rw.Header().Set("Content-Type", "application/json")
+		rw.Write(tampered)
+	}))
+	defer srv.Close()
+	origin := &tsr.Client{BaseURL: srv.URL, RepoID: w.tenant.ID, HTTPClient: srv.Client()}
+	c := newClient(w, Endpoint{Name: "origin", Continent: netsim.Europe, Fetcher: origin})
+	c.PkgCache = store.NewMem()
+
+	if _, err := c.FetchPackage("bigapp"); err != nil {
+		t.Fatal(err)
+	}
+	w.publish(t, bigEdgePkg("bigapp", "1.1-r0", 8, 32<<10))
+	if _, err := w.tenant.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FetchIndex(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := c.FetchPackage("bigapp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.tenant.FetchPackage("bigapp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v2, want) {
+		t.Fatal("client returned bytes that do not match the served package")
+	}
+	if s := c.Stats(); s.DiffFallbacks != 1 || s.DiffFetches != 0 {
+		t.Fatalf("stats = %+v, want the diff rejected and one fallback", s)
+	}
+	if ws := origin.WireStats(); ws.FullFetches != 2 {
+		t.Fatalf("full fetches = %d, want 2 (cold + fallback)", ws.FullFetches)
 	}
 }
 

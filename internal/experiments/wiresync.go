@@ -18,7 +18,6 @@ import (
 	"tsr/internal/edge"
 	"tsr/internal/index"
 	"tsr/internal/keys"
-	"tsr/internal/store"
 	"tsr/internal/tsr"
 )
 
@@ -186,11 +185,7 @@ func WireSyncRun(cfg Config) (*WireSyncResult, error) {
 	}
 
 	// --- differential package sync -----------------------------------
-	client := &tsr.Client{
-		BaseURL:  srv.URL,
-		RepoID:   w.Tenant.ID,
-		PkgCache: store.NewMem(),
-	}
+	client := &tsr.Client{BaseURL: srv.URL, RepoID: w.Tenant.ID}
 	rep := &edge.Replica{
 		RepoID:    w.Tenant.ID,
 		Origin:    client,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"runtime"
 	"testing"
 
 	"tsr/internal/keys"
@@ -103,6 +104,45 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 		if !bytes.Equal(redecoded.Encode(), signed.Raw) {
 			t.Fatal("Apply raw is not the canonical encoding of its own decode")
+		}
+	})
+}
+
+// FuzzIndexDecode asserts the index decoder's contract on arbitrary
+// bytes, which an edge (or anything between it and a client) can feed
+// a consumer before the signature is checked: no panic, every error is
+// ErrFormat, a decoded index re-encodes to a fixed point, and the
+// memory decoding costs is bounded by the input's length, never by a
+// length the input claims (TestDecodeDistrustsSizeTrailer's contract).
+func FuzzIndexDecode(f *testing.F) {
+	for _, src := range decodeErrorCases {
+		f.Add([]byte(src))
+	}
+	f.Add(sampleIndex().Encode())
+	f.Add([]byte("origin = x\nsequence = 18446744073709551615\npackage = a 1.0 9223372036854775807 " +
+		"0000000000000000000000000000000000000000000000000000000000000000 -\n"))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := Decode(raw)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(raw))+64<<10 {
+			t.Fatalf("Decode allocated %d bytes for %d input bytes", n, len(raw))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrFormat) {
+				t.Fatalf("Decode error is not ErrFormat: %v", err)
+			}
+			return
+		}
+		enc := ix.Encode()
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding does not re-decode: %v\n%s", err, enc)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatalf("index encoding is not a fixed point:\n%s\nvs\n%s", enc, again.Encode())
 		}
 	})
 }

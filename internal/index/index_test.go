@@ -79,18 +79,21 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// decodeErrorCases are malformed indexes Decode must refuse with
+// ErrFormat; FuzzIndexDecode starts from them too.
+var decodeErrorCases = []string{
+	"garbage",
+	"origin = x\n",                        // missing sequence
+	"sequence = 1\n",                      // missing origin
+	"origin = x\nsequence = abc\n",        // bad sequence
+	"origin = x\nsequence = 1\nweird = y", // unknown key
+	"origin = x\nsequence = 1\npackage = a 1.0 12\n",        // short entry
+	"origin = x\nsequence = 1\npackage = a 1.0 xx hash -\n", // bad size
+	"origin = x\nsequence = 1\npackage = a 1.0 12 zzzz -\n", // bad hash
+}
+
 func TestDecodeErrors(t *testing.T) {
-	cases := []string{
-		"garbage",
-		"origin = x\n",                        // missing sequence
-		"sequence = 1\n",                      // missing origin
-		"origin = x\nsequence = abc\n",        // bad sequence
-		"origin = x\nsequence = 1\nweird = y", // unknown key
-		"origin = x\nsequence = 1\npackage = a 1.0 12\n",        // short entry
-		"origin = x\nsequence = 1\npackage = a 1.0 xx hash -\n", // bad size
-		"origin = x\nsequence = 1\npackage = a 1.0 12 zzzz -\n", // bad hash
-	}
-	for _, src := range cases {
+	for _, src := range decodeErrorCases {
 		if _, err := Decode([]byte(src)); !errors.Is(err, ErrFormat) {
 			t.Errorf("%q: err = %v", src, err)
 		}

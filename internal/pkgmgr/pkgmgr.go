@@ -36,7 +36,6 @@ var (
 	ErrNotInstalled     = errors.New("pkgmgr: package not installed")
 	ErrSizeMismatch     = errors.New("pkgmgr: package size does not match index (endless data defense)")
 	ErrHashMismatch     = errors.New("pkgmgr: package hash does not match index")
-	ErrStaleIndex       = errors.New("pkgmgr: refusing index older than previously seen (rollback defense)")
 	ErrDependencyCycle  = errors.New("pkgmgr: dependency cycle")
 	ErrScriptFailed     = errors.New("pkgmgr: installation script failed")
 )
@@ -114,7 +113,7 @@ type Manager struct {
 	net       *NetModel
 
 	idx       *index.Index
-	lastSeq   uint64
+	floor     index.Floor // freshness floor of idx (rollback defense)
 	installed map[string]Installed
 	measured  map[string][32]byte // last-measured content hash per path
 }
@@ -136,23 +135,21 @@ func New(img *osimage.Image, src Source, indexRing, pkgRing *keys.Ring) *Manager
 // SetNetModel enables modeled download time.
 func (m *Manager) SetNetModel(n *NetModel) { m.net = n }
 
-// Refresh fetches and verifies the metadata index. It refuses an index
-// with a lower sequence number than previously seen.
+// Refresh fetches the metadata index and accepts it under
+// index.AcceptIndex: a nil index ring, a bad signature, an index older
+// than the current one (index.ErrStale) or a different one at its
+// sequence (index.ErrFork) is refused and the current index kept.
 func (m *Manager) Refresh() error {
 	signed, err := m.src.FetchIndex()
 	if err != nil {
 		return fmt.Errorf("pkgmgr: fetching index: %w", err)
 	}
 	m.net.charge(signed.Size())
-	ix, err := signed.Verify(m.indexRing)
+	ix, floor, err := index.AcceptIndex(m.floor, signed, m.indexRing)
 	if err != nil {
 		return fmt.Errorf("pkgmgr: verifying index: %w", err)
 	}
-	if ix.Sequence < m.lastSeq {
-		return fmt.Errorf("%w: have %d, got %d", ErrStaleIndex, m.lastSeq, ix.Sequence)
-	}
-	m.idx = ix
-	m.lastSeq = ix.Sequence
+	m.idx, m.floor = ix, floor
 	return nil
 }
 

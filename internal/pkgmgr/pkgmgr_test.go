@@ -8,6 +8,7 @@ import (
 
 	"tsr/internal/apk"
 	"tsr/internal/ima"
+	"tsr/internal/index"
 	"tsr/internal/keys"
 	"tsr/internal/mirror"
 	"tsr/internal/netsim"
@@ -277,8 +278,22 @@ func TestRefreshRejectsOlderSequence(t *testing.T) {
 	}
 	// Switch the manager to the stale mirror: replay attack.
 	fx.mgr.src = staleMirror
-	if err := fx.mgr.Refresh(); !errors.Is(err, ErrStaleIndex) {
+	if err := fx.mgr.Refresh(); !errors.Is(err, index.ErrStale) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestRefreshFailsClosedWithoutRing: a manager with no index ring
+// cannot verify anything, so it accepts nothing.
+func TestRefreshFailsClosedWithoutRing(t *testing.T) {
+	fx := newFixture(t)
+	fx.publish(t, basicPkg("app", "1.0-r0"))
+	fx.mgr.indexRing = nil
+	if err := fx.mgr.Refresh(); !errors.Is(err, index.ErrUntrusted) {
+		t.Fatalf("err = %v, want index.ErrUntrusted", err)
+	}
+	if fx.mgr.Index() != nil {
+		t.Fatal("a ring-less manager accepted an index")
 	}
 }
 

@@ -44,7 +44,8 @@ type Reader struct {
 	// Clock is advanced by the modeled elapsed time of each read.
 	Clock netsim.Clock
 	// TrustRing verifies index signatures (the distribution's key).
-	// Indexes failing verification cost time but never vote.
+	// Indexes failing verification cost time but never vote. Read
+	// fails closed (index.ErrUntrusted) without one.
 	TrustRing *keys.Ring
 	// Members is the mirror set from the security policy.
 	Members []Member
@@ -82,11 +83,15 @@ type response struct {
 }
 
 // Read performs one quorum read. It fails with ErrNoQuorum if fewer
-// than f+1 mirrors agree on a verifiable index.
+// than f+1 mirrors agree on a verifiable index, and with
+// index.ErrUntrusted when the reader has no ring to verify votes with.
 func (r *Reader) Read() (*Result, error) {
 	n := len(r.Members)
 	if n == 0 {
 		return nil, ErrNoMirrors
+	}
+	if r.TrustRing == nil {
+		return nil, fmt.Errorf("quorum: %w", index.ErrUntrusted)
 	}
 	f := r.MaxFaulty()
 	need := f + 1
@@ -101,15 +106,12 @@ func (r *Reader) Read() (*Result, error) {
 		var size int64
 		if resp.signed != nil {
 			size = resp.signed.Size()
-			if r.TrustRing != nil {
-				// Signature-only check: the winning index is decoded
-				// once by the caller, not per vote.
-				if err := resp.signed.VerifySignature(r.TrustRing); err != nil {
-					resp.err = fmt.Errorf("mirror %s: %w", m.Host, err)
-					resp.signed = nil
-				}
-			}
-			if resp.signed != nil {
+			// Signature-only check: the winning index is decoded once
+			// by the caller, not per vote.
+			if err := resp.signed.VerifySignature(r.TrustRing); err != nil {
+				resp.err = fmt.Errorf("mirror %s: %w", m.Host, err)
+				resp.signed = nil
+			} else {
 				resp.digest = resp.signed.Digest()
 			}
 		}

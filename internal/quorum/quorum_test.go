@@ -236,6 +236,17 @@ func TestSingleMirror(t *testing.T) {
 	}
 }
 
+// TestReadFailsClosedWithoutRing: a reader with no ring cannot tell a
+// signed index from a forged one, so it counts no votes at all.
+func TestReadFailsClosedWithoutRing(t *testing.T) {
+	h := newHarness(t, netsim.Europe, netsim.Europe, netsim.Europe)
+	r := h.reader(nil, netsim.NewRNG(1))
+	r.TrustRing = nil
+	if _, err := r.Read(); !errors.Is(err, index.ErrUntrusted) {
+		t.Fatalf("err = %v, want index.ErrUntrusted", err)
+	}
+}
+
 func TestNoMirrors(t *testing.T) {
 	r := &Reader{}
 	if _, err := r.Read(); !errors.Is(err, ErrNoMirrors) {

@@ -3,30 +3,22 @@ package tsr
 import (
 	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
-	"tsr/internal/index"
 	"tsr/internal/store"
 	"tsr/internal/trace"
 )
 
-// Client-side wire efficiency: compressed index transfer accounting,
-// chunk-manifest + byte-range fetches, and chunk-aware differential
-// package download. The manifest is untrusted transfer metadata, and
-// every reassembled package must match its index entry's size and hash
-// before it is returned or cached; any failure on the differential path
-// falls back to a checked full fetch. The index those entries come from
-// is NOT signature-verified by this client (see Client.FetchPackage):
-// the check is transport integrity, and trust comes from the caller
-// (pkgmgr.Manager, edge.FailoverClient; ROADMAP item 1(b)).
+// Client-side wire efficiency: compressed index transfer accounting
+// and chunk-manifest + byte-range fetches. The client is a transport;
+// callers verify. Manifests and ranges are untrusted transfer metadata:
+// the chunk-differential engine that uses them (edge.Replica and
+// edge.FailoverClient, through edge.diffFetch) roots each manifest in
+// an accepted index entry and checks the reassembled bytes against it.
 
 // wireCounters are the client's cumulative wire-traffic counters.
 type wireCounters struct {
@@ -34,27 +26,22 @@ type wireCounters struct {
 	packageBytes  atomic.Int64 // package body bytes: full downloads + range fetches
 	manifestBytes atomic.Int64 // chunk-manifest body bytes
 	fullFetches   atomic.Int64
-	diffFetches   atomic.Int64
-	diffFallbacks atomic.Int64
-	cacheHits     atomic.Int64
-	chunksReused  atomic.Int64
-	chunksFetched atomic.Int64
 	rangeRequests atomic.Int64
 }
 
 // WireStats is a point-in-time snapshot of the client's wire traffic.
 // Byte counts are response-body bytes as transferred: gzip-encoded
-// indexes count their compressed size, differential fetches count
-// manifest + fetched ranges only.
+// indexes count their compressed size.
 type WireStats struct {
 	IndexBytes    int64 `json:"index_bytes"`
 	PackageBytes  int64 `json:"package_bytes"`
 	ManifestBytes int64 `json:"manifest_bytes"`
 	FullFetches   int64 `json:"full_fetches"`
-	DiffFetches   int64 `json:"diff_fetches"`
-	DiffFallbacks int64 `json:"diff_fallbacks"`
-	CacheHits     int64 `json:"cache_hits"`
-	ChunksReused  int64 `json:"chunks_reused"`
+	// Deprecated: DiffFetches is always 0. The client no longer runs a
+	// differential engine of its own; edge.Replica and
+	// edge.FailoverClient count their differential fetches.
+	DiffFetches int64 `json:"diff_fetches"`
+	// Deprecated: ChunksFetched is always 0, for the same reason.
 	ChunksFetched int64 `json:"chunks_fetched"`
 	RangeRequests int64 `json:"range_requests"`
 }
@@ -69,11 +56,6 @@ func (c *Client) WireStats() WireStats {
 		PackageBytes:  c.wire.packageBytes.Load(),
 		ManifestBytes: c.wire.manifestBytes.Load(),
 		FullFetches:   c.wire.fullFetches.Load(),
-		DiffFetches:   c.wire.diffFetches.Load(),
-		DiffFallbacks: c.wire.diffFallbacks.Load(),
-		CacheHits:     c.wire.cacheHits.Load(),
-		ChunksReused:  c.wire.chunksReused.Load(),
-		ChunksFetched: c.wire.chunksFetched.Load(),
 		RangeRequests: c.wire.rangeRequests.Load(),
 	}
 }
@@ -194,7 +176,7 @@ func (c *Client) FetchPackageRangeCtx(ctx context.Context, name string, off, len
 	case http.StatusOK:
 		// The server ignored the Range (or If-Range failed): the full
 		// body arrived. Satisfy the caller from it when possible.
-		raw, err := readBodyCounted(resp, maxRangeFallbackBytes, &c.wire.packageBytes)
+		raw, err := readPackageBody(resp, &c.wire.packageBytes)
 		if err != nil {
 			return nil, fmt.Errorf("tsr client: %w", err)
 		}
@@ -205,129 +187,4 @@ func (c *Client) FetchPackageRangeCtx(ctx context.Context, name string, off, len
 	default:
 		return nil, fmt.Errorf("tsr client: range %s: %s", name, readErr(resp))
 	}
-}
-
-// maxRangeFallbackBytes bounds the 200 fallback of a range request.
-const maxRangeFallbackBytes = 1 << 30
-
-// pkgCacheKey is the content-addressed PkgCache key for a verified
-// package body — the same shape the edge replica uses.
-func pkgCacheKey(hash [sha256.Size]byte) string {
-	return "pkg/" + hex.EncodeToString(hash[:])
-}
-
-// ClientCache is a client's memory of the packages it verified, kept
-// over an untrusted PkgCache store: the bytes by content hash, and per
-// name the entry of the last verified fetch, the base of the next
-// differential fetch. Every read re-verifies against an entry. The zero
-// value is ready, and a nil store makes every read a miss and Remember
-// a no-op. tsr.Client and edge.FailoverClient both hold one.
-type ClientCache struct {
-	mu   sync.Mutex
-	last map[string]index.Entry // package name -> size and hash of the last verified fetch
-}
-
-// Cached returns entry's bytes from st when present and verifying, or
-// nil. The bytes are read-only: they may be the stored value itself.
-func (cc *ClientCache) Cached(st store.Store, entry index.Entry) []byte {
-	if st == nil {
-		return nil
-	}
-	raw, err := st.Get(pkgCacheKey(entry.Hash))
-	if err != nil || !entry.Matches(raw) {
-		return nil
-	}
-	return raw
-}
-
-// Remember stores verified package bytes in st, which takes ownership
-// of raw, and records entry as name's diff base.
-func (cc *ClientCache) Remember(st store.Store, name string, entry index.Entry, raw []byte) {
-	if st == nil {
-		return
-	}
-	_ = st.Put(pkgCacheKey(entry.Hash), raw)
-	cc.mu.Lock()
-	if cc.last == nil {
-		cc.last = make(map[string]index.Entry)
-	}
-	cc.last[name] = index.Entry{Size: entry.Size, Hash: entry.Hash}
-	cc.mu.Unlock()
-}
-
-// Previous returns the verified bytes of the version of name last
-// remembered, when they are still cached and differ from the wanted
-// entry. Like Cached, the bytes are read-only.
-func (cc *ClientCache) Previous(st store.Store, name string, entry index.Entry) []byte {
-	cc.mu.Lock()
-	prev, ok := cc.last[name]
-	cc.mu.Unlock()
-	if !ok || prev.Hash == entry.Hash {
-		return nil
-	}
-	return cc.Cached(st, prev)
-}
-
-// fetchPackageAny serves one package using the cheapest trustworthy
-// path: cached exact bytes, then chunk-differential fetch against the
-// previous cached version, then a verified full download. Only
-// index-verified bytes are ever returned or cached.
-func (c *Client) fetchPackageAny(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	if c.PkgCache == nil {
-		return c.fetchPackageVerified(ctx, name, entry)
-	}
-	if raw := c.pkgs.Cached(c.PkgCache, entry); raw != nil {
-		c.wire.cacheHits.Add(1)
-		return raw, nil
-	}
-	if old := c.pkgs.Previous(c.PkgCache, name, entry); old != nil {
-		raw, err := c.fetchPackageDiff(ctx, name, entry, old)
-		if err == nil {
-			c.wire.diffFetches.Add(1)
-			c.pkgs.Remember(c.PkgCache, name, entry, raw)
-			return raw, nil
-		}
-		// Any differential failure — tampered manifest, stale ranges,
-		// reassembly mismatch — degrades to a full verified fetch.
-		c.wire.diffFallbacks.Add(1)
-	}
-	raw, err := c.fetchPackageVerified(ctx, name, entry)
-	if err != nil {
-		return nil, err
-	}
-	c.pkgs.Remember(c.PkgCache, name, entry, raw)
-	return raw, nil
-}
-
-// fetchPackageDiff reassembles the wanted package from the previous
-// version's chunks plus range-fetched changed chunks, then verifies
-// the whole against the signed entry. Any inconsistency is an error —
-// the caller falls back to a full fetch.
-func (c *Client) fetchPackageDiff(ctx context.Context, name string, entry index.Entry, old []byte) (_ []byte, err error) {
-	ctx, sp := trace.Start(ctx, "http.package_diff")
-	defer func() { sp.SetError(err); sp.End() }()
-	sp.SetAttr("package", name)
-	m, err := c.FetchChunkManifestCtx(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	// Root the manifest in the signed entry before trusting its shape
-	// for anything: a manifest for different bytes is useless at best.
-	if m.PackageHash != entry.Hash || m.TotalSize != entry.Size {
-		return nil, fmt.Errorf("tsr client: package %s: chunk manifest does not match the signed index entry", name)
-	}
-	out, st, err := ReassembleChunks(m, old, func(off, length int64) ([]byte, error) {
-		return c.FetchPackageRangeCtx(ctx, name, off, length, entry.ETag())
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !entry.Matches(out) {
-		return nil, fmt.Errorf("tsr client: package %s: differentially reassembled bytes do not match the signed index entry", name)
-	}
-	c.wire.chunksReused.Add(st.ChunksReused)
-	c.wire.chunksFetched.Add(st.ChunksFetched)
-	sp.SetAttr("chunks_reused", strconv.FormatInt(st.ChunksReused, 10))
-	sp.SetAttr("chunks_fetched", strconv.FormatInt(st.ChunksFetched, 10))
-	return out, nil
 }

@@ -1,10 +1,14 @@
 package tsr
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+
+	"tsr/internal/store"
 )
 
 // wellFormedTag reports whether etag is a plain RFC 9110 entity-tag: a
@@ -71,6 +75,66 @@ func FuzzAcceptsGzip(f *testing.F) {
 		req.Header["Accept-Encoding"] = []string{header + ", gzip;q=0"}
 		if AcceptsGzip(req) {
 			t.Fatalf("AcceptsGzip(%q) = true after an explicit gzip;q=0", header+", gzip;q=0")
+		}
+	})
+}
+
+// manifestErrorCases are malformed chunk manifests DecodeChunkManifest
+// must refuse; FuzzDecodeChunkManifest starts from them too.
+var manifestErrorCases = []string{
+	`not json`,
+	`{"package":"p","hash":"zz","size":0,"chunks":[]}`,                                                                          // bad package hash
+	`{"package":"p","hash":"` + zeroHash + `","size":-1,"chunks":[]}`,                                                           // negative size
+	`{"package":"p","hash":"` + zeroHash + `","size":4,"chunks":[{"offset":1,"size":4,"hash":"` + zeroHash + `"}]}`,             // gap
+	`{"package":"p","hash":"` + zeroHash + `","size":4,"chunks":[{"offset":0,"size":0,"hash":"` + zeroHash + `"}]}`,             // empty chunk
+	`{"package":"p","hash":"` + zeroHash + `","size":1000000000000,"chunks":[{"offset":0,"size":4,"hash":"` + zeroHash + `"}]}`, // size claim beyond the chunks
+	`{"package":"p","hash":"` + zeroHash + `","size":4,"chunks":[{"offset":0,"size":4,"hash":"00"}]}`,                           // bad chunk hash
+}
+
+const zeroHash = "0000000000000000000000000000000000000000000000000000000000000000"
+
+func TestDecodeChunkManifestErrors(t *testing.T) {
+	for _, src := range manifestErrorCases {
+		if _, _, err := DecodeChunkManifest([]byte(src)); err == nil {
+			t.Errorf("%s: decoded", src)
+		}
+	}
+}
+
+// FuzzDecodeChunkManifest asserts the chunk-manifest decoder's contract
+// on arbitrary bytes (an edge serves manifests to clients, and nothing
+// in one is trusted): no panic, a decoded manifest is internally
+// consistent and re-encodes to the same manifest, and the memory
+// decoding costs is bounded by the input's length — a claimed size
+// never buys an allocation (TestDecodeDistrustsSizeTrailer's contract).
+func FuzzDecodeChunkManifest(f *testing.F) {
+	for _, src := range manifestErrorCases {
+		f.Add([]byte(src))
+	}
+	f.Add(EncodeChunkManifest("p", store.BuildManifest(bytes.Repeat([]byte("chunk me "), 40<<10))))
+	f.Add(EncodeChunkManifest("empty", store.BuildManifest(nil)))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		name, m, err := DecodeChunkManifest(raw)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 256*uint64(len(raw))+64<<10 {
+			t.Fatalf("DecodeChunkManifest allocated %d bytes for %d input bytes", n, len(raw))
+		}
+		if err != nil {
+			return
+		}
+		if err := m.Valid(); err != nil {
+			t.Fatalf("decoded an invalid manifest: %v", err)
+		}
+		enc := EncodeChunkManifest(name, m)
+		name2, m2, err := DecodeChunkManifest(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding does not re-decode: %v\n%s", err, enc)
+		}
+		if !bytes.Equal(EncodeChunkManifest(name2, m2), enc) {
+			t.Fatalf("manifest encoding is not a fixed point:\n%s", enc)
 		}
 	})
 }

@@ -9,15 +9,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tsr/internal/index"
-	"tsr/internal/store"
 	"tsr/internal/trace"
 )
 
@@ -31,6 +30,10 @@ const maxIngestBytes = 64 << 20
 // maxPackagePresize caps the buffer a client reserves for a package
 // before its bytes arrive; larger packages grow the buffer as they read.
 const maxPackagePresize = 16 << 20
+
+// maxPackageBytes caps every package body a client reads: a full
+// download, or the full body a server answers a range request with.
+const maxPackageBytes = 1 << 30
 
 // Handler exposes the Service as the REST API of §5.2 — the read API
 // every tier serves (RegisterReadRoutes) plus the origin's trusted
@@ -289,14 +292,18 @@ func nextETagToken(s string) (token, rest string) {
 	return strings.TrimSpace(s), ""
 }
 
-// Client is a package-manager-side HTTP client for one TSR repository.
-// It implements pkgmgr.Source, so an OS can be pointed at TSR exactly
-// like at a plain mirror (§4.3: "Package managers recognize TSR as a
-// standard repository mirror"). The client revalidates the index with
-// If-None-Match: an unchanged index costs a 304 round trip instead of a
-// full download. Callers still verify the returned signature — the
-// cached copy carries it, so a 304 answer is exactly as trustworthy as
-// a fresh 200.
+// Client is an HTTP transport for one TSR repository's read API, at
+// the origin or at any edge: the signed index (revalidated with
+// If-None-Match, so an unchanged index costs a 304 round trip), index
+// deltas, chunk manifests, packages and byte ranges. It satisfies
+// pkgmgr.Source, edge.Origin and edge.Fetcher, so an OS can be pointed
+// at TSR exactly like at a plain mirror (§4.3: "Package managers
+// recognize TSR as a standard repository mirror").
+//
+// The client is a transport; callers verify. It checks no signature
+// and no package hash: pkgmgr.Manager and edge.FailoverClient accept
+// indexes only through index.AcceptIndex, and they and edge.Replica
+// check every package against an entry of an index they accepted.
 type Client struct {
 	// BaseURL is the TSR server base (e.g. "http://host:8473").
 	BaseURL string
@@ -311,18 +318,10 @@ type Client struct {
 	// Daemons set it to their shutdown context so in-flight syncs are
 	// aborted instead of drained. Defaults to context.Background().
 	Context context.Context
-	// PkgCache, when set, retains verified package bytes
-	// (content-addressed, untrusted — re-verified on every read) and
-	// enables chunk-aware differential fetch: a version bump downloads
-	// only the changed chunks and reuses the rest from the cached
-	// previous version. nil keeps the classic full-download behavior.
-	PkgCache store.Store
 
 	mu        sync.Mutex
 	cached    *index.Signed // last 200 index response (body + signature)
 	cachedTag string        // its ETag, sent as If-None-Match
-	cachedIx  *index.Index  // decoded form of cached (lazy; for package verification)
-	pkgs      ClientCache   // verified packages over PkgCache
 
 	wire wireCounters
 }
@@ -437,7 +436,6 @@ func (c *Client) FetchIndexTaggedCtx(ctx context.Context) (_ *index.Signed, _ st
 		// revalidations.
 		if c.cachedTag == prevTag {
 			c.cached, c.cachedTag = signed.Clone(), etag
-			c.cachedIx = nil // decoded lazily on the next package fetch
 		}
 		c.mu.Unlock()
 	}
@@ -498,52 +496,15 @@ func (c *Client) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *i
 	return d, nil
 }
 
-// FetchPackage implements pkgmgr.Source. Before returning, the
-// downloaded bytes are checked against the package's size and hash in
-// the index this client holds, so a corrupt mirror, edge, or middlebox
-// is detected here — fail fast — rather than handing mangled bytes to
-// the caller. That is a transport-integrity check only: currentIndex
-// decodes the index without verifying its signature, so the entry is
-// whatever the server sent. Trust comes from the caller —
-// pkgmgr.Manager and edge.FailoverClient verify the signed index and
-// re-check every package against it (ROADMAP item 1(b) moves that
-// acceptance into one kernel). A mismatch may also mean the cached index is simply
-// stale (the server republished while this client held an old
-// generation — e.g. a long-lived client across an origin refresh), so
-// the index is revalidated once and the download retried against the
-// fresh entry before the failure is final. With a PkgCache the returned
-// bytes may be the cached entry itself, so they are read-only.
+// FetchPackage downloads one package. The bytes are unverified: the
+// caller checks them against an entry of an index it accepted.
 func (c *Client) FetchPackage(name string) ([]byte, error) {
 	return c.FetchPackageCtx(nil, name)
 }
 
 // FetchPackageCtx is FetchPackage under a caller context (see
 // FetchIndexTaggedCtx).
-func (c *Client) FetchPackageCtx(ctx context.Context, name string) ([]byte, error) {
-	entry, err := c.entryFor(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.fetchPackageAny(ctx, name, entry)
-	if err == nil {
-		return raw, nil
-	}
-	ix, ferr := c.currentIndex(ctx, true)
-	if ferr != nil {
-		return nil, err
-	}
-	fresh, ferr := ix.Lookup(name)
-	if ferr != nil || (fresh.Hash == entry.Hash && fresh.Size == entry.Size) {
-		// The package vanished, or the entry is unchanged: the original
-		// verification failure stands.
-		return nil, err
-	}
-	return c.fetchPackageAny(ctx, name, fresh)
-}
-
-// fetchPackageVerified downloads one package and verifies it against
-// the given index entry.
-func (c *Client) fetchPackageVerified(ctx context.Context, name string, entry index.Entry) (_ []byte, err error) {
+func (c *Client) FetchPackageCtx(ctx context.Context, name string) (_ []byte, err error) {
 	ctx, sp := trace.Start(ctx, "http.package")
 	defer func() { sp.SetError(err); sp.End() }()
 	sp.SetAttr("package", name)
@@ -559,75 +520,33 @@ func (c *Client) fetchPackageVerified(ctx context.Context, name string, entry in
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tsr client: package %s: %s", name, readErr(resp))
 	}
-	// The entry size bounds the read: a server streaming endless data is
-	// cut off at the declared size, and the one spare byte detects an
-	// overrun. It also sizes the buffer, but only up to
-	// maxPackagePresize: the entry is not yet verified, so a huge size
-	// must cost no more memory than the bytes that actually arrive.
-	if entry.Size < 0 || entry.Size == math.MaxInt64 {
-		return nil, fmt.Errorf("tsr client: package %s: index entry declares %d bytes", name, entry.Size)
-	}
-	// The MinRead slack lets ReadFrom meet EOF without growing the buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, min(entry.Size, maxPackagePresize)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(&countReader{r: resp.Body, n: &c.wire.packageBytes}, entry.Size+1)); err != nil {
-		return nil, fmt.Errorf("tsr client: %w", err)
-	}
-	raw := buf.Bytes()
-	if !entry.Matches(raw) {
-		return nil, fmt.Errorf("tsr client: package %s: served bytes do not match the unverified index entry (corrupt mirror or edge)", name)
+	raw, err := readPackageBody(resp, &c.wire.packageBytes)
+	if err != nil {
+		return nil, fmt.Errorf("tsr client: package %s: %w", name, err)
 	}
 	c.wire.fullFetches.Add(1)
 	return raw, nil
 }
 
-// entryFor returns the index entry for a package, fetching the index
-// first when none is cached and revalidating once when the name is
-// unknown (the cached index may predate the package).
-func (c *Client) entryFor(ctx context.Context, name string) (index.Entry, error) {
-	ix, err := c.currentIndex(ctx, false)
-	if err != nil {
-		return index.Entry{}, err
+// readPackageBody reads a package body of at most maxPackageBytes.
+// The server's Content-Length is a claim: one above the cap is refused
+// before anything is read, and it presizes the buffer only up to
+// maxPackagePresize, so a hostile length costs no more memory than the
+// bytes that actually arrive. (net/http itself fails a body shorter
+// than its Content-Length.)
+func readPackageBody(resp *http.Response, n *atomic.Int64) ([]byte, error) {
+	if resp.ContentLength > maxPackageBytes {
+		return nil, fmt.Errorf("Content-Length %d exceeds the %d-byte package cap", resp.ContentLength, maxPackageBytes)
 	}
-	if e, err := ix.Lookup(name); err == nil {
-		return e, nil
-	}
-	if ix, err = c.currentIndex(ctx, true); err != nil {
-		return index.Entry{}, err
-	}
-	e, err := ix.Lookup(name)
-	if err != nil {
-		return index.Entry{}, fmt.Errorf("tsr client: package %s not in the repository index", name)
-	}
-	return e, nil
-}
-
-// currentIndex returns the decoded form of the cached signed index,
-// fetching (with revalidation) first when nothing is cached or when the
-// caller forces a round trip.
-func (c *Client) currentIndex(ctx context.Context, force bool) (*index.Index, error) {
-	c.mu.Lock()
-	if !force && c.cachedIx != nil {
-		ix := c.cachedIx
-		c.mu.Unlock()
-		return ix, nil
-	}
-	c.mu.Unlock()
-	signed, etag, err := c.FetchIndexTaggedCtx(ctx)
-	if err != nil {
+	// The MinRead slack lets ReadFrom meet EOF without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxPackagePresize)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(&countReader{r: resp.Body, n: n}, maxPackageBytes+1)); err != nil {
 		return nil, err
 	}
-	ix, err := index.Decode(signed.Raw)
-	if err != nil {
-		return nil, fmt.Errorf("tsr client: decoding index: %w", err)
+	if buf.Len() > maxPackageBytes {
+		return nil, fmt.Errorf("body exceeds the %d-byte package cap", maxPackageBytes)
 	}
-	c.mu.Lock()
-	// Cache the decoded form only while it matches the cached signed
-	// index; a concurrent fetch may have advanced the tag meanwhile.
-	if c.cachedTag == etag {
-		c.cachedIx = ix
-	}
-	c.mu.Unlock()
-	return ix, nil
+	return buf.Bytes(), nil
 }
 
 func readErr(resp *http.Response) string {

@@ -1,15 +1,13 @@
 package tsr
 
 import (
-	"context"
-	"crypto/sha256"
-	"math"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
-
-	"tsr/internal/index"
 )
 
 // TestETagMatch covers RFC 9110 §13.1.2 If-None-Match semantics: `*`,
@@ -55,42 +53,48 @@ func TestETagMatch(t *testing.T) {
 	}
 }
 
-// TestFetchPackageVerifiedSizeBound: the client reads a package into a
-// buffer sized by the entry, and still rejects a body longer or shorter
-// than the entry. An entry with a negative or huge size is an error,
-// not a crash or an allocation of the claimed size.
-func TestFetchPackageVerifiedSizeBound(t *testing.T) {
+// TestFetchPackageBodyBound: the client is a transport, so what bounds
+// a package read is the Content-Length the server claims, checked
+// against one cap. A body that matches its length arrives whole; a
+// short one is an error; a huge claim is refused before reading or
+// presizes no more than maxPackagePresize, never the claimed size.
+func TestFetchPackageBodyBound(t *testing.T) {
 	body := []byte("sanitized package bytes")
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(body)
-	}))
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL, RepoID: "r", HTTPClient: srv.Client()}
 	n := int64(len(body))
 	for _, tc := range []struct {
-		size int64
-		ok   bool
+		name          string
+		contentLength int64
+		ok            bool
 	}{
-		{n, true},
-		{n - 1, false}, // server sends one byte more than signed
-		{n + 1, false}, // server sends one byte less
-		{-2, false},
-		{1 << 40, false},
-		{math.MaxInt64, false},
+		{"matching length", n, true},
+		{"short body", n + 10, false},
+		{"claim at the cap, short body", maxPackageBytes, false},
+		{"claim of 1<<40", 1 << 40, false},
+		{"claim above the cap", maxPackageBytes + 1, false},
 	} {
-		entry := index.Entry{Name: "p", Size: tc.size, Hash: sha256.Sum256(body[:max(0, min(n, tc.size))])}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		raw, err := c.fetchPackageVerified(context.Background(), "p", entry)
-		runtime.ReadMemStats(&after)
-		if tc.ok && (err != nil || string(raw) != string(body)) {
-			t.Fatalf("size %d: got %q, %v", tc.size, raw, err)
-		}
-		if !tc.ok && err == nil {
-			t.Fatalf("size %d: accepted a %d-byte body", tc.size, n)
-		}
-		if a := after.TotalAlloc - before.TotalAlloc; a > maxPackagePresize+1<<20 {
-			t.Fatalf("size %d: allocated %d bytes for a %d-byte body", tc.size, a, n)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Length", strconv.FormatInt(tc.contentLength, 10))
+				w.Write(body)
+			}))
+			defer srv.Close()
+			c := &Client{BaseURL: srv.URL, RepoID: "r", HTTPClient: srv.Client()}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			raw, err := c.FetchPackage("p")
+			runtime.ReadMemStats(&after)
+			if tc.ok && (err != nil || string(raw) != string(body)) {
+				t.Fatalf("got %q, %v", raw, err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatalf("accepted a %d-byte body claiming %d bytes", n, tc.contentLength)
+			}
+			if a := after.TotalAlloc - before.TotalAlloc; a > maxPackagePresize+1<<20 {
+				t.Fatalf("allocated %d bytes for a %d-byte body claiming %d", a, n, tc.contentLength)
+			}
+			if tc.contentLength > maxPackageBytes && !strings.Contains(fmt.Sprint(err), "exceeds") {
+				t.Fatalf("err = %v, want the claim refused against the cap", err)
+			}
+		})
 	}
 }

@@ -98,19 +98,21 @@ func decodeMeta(blob []byte) (id string, policyRaw, privPEM []byte, err error) {
 	return string(rawID), policyRaw, privPEM, nil
 }
 
-// Checkpoint seals the repository's current state and writes it to the
-// store, advancing the TPM monotonic counter. Refresh calls it
-// automatically under AutoPersist; it is exported for operators (and
-// tests) that want an explicit save point.
+// Checkpoint seals the repository's current state, with the TPM
+// monotonic counter value its last publish reserved, and writes it to
+// the store. Refresh calls it automatically under AutoPersist; it is
+// exported for operators (and tests) that want an explicit save point.
 //
-// The counter advances BEFORE the blob is written, deliberately: a
-// crash (or failed Put) between the two leaves a disk checkpoint whose
-// counter is one behind the hardware, which the next restore refuses
-// exactly like a rollback. That costs one cold start after a
-// worst-case crash, but the alternative — accepting a checkpoint one
-// counter step behind — would let a real adversary revert to the
-// previous generation inside the same window. Integrity over
-// availability, as §5.5 resolves every such ambiguity.
+// The counter advances when a sequence is reserved, BEFORE the index
+// is signed and long before the blob is written, deliberately: a crash
+// (or failed Put) in between leaves a disk checkpoint whose counter is
+// behind the hardware, which the next restore refuses exactly like a
+// rollback. That costs one cold start after a worst-case crash — and
+// the cold repository still signs ahead of every sequence it ever
+// served — but the alternative, accepting a checkpoint one counter
+// step behind, would let a real adversary revert to the previous
+// generation inside the same window. Integrity over availability, as
+// §5.5 resolves every such ambiguity.
 func (r *Repo) Checkpoint() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -275,7 +277,8 @@ func (s *Service) restoreOne(metaKey string) RestoredRepo {
 		// Tampered or rolled-back checkpoint: REFUSE the state (the
 		// §5.5 guarantee) but keep the repository deployed cold. Note
 		// ErrRollback here can also be an ordinary crash that landed
-		// between the TPM counter increment and the checkpoint write —
+		// between a publish (which advances the TPM counter) and its
+		// checkpoint write —
 		// the two are indistinguishable from the disk alone, and the
 		// check deliberately fails CLOSED: a cold re-sanitization,
 		// never possibly-stale state.

@@ -117,12 +117,17 @@ func (r *Repo) sanitizeCached(san *sanitize.Sanitizer, planHash [32]byte, e inde
 }
 
 // publishNextLocked is the one place a repository signs its local
-// index: newLocal is signed as sequence r.seq+1; only then does commit
-// (nil for none) move the caller's refresh-side state, and the new index
-// and that state become visible together in one atomic publish. A
-// signing failure leaves the repository untouched. Caller holds r.mu.
+// index. The sequence is reserved before signing: it is the value of
+// the tenant's TPM monotonic counter after one increment, so no
+// sequence is ever signed twice under the key — not across a crash, a
+// rolled-back data dir or a lost checkpoint, all of which restart the
+// repository cold with the counter intact. Only after signing does
+// commit (nil for none) move the caller's refresh-side state, and the
+// new index and that state become visible together in one atomic
+// publish. A signing failure leaves the repository untouched and the
+// sequence a harmless gap. Caller holds r.mu.
 func (r *Repo) publishNextLocked(newLocal *index.Index, commit func()) error {
-	newLocal.Sequence = r.seq + 1
+	newLocal.Sequence = r.svc.cfg.TPM.IncrementCounter(r.counterID())
 	signed, err := index.Sign(newLocal, r.signKey)
 	if err != nil {
 		return err
@@ -159,6 +164,7 @@ type cycle struct {
 	stats *RefreshStats
 
 	upstream       *index.Index // verified upstream index this cycle plans against
+	upstreamFloor  index.Floor  // the freshness floor accepting it yields
 	upstreamDigest [32]byte
 	work           []string          // added/changed packages, plus plan debt, to fetch
 	inWork         map[string]bool   // work as a set
@@ -220,16 +226,17 @@ func (c *cycle) quorum() error {
 	}
 	c.stats.QuorumLatency = qres.Elapsed
 	c.stats.MirrorsContacted = qres.Contacted
-	up, err := qres.Index.Verify(r.trust)
+	up, floor, err := index.AcceptIndex(r.upstreamFloor, qres.Index, r.trust)
+	if errors.Is(err, index.ErrStale) || errors.Is(err, index.ErrFork) {
+		// A quorum of mirrors agreeing on an older index than one we
+		// already accepted (or on a second one at its sequence): treat
+		// as replay and refuse.
+		return fmt.Errorf("%w: %w: upstream %w", ErrUpstream, ErrRollback, err)
+	}
 	if err != nil {
 		return fmt.Errorf("%w: verifying upstream index: %w", ErrUpstream, err)
 	}
-	if r.upstream != nil && up.Sequence < r.upstream.Sequence {
-		// A quorum of mirrors agreeing on an older index than one we
-		// already verified: treat as replay and refuse.
-		return fmt.Errorf("%w: %w: upstream sequence %d < %d", ErrUpstream, ErrRollback, up.Sequence, r.upstream.Sequence)
-	}
-	c.upstream, c.upstreamDigest = up, qres.Index.Digest()
+	c.upstream, c.upstreamFloor, c.upstreamDigest = up, floor, qres.Index.Digest()
 
 	var added, changed []string
 	if r.upstream == nil {
@@ -522,6 +529,7 @@ func (c *cycle) commit() {
 	}
 	c.old.local, c.old.upstream, c.old.pinned, c.old.planHash = r.local, r.upstream, r.pinned, r.planHash
 	r.upstream = c.upstream
+	r.upstreamFloor = c.upstreamFloor
 	r.upstreamDigest = c.upstreamDigest
 	r.plan = c.plan
 	r.planHash = c.planHash

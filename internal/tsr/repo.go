@@ -138,6 +138,7 @@ type Repo struct {
 	mode           CacheMode
 	workers        int           // refresh pipeline concurrency (1 = the paper's sequential prototype)
 	upstream       *index.Index  // latest verified upstream index
+	upstreamFloor  index.Floor   // its freshness floor: older upstream indexes are replays
 	upstreamDigest [32]byte      // digest of the signed upstream index last planned against
 	local          *index.Index  // index of sanitized packages
 	localSig       *index.Signed // signed local index served to clients
@@ -533,10 +534,12 @@ func (s *scriptCacheSource) fromStore(entry index.Entry) (map[string]string, boo
 
 // --- sealed state (§5.5) ----------------------------------------------
 
-// SealState increments the repository's TPM monotonic counter (see
-// counterID in persist.go: one NV counter per tenant) and seals the
-// repository's metadata indexes together with the counter value, so the
-// state survives TSR restarts without trusting the disk.
+// SealState seals the repository's metadata indexes together with the
+// current value of its TPM monotonic counter (see counterID in
+// persist.go: one NV counter per tenant), so the state survives TSR
+// restarts without trusting the disk. Every publish advances the
+// counter (the published sequence is a counter value), so a checkpoint
+// older than the last publish no longer matches it.
 func (r *Repo) SealState() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -554,7 +557,7 @@ func (r *Repo) sealStateLocked() ([]byte, error) {
 	if up == nil {
 		up = &index.Index{}
 	}
-	mc := r.svc.cfg.TPM.IncrementCounter(r.counterID())
+	mc := r.svc.cfg.TPM.ReadCounter(r.counterID())
 	blob := encodeState(mc, up.Encode(), r.localSig, r.seq, r.registeredEntriesLocked())
 	return r.svc.Seal(blob)
 }
@@ -603,6 +606,7 @@ func (r *Repo) RestoreState(sealed []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.upstream = upstream
+	r.upstreamFloor = index.Floor{Sequence: upstream.Sequence}
 	r.local = local
 	r.localSig = localSig
 	r.seq = seq

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -352,143 +351,6 @@ func TestChunkManifestEndpoint(t *testing.T) {
 	readAll(t, resp304)
 	if resp304.StatusCode != http.StatusNotModified {
 		t.Fatalf("revalidation status = %d, want 304", resp304.StatusCode)
-	}
-}
-
-// TestClientDifferentialFetch: with a PkgCache, a version bump that
-// changes one file of a many-chunk package transfers only the changed
-// chunks (plus manifest): the second download is differential, reuses
-// most chunks, and moves far fewer package bytes than the first.
-func TestClientDifferentialFetch(t *testing.T) {
-	w := newWorld(t, 3)
-	w.publish(t, bigPackage("blob", "1.0-r0", 16, 32<<10))
-	r := w.deploy(t)
-	if _, err := r.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(w.svc))
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL, RepoID: r.ID, HTTPClient: srv.Client(), PkgCache: store.NewMem()}
-
-	v1, err := c.FetchPackage("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := c.WireStats()
-	if s1.FullFetches != 1 || s1.DiffFetches != 0 {
-		t.Fatalf("after cold fetch: %+v", s1)
-	}
-	coldBytes := s1.PackageBytes
-
-	// Same version again: served from the verified local cache, zero
-	// wire bytes.
-	if _, err := c.FetchPackage("blob"); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.WireStats(); s.CacheHits != 1 || s.PackageBytes != coldBytes {
-		t.Fatalf("after warm fetch: %+v", s)
-	}
-
-	// Version bump changing only the last-sorted file, then revalidate
-	// the index so the client sees the new entry.
-	w.publish(t, bigPackage("blob", "1.1-r0", 16, 32<<10))
-	if _, err := r.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.FetchIndexTagged(); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := c.FetchPackage("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(v1, v2) {
-		t.Fatal("version bump did not change the served bytes")
-	}
-	want, _, err := r.FetchPackageTraced("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2, want) {
-		t.Fatal("differentially fetched bytes differ from the served package")
-	}
-	s2 := c.WireStats()
-	if s2.DiffFetches != 1 || s2.DiffFallbacks != 0 {
-		t.Fatalf("after version bump: %+v", s2)
-	}
-	if s2.ChunksReused == 0 || s2.ChunksFetched == 0 {
-		t.Fatalf("diff fetch reused %d chunks, fetched %d — want both > 0", s2.ChunksReused, s2.ChunksFetched)
-	}
-	diffBytes := (s2.PackageBytes - coldBytes) + s2.ManifestBytes
-	if diffBytes*2 >= coldBytes {
-		t.Fatalf("differential update moved %d bytes vs %d full — want < 0.5x", diffBytes, coldBytes)
-	}
-	t.Logf("cold %d bytes, differential %d bytes (%.1f%%), chunks reused %d fetched %d",
-		coldBytes, diffBytes, 100*float64(diffBytes)/float64(coldBytes), s2.ChunksReused, s2.ChunksFetched)
-}
-
-// TestClientDiffTamperedManifestFallsBack: a manifest that does not
-// root in the signed entry is rejected and the client degrades to a
-// full verified fetch — wrong bytes are never returned.
-func TestClientDiffTamperedManifestFallsBack(t *testing.T) {
-	w := newWorld(t, 3)
-	w.publish(t, bigPackage("blob", "1.0-r0", 8, 32<<10))
-	r := w.deploy(t)
-	if _, err := r.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	inner := Handler(w.svc)
-	// A corrupting middlebox: chunk-manifest responses get their
-	// package hash flipped; everything else passes through.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if !strings.HasSuffix(req.URL.Path, "/chunks") {
-			inner.ServeHTTP(w, req)
-			return
-		}
-		req.Header.Del("Accept-Encoding") // keep the recorded body identity-coded
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, req)
-		var doc map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err == nil {
-			doc["hash"] = strings.Repeat("00", 32)
-			tampered, _ := json.Marshal(doc)
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(tampered)
-			return
-		}
-		w.WriteHeader(rec.Code)
-		w.Write(rec.Body.Bytes())
-	}))
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL, RepoID: r.ID, HTTPClient: srv.Client(), PkgCache: store.NewMem()}
-
-	if _, err := c.FetchPackage("blob"); err != nil {
-		t.Fatal(err)
-	}
-	w.publish(t, bigPackage("blob", "1.1-r0", 8, 32<<10))
-	if _, err := r.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.FetchIndexTagged(); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := c.FetchPackage("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := r.FetchPackageTraced("blob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2, want) {
-		t.Fatal("client returned bytes that do not match the served package")
-	}
-	s := c.WireStats()
-	if s.DiffFallbacks != 1 || s.DiffFetches != 0 {
-		t.Fatalf("wire stats = %+v, want the diff rejected and one fallback", s)
-	}
-	if s.FullFetches != 2 {
-		t.Fatalf("full fetches = %d, want 2 (cold + fallback)", s.FullFetches)
 	}
 }
 
