@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tsr/internal/index"
@@ -193,5 +194,62 @@ func TestReplicaFollowsOriginColdStart(t *testing.T) {
 	}
 	if got := rep.Stats().Sequence; got <= before {
 		t.Fatalf("replica serves sequence %d after the origin's cold start, want > %d", got, before)
+	}
+}
+
+// TestFailoverClientConcurrentAcceptNeverMovesBack: accept verifies
+// outside the client's lock and commits under it. Fetchers that each
+// walk the same run of generations keep the floor rising while others
+// verify, so an accept that verified against an older floor must not
+// commit over a newer one: no accept may return a floor below one an
+// earlier, completed accept returned, and the client ends on the
+// newest index with its cached index at the floor's sequence.
+func TestFailoverClientConcurrentAcceptNeverMovesBack(t *testing.T) {
+	w := newEdgeWorld(t)
+	var gens []*index.Signed
+	for v := 0; v < 24; v++ {
+		if v > 0 {
+			w.publish(t, testPkg("app", fmt.Sprintf("1.%d-r0", v)))
+		}
+		gens = append(gens, w.repo.Snapshot().Signed)
+	}
+	newest, err := index.Decode(gens[len(gens)-1].Raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &FailoverClient{TrustRing: keys.NewRing(w.signer.Public())}
+	var (
+		wg      sync.WaitGroup
+		highest atomic.Uint64 // the highest floor any completed accept returned
+	)
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, s := range gens {
+				lo := highest.Load()
+				floor, err := c.accept(s.Clone())
+				if err != nil && !errors.Is(err, index.ErrStale) {
+					errs <- err
+					return
+				}
+				if floor.Sequence < lo {
+					errs <- fmt.Errorf("floor moved back: %d after %d", floor.Sequence, lo)
+					return
+				}
+				for cur := highest.Load(); floor.Sequence > cur && !highest.CompareAndSwap(cur, floor.Sequence); cur = highest.Load() {
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if c.floor.Sequence != newest.Sequence || c.cachedIx.Sequence != newest.Sequence {
+		t.Fatalf("floor %d, cached index %d, want both at the newest sequence %d",
+			c.floor.Sequence, c.cachedIx.Sequence, newest.Sequence)
 	}
 }

@@ -327,16 +327,25 @@ func (s *quorumSource) FetchIndex() (*index.Signed, error) {
 
 // accept runs signed through index.AcceptIndex against the client's
 // floor and, when it passes, commits the new floor together with the
-// decoded index — under one lock, so concurrent fetches cannot move the
-// client's view backwards. It books every refusal into the stats and
-// returns the floor in force afterwards.
+// decoded index. The signature check and decode run outside c.mu, so
+// concurrent package fetches never wait on a verification; only the
+// compare-and-commit is locked. If another fetch moved the floor in
+// between, the floor step is re-run against the floor now in force, so
+// the client's view still never moves backwards. It books every
+// refusal into the stats and returns the floor in force afterwards.
 func (c *FailoverClient) accept(signed *index.Signed) (index.Floor, error) {
 	c.mu.Lock()
+	base := c.floor
+	c.mu.Unlock()
+	ix, next, err := index.AcceptIndex(base, signed, c.TrustRing)
+	c.mu.Lock()
 	defer c.mu.Unlock()
-	ix, floor, err := index.AcceptIndex(c.floor, signed, c.TrustRing)
+	if err == nil && c.floor != base {
+		next, err = c.floor.Step(ix, signed)
+	}
 	switch {
 	case err == nil:
-		c.floor, c.cachedIx = floor, ix
+		c.floor, c.cachedIx = next, ix
 	case errors.Is(err, index.ErrStale), errors.Is(err, index.ErrFork):
 		c.stats.RejectedStale++
 	case !errors.Is(err, index.ErrFormat):

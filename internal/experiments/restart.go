@@ -188,9 +188,10 @@ func CrashRestartRun(cfg Config) (*RestartResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Advance the trusted state: a new checkpoint bumps the TPM
-	// counter, making the saved blob stale.
-	if err := tenant2.Checkpoint(); err != nil {
+	// Advance the trusted state: a publish reserves its sequence from
+	// the TPM counter (and AutoPersist seals the new checkpoint), so
+	// the saved blob's sealed counter is now behind the TPM's.
+	if _, err := tenant2.Refresh(); err != nil {
 		return nil, err
 	}
 	if err := st2.Put(tsr.StateStoreKey(repoID), oldCheckpoint); err != nil {

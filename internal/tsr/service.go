@@ -36,7 +36,8 @@ var (
 type Config struct {
 	// Platform is the SGX platform TSR launches on.
 	Platform *enclave.Platform
-	// TPM provides the monotonic counters for rollback protection.
+	// TPM provides the monotonic counters for rollback protection. It
+	// is required: every publish reserves its sequence from a counter.
 	TPM *tpm.TPM
 	// Clock and Link model network time; Local locates the TSR host
 	// (Europe in the paper's deployment).
@@ -103,6 +104,9 @@ const ingestJournalPrefix = "tsringest/"
 func New(cfg Config) (*Service, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("tsr: config requires a platform")
+	}
+	if cfg.TPM == nil {
+		return nil, fmt.Errorf("tsr: config requires a TPM")
 	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()

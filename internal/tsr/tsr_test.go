@@ -187,6 +187,36 @@ func pkgWithScript(name, version, scriptSrc string) *apk.Package {
 
 // --- tests -------------------------------------------------------------
 
+// TestNewRequiresPlatformAndTPM: a service without a platform cannot
+// launch its enclave, and one without a TPM cannot reserve the
+// sequence of its first publish, so New refuses both up front.
+func TestNewRequiresPlatformAndTPM(t *testing.T) {
+	platform, err := enclave.NewPlatform(keys.Shared.MustGet("sgx-quoting"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostTPM := tpmForTest(t)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"no platform", Config{TPM: hostTPM}, "requires a platform"},
+		{"no TPM", Config{Platform: platform}, "requires a TPM"},
+		{"both", Config{Platform: platform, TPM: hostTPM}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(tc.cfg)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("New: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("New = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestDeployPolicyGeneratesDistinctKeys(t *testing.T) {
 	w := newWorld(t, 3)
 	r1 := w.deploy(t)
