@@ -11,7 +11,9 @@ import (
 // tampering edges are detected and routed around) collapses if an
 // edge can mint valid signatures, so the signing half of
 // internal/keys is banned from internal/edge outright: keys.Pair,
-// Generate, ParsePrivatePEM, Sign, SignDigest, and MarshalPrivatePEM.
+// Generate, ParsePrivatePEM, Sign, SignDigest, MarshalPrivatePEM, and
+// the signature memo (Memo, NewMemo), which mints a Pair's signatures
+// as surely as the Pair does.
 // The verify half (Public, Ring, Verify*) remains available — that is
 // exactly what an edge is for.
 var Noresign = &Analyzer{
@@ -31,6 +33,8 @@ var noresignBanned = map[string]bool{
 	"Sign":              true,
 	"SignDigest":        true,
 	"MarshalPrivatePEM": true,
+	"Memo":              true, // hands out a Pair's signatures
+	"NewMemo":           true,
 }
 
 func runNoresign(pass *Pass) error {

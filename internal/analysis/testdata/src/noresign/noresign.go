@@ -9,6 +9,7 @@ import "tsr/internal/keys"
 type replica struct {
 	ring   *keys.Ring
 	signer *keys.Pair // want `signing API keys\.Pair`
+	memo   *keys.Memo // want `signing API keys\.Memo`
 }
 
 func provision(r *replica) error {
@@ -19,6 +20,7 @@ func provision(r *replica) error {
 	if _, err := pair.Sign([]byte("index")); err != nil { // want `signing API keys\.Sign`
 		return err
 	}
+	r.memo = keys.NewMemo(pair)          // want `signing API keys\.NewMemo`
 	pem, err := pair.MarshalPrivatePEM() // want `signing API keys\.MarshalPrivatePEM`
 	if err != nil {
 		return err

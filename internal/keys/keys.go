@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // SignatureSize is the byte length of every signature (RSA-2048).
@@ -36,6 +37,7 @@ type Pair struct {
 	// TSR repository identifier.
 	Name string
 	priv *rsa.PrivateKey
+	ops  atomic.Uint64 // private-key operations made, see PrivateOps
 }
 
 // Generate creates a new 2048-bit key pair with the given name.
@@ -50,6 +52,7 @@ func Generate(name string) (*Pair, error) {
 // Sign returns the RSA PKCS#1 v1.5 signature of SHA-256(data).
 func (p *Pair) Sign(data []byte) ([]byte, error) {
 	digest := sha256.Sum256(data)
+	p.ops.Add(1)
 	sig, err := rsa.SignPKCS1v15(rand.Reader, p.priv, crypto.SHA256, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("keys: signing with %q: %w", p.Name, err)
@@ -59,12 +62,17 @@ func (p *Pair) Sign(data []byte) ([]byte, error) {
 
 // SignDigest signs a precomputed SHA-256 digest.
 func (p *Pair) SignDigest(digest [32]byte) ([]byte, error) {
+	p.ops.Add(1)
 	sig, err := rsa.SignPKCS1v15(rand.Reader, p.priv, crypto.SHA256, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("keys: signing digest with %q: %w", p.Name, err)
 	}
 	return sig, nil
 }
+
+// PrivateOps returns how many private-key operations (signatures) the
+// pair has made. Tests use it to count what a memo saved.
+func (p *Pair) PrivateOps() uint64 { return p.ops.Load() }
 
 // Public returns the public half of the pair.
 func (p *Pair) Public() *Public {

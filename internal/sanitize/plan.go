@@ -131,14 +131,21 @@ func (s *SliceSource) NextScripts() (string, map[string]string, bool) {
 	return p.Name, p.Scripts, true
 }
 
+// Signer signs the plan's predicted contents: a *keys.Pair, or a
+// *keys.Memo over one so that a rebuilt plan whose predictions did not
+// change signs nothing again.
+type Signer interface {
+	Sign(data []byte) ([]byte, error)
+}
+
 // BuildPlan scans every package's scripts for account creation
 // commands, assigns canonical ids, renders the provisioning preamble,
 // and predicts the configuration files by executing the preamble on a
 // fresh OS image seeded with the policy's init_config_files.
 //
-// signKey is the TSR repository signing key used for the predicted
-// config signatures.
-func BuildPlan(src PackageSource, initFiles []policy.ConfigFile, signKey *keys.Pair) (*Plan, error) {
+// signKey makes the predicted config signatures and the empty-file
+// signature: the TSR repository signing key, or a memo over it.
+func BuildPlan(src PackageSource, initFiles []policy.ConfigFile, signKey Signer) (*Plan, error) {
 	users := make(map[string]script.User)
 	groups := make(map[string]script.Group)
 	var findings []Finding

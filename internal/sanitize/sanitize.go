@@ -81,6 +81,11 @@ type Sanitizer struct {
 	// SignKey is the per-repository TSR signing key (generated inside
 	// the enclave at policy deployment).
 	SignKey *keys.Pair
+	// Memo, when set, is a memo over SignKey that the per-file IMA
+	// signatures go through, so a file whose bytes another package (or
+	// an earlier version of this one) already carried is not signed
+	// again. Nil signs every file, as the paper measures.
+	Memo *keys.Memo
 	// EPC models the SGX execution cost; the zero value disables the
 	// SGX overhead model (TSR outside SGX, the Figure 12 baseline).
 	EPC enclave.CostModel
@@ -165,7 +170,11 @@ func (j *job) Control(p *apk.Package, control []byte) error {
 // File issues the file's signature, stored in a PAX header (§5.3).
 func (j *job) File(f *apk.File) error {
 	start := time.Now()
-	sig, err := j.s.SignKey.Sign(f.Content)
+	var signer Signer = j.s.SignKey
+	if j.s.Memo != nil {
+		signer = j.s.Memo
+	}
+	sig, err := signer.Sign(f.Content)
 	if err != nil {
 		return err
 	}

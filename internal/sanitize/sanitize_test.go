@@ -501,6 +501,59 @@ func TestSanitizeDeterministicProperty(t *testing.T) {
 	}
 }
 
+// filesPkg is a 32-file package; file i's content names the version
+// only when i == changed, so two versions differ in that file alone.
+func filesPkg(t testing.TB, version string, changed int) []byte {
+	t.Helper()
+	files := make([]apk.File, 32)
+	for i := range files {
+		content := fmt.Sprintf("probe file %d", i)
+		if i == changed {
+			content += " " + version
+		}
+		files[i] = apk.File{Path: fmt.Sprintf("/usr/lib/probe/%d", i), Mode: 0o644, Content: []byte(content)}
+	}
+	p := &apk.Package{Name: "probe", Version: version, Files: files}
+	if err := apk.Sign(p, upstream(t)); err != nil {
+		t.Fatal(err)
+	}
+	return encode(t, p)
+}
+
+// TestSanitizeMemoSignsOnlyChangedFiles: re-sanitizing a 32-file
+// package whose bump changed one file costs two private-key operations
+// through a memo (that file and the control segment) and 33 without
+// one, and both give the same bytes.
+func TestSanitizeMemoSignsOnlyChangedFiles(t *testing.T) {
+	key := keys.Shared.MustGet("sanitize-memo-key")
+	v1, v2 := filesPkg(t, "1.0-r0", 7), filesPkg(t, "1.1-r0", 7)
+	plain := sanitizer(t, buildPlan(t))
+	plain.SignKey = key
+	memoized := sanitizer(t, plain.Plan)
+	memoized.SignKey, memoized.Memo = key, keys.NewMemo(key)
+	if _, err := memoized.Sanitize(v1); err != nil {
+		t.Fatal(err)
+	}
+
+	sanitizeCounted := func(s *Sanitizer) ([]byte, uint64) {
+		t.Helper()
+		before := key.PrivateOps()
+		res, err := s.Sanitize(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Raw, key.PrivateOps() - before
+	}
+	warm, warmOps := sanitizeCounted(memoized)
+	cold, coldOps := sanitizeCounted(plain)
+	if warmOps != 2 || coldOps != 33 {
+		t.Fatalf("private-key operations: %d through the memo (want 2), %d without (want 33)", warmOps, coldOps)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Fatal("memoized sanitization differs from a memo-less one")
+	}
+}
+
 // Property: stripAccountCommands removes every account command and only
 // account commands, for arbitrary interleavings.
 func TestStripAccountCommandsProperty(t *testing.T) {
@@ -907,6 +960,20 @@ func FuzzSanitize(f *testing.F) {
 		}
 		if _, _, err := apk.VerifyRaw(res.Raw, ring); err != nil {
 			t.Fatalf("accepted input sanitized to a package that does not verify: %v", err)
+		}
+		// The determinism contract the sancache and ErrCacheTampered
+		// rely on: a cold and a warm pass through one memo give the
+		// memo-less bytes.
+		memoized := sanitizer(t, s.Plan)
+		memoized.Memo = keys.NewMemo(memoized.SignKey)
+		for _, pass := range []string{"cold", "warm"} {
+			again, err := memoized.Sanitize(raw)
+			if err != nil {
+				t.Fatalf("%s memo pass rejected an accepted input: %v", pass, err)
+			}
+			if !bytes.Equal(again.Raw, res.Raw) {
+				t.Fatalf("%s memo pass differs from the memo-less output", pass)
+			}
 		}
 	})
 }

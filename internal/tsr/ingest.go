@@ -177,7 +177,7 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 
 	// Every package goes through the sanitization cache whatever the
 	// CacheMode: a replayed batch must land as pure cache hits.
-	san := r.sanitizer(r.plan)
+	san := r.sanitizer(r.plan, true)
 	planHash := r.planHash
 	outs := make([]sanOut, len(jobs))
 	runBatches(g, r.workers, len(jobs), func(i int) {
@@ -263,7 +263,7 @@ func (r *Repo) rebuildPlanLocked() error {
 	if idx == nil {
 		idx = &index.Index{}
 	}
-	plan, err := sanitize.BuildPlan(&scriptCacheSource{repo: r, idx: idx}, r.policy.InitConfigFiles, r.signKey)
+	plan, err := sanitize.BuildPlan(&scriptCacheSource{repo: r, idx: idx}, r.policy.InitConfigFiles, r.memo)
 	if err != nil {
 		return err
 	}

@@ -48,9 +48,18 @@ func runBatches(g *sched.Grant, workers, n int, work func(i int), done func(lo, 
 }
 
 // sanitizer returns the enclave sanitizer for plan under this
-// repository's signer ring and signing key.
-func (r *Repo) sanitizer(plan *sanitize.Plan) *sanitize.Sanitizer {
-	return &sanitize.Sanitizer{Plan: plan, TrustRing: r.trust, SignKey: r.signKey, EPC: r.svc.cfg.EPC}
+// repository's signer ring and signing key. With memoized, the per-file
+// signatures go through the repository's signature memo, so a version
+// bump re-signs only the files whose bytes changed; refresh and ingest
+// sanitize that way. Serve-time re-sanitization (Figure 10's Original
+// and None scenarios) runs without it and signs every file, as the
+// paper measures.
+func (r *Repo) sanitizer(plan *sanitize.Plan, memoized bool) *sanitize.Sanitizer {
+	s := &sanitize.Sanitizer{Plan: plan, TrustRing: r.trust, SignKey: r.signKey, EPC: r.svc.cfg.EPC}
+	if memoized {
+		s.Memo = r.memo
+	}
+	return s
 }
 
 // sanOut is the outcome of one cache-or-sanitize step: an error, a
@@ -342,7 +351,7 @@ func (c *cycle) buildPlan() error {
 	c.next("refresh.plan")
 	c.plan = r.plan
 	if c.plan == nil || c.upstreamDigest != r.upstreamDigest || len(r.planDebt) > 0 || len(c.planDebt) > 0 {
-		plan, err := sanitize.BuildPlan(&scriptCacheSource{repo: r, idx: c.upstream, failed: c.failed}, r.policy.InitConfigFiles, r.signKey)
+		plan, err := sanitize.BuildPlan(&scriptCacheSource{repo: r, idx: c.upstream, failed: c.failed}, r.policy.InitConfigFiles, r.memo)
 		if err != nil {
 			return err
 		}
@@ -399,7 +408,7 @@ func (c *cycle) sanitize() {
 	// plus one batch of in-flight packages — not the whole repository's
 	// results: each batch's originals are released once it completes,
 	// and a full Result is kept only under KeepStats.
-	san := r.sanitizer(c.plan)
+	san := r.sanitizer(c.plan, true)
 	keepStats := r.keepStats
 	c.souts = make([]sanOut, len(c.targets))
 	runBatches(c.g, r.workers, len(c.targets), func(i int) {

@@ -126,6 +126,7 @@ type Repo struct {
 	svc      *Service
 	policy   *policy.Policy
 	signKey  *keys.Pair
+	memo     *keys.Memo // signKey's file and plan signatures, see sanitizer
 	trust    *keys.Ring // policy signer keys: verifies indexes and packages
 	reader   *quorum.Reader
 	fetchers []PackageFetcher
@@ -189,6 +190,7 @@ func newRepo(id string, pol *policy.Policy, signKey *keys.Pair, svc *Service) (*
 		svc:          svc,
 		policy:       pol,
 		signKey:      signKey,
+		memo:         keys.NewMemo(signKey),
 		trust:        trust,
 		workers:      max(svc.cfg.Workers, 1),
 		rejected:     make(map[string]string),

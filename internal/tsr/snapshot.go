@@ -377,7 +377,7 @@ func (r *Repo) resanitize(snap *snapshot, name string, entry index.Entry, start 
 			r.noteServedWrite(r.origKey(name, upEntry.Hash))
 		}
 	}
-	res, err := r.sanitizer(snap.plan).Sanitize(orig)
+	res, err := r.sanitizer(snap.plan, false).Sanitize(orig)
 	if err != nil {
 		return nil, nil, err
 	}
