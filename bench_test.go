@@ -12,7 +12,6 @@ package tsrbench
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -99,61 +98,6 @@ func BenchmarkAblationRefreshWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkEdgeFanout measures the edge replication tier: aggregate
-// client fetch throughput (modeled, over clients on five continents)
-// and the origin request reduction at 1, 4, and 16 warm replicas.
-// Reported metrics per sub-benchmark: pkg/s (aggregate throughput),
-// %absorbed (share of warm package requests the edges served without
-// contacting the origin), and origin-pulls (absolute origin package
-// fetches during the measured pass).
-func BenchmarkEdgeFanout(b *testing.B) {
-	for _, replicas := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			cfg := benchCfg()
-			cfg.Scale = 0.004
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.EdgeFanoutRun(cfg, replicas)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Throughput, "pkg/s")
-				b.ReportMetric(res.Absorption*100, "%absorbed")
-				b.ReportMetric(float64(res.OriginPackagePulls), "origin-pulls")
-			}
-		})
-	}
-}
-
-// BenchmarkFlashCrowd measures the serving path under correlated load:
-// 64 clients concurrently requesting the same cold package through an
-// edge replica must produce exactly one origin pull (seed behavior: 64),
-// one origin re-sanitization fill, and one delta fetch per sync storm;
-// under 2x max-inflight offered load the admission controller sheds the
-// excess with 429s while the served p99 stays near the uncontended p99.
-func BenchmarkFlashCrowd(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Scale = 0.004
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.FlashCrowdRun(cfg, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.EdgeOriginPulls != 1 {
-			b.Fatalf("%d origin pulls for %d concurrent cold misses, want exactly 1", res.EdgeOriginPulls, res.Clients)
-		}
-		if res.Shed == 0 {
-			b.Fatal("overload phase shed nothing; admission control inactive")
-		}
-		b.ReportMetric(float64(res.EdgeOriginPulls), "origin-pulls")
-		b.ReportMetric(float64(res.EdgeCoalesced), "coalesced")
-		b.ReportMetric(float64(res.OriginFills), "origin-fills")
-		b.ReportMetric(float64(res.SyncFetches), "sync-fetches")
-		b.ReportMetric(float64(res.Shed), "shed")
-		b.ReportMetric(res.UncontendedP99Ms, "p99-ms")
-		b.ReportMetric(res.OverloadP99Ms, "overload-p99-ms")
-	}
-}
-
 // BenchmarkFleetSoak runs the composed-failure soak (docs/SOAK.md) at
 // bench scale: diurnal client traffic through failover clients while
 // edges die, restart, roll back, and turn byzantine, the origin
@@ -184,43 +128,6 @@ func BenchmarkFleetSoak(b *testing.B) {
 		b.ReportMetric(res.ShedRate*100, "%shed")
 		b.ReportMetric(float64(res.ComposedFailures), "failures")
 		b.ReportMetric(res.WarmRestartMs, "warm-restart-ms")
-	}
-}
-
-// BenchmarkWireSync measures the wire-efficiency work over real HTTP:
-// gzip-negotiated index transfer (must be <= 0.5x the identity bytes,
-// with the signature headers byte-identical) and chunked differential
-// package sync (a one-file version bump must move >= 5x fewer bytes
-// than a full refetch). Reported metrics: the gzip ratio, the diff
-// reduction factor, and the absolute bytes each path moved. Set
-// BENCH_DIR to also emit BENCH_wire_sync.json.
-func BenchmarkWireSync(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Scale = 0.004
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.WireSyncRun(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.IndexGzipRatio > 0.5 {
-			b.Fatalf("gzip index is %.2fx the identity bytes, want <= 0.5x", res.IndexGzipRatio)
-		}
-		if !res.IndexHeadersIdentical {
-			b.Fatal("gzip transfer changed the index signature headers")
-		}
-		if res.DiffReductionX < 5 {
-			b.Fatalf("version-bump sync moved %d of %d bytes (%.1fx), want >= 5x reduction",
-				res.BumpDiffBytes, res.FullRefetchBytes, res.DiffReductionX)
-		}
-		if dir := os.Getenv("BENCH_DIR"); dir != "" {
-			if _, err := res.WriteBench(dir); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(res.IndexGzipRatio, "gzip-ratio")
-		b.ReportMetric(res.DiffReductionX, "diff-reduction-x")
-		b.ReportMetric(float64(res.BumpDiffBytes), "diff-bytes")
-		b.ReportMetric(float64(res.FullRefetchBytes), "full-bytes")
 	}
 }
 
@@ -580,37 +487,5 @@ func BenchmarkSanitizeThroughput(b *testing.B) {
 	elapsed := time.Since(start)
 	if elapsed > 0 {
 		b.ReportMetric(float64(count)/elapsed.Seconds(), "pkgs/s")
-	}
-}
-
-// BenchmarkWarmRestart measures the durable store's crash-restart
-// path: cold init (policy deploy + full sanitization) versus a warm
-// restart over the populated data dir (scrub + unseal + publish).
-// Reported metrics: cold_ms, warm_ms, their ratio (the acceptance
-// floor is 100x), packages re-sanitized during the restart (must be
-// 0), and whether the restarted edge replica resumed via delta sync
-// (1.0 = yes, no full index fetch).
-func BenchmarkWarmRestart(b *testing.B) {
-	cfg := benchCfg()
-	cfg.Scale = 0.004
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrashRestartRun(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Resanitized != 0 {
-			b.Fatalf("warm restart re-sanitized %d packages", res.Resanitized)
-		}
-		if !res.RollbackDetected {
-			b.Fatal("rolled-back data dir was not rejected")
-		}
-		b.ReportMetric(float64(res.ColdInit.Milliseconds()), "cold_ms")
-		b.ReportMetric(float64(res.WarmRestart.Milliseconds()), "warm_ms")
-		b.ReportMetric(res.Speedup, "speedup_x")
-		edgeDelta := 0.0
-		if res.EdgeResumedDelta {
-			edgeDelta = 1.0
-		}
-		b.ReportMetric(edgeDelta, "edge_delta_resume")
 	}
 }

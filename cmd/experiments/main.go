@@ -33,7 +33,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	maxPkgs := fs.Int("max", 150, "cap for per-package experiment loops (0 = no cap)")
 	benchDir := fs.String("bench-dir", ".", "directory for BENCH_*.json emission (empty disables)")
-	tenants := fs.Int("tenants", 0, "tenant repositories for multi-tenant-scale (0 = its default of 100)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -44,7 +43,7 @@ func run(args []string) error {
 		}
 		return nil
 	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, MaxPackages: *maxPkgs, BenchDir: *benchDir, Tenants: *tenants}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, MaxPackages: *maxPkgs, BenchDir: *benchDir}
 
 	var runners []experiments.Runner
 	if *runList == "all" {

@@ -88,8 +88,8 @@ func TestBuildServiceAndServe(t *testing.T) {
 // package response pairs its strong ETag with exactly the body it
 // serves, every 429 carries a Retry-After hint, and the in-flight peak
 // never exceeds the advertised -max-inflight bound. A small service-
-// time floor under the gate (the same device the flash-crowd
-// experiment uses) makes the bursts genuinely overlap, so the gate has
+// time floor under the gate (the same device the fleet soak's flash
+// crowds use) makes the bursts genuinely overlap, so the gate has
 // something to shed.
 func TestAdmissionShedContract(t *testing.T) {
 	deps, err := openHost("", false, "", testLogger())

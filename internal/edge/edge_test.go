@@ -299,6 +299,20 @@ func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 origin pull + 1 cache hit", s)
 	}
 
+	// Absorption: a warm replica serving R reads over M distinct names
+	// makes at most M origin package pulls, however large R grows.
+	names := []string{"app", "lib", "tool"}
+	const reads = 30
+	for i := 0; i < reads; i++ {
+		if _, err := rep.FetchPackage(names[i%len(names)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := rep.Stats(); s.OriginPackages > int64(len(names)) {
+		t.Fatalf("%d reads over %d names made %d origin pulls, want <= %d",
+			reads, len(names), s.OriginPackages, len(names))
+	}
+
 	// A corrupting origin path is detected before caching: the replica
 	// refuses to serve and does not poison its cache.
 	bad := &Replica{RepoID: w.tenant.ID, Origin: corruptOrigin{w.tenant}, Continent: netsim.Oceania}

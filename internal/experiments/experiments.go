@@ -46,9 +46,6 @@ type Config struct {
 	// BENCH_*.json results (fleet-soak) write them. Empty disables
 	// emission.
 	BenchDir string
-	// Tenants is the tenant repository count for the multi-tenant
-	// scale-out experiment (0 = its default of 100).
-	Tenants int
 }
 
 // withDefaults fills zero fields.
@@ -120,33 +117,9 @@ type World struct {
 	Mirrors   []*mirror.Mirror
 	Service   *tsr.Service
 	Tenant    *tsr.Repo
-	Store     *tsr.MemStore // nil when WorldDeps injected a non-Mem store
-	Backing   tsr.Store
 	Clock     *netsim.VirtualClock
 	Distro    *keys.Pair
 	PolicyRaw []byte
-}
-
-// WorldDeps override the host-side pieces of a world — the store, the
-// TPM, the SGX platform — so restart experiments can carry them across
-// simulated process lifetimes (same disk, same TPM counters, same CPU
-// sealing root). Zero value: fresh in-memory everything.
-type WorldDeps struct {
-	Store       tsr.Store
-	TPM         *tpm.TPM
-	Platform    *enclave.Platform
-	AutoPersist bool
-	// SkipRefresh leaves the deployed tenant unrefreshed (restart
-	// experiments refresh under their own timers).
-	SkipRefresh bool
-	// SkipDeploy builds the world without deploying a tenant at all —
-	// the restart path deploys via Service.RestoreAll instead.
-	SkipDeploy bool
-	// RefreshWorkers / SchedMaxActive bound the service's global
-	// refresh scheduler (tsr.Config fields of the same name). Zero
-	// leaves the scheduler unbounded — the historical behaviour.
-	RefreshWorkers int
-	SchedMaxActive int
 }
 
 // mirrorLayout describes the mirror fleet to build.
@@ -160,11 +133,37 @@ type mirrorSpec struct {
 // publishes it to the original repository, syncs the mirrors, deploys a
 // policy, and runs the initial Refresh.
 func NewWorld(cfg Config, mirrors []mirrorSpec, dataCenterLink bool) (*World, error) {
-	return NewWorldWith(cfg, mirrors, dataCenterLink, WorldDeps{})
+	platform, err := enclave.NewPlatform(keys.Shared.MustGet("exp-quoting"))
+	if err != nil {
+		return nil, err
+	}
+	w, err := newWorld(cfg, mirrors, dataCenterLink, tsr.Config{
+		Platform: platform,
+		TPM:      newHostTPM(),
+		Store:    tsr.NewMemStore(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	id, _, _, err := w.Service.DeployPolicy(w.PolicyRaw)
+	if err != nil {
+		return nil, err
+	}
+	w.Tenant, err = w.Service.Repo(id)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Tenant.Refresh(); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// NewWorldWith is NewWorld with host-side dependencies injected.
-func NewWorldWith(cfg Config, mirrors []mirrorSpec, dataCenterLink bool, deps WorldDeps) (*World, error) {
+// newWorld publishes the population, syncs the mirrors, writes the
+// policy, and starts a service on host — the caller's store, TPM, SGX
+// platform and scheduler bounds, which the fleet soak carries across
+// simulated process lifetimes — without deploying a tenant.
+func newWorld(cfg Config, mirrors []mirrorSpec, dataCenterLink bool, host tsr.Config) (*World, error) {
 	cfg = cfg.withDefaults()
 	if len(mirrors) == 0 {
 		mirrors = []mirrorSpec{
@@ -177,19 +176,12 @@ func NewWorldWith(cfg Config, mirrors []mirrorSpec, dataCenterLink bool, deps Wo
 	if err != nil {
 		return nil, err
 	}
-	if deps.Store == nil {
-		deps.Store = tsr.NewMemStore()
-	}
 	w := &World{
-		Cfg:     cfg,
-		Gen:     workload.New(workload.Config{Seed: cfg.Seed, Scale: cfg.Scale}),
-		Repo:    repo.New("alpine", distro),
-		Backing: deps.Store,
-		Clock:   netsim.NewVirtualClock(time.Time{}),
-		Distro:  distro,
-	}
-	if ms, ok := deps.Store.(*tsr.MemStore); ok {
-		w.Store = ms
+		Cfg:    cfg,
+		Gen:    workload.New(workload.Config{Seed: cfg.Seed, Scale: cfg.Scale}),
+		Repo:   repo.New("alpine", distro),
+		Clock:  netsim.NewVirtualClock(time.Time{}),
+		Distro: distro,
 	}
 
 	// Publish the population.
@@ -242,59 +234,23 @@ func NewWorldWith(cfg Config, mirrors []mirrorSpec, dataCenterLink bool, deps Wo
 	}
 	w.PolicyRaw = pol.Marshal()
 
-	platform := deps.Platform
-	if platform == nil {
-		platform, err = enclave.NewPlatform(keys.Shared.MustGet("exp-quoting"))
-		if err != nil {
-			return nil, err
-		}
-	}
-	hostTPM := deps.TPM
-	if hostTPM == nil {
-		hostTPM = newHostTPM()
-	}
 	link := netsim.DefaultLinkModel(netsim.NewRNG(cfg.Seed + 1))
 	if dataCenterLink {
 		link = netsim.DataCenterLinkModel(netsim.NewRNG(cfg.Seed + 1))
 	}
-	svc, err := tsr.New(tsr.Config{
-		Platform:       platform,
-		TPM:            hostTPM,
-		Clock:          w.Clock,
-		Link:           link,
-		Local:          netsim.Europe,
-		Store:          w.Backing,
-		AutoPersist:    deps.AutoPersist,
-		RefreshWorkers: deps.RefreshWorkers,
-		SchedMaxActive: deps.SchedMaxActive,
-		EPC:            cfg.EPC,
-		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := byHost[m.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("experiments: unknown mirror %q", m.Hostname)
-			}
-			return mm, mm, nil
-		},
-	})
+	host.Clock = w.Clock
+	host.Link = link
+	host.Local = netsim.Europe
+	host.EPC = cfg.EPC
+	host.Resolve = func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
+		mm, ok := byHost[m.Hostname]
+		if !ok {
+			return nil, nil, fmt.Errorf("experiments: unknown mirror %q", m.Hostname)
+		}
+		return mm, mm, nil
+	}
+	w.Service, err = tsr.New(host)
 	if err != nil {
-		return nil, err
-	}
-	w.Service = svc
-	if deps.SkipDeploy {
-		return w, nil
-	}
-	id, _, _, err := svc.DeployPolicy(w.PolicyRaw)
-	if err != nil {
-		return nil, err
-	}
-	w.Tenant, err = svc.Repo(id)
-	if err != nil {
-		return nil, err
-	}
-	if deps.SkipRefresh {
-		return w, nil
-	}
-	if _, err := w.Tenant.Refresh(); err != nil {
 		return nil, err
 	}
 	return w, nil

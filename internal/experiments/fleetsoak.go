@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,7 +28,6 @@ import (
 	"tsr/internal/obs"
 	"tsr/internal/sched"
 	"tsr/internal/store"
-	"tsr/internal/tpm"
 	"tsr/internal/trace"
 	"tsr/internal/tsr"
 )
@@ -52,6 +52,12 @@ const (
 	soakSchedMaxActive = 2
 	// Packages the churn tenant bulk-ingests at TenantDeploy.
 	soakChurnBatch = 4
+	// flashServiceFloor is a synthetic per-request service time injected
+	// under the admission middleware for the flash crowds. Real handler
+	// time at experiment scale is microseconds, which no finite offered
+	// load could saturate reproducibly; the floor models a saturated
+	// hardware service time so the shed/served split is deterministic.
+	flashServiceFloor = 2 * time.Millisecond
 )
 
 // errOriginDown models the crashed origin process: connections to it
@@ -60,10 +66,13 @@ var errOriginDown = errors.New("fleet-soak: origin is down")
 
 // originGate is the swappable origin endpoint: OriginCrash stores nil,
 // OriginRestart stores the restored tenant. It satisfies the same read
-// surface as *tsr.Repo, so countingOrigin and the replicas sit on top
-// unchanged.
+// surface as *tsr.Repo, so the replicas and clients sit on top
+// unchanged. It counts the chunk-manifest and range requests that reach
+// the origin.
 type originGate struct {
-	tenant atomic.Pointer[tsr.Repo]
+	tenant    atomic.Pointer[tsr.Repo]
+	manifests atomic.Int64
+	ranges    atomic.Int64
 }
 
 func (g *originGate) FetchIndexTagged() (*index.Signed, string, error) {
@@ -93,6 +102,7 @@ func (g *originGate) FetchPackage(name string) ([]byte, error) {
 // The differential-sync surface forwards too, so chunked package sync
 // stays in the replicas' pull path throughout the soak.
 func (g *originGate) FetchChunkManifest(name string) (*store.ChunkManifest, error) {
+	g.manifests.Add(1)
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, errOriginDown
@@ -101,6 +111,7 @@ func (g *originGate) FetchChunkManifest(name string) (*store.ChunkManifest, erro
 }
 
 func (g *originGate) FetchPackageRange(name string, off, length int64) ([]byte, error) {
+	g.ranges.Add(1)
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, errOriginDown
@@ -273,8 +284,27 @@ func soakPackage(name string) *apk.Package {
 // the same invariant checker — all soak long.
 const soakWireName = "soak-wire-probe"
 
+// soakWireProbe builds the probe: eight 16 KiB files of incompressible
+// (seeded-random) content, with only the last-sorted file's content
+// tied to the version — so a version bump changes a suffix of the
+// deterministic apk stream and chunking can reuse the shared prefix.
 func soakWireProbe(version string) *apk.Package {
-	return wireProbePkg(soakWireName, version, 8, 16<<10)
+	const nFiles, fileSize = 8, 16 << 10
+	p := &apk.Package{Name: soakWireName, Version: version}
+	for i := 0; i < nFiles; i++ {
+		seed := int64(i + 1)
+		path := fmt.Sprintf("/usr/share/%s/%03d.bin", soakWireName, i)
+		if i == nFiles-1 {
+			path = "/usr/share/" + soakWireName + "/zz-last.bin"
+			for _, c := range version {
+				seed = seed*131 + int64(c)
+			}
+		}
+		content := make([]byte, fileSize)
+		rand.New(rand.NewSource(seed)).Read(content)
+		p.Files = append(p.Files, apk.File{Path: path, Mode: 0o644, Content: content})
+	}
+	return p
 }
 
 // FleetSoakRun drives the composed-failure soak: soakClients failover
@@ -293,27 +323,30 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Host hardware that survives the origin crash (restart.go): the
-	// platform sealing root and the TPM counters. The store handle does
-	// not — each life reopens and re-scrubs the data dir.
+	// Host hardware that survives the origin crash: the platform sealing
+	// root and the TPM counters. The store handle does not — each life
+	// reopens and re-scrubs the data dir.
 	platform, err := enclave.NewPlatform(keys.Shared.MustGet("exp-quoting"))
 	if err != nil {
 		return nil, err
 	}
-	hostTPM := tpm.New(keys.Shared.MustGet("exp-host-tpm"))
-	openStore := func() (*store.FS, error) {
-		return store.OpenFS(dir, store.FSOptions{})
+	hostTPM := newHostTPM()
+	// newLife boots one origin process over the data dir, with no tenant
+	// deployed yet: the first life deploys the policy, later lives
+	// restore it with RestoreAll.
+	newLife := func() (*World, error) {
+		st, err := store.OpenFS(dir, store.FSOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return newWorld(cfg, nil, false, tsr.Config{
+			Store: st, TPM: hostTPM, Platform: platform, AutoPersist: true,
+			RefreshWorkers: soakRefreshWorkers, SchedMaxActive: soakSchedMaxActive,
+		})
 	}
 
 	// --- first life --------------------------------------------------
-	st1, err := openStore()
-	if err != nil {
-		return nil, err
-	}
-	w, err := NewWorldWith(cfg, nil, false, WorldDeps{
-		Store: st1, TPM: hostTPM, Platform: platform, AutoPersist: true, SkipDeploy: true,
-		RefreshWorkers: soakRefreshWorkers, SchedMaxActive: soakSchedMaxActive,
-	})
+	w, err := newLife()
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +387,6 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	checker := chaos.NewChecker(trust)
 	gate := &originGate{}
 	gate.tenant.Store(tenant)
-	counted := &countingOrigin{tenant: gate}
 
 	// Control-plane state. ctlMu serializes the control goroutines
 	// (refreshes, origin restart, mirror toggles) against each other;
@@ -390,7 +422,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	newReplica := func(s *edgeSlot) *edge.Replica {
 		return &edge.Replica{
 			RepoID:       repoID,
-			Origin:       counted,
+			Origin:       gate,
 			Continent:    s.continent,
 			TrustRing:    trust,
 			Cache:        s.cache,
@@ -419,7 +451,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	for _, s := range slots {
 		endpoints = append(endpoints, edge.Endpoint{Name: s.name, Continent: s.continent, Fetcher: s})
 	}
-	endpoints = append(endpoints, edge.Endpoint{Name: "origin", Continent: netsim.Europe, Fetcher: counted})
+	endpoints = append(endpoints, edge.Endpoint{Name: "origin", Continent: netsim.Europe, Fetcher: gate})
 	link := netsim.DefaultLinkModel(nil)
 	type soakClient struct {
 		name string
@@ -443,8 +475,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 
 	// --- front HTTP handler (admission + ETag invariants) -------------
 	// The front replica never changes, so binding it into the handler
-	// once is safe; the service floor models saturated hardware exactly
-	// like the flash-crowd experiment.
+	// once is safe; the service floor models saturated hardware.
 	inner := edge.Handler(map[string]*edge.Replica{repoID: slots[0].rep.Load()}, "soak-front")
 	slowed := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		time.Sleep(flashServiceFloor)
@@ -480,7 +511,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			return
 		}
 		probeVersions = append(probeVersions, version)
-		if err := advanceWorldCtx(trace.NewContext(context.Background(), originTracer), cur, name, "1.0-r0"); err != nil {
+		if err := publishGeneration(trace.NewContext(context.Background(), originTracer), cur, name); err != nil {
 			// A refresh failing during a mirror outage is availability;
 			// the previous snapshot keeps serving.
 			res.RefreshesFailed++
@@ -540,14 +571,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if gate.tenant.Load() != nil {
 			return nil
 		}
-		st, err := openStore()
-		if err != nil {
-			return err
-		}
-		w2, err := NewWorldWith(cfg, nil, false, WorldDeps{
-			Store: st, TPM: hostTPM, Platform: platform, AutoPersist: true, SkipDeploy: true,
-			RefreshWorkers: soakRefreshWorkers, SchedMaxActive: soakSchedMaxActive,
-		})
+		w2, err := newLife()
 		if err != nil {
 			return err
 		}
@@ -659,7 +683,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			return
 		}
 		path := "/repos/" + repoID + "/packages/" + probe
-		_ = inParallel(2*soakMaxInflight, func(int) error {
+		inParallel(2*soakMaxInflight, func() {
 			for r := 0; r < soakCrowdRounds; r++ {
 				rec := httptest.NewRecorder()
 				handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
@@ -671,7 +695,6 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 					rec.Header().Get("ETag"), rec.Header().Get("Retry-After"), rec.Body.Bytes())
 				checker.TraceHeader("soak-front", rec.Code, rec.Header().Get(trace.HeaderTraceID))
 			}
-			return nil
 		})
 		// One Range read per crowd, pinned to a fresh full representation
 		// with If-Range: the 206 must be a verified slice of the full
@@ -966,8 +989,8 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	res.CrowdOffered = crowdOffered.Load()
 	res.CrowdServed = crowdServed.Load()
 	res.RangeReads = rangeReads.Load()
-	res.OriginManifests = counted.manifests.Load()
-	res.OriginRanges = counted.ranges.Load()
+	res.OriginManifests = gate.manifests.Load()
+	res.OriginRanges = gate.ranges.Load()
 	res.CrowdShed = res.FrontHTTP.ShedTotal
 	if res.CrowdOffered > 0 {
 		res.ShedRate = float64(res.CrowdShed) / float64(res.CrowdOffered)
@@ -1091,4 +1114,60 @@ func FleetSoak(cfg Config) (*Table, error) {
 		}, notes...),
 	}
 	return t, nil
+}
+
+// edgeContinents is the replica placement rotation: the paper's three
+// mirror continents first, then the edge-only ones.
+var edgeContinents = []netsim.Continent{
+	netsim.Europe, netsim.NorthAmerica, netsim.Asia, netsim.SouthAmerica, netsim.Oceania,
+}
+
+// publishGeneration publishes soakPackage(name) and refreshes the
+// tenant under ctx, producing a new origin index generation; a traced
+// ctx yields an origin.refresh span tree per generation (the soak
+// reports the per-stage breakdown from these).
+func publishGeneration(ctx context.Context, w *World, name string) error {
+	p := soakPackage(name)
+	if err := apk.Sign(p, w.Distro); err != nil {
+		return err
+	}
+	if err := w.Repo.Publish(p); err != nil {
+		return err
+	}
+	for _, m := range w.Mirrors {
+		m.Sync(w.Repo)
+	}
+	_, err := w.Tenant.RefreshCtx(ctx)
+	return err
+}
+
+// inParallel runs fn in k goroutines released together and waits for
+// all of them.
+func inParallel(k int, fn func()) {
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-gate
+			fn()
+		}()
+	}
+	close(gate)
+	wg.Wait()
+}
+
+// firstPackageName returns the first package of a signed index — the
+// shared probe every flash-crowd client requests.
+func firstPackageName(signed *index.Signed) (string, error) {
+	ix, err := index.Decode(signed.Raw)
+	if err != nil {
+		return "", err
+	}
+	names := ix.Names()
+	if len(names) == 0 {
+		return "", fmt.Errorf("flash-crowd: empty index")
+	}
+	return names[0], nil
 }

@@ -32,13 +32,7 @@ func All() []Runner {
 		{"ablation-quorum", "DESIGN.md ablation 1", AblationQuorumStrategy},
 		{"ablation-parallel", "Table 3 future work", AblationParallelDownload},
 		{"ablation-workers", "refresh pipeline scaling", AblationRefreshWorkers},
-		{"read-under-refresh", "non-blocking snapshot read path", ReadUnderRefresh},
-		{"edge-fanout", "edge replication tier", EdgeFanout},
-		{"crash-restart", "durable store warm restart", CrashRestart},
-		{"flash-crowd", "request coalescing + admission control", FlashCrowd},
 		{"fleet-soak", "ROADMAP item 5: composed-failure soak", FleetSoak},
-		{"wire-sync", "wire efficiency: gzip index + chunked differential sync", WireSync},
-		{"multi-tenant-scale", "multi-tenant origin scale-out under the shared scheduler", MultiTenantScale},
 	}
 }
 
