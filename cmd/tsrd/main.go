@@ -162,7 +162,7 @@ func run(ctx context.Context, args []string) error {
 // unseal and the TPM counters carry over — modeling the same physical
 // machine rebooting.
 type hostDeps struct {
-	store    tsr.Store
+	store    store.Store
 	tpm      *tpm.TPM
 	platform *enclave.Platform
 	distro   *keys.Pair
@@ -195,7 +195,7 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 			return hostDeps{}, err
 		}
 		return hostDeps{
-			store:    tsr.NewMemStore(),
+			store:    store.NewMem(),
 			tpm:      tpm.New(keys.Shared.MustGet("tsrd-tpm-ak")),
 			platform: platform,
 			distro:   distro,

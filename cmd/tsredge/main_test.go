@@ -35,7 +35,7 @@ func TestReplicateOverHTTP(t *testing.T) {
 
 	origin := &tsr.Client{BaseURL: originSrv.URL, RepoID: w.Tenant.ID, HTTPClient: originSrv.Client()}
 	rep := &edge.Replica{RepoID: w.Tenant.ID, Origin: origin, CacheBudget: 64 << 20}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.FullSyncs != 1 {
@@ -57,7 +57,7 @@ func TestReplicateOverHTTP(t *testing.T) {
 	if _, err := w.Tenant.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.DeltaSyncs != 1 {
@@ -149,7 +149,7 @@ func TestEdgeETagBodyUnderConcurrentSync(t *testing.T) {
 	ring := keys.NewRing(w.Tenant.PublicKey())
 	origin := &tsr.Client{BaseURL: originSrv.URL, RepoID: w.Tenant.ID, HTTPClient: originSrv.Client()}
 	rep := &edge.Replica{RepoID: w.Tenant.ID, Origin: origin, CacheBudget: 64 << 20, TrustRing: ring}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,7 +213,7 @@ func TestEdgeETagBodyUnderConcurrentSync(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := rep.Sync(); err != nil {
+			if err := rep.SyncCtx(context.Background()); err != nil {
 				t.Errorf("mid-read sync: %v", err)
 				return
 			}
@@ -232,7 +232,7 @@ func TestEdgeETagBodyUnderConcurrentSync(t *testing.T) {
 
 	// Quiesce: one more sync, then every published generation's package
 	// must be present and verified through the same wrapped stack.
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -26,6 +27,7 @@ import (
 	"tsr/internal/policy"
 	"tsr/internal/quorum"
 	"tsr/internal/repo"
+	"tsr/internal/store"
 	"tsr/internal/tpm"
 	"tsr/internal/tsr"
 )
@@ -37,6 +39,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	// --- the origin: a TSR service with one refreshed tenant ----------
 	distro, err := keys.Generate("alpine@example.org")
 	if err != nil {
@@ -92,7 +95,7 @@ func run() error {
 		Clock:    netsim.NewVirtualClock(time.Time{}),
 		Link:     netsim.DefaultLinkModel(nil),
 		Local:    netsim.Europe,
-		Store:    tsr.NewMemStore(),
+		Store:    store.NewMem(),
 		EPC:      enclave.DefaultCostModel(),
 		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
 			mm, ok := mirrors[m.Hostname]
@@ -126,7 +129,7 @@ func run() error {
 	endpoints := make([]edge.Endpoint, 0, len(conts)+1)
 	for i, cont := range conts {
 		replicas[i] = &edge.Replica{RepoID: id, Origin: tenant, Continent: cont, TrustRing: trust}
-		if err := replicas[i].Sync(); err != nil {
+		if err := replicas[i].SyncCtx(ctx); err != nil {
 			return err
 		}
 		fmt.Printf("edge-%d (%s): first sync -> full index fetch (etag %.16s...)\n",
@@ -147,7 +150,7 @@ func run() error {
 		return err
 	}
 	for i, rep := range replicas {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(ctx); err != nil {
 			return err
 		}
 		s := rep.Stats()
@@ -197,7 +200,7 @@ func run() error {
 	// replica relays the signed index faithfully — it can only lie in
 	// package bodies, and those are hash-checked).
 	for _, rep := range replicas[:2] {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(ctx); err != nil {
 			return err
 		}
 	}
@@ -232,7 +235,7 @@ func run() error {
 }
 
 func short(tenant *tsr.Repo) string {
-	signed, etag, err := tenant.FetchIndexTagged()
+	signed, etag, err := tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		return err.Error()
 	}

@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// Servenolock enforces the lock-free serving path from PR 2: reads
-// (FetchIndex, FetchPackageTraced, PackageETag, and friends) serve
-// from the atomically published snapshot and must not acquire
-// Repo.mu, the refresh-side lock a 10-25s sanitization cycle holds.
+// Servenolock enforces the lock-free serving path: reads (FetchIndex,
+// FetchPackageTracedCtx, PackageETag, and friends) serve from the
+// atomically published snapshot and must not acquire Repo.mu, the
+// refresh-side lock a 10-25s sanitization cycle holds.
 // One stray Lock() on the read path reintroduces the
 // reads-block-for-the-whole-cycle behavior PR 2 removed — and no test
 // catches it unless the test happens to race a refresh. The analyzer
@@ -27,20 +27,23 @@ var Servenolock = &Analyzer{
 }
 
 // servenolockRoots are the serving-path entry points: everything a
-// client request can reach.
+// client request can reach. The context-first methods are roots in
+// their own right, not only through a plain wrapper, so each body is
+// checked whether or not a context-free form calls it.
 var servenolockRoots = map[string]bool{
-	"FetchIndex":         true,
-	"FetchIndexTagged":   true,
-	"FetchIndexDelta":    true,
-	"IndexETag":          true,
-	"Current":            true,
-	"PackageETag":        true,
-	"FetchPackage":       true,
-	"FetchPackageTraced": true,
-	"OpenPackageCtx":     true,
-	"FetchChunkManifest": true,
-	"FetchPackageRange":  true,
-	"CacheStats":         true,
+	"FetchIndex":            true,
+	"FetchIndexTaggedCtx":   true,
+	"FetchIndexDeltaCtx":    true,
+	"IndexETag":             true,
+	"Current":               true,
+	"PackageETag":           true,
+	"FetchPackage":          true,
+	"FetchPackageCtx":       true,
+	"FetchPackageTracedCtx": true,
+	"OpenPackageCtx":        true,
+	"FetchChunkManifestCtx": true,
+	"FetchPackageRangeCtx":  true,
+	"CacheStats":            true,
 }
 
 // servenolockAcquire are the mutex methods that take the lock.

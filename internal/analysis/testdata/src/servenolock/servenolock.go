@@ -37,6 +37,14 @@ func (r *Repo) etagLocked() string {
 	return r.snap.etag
 }
 
+// FetchIndexDeltaCtx is a root itself: no context-free wrapper leads
+// to it, and its acquisition is still flagged.
+func (r *Repo) FetchIndexDeltaCtx() *state {
+	r.mu.RLock() // want `serving path acquires Repo\.mu \(reachable from FetchIndexDeltaCtx\)`
+	defer r.mu.RUnlock()
+	return r.snap
+}
+
 // Refresh is the write side: not a serving root, free to lock.
 func (r *Repo) Refresh() {
 	r.mu.Lock()

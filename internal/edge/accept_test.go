@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,12 +42,12 @@ func (f *feed) current() *repo.Snapshot {
 
 func (f *feed) FetchIndex() (*index.Signed, error) { return f.current().Signed.Clone(), nil }
 
-func (f *feed) FetchIndexTagged() (*index.Signed, string, error) {
+func (f *feed) FetchIndexTaggedCtx(context.Context) (*index.Signed, string, error) {
 	s := f.current().Signed
 	return s.Clone(), s.ETag(), nil
 }
 
-func (f *feed) FetchIndexDelta(since string) (*index.Delta, error) {
+func (f *feed) FetchIndexDeltaCtx(_ context.Context, since string) (*index.Delta, error) {
 	if since == f.current().Signed.ETag() {
 		return nil, index.ErrDeltaUnchanged
 	}
@@ -59,6 +60,14 @@ func (f *feed) FetchPackage(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", repo.ErrNoPackage, name)
 	}
 	return raw, nil
+}
+
+func (f *feed) FetchPackageCtx(_ context.Context, name string) ([]byte, error) {
+	return f.FetchPackage(name)
+}
+
+func (f *feed) FetchChunkManifestCtx(context.Context, string) (*store.ChunkManifest, error) {
+	return nil, errNoChunkManifests
 }
 
 // feedTenant deploys the edge world's policy on a fresh origin whose
@@ -124,7 +133,8 @@ func TestOneAcceptanceRule(t *testing.T) {
 			return func() error { _, err := c.FetchIndex(); return err }
 		}},
 		{"edge.Replica", func(t *testing.T) func() error {
-			return (&Replica{RepoID: "feed", Origin: f}).Sync
+			rep := &Replica{RepoID: "feed", Origin: f}
+			return func() error { return rep.SyncCtx(context.Background()) }
 		}},
 		{"tsr.Repo upstream", func(t *testing.T) func() error {
 			r := feedTenant(t, w, f)
@@ -166,7 +176,7 @@ func TestReplicaFollowsOriginColdStart(t *testing.T) {
 		}
 	}
 	rep := &Replica{RepoID: r1.ID, Origin: r1, TrustRing: keys.NewRing(r1.PublicKey())}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	before := rep.Stats().Sequence
@@ -189,7 +199,7 @@ func TestReplicaFollowsOriginColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep.Origin = r2
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatalf("replica refuses the cold-started origin: %v", err)
 	}
 	if got := rep.Stats().Sequence; got <= before {

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"math"
@@ -127,7 +128,7 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			origin.setIndex(signed, signed.ETag())
-			if err := rep.Sync(); err != nil {
+			if err := rep.SyncCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			tags = append(tags, signed.ETag())

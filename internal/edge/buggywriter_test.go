@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,10 +37,10 @@ func TestBuggyWriterCannotReachClients(t *testing.T) {
 				cache := store.NewMem()
 				rep := &Replica{RepoID: w.tenant.ID, Cache: cache, TrustRing: w.trust(),
 					Origin: &tsr.Client{BaseURL: origin.URL, RepoID: w.tenant.ID, HTTPClient: origin.Client()}}
-				if err := rep.Sync(); err != nil {
+				if err := rep.SyncCtx(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := rep.FetchPackage("app"); err != nil {
+				if _, err := rep.FetchPackageCtx(context.Background(), "app"); err != nil {
 					t.Fatal(err)
 				}
 				entry, err := rep.resolveEntry("app")
@@ -47,7 +48,7 @@ func TestBuggyWriterCannotReachClients(t *testing.T) {
 					t.Fatal(err)
 				}
 				pulls := rep.Stats().OriginPackages
-				read := func() ([]byte, error) { return rep.FetchPackage("app") }
+				read := func() ([]byte, error) { return rep.FetchPackageCtx(context.Background(), "app") }
 				healed := func(t *testing.T) {
 					if got := rep.Stats().OriginPackages - pulls; got != 1 {
 						t.Fatalf("origin pulls after the flip = %d, want 1", got)
@@ -71,7 +72,7 @@ func TestBuggyWriterCannotReachClients(t *testing.T) {
 				}
 				var from tsr.ServedFrom
 				read := func() ([]byte, error) {
-					raw, res, err := w.tenant.FetchPackageTraced("app")
+					raw, res, err := w.tenant.FetchPackageTracedCtx(context.Background(), "app")
 					if err == nil {
 						from = res.From
 					}

@@ -26,10 +26,12 @@ var (
 
 // Fetcher is the read surface every tier serves: *tsr.Repo (origin,
 // in-process), *tsr.Client (origin or edge over HTTP), and *Replica all
-// satisfy it.
+// satisfy it. The chunk manifest is the first half of a differential
+// fetch; its byte ranges come through fetchRange (wire.go).
 type Fetcher interface {
-	FetchIndexTagged() (*index.Signed, string, error)
-	FetchPackage(name string) ([]byte, error)
+	FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error)
+	FetchPackageCtx(ctx context.Context, name string) ([]byte, error)
+	FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error)
 }
 
 // Endpoint is one place a FailoverClient can read from.
@@ -87,9 +89,9 @@ type FailoverClient struct {
 	QuorumK int
 	// PkgCache, when set, retains verified package bytes
 	// (content-addressed, untrusted — re-verified on every read) and
-	// enables chunk-aware differential fetch against endpoints that
-	// expose chunk manifests: a version bump transfers only the changed
-	// chunks. nil keeps the classic full-download behavior.
+	// enables chunk-aware differential fetch: a version bump transfers
+	// only the changed chunks. nil keeps the classic full-download
+	// behavior.
 	PkgCache store.Store
 
 	mu       sync.Mutex
@@ -199,9 +201,8 @@ func (c *FailoverClient) FetchIndex() (*index.Signed, error) {
 }
 
 // FetchIndexCtx is FetchIndex as a "client.index" span: each endpoint
-// attempt that supports it runs as a child, so a failover shows up as
-// a sequence of attempts under one span rather than as unexplained
-// latency.
+// attempt runs as a child, so a failover shows up as a sequence of
+// attempts under one span rather than as unexplained latency.
 func (c *FailoverClient) FetchIndexCtx(ctx context.Context) (_ *index.Signed, err error) {
 	ctx, sp := trace.Start(ctx, "client.index")
 	defer func() {
@@ -221,7 +222,7 @@ func (c *FailoverClient) FetchIndexCtx(ctx context.Context) (_ *index.Signed, er
 	var errs []error
 	for attempt, i := range c.rank() {
 		ep := c.Endpoints[i]
-		signed, _, err := originFetchIndexTagged(ctx, ep.Fetcher)
+		signed, _, err := ep.Fetcher.FetchIndexTaggedCtx(ctx)
 		if err != nil {
 			c.noteFailure(i)
 			errs = append(errs, fmt.Errorf("%s: %w", ep.Name, err))
@@ -316,7 +317,7 @@ type quorumSource struct {
 }
 
 func (s *quorumSource) FetchIndex() (*index.Signed, error) {
-	signed, _, err := originFetchIndexTagged(s.ctx, s.c.Endpoints[s.ep].Fetcher)
+	signed, _, err := s.c.Endpoints[s.ep].Fetcher.FetchIndexTaggedCtx(s.ctx)
 	if err != nil {
 		s.c.noteFailure(s.ep)
 		return nil, err
@@ -500,13 +501,11 @@ func (c *FailoverClient) fetchFromEndpoint(ctx context.Context, ep Endpoint, nam
 			c.mu.Unlock()
 			return out, st.BytesFetched, nil
 		}
-		if !errors.Is(err, errDiffUnsupported) {
-			c.mu.Lock()
-			c.stats.DiffFallbacks++
-			c.mu.Unlock()
-		}
+		c.mu.Lock()
+		c.stats.DiffFallbacks++
+		c.mu.Unlock()
 	}
-	raw, err := originFetchPackage(ctx, ep.Fetcher, name)
+	raw, err := ep.Fetcher.FetchPackageCtx(ctx, name)
 	return raw, entry.Size, err
 }
 

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -19,7 +20,7 @@ func twoEdges(t *testing.T, w *edgeWorld) (near, far *Replica) {
 	near = &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Europe}
 	far = &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Asia}
 	for _, rep := range []*Replica{near, far} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +75,7 @@ func TestFailoverRejectsStaleReplica(t *testing.T) {
 	// moves on and the near replica follows.
 	far.SetBehavior(Freeze)
 	w.update(t, "app", "1.1-r0")
-	if err := near.Sync(); err != nil {
+	if err := near.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +162,7 @@ func TestFailoverClientSurvivesOriginRefresh(t *testing.T) {
 	// client still holds the old index.
 	w.update(t, "app", "1.1-r0")
 	for _, rep := range []*Replica{near, far} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +184,7 @@ func TestQuorumCrossCheck(t *testing.T) {
 	conts := []netsim.Continent{netsim.Europe, netsim.NorthAmerica, netsim.Asia}
 	for i := range reps {
 		reps[i] = &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: conts[i]}
-		if err := reps[i].Sync(); err != nil {
+		if err := reps[i].SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +193,7 @@ func TestQuorumCrossCheck(t *testing.T) {
 	reps[0].SetBehavior(Freeze)
 	w.update(t, "app", "1.1-r0")
 	for _, rep := range reps[1:] {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +208,7 @@ func TestQuorumCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, _, err := w.tenant.FetchIndexTagged()
+	cur, _, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"tsr/internal/index"
+	"tsr/internal/store"
 )
 
 // gatedOrigin wraps an Origin and parks FetchPackage / FetchIndexDelta
@@ -30,20 +32,20 @@ type gatedOrigin struct {
 	deltaOnce sync.Once
 }
 
-func (g *gatedOrigin) FetchPackage(name string) ([]byte, error) {
+func (g *gatedOrigin) FetchPackageCtx(ctx context.Context, name string) ([]byte, error) {
 	if g.pkgGate != nil {
 		g.pkgOnce.Do(func() { close(g.pkgHit) })
 		<-g.pkgGate
 	}
-	return g.Origin.FetchPackage(name)
+	return g.Origin.FetchPackageCtx(ctx, name)
 }
 
-func (g *gatedOrigin) FetchIndexDelta(since string) (*index.Delta, error) {
+func (g *gatedOrigin) FetchIndexDeltaCtx(ctx context.Context, since string) (*index.Delta, error) {
 	if g.deltaGate != nil {
 		g.deltaOnce.Do(func() { close(g.deltaHit) })
 		<-g.deltaGate
 	}
-	return g.Origin.FetchIndexDelta(since)
+	return g.Origin.FetchIndexDeltaCtx(ctx, since)
 }
 
 // countPulls counts origin package pulls and delta fetches.
@@ -53,18 +55,18 @@ type countPulls struct {
 	pulls, deltas int
 }
 
-func (c *countPulls) FetchPackage(name string) ([]byte, error) {
+func (c *countPulls) FetchPackageCtx(ctx context.Context, name string) ([]byte, error) {
 	c.mu.Lock()
 	c.pulls++
 	c.mu.Unlock()
-	return c.Origin.FetchPackage(name)
+	return c.Origin.FetchPackageCtx(ctx, name)
 }
 
-func (c *countPulls) FetchIndexDelta(since string) (*index.Delta, error) {
+func (c *countPulls) FetchIndexDeltaCtx(ctx context.Context, since string) (*index.Delta, error) {
 	c.mu.Lock()
 	c.deltas++
 	c.mu.Unlock()
-	return c.Origin.FetchIndexDelta(since)
+	return c.Origin.FetchIndexDeltaCtx(ctx, since)
 }
 
 // TestFlashCrowdCoalescesOriginPulls is the flash-crowd acceptance
@@ -80,7 +82,7 @@ func TestFlashCrowdCoalescesOriginPulls(t *testing.T) {
 		pkgGate: make(chan struct{}), pkgHit: make(chan struct{}),
 	}
 	rep := &Replica{RepoID: "r", Origin: gated, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +102,7 @@ func TestFlashCrowdCoalescesOriginPulls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			results[i], errs[i] = rep.FetchPackage("app")
+			results[i], errs[i] = rep.FetchPackageCtx(context.Background(), "app")
 		}(i)
 	}
 	close(gate)
@@ -142,7 +144,7 @@ func TestSyncStormCoalesces(t *testing.T) {
 		deltaGate: make(chan struct{}), deltaHit: make(chan struct{}),
 	}
 	rep := &Replica{RepoID: "r", Origin: gated, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w.update(t, "app", "1.1-r0")
@@ -162,7 +164,7 @@ func TestSyncStormCoalesces(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			errs[i] = rep.Sync()
+			errs[i] = rep.SyncCtx(context.Background())
 		}(i)
 	}
 	close(gate)
@@ -209,17 +211,21 @@ func (o *scriptedOrigin) setIndex(signed *index.Signed, etag string) {
 	o.signed, o.etag = signed, etag
 }
 
-func (o *scriptedOrigin) FetchIndexTagged() (*index.Signed, string, error) {
+func (o *scriptedOrigin) FetchIndexTaggedCtx(context.Context) (*index.Signed, string, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.signed.Clone(), o.etag, nil
 }
 
-func (o *scriptedOrigin) FetchIndexDelta(string) (*index.Delta, error) {
+func (o *scriptedOrigin) FetchIndexDeltaCtx(context.Context, string) (*index.Delta, error) {
 	return nil, index.ErrNoDelta // force full syncs; delta is not under test
 }
 
-func (o *scriptedOrigin) FetchPackage(name string) ([]byte, error) {
+func (o *scriptedOrigin) FetchChunkManifestCtx(context.Context, string) (*store.ChunkManifest, error) {
+	return nil, errNoChunkManifests
+}
+
+func (o *scriptedOrigin) FetchPackageCtx(_ context.Context, name string) ([]byte, error) {
 	if o.gate != nil {
 		o.once.Do(func() { close(o.hit) })
 		<-o.gate
@@ -244,7 +250,7 @@ func TestPackageETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 	w := newEdgeWorld(t)
 
 	// Capture generation 1 (app 1.0) and generation 2 (app 2.0).
-	signed1, etag1, err := w.tenant.FetchIndexTagged()
+	signed1, etag1, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +259,7 @@ func TestPackageETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.update(t, "app", "2.0-r0")
-	signed2, etag2, err := w.tenant.FetchIndexTagged()
+	signed2, etag2, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +271,7 @@ func TestPackageETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 	}
 	origin.setIndex(signed1, etag1)
 	rep := &Replica{RepoID: "r", Origin: origin, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -282,7 +288,7 @@ func TestPackageETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 	// bytes.
 	<-origin.hit
 	origin.setIndex(signed2, etag2)
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := rep.ETag(); got != etag2 {
@@ -313,7 +319,7 @@ func TestPackageETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 func TestPackageRangeETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 	w := newEdgeWorld(t)
 
-	signed1, etag1, err := w.tenant.FetchIndexTagged()
+	signed1, etag1, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +328,7 @@ func TestPackageRangeETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.update(t, "app", "2.0-r0")
-	signed2, etag2, err := w.tenant.FetchIndexTagged()
+	signed2, etag2, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +340,7 @@ func TestPackageRangeETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 	}
 	origin.setIndex(signed1, etag1)
 	rep := &Replica{RepoID: "r", Origin: origin, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -350,7 +356,7 @@ func TestPackageRangeETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 
 	<-origin.hit
 	origin.setIndex(signed2, etag2)
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	close(origin.gate)
@@ -376,9 +382,16 @@ func TestPackageRangeETagMatchesBodyAcrossSyncPublish(t *testing.T) {
 // erroringOrigin fails every call with a fixed error.
 type erroringOrigin struct{ err error }
 
-func (o erroringOrigin) FetchIndexTagged() (*index.Signed, string, error) { return nil, "", o.err }
-func (o erroringOrigin) FetchIndexDelta(string) (*index.Delta, error)     { return nil, o.err }
-func (o erroringOrigin) FetchPackage(string) ([]byte, error)              { return nil, o.err }
+func (o erroringOrigin) FetchIndexTaggedCtx(context.Context) (*index.Signed, string, error) {
+	return nil, "", o.err
+}
+func (o erroringOrigin) FetchIndexDeltaCtx(context.Context, string) (*index.Delta, error) {
+	return nil, o.err
+}
+func (o erroringOrigin) FetchPackageCtx(context.Context, string) ([]byte, error) { return nil, o.err }
+func (o erroringOrigin) FetchChunkManifestCtx(context.Context, string) (*store.ChunkManifest, error) {
+	return nil, o.err
+}
 
 // TestSyncErrorStatusMapping verifies POST /sync maps failures through
 // statusFor: availability conditions (offline/not-synced upstream) are

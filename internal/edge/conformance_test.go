@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -99,7 +100,7 @@ func checkRow(t *testing.T, row readRow, rec *httptest.ResponseRecorder) {
 // pull-through fails.
 type failingOrigin struct{ Origin }
 
-func (failingOrigin) FetchPackage(string) ([]byte, error) {
+func (failingOrigin) FetchPackageCtx(context.Context, string) ([]byte, error) {
 	return nil, errors.New("origin unreachable")
 }
 
@@ -111,13 +112,13 @@ func TestReadAPIConformance(t *testing.T) {
 	}
 	ready := w.tenant.ID
 	rep := &Replica{RepoID: ready, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	prevTag := rep.ETag()
 	// A second generation, so both tiers retain a delta base.
 	w.update(t, "app", "2.0-r0")
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Not-ready: a deployed but never refreshed tenant at the origin, a
@@ -134,11 +135,11 @@ func TestReadAPIConformance(t *testing.T) {
 		{"edge", Handler(map[string]*Replica{ready: rep, cold: {RepoID: cold, Origin: w.tenant}}, "conf-edge")},
 	}
 
-	signed, tag, err := w.tenant.FetchIndexTagged()
+	signed, tag, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := w.tenant.FetchIndexDelta(prevTag)
+	delta, err := w.tenant.FetchIndexDeltaCtx(context.Background(), prevTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestReadAPIConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	blobTag := entryOf(t, rep, "blob").ETag()
-	manifest, err := w.tenant.FetchChunkManifest("blob")
+	manifest, err := w.tenant.FetchChunkManifestCtx(context.Background(), "blob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestEdgeFailuresCarryNoValidators(t *testing.T) {
 	offline := &Replica{RepoID: "off", Origin: w.tenant}
 	cut := &Replica{RepoID: "cut", Origin: failingOrigin{w.tenant}}
 	for _, rep := range []*Replica{offline, cut} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +318,7 @@ func TestEdgeFailuresCarryNoValidators(t *testing.T) {
 func TestChunksRevalidationSkipsTheManifest(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	row := readRow{path: "/packages/app/chunks", request: map[string]string{"If-None-Match": entryOf(t, rep, "app").ETag()}, wantStatus: 304}

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,7 +18,7 @@ import (
 func TestEdgeServesIndexDelta(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: "r", Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	etag1 := rep.ETag()
@@ -27,7 +28,7 @@ func TestEdgeServesIndexDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.update(t, "app", "2.0-r0")
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	etag2 := rep.ETag()
@@ -87,11 +88,11 @@ func TestEdgeServesIndexDelta(t *testing.T) {
 func TestChainedReplicaDeltaSyncs(t *testing.T) {
 	w := newEdgeWorld(t)
 	upstream := &Replica{RepoID: "r", Origin: w.tenant, TrustRing: w.trust()}
-	if err := upstream.Sync(); err != nil {
+	if err := upstream.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	downstream := &Replica{RepoID: "r", Origin: upstream, TrustRing: w.trust()}
-	if err := downstream.Sync(); err != nil {
+	if err := downstream.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := downstream.Stats(); s.FullSyncs != 1 {
@@ -99,10 +100,10 @@ func TestChainedReplicaDeltaSyncs(t *testing.T) {
 	}
 
 	w.update(t, "lib", "2.0-r0")
-	if err := upstream.Sync(); err != nil {
+	if err := upstream.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := downstream.Sync(); err != nil {
+	if err := downstream.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s := downstream.Stats()
@@ -117,7 +118,7 @@ func TestChainedReplicaDeltaSyncs(t *testing.T) {
 	}
 	// End to end: the downstream serves the new package, pulled through
 	// the chain.
-	raw, err := downstream.FetchPackage("lib")
+	raw, err := downstream.FetchPackageCtx(context.Background(), "lib")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,54 +43,13 @@ var (
 )
 
 // Origin is the upstream a replica syncs from: a *tsr.Repo (in-process
-// deployments, experiments) or a *tsr.Client (the tsredge daemon
-// replicating over HTTP) — both satisfy it.
+// deployments, experiments), a *tsr.Client (the tsredge daemon
+// replicating over HTTP) or another *Replica (edges behind edges) —
+// all satisfy it. Every method takes the caller's context, so one
+// trace stitches client -> edge -> chained edge -> origin.
 type Origin interface {
-	FetchIndexTagged() (*index.Signed, string, error)
-	FetchIndexDelta(sinceETag string) (*index.Delta, error)
-	FetchPackage(name string) ([]byte, error)
-}
-
-// The trace context travels through an Origin or Fetcher by optional
-// interface upgrade: when the concrete value has the matching *Ctx
-// method (*tsr.Repo, *tsr.Client, and *Replica itself all do) the call
-// goes through it, so one trace stitches client -> edge -> chained
-// edge -> origin; otherwise the plain method runs and the trace simply
-// ends at that hop. Keeping the Origin and Fetcher interfaces
-// themselves context-free preserves every existing implementation
-// (test doubles included). The parameter types are the minimal
-// single-method interfaces, so both Origin and Fetcher values fit.
-func originFetchIndexTagged(ctx context.Context, o interface {
-	FetchIndexTagged() (*index.Signed, string, error)
-}) (*index.Signed, string, error) {
-	if c, ok := o.(interface {
-		FetchIndexTaggedCtx(context.Context) (*index.Signed, string, error)
-	}); ok {
-		return c.FetchIndexTaggedCtx(ctx)
-	}
-	return o.FetchIndexTagged()
-}
-
-func originFetchIndexDelta(ctx context.Context, o interface {
-	FetchIndexDelta(sinceETag string) (*index.Delta, error)
-}, sinceETag string) (*index.Delta, error) {
-	if c, ok := o.(interface {
-		FetchIndexDeltaCtx(context.Context, string) (*index.Delta, error)
-	}); ok {
-		return c.FetchIndexDeltaCtx(ctx, sinceETag)
-	}
-	return o.FetchIndexDelta(sinceETag)
-}
-
-func originFetchPackage(ctx context.Context, o interface {
-	FetchPackage(name string) ([]byte, error)
-}, name string) ([]byte, error) {
-	if c, ok := o.(interface {
-		FetchPackageCtx(context.Context, string) ([]byte, error)
-	}); ok {
-		return c.FetchPackageCtx(ctx, name)
-	}
-	return o.FetchPackage(name)
+	Fetcher
+	FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (*index.Delta, error)
 }
 
 // Behavior selects how a replica (mis)behaves — the same adversary
@@ -275,12 +234,10 @@ func (rep *Replica) Stats() Stats {
 		DiffBytesFetched: rep.stats.diffBytesFetched.Load(),
 		StreamedServes:   rep.stats.streamedServes.Load(),
 	}
-	if mon, ok := rep.store().(store.Monitored); ok {
-		cs := mon.Stats()
-		s.CacheBytes = cs.Bytes
-		s.CacheEntries = cs.Entries
-		s.Evictions = cs.Evictions
-	}
+	cs := rep.store().Stats()
+	s.CacheBytes = cs.Bytes
+	s.CacheEntries = cs.Entries
+	s.Evictions = cs.Evictions
 	if st := rep.served.Load(); st != nil {
 		s.Sequence = st.Index.Sequence
 		s.ETag = st.ETag
@@ -288,24 +245,19 @@ func (rep *Replica) Stats() Stats {
 	return s
 }
 
-// Sync brings the replica up to date with its origin: the full signed
-// index on first contact, then deltas keyed by the current ETag. Every
-// path self-verifies — an applied delta must reproduce the advertised
-// signed index byte-for-byte (index.Delta.Apply checks the ETag), and
-// the result must pass admit. Any delta failure falls back to a full
-// fetch; a Freeze replica returns immediately and keeps replaying its
-// pinned state.
+// SyncCtx brings the replica up to date with its origin: the full
+// signed index on first contact, then deltas keyed by the current ETag.
+// Every path self-verifies — an applied delta must reproduce the
+// advertised signed index byte-for-byte (index.Delta.Apply checks the
+// ETag), and the result must pass admit. Any delta failure falls back
+// to a full fetch; a Freeze replica returns immediately and keeps
+// replaying its pinned state.
 //
-// Concurrent Sync calls coalesce: callers arriving while a sync is in
+// Concurrent syncs coalesce: callers arriving while a sync is in
 // flight wait for it and share its result instead of queueing another
 // origin round trip — a POST /sync storm (every client of a stale edge
-// poking it at once) collapses into one delta fetch.
-func (rep *Replica) Sync() error {
-	return rep.SyncCtx(context.Background())
-}
-
-// SyncCtx is Sync under a caller context: the sync runs as an
-// "edge.sync" span whose children are the origin round trips, and a
+// poking it at once) collapses into one delta fetch. The sync runs as
+// an "edge.sync" span whose children are the origin round trips, and a
 // coalesced caller links its span to the leader's instead of
 // pretending it contacted the origin itself.
 func (rep *Replica) SyncCtx(ctx context.Context) (err error) {
@@ -328,7 +280,7 @@ func (rep *Replica) SyncCtx(ctx context.Context) (err error) {
 	return err
 }
 
-// syncOnce performs one origin sync (the leader's side of Sync).
+// syncOnce performs one origin sync (the leader's side of SyncCtx).
 func (rep *Replica) syncOnce(ctx context.Context) error {
 	rep.syncMu.Lock()
 	defer rep.syncMu.Unlock()
@@ -337,7 +289,7 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 	if cur == nil {
 		return rep.fullSync(ctx)
 	}
-	d, err := originFetchIndexDelta(ctx, rep.Origin, cur.ETag)
+	d, err := rep.Origin.FetchIndexDeltaCtx(ctx, cur.ETag)
 	if errors.Is(err, index.ErrDeltaUnchanged) {
 		rep.stats.noopSyncs.Add(1)
 		return nil
@@ -361,7 +313,7 @@ func (rep *Replica) syncOnce(ctx context.Context) error {
 // fullSync fetches and publishes the complete signed index. Caller
 // holds syncMu (not mu).
 func (rep *Replica) fullSync(ctx context.Context) error {
-	signed, _, err := originFetchIndexTagged(ctx, rep.Origin)
+	signed, _, err := rep.Origin.FetchIndexTaggedCtx(ctx)
 	if err != nil {
 		return fmt.Errorf("edge: sync: %w", err)
 	}
@@ -410,31 +362,29 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	next := tsr.Publish(rep.served.Load(), signed, ix)
 	rep.served.Store(&next)
 	st := rep.store()
-	if it, ok := st.(store.Iterable); ok {
-		// The keep-set spans every retained generation, not just the new
-		// index: bytes of a just-superseded version are the diff bases a
-		// differential pull-through reassembles the new version from
-		// (previousCached), so pruning them on publish would forfeit
-		// exactly the transfer the chunked sync saves. They age out when
-		// their generation leaves the delta window (or by LRU budget).
-		keep := make(map[string]struct{}, len(ix.Entries))
-		for _, gen := range next.History {
-			for _, e := range gen.Index.Entries {
-				keep[cacheKey(e.Hash)] = struct{}{}
+	// The keep-set spans every retained generation, not just the new
+	// index: bytes of a just-superseded version are the diff bases a
+	// differential pull-through reassembles the new version from
+	// (previousCached), so pruning them on publish would forfeit exactly
+	// the transfer the chunked sync saves. They age out when their
+	// generation leaves the delta window (or by LRU budget).
+	keep := make(map[string]struct{}, len(ix.Entries))
+	for _, gen := range next.History {
+		for _, e := range gen.Index.Entries {
+			keep[cacheKey(e.Hash)] = struct{}{}
+		}
+	}
+	var stale []string
+	_ = st.Iterate(func(info store.Info) bool {
+		if strings.HasPrefix(info.Key, pkgKeyPrefix) {
+			if _, ok := keep[info.Key]; !ok {
+				stale = append(stale, info.Key)
 			}
 		}
-		var stale []string
-		_ = it.Iterate(func(info store.Info) bool {
-			if strings.HasPrefix(info.Key, pkgKeyPrefix) {
-				if _, ok := keep[info.Key]; !ok {
-					stale = append(stale, info.Key)
-				}
-			}
-			return true
-		})
-		for _, key := range stale {
-			_ = st.Delete(key)
-		}
+		return true
+	})
+	for _, key := range stale {
+		_ = st.Delete(key)
 	}
 	if rep.PersistIndex {
 		// Best-effort: a failed journal write costs a full re-fetch on
@@ -486,7 +436,7 @@ func decodeReplicaState(raw []byte) (*index.Signed, error) {
 
 // LoadState restores the replica's last-synced signed index from its
 // store (journaled under PersistIndex), so a restarted tsredge serves
-// immediately and its next Sync resumes with a delta from the restored
+// immediately and its next SyncCtx resumes with a delta from the restored
 // generation instead of a full index fetch. The loaded bytes are as
 // untrusted as the rest of the store: they must decode, they must pass
 // admit, and clients verify end-to-end regardless. A rolled-back edge data dir simply restores an older
@@ -541,20 +491,9 @@ func (rep *Replica) Current() (*tsr.Published, error) {
 // ReadCounters implements tsr.ReadView.
 func (rep *Replica) ReadCounters() *tsr.ReadCounters { return &rep.stats.ReadCounters }
 
-// FetchIndex implements pkgmgr.Source (and quorum.Source): the signed
-// index is served exactly as the origin published it — same bytes, same
-// key name, same signature.
-func (rep *Replica) FetchIndex() (*index.Signed, error) {
-	signed, _, err := rep.FetchIndexTagged()
-	return signed, err
-}
-
-// FetchIndexTagged serves the replica's current signed index and ETag.
-func (rep *Replica) FetchIndexTagged() (*index.Signed, string, error) {
-	return rep.FetchIndexTaggedCtx(context.Background())
-}
-
-// FetchIndexTaggedCtx is FetchIndexTagged as an "edge.index" span.
+// FetchIndexTaggedCtx serves the replica's current signed index and
+// ETag as an "edge.index" span. The index is served exactly as the
+// origin published it — same bytes, same key name, same signature.
 func (rep *Replica) FetchIndexTaggedCtx(ctx context.Context) (_ *index.Signed, _ string, err error) {
 	_, sp := trace.Start(ctx, "edge.index")
 	defer func() {
@@ -570,21 +509,16 @@ func (rep *Replica) FetchIndexTaggedCtx(ctx context.Context) (_ *index.Signed, _
 	return st.Signed.Clone(), st.ETag, nil
 }
 
-// FetchIndexDelta serves the delta from a retained generation to the
-// replica's current one — the same endpoint the origin exposes, so a
-// tsr.Client or a downstream replica pointed at this edge delta-syncs
-// instead of re-fetching the full index every time. The origin's
-// signature over the NEW index rides along in the Delta, so the edge
-// still never signs anything. With this, *Replica implements the full
-// Origin interface: edges can fan out behind edges.
-func (rep *Replica) FetchIndexDelta(sinceETag string) (*index.Delta, error) {
-	return rep.FetchIndexDeltaCtx(context.Background(), sinceETag)
-}
-
-// FetchIndexDeltaCtx is FetchIndexDelta as an "edge.index_delta" span.
-// The two expected negative outcomes — base already current, base
-// outside the retained window — are not recorded as span errors: they
-// are protocol answers, not failures.
+// FetchIndexDeltaCtx serves the delta from a retained generation to the
+// replica's current one as an "edge.index_delta" span — the same
+// endpoint the origin exposes, so a tsr.Client or a downstream replica
+// pointed at this edge delta-syncs instead of re-fetching the full
+// index every time. The origin's signature over the NEW index rides
+// along in the Delta, so the edge still never signs anything. With
+// this, *Replica implements the full Origin interface: edges can fan
+// out behind edges. The two expected negative outcomes — base already
+// current, base outside the retained window — are not recorded as span
+// errors: they are protocol answers, not failures.
 func (rep *Replica) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *index.Delta, err error) {
 	_, sp := trace.Start(ctx, "edge.index_delta")
 	defer func() {
@@ -603,21 +537,18 @@ func (rep *Replica) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_
 	return d, err
 }
 
-// FetchPackage implements pkgmgr.Source: serve from the local cache,
-// pulling through from the origin on a miss. Downloaded bytes are
-// verified against the index entry hash BEFORE they are cached or
-// served, so a corrupt origin path cannot poison the cache; cached
-// bytes are re-verified on every hit, so local disk tampering degrades
-// to a pull-through miss instead of serving garbage. The returned bytes
-// are read-only: they may be the cache entry itself.
-func (rep *Replica) FetchPackage(name string) ([]byte, error) {
-	return rep.FetchPackageCtx(context.Background(), name)
-}
-
-// FetchPackageCtx is FetchPackage as an "edge.package" span: a cache
-// hit is one cheap span, a pull-through miss hangs the origin round
-// trip under it, and a coalesced miss links to the leader's span
-// instead of claiming an origin pull of its own.
+// FetchPackageCtx serves from the local cache, pulling through from the
+// origin on a miss. Downloaded bytes are verified against the index
+// entry hash BEFORE they are cached or served, so a corrupt origin path
+// cannot poison the cache; cached bytes are re-verified on every hit,
+// so local disk tampering degrades to a pull-through miss instead of
+// serving garbage. The returned bytes are read-only: they may be the
+// cache entry itself.
+//
+// The fetch runs as an "edge.package" span: a cache hit is one cheap
+// span, a pull-through miss hangs the origin round trip under it, and a
+// coalesced miss links to the leader's span instead of claiming an
+// origin pull of its own.
 func (rep *Replica) FetchPackageCtx(ctx context.Context, name string) (_ []byte, err error) {
 	ctx, sp := trace.Start(ctx, "edge.package")
 	defer func() {
@@ -720,10 +651,10 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 
 // store returns the replica's blob store, lazily defaulting to a
 // byte-budgeted in-memory store. The meta/ prefix (the persisted index
-// journal) is pinned on stores that support it: package churn must not
-// LRU-evict the journal, and an index larger than the package budget
-// must still persist — otherwise a restart silently loses the warm
-// resume the journal exists for.
+// journal) is pinned: package churn must not LRU-evict the journal,
+// and an index larger than the package budget must still persist —
+// otherwise a restart silently loses the warm resume the journal
+// exists for.
 func (rep *Replica) store() store.Store {
 	rep.cacheOnce.Do(func() {
 		if rep.Cache == nil {
@@ -733,9 +664,7 @@ func (rep *Replica) store() store.Store {
 			}
 			rep.Cache = store.NewMemBudget(budget)
 		}
-		if p, ok := rep.Cache.(store.Pinner); ok {
-			p.Pin(metaKeyPrefix)
-		}
+		rep.Cache.Pin(metaKeyPrefix)
 	})
 	return rep.Cache
 }

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -160,17 +161,17 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Oceania, TrustRing: w.trust()}
 
 	// First contact: full fetch.
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.FullSyncs != 1 || s.DeltaSyncs != 0 {
 		t.Fatalf("stats after first sync = %+v", s)
 	}
-	origin, _, err := w.tenant.FetchIndexTagged()
+	origin, _, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, etag, err := rep.FetchIndexTagged()
+	got, etag, err := rep.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 	}
 
 	// Unchanged origin: sync is a no-op.
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.NoopSyncs != 1 {
@@ -194,7 +195,7 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 
 	// One generation ahead: delta sync.
 	w.update(t, "app", "1.1-r0")
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.DeltaSyncs != 1 || s.FullSyncs != 1 {
@@ -205,17 +206,17 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 	// delta spans both generations.
 	w.update(t, "lib", "1.1-r0")
 	w.update(t, "tool", "1.1-r0")
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.DeltaSyncs != 2 || s.FullFallbacks != 0 {
 		t.Fatalf("stats after 2-generation delta = %+v", s)
 	}
-	cur, _, err := w.tenant.FetchIndexTagged()
+	cur, _, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = rep.FetchIndexTagged()
+	got, _, err = rep.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestReplicaFullThenDeltaSync(t *testing.T) {
 func TestReplicaFallsBackToFullFetchWhenHistoryExpired(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.SouthAmerica}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Push the replica's base generation out of the origin's retained
@@ -242,14 +243,14 @@ func TestReplicaFallsBackToFullFetchWhenHistoryExpired(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		w.update(t, "app", fmt.Sprintf("2.%d-r0", i))
 	}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s := rep.Stats()
 	if s.FullFallbacks != 1 || s.FullSyncs != 2 || s.DeltaSyncs != 0 {
 		t.Fatalf("stats = %+v, want a full-fetch fallback", s)
 	}
-	cur, _, err := w.tenant.FetchIndexTagged()
+	cur, _, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +259,16 @@ func TestReplicaFallsBackToFullFetchWhenHistoryExpired(t *testing.T) {
 	}
 }
 
+// errNoChunkManifests is the chunk-manifest answer of the test origins
+// that keep no manifests: a differential pull from them fails and falls
+// back to a full fetch.
+var errNoChunkManifests = errors.New("test origin serves no chunk manifests")
+
 // corruptOrigin wraps an Origin and flips a byte in every package.
 type corruptOrigin struct{ Origin }
 
-func (c corruptOrigin) FetchPackage(name string) ([]byte, error) {
-	raw, err := c.Origin.FetchPackage(name)
+func (c corruptOrigin) FetchPackageCtx(ctx context.Context, name string) ([]byte, error) {
+	raw, err := c.Origin.FetchPackageCtx(ctx, name)
 	if err == nil && len(raw) > 0 {
 		raw = append([]byte(nil), raw...)
 		raw[0] ^= 0xFF
@@ -273,21 +279,21 @@ func (c corruptOrigin) FetchPackage(name string) ([]byte, error) {
 func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Oceania}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := w.tenant.FetchPackage("app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := rep.FetchPackage("app")
+	raw, err := rep.FetchPackageCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(raw) != string(want) {
 		t.Fatal("replica served different bytes than origin")
 	}
-	raw2, err := rep.FetchPackage("app")
+	raw2, err := rep.FetchPackageCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +310,7 @@ func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 	names := []string{"app", "lib", "tool"}
 	const reads = 30
 	for i := 0; i < reads; i++ {
-		if _, err := rep.FetchPackage(names[i%len(names)]); err != nil {
+		if _, err := rep.FetchPackageCtx(context.Background(), names[i%len(names)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,10 +322,10 @@ func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 	// A corrupting origin path is detected before caching: the replica
 	// refuses to serve and does not poison its cache.
 	bad := &Replica{RepoID: w.tenant.ID, Origin: corruptOrigin{w.tenant}, Continent: netsim.Oceania}
-	if err := bad.Sync(); err != nil {
+	if err := bad.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.FetchPackage("app"); err == nil {
+	if _, err := bad.FetchPackageCtx(context.Background(), "app"); err == nil {
 		t.Fatal("corrupt origin bytes accepted")
 	}
 	if s := bad.Stats(); s.CacheEntries != 0 {
@@ -327,7 +333,7 @@ func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 	}
 
 	// Unknown package: index miss, no origin contact.
-	if _, err := rep.FetchPackage("nope"); !errors.Is(err, index.ErrNotFound) {
+	if _, err := rep.FetchPackageCtx(context.Background(), "nope"); !errors.Is(err, index.ErrNotFound) {
 		t.Fatalf("err = %v, want index.ErrNotFound", err)
 	}
 }
@@ -335,13 +341,13 @@ func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 func TestReplicaCacheBudgetEvicts(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Oceania, CacheBudget: 1}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rep.FetchPackage("app"); err != nil {
+	if _, err := rep.FetchPackageCtx(context.Background(), "app"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rep.FetchPackage("app"); err != nil {
+	if _, err := rep.FetchPackageCtx(context.Background(), "app"); err != nil {
 		t.Fatal(err)
 	}
 	s := rep.Stats()
@@ -364,10 +370,10 @@ func TestReplicaWarmRestartResumesDeltaSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep1 := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Cache: st1, PersistIndex: true}
-	if err := rep1.Sync(); err != nil {
+	if err := rep1.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rep1.FetchPackage("app"); err != nil {
+	if _, err := rep1.FetchPackageCtx(context.Background(), "app"); err != nil {
 		t.Fatal(err)
 	}
 	tag := rep1.ETag()
@@ -387,7 +393,7 @@ func TestReplicaWarmRestartResumesDeltaSync(t *testing.T) {
 	}
 	// Serves without any origin contact, from the restored index and
 	// the persisted package cache.
-	if _, err := rep2.FetchPackage("app"); err != nil {
+	if _, err := rep2.FetchPackageCtx(context.Background(), "app"); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep2.Stats(); s.PackageHits != 1 || s.OriginPackages != 0 || s.FullSyncs != 0 {
@@ -396,7 +402,7 @@ func TestReplicaWarmRestartResumesDeltaSync(t *testing.T) {
 
 	// The origin moves on; the restarted replica catches up via delta.
 	w.update(t, "app", "1.1-r0")
-	if err := rep2.Sync(); err != nil {
+	if err := rep2.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s := rep2.Stats()
@@ -421,10 +427,10 @@ func TestReplicaDiskTamperDegradesToPullThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Cache: st}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want, err := rep.FetchPackage("app")
+	want, err := rep.FetchPackageCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +447,7 @@ func TestReplicaDiskTamperDegradesToPullThrough(t *testing.T) {
 	if err := st.Put(cacheKey(entry.Hash), []byte("garbage")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rep.FetchPackage("app")
+	got, err := rep.FetchPackageCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +458,7 @@ func TestReplicaDiskTamperDegradesToPullThrough(t *testing.T) {
 		t.Fatalf("stats = %+v, want tampered hit re-pulled", s)
 	}
 	// Healed: next read is a cache hit again.
-	if _, err := rep.FetchPackage("app"); err != nil {
+	if _, err := rep.FetchPackageCtx(context.Background(), "app"); err != nil {
 		t.Fatal(err)
 	}
 	if s := rep.Stats(); s.PackageHits != 1 {
@@ -462,7 +468,7 @@ func TestReplicaDiskTamperDegradesToPullThrough(t *testing.T) {
 
 func mustSigned(t *testing.T, rep *Replica) *index.Signed {
 	t.Helper()
-	signed, _, err := rep.FetchIndexTagged()
+	signed, _, err := rep.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +480,7 @@ func mustSigned(t *testing.T, rep *Replica) *index.Signed {
 func TestEdgeHandlerServesAndRevalidates(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.NorthAmerica}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(Handler(map[string]*Replica{w.tenant.ID: rep}, "edge-na-1"))

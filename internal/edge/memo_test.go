@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
@@ -80,7 +81,7 @@ func mustPlain(t *testing.T, s *sliceWriter) []byte {
 func TestMemoizedFormsMatchTheGeneration(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tiers := []struct {
@@ -95,7 +96,7 @@ func TestMemoizedFormsMatchTheGeneration(t *testing.T) {
 	for gen := 0; gen < index.HistoryWindow+3; gen++ {
 		if gen > 0 {
 			w.update(t, "app", fmt.Sprintf("%d.0-r0", gen+1))
-			if err := rep.Sync(); err != nil {
+			if err := rep.SyncCtx(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,7 +143,7 @@ func TestMemoizedFormsMatchTheGeneration(t *testing.T) {
 func TestMemoUnderConcurrentPublishes(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	handlers := []http.Handler{tsr.Handler(w.svc), Handler(map[string]*Replica{w.tenant.ID: rep}, "memo-edge")}
@@ -217,7 +218,7 @@ func TestMemoUnderConcurrentPublishes(t *testing.T) {
 	}
 	for gen := 0; gen < publishes; gen++ {
 		w.update(t, "app", fmt.Sprintf("%d.0-r0", gen+2))
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Error(err)
 			break
 		}

@@ -17,10 +17,10 @@ func traceWorld(t *testing.T) (*edgeWorld, *Replica, *Replica, *trace.Tracer) {
 	w := newEdgeWorld(t)
 	inner := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
 	outer := &Replica{RepoID: w.tenant.ID, Origin: inner, TrustRing: w.trust()}
-	if err := inner.Sync(); err != nil {
+	if err := inner.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := outer.Sync(); err != nil {
+	if err := outer.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return w, inner, outer, trace.NewTracer(trace.Config{Tier: "client", HeadEvery: 1})
@@ -96,7 +96,7 @@ func TestCoalescedFollowerLinksLeaderTrace(t *testing.T) {
 		pkgGate: make(chan struct{}), pkgHit: make(chan struct{}),
 	}
 	rep := &Replica{RepoID: "r", Origin: gated, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package edge
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -42,7 +43,7 @@ func testTransition(t *testing.T, from, to Behavior) {
 	victim := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Europe, TrustRing: ring}
 	backup := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.NorthAmerica, TrustRing: ring}
 	for _, rep := range []*Replica{victim, backup} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,8 +70,8 @@ func testTransition(t *testing.T, from, to Behavior) {
 			case <-stop:
 				return
 			default:
-				_ = victim.Sync()
-				_ = backup.Sync()
+				_ = victim.SyncCtx(context.Background())
+				_ = backup.SyncCtx(context.Background())
 			}
 		}
 	}()
@@ -139,11 +140,11 @@ func testTransition(t *testing.T, from, to Behavior) {
 	// invariant is defined.
 	victim.SetBehavior(Honest)
 	for _, rep := range []*Replica{victim, backup} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cur, _, err := w.tenant.FetchIndexTagged()
+	cur, _, err := w.tenant.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

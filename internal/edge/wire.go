@@ -2,7 +2,6 @@ package edge
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"tsr/internal/index"
@@ -19,67 +18,35 @@ import (
 // reassembled package must hash to the signed index entry before it is
 // cached or served.
 
-// errDiffUnsupported: the upstream does not expose chunk
-// manifest/range fetches — not a failure, just no differential path.
-var errDiffUnsupported = errors.New("edge: upstream does not support differential fetch")
-
-// The chunk-manifest and byte-range fetches travel through an Origin
-// or Fetcher by the same optional interface upgrade as the *Ctx
-// methods: *tsr.Repo, *tsr.Client, and *Replica all expose them, while
-// plain test doubles simply do not diff. supported=false means the
-// upstream has no differential surface at all.
-func originFetchChunkManifest(ctx context.Context, o any, name string) (m *store.ChunkManifest, supported bool, err error) {
-	if c, ok := o.(interface {
-		FetchChunkManifestCtx(context.Context, string) (*store.ChunkManifest, error)
-	}); ok {
-		m, err = c.FetchChunkManifestCtx(ctx, name)
-		return m, true, err
-	}
-	if c, ok := o.(interface {
-		FetchChunkManifest(string) (*store.ChunkManifest, error)
-	}); ok {
-		m, err = c.FetchChunkManifest(name)
-		return m, true, err
-	}
-	return nil, false, nil
-}
-
-func originFetchPackageRange(ctx context.Context, o any, name string, off, length int64, etag string) (raw []byte, supported bool, err error) {
-	// tsr.Client's Ctx variant carries If-Range, so a republish between
-	// the manifest fetch and the range fetch yields a detectable full
-	// body instead of a spliced range.
-	if c, ok := o.(interface {
+// fetchRange fetches length bytes of name at off for a differential
+// pull. The range read is the one upstream call outside Fetcher,
+// because it has two shapes: the in-process tiers (*tsr.Repo,
+// *Replica) slice already-verified bytes and take no validator, while
+// *tsr.Client sends the entry's ETag as If-Range, so a republish
+// between the manifest fetch and the range fetch yields a detectable
+// full body instead of a spliced range. An upstream with neither shape
+// cannot diff; the caller falls back to a full fetch.
+func fetchRange(ctx context.Context, src Fetcher, name string, off, length int64, etag string) ([]byte, error) {
+	switch c := src.(type) {
+	case interface {
 		FetchPackageRangeCtx(context.Context, string, int64, int64, string) ([]byte, error)
-	}); ok {
-		raw, err = c.FetchPackageRangeCtx(ctx, name, off, length, etag)
-		return raw, true, err
-	}
-	if c, ok := o.(interface {
+	}:
+		return c.FetchPackageRangeCtx(ctx, name, off, length, etag)
+	case interface {
 		FetchPackageRangeCtx(context.Context, string, int64, int64) ([]byte, error)
-	}); ok {
-		raw, err = c.FetchPackageRangeCtx(ctx, name, off, length)
-		return raw, true, err
+	}:
+		return c.FetchPackageRangeCtx(ctx, name, off, length)
 	}
-	if c, ok := o.(interface {
-		FetchPackageRange(string, int64, int64) ([]byte, error)
-	}); ok {
-		raw, err = c.FetchPackageRange(name, off, length)
-		return raw, true, err
-	}
-	return nil, false, nil
+	return nil, fmt.Errorf("edge: %s: upstream %T serves no byte ranges", name, src)
 }
 
 // diffFetch reassembles name@entry from the old cached bytes plus the
 // upstream's chunk manifest and range fetches, verifying the result
-// against the signed entry. errDiffUnsupported means the upstream has
-// no differential surface; any other error means the attempt failed
-// and the caller should fall back to a full fetch.
-func diffFetch(ctx context.Context, src any, name string, entry index.Entry, old []byte) ([]byte, tsr.ReassembleStats, error) {
+// against the signed entry. Any error means the attempt failed and the
+// caller should fall back to a full fetch.
+func diffFetch(ctx context.Context, src Fetcher, name string, entry index.Entry, old []byte) ([]byte, tsr.ReassembleStats, error) {
 	var st tsr.ReassembleStats
-	m, supported, err := originFetchChunkManifest(ctx, src, name)
-	if !supported {
-		return nil, st, errDiffUnsupported
-	}
+	m, err := src.FetchChunkManifestCtx(ctx, name)
 	if err != nil {
 		return nil, st, err
 	}
@@ -88,11 +55,7 @@ func diffFetch(ctx context.Context, src any, name string, entry index.Entry, old
 		return nil, st, fmt.Errorf("edge: %s: chunk manifest does not match the signed index entry", name)
 	}
 	out, st, err := tsr.ReassembleChunks(m, old, func(off, length int64) ([]byte, error) {
-		raw, supported, err := originFetchPackageRange(ctx, src, name, off, length, entry.ETag())
-		if !supported {
-			return nil, errDiffUnsupported
-		}
-		return raw, err
+		return fetchRange(ctx, src, name, off, length, entry.ETag())
 	})
 	if err != nil {
 		return nil, st, err
@@ -128,9 +91,9 @@ func (rep *Replica) previousCached(name string, entry index.Entry) []byte {
 }
 
 // pullPackage fetches one package from the origin for the pull-through
-// cache: differentially against a cached previous generation when the
-// origin supports it, falling back to a full verified fetch on any
-// differential failure. Returned bytes always match the entry.
+// cache: differentially against a cached previous generation, falling
+// back to a full verified fetch on any differential failure. Returned
+// bytes always match the entry.
 func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
 	if old := rep.previousCached(name, entry); old != nil {
 		out, st, err := diffFetch(ctx, rep.Origin, name, entry, old)
@@ -140,11 +103,9 @@ func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.En
 			rep.stats.diffBytesFetched.Add(st.BytesFetched)
 			return out, nil
 		}
-		if !errors.Is(err, errDiffUnsupported) {
-			rep.stats.diffFallbacks.Add(1)
-		}
+		rep.stats.diffFallbacks.Add(1)
 	}
-	pulled, err := originFetchPackage(ctx, rep.Origin, name)
+	pulled, err := rep.Origin.FetchPackageCtx(ctx, name)
 	if err != nil {
 		return nil, fmt.Errorf("edge: pull-through %s: %w", name, err)
 	}
@@ -155,15 +116,10 @@ func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.En
 	return pulled, nil
 }
 
-// FetchChunkManifest serves the chunk manifest of a package this
+// FetchChunkManifestCtx serves the chunk manifest of a package this
 // replica serves — the same surface the origin exposes, so downstream
 // replicas and clients diff against an edge exactly like against the
 // origin.
-func (rep *Replica) FetchChunkManifest(name string) (*store.ChunkManifest, error) {
-	return rep.FetchChunkManifestCtx(context.Background(), name)
-}
-
-// FetchChunkManifestCtx is FetchChunkManifest under a caller context.
 func (rep *Replica) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
 	entry, err := rep.resolveEntry(name)
 	if err != nil {
@@ -172,13 +128,8 @@ func (rep *Replica) FetchChunkManifestCtx(ctx context.Context, name string) (*st
 	return rep.manifests.Get(name, entry, func() ([]byte, error) { return rep.fetchEntry(ctx, name, entry) })
 }
 
-// FetchPackageRange serves length bytes of a package starting at off,
-// sliced from verified bytes.
-func (rep *Replica) FetchPackageRange(name string, off, length int64) ([]byte, error) {
-	return rep.FetchPackageRangeCtx(context.Background(), name, off, length)
-}
-
-// FetchPackageRangeCtx is FetchPackageRange under a caller context.
+// FetchPackageRangeCtx serves length bytes of a package starting at
+// off, sliced from verified bytes.
 func (rep *Replica) FetchPackageRangeCtx(ctx context.Context, name string, off, length int64) ([]byte, error) {
 	raw, _, err := rep.FetchPackageTracedCtx(ctx, name)
 	if err != nil {
@@ -208,8 +159,8 @@ func (rep *Replica) FetchPackageTracedCtx(ctx context.Context, name string) ([]b
 // holds the entry — a tampered cache entry aborts the stream before the
 // final block and is dropped, so the next request heals via
 // pull-through — and through the buffered fetchEntry path otherwise
-// (cache miss, non-streaming store, or a misbehaving replica simulating
-// corruption, which needs the buffer to flip its byte).
+// (cache miss, or a misbehaving replica simulating corruption, which
+// needs the buffer to flip its byte).
 func (rep *Replica) OpenPackageCtx(ctx context.Context, name string) (*tsr.PackageStream, error) {
 	entry, err := rep.resolveEntry(name)
 	if err != nil {

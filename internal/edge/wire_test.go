@@ -3,6 +3,7 @@ package edge
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -45,7 +46,7 @@ func bigEdgePkg(name, version string, nFiles, fileSize int) *apk.Package {
 
 func entryOf(t *testing.T, rep *Replica, name string) index.Entry {
 	t.Helper()
-	signed, _, err := rep.FetchIndexTagged()
+	signed, _, err := rep.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +74,12 @@ func TestReplicaDifferentialPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	// Cold pull: a full origin fetch, no diff base yet.
-	cold, err := rep.FetchPackage("bigapp")
+	cold, err := rep.FetchPackageCtx(context.Background(), "bigapp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestReplicaDifferentialPull(t *testing.T) {
 	if _, err := w.tenant.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	entry := entryOf(t, rep, "bigapp")
-	warm, err := rep.FetchPackage("bigapp")
+	warm, err := rep.FetchPackageCtx(context.Background(), "bigapp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestChainedEdgeDifferentialPull(t *testing.T) {
 	mid := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
 	leaf := &Replica{RepoID: w.tenant.ID, Origin: mid, TrustRing: w.trust()}
 	for _, rep := range []*Replica{mid, leaf} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := leaf.FetchPackage("bigapp"); err != nil {
+	if _, err := leaf.FetchPackageCtx(context.Background(), "bigapp"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,12 +144,12 @@ func TestChainedEdgeDifferentialPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rep := range []*Replica{mid, leaf} {
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	entry := entryOf(t, leaf, "bigapp")
-	raw, err := leaf.FetchPackage("bigapp")
+	raw, err := leaf.FetchPackageCtx(context.Background(), "bigapp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestFailoverClientDifferentialFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Europe, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	c := newClient(w, Endpoint{Name: "edge-eu", Continent: netsim.Europe, Fetcher: rep})
@@ -199,7 +200,7 @@ func TestFailoverClientDifferentialFetch(t *testing.T) {
 	if _, err := w.tenant.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.FetchIndex(); err != nil {
@@ -327,10 +328,10 @@ func body(t *testing.T, resp *http.Response) []byte {
 func TestEdgeIndexGzipIsTransferEncodingOnly(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	signed, _, err := rep.FetchIndexTagged()
+	signed, _, err := rep.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestEdgeChunksEndpointAndRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	entry := entryOf(t, rep, "bigapp")
@@ -421,7 +422,7 @@ func TestEdgeChunksEndpointAndRange(t *testing.T) {
 	}
 
 	// A plain Range request slices verified bytes under the full ETag.
-	full, err := rep.FetchPackage("bigapp")
+	full, err := rep.FetchPackageCtx(context.Background(), "bigapp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,11 +452,11 @@ func TestEdgeStreamedServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the cache.
-	if _, err := rep.FetchPackage("bigapp"); err != nil {
+	if _, err := rep.FetchPackageCtx(context.Background(), "bigapp"); err != nil {
 		t.Fatal(err)
 	}
 	srv, client := edgeServer(t, rep)
@@ -482,11 +483,11 @@ func TestEdgeStreamedServe(t *testing.T) {
 func TestCorruptReplicaRefusesManifest(t *testing.T) {
 	w := newEdgeWorld(t)
 	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
-	if err := rep.Sync(); err != nil {
+	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rep.SetBehavior(Corrupt)
-	if _, err := rep.FetchChunkManifest("app"); err == nil {
+	if _, err := rep.FetchChunkManifestCtx(context.Background(), "app"); err == nil {
 		t.Fatal("corrupt replica served a chunk manifest over corrupted bytes")
 	}
 	srv, client := edgeServer(t, rep)

@@ -23,6 +23,7 @@ import (
 	"tsr/internal/policy"
 	"tsr/internal/quorum"
 	"tsr/internal/repo"
+	"tsr/internal/store"
 	"tsr/internal/tpm"
 	"tsr/internal/tsr"
 	"tsr/internal/workload"
@@ -140,7 +141,7 @@ func NewWorld(cfg Config, mirrors []mirrorSpec, dataCenterLink bool) (*World, er
 	w, err := newWorld(cfg, mirrors, dataCenterLink, tsr.Config{
 		Platform: platform,
 		TPM:      newHostTPM(),
-		Store:    tsr.NewMemStore(),
+		Store:    store.NewMem(),
 	})
 	if err != nil {
 		return nil, err

@@ -75,48 +75,48 @@ type originGate struct {
 	ranges    atomic.Int64
 }
 
-func (g *originGate) FetchIndexTagged() (*index.Signed, string, error) {
+func (g *originGate) FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error) {
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, "", errOriginDown
 	}
-	return t.FetchIndexTagged()
+	return t.FetchIndexTaggedCtx(ctx)
 }
 
-func (g *originGate) FetchIndexDelta(since string) (*index.Delta, error) {
+func (g *originGate) FetchIndexDeltaCtx(ctx context.Context, since string) (*index.Delta, error) {
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, errOriginDown
 	}
-	return t.FetchIndexDelta(since)
+	return t.FetchIndexDeltaCtx(ctx, since)
 }
 
-func (g *originGate) FetchPackage(name string) ([]byte, error) {
+func (g *originGate) FetchPackageCtx(ctx context.Context, name string) ([]byte, error) {
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, errOriginDown
 	}
-	return t.FetchPackage(name)
+	return t.FetchPackageCtx(ctx, name)
 }
 
 // The differential-sync surface forwards too, so chunked package sync
 // stays in the replicas' pull path throughout the soak.
-func (g *originGate) FetchChunkManifest(name string) (*store.ChunkManifest, error) {
+func (g *originGate) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
 	g.manifests.Add(1)
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, errOriginDown
 	}
-	return t.FetchChunkManifest(name)
+	return t.FetchChunkManifestCtx(ctx, name)
 }
 
-func (g *originGate) FetchPackageRange(name string, off, length int64) ([]byte, error) {
+func (g *originGate) FetchPackageRangeCtx(ctx context.Context, name string, off, length int64) ([]byte, error) {
 	g.ranges.Add(1)
 	t := g.tenant.Load()
 	if t == nil {
 		return nil, errOriginDown
 	}
-	return t.FetchPackageRange(name, off, length)
+	return t.FetchPackageRangeCtx(ctx, name, off, length)
 }
 
 // edgeSlot is one edge position in the fleet. The slot — not the
@@ -134,36 +134,36 @@ type edgeSlot struct {
 	rep       atomic.Pointer[edge.Replica]
 }
 
-func (s *edgeSlot) FetchIndexTagged() (*index.Signed, string, error) {
+func (s *edgeSlot) FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error) {
 	rep := s.rep.Load()
 	if rep == nil {
 		return nil, "", fmt.Errorf("%w: %s killed", edge.ErrOffline, s.name)
 	}
-	return rep.FetchIndexTagged()
+	return rep.FetchIndexTaggedCtx(ctx)
 }
 
-func (s *edgeSlot) FetchPackage(name string) ([]byte, error) {
+func (s *edgeSlot) FetchPackageCtx(ctx context.Context, name string) ([]byte, error) {
 	rep := s.rep.Load()
 	if rep == nil {
 		return nil, fmt.Errorf("%w: %s killed", edge.ErrOffline, s.name)
 	}
-	return rep.FetchPackage(name)
+	return rep.FetchPackageCtx(ctx, name)
 }
 
-func (s *edgeSlot) FetchChunkManifest(name string) (*store.ChunkManifest, error) {
+func (s *edgeSlot) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
 	rep := s.rep.Load()
 	if rep == nil {
 		return nil, fmt.Errorf("%w: %s killed", edge.ErrOffline, s.name)
 	}
-	return rep.FetchChunkManifest(name)
+	return rep.FetchChunkManifestCtx(ctx, name)
 }
 
-func (s *edgeSlot) FetchPackageRange(name string, off, length int64) ([]byte, error) {
+func (s *edgeSlot) FetchPackageRangeCtx(ctx context.Context, name string, off, length int64) ([]byte, error) {
 	rep := s.rep.Load()
 	if rep == nil {
 		return nil, fmt.Errorf("%w: %s killed", edge.ErrOffline, s.name)
 	}
-	return rep.FetchPackageRange(name, off, length)
+	return rep.FetchPackageRangeCtx(ctx, name, off, length)
 }
 
 // FleetSoakResult is the measured outcome of one soak run; it is also
@@ -437,7 +437,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			cache:     store.NewMemBudget(1 << 30),
 		}
 		rep := newReplica(slots[i])
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			return nil, err
 		}
 		slots[i].rep.Store(rep)
@@ -646,7 +646,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		}
 		// Catch-up sync is best-effort: the origin may be down, and the
 		// replica serves its persisted generation until it isn't.
-		_ = rep.Sync()
+		_ = rep.SyncCtx(context.Background())
 		s.rep.Store(rep)
 	}
 
@@ -672,7 +672,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	}
 
 	flashCrowd := func() {
-		signed, _, err := slots[0].FetchIndexTagged()
+		signed, _, err := slots[0].FetchIndexTaggedCtx(context.Background())
 		if err != nil {
 			ctlFail(fmt.Errorf("fleet-soak: flash crowd probe: %w", err))
 			return
@@ -899,7 +899,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 				wg.Add(1)
 				go func(r *edge.Replica) {
 					defer wg.Done()
-					_ = r.Sync()
+					_ = r.SyncCtx(context.Background())
 				}(rep)
 			}
 		}
@@ -931,7 +931,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			return nil, fmt.Errorf("fleet-soak: %s failed to restart at quiesce", s.name)
 		}
 		rep.SetBehavior(edge.Honest)
-		if err := rep.Sync(); err != nil {
+		if err := rep.SyncCtx(context.Background()); err != nil {
 			return nil, fmt.Errorf("fleet-soak: quiesce sync %s: %w", s.name, err)
 		}
 		st := rep.Stats()
@@ -955,7 +955,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		res.RejectedBytes += st.RejectedBytes
 		res.RejectedSignature += st.RejectedSignature
 	}
-	curSigned, _, err := tenantNow.FetchIndexTagged()
+	curSigned, _, err := tenantNow.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
+
+	"tsr/internal/edge"
+	"tsr/internal/keys"
+	"tsr/internal/store"
+	"tsr/internal/trace"
 )
 
 // TestFleetSoak runs the full composed-failure soak at test scale and
@@ -83,5 +89,68 @@ func TestFleetSoakTableAndBenchEmission(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.BenchDir + "/BENCH_fleet_soak.json"); err != nil {
 		t.Fatalf("BENCH file not emitted: %v", err)
+	}
+}
+
+// TestSoakSlotTraceReachesOrigin builds the soak's origin gate, one
+// replica and its edge slot, without running the soak, and fetches a
+// cold package through the slot under a tracer. The replica's pull
+// crosses the gate to the origin, so the trace must hold both the
+// edge.package span and the origin.package span it caused, under one
+// trace ID: a wrapper that dropped the context would end the trace at
+// the edge.
+func TestSoakSlotTraceReachesOrigin(t *testing.T) {
+	w, err := NewWorld(testCfg(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &originGate{}
+	gate.tenant.Store(w.Tenant)
+	slot := &edgeSlot{name: "edge-0", cache: store.NewMemBudget(1 << 30)}
+	rep := &edge.Replica{
+		RepoID:    w.Tenant.ID,
+		Origin:    gate,
+		TrustRing: keys.NewRing(w.Tenant.PublicKey()),
+		Cache:     slot.cache,
+	}
+	if err := rep.SyncCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	slot.rep.Store(rep)
+	signed, _, err := slot.FetchIndexTaggedCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, err := firstPackageName(signed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := trace.NewTracer(trace.Config{Tier: "edge", HeadEvery: 1})
+	if _, err := slot.FetchPackageCtx(trace.NewContext(context.Background(), tr), name); err != nil {
+		t.Fatal(err)
+	}
+	if s := rep.Stats(); s.OriginPackages != 1 {
+		t.Fatalf("origin packages = %d, want 1 (the fetch must be a cold pull-through)", s.OriginPackages)
+	}
+	sums := tr.Store().List()
+	if len(sums) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(sums))
+	}
+	td, ok := tr.Store().Get(sums[0].TraceID)
+	if !ok {
+		t.Fatalf("trace %s listed but not retrievable", sums[0].TraceID)
+	}
+	seen := map[string]bool{}
+	for _, s := range td.Spans {
+		if s.TraceID != td.TraceID {
+			t.Fatalf("span %s carries trace ID %s, want %s", s.Name, s.TraceID, td.TraceID)
+		}
+		seen[s.Name] = true
+	}
+	for _, want := range []string{"edge.package", "origin.package"} {
+		if !seen[want] {
+			t.Fatalf("trace lacks the %s span: %+v", want, td.Spans)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"time"
@@ -48,7 +49,7 @@ func Fig10(cfg Config) (*Table, error) {
 		w.Tenant.SetCacheMode(sc.mode)
 		var lats []time.Duration
 		for _, name := range names {
-			_, res, err := w.Tenant.FetchPackageTraced(name)
+			_, res, err := w.Tenant.FetchPackageTracedCtx(context.Background(), name)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s %s: %w", sc.label, name, err)
 			}

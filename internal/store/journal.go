@@ -42,22 +42,16 @@ type JournalEntry struct {
 
 // OpenJournal scans the store for existing entries under prefix (which
 // must be non-empty and end with "/") and returns a journal whose next
-// append continues after the highest pending sequence. Stores that
-// implement Pinner get the prefix pinned so LRU pressure from package
-// churn can never age out a pending intent.
+// append continues after the highest pending sequence. The prefix is
+// pinned so LRU pressure from package churn can never age out a
+// pending intent.
 func OpenJournal(st Store, prefix string) (*Journal, error) {
 	if prefix == "" || !strings.HasSuffix(prefix, "/") {
 		return nil, fmt.Errorf("store: journal prefix %q must end with /", prefix)
 	}
 	j := &Journal{store: st, prefix: prefix}
-	if p, ok := st.(Pinner); ok {
-		p.Pin(prefix)
-	}
-	it, ok := st.(Iterable)
-	if !ok {
-		return nil, fmt.Errorf("store: journal requires an iterable store, have %T", st)
-	}
-	err := it.Iterate(func(info Info) bool {
+	st.Pin(prefix)
+	err := st.Iterate(func(info Info) bool {
 		if seq, ok := j.parseKey(info.Key); ok && seq >= j.next {
 			j.next = seq + 1
 		}
@@ -110,9 +104,8 @@ func (j *Journal) Commit(seq uint64) error {
 
 // Pending returns every uncommitted entry in append order.
 func (j *Journal) Pending() ([]JournalEntry, error) {
-	it := j.store.(Iterable) // checked at OpenJournal
 	var keys []string
-	err := it.Iterate(func(info Info) bool {
+	err := j.store.Iterate(func(info Info) bool {
 		if _, ok := j.parseKey(info.Key); ok {
 			keys = append(keys, info.Key)
 		}

@@ -154,14 +154,4 @@ func TestJournalRejectsBadPrefixAndStore(t *testing.T) {
 	if _, err := OpenJournal(NewMem(), "nojail"); err == nil {
 		t.Fatal("prefix without trailing slash accepted")
 	}
-	if _, err := OpenJournal(flatStore{}, "journal/"); err == nil {
-		t.Fatal("non-iterable store accepted")
-	}
 }
-
-// flatStore is a Store without Iterate.
-type flatStore struct{}
-
-func (flatStore) Put(string, []byte) error   { return nil }
-func (flatStore) Get(string) ([]byte, error) { return nil, ErrNotFound }
-func (flatStore) Delete(string) error        { return nil }

@@ -3,12 +3,15 @@
 // the edge replicas' pull-through caches, and the sealed-state blobs
 // that make a daemon restart warm.
 //
-// Two implementations exist. Mem is a sharded in-memory store for
-// tests, experiments, and diskless deployments. FS is the durable
-// disk-backed store behind `tsrd -data-dir` / `tsredge -data-dir`:
-// fan-out subdirectories, atomic temp-file+rename writes, size/CRC
-// framing, optional fsync, and a boot-time scrub that drops torn or
-// corrupt entries before anything reads them.
+// The surface is one interface, Store: the mutable core plus
+// streaming, stat, enumeration, occupancy and pinning, which every
+// caller uses directly. Two implementations exist. Mem is a sharded
+// in-memory store for tests, experiments, and diskless deployments.
+// FS is the durable disk-backed store behind `tsrd -data-dir` /
+// `tsredge -data-dir`: fan-out subdirectories, atomic
+// temp-file+rename writes, size/CRC framing, optional fsync, and a
+// boot-time scrub that drops torn or corrupt entries before anything
+// reads them.
 //
 // Neither implementation is trusted. The CRC in the FS framing catches
 // crashes and bitrot, not adversaries — a root attacker can rewrite a
@@ -33,7 +36,10 @@ import (
 // keys whose on-disk entry failed the integrity scrub and was dropped.
 var ErrNotFound = errors.New("store: key not found")
 
-// Store is the minimal mutable blob-store surface.
+// Store is the blob-store surface every storage site uses: the
+// mutable core (Put, Get, Delete) plus streaming, stat, enumeration,
+// occupancy and pinning. Mem and FS implement all of it, so callers
+// call the methods directly and never probe for a narrower store.
 //
 // Blobs move without defensive copies in either direction. A Get
 // result is read-only: it may be the stored value itself, so a caller
@@ -47,6 +53,11 @@ type Store interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)
 	Delete(key string) error
+	Streamer
+	Stater
+	Iterable
+	Monitored
+	Pinner
 }
 
 // Info describes one stored entry.
@@ -55,26 +66,25 @@ type Info struct {
 	Size int64
 }
 
-// Iterable is implemented by stores that can enumerate their entries —
-// what callers use to scrub, prune, and rebuild state on boot. The
-// iteration order is unspecified. fn returning false stops the walk.
+// Iterable enumerates a store's entries — what callers use to scrub,
+// prune, and rebuild state on boot. The iteration order is
+// unspecified. fn returning false stops the walk.
 type Iterable interface {
 	Iterate(fn func(Info) bool) error
 }
 
-// Stater is implemented by stores that can describe an entry without
-// reading its bytes.
+// Stater describes an entry without reading its bytes.
 type Stater interface {
 	Stat(key string) (Info, error)
 }
 
-// Streamer is implemented by stores that can hand back an entry as a
-// stream instead of one buffered slice — what the daemons' streaming
-// serve path (ROADMAP item 4) uses so large packages never sit fully
-// in memory per request. The stream carries the same trust caveat as
-// Get: bytes are NOT verified by the store (FS skips even the frame
-// CRC on this path, to stay single-pass), so callers MUST hash the
-// stream against the signed entry as they copy.
+// Streamer hands back an entry as a stream instead of one buffered
+// slice — what the daemons' streaming serve path (ROADMAP item 4) uses
+// so large packages never sit fully in memory per request. The stream
+// carries the same trust caveat as Get: bytes are NOT verified by the
+// store (FS skips even the frame CRC on this path, to stay
+// single-pass), so callers MUST hash the stream against the signed
+// entry as they copy.
 type Streamer interface {
 	// Open returns the entry's bytes as a reader plus its size.
 	// The reader must be closed; it is independent of later
@@ -89,14 +99,14 @@ type Stats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// Monitored is implemented by stores that report occupancy.
+// Monitored reports occupancy.
 type Monitored interface {
 	Stats() Stats
 }
 
-// Pinner is implemented by budget-bounded stores that can exempt a key
-// prefix from cache semantics: pinned entries are never LRU-evicted
-// and are stored even when they exceed the byte budget. Callers pin
+// Pinner exempts a key prefix from a budget-bounded store's cache
+// semantics: pinned entries are never LRU-evicted and are stored even
+// when they exceed the byte budget. Callers pin
 // the small metadata they journal beside bulk cache entries (e.g. an
 // edge replica's persisted index) so package churn cannot age it out.
 // Pin before the store is shared across goroutines.

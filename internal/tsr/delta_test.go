@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -39,7 +40,7 @@ func advance(t *testing.T, w *world, r *Repo, name, version string) {
 
 func TestFetchIndexDeltaAcrossGenerations(t *testing.T) {
 	w, r := refreshedWorld(t)
-	base, baseTag, err := r.FetchIndexTagged()
+	base, baseTag, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +50,14 @@ func TestFetchIndexDeltaAcrossGenerations(t *testing.T) {
 	}
 
 	// Same generation: nothing to send.
-	if _, err := r.FetchIndexDelta(baseTag); !errors.Is(err, index.ErrDeltaUnchanged) {
+	if _, err := r.FetchIndexDeltaCtx(context.Background(), baseTag); !errors.Is(err, index.ErrDeltaUnchanged) {
 		t.Fatalf("err = %v, want ErrDeltaUnchanged", err)
 	}
 
 	// Two generations ahead: one delta spans both.
 	advance(t, w, r, "app", "1.1-r0")
 	advance(t, w, r, "lib", "1.1-r0")
-	d, err := r.FetchIndexDelta(baseTag)
+	d, err := r.FetchIndexDeltaCtx(context.Background(), baseTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestFetchIndexDeltaAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, curTag, err := r.FetchIndexTagged()
+	cur, curTag, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestFetchIndexDeltaAcrossGenerations(t *testing.T) {
 	for i := 0; i < index.HistoryWindow+1; i++ {
 		advance(t, w, r, "tool", fmt.Sprintf("1.%d-r0", i+1))
 	}
-	if _, err := r.FetchIndexDelta(baseTag); !errors.Is(err, index.ErrNoDelta) {
+	if _, err := r.FetchIndexDeltaCtx(context.Background(), baseTag); !errors.Is(err, index.ErrNoDelta) {
 		t.Fatalf("err = %v, want ErrNoDelta for an expired base", err)
 	}
 	// Stats counted the delta reads.
@@ -98,7 +99,7 @@ func TestDeltaHTTPEndpoint(t *testing.T) {
 	w, r := refreshedWorld(t)
 	srv := httptest.NewServer(Handler(w.svc))
 	defer srv.Close()
-	_, baseTag, err := r.FetchIndexTagged()
+	_, baseTag, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestDeltaHTTPEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, curTag, err := r.FetchIndexTagged()
+	_, curTag, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package tsr
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -135,6 +136,28 @@ func FuzzDecodeChunkManifest(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeChunkManifest(name2, m2), enc) {
 			t.Fatalf("manifest encoding is not a fixed point:\n%s", enc)
+		}
+	})
+}
+
+// FuzzParseRange asserts ParseRange's contract on arbitrary Range
+// headers: no panic, and for the non-negative sizes a signed index
+// entry can carry, an accepted range lies inside the representation
+// and is never empty, and an unsatisfiable one is never accepted.
+func FuzzParseRange(f *testing.F) {
+	for _, tc := range parseRangeCases {
+		f.Add(tc.header, tc.size)
+	}
+	f.Fuzz(func(t *testing.T, header string, size int64) {
+		off, length, ok, err := ParseRange(header, size)
+		if size < 0 {
+			return
+		}
+		if ok && (off < 0 || length < 1 || off+length > size) {
+			t.Fatalf("ParseRange(%q, %d) = (%d, %d, ok): outside the representation", header, size, off, length)
+		}
+		if ok && errors.Is(err, ErrUnsatisfiable) {
+			t.Fatalf("ParseRange(%q, %d) accepted an unsatisfiable range", header, size)
 		}
 	})
 }

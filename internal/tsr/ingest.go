@@ -188,7 +188,7 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 			outs[i].err = err
 			return
 		}
-		outs[i], _ = r.sanitizeCached(san, planHash, jb.entry, jb.raw, true)
+		outs[i] = r.sanitizeCached(san, planHash, jb.entry, jb.raw, true)
 	}, nil)
 
 	// Merge the accepted packages into the local index. A batch whose

@@ -16,6 +16,7 @@ import (
 
 	"tsr/internal/apk"
 	"tsr/internal/keys"
+	"tsr/internal/store"
 )
 
 // encodePkg signs and encodes a package with the world's distribution
@@ -154,7 +155,7 @@ func TestRegisterPackagesIngest(t *testing.T) {
 // lands, and a warm restart over the same store replays the batch to
 // completion.
 func TestIngestCrashReplay(t *testing.T) {
-	st := NewMemStore()
+	st := store.NewMem()
 	hostTPM := tpmForTest(t)
 	w := newWorldCfg(t, 3, worldCfg{store: st, tpm: hostTPM, autoPersist: true})
 	w.publish(t, pkgWithScript("base", "1.0-r0", ""))
@@ -304,7 +305,7 @@ func TestIngestHTTPAndServiceStats(t *testing.T) {
 // composes: deploy, ingest, undeploy — durable state and pending
 // journal entries must go with the tenant.
 func TestUndeployRemovesTenant(t *testing.T) {
-	st := NewMemStore()
+	st := store.NewMem()
 	w := newWorldCfg(t, 3, worldCfg{store: st, autoPersist: true})
 	w.publish(t, pkgWithScript("base", "1.0-r0", ""))
 	r := w.deploy(t)

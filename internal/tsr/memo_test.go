@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -27,7 +28,7 @@ func deltaMemoEntries(p *Published) int {
 // generation starts an empty one.
 func TestWireMemoIsLazyAndFollowsTheGeneration(t *testing.T) {
 	w, r := refreshedWorld(t)
-	_, base, err := r.FetchIndexTagged()
+	_, base, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,12 +159,8 @@ type RestoredRepo struct {
 // operator without constraining the attacker. RestoreAll itself only
 // errors when the store cannot be enumerated at all.
 func (s *Service) RestoreAll() ([]RestoredRepo, error) {
-	it, ok := s.cfg.Store.(store.Iterable)
-	if !ok {
-		return nil, fmt.Errorf("tsr: store %T does not support iteration; cannot restore", s.cfg.Store)
-	}
 	var metaKeys []string
-	err := it.Iterate(func(info store.Info) bool {
+	err := s.cfg.Store.Iterate(func(info store.Info) bool {
 		if strings.HasPrefix(info.Key, metaKeyPrefix) {
 			metaKeys = append(metaKeys, info.Key)
 		}

@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,7 +75,7 @@ func TestWarmRestartServesWithoutResanitization(t *testing.T) {
 	if stats.Sanitized == 0 {
 		t.Fatal("cold refresh sanitized nothing")
 	}
-	_, wantTag, err := r1.FetchIndexTagged()
+	_, wantTag, err := r1.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestWarmRestartServesWithoutResanitization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gotTag, err := r2.FetchIndexTagged()
+	_, gotTag, err := r2.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestDiskTamperHealsOnServe(t *testing.T) {
 	if err := w.backing.Put(key, []byte("malicious payload")); err != nil {
 		t.Fatal(err)
 	}
-	raw, res, err := r.FetchPackageTraced("app")
+	raw, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatalf("tampered entry not healed: %v", err)
 	}
@@ -164,7 +165,7 @@ func TestDiskTamperHealsOnServe(t *testing.T) {
 		t.Fatalf("healed bytes wrong size: %d != %d", len(raw), entry.Size)
 	}
 	// Healed in place: the next read hits the repaired cache.
-	_, res2, err := r.FetchPackageTraced("app")
+	_, res2, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}

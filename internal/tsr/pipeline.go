@@ -64,15 +64,13 @@ func (r *Repo) sanitizer(plan *sanitize.Plan, memoized bool) *sanitize.Sanitizer
 
 // sanOut is the outcome of one cache-or-sanitize step: an error, a
 // policy rejection, or the entry of the sanitized package. Workers keep
-// only this metadata; the full sanitize.Result is retained only when the
-// caller asks for it.
+// only this metadata, never the full sanitize.Result.
 type sanOut struct {
 	entry      index.Entry // describes the SANITIZED bytes
 	cacheHit   bool
 	native     time.Duration // measured sanitization CPU time (fresh only)
 	workingSet int64         // modeled enclave working set (fresh only)
 	dlBytes    int64         // original bytes downloaded from a mirror
-	res        *sanitize.Result
 	reject     string
 	err        error
 }
@@ -86,19 +84,19 @@ func (o *sanOut) fresh() bool { return o.err == nil && o.reject == "" && !o.cach
 // miss. A miss sanitizes raw — obtained first when nil — and stores the
 // bytes by content hash. Packages with unsupported scripts or not
 // "created by trusted entities" are a rejection (§4.5), not an error.
-func (r *Repo) sanitizeCached(san *sanitize.Sanitizer, planHash [32]byte, e index.Entry, raw []byte, cached bool) (out sanOut, _ *sanitize.Result) {
+func (r *Repo) sanitizeCached(san *sanitize.Sanitizer, planHash [32]byte, e index.Entry, raw []byte, cached bool) (out sanOut) {
 	key := r.sanCacheKey(e.Hash, planHash)
 	out.entry = e
 	if cached {
 		if ce, err := r.loadCacheEntry(key); err == nil {
 			out.entry.Size, out.entry.Hash = ce.Size, ce.Hash
 			out.cacheHit = true
-			return out, nil
+			return out
 		}
 	}
 	if raw == nil {
 		if raw, out.dlBytes, out.err = r.obtainOriginal(cached, e.Name, e); out.err != nil {
-			return out, nil
+			return out
 		}
 	}
 	res, err := san.Sanitize(raw)
@@ -108,21 +106,21 @@ func (r *Repo) sanitizeCached(san *sanitize.Sanitizer, planHash [32]byte, e inde
 		} else {
 			out.err = fmt.Errorf("tsr: sanitizing %s: %w", e.Name, err)
 		}
-		return out, nil
+		return out
 	}
 	sum := sha256.Sum256(res.Raw)
 	if out.err = r.svc.cfg.Store.Put(r.sanitizedKey(e.Name, sum), res.Raw); out.err != nil {
-		return out, nil
+		return out
 	}
 	if cached {
 		if out.err = r.storeCacheEntry(cacheEntry{Key: key, Size: int64(len(res.Raw)), Hash: sum}); out.err != nil {
-			return out, nil
+			return out
 		}
 	}
 	out.entry.Size, out.entry.Hash = int64(len(res.Raw)), sum
 	out.native = res.Phases.Total()
 	out.workingSet = res.WorkingSet
-	return out, res
+	return out
 }
 
 // publishNextLocked is the one place a repository signs its local
@@ -406,18 +404,12 @@ func (c *cycle) sanitize() {
 
 	// Peak memory is the fetched originals still awaiting sanitization
 	// plus one batch of in-flight packages — not the whole repository's
-	// results: each batch's originals are released once it completes,
-	// and a full Result is kept only under KeepStats.
+	// results: each batch's originals are released once it completes.
 	san := r.sanitizer(c.plan, true)
-	keepStats := r.keepStats
 	c.souts = make([]sanOut, len(c.targets))
 	runBatches(c.g, r.workers, len(c.targets), func(i int) {
 		e := c.targets[i]
-		out, res := r.sanitizeCached(san, c.planHash, e, c.raws[e.Name], r.mode != CacheNone)
-		if keepStats {
-			out.res = res
-		}
-		c.souts[i] = out
+		c.souts[i] = r.sanitizeCached(san, c.planHash, e, c.raws[e.Name], r.mode != CacheNone)
 	}, func(lo, hi int) {
 		// Charge the batch's modeled costs: downloads as one round of
 		// concurrent transfers, and SGX paging from the batch's
@@ -471,9 +463,6 @@ func (c *cycle) sign() error {
 			} else {
 				c.stats.Sanitized++
 				c.stats.SanitizeTime += out.native
-				if out.res != nil {
-					c.stats.Results = append(c.stats.Results, out.res)
-				}
 			}
 		}
 	}
@@ -554,7 +543,7 @@ func (c *cycle) retire() {
 	// Byte blobs addressed by (name, hash) pairs that appear in the
 	// outgoing indexes but in neither the incoming ones nor the pinned
 	// set that on-demand rebuilds still need. Old-snapshot readers in
-	// flight at publish time can race an eviction; FetchPackageTraced
+	// flight at publish time can race an eviction; FetchPackageTracedCtx
 	// retries against the fresh snapshot when that happens.
 	if c.old.local != nil {
 		for _, e := range c.old.local.Entries {

@@ -104,7 +104,7 @@ func coldStartRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, beforeTag, err := r1.FetchIndexTagged()
+	before, beforeTag, err := r1.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func coldStartRows(t *testing.T) {
 	t.Run("edge synced before the crash follows", func(t *testing.T) {
 		// The edge's sync: a delta from its generation, which the new
 		// life never published, then a full fetch through the floor.
-		if _, err := r2.FetchIndexDelta(beforeTag); !errors.Is(err, index.ErrNoDelta) {
+		if _, err := r2.FetchIndexDeltaCtx(context.Background(), beforeTag); !errors.Is(err, index.ErrNoDelta) {
 			t.Fatalf("delta from the pre-crash generation: err = %v, want ErrNoDelta", err)
 		}
 		ix, err := index.Decode(healed.Raw)

@@ -414,14 +414,10 @@ func SliceRange(name string, raw []byte, off, length int64) ([]byte, error) {
 // bytes flow out without ever being buffered whole, a mid-stream tamper
 // surfaces as an error before the final block is released, and the
 // poisoned blob is dropped so the next request heals. ok=false — the
-// store cannot stream, or does not hold exactly entry.Size bytes there
-// — sends the caller to its buffered, already-verified path.
+// store does not hold exactly entry.Size bytes there — sends the
+// caller to its buffered, already-verified path.
 func OpenVerified(st store.Store, key string, entry index.Entry) (io.ReadCloser, bool) {
-	sr, ok := st.(store.Streamer)
-	if !ok {
-		return nil, false
-	}
-	rc, size, err := sr.Open(key)
+	rc, size, err := st.Open(key)
 	if err != nil {
 		return nil, false
 	}

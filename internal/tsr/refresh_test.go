@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"tsr/internal/policy"
 	"tsr/internal/quorum"
 	"tsr/internal/repo"
+	"tsr/internal/store"
 )
 
 // populate publishes n packages; every third creates an account so the
@@ -148,7 +150,7 @@ func flakyWorld(t *testing.T) (*world, map[string]bool, *sync.Mutex) {
 	t.Helper()
 	w := &world{
 		signer: keys.Shared.MustGet("alpine-distro-key"),
-		store:  NewMemStore(),
+		store:  store.NewMem(),
 	}
 	w.repo = repo.New("alpine-main", w.signer)
 	fail := make(map[string]bool)
@@ -293,7 +295,7 @@ func TestRefreshSurvivesPerPackageFailures(t *testing.T) {
 	// previous upstream entry — not raise a spurious tamper alarm by
 	// rebuilding the new version the mirrors failed to deliver.
 	r.SetCacheMode(CacheOriginalOnly)
-	raw, _, err := r.FetchPackageTraced("pkg0")
+	raw, _, err := r.FetchPackageTracedCtx(context.Background(), "pkg0")
 	if err != nil {
 		t.Fatalf("carried-forward package unservable: %v", err)
 	}

@@ -108,9 +108,6 @@ type RefreshStats struct {
 	// package keeps its previous index entry while the plan is
 	// unchanged and is retried on the next refresh.
 	Errors []PackageError
-	// Results holds the per-package sanitization results of this run
-	// (consumed by the experiment harness; nil-able for big runs).
-	Results []*sanitize.Result
 }
 
 // PackageError is one per-package refresh failure.
@@ -151,8 +148,7 @@ type Repo struct {
 	pinned         map[string]index.Entry  // packages serving a previous version after a failed refresh: name -> the upstream entry that version came from
 	planDebt       map[string]bool         // packages whose current-version scripts did not inform the plan (fetch failed); re-fetched and re-planned next refresh
 	registered     map[string]index.Entry  // operator-registered original packages (batched ingest): name -> entry describing the ORIGINAL bytes; refresh sanitizes them alongside upstream targets unless an upstream package of the same name shadows the registration
-	keepStats      bool
-	seq            uint64 // local index sequence
+	seq            uint64                  // local index sequence
 
 	// served is the published read state; see snapshot.go. Swapped in
 	// one atomic store at the end of a successful Refresh/RestoreState.
@@ -275,13 +271,6 @@ func (r *Repo) ForceReplan() {
 	r.plan = nil
 	r.planHash = [32]byte{}
 	r.upstreamDigest = [32]byte{}
-}
-
-// KeepStats makes Refresh retain per-package sanitization results.
-func (r *Repo) KeepStats(keep bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.keepStats = keep
 }
 
 // RejectedPackages returns the packages rejected by sanitization and

@@ -1,3 +1,9 @@
+// Package tsr implements the trusted software repository service — the
+// secure proxy of Figure 6. A single Service instance (running inside a
+// simulated SGX enclave) hosts one logical repository per deployed
+// security policy (§5.2): each gets its own signing key, quorum reader
+// over the policy's mirrors, sanitization plan, and two-level package
+// cache with rollback protection (§5.5).
 package tsr
 
 import (
@@ -44,8 +50,12 @@ type Config struct {
 	Clock netsim.Clock
 	Link  *netsim.LinkModel
 	Local netsim.Continent
-	// Store is the untrusted package cache.
-	Store Store
+	// Store is the untrusted package cache. An adversary with root
+	// access may tamper with or roll back its contents — TSR never
+	// trusts what it reads back and re-verifies against in-enclave
+	// state. A store.Mem serves diskless runs; a store.FS (tsrd
+	// -data-dir) is a durable cache that makes restarts warm.
+	Store store.Store
 	// Resolve maps a policy mirror to a live connection.
 	Resolve func(m policy.Mirror) (quorum.Source, PackageFetcher, error)
 	// EPC selects the SGX cost model; zero value disables it (the
@@ -70,8 +80,7 @@ type Config struct {
 	// AutoPersist journals sealed repository metadata (at DeployPolicy)
 	// and sealed state checkpoints (after every successful Refresh)
 	// into the Store, so a restarted service warm-boots via RestoreAll.
-	// Requires a Store that implements store.Iterable (both MemStore
-	// and store.FS do); pointless without a durable Store.
+	// Pointless without a durable Store.
 	AutoPersist bool
 }
 
@@ -109,7 +118,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("tsr: config requires a TPM")
 	}
 	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
+		cfg.Store = store.NewMem()
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = netsim.RealClock{}
@@ -287,17 +296,15 @@ func (s *Service) Undeploy(id string) error {
 			return fmt.Errorf("tsr: undeploy %s: %w", id, err)
 		}
 	}
-	if it, ok := s.cfg.Store.(store.Iterable); ok {
-		var doomed []string
-		_ = it.Iterate(func(info store.Info) bool {
-			if strings.HasPrefix(info.Key, id+"/") {
-				doomed = append(doomed, info.Key)
-			}
-			return true
-		})
-		for _, k := range doomed {
-			_ = s.cfg.Store.Delete(k)
+	var doomed []string
+	_ = s.cfg.Store.Iterate(func(info store.Info) bool {
+		if strings.HasPrefix(info.Key, id+"/") {
+			doomed = append(doomed, info.Key)
 		}
+		return true
+	})
+	for _, k := range doomed {
+		_ = s.cfg.Store.Delete(k)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestCacheNoneReadsSignEveryFile(t *testing.T) {
 	r.SetCacheMode(CacheNone)
 	for read := range 2 {
 		before := r.signKey.PrivateOps()
-		_, res, err := r.FetchPackageTraced("probe")
+		_, res, err := r.FetchPackageTracedCtx(context.Background(), "probe")
 		if err != nil {
 			t.Fatal(err)
 		}

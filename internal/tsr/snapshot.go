@@ -62,18 +62,13 @@ func (r *Repo) publishLocked() {
 	r.served.Store(snap)
 }
 
-// FetchIndexDelta returns the delta from the generation published under
-// sinceETag to the currently served one — the origin side of edge
-// replica delta sync. It is lock-free like the other read paths.
-// Returns index.ErrDeltaUnchanged when sinceETag IS the current
-// generation, and index.ErrNoDelta when the base generation is no
-// longer retained (the caller falls back to a full fetch).
-func (r *Repo) FetchIndexDelta(sinceETag string) (*index.Delta, error) {
-	return r.FetchIndexDeltaCtx(context.Background(), sinceETag)
-}
-
-// FetchIndexDeltaCtx is FetchIndexDelta under a caller context: when
-// the context is traced, the read runs as an origin-tier span.
+// FetchIndexDeltaCtx returns the delta from the generation published
+// under sinceETag to the currently served one — the origin side of edge
+// replica delta sync. It is lock-free like the other read paths, and
+// runs as an origin-tier span when the context is traced. Returns
+// index.ErrDeltaUnchanged when sinceETag IS the current generation, and
+// index.ErrNoDelta when the base generation is no longer retained (the
+// caller falls back to a full fetch).
 func (r *Repo) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *index.Delta, err error) {
 	_, sp := trace.Start(ctx, "origin.index_delta")
 	defer func() {
@@ -96,31 +91,30 @@ func (r *Repo) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *ind
 // FetchIndex implements pkgmgr.Source: serves the signed local index
 // from the published snapshot, without taking the repository lock.
 func (r *Repo) FetchIndex() (*index.Signed, error) {
-	signed, _, err := r.FetchIndexTagged()
+	signed, _, err := r.fetchIndexTagged()
 	return signed, err
 }
 
-// FetchIndexTagged returns the signed local index together with its
+// FetchIndexTaggedCtx returns the signed local index together with its
 // strong ETag (the quoted hex digest of the signed representation).
-// The HTTP layer uses the tag for If-None-Match revalidation.
-func (r *Repo) FetchIndexTagged() (*index.Signed, string, error) {
+// The HTTP layer uses the tag for If-None-Match revalidation. When the
+// context is traced, the read runs as an origin-tier span.
+func (r *Repo) FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error) {
+	_, sp := trace.Start(ctx, "origin.index")
+	defer sp.End()
+	sp.SetTier("origin")
+	signed, etag, err := r.fetchIndexTagged()
+	sp.SetError(err)
+	return signed, etag, err
+}
+
+func (r *Repo) fetchIndexTagged() (*index.Signed, string, error) {
 	snap := r.served.Load()
 	if snap == nil {
 		return nil, "", ErrNotInitialized
 	}
 	r.totals.IndexReads.Add(1)
 	return snap.Signed.Clone(), snap.ETag, nil
-}
-
-// FetchIndexTaggedCtx is FetchIndexTagged under a caller context: when
-// the context is traced, the read runs as an origin-tier span.
-func (r *Repo) FetchIndexTaggedCtx(ctx context.Context) (*index.Signed, string, error) {
-	_, sp := trace.Start(ctx, "origin.index")
-	defer sp.End()
-	sp.SetTier("origin")
-	signed, etag, err := r.FetchIndexTagged()
-	sp.SetError(err)
-	return signed, etag, err
 }
 
 // IndexETag returns the current index ETag without cloning the index —
@@ -179,8 +173,7 @@ type FetchResult struct {
 // FetchPackage implements pkgmgr.Source. The returned bytes are
 // read-only: they may be the sanitized-cache entry itself.
 func (r *Repo) FetchPackage(name string) ([]byte, error) {
-	raw, _, err := r.FetchPackageTraced(name)
-	return raw, err
+	return r.FetchPackageCtx(context.Background(), name)
 }
 
 // FetchPackageCtx is FetchPackage under a caller context.
@@ -189,7 +182,7 @@ func (r *Repo) FetchPackageCtx(ctx context.Context, name string) ([]byte, error)
 	return raw, err
 }
 
-// FetchPackageTraced serves a sanitized package and reports how. It
+// FetchPackageTracedCtx serves a sanitized package and reports how. It
 // reads the published snapshot — never Repo.mu — so requests proceed at
 // full speed while a refresh runs. Before returning cached bytes it
 // re-verifies them against the in-enclave local index — the §5.5
@@ -200,12 +193,8 @@ func (r *Repo) FetchPackageCtx(ctx context.Context, name string) ([]byte, error)
 // references. The one remaining race — a request in flight at the
 // publish instant, whose generation the refresh just evicted — is
 // resolved by retrying once against the freshly published snapshot.
-func (r *Repo) FetchPackageTraced(name string) ([]byte, *FetchResult, error) {
-	return r.FetchPackageTracedCtx(context.Background(), name)
-}
-
-// FetchPackageTracedCtx is FetchPackageTraced under a caller context:
-// when the context is traced, the whole serve — including a coalesced
+//
+// When the context is traced, the whole serve — including a coalesced
 // fill, where a follower links to the leader's span instead of
 // claiming the upstream work — runs as an origin-tier span.
 func (r *Repo) FetchPackageTracedCtx(ctx context.Context, name string) ([]byte, *FetchResult, error) {

@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"tsr/internal/keys"
 	"tsr/internal/mirror"
 	"tsr/internal/quorum"
+	"tsr/internal/store"
 )
 
 // TestReadsServeSnapshotDuringRefresh is the acceptance test for the
@@ -272,7 +274,7 @@ func TestRefreshReconcilesServedWrites(t *testing.T) {
 	if _, err := r.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.store.Get(staleKey); !errors.Is(err, ErrCacheMiss) {
+	if _, err := w.store.Get(staleKey); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("stale generation not reconciled away: %v", err)
 	}
 	if _, err := w.store.Get(currentKey); err != nil {
@@ -309,7 +311,7 @@ func TestVersionRollbackResanitizes(t *testing.T) {
 	}
 	// The published entry has real bytes behind it: served straight
 	// from the sanitized cache, no on-demand repair.
-	_, res, err := r.FetchPackageTraced("app")
+	_, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +554,7 @@ func TestSetCacheModeRepublishesSnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if _, _, err := r.FetchPackageTraced("app"); err != nil {
+			if _, _, err := r.FetchPackageTracedCtx(context.Background(), "app"); err != nil {
 				t.Errorf("read during mode flips: %v", err)
 				return
 			}
@@ -565,7 +567,7 @@ func TestSetCacheModeRepublishesSnapshot(t *testing.T) {
 	r.SetCacheMode(CacheOriginalOnly)
 	stop.Store(true)
 	wg.Wait()
-	_, res, err := r.FetchPackageTraced("app")
+	_, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,13 +15,8 @@ import (
 // re-verified against — the published snapshot's signed index; nothing
 // here adds trusted state.
 
-// FetchChunkManifest returns the chunk manifest of a served package
+// FetchChunkManifestCtx returns the chunk manifest of a served package
 // (see ManifestMemo).
-func (r *Repo) FetchChunkManifest(name string) (*store.ChunkManifest, error) {
-	return r.FetchChunkManifestCtx(context.Background(), name)
-}
-
-// FetchChunkManifestCtx is FetchChunkManifest under a caller context.
 func (r *Repo) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
 	snap := r.served.Load()
 	if snap == nil {
@@ -41,14 +36,9 @@ func (r *Repo) FetchChunkManifestCtx(ctx context.Context, name string) (*store.C
 	return m, err
 }
 
-// FetchPackageRange returns length bytes of the package starting at
+// FetchPackageRangeCtx returns length bytes of the package starting at
 // off, sliced from verified bytes — the in-process origin side of
 // chunk-aware edge sync.
-func (r *Repo) FetchPackageRange(name string, off, length int64) ([]byte, error) {
-	return r.FetchPackageRangeCtx(context.Background(), name, off, length)
-}
-
-// FetchPackageRangeCtx is FetchPackageRange under a caller context.
 func (r *Repo) FetchPackageRangeCtx(ctx context.Context, name string, off, length int64) ([]byte, error) {
 	raw, _, err := r.FetchPackageTracedCtx(ctx, name)
 	if err != nil {
@@ -68,12 +58,11 @@ type PackageStream struct {
 }
 
 // OpenPackageCtx opens a package for streaming: when the sanitized
-// cache holds the entry and can stream it, the bytes flow from the
-// store through hash-as-you-copy verification (OpenVerified) and a
-// tampered entry is dropped so the next request heals via
-// re-sanitization. Every other case (cache miss, CacheNone, pinned
-// versions, non-streaming store) falls back to the buffered —
-// already verified — serve path.
+// cache holds the entry, the bytes flow from the store through
+// hash-as-you-copy verification (OpenVerified) and a tampered entry is
+// dropped so the next request heals via re-sanitization. Every other
+// case (cache miss, CacheNone, pinned versions) falls back to the
+// buffered — already verified — serve path.
 func (r *Repo) OpenPackageCtx(ctx context.Context, name string) (*PackageStream, error) {
 	start := time.Now()
 	if snap := r.served.Load(); snap != nil && snap.mode == CacheBoth {

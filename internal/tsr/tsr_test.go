@@ -1,6 +1,7 @@
 package tsr
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"tsr/internal/policy"
 	"tsr/internal/quorum"
 	"tsr/internal/repo"
+	"tsr/internal/store"
 	"tsr/internal/tpm"
 )
 
@@ -31,17 +33,17 @@ type world struct {
 	repo    *repo.Repository
 	mirrors []*mirror.Mirror
 	svc     *Service
-	store   *MemStore // nil when worldCfg injected a non-Mem store
-	backing Store
+	store   *store.Mem // nil when worldCfg injected a non-Mem store
+	backing store.Store
 	policy  []byte
 	signer  *keys.Pair // distribution key (signs index AND packages)
 }
 
 // worldCfg overrides the world's host-side pieces — store, TPM,
 // platform — so persistence tests can share them across simulated
-// restarts. Zero value: fresh MemStore, fresh TPM, fresh platform.
+// restarts. Zero value: fresh store.Mem, fresh TPM, fresh platform.
 type worldCfg struct {
-	store          Store
+	store          store.Store
 	tpm            *tpm.TPM
 	platform       *enclave.Platform
 	autoPersist    bool
@@ -59,14 +61,14 @@ func newWorldCfg(t *testing.T, nMirrors int, wc worldCfg) *world {
 	t.Helper()
 	signer := keys.Shared.MustGet("alpine-distro-key")
 	if wc.store == nil {
-		wc.store = NewMemStore()
+		wc.store = store.NewMem()
 	}
 	w := &world{
 		repo:    repo.New("alpine-main", signer),
 		signer:  signer,
 		backing: wc.store,
 	}
-	if ms, ok := wc.store.(*MemStore); ok {
+	if ms, ok := wc.store.(*store.Mem); ok {
 		w.store = ms
 	}
 	byHost := make(map[string]*mirror.Mirror)
@@ -389,7 +391,7 @@ func TestCacheModesServedFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Default CacheBoth: served from the sanitized cache.
-	_, res, err := r.FetchPackageTraced("app")
+	_, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +400,7 @@ func TestCacheModesServedFrom(t *testing.T) {
 	}
 	// Original-only: re-sanitized from the cached original.
 	r.SetCacheMode(CacheOriginalOnly)
-	_, res, err = r.FetchPackageTraced("app")
+	_, res, err = r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +409,7 @@ func TestCacheModesServedFrom(t *testing.T) {
 	}
 	// None: downloaded from a mirror again.
 	r.SetCacheMode(CacheNone)
-	_, res, err = r.FetchPackageTraced("app")
+	_, res, err = r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +437,7 @@ func TestCacheTamperDetected(t *testing.T) {
 	if err := w.store.Tamper(r.sanitizedKey("app", sanEntry.Hash)); err != nil {
 		t.Fatal(err)
 	}
-	raw, res, err := r.FetchPackageTraced("app")
+	raw, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +462,7 @@ func TestCacheRollbackDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.store.Restore(snapshot) // rollback attack on the disk cache
-	raw, res, err := r.FetchPackageTraced("app")
+	raw, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,7 +744,7 @@ func TestOriginalCacheTamperFallsBackToMirror(t *testing.T) {
 	if err := w.store.Tamper(r.origKey("app", upEntry.Hash)); err != nil {
 		t.Fatal(err)
 	}
-	raw, res, err := r.FetchPackageTraced("app")
+	raw, res, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package tsr
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -91,7 +92,7 @@ func TestIndexGzipIsTransferEncodingOnly(t *testing.T) {
 	}
 	srv := httptest.NewServer(Handler(w.svc))
 	defer srv.Close()
-	signed, _, err := r.FetchIndexTagged()
+	signed, _, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +141,12 @@ func TestIndexGzipIsTransferEncodingOnly(t *testing.T) {
 // TestIndexDeltaGzip: the delta endpoint negotiates gzip the same way.
 func TestIndexDeltaGzip(t *testing.T) {
 	w, r := refreshedWorld(t)
-	_, baseTag, err := r.FetchIndexTagged()
+	_, baseTag, err := r.FetchIndexTaggedCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	advance(t, w, r, "app", "1.1-r0")
-	d, err := r.FetchIndexDelta(baseTag)
+	d, err := r.FetchIndexDeltaCtx(context.Background(), baseTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,31 +275,34 @@ func TestPackageRangeServing(t *testing.T) {
 	}
 }
 
+// parseRangeCases is TestParseRange's table; FuzzParseRange seeds its
+// corpus from it.
+var parseRangeCases = []struct {
+	header      string
+	size        int64
+	off, length int64
+	ok          bool
+	unsat       bool
+}{
+	{"bytes=0-9", 100, 0, 10, true, false},
+	{"bytes=90-", 100, 90, 10, true, false},
+	{"bytes=-10", 100, 90, 10, true, false},
+	{"bytes=-200", 100, 0, 100, true, false}, // suffix longer than body: whole body
+	{"bytes=0-0", 100, 0, 1, true, false},
+	{"bytes=50-200", 100, 50, 50, true, false}, // end clipped
+	{"bytes=100-", 100, 0, 0, false, true},
+	{"bytes=-0", 100, 0, 0, false, true},
+	{"bytes=-5", 0, 0, 0, false, true},
+	{"bytes=0-9,20-29", 100, 0, 0, false, false}, // multi-range: ignore
+	{"bytes=9-0", 100, 0, 0, false, false},
+	{"bytes=abc", 100, 0, 0, false, false},
+	{"chunks=0-9", 100, 0, 0, false, false},
+	{"", 100, 0, 0, false, false},
+}
+
 // TestParseRange pins the header parser's edge cases directly.
 func TestParseRange(t *testing.T) {
-	cases := []struct {
-		header      string
-		size        int64
-		off, length int64
-		ok          bool
-		unsat       bool
-	}{
-		{"bytes=0-9", 100, 0, 10, true, false},
-		{"bytes=90-", 100, 90, 10, true, false},
-		{"bytes=-10", 100, 90, 10, true, false},
-		{"bytes=-200", 100, 0, 100, true, false}, // suffix longer than body: whole body
-		{"bytes=0-0", 100, 0, 1, true, false},
-		{"bytes=50-200", 100, 50, 50, true, false}, // end clipped
-		{"bytes=100-", 100, 0, 0, false, true},
-		{"bytes=-0", 100, 0, 0, false, true},
-		{"bytes=-5", 0, 0, 0, false, true},
-		{"bytes=0-9,20-29", 100, 0, 0, false, false}, // multi-range: ignore
-		{"bytes=9-0", 100, 0, 0, false, false},
-		{"bytes=abc", 100, 0, 0, false, false},
-		{"chunks=0-9", 100, 0, 0, false, false},
-		{"", 100, 0, 0, false, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseRangeCases {
 		off, length, ok, err := ParseRange(tc.header, tc.size)
 		if tc.unsat {
 			if err == nil {
@@ -325,7 +329,7 @@ func TestChunkManifestEndpoint(t *testing.T) {
 	defer srv.Close()
 	url := srv.URL + "/repos/" + r.ID + "/packages/app/chunks"
 
-	body, _, err := r.FetchPackageTraced("app")
+	body, _, err := r.FetchPackageTracedCtx(context.Background(), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +420,7 @@ func TestStreamedServeTamperAbortsAndHeals(t *testing.T) {
 }
 
 // TestStreamedServeCounts: the buffered-free serve path is actually
-// taken (MemStore implements store.Streamer) and verified bytes arrive
+// taken (store.Mem streams) and verified bytes arrive
 // intact with a correct Content-Length.
 func TestStreamedServeCounts(t *testing.T) {
 	w, r := refreshedWorld(t)
