@@ -13,21 +13,34 @@
 // what the signature covers, so Decode keeps them available for
 // verification and Encode is deterministic. Decode, DecodeMeta and
 // Rewrite read the data segment through one streamed walker, so they
-// make the same format and hash checks. Encode, Decode and Rewrite
-// reuse pooled compressors and scratch buffers; a Reset gzip writer
-// emits the same bytes as a fresh one, so output is byte-stable
-// whichever pooled writer produced it.
+// make the same format and hash checks.
+//
+// Each gzip member is a sequence of independently deflated runs: the
+// gzip header; per run, the output of a freshly Reset flate writer
+// ending in a sync flush; an empty final block; and the CRC-32 and size
+// of the whole segment. Any gzip reader decodes it as one member. The
+// data member has one run per tar entry (PAX header, header, content,
+// padding), small consecutive entries grouped until a run holds at
+// least 32 KiB. A file therefore compresses to the same bytes wherever
+// it sits in whichever package, so a RunMemo can reuse them, and a
+// version bump changes only the changed files' runs on the wire. Encode,
+// Decode and Rewrite reuse pooled compressors and scratch buffers; a
+// Reset flate writer emits the same bytes as a fresh one, so output is
+// byte-stable whichever pooled writer produced it.
 package apk
 
 import (
 	"archive/tar"
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
+	"hash/crc32"
 	"io"
 	"sort"
 	"strings"
@@ -111,13 +124,12 @@ func (p *Package) UncompressedSize() int64 {
 // DataHash computes the SHA-256 of the encoded data segment; this is the
 // "hash of the package contents" stored in the control segment.
 func (p *Package) DataHash() ([32]byte, error) {
-	h := sha256.New()
-	if err := writeDataSegment(h, p.Files); err != nil {
+	d := &dataWriter{h: sha256.New()}
+	d.tw = tar.NewWriter(d)
+	if err := writeDataSegment(d, p.Files); err != nil {
 		return [32]byte{}, err
 	}
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum, nil
+	return d.close()
 }
 
 // ControlBytes renders the control segment exactly as Encode embeds it;
@@ -155,13 +167,19 @@ const maxPooledScratch = 256 << 10
 
 var codecs = sync.Pool{New: func() any { return new(codec) }}
 
-// compressors pools gzip writers apart from the codecs. A writer is
-// taken only for the burst that compresses, so it is most likely the
-// one this P used last, its 640 KiB of deflate tables still in cache.
-// Held through a whole Rewrite, as a codec is, it went cold while the
-// files were signed: in a CPU profile of the benchmark on a 2-vCPU
-// host, deflate then cost about a third more per sanitized package.
-var compressors = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+// deflaters pools flate writers apart from the codecs. A writer is
+// taken only for the run it compresses, so it is most likely the one
+// this P used last, its 640 KiB of deflate tables still in cache. Held
+// through a whole Rewrite, as a codec is, it went cold while the files
+// were signed: in a CPU profile of the benchmark on a 2-vCPU host,
+// deflate then cost about a third more per sanitized package.
+var deflaters = sync.Pool{New: func() any {
+	zw, err := flate.NewWriter(nil, flate.DefaultCompression)
+	if err != nil {
+		panic(err) // only an invalid level fails
+	}
+	return zw
+}}
 
 func getCodec() *codec {
 	c := codecs.Get().(*codec)
@@ -185,45 +203,30 @@ func putCodec(c *codec) {
 }
 
 // Encode serializes the package to its on-wire form. The data segment
-// is tarred once: its digest goes into the control segment and its
-// bytes into the third gzip member.
+// is tarred once, straight into its compressed member; its digest goes
+// into the control segment.
 func Encode(p *Package) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)
-	// Content plus, per file, a header, a PAX extension and padding.
-	c.seg[2].Grow(int(p.UncompressedSize()) + len(p.Files)<<11 + 1<<10)
-	if err := writeDataSegment(&c.seg[2], p.Files); err != nil {
+	// Content plus, per file, a header, a PAX extension and padding;
+	// deflate expands incompressible input by well under 1%.
+	n := int(p.UncompressedSize()) + len(p.Files)<<11 + 1<<10
+	c.seg[2].Grow(n + n>>7)
+	d := c.dataWriter(nil)
+	if err := writeDataSegment(d, p.Files); err != nil {
 		return nil, err
 	}
-	if err := writeControlSegment(&c.seg[1], p, sha256.Sum256(c.seg[2].Bytes())); err != nil {
+	sum, err := d.close()
+	if err != nil {
+		return nil, err
+	}
+	if err := writeControlSegment(&c.seg[1], p, sum); err != nil {
 		return nil, err
 	}
 	if err := writeSignatureSegment(&c.seg[0], p.Signatures); err != nil {
 		return nil, err
 	}
-	// Deflate expands incompressible input by well under 1%.
-	n := c.seg[0].Len() + c.seg[1].Len() + c.seg[2].Len()
-	c.out.Grow(n + n>>7 + 1<<10)
-	zw := compressors.Get().(*gzip.Writer)
-	defer compressors.Put(zw)
-	for i := range c.seg {
-		if err := compress(zw, &c.out, c.seg[i].Bytes()); err != nil {
-			return nil, err
-		}
-	}
-	return bytes.Clone(c.out.Bytes()), nil
-}
-
-// compress appends seg to dst as one gzip member.
-func compress(zw *gzip.Writer, dst *bytes.Buffer, seg []byte) error {
-	zw.Reset(dst)
-	if _, err := zw.Write(seg); err != nil {
-		return fmt.Errorf("apk: compressing segment: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("apk: compressing segment: %w", err)
-	}
-	return nil
+	return c.assemble()
 }
 
 // Decode parses an encoded package, verifying the control segment's
@@ -283,11 +286,12 @@ type Rewriter interface {
 // member file by file through rw.File into the output's compressed
 // data member, hashing both sides as they pass; last it renders the
 // control segment with the new data hash and signs it with rw.Sign.
-// Besides raw, only the compressed output, one file and a bounded
-// batch of the output tar stream (see memberWriter) are held. Files
-// keep their archive order, so a path-sorted input yields exactly the
-// bytes Encode gives for the rewritten package.
-func Rewrite(raw []byte, rw Rewriter) ([]byte, error) {
+// Besides raw, only the compressed output, one file and the open run
+// of the output tar stream (at most 256 KiB; see dataWriter) are held.
+// Files keep their archive order, so a path-sorted input yields exactly
+// the bytes Encode gives for the rewritten package. The output's data
+// runs go through runs when it is not nil.
+func Rewrite(raw []byte, rw Rewriter, runs *RunMemo) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)
 	r, p, declared, err := c.readHead(raw)
@@ -301,30 +305,20 @@ func Rewrite(raw []byte, rw Rewriter) ([]byte, error) {
 	// The output's data member is the input's plus, per file, a
 	// signature that does not compress.
 	c.seg[2].Grow(r.Len() + r.Len()>>3 + 8<<10)
-	m := &memberWriter{buf: &c.out, dst: &c.seg[2], h: sha256.New()}
-	defer m.release()
-	tw := tar.NewWriter(m)
+	d := c.dataWriter(runs)
 	err = c.walkData(r, declared, func(f *File) error {
 		if err := rw.File(f); err != nil {
 			return err
 		}
-		return writeFile(tw, f)
+		return d.file(f)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := tw.Close(); err != nil {
-		return nil, fmt.Errorf("apk: data segment: %w", err)
-	}
-	// The end-of-archive blocks guarantee a flush, so m.zw is set.
-	if err := m.flush(); err != nil {
+	sum, err := d.close()
+	if err != nil {
 		return nil, err
 	}
-	if err := m.zw.Close(); err != nil {
-		return nil, fmt.Errorf("apk: compressing segment: %w", err)
-	}
-	var sum [32]byte
-	m.h.Sum(sum[:0])
 
 	c.seg[1].Reset()
 	if err := writeControlSegment(&c.seg[1], p, sum); err != nil {
@@ -338,74 +332,162 @@ func Rewrite(raw []byte, rw Rewriter) ([]byte, error) {
 	if err := writeSignatureSegment(&c.seg[0], map[string][]byte{name: sig}); err != nil {
 		return nil, err
 	}
+	return c.assemble()
+}
+
+// assemble returns the package whose signature and control segments
+// are c.seg[0] and c.seg[1] and whose compressed data member is
+// c.seg[2].
+func (c *codec) assemble() ([]byte, error) {
+	c.out.Reset()
 	for i := 0; i < 2; i++ {
-		if err := compress(m.zw, &c.out, c.seg[i].Bytes()); err != nil {
+		seg := c.seg[i].Bytes()
+		c.out.Write(gzipHeader[:])
+		if err := deflateRun(&c.out, seg); err != nil {
 			return nil, err
 		}
+		closeMember(&c.out, crc32.ChecksumIEEE(seg), uint32(len(seg)))
 	}
 	out := make([]byte, 0, c.out.Len()+c.seg[2].Len())
 	return append(append(out, c.out.Bytes()...), c.seg[2].Bytes()...), nil
 }
 
-// batchSize is the least run of tar stream a memberWriter compresses
-// at once.
-const batchSize = maxPooledScratch / 2
+// Data-member runs: a run is closed at the end of the first tar entry
+// that brings it to runSize bytes. Resetting a flate writer clears its
+// 640 KiB of hash tables, so grouping small entries pays that at most
+// once per runSize of input. A run buffers at most maxRun bytes; one
+// that outgrows it (a large file) is deflated as it arrives and is not
+// memoized.
+const (
+	runSize = 32 << 10
+	maxRun  = maxPooledScratch
+)
 
-// memberWriter hashes a tar stream and compresses it into dst as one
-// gzip member. It hands the stream on in runs of at least batchSize
-// bytes, buffered in buf, and takes its compressor at the first run, so
-// that deflate works in long bursts on warm tables instead of between
-// every file's signing. A write of batchSize or more goes straight
-// through, so buf stays under twice batchSize.
-type memberWriter struct {
-	buf, dst *bytes.Buffer
-	h        hash.Hash
-	zw       *gzip.Writer
-}
+// gzipHeader starts every member: deflate, no flags, no modification
+// time, unknown OS — what gzip.Writer writes at the default level.
+var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
 
-func (m *memberWriter) Write(p []byte) (int, error) {
-	if len(p) >= batchSize {
-		if err := m.flush(); err != nil {
-			return 0, err
-		}
-		if err := m.emit(p); err != nil {
-			return 0, err
-		}
-		return len(p), nil
+// deflateRun appends p to dst as one run: the output of a Reset flate
+// writer, ended by a sync flush so that the next run starts on a byte
+// boundary with no back-references into this one.
+func deflateRun(dst *bytes.Buffer, p []byte) error {
+	zw := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(zw)
+	zw.Reset(dst)
+	if _, err := zw.Write(p); err != nil {
+		return fmt.Errorf("apk: compressing segment: %w", err)
 	}
-	m.buf.Write(p)
-	if m.buf.Len() >= batchSize {
-		if err := m.flush(); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
-}
-
-// flush compresses what buf holds.
-func (m *memberWriter) flush() error {
-	err := m.emit(m.buf.Bytes())
-	m.buf.Reset()
-	return err
-}
-
-func (m *memberWriter) emit(p []byte) error {
-	if m.zw == nil {
-		m.zw = compressors.Get().(*gzip.Writer)
-		m.zw.Reset(m.dst)
-	}
-	m.h.Write(p)
-	if _, err := m.zw.Write(p); err != nil {
+	if err := zw.Flush(); err != nil {
 		return fmt.Errorf("apk: compressing segment: %w", err)
 	}
 	return nil
 }
 
-// release returns the compressor, if one was taken, to the pool.
-func (m *memberWriter) release() {
-	if m.zw != nil {
-		compressors.Put(m.zw)
+// closeMember ends a member's runs: an empty final stored block, then
+// the gzip trailer of the segment's CRC-32 and size.
+func closeMember(dst *bytes.Buffer, crc, size uint32) {
+	dst.Write([]byte{1, 0, 0, 0xff, 0xff})
+	var trailer [8]byte
+	binary.LittleEndian.PutUint32(trailer[:4], crc)
+	binary.LittleEndian.PutUint32(trailer[4:], size)
+	dst.Write(trailer[:])
+}
+
+// dataWriter tars a data segment, hashing the tar stream for the
+// control segment and, when dst is set, compressing it into dst as a
+// gzip member of runs. The open run is buffered in buf.
+type dataWriter struct {
+	tw   *tar.Writer
+	h    hash.Hash
+	dst  *bytes.Buffer // nil: hash only
+	buf  *bytes.Buffer
+	runs *RunMemo
+	crc  uint32
+	size uint32        // mod 2^32, as the gzip trailer stores it
+	zw   *flate.Writer // set while an outgrown run streams
+}
+
+// dataWriter returns a writer of a data member into c.seg[2], with the
+// open run in c.out.
+func (c *codec) dataWriter(runs *RunMemo) *dataWriter {
+	d := &dataWriter{h: sha256.New(), dst: &c.seg[2], buf: &c.out, runs: runs}
+	d.tw = tar.NewWriter(d)
+	d.dst.Write(gzipHeader[:])
+	return d
+}
+
+// Write takes the tar stream.
+func (d *dataWriter) Write(p []byte) (int, error) {
+	d.h.Write(p)
+	if d.dst == nil {
+		return len(p), nil
 	}
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, p)
+	d.size += uint32(len(p))
+	if d.zw == nil && d.buf.Len()+len(p) <= maxRun {
+		d.buf.Write(p)
+		return len(p), nil
+	}
+	if d.zw == nil {
+		d.zw = deflaters.Get().(*flate.Writer)
+		d.zw.Reset(d.dst)
+		if _, err := d.zw.Write(d.buf.Bytes()); err != nil {
+			return 0, fmt.Errorf("apk: compressing segment: %w", err)
+		}
+		d.buf.Reset()
+	}
+	if _, err := d.zw.Write(p); err != nil {
+		return 0, fmt.Errorf("apk: compressing segment: %w", err)
+	}
+	return len(p), nil
+}
+
+// file appends f as one tar entry, padding included, and closes the
+// open run if the entry brought it to runSize bytes.
+func (d *dataWriter) file(f *File) error {
+	if err := writeFile(d.tw, f); err != nil {
+		return err
+	}
+	if err := d.tw.Flush(); err != nil {
+		return fmt.Errorf("apk: data segment: %w", err)
+	}
+	if d.dst == nil || (d.zw == nil && d.buf.Len() < runSize) {
+		return nil
+	}
+	return d.endRun()
+}
+
+// endRun compresses the open run into dst.
+func (d *dataWriter) endRun() error {
+	if d.zw != nil {
+		err := d.zw.Flush()
+		deflaters.Put(d.zw)
+		d.zw = nil
+		if err != nil {
+			return fmt.Errorf("apk: compressing segment: %w", err)
+		}
+		return nil
+	}
+	err := d.runs.deflate(d.dst, d.buf.Bytes())
+	d.buf.Reset()
+	return err
+}
+
+// close ends the tar stream, and the member if one is being written,
+// and returns the SHA-256 of the tar stream.
+func (d *dataWriter) close() ([32]byte, error) {
+	var sum [32]byte
+	if err := d.tw.Close(); err != nil {
+		return sum, fmt.Errorf("apk: data segment: %w", err)
+	}
+	if d.dst != nil {
+		if err := d.endRun(); err != nil {
+			return sum, err
+		}
+		closeMember(d.dst, d.crc, d.size)
+	}
+	d.h.Sum(sum[:0])
+	return sum, nil
 }
 
 // RawControlSegment extracts the exact control segment bytes from an
@@ -693,18 +775,15 @@ func parsePkgInfo(content []byte, p *Package, dataHash *[32]byte) error {
 	return nil
 }
 
-// writeDataSegment tars the files in path order.
-func writeDataSegment(w io.Writer, files []File) error {
-	tw := tar.NewWriter(w)
+// writeDataSegment tars the files into d in path order; d.close ends
+// the segment.
+func writeDataSegment(d *dataWriter, files []File) error {
 	sorted := append([]File(nil), files...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	for i := range sorted {
-		if err := writeFile(tw, &sorted[i]); err != nil {
+		if err := d.file(&sorted[i]); err != nil {
 			return err
 		}
-	}
-	if err := tw.Close(); err != nil {
-		return fmt.Errorf("apk: data segment: %w", err)
 	}
 	return nil
 }

@@ -3,10 +3,12 @@ package apk
 import (
 	"archive/tar"
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
@@ -250,7 +252,8 @@ func largePackage(name string, seed int64, size int) *Package {
 
 // freshEncode builds the encoding of p with none of Encode's pooled
 // state: segments tarred into fresh buffers, the control segment via
-// ControlBytes, and a new gzip writer per member.
+// ControlBytes, and a new flate writer per run. The data segment is cut
+// into runs after the first entry that brings a run to 32 KiB.
 func freshEncode(t *testing.T, p *Package) []byte {
 	t.Helper()
 	var sig, data bytes.Buffer
@@ -261,19 +264,69 @@ func freshEncode(t *testing.T, p *Package) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeDataSegment(&data, p.Files); err != nil {
+	files := append([]File(nil), p.Files...)
+	sort.Slice(files, func(i, j int) bool { return files[i].Path < files[j].Path })
+	tw := tar.NewWriter(&data)
+	var cuts []int
+	start := 0
+	for i := range files {
+		if err := writeFile(tw, &files[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if data.Len()-start >= 32<<10 {
+			start = data.Len()
+			cuts = append(cuts, start)
+		}
+	}
+	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return rebuild(t, sig.Bytes(), control, data.Bytes())
+	if start != data.Len() {
+		cuts = append(cuts, data.Len())
+	}
+
+	var out bytes.Buffer
+	fresh := func() *flate.Writer {
+		zw, err := flate.NewWriter(&out, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return zw
+	}
+	member := func(seg []byte, cuts []int) {
+		out.Write([]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff})
+		start := 0
+		for _, end := range cuts {
+			zw := fresh()
+			zw.Write(seg[start:end])
+			if err := zw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			start = end
+		}
+		if err := fresh().Close(); err != nil { // an empty writer's Close is the final block
+			t.Fatal(err)
+		}
+		binary.Write(&out, binary.LittleEndian, [2]uint32{crc32.ChecksumIEEE(seg), uint32(len(seg))})
+	}
+	member(sig.Bytes(), []int{sig.Len()})
+	member(control, []int{len(control)})
+	member(data.Bytes(), cuts)
+	return out.Bytes()
 }
 
 // TestEncodeMatchesFreshWriter: a pooled writer and scratch that just
-// encoded a large package must leave no trace in the next encoding.
+// encoded a large package must leave no trace in the next encoding,
+// whether it is one run or several, some streamed past the run buffer.
 func TestEncodeMatchesFreshWriter(t *testing.T) {
 	mustEncode(t, largePackage("big", 1, 1<<20))
-	p := samplePackage()
-	if got, want := mustEncode(t, p), freshEncode(t, p); !bytes.Equal(got, want) {
-		t.Fatalf("Encode after a large package = %d bytes, fresh writers give %d", len(got), len(want))
+	for _, p := range []*Package{samplePackage(), largePackage("runs", 2, 1<<20), textPackage(24, 3<<10, -1, "")} {
+		if got, want := mustEncode(t, p), freshEncode(t, p); !bytes.Equal(got, want) {
+			t.Fatalf("%s: Encode after a large package = %d bytes, fresh writers give %d", p.Name, len(got), len(want))
+		}
 	}
 }
 

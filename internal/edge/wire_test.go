@@ -118,6 +118,83 @@ func TestReplicaDifferentialPull(t *testing.T) {
 	}
 }
 
+// textEdgePkg is 32 files of fileSize bytes of compressible text; only
+// file bumped's text depends on the version.
+func textEdgePkg(name, version string, bumped, fileSize int) *apk.Package {
+	words := []string{"package", "signature", "enclave", "mirror", "index", "refresh", "update", "the", "of", "a"}
+	p := &apk.Package{Name: name, Version: version}
+	for i := 0; i < 32; i++ {
+		seed := int64(i + 1)
+		if i == bumped {
+			for _, c := range version {
+				seed = seed*131 + int64(c)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var b []byte
+		for len(b) < fileSize {
+			b = append(append(b, words[rng.Intn(len(words))]...), " \n"[rng.Intn(2)])
+		}
+		p.Files = append(p.Files, apk.File{Path: fmt.Sprintf("/usr/share/%s/%03d.txt", name, i), Mode: 0o644, Content: b[:fileSize]})
+	}
+	return p
+}
+
+// TestReplicaDifferentialPullMiddleFile: a bump of the first or of a
+// middle file of a compressible package moves little more than that
+// file. Each file is its own deflate run, so the compressed bytes after
+// the changed file are the previous generation's and chunking reuses
+// them; in one deflate stream everything after the first changed byte
+// differed. The files are 128 KiB so that the package spans about 40
+// chunks: each tenant key's signatures move the cut points, and over
+// 55 keys the fetched share reached 0.33 (first) and 0.28 (middle),
+// against 1.0 and 0.52–0.66 for one stream.
+func TestReplicaDifferentialPullMiddleFile(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		bumped     int
+		maxFetched float64
+	}{{"first", 0, 1.0 / 2}, {"middle", 16, 2.0 / 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newEdgeWorld(t)
+			w.publish(t, textEdgePkg("textapp", "1.0-r0", tc.bumped, 128<<10))
+			if _, err := w.tenant.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, TrustRing: w.trust()}
+			if err := rep.SyncCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rep.FetchPackageCtx(context.Background(), "textapp"); err != nil {
+				t.Fatal(err)
+			}
+
+			w.publish(t, textEdgePkg("textapp", "2.0-r0", tc.bumped, 128<<10))
+			if _, err := w.tenant.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.SyncCtx(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			entry := entryOf(t, rep, "textapp")
+			warm, err := rep.FetchPackageCtx(context.Background(), "textapp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(len(warm)) != entry.Size || sha256.Sum256(warm) != entry.Hash {
+				t.Fatal("differentially pulled bytes do not match the signed entry")
+			}
+			s := rep.Stats()
+			if s.DiffPulls != 1 {
+				t.Fatalf("DiffPulls = %d, want 1 (stats %+v)", s.DiffPulls, s)
+			}
+			if share := float64(s.DiffBytesFetched) / float64(entry.Size); share > tc.maxFetched {
+				t.Fatalf("differential pull moved %d of %d bytes (%.2f); want <= %.2f", s.DiffBytesFetched, entry.Size, share, tc.maxFetched)
+			}
+		})
+	}
+}
+
 // TestChainedEdgeDifferentialPull: an edge behind an edge diffs the
 // same way — the mid replica exposes the manifest/range surface, so the
 // leaf's version-bump pull transfers only changed chunks through the

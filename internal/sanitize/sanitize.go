@@ -86,6 +86,11 @@ type Sanitizer struct {
 	// an earlier version of this one) already carried is not signed
 	// again. Nil signs every file, as the paper measures.
 	Memo *keys.Memo
+	// Runs, when set, is a run memo the output's data member is
+	// compressed through, so a file whose tar entry an earlier
+	// sanitization already compressed (twice: see apk.RunMemo) is not
+	// deflated again. Nil deflates every run, as the paper measures.
+	Runs *apk.RunMemo
 	// EPC models the SGX execution cost; the zero value disables the
 	// SGX overhead model (TSR outside SGX, the Figure 12 baseline).
 	EPC enclave.CostModel
@@ -113,7 +118,7 @@ func (s *Sanitizer) parsedPreamble() (*script.Script, error) {
 // on its way from the input archive to the output one.
 func (s *Sanitizer) Sanitize(raw []byte) (*Result, error) {
 	j := &job{s: s, res: &Result{OriginalSize: int64(len(raw))}, start: time.Now()}
-	out, err := apk.Rewrite(raw, j)
+	out, err := apk.Rewrite(raw, j, s.Runs)
 	if err != nil {
 		return nil, err
 	}

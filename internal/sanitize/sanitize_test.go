@@ -7,6 +7,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -554,6 +556,60 @@ func TestSanitizeMemoSignsOnlyChangedFiles(t *testing.T) {
 	}
 }
 
+// TestSanitizeRunMemoDeflatesOnlyChangedFiles: once a run memo has
+// seen a 32-file package twice (a run is admitted on its second
+// sighting), sanitizing a version that bumped one 32 KiB file deflates
+// that file's run alone and copies the rest, and gives the bytes a
+// memo-less sanitization gives.
+func TestSanitizeRunMemoDeflatesOnlyChangedFiles(t *testing.T) {
+	probe := func(version string) []byte {
+		p := &apk.Package{Name: "probe", Version: version}
+		for i := 0; i < 32; i++ {
+			content := make([]byte, 32<<10)
+			seed := int64(i)
+			if i == 7 {
+				seed = int64(crc32.ChecksumIEEE([]byte(version)))
+			}
+			rand.New(rand.NewSource(seed)).Read(content)
+			p.Files = append(p.Files, apk.File{Path: fmt.Sprintf("/usr/lib/probe/%02d", i), Mode: 0o644, Content: content})
+		}
+		if err := apk.Sign(p, upstream(t)); err != nil {
+			t.Fatal(err)
+		}
+		return encode(t, p)
+	}
+	v1, v2 := probe("1.0-r0"), probe("1.1-r0")
+	plain := sanitizer(t, buildPlan(t))
+	memoized := sanitizer(t, plain.Plan)
+	memoized.Runs = apk.NewRunMemo()
+	for i := 0; i < 2; i++ {
+		if _, err := memoized.Sanitize(v1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := memoized.Runs.Stats()
+	warm, err := memoized.Sanitize(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := memoized.Runs.Stats()
+	hits, runs, deflated := after.Hits-before.Hits, after.Deflated-before.Deflated, after.DeflatedBytes-before.DeflatedBytes
+	// 31 unchanged files and the end-of-archive blocks are copied; the
+	// bumped file's run is its PAX and tar headers, 32 KiB of content
+	// and no padding.
+	if hits != 32 || runs != 1 || deflated < 32<<10 || deflated > 34<<10 {
+		t.Fatalf("%d runs copied, %d deflated (%d B); want 32 copied and one of about 33 KiB deflated", hits, runs, deflated)
+	}
+	cold, err := plain.Sanitize(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(warm.Raw, cold.Raw) {
+		t.Fatal("sanitization through the run memo differs from a memo-less one")
+	}
+}
+
 // Property: stripAccountCommands removes every account command and only
 // account commands, for arbitrary interleavings.
 func TestStripAccountCommandsProperty(t *testing.T) {
@@ -962,11 +1018,12 @@ func FuzzSanitize(f *testing.F) {
 			t.Fatalf("accepted input sanitized to a package that does not verify: %v", err)
 		}
 		// The determinism contract the sancache and ErrCacheTampered
-		// rely on: a cold and a warm pass through one memo give the
-		// memo-less bytes.
+		// rely on: passes through one signature memo and one run memo
+		// give the memo-less bytes. A run is admitted on its second
+		// sighting, so the third pass is the first to copy runs.
 		memoized := sanitizer(t, s.Plan)
-		memoized.Memo = keys.NewMemo(memoized.SignKey)
-		for _, pass := range []string{"cold", "warm"} {
+		memoized.Memo, memoized.Runs = keys.NewMemo(memoized.SignKey), apk.NewRunMemo()
+		for _, pass := range []string{"cold", "seen", "hit"} {
 			again, err := memoized.Sanitize(raw)
 			if err != nil {
 				t.Fatalf("%s memo pass rejected an accepted input: %v", pass, err)

@@ -49,15 +49,16 @@ func runBatches(g *sched.Grant, workers, n int, work func(i int), done func(lo, 
 
 // sanitizer returns the enclave sanitizer for plan under this
 // repository's signer ring and signing key. With memoized, the per-file
-// signatures go through the repository's signature memo, so a version
-// bump re-signs only the files whose bytes changed; refresh and ingest
-// sanitize that way. Serve-time re-sanitization (Figure 10's Original
-// and None scenarios) runs without it and signs every file, as the
-// paper measures.
+// signatures go through the repository's signature memo and the data
+// runs through its run memo, so a version bump re-signs and re-deflates
+// only the files whose bytes changed; refresh and ingest sanitize that
+// way. Serve-time re-sanitization (Figure 10's Original and None
+// scenarios) runs without them and signs and deflates every file, as
+// the paper measures.
 func (r *Repo) sanitizer(plan *sanitize.Plan, memoized bool) *sanitize.Sanitizer {
 	s := &sanitize.Sanitizer{Plan: plan, TrustRing: r.trust, SignKey: r.signKey, EPC: r.svc.cfg.EPC}
 	if memoized {
-		s.Memo = r.memo
+		s.Memo, s.Runs = r.memo, r.runs
 	}
 	return s
 }

@@ -123,8 +123,9 @@ type Repo struct {
 	svc      *Service
 	policy   *policy.Policy
 	signKey  *keys.Pair
-	memo     *keys.Memo // signKey's file and plan signatures, see sanitizer
-	trust    *keys.Ring // policy signer keys: verifies indexes and packages
+	memo     *keys.Memo   // signKey's file and plan signatures, see sanitizer
+	runs     *apk.RunMemo // compressed data runs of sanitized packages, likewise
+	trust    *keys.Ring   // policy signer keys: verifies indexes and packages
 	reader   *quorum.Reader
 	fetchers []PackageFetcher
 
@@ -187,6 +188,7 @@ func newRepo(id string, pol *policy.Policy, signKey *keys.Pair, svc *Service) (*
 		policy:       pol,
 		signKey:      signKey,
 		memo:         keys.NewMemo(signKey),
+		runs:         apk.NewRunMemo(),
 		trust:        trust,
 		workers:      max(svc.cfg.Workers, 1),
 		rejected:     make(map[string]string),
