@@ -36,10 +36,13 @@ const (
 	// A package GET streams through pooled verified-read blocks, and a
 	// Range GET slices the cached bytes without copying them, so both
 	// allocate only headers and per-request state, whatever the package
-	// size. A chunk manifest is rendered and gzip'd per request.
+	// size.
 	packageRouteBudget = 8 << 10
 	rangeRouteBudget   = 4 << 10
-	chunksRouteBudget  = 10 << 10
+	// A chunk manifest's wire form, JSON and gzip, is built once per
+	// package and content hash, so a manifest GET, like an index GET,
+	// allocates only routing, headers and counters.
+	chunksRouteBudget = 2 << 10
 )
 
 // bytesPerCall reports the heap bytes one call of f allocates, after a

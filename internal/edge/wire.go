@@ -9,7 +9,7 @@ import (
 	"tsr/internal/tsr"
 )
 
-// Wire efficiency at the edge tier (ROADMAP item 4): chunk-aware
+// Wire efficiency at the edge tier (ROADMAP item 18): chunk-aware
 // differential pull-through sync, chunk-manifest + byte-range serving
 // (so edges chain behind edges and clients diff against them exactly
 // like against the origin), and streaming verified serving off the
@@ -121,6 +121,16 @@ func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.En
 // replicas and clients diff against an edge exactly like against the
 // origin.
 func (rep *Replica) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
+	mw, err := rep.FetchManifestWireCtx(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	return mw.ChunkManifest, nil
+}
+
+// FetchManifestWireCtx is FetchChunkManifestCtx with the manifest's
+// memoized wire form, for the /chunks route.
+func (rep *Replica) FetchManifestWireCtx(ctx context.Context, name string) (*tsr.ManifestWire, error) {
 	entry, err := rep.resolveEntry(name)
 	if err != nil {
 		return nil, err

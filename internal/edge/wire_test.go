@@ -61,12 +61,45 @@ func entryOf(t *testing.T, rep *Replica, name string) index.Entry {
 	return e
 }
 
+// diffHeadBytes bounds what a one-file differential pull fetches
+// besides the bumped file's run: the re-signed signature and control
+// members, and each member's final block and CRC trailer, which the
+// cutter keeps in pieces of their own (store.CutChunks).
+const diffHeadBytes = 4 << 10
+
+// bumpBound is the most a differential pull of raw may fetch when only
+// the file at path changed: that file's deflate run plus diffHeadBytes.
+// The run's size is what the file, as served (IMA signature included),
+// adds to an encoded package; the file must hold at least 32 KiB, so
+// that it closes a run by itself.
+func bumpBound(t *testing.T, raw []byte, path string) int64 {
+	t.Helper()
+	p, err := apk.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(files ...apk.File) int64 {
+		enc, err := apk.Encode(&apk.Package{Name: "run", Version: "1.0-r0", Files: files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(enc))
+	}
+	for _, f := range p.Files {
+		if f.Path == path {
+			return size(f) - size() + diffHeadBytes
+		}
+	}
+	t.Fatalf("package holds no %s", path)
+	return 0
+}
+
 // TestReplicaDifferentialPull: after a one-file version bump, the
 // replica's pull-through fetch is exactly one differential pull that
-// moves only the changed chunks from the origin — at most a fifth of
-// the package — reusing the cached previous generation as the diff
-// base, and the reassembled bytes still verify against the signed
-// index entry.
+// moves only the changed chunks from the origin — the bumped file's run
+// and the re-signed head, whatever the tenant key — reusing the cached
+// previous generation as the diff base, and the reassembled bytes still
+// verify against the signed index entry.
 func TestReplicaDifferentialPull(t *testing.T) {
 	w := newEdgeWorld(t)
 	w.publish(t, bigEdgePkg("bigapp", "1.0-r0", 16, 32<<10))
@@ -113,8 +146,10 @@ func TestReplicaDifferentialPull(t *testing.T) {
 	if s.DiffBytesReused == 0 {
 		t.Fatal("differential pull reused no chunks")
 	}
-	if s.DiffBytesFetched*5 > entry.Size {
-		t.Fatalf("differential pull moved %d of %d bytes; want <= 1/5", s.DiffBytesFetched, entry.Size)
+	bound := bumpBound(t, warm, "/usr/share/bigapp/zz-last.bin")
+	t.Logf("differential pull moved %d of %d bytes (bound %d)", s.DiffBytesFetched, entry.Size, bound)
+	if s.DiffBytesFetched > bound {
+		t.Fatalf("differential pull moved %d of %d bytes; want <= %d (the bumped file's run + %d)", s.DiffBytesFetched, entry.Size, bound, diffHeadBytes)
 	}
 }
 
@@ -141,20 +176,17 @@ func textEdgePkg(name, version string, bumped, fileSize int) *apk.Package {
 }
 
 // TestReplicaDifferentialPullMiddleFile: a bump of the first or of a
-// middle file of a compressible package moves little more than that
-// file. Each file is its own deflate run, so the compressed bytes after
-// the changed file are the previous generation's and chunking reuses
-// them; in one deflate stream everything after the first changed byte
-// differed. The files are 128 KiB so that the package spans about 40
-// chunks: each tenant key's signatures move the cut points, and over
-// 55 keys the fetched share reached 0.33 (first) and 0.28 (middle),
-// against 1.0 and 0.52–0.66 for one stream.
+// middle file of a compressible package moves that file's run and the
+// re-signed head, nothing more. Each file is its own deflate run, so
+// the compressed bytes after the changed file are the previous
+// generation's, and the cutter ends a chunk at every run end, so
+// chunking reuses them whatever the tenant key; in one deflate stream
+// everything after the first changed byte differed.
 func TestReplicaDifferentialPullMiddleFile(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		bumped     int
-		maxFetched float64
-	}{{"first", 0, 1.0 / 2}, {"middle", 16, 2.0 / 5}} {
+		name   string
+		bumped int
+	}{{"first", 0}, {"middle", 16}} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newEdgeWorld(t)
 			w.publish(t, textEdgePkg("textapp", "1.0-r0", tc.bumped, 128<<10))
@@ -188,8 +220,11 @@ func TestReplicaDifferentialPullMiddleFile(t *testing.T) {
 			if s.DiffPulls != 1 {
 				t.Fatalf("DiffPulls = %d, want 1 (stats %+v)", s.DiffPulls, s)
 			}
-			if share := float64(s.DiffBytesFetched) / float64(entry.Size); share > tc.maxFetched {
-				t.Fatalf("differential pull moved %d of %d bytes (%.2f); want <= %.2f", s.DiffBytesFetched, entry.Size, share, tc.maxFetched)
+			path := fmt.Sprintf("/usr/share/textapp/%03d.txt", tc.bumped)
+			bound := bumpBound(t, warm, path)
+			t.Logf("differential pull moved %d of %d bytes (bound %d)", s.DiffBytesFetched, entry.Size, bound)
+			if s.DiffBytesFetched > bound {
+				t.Fatalf("differential pull moved %d of %d bytes; want <= %d (the bumped file's run + %d)", s.DiffBytesFetched, entry.Size, bound, diffHeadBytes)
 			}
 		})
 	}
@@ -238,6 +273,14 @@ func TestChainedEdgeDifferentialPull(t *testing.T) {
 	}
 	if s := mid.Stats(); s.DiffPulls != 1 {
 		t.Fatalf("mid did not pull differentially from the origin: %+v", s)
+	}
+	bound := bumpBound(t, raw, "/usr/share/bigapp/zz-last.bin")
+	for name, rep := range map[string]*Replica{"leaf": leaf, "mid": mid} {
+		got := rep.Stats().DiffBytesFetched
+		t.Logf("%s moved %d of %d bytes (bound %d)", name, got, entry.Size, bound)
+		if got > bound {
+			t.Fatalf("%s moved %d of %d bytes; want <= %d (the bumped file's run + %d)", name, got, entry.Size, bound, diffHeadBytes)
+		}
 	}
 }
 

@@ -13,12 +13,14 @@ import (
 // and metadata (internal/tsr) and the edge replica's index journal
 // (internal/edge). One codec, one set of bounds checks.
 //
-// This file also holds the content-defined chunker (ROADMAP item 4):
-// a Gear rolling hash that cuts package bytes into ~8–64KiB chunks at
-// content-determined boundaries, so a one-file version bump shares
-// every chunk before (and usually after) the edit. Chunk hashes are
-// untrusted transfer metadata — the reassembled bytes must still match
-// the signed index entry hash end-to-end.
+// This file also holds the content-defined chunker (ROADMAP item 18):
+// package bytes are first split into pieces at the layout boundaries
+// the apk framing writes (the end of every deflate run, the start of
+// every gzip member), then each piece is cut into ~8–64KiB chunks by a
+// Gear rolling hash. A one-file version bump therefore shares every
+// chunk except the re-signed head, that file's run and the trailer.
+// Chunk hashes are untrusted transfer metadata — the reassembled bytes
+// must still match the signed index entry hash end-to-end.
 
 // WriteChunk appends one length-prefixed chunk to buf.
 func WriteChunk(buf *bytes.Buffer, data []byte) {
@@ -86,26 +88,93 @@ type Span struct {
 	Size   int64 `json:"size"`
 }
 
-// CutChunks splits data at content-defined boundaries. Every byte of
-// data is covered exactly once, in order; an empty input yields no
-// spans. The cut points depend only on the bytes, so two blobs sharing
-// a long run of identical bytes share the chunk boundaries inside it.
+// Layout boundaries. Every deflate run the apk framing writes, and
+// every gzip member's final stored block, ends in the sync marker
+// syncMarker; every gzip member starts with gzipMagic. A piece ends
+// right after a sync marker once it holds minSyncPiece bytes, and
+// right before a gzip magic once it holds minMagicPiece bytes, so the
+// data member starts a piece of its own and the control member's CRC
+// trailer does not pull the first file's run into a fetch. The cut
+// reads only the bytes: it needs no apk knowledge to agree on both
+// sides of the wire.
+var (
+	syncMarker = []byte{0x00, 0x00, 0xff, 0xff}
+	gzipMagic  = []byte{0x1f, 0x8b, 0x08}
+)
+
+const (
+	minSyncPiece  = 512
+	minMagicPiece = 8
+	// The k-th layout cut is taken only at an offset of at least
+	// (k-layoutSlack)·MinChunkSize/layoutPerMin, so marker-dense content
+	// cannot blow up the manifest: an n-byte blob has at most
+	// (layoutPerMin+1)·n/MinChunkSize + layoutSlack + 1 chunks. The
+	// budget depends only on the bytes before the cut.
+	layoutSlack  = 8
+	layoutPerMin = 4
+)
+
+// marker finds one layout pattern's boundaries in a single forward
+// sweep: lookups come with non-decreasing lower bounds, so each byte
+// is searched about once whatever the number of pieces.
+type marker struct {
+	pat   []byte
+	shift int // boundary = match offset + shift
+	at    int // the last boundary found
+}
+
+// next returns the first boundary at or after lo (lo > shift), or
+// len(data) when there is none.
+func (m *marker) next(data []byte, lo int) int {
+	if m.at >= lo {
+		return m.at
+	}
+	m.at = len(data)
+	if from := lo - m.shift; from < len(data) {
+		if i := bytes.Index(data[from:], m.pat); i >= 0 {
+			m.at = from + i + m.shift
+		}
+	}
+	return m.at
+}
+
+// CutChunks splits data at layout boundaries (see syncMarker) and,
+// inside each piece, at content-defined boundaries. Every byte of data
+// is covered exactly once, in order; an empty input yields no spans.
+// The cut points depend only on the bytes, so two blobs sharing a long
+// run of identical bytes share the chunk boundaries inside it, and two
+// packages sharing a deflate run share the chunks that hold it.
 func CutChunks(data []byte) []Span {
 	var spans []Span
-	for off := 0; off < len(data); {
-		end := off + MaxChunkSize
-		if end > len(data) {
-			end = len(data)
+	runEnd := marker{pat: syncMarker, shift: len(syncMarker)}
+	member := marker{pat: gzipMagic}
+	cuts := 0
+	for start := 0; start < len(data); {
+		floor := max(cuts+1-layoutSlack, 0) * MinChunkSize / layoutPerMin
+		end := min(runEnd.next(data, max(start+minSyncPiece, floor)),
+			member.next(data, max(start+minMagicPiece, floor)))
+		if end < len(data) {
+			cuts++
 		}
-		cut := end
-		if end-off > MinChunkSize {
-			var h uint64
-			for i := off + MinChunkSize; i < end; i++ {
-				h = (h << 1) + gearTable[data[i]]
-				if h&AvgChunkMask == 0 {
-					cut = i + 1
-					break
-				}
+		spans = cutPiece(spans, data, start, end)
+		start = end
+	}
+	return spans
+}
+
+// cutPiece appends the Gear chunks of data[start:end]: past
+// MinChunkSize, a chunk ends where the rolling hash masks to zero, at
+// MaxChunkSize, or at the piece's end.
+func cutPiece(spans []Span, data []byte, start, end int) []Span {
+	for off := start; off < end; {
+		limit := min(off+MaxChunkSize, end)
+		cut := limit
+		var h uint64
+		for i := off + MinChunkSize; i < limit; i++ {
+			h = (h << 1) + gearTable[data[i]]
+			if h&AvgChunkMask == 0 {
+				cut = i + 1
+				break
 			}
 		}
 		spans = append(spans, Span{Offset: int64(off), Size: int64(cut - off)})

@@ -56,32 +56,87 @@ func randBytes(t *testing.T, seed int64, n int) []byte {
 	return out
 }
 
+// maxSpans is the span-count bound CutChunks states for an n-byte
+// blob: every chunk but a piece's last holds at least MinChunkSize
+// bytes, and the layout budget admits at most layoutSlack +
+// layoutPerMin·n/MinChunkSize pieces beyond the first.
+func maxSpans(n int) int {
+	return (layoutPerMin+1)*n/MinChunkSize + layoutSlack + 1
+}
+
+// checkSpans fails unless spans tile data in order, each within
+// (0, MaxChunkSize], and number at most maxSpans.
+func checkSpans(t *testing.T, data []byte, spans []Span) {
+	t.Helper()
+	var off int64
+	for i, s := range spans {
+		if s.Offset != off {
+			t.Fatalf("n=%d span %d: offset %d want %d", len(data), i, s.Offset, off)
+		}
+		if s.Size <= 0 || s.Size > MaxChunkSize {
+			t.Fatalf("n=%d span %d: size %d out of range", len(data), i, s.Size)
+		}
+		off += s.Size
+	}
+	if off != int64(len(data)) {
+		t.Fatalf("n=%d: spans cover %d bytes", len(data), off)
+	}
+	if len(spans) > maxSpans(len(data)) {
+		t.Fatalf("n=%d: %d spans, bound %d", len(data), len(spans), maxSpans(len(data)))
+	}
+}
+
 func TestCutChunksCoversAndBounds(t *testing.T) {
 	for _, n := range []int{0, 1, MinChunkSize - 1, MinChunkSize, MaxChunkSize, 1 << 20} {
 		data := randBytes(t, int64(n), n)
-		spans := CutChunks(data)
-		if n == 0 {
-			if len(spans) != 0 {
-				t.Fatal("empty input: want no spans")
+		// Random bytes may hold a layout marker by chance (a gzip magic
+		// about once in 16 MiB); break any, so the blob is one piece.
+		for _, pat := range [][]byte{syncMarker, gzipMagic} {
+			for i := bytes.Index(data, pat); i >= 0; i = bytes.Index(data, pat) {
+				data[i] ^= 0x40
 			}
-			continue
 		}
-		var off int64
+		spans := CutChunks(data)
+		if n == 0 && len(spans) != 0 {
+			t.Fatal("empty input: want no spans")
+		}
+		checkSpans(t, data, spans)
+		// Bytes with no layout marker are one piece, so only the final
+		// chunk may be under the minimum (tail).
 		for i, s := range spans {
-			if s.Offset != off {
-				t.Fatalf("n=%d span %d: offset %d want %d", n, i, s.Offset, off)
-			}
-			if s.Size <= 0 || s.Size > MaxChunkSize {
-				t.Fatalf("n=%d span %d: size %d out of range", n, i, s.Size)
-			}
-			// Only the final chunk may be under the minimum (tail).
 			if s.Size < MinChunkSize && i != len(spans)-1 {
 				t.Fatalf("n=%d span %d: interior size %d < min", n, i, s.Size)
 			}
-			off += s.Size
 		}
-		if off != int64(n) {
-			t.Fatalf("n=%d: spans cover %d bytes", n, off)
+	}
+}
+
+// TestCutChunksLayoutCuts: a sync marker ends a chunk once the piece
+// holds minSyncPiece bytes, a gzip magic starts one once the piece
+// holds minMagicPiece, and markers closer than that are passed over.
+func TestCutChunksLayoutCuts(t *testing.T) {
+	data := randBytes(t, 21, 200<<10)
+	put := func(at int, pat []byte) { copy(data[at:], pat) }
+	put(1000-len(syncMarker), syncMarker) // cut at 1000
+	put(1020, gzipMagic)                  // cut at 1020
+	put(1024, gzipMagic)                  // 4 B into a piece: no cut
+	put(1100-len(syncMarker), syncMarker) // 80 B into a piece: no cut
+	put(90<<10, gzipMagic)                // cut at 90 KiB
+	put(150<<10-len(syncMarker), syncMarker)
+	spans := CutChunks(data)
+	checkSpans(t, data, spans)
+	starts := make(map[int64]bool, len(spans))
+	for _, s := range spans {
+		starts[s.Offset] = true
+	}
+	for _, off := range []int64{1000, 1020, 90 << 10, 150 << 10} {
+		if !starts[off] {
+			t.Errorf("no chunk starts at layout boundary %d", off)
+		}
+	}
+	for _, off := range []int64{1100, 1024} {
+		if starts[off] {
+			t.Errorf("a chunk starts at %d, inside a piece's minimum", off)
 		}
 	}
 }
@@ -230,4 +285,38 @@ func TestStreamerStableUnderDelete(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("stream changed under delete")
 	}
+}
+
+// FuzzCutChunks: whatever the bytes, the spans tile the input, none
+// exceeds MaxChunkSize, the count stays within maxSpans, and a second
+// cut agrees. Seeds include marker-dense and magic-dense inputs, which
+// exercise the layout budget.
+func FuzzCutChunks(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 24<<10)
+	rng.Read(random)
+	f.Add(random)
+	for _, pat := range [][]byte{syncMarker, gzipMagic} {
+		for _, gap := range []int{0, 3, 9, 700} {
+			dense := append([]byte(nil), random...)
+			for at := 0; at+len(pat) <= len(dense); at += len(pat) + gap {
+				copy(dense[at:], pat)
+			}
+			f.Add(dense)
+		}
+	}
+	f.Add(bytes.Repeat([]byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0xff, 0xff}, 4<<10))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans := CutChunks(data)
+		checkSpans(t, data, spans)
+		again := CutChunks(data)
+		if len(again) != len(spans) {
+			t.Fatalf("second cut: %d spans, first %d", len(again), len(spans))
+		}
+		for i := range spans {
+			if spans[i] != again[i] {
+				t.Fatalf("span %d differs: %+v vs %+v", i, spans[i], again[i])
+			}
+		}
+	})
 }

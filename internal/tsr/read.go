@@ -126,7 +126,9 @@ type ReadView interface {
 	// together with the ETag of the one resolution that produced them.
 	OpenPackageCtx(ctx context.Context, name string) (*PackageStream, error)
 	FetchPackageTracedCtx(ctx context.Context, name string) ([]byte, *FetchResult, error)
-	FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error)
+	// FetchManifestWireCtx is a package's chunk manifest with its
+	// memoized wire form.
+	FetchManifestWireCtx(ctx context.Context, name string) (*ManifestWire, error)
 	ReadCounters() *ReadCounters
 }
 
@@ -342,7 +344,7 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		m, err := v.FetchChunkManifestCtx(r.Context(), pkg)
+		m, err := v.FetchManifestWireCtx(r.Context(), pkg)
 		if err != nil {
 			HTTPError(w, statusFor(err), err)
 			return
@@ -351,7 +353,8 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 		// was cut from.
 		tagged(w, index.Entry{Hash: m.PackageHash}.ETag())
 		w.Header().Set("Content-Type", "application/json")
-		WriteNegotiated(w, r, EncodeChunkManifest(pkg, m))
+		body, gz := m.encoded()
+		writeEncoded(w, r, body, gz)
 	})
 }
 
@@ -363,10 +366,35 @@ const maxManifestMemo = 128
 
 // ManifestMemo memoizes chunk manifests — content-defined chunk
 // boundaries plus per-chunk SHA-256, rooted in the signed entry via
-// PackageHash — per content hash. The zero value is ready to use.
+// PackageHash — and their wire forms, per package name and content
+// hash. The zero value is ready to use.
 type ManifestMemo struct {
 	manifestMu sync.Mutex
-	manifests  map[[32]byte]*store.ChunkManifest
+	manifests  map[manifestKey]*ManifestWire
+}
+
+type manifestKey struct {
+	hash [32]byte
+	name string // the wire form names the package
+}
+
+// ManifestWire is one memoized manifest and its wire form, the JSON
+// body and its gzip, built once by the first request that needs them
+// (snapfreeze: written only in its once).
+type ManifestWire struct {
+	*store.ChunkManifest
+	name     string
+	once     sync.Once
+	body, gz []byte // gz is nil when gzip does not shrink body
+}
+
+// encoded returns the manifest's wire form.
+func (mw *ManifestWire) encoded() (body, gz []byte) {
+	mw.once.Do(func() {
+		mw.body = EncodeChunkManifest(mw.name, mw.ChunkManifest)
+		mw.gz = gzipped(mw.body)
+	})
+	return mw.body, mw.gz
 }
 
 // Get returns the manifest of entry's content, cutting it from the
@@ -375,28 +403,30 @@ type ManifestMemo struct {
 // corruption) are refused: a manifest over other bytes would only
 // mislead downstreams into useless range fetches, and their full-fetch
 // fallback meets the same bytes and rejects them end-to-end.
-func (mm *ManifestMemo) Get(name string, entry index.Entry, fetch func() ([]byte, error)) (*store.ChunkManifest, error) {
+func (mm *ManifestMemo) Get(name string, entry index.Entry, fetch func() ([]byte, error)) (*ManifestWire, error) {
+	key := manifestKey{entry.Hash, name}
 	mm.manifestMu.Lock()
-	m, ok := mm.manifests[entry.Hash]
+	mw, ok := mm.manifests[key]
 	mm.manifestMu.Unlock()
 	if ok {
-		return m, nil
+		return mw, nil
 	}
 	raw, err := fetch()
 	if err != nil {
 		return nil, err
 	}
-	m = store.BuildManifest(raw)
+	m := store.BuildManifest(raw)
 	if m.PackageHash != entry.Hash {
 		return nil, fmt.Errorf("tsr: %s: bytes served for the chunk manifest do not match the index entry", name)
 	}
+	mw = &ManifestWire{ChunkManifest: m, name: name}
 	mm.manifestMu.Lock()
 	if mm.manifests == nil || len(mm.manifests) >= maxManifestMemo {
-		mm.manifests = make(map[[32]byte]*store.ChunkManifest)
+		mm.manifests = make(map[manifestKey]*ManifestWire)
 	}
-	mm.manifests[entry.Hash] = m
+	mm.manifests[key] = mw
 	mm.manifestMu.Unlock()
-	return m, nil
+	return mw, nil
 }
 
 // SliceRange returns a copy of length bytes of a package starting at

@@ -18,6 +18,16 @@ import (
 // FetchChunkManifestCtx returns the chunk manifest of a served package
 // (see ManifestMemo).
 func (r *Repo) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
+	mw, err := r.FetchManifestWireCtx(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	return mw.ChunkManifest, nil
+}
+
+// FetchManifestWireCtx is FetchChunkManifestCtx with the manifest's
+// memoized wire form, for the /chunks route.
+func (r *Repo) FetchManifestWireCtx(ctx context.Context, name string) (*ManifestWire, error) {
 	snap := r.served.Load()
 	if snap == nil {
 		return nil, ErrNotInitialized
@@ -26,14 +36,15 @@ func (r *Repo) FetchChunkManifestCtx(ctx context.Context, name string) (*store.C
 	if err != nil {
 		return nil, err
 	}
-	m, err := r.manifests.Get(name, entry, func() ([]byte, error) {
+	mw, err := r.manifests.Get(name, entry, func() ([]byte, error) {
 		raw, _, err := r.FetchPackageTracedCtx(ctx, name)
 		return raw, err
 	})
-	if err == nil {
-		r.totals.manifestReads.Add(1)
+	if err != nil {
+		return nil, err
 	}
-	return m, err
+	r.totals.manifestReads.Add(1)
+	return mw, nil
 }
 
 // FetchPackageRangeCtx returns length bytes of the package starting at

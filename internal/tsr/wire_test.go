@@ -18,6 +18,7 @@ import (
 
 	"tsr/internal/apk"
 	"tsr/internal/index"
+	"tsr/internal/keys"
 	"tsr/internal/store"
 )
 
@@ -369,6 +370,57 @@ func TestChunkManifestEndpoint(t *testing.T) {
 	}
 }
 
+// TestChunkManifestWireConcurrent: concurrent first requests for one
+// manifest, identity and gzip, all get the same memoized wire form
+// (run under -race, it checks the wire form is built once, safely).
+func TestChunkManifestWireConcurrent(t *testing.T) {
+	w, r := refreshedWorld(t)
+	h := Handler(w.svc)
+	m, err := r.FetchChunkManifestCtx(context.Background(), "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EncodeChunkManifest("app", m)
+	const clients = 8
+	bodies := make([][]byte, clients)
+	var wg sync.WaitGroup
+	for i := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := httptest.NewRequest(http.MethodGet, "/repos/"+r.ID+"/packages/app/chunks", nil)
+			if i%2 == 1 {
+				req.Header.Set("Accept-Encoding", "gzip")
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Errorf("client %d: status %d", i, rec.Code)
+				return
+			}
+			body := rec.Body.Bytes()
+			if rec.Header().Get("Content-Encoding") == "gzip" {
+				zr, err := gzip.NewReader(bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: %v", i, err)
+					return
+				}
+				if body, err = io.ReadAll(zr); err != nil {
+					t.Errorf("client %d: %v", i, err)
+					return
+				}
+			}
+			bodies[i] = body
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if !bytes.Equal(b, want) {
+			t.Fatalf("client %d: manifest body differs from EncodeChunkManifest", i)
+		}
+	}
+}
+
 // TestStreamedServeTamperAbortsAndHeals: a tampered sanitized-cache
 // entry under the streaming serve path must abort the response before
 // the body completes — the client sees a truncated transfer, never a
@@ -597,4 +649,144 @@ func TestAcceptsGzip(t *testing.T) {
 			t.Errorf("AcceptsGzip(%q) = %v, want %v", row.header, got, row.want)
 		}
 	}
+}
+
+// layoutFiles is 12 files of 40 KiB of compressible text, in path
+// order; only file bumped's text depends on version. Each file closes
+// a deflate run by itself.
+func layoutFiles(version string, bumped int) []apk.File {
+	words := []string{"package", "signature", "enclave", "mirror", "index", "refresh", "the", "of"}
+	var files []apk.File
+	for i := 0; i < 12; i++ {
+		seed := int64(i + 1)
+		if i == bumped {
+			for _, c := range version {
+				seed = seed*131 + int64(c)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var b []byte
+		for len(b) < 40<<10 {
+			b = append(append(b, words[rng.Intn(len(words))]...), " \n"[rng.Intn(2)])
+		}
+		files = append(files, apk.File{Path: fmt.Sprintf("/usr/share/layout/%02d.txt", i), Mode: 0o644, Content: b[:40<<10]})
+	}
+	return files
+}
+
+// encodeSigned encodes a package of files, signed the way TSR signs.
+func encodeSigned(t *testing.T, version string, files []apk.File) []byte {
+	t.Helper()
+	p := &apk.Package{Name: "layout", Version: version, Files: files}
+	if err := apk.Sign(p, keys.Shared.MustGet("layout-tsr")); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := apk.Encode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// memberEnds returns the offset at which each gzip member of raw ends.
+// gzip.Reader reads a bytes.Reader byte by byte, so what is left of it
+// after a member is exactly what follows that member.
+func memberEnds(t *testing.T, raw []byte) []int64 {
+	t.Helper()
+	br := bytes.NewReader(raw)
+	zr, err := gzip.NewReader(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int64
+	for {
+		zr.Multistream(false)
+		if _, err := io.Copy(io.Discard, zr); err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int64(len(raw)-br.Len()))
+		if err := zr.Reset(br); err == io.EOF {
+			return ends
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runEnds returns where each file's deflate run ends in the encoding
+// of files, given that its data member starts at dataStart. A run is
+// the deflate of one file's tar entry, the same bytes in every package
+// that holds the file, so the first k runs take what the data member
+// of the first k files takes beyond that of none.
+func runEnds(t *testing.T, files []apk.File, dataStart int64) []int64 {
+	t.Helper()
+	dataLen := func(k int) int64 {
+		ends := memberEnds(t, encodeSigned(t, "1.0-r0", files[:k]))
+		return ends[2] - ends[1]
+	}
+	empty := dataLen(0)
+	var ends []int64
+	for k := 1; k <= len(files); k++ {
+		ends = append(ends, dataStart+10+dataLen(k)-empty) // 10: gzip header
+	}
+	return ends
+}
+
+// TestChunksFollowPackageLayout: the cutter ends a chunk where an
+// encoded package's data member starts and where every file's run ends
+// (the signature and control members and the tar end-of-archive hold
+// runs shorter than its 512-byte minimum, which it passes over). So two
+// versions that differ in one file share every chunk but the re-signed
+// head, that file's run and the final-block-and-trailer tail.
+func TestChunksFollowPackageLayout(t *testing.T) {
+	const bumped = 5
+	oldFiles, newFiles := layoutFiles("1.0-r0", bumped), layoutFiles("2.0-r0", bumped)
+	oldRaw, newRaw := encodeSigned(t, "1.0-r0", oldFiles), encodeSigned(t, "2.0-r0", newFiles)
+	var dataStart int64
+	var ends []int64
+	for _, v := range []struct {
+		raw   []byte
+		files []apk.File
+	}{{oldRaw, oldFiles}, {newRaw, newFiles}} {
+		members := memberEnds(t, v.raw)
+		if len(members) != 3 {
+			t.Fatalf("%d gzip members, want 3", len(members))
+		}
+		dataStart = members[1]
+		ends = runEnds(t, v.files, dataStart)
+		starts := make(map[int64]bool)
+		for _, c := range store.CutChunks(v.raw) {
+			starts[c.Offset] = true
+		}
+		for i, off := range append([]int64{dataStart}, ends...) {
+			if !starts[off] {
+				t.Errorf("boundary %d (offset %d of %d) starts no chunk", i, off, len(v.raw))
+			}
+		}
+	}
+
+	// Every chunk of the new version the old one lacks lies in the head,
+	// the bumped file's run or the tail.
+	oldChunks := make(map[[sha256.Size]byte]bool)
+	for _, c := range store.BuildManifest(oldRaw).Chunks {
+		oldChunks[c.Hash] = true
+	}
+	regions := [][2]int64{{0, dataStart}, {ends[bumped-1], ends[bumped]}, {ends[len(ends)-1], int64(len(newRaw))}}
+	var fetched int64
+	for _, c := range store.BuildManifest(newRaw).Chunks {
+		if oldChunks[c.Hash] {
+			continue
+		}
+		fetched += c.Size
+		in := false
+		for _, r := range regions {
+			in = in || (c.Offset >= r[0] && c.Offset+c.Size <= r[1])
+		}
+		if !in {
+			t.Errorf("unshared chunk [%d,%d) outside the head [0,%d), run [%d,%d) and tail [%d,%d)",
+				c.Offset, c.Offset+c.Size, dataStart, ends[bumped-1], ends[bumped], ends[len(ends)-1], len(newRaw))
+		}
+	}
+	t.Logf("%d of %d bytes unshared: head %d, run %d, tail %d", fetched, len(newRaw),
+		dataStart, ends[bumped]-ends[bumped-1], int64(len(newRaw))-ends[len(ends)-1])
 }
