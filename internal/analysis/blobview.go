@@ -5,25 +5,29 @@ import (
 	"go/types"
 )
 
-// Blobview enforces the copy-free blob contract of store.Store: a Get
-// result is read-only, because it may be the stored value itself, and
-// Put takes ownership of the slice it is handed. No defensive copy
-// protects either side any more (every reader re-verifies what it gets
-// back against a signed entry), so a caller that writes into such a
-// slice would corrupt the cache for everyone sharing it. Within each
-// function, the analyzer marks the identifiers assigned from a store's
-// Get, from the edge's fetchEntry or previousCached, or from the
-// FailoverClient's cachedPackage or previousPackage, and the
-// identifiers passed as data to a store's Put; it reports an element
-// write to any of them or a copy into them. A "store" is any type that
-// implements store.Store. The rule is flow-insensitive: a name that
-// ever holds a view is a view for the whole function, so a private
-// copy takes a new name.
+// Blobview enforces the copy-free blob contract of store.Store and of
+// the update path upstream of it: a Get result is read-only, because it
+// may be the stored value itself, and Put takes ownership of the slice
+// it is handed; a mirror's FetchPackage result is read-only, because it
+// is the repository snapshot's bytes, shared by every mirror synced
+// from it. No defensive copy protects any side any more (every reader
+// re-verifies what it gets back against a signed entry), so a caller
+// that writes into such a slice would corrupt the bytes for everyone
+// sharing them. Within each function, the analyzer marks the
+// identifiers assigned from a store's Get, from the edge's fetchEntry
+// or previousCached, from the FailoverClient's cachedPackage or
+// previousPackage, from FetchPackage on a tsr.PackageFetcher or a
+// mirror.Mirror, or from an element of a repository's or snapshot's
+// package map, and the identifiers passed as data to a store's Put; it
+// reports an element write to any of them or a copy into them. A
+// "store" is any type that implements store.Store. The rule is
+// flow-insensitive: a name that ever holds a view is a view for the
+// whole function, so a private copy takes a new name.
 var Blobview = &Analyzer{
 	Name: "blobview",
-	Doc:  "store Get results and the slices handed to Put are read-only",
+	Doc:  "store Get results, mirror package bytes and the slices handed to Put are read-only",
 	Applies: func(pkgPath string) bool {
-		for _, p := range []string{"internal/tsr", "internal/edge", "internal/store", "internal/pkgmgr"} {
+		for _, p := range []string{"internal/tsr", "internal/edge", "internal/store", "internal/pkgmgr", "internal/mirror", "internal/repo"} {
 			if pathHasSuffixSegments(pkgPath, p) {
 				return true
 			}
@@ -33,12 +37,29 @@ var Blobview = &Analyzer{
 	Run: runBlobview,
 }
 
-// blobviewSources are the non-store functions that hand out read-only
-// views, by receiver type and method name.
-var blobviewSources = map[string]map[string]bool{
-	"Replica":        {"fetchEntry": true, "previousCached": true},
-	"FailoverClient": {"cachedPackage": true, "previousPackage": true},
+// blobviewSources are the non-store methods that hand out read-only
+// views, by receiver type and method name, with what the diagnostic
+// says of them.
+var blobviewSources = map[string]map[string]string{
+	"Replica":        {"fetchEntry": whyStore, "previousCached": whyStore},
+	"FailoverClient": {"cachedPackage": whyStore, "previousPackage": whyStore},
+	"PackageFetcher": {"FetchPackage": whyMirror},
+	"Mirror":         {"FetchPackage": whyMirror},
 }
+
+// blobviewMaps are the map fields, by struct type and field name, whose
+// values are read-only: the packages a repository stores and a
+// snapshot shares.
+var blobviewMaps = map[string]map[string]bool{
+	"Repository": {"packages": true},
+	"Snapshot":   {"Packages": true},
+}
+
+const (
+	whyStore  = "came from a store read"
+	whyMirror = "came from a mirror's FetchPackage"
+	whyMap    = "is a repository's stored package"
+)
 
 func runBlobview(pass *Pass) error {
 	iface := storeInterface(pass.Pkg)
@@ -56,17 +77,36 @@ func runBlobview(pass *Pass) error {
 		tv, ok := pass.TypesInfo.Types[sel.X]
 		return fn, ok && iface != nil && implementsStore(tv.Type, iface)
 	}
-	isSource := func(e ast.Expr) bool {
-		call, ok := ast.Unparen(e).(*ast.CallExpr)
-		if !ok {
-			return false
+	// source says why e's value is a view, or "" when it is not one.
+	source := func(e ast.Expr) string {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.CallExpr:
+			fn, onStore := callee(e)
+			if fn == nil {
+				return ""
+			}
+			if onStore && fn.Name() == "Get" {
+				return whyStore
+			}
+			recv := fn.Type().(*types.Signature).Recv().Type()
+			return blobviewSources[namedTypeName(recv)][fn.Name()]
+		case *ast.IndexExpr:
+			sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			field, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Var)
+			if !ok || !field.IsField() {
+				return ""
+			}
+			if _, isMap := field.Type().Underlying().(*types.Map); !isMap {
+				return ""
+			}
+			if tv, ok := pass.TypesInfo.Types[sel.X]; ok && blobviewMaps[namedTypeName(tv.Type)][field.Name()] {
+				return whyMap
+			}
 		}
-		fn, onStore := callee(call)
-		if fn == nil {
-			return false
-		}
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		return onStore && fn.Name() == "Get" || blobviewSources[namedTypeName(recv)][fn.Name()]
+		return ""
 	}
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
@@ -89,13 +129,13 @@ func runBlobview(pass *Pass) error {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					markAssigned(n.Lhs, n.Rhs, isSource, mark)
+					markAssigned(n.Lhs, n.Rhs, source, mark)
 				case *ast.ValueSpec:
 					lhs := make([]ast.Expr, len(n.Names))
 					for i, id := range n.Names {
 						lhs[i] = id
 					}
-					markAssigned(lhs, n.Values, isSource, mark)
+					markAssigned(lhs, n.Values, source, mark)
 				case *ast.CallExpr:
 					if fn, onStore := callee(n); onStore && fn.Name() == "Put" && len(n.Args) == 2 {
 						mark(n.Args[1], "was handed to Put, which owns it")
@@ -151,18 +191,17 @@ func runBlobview(pass *Pass) error {
 }
 
 // markAssigned marks each left-hand identifier whose value comes from a
-// view source: the first result of a multi-value call, or the matching
-// right-hand side of a one-to-one assignment.
-func markAssigned(lhs, rhs []ast.Expr, isSource func(ast.Expr) bool, mark func(ast.Expr, string)) {
-	const why = "came from a store read"
+// view source: the first result of a multi-value call or a comma-ok map
+// read, or the matching right-hand side of a one-to-one assignment.
+func markAssigned(lhs, rhs []ast.Expr, source func(ast.Expr) string, mark func(ast.Expr, string)) {
 	switch {
 	case len(rhs) == 1 && len(lhs) > 1:
-		if isSource(rhs[0]) {
+		if why := source(rhs[0]); why != "" {
 			mark(lhs[0], why)
 		}
 	case len(rhs) == len(lhs):
 		for i := range rhs {
-			if isSource(rhs[i]) {
+			if why := source(rhs[i]); why != "" {
 				mark(lhs[i], why)
 			}
 		}

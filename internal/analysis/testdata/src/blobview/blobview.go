@@ -1,8 +1,9 @@
 // Package blobview exercises the blobview analyzer. The harness loads
 // it under tsr/internal/edge: slices read from a store.Store, from the
-// edge's fetchEntry/previousCached, or from the FailoverClient's
-// cachedPackage/previousPackage, and slices handed to a store's Put,
-// are read-only.
+// edge's fetchEntry/previousCached, from the FailoverClient's
+// cachedPackage/previousPackage, from a PackageFetcher's or Mirror's
+// FetchPackage, or from a Repository's or Snapshot's package map, and
+// slices handed to a store's Put, are read-only.
 package blobview
 
 import (
@@ -98,4 +99,57 @@ func allowed(st store.Store) {
 	raw, _ := st.Get("scratch")
 	//lint:allow blobview test-only scratch key that no reader shares
 	raw[0] = 1
+}
+
+type PackageFetcher interface {
+	FetchPackage(name string) ([]byte, error)
+}
+
+type Mirror struct{ snap *Snapshot }
+
+func (m *Mirror) FetchPackage(name string) ([]byte, error) { return m.snap.Packages[name], nil }
+
+type Snapshot struct{ Packages map[string][]byte }
+
+type Repository struct {
+	packages map[string][]byte
+	names    map[string]string
+}
+
+// obtain writes into what a mirror served, shared with every mirror
+// synced from the same snapshot.
+func obtain(f PackageFetcher, m *Mirror) {
+	raw, err := f.FetchPackage("p")
+	if err != nil {
+		return
+	}
+	raw[0] ^= 1 // want `raw is a read-only blob view \(it came from a mirror's FetchPackage\)`
+	body, _ := m.FetchPackage("p")
+	copy(body, "x") // want `body is a read-only blob view`
+}
+
+// corruptInPlace flips a byte of the snapshot's stored package.
+func corruptInPlace(snap *Snapshot, r *Repository) {
+	raw, ok := snap.Packages["p"]
+	if ok && len(raw) > 0 {
+		raw[len(raw)/2] ^= 0xFF // want `raw is a read-only blob view \(it is a repository's stored package\)`
+	}
+	stored := r.packages["p"]
+	stored[0] = 0 // want `stored is a read-only blob view`
+}
+
+// corruptPrivately is the Corrupt mirror's wanted shape: flip a copy.
+func corruptPrivately(snap *Snapshot) []byte {
+	raw := snap.Packages["p"]
+	out := append([]byte(nil), raw...)
+	out[len(out)/2] ^= 0xFF
+	return out
+}
+
+// otherMaps shows that only the package maps are views.
+func otherMaps(r *Repository, local map[string][]byte) {
+	b := local["p"]
+	b[0] = 1
+	n := []byte(r.names["p"])
+	n[0] = 1
 }

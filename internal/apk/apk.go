@@ -147,13 +147,14 @@ func (p *Package) ControlBytes() ([]byte, error) {
 }
 
 // codec is the reusable state of one Encode, Decode or Rewrite: a
-// decompressor, the scratch the segments are built in and the one
+// decompressor, the scratch the signature and control segments are
+// built in, the open data run or the head members, and the one
 // data-segment file being read. Pooling it, and the compressors, leaves
-// the returned bytes (Encode, Rewrite) or file contents (Decode) as the
-// only per-call payload allocations.
+// as payload allocations the buffer a package is built in (Encode,
+// Rewrite; see assemble) or the file contents (Decode).
 type codec struct {
 	zr   gzip.Reader
-	seg  [3]bytes.Buffer // signature, control, data
+	seg  [2]bytes.Buffer // signature, control
 	out  bytes.Buffer
 	file []byte
 }
@@ -191,7 +192,7 @@ func getCodec() *codec {
 }
 
 func putCodec(c *codec) {
-	for _, b := range []*bytes.Buffer{&c.seg[0], &c.seg[1], &c.seg[2], &c.out} {
+	for _, b := range []*bytes.Buffer{&c.seg[0], &c.seg[1], &c.out} {
 		if b.Cap() > maxPooledScratch {
 			*b = bytes.Buffer{}
 		}
@@ -203,16 +204,22 @@ func putCodec(c *codec) {
 }
 
 // Encode serializes the package to its on-wire form. The data segment
-// is tarred once, straight into its compressed member; its digest goes
-// into the control segment.
+// is tarred once, straight into its compressed member in the returned
+// buffer; its digest goes into the control segment.
 func Encode(p *Package) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)
-	// Content plus, per file, a header, a PAX extension and padding;
-	// deflate expands incompressible input by well under 1%.
-	n := int(p.UncompressedSize()) + len(p.Files)<<11 + 1<<10
-	c.seg[2].Grow(n + n>>7)
-	d := c.dataWriter(nil)
+	// Content and xattrs plus, per file, about a header block; deflate
+	// expands incompressible input by well under 1%.
+	n := 1 << 10
+	for _, f := range p.Files {
+		n += len(f.Content) + 512
+		for _, v := range f.Xattrs {
+			n += len(v)
+		}
+	}
+	buf := newPackageBuffer(n + n>>7)
+	d := c.dataWriter(buf, nil)
 	if err := writeDataSegment(d, p.Files); err != nil {
 		return nil, err
 	}
@@ -226,7 +233,7 @@ func Encode(p *Package) ([]byte, error) {
 	if err := writeSignatureSegment(&c.seg[0], p.Signatures); err != nil {
 		return nil, err
 	}
-	return c.assemble()
+	return c.assemble(buf)
 }
 
 // Decode parses an encoded package, verifying the control segment's
@@ -286,8 +293,9 @@ type Rewriter interface {
 // member file by file through rw.File into the output's compressed
 // data member, hashing both sides as they pass; last it renders the
 // control segment with the new data hash and signs it with rw.Sign.
-// Besides raw, only the compressed output, one file and the open run
-// of the output tar stream (at most 256 KiB; see dataWriter) are held.
+// Besides raw, only the output (built in one buffer; see assemble), one
+// file and the open run of the output tar stream (at most 256 KiB; see
+// dataWriter) are held.
 // Files keep their archive order, so a path-sorted input yields exactly
 // the bytes Encode gives for the rewritten package. The output's data
 // runs go through runs when it is not nil.
@@ -303,9 +311,10 @@ func Rewrite(raw []byte, rw Rewriter, runs *RunMemo) ([]byte, error) {
 	}
 
 	// The output's data member is the input's plus, per file, a
-	// signature that does not compress.
-	c.seg[2].Grow(r.Len() + r.Len()>>3 + 8<<10)
-	d := c.dataWriter(runs)
+	// signature that does not compress: about 450 bytes, a sixteenth of
+	// an 8 KiB file. Packages of smaller files outgrow the estimate.
+	buf := newPackageBuffer(r.Len() + r.Len()>>4 + 1<<10)
+	d := c.dataWriter(buf, runs)
 	err = c.walkData(r, declared, func(f *File) error {
 		if err := rw.File(f); err != nil {
 			return err
@@ -332,15 +341,34 @@ func Rewrite(raw []byte, rw Rewriter, runs *RunMemo) ([]byte, error) {
 	if err := writeSignatureSegment(&c.seg[0], map[string][]byte{name: sig}); err != nil {
 		return nil, err
 	}
-	return c.assemble()
+	return c.assemble(buf)
+}
+
+// HeadRoom is the space Encode and Rewrite reserve in front of the data
+// member, which they write first, for the signature and control
+// members, which they write last. With one signature those two take
+// about 420 bytes, more only with long scripts.
+const HeadRoom = 2 << 10
+
+// newPackageBuffer returns the buffer a package is built in: HeadRoom
+// bytes, then room for a data member of about n bytes.
+func newPackageBuffer(n int) *bytes.Buffer {
+	return bytes.NewBuffer(make([]byte, HeadRoom, HeadRoom+n))
 }
 
 // assemble returns the package whose signature and control segments
-// are c.seg[0] and c.seg[1] and whose compressed data member is
-// c.seg[2].
-func (c *codec) assemble() ([]byte, error) {
+// are c.seg[0] and c.seg[1] and whose compressed data member follows
+// the head room in buf. The two head members are compressed into c.out
+// and, when they fit, copied into the end of the head room, so the
+// package is buf's own array. It is copied once into an exact-size
+// slice instead when they do not fit, or when it would keep more than
+// an eighth of its length plus HeadRoom as spare capacity (buf's
+// estimate overshoots for compressible content, and a buffer that
+// outgrew it doubled), so a returned package never holds much memory
+// it does not use.
+func (c *codec) assemble(buf *bytes.Buffer) ([]byte, error) {
 	c.out.Reset()
-	for i := 0; i < 2; i++ {
+	for i := range c.seg {
 		seg := c.seg[i].Bytes()
 		c.out.Write(gzipHeader[:])
 		if err := deflateRun(&c.out, seg); err != nil {
@@ -348,8 +376,16 @@ func (c *codec) assemble() ([]byte, error) {
 		}
 		closeMember(&c.out, crc32.ChecksumIEEE(seg), uint32(len(seg)))
 	}
-	out := make([]byte, 0, c.out.Len()+c.seg[2].Len())
-	return append(append(out, c.out.Bytes()...), c.seg[2].Bytes()...), nil
+	b, head := buf.Bytes(), c.out.Bytes()
+	if start := HeadRoom - len(head); start >= 0 {
+		pkg := b[start:]
+		copy(pkg, head)
+		if cap(pkg)-len(pkg) <= len(pkg)>>3+HeadRoom {
+			return pkg, nil
+		}
+	}
+	data := b[HeadRoom:]
+	return append(append(make([]byte, 0, len(head)+len(data)), head...), data...), nil
 }
 
 // Data-member runs: a run is closed at the end of the first tar entry
@@ -407,10 +443,10 @@ type dataWriter struct {
 	zw   *flate.Writer // set while an outgrown run streams
 }
 
-// dataWriter returns a writer of a data member into c.seg[2], with the
-// open run in c.out.
-func (c *codec) dataWriter(runs *RunMemo) *dataWriter {
-	d := &dataWriter{h: sha256.New(), dst: &c.seg[2], buf: &c.out, runs: runs}
+// dataWriter returns a writer of a data member into dst, with the open
+// run in c.out.
+func (c *codec) dataWriter(dst *bytes.Buffer, runs *RunMemo) *dataWriter {
+	d := &dataWriter{h: sha256.New(), dst: dst, buf: &c.out, runs: runs}
 	d.tw = tar.NewWriter(d)
 	d.dst.Write(gzipHeader[:])
 	return d

@@ -64,6 +64,9 @@ const (
 	// InvBoundedStaleness: once churn quiesces and replicas resync,
 	// every client converges on the origin's current sequence.
 	InvBoundedStaleness = "bounded-staleness"
+	// InvChunkedPull: a replica that holds a package's previous version
+	// pulls its new version as a chunked differential pull, not in full.
+	InvChunkedPull = "chunked-pull"
 )
 
 // Violation is one observed invariant breach.
@@ -315,6 +318,18 @@ func (c *Checker) Quiesced(originSeq uint64) int {
 		}
 	}
 	return lagging
+}
+
+// ChunkedPull checks one replica's pull of a package's new version
+// while it held the previous one: pulls, the chunked differential pulls
+// it made meanwhile, must be at least one. Zero means the pull fell
+// back to a full fetch, or never reached the differential path.
+func (c *Checker) ChunkedPull(actor string, pulls int64) {
+	c.note(1)
+	if pulls < 1 {
+		c.violate(InvChunkedPull, actor,
+			"pulled a new version over its cached previous one with %d chunked differential pulls", pulls)
+	}
 }
 
 // Sequence returns the highest sequence recorded for an actor.

@@ -42,6 +42,7 @@ func TestCheckerAcceptsHonestReads(t *testing.T) {
 	c.HTTPResponse("edge-0", 429, "", "1", nil)
 	c.HTTPResponse("edge-0", 503, "", "", nil)
 	c.AdmissionSnapshot("edge-0", obs.Snapshot{MaxInflight: 8, PeakInflight: 8})
+	c.ChunkedPull("edge-0", 1)
 	if lag := c.Quiesced(3); lag != 0 {
 		t.Fatalf("lagging = %d", lag)
 	}
@@ -77,6 +78,8 @@ func TestCheckerCatchesEveryBreach(t *testing.T) {
 	c.HTTPResponse("edge-0", 429, "", "", nil)
 	// Admission bound exceeded.
 	c.AdmissionSnapshot("edge-0", obs.Snapshot{MaxInflight: 8, PeakInflight: 9})
+	// A replica that pulled a new version in full over the old one.
+	c.ChunkedPull("edge-1", 0)
 	// A client stuck behind the fleet after quiesce.
 	c.IndexAccepted("client-stale", signed)
 	if lag := c.Quiesced(6); lag == 0 {
@@ -90,6 +93,7 @@ func TestCheckerCatchesEveryBreach(t *testing.T) {
 	for _, want := range []string{
 		InvIndexSignature, InvMonotoneSequence, InvVerifiedBytes,
 		InvETagBody, InvShedContract, InvAdmissionBound, InvBoundedStaleness,
+		InvChunkedPull,
 	} {
 		if !got[want] {
 			t.Errorf("missing violation %s (got %v)", want, c.Violations())

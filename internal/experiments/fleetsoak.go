@@ -281,7 +281,9 @@ func soakPackage(name string) *apk.Package {
 // soakWireName is the chunking probe: a multi-chunk package whose
 // content is version-bumped with every published generation, so the
 // replicas' chunked differential pull path stays exercised — under
-// the same invariant checker — all soak long.
+// the same invariant checker — all soak long. Quiesce bumps it once
+// more after every replica holds it, so each replica makes at least
+// one chunked pull however the run's timing fell (chunked-pull).
 const soakWireName = "soak-wire-probe"
 
 // soakWireProbe builds the probe: eight 16 KiB files of incompressible
@@ -934,7 +936,38 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if err := rep.SyncCtx(context.Background()); err != nil {
 			return nil, fmt.Errorf("fleet-soak: quiesce sync %s: %w", s.name, err)
 		}
+		// Hold the probe's current version: the diff base below.
+		if _, err := rep.FetchPackageCtx(context.Background(), soakWireName); err != nil {
+			return nil, fmt.Errorf("fleet-soak: quiesce probe read %s: %w", s.name, err)
+		}
+	}
+	// Bump the probe once more, so every replica makes at least one
+	// chunked differential pull however few the run's timing allowed.
+	ctlMu.Lock()
+	version := fmt.Sprintf("%d.0-r0", soakTicks+1)
+	err = publishProbe(cur, version)
+	if err == nil {
+		probeVersions = append(probeVersions, version)
+		for _, m := range cur.Mirrors {
+			m.Sync(cur.Repo)
+		}
+		_, err = tenantNow.RefreshCtx(context.Background())
+	}
+	ctlMu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("fleet-soak: quiesce probe bump: %w", err)
+	}
+	for _, s := range slots {
+		rep := s.rep.Load()
+		before := rep.Stats().DiffPulls
+		if err := rep.SyncCtx(context.Background()); err != nil {
+			return nil, fmt.Errorf("fleet-soak: quiesce sync %s: %w", s.name, err)
+		}
+		if _, err := rep.FetchPackageCtx(context.Background(), soakWireName); err != nil {
+			return nil, fmt.Errorf("fleet-soak: quiesce probe read %s: %w", s.name, err)
+		}
 		st := rep.Stats()
+		checker.ChunkedPull(s.name, st.DiffPulls-before)
 		res.CoalescedPulls += st.CoalescedPulls
 		res.CoalescedSyncs += st.CoalescedSyncs
 		res.DiffPulls += st.DiffPulls
@@ -1110,7 +1143,8 @@ func FleetSoak(cfg Config) (*Table, error) {
 		},
 		Notes: append([]string{
 			"invariants (docs/SOAK.md): verified bytes, index signature, monotone sequence, ETag==sha256(body),",
-			"range-consistent 206s, shed contract, admission bound, bounded staleness after quiesce — one violation fails the run",
+			"range-consistent 206s, shed contract, admission bound, bounded staleness and a chunked pull per replica after quiesce —",
+			"one violation fails the run",
 		}, notes...),
 	}
 	return t, nil

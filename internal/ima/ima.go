@@ -89,11 +89,11 @@ func (m *IMA) AppraisalEnabled() bool {
 // appraisal enabled it returns ErrAppraisal (before logging) if the
 // signature is missing or does not verify.
 func (m *IMA) MeasureFile(path string) (Entry, error) {
-	content, err := m.fs.ReadFile(path)
+	sum, err := m.fs.Digest(path)
 	if err != nil {
 		return Entry{}, fmt.Errorf("ima: measuring %q: %w", path, err)
 	}
-	e := Entry{PCR: tpm.PCRIMA, Path: path, FileHash: sha256.Sum256(content)}
+	e := Entry{PCR: tpm.PCRIMA, Path: path, FileHash: sum}
 	if sig, err := m.fs.GetXattr(path, XattrIMA); err == nil {
 		e.Sig = sig
 	}

@@ -3,6 +3,12 @@
 // adversary controlling a minority of mirrors can serve outdated signed
 // indexes (replay attack), pretend updates do not exist (freeze attack),
 // corrupt package bytes, or take mirrors offline.
+//
+// A mirror serves the repository's snapshots without copying them: every
+// mirror synced from one repository state shares its package bytes, and
+// FetchPackage hands them out as read-only views. A Corrupt mirror flips
+// its byte in a private copy, so the corruption reaches only the caller
+// it was served to.
 package mirror
 
 import (
@@ -142,8 +148,10 @@ func (m *Mirror) FetchIndex() (*index.Signed, error) {
 	return snap.Signed.Clone(), nil
 }
 
-// FetchPackage returns the encoded bytes of the named package. Corrupt
-// mirrors flip a byte in the body.
+// FetchPackage returns the encoded bytes of the named package, a
+// read-only view shared with the repository and every mirror synced
+// from the same state. Corrupt mirrors return a copy with a byte of
+// the body flipped.
 func (m *Mirror) FetchPackage(name string) ([]byte, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -155,9 +163,10 @@ func (m *Mirror) FetchPackage(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q on %s", repo.ErrNoPackage, name, m.Hostname)
 	}
-	out := append([]byte(nil), raw...)
-	if m.behavior == Corrupt && len(out) > 0 {
-		out[len(out)/2] ^= 0xFF
+	if m.behavior != Corrupt || len(raw) == 0 {
+		return raw, nil
 	}
+	out := append([]byte(nil), raw...)
+	out[len(out)/2] ^= 0xFF
 	return out, nil
 }

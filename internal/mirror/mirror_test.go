@@ -127,6 +127,55 @@ func TestCorruptMirrorFlipsPackageBytes(t *testing.T) {
 	}
 }
 
+// TestCorruptFlipStaysPrivate: mirrors synced from one repository state
+// share its package bytes, so a Corrupt mirror must flip its byte in a
+// copy. Every corrupt fetch differs from the repository's bytes in
+// exactly one byte (a flip made in place would cancel out on the second
+// fetch), and neither the repository nor an honest mirror synced from
+// the same state ever serves a flipped byte.
+func TestCorruptFlipStaysPrivate(t *testing.T) {
+	r, corrupt := setup(t)
+	honest := New("https://honest.example/", netsim.Europe)
+	honest.Sync(r)
+	corrupt.SetBehavior(Corrupt)
+	entry, err := r.Index().Lookup("musl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		raw, err := corrupt.FetchPackage("musl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Fetch("musl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != len(want) {
+			t.Fatalf("corrupt fetch %d: %d bytes, want %d", i, len(raw), len(want))
+		}
+		diff := 0
+		for j := range raw {
+			if raw[j] != want[j] {
+				diff++
+			}
+		}
+		if diff != 1 {
+			t.Fatalf("corrupt fetch %d differs from the repository in %d bytes, want 1", i, diff)
+		}
+		if !entry.Matches(want) {
+			t.Fatalf("after corrupt fetch %d the repository's bytes no longer match its index", i)
+		}
+		got, err := honest.FetchPackage("musl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !entry.Matches(got) {
+			t.Fatalf("after corrupt fetch %d the honest mirror serves bytes that do not match the index", i)
+		}
+	}
+}
+
 func TestOfflineMirrorFailsRequests(t *testing.T) {
 	_, m := setup(t)
 	m.SetBehavior(Offline)
@@ -249,8 +298,12 @@ func TestCorruptTinyPackages(t *testing.T) {
 // TestConcurrentFetchDuringSyncAndBehaviorFlips hammers the mirror's
 // read path while snapshots and behaviors change — the mirror-side
 // analogue of TSR's reads-during-refresh guarantee (run under -race).
+// The mirror shares the repository's bytes with an honest mirror, so
+// the Corrupt phases must leave both serving bytes that match the
+// index.
 func TestConcurrentFetchDuringSyncAndBehaviorFlips(t *testing.T) {
 	r, m := setup(t)
+	honest := New("https://honest.example/", netsim.Europe)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -277,11 +330,25 @@ func TestConcurrentFetchDuringSyncAndBehaviorFlips(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		publishV2(t, r)
 		m.Sync(r)
+		honest.Sync(r)
 		m.SetBehavior(Behavior(i % 5))
 	}
 	m.SetBehavior(Honest)
 	close(done)
 	wg.Wait()
+	entry, err := r.Index().Lookup("musl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []*Mirror{m, honest} {
+		raw, err := src.FetchPackage("musl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !entry.Matches(raw) {
+			t.Fatalf("%s serves bytes that do not match the index after the corrupt phases", src.Hostname)
+		}
+	}
 }
 
 func TestBehaviorString(t *testing.T) {

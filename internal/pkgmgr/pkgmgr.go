@@ -401,14 +401,13 @@ func (m *Manager) measureAfterChange(p *apk.Package) error {
 	}
 	paths = append(paths, osimage.ConfigDigestPaths()...)
 	for _, path := range paths {
-		content, err := m.img.FS.ReadFile(path)
+		sum, err := m.img.FS.Digest(path)
 		if err != nil {
 			if strings.HasPrefix(path, "/etc/") {
 				continue // config file not present on this image
 			}
 			return err
 		}
-		sum := sha256.Sum256(content)
 		if m.measured[path] == sum {
 			continue
 		}

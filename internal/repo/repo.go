@@ -2,7 +2,7 @@
 // root of trust for software updates, owned by the OS distribution
 // community. It stores encoded packages, maintains the signed metadata
 // index (with an increasing sequence number per publication), and hands
-// immutable snapshots to mirrors.
+// read-only snapshots to mirrors.
 package repo
 
 import (
@@ -26,8 +26,11 @@ type Repository struct {
 	origin string
 	signer *keys.Pair
 
-	mu       sync.RWMutex
-	packages map[string][]byte // name -> encoded package (current version)
+	mu sync.RWMutex
+	// packages maps a name to its current encoded package. A stored
+	// slice is never written after it is stored: a new version replaces
+	// it, so snapshots share the slices.
+	packages map[string][]byte
 	idx      *index.Index
 	signed   *index.Signed
 }
@@ -119,7 +122,8 @@ func (r *Repository) Index() *index.Index {
 	return &cp
 }
 
-// Fetch returns the encoded bytes of the named package.
+// Fetch returns a private copy of the encoded bytes of the named
+// package.
 func (r *Repository) Fetch(name string) ([]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -133,11 +137,15 @@ func (r *Repository) Fetch(name string) ([]byte, error) {
 // Snapshot captures the repository state at a point in time; mirrors
 // serve snapshots.
 type Snapshot struct {
-	Signed   *index.Signed
+	Signed *index.Signed
+	// Packages shares the repository's stored slices, so a snapshot
+	// costs one map, not a copy of the catalog. They are read-only: a
+	// holder that must change bytes copies them first.
 	Packages map[string][]byte
 }
 
-// Snapshot returns an immutable copy of the current state.
+// Snapshot returns the current state. The map is the snapshot's own;
+// the package bytes are the repository's, shared read-only.
 func (r *Repository) Snapshot() *Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -146,7 +154,7 @@ func (r *Repository) Snapshot() *Snapshot {
 		s.Signed = r.signed.Clone()
 	}
 	for name, raw := range r.packages {
-		s.Packages[name] = append([]byte(nil), raw...)
+		s.Packages[name] = raw
 	}
 	return s
 }

@@ -131,8 +131,10 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	seqBefore := mustDecodeSeq(t, snap)
-	// Later publication must not affect the snapshot.
-	if err := r.Publish(pkg("zlib", "1.2-r0")); err != nil {
+	v1 := bytes.Clone(snap.Packages["musl"])
+	// Later publication, including a new version of a package whose
+	// bytes the snapshot shares, must not affect the snapshot.
+	if err := r.Publish(pkg("zlib", "1.2-r0"), pkg("musl", "1.2-r0")); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustDecodeSeq(t, snap); got != seqBefore {
@@ -140,6 +142,12 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	}
 	if len(snap.Packages) != 1 {
 		t.Fatalf("snapshot packages = %d", len(snap.Packages))
+	}
+	if !bytes.Equal(snap.Packages["musl"], v1) {
+		t.Fatal("publishing musl 1.2 changed the bytes an earlier snapshot holds")
+	}
+	if now, _ := r.Fetch("musl"); bytes.Equal(now, v1) {
+		t.Fatal("the repository still serves musl 1.1")
 	}
 }
 

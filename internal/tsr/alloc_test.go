@@ -27,9 +27,6 @@ var raceEnabled bool
 
 // Allocation budgets for the package byte path, in bytes per call.
 const (
-	// One flate compressor is about 1 MiB; Encode reuses pooled ones,
-	// so it must stay well under even half of one.
-	encodeBudget = 512 << 10
 	// Decode copies each file once into an exact-size slice; the rest
 	// is headers and maps, so 4x the uncompressed size is generous.
 	decodeBudgetFactor = 4
@@ -72,13 +69,33 @@ func writeNegotiatedBudget(gz []byte) uint64 {
 	return uint64(4*len(gz) + 4<<10)
 }
 
-// sanitizeBudget is what one streamed Sanitize may allocate: the output
-// twice (the compressed data member it builds, then the package it
-// returns), one file's scratch, per file a signature, headers and PAX
-// records, and a fixed allowance for the control and signature
-// segments.
-func sanitizeBudget(out, largestFile, files int) uint64 {
-	return uint64(2*out + largestFile + files*8<<10 + 64<<10)
+// encodeBudget is what one Encode that returns out may allocate: the
+// one buffer the package is built in (out, the head room in front of it
+// and the spare capacity the returned slice may keep), then a fixed
+// allowance for the hash state, the tar writer, headers and the control
+// and signature segments. The compressors are pooled, and a second copy
+// of the package does not fit.
+func encodeBudget(out int) uint64 {
+	return uint64(out + out>>3 + apk.HeadRoom + 16<<10)
+}
+
+// sanitizeBudget is what one streamed Sanitize of files files that
+// returns out may allocate: what Encode may, plus per file a signature
+// and the PAX records that carry it.
+func sanitizeBudget(out, files int) uint64 {
+	return encodeBudget(out) + uint64(files*6<<10)
+}
+
+// textPackage is a package of compressible text, for which the size
+// Encode and Rewrite reserve up front overshoots.
+func textPackage(name, version string, nFiles, fileSize int) *apk.Package {
+	p := &apk.Package{Name: name, Version: version}
+	line := []byte("the quick brown fox jumps over the lazy dog " + version + "\n")
+	for i := 0; i < nFiles; i++ {
+		content := bytes.Repeat(line, fileSize/len(line)+1)[:fileSize]
+		p.Files = append(p.Files, apk.File{Path: fmt.Sprintf("/usr/share/doc/%s/%03d.txt", name, i), Mode: 0o644, Content: content})
+	}
+	return p
 }
 
 // bytesPerCall reports the heap bytes one call of f allocates, after a
@@ -106,7 +123,8 @@ func bytesPerCall(runs int, f func()) uint64 {
 // TestAllocBudget fails when the package byte path starts allocating
 // more than its payload again: apk.Encode and apk.Decode of a 64 KiB
 // package, apk.DecodeMeta of a 64 KiB and a 1 MiB one, a streamed
-// Sanitize of a 16-file 256 KiB package, a 1 MiB disk store Put, a
+// Sanitize of a 16-file 256 KiB package, the spare capacity of an
+// encoded and a sanitized text package, a 1 MiB disk store Put, a
 // 1 MiB memory store Put and Get, and a 1 MiB copy through
 // NewVerifiedReader. It also holds WriteNegotiated
 // and the origin's read routes to their budgets (readRouteBudgets).
@@ -125,8 +143,8 @@ func TestAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got >= encodeBudget {
-			t.Fatalf("Encode of %d bytes allocates %d B/call, budget %d", p.UncompressedSize(), got, encodeBudget)
+		if budget := encodeBudget(len(raw)); got > budget {
+			t.Fatalf("Encode of %d bytes to %d allocates %d B/call, budget %d", p.UncompressedSize(), len(raw), got, budget)
 		}
 	})
 	t.Run("apk.Decode", func(t *testing.T) {
@@ -180,8 +198,39 @@ func TestAllocBudget(t *testing.T) {
 			}
 			out = len(res.Raw)
 		})
-		if budget := sanitizeBudget(out, fileSize, files); got > budget {
+		if budget := sanitizeBudget(out, files); got > budget {
 			t.Fatalf("Sanitize of %d files, %d B, allocates %d B/call, budget %d", files, p.UncompressedSize(), got, budget)
+		}
+	})
+	// A text package compresses far below the size reserved for it, so
+	// the returned package must be the exact-size copy, not the buffer
+	// with its unused tail.
+	t.Run("text package spare capacity", func(t *testing.T) {
+		signer, tsrKey := keys.Shared.MustGet("alpine-distro-key"), keys.Shared.MustGet("budget-tsr")
+		p := textPackage("budget-text", "1.0-r0", 8, 32<<10)
+		if err := apk.Sign(p, signer); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := apk.Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sanitize.BuildPlan(&sanitize.SliceSource{Packages: []*apk.Package{p}}, nil, tsrKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		san := &sanitize.Sanitizer{Plan: plan, TrustRing: keys.NewRing(signer.Public()), SignKey: tsrKey}
+		res, err := san.Sanitize(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			what string
+			out  []byte
+		}{{"Encode", raw}, {"Sanitize", res.Raw}} {
+			if spare, limit := cap(c.out)-len(c.out), len(c.out)>>3+apk.HeadRoom; spare > limit {
+				t.Errorf("%s of %d text bytes returns %d B with %d B spare capacity, limit %d", c.what, p.UncompressedSize(), len(c.out), spare, limit)
+			}
 		}
 	})
 	t.Run("store.FS.Put", func(t *testing.T) {

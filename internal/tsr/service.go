@@ -84,7 +84,9 @@ type Config struct {
 	AutoPersist bool
 }
 
-// PackageFetcher downloads one package from a mirror.
+// PackageFetcher downloads one package from a mirror. The returned
+// bytes are read-only: a mirror may hand out the slice it serves every
+// caller, so a caller that must change them copies them first.
 type PackageFetcher interface {
 	FetchPackage(name string) ([]byte, error)
 }

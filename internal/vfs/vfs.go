@@ -10,6 +10,8 @@
 package vfs
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"path"
@@ -140,6 +142,8 @@ func (fs *FS) mkdirAllLocked(p string, mode uint32) error {
 // WriteFile writes content to p, creating parents as needed and replacing
 // any existing regular file. Writing over a directory is an error.
 // Existing xattrs on the file are preserved (content update semantics).
+// The file keeps its own copy of content, made only when the content
+// differs from what the file already holds.
 func (fs *FS) WriteFile(p string, content []byte, mode uint32) error {
 	p, err := clean(p)
 	if err != nil {
@@ -157,8 +161,10 @@ func (fs *FS) WriteFile(p string, content []byte, mode uint32) error {
 		if n.typ == Dir {
 			return fmt.Errorf("%w: %q", ErrIsDir, p)
 		}
+		if !bytes.Equal(n.content, content) {
+			n.content = append([]byte(nil), content...)
+		}
 		n.typ = Regular
-		n.content = append([]byte(nil), content...)
 		n.mode = mode
 		return nil
 	}
@@ -199,21 +205,37 @@ func (fs *FS) AppendFile(p string, content []byte, mode uint32) error {
 }
 
 // ReadFile returns the content of the regular file at p.
-func (fs *FS) ReadFile(p string) ([]byte, error) {
+func (fs *FS) ReadFile(p string) (out []byte, err error) {
+	err = fs.withContent(p, func(content []byte) { out = append([]byte(nil), content...) })
+	return out, err
+}
+
+// Digest returns the SHA-256 of the content of the regular file at p,
+// hashed in place under the read lock: what sha256.Sum256 of ReadFile's
+// result gives, without the copy.
+func (fs *FS) Digest(p string) (sum [sha256.Size]byte, err error) {
+	err = fs.withContent(p, func(content []byte) { sum = sha256.Sum256(content) })
+	return sum, err
+}
+
+// withContent calls fn with the stored content of the file at p, under
+// the read lock; fn must not keep or change it.
+func (fs *FS) withContent(p string, fn func(content []byte)) error {
 	p, err := clean(p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	n, ok := fs.nodes[p]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, p)
+		return fmt.Errorf("%w: %q", ErrNotExist, p)
 	}
 	if n.typ == Dir {
-		return nil, fmt.Errorf("%w: %q", ErrIsDir, p)
+		return fmt.Errorf("%w: %q", ErrIsDir, p)
 	}
-	return append([]byte(nil), n.content...), nil
+	fn(n.content)
+	return nil
 }
 
 // Stat returns metadata for the node at p.

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -461,6 +462,79 @@ func TestContentIsolation(t *testing.T) {
 	got2, _ := fs.ReadFile("/f")
 	if string(got2) != "abc" {
 		t.Fatal("returned content aliased stored value")
+	}
+}
+
+// TestWriteFileKeepsNoCallerSlice: the stored file never aliases the
+// caller's slice, whether WriteFile copies changed content or keeps the
+// stored bytes because the content is equal.
+func TestWriteFileKeepsNoCallerSlice(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/f", []byte("abc"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, content := range []string{"abc", "abd"} {
+		data := []byte(content)
+		if err := fs.WriteFile("/f", data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		data[0] = 'X'
+		if got, _ := fs.ReadFile("/f"); string(got) != content {
+			t.Fatalf("after writing %q then changing the caller's slice, file = %q", content, got)
+		}
+	}
+}
+
+// TestWriteFileEqualContentUpdatesMode: a WriteFile that keeps the
+// stored bytes still applies the new mode and keeps the xattrs.
+func TestWriteFileEqualContentUpdatesMode(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/bin/x", []byte("same"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.SetXattr("/bin/x", "security.ima", []byte("sig")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/bin/x", []byte("same"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	info, err := fs.Stat("/bin/x")
+	if err != nil || info.Mode != 0o755 || info.Size != 4 {
+		t.Fatalf("info = %+v, %v; want mode 0755, size 4", info, err)
+	}
+	if v, err := fs.GetXattr("/bin/x", "security.ima"); err != nil || string(v) != "sig" {
+		t.Fatalf("xattr = %q, %v", v, err)
+	}
+}
+
+// TestDigest: Digest is the SHA-256 of what ReadFile returns, and fails
+// where ReadFile fails.
+func TestDigest(t *testing.T) {
+	fs := New()
+	for _, content := range [][]byte{nil, []byte("abc"), bytes.Repeat([]byte{7}, 1<<16)} {
+		if err := fs.WriteFile("/d/f", content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fs.Digest("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := fs.ReadFile("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != sha256.Sum256(read) {
+			t.Fatalf("Digest of %d bytes = %x, want %x", len(content), got, sha256.Sum256(read))
+		}
+	}
+	if _, err := fs.Digest("/d"); !errors.Is(err, ErrIsDir) {
+		t.Errorf("directory: err = %v, want ErrIsDir", err)
+	}
+	if _, err := fs.Digest("/d/missing"); !errors.Is(err, ErrNotExist) {
+		t.Errorf("missing file: err = %v, want ErrNotExist", err)
+	}
+	if _, err := fs.Digest("relative"); !errors.Is(err, ErrBadPath) {
+		t.Errorf("relative path: err = %v, want ErrBadPath", err)
 	}
 }
 
