@@ -147,16 +147,20 @@ func (p *Package) ControlBytes() ([]byte, error) {
 }
 
 // codec is the reusable state of one Encode, Decode or Rewrite: a
-// decompressor, the scratch the signature and control segments are
-// built in, the open data run or the head members, and the one
-// data-segment file being read. Pooling it, and the compressors, leaves
-// as payload allocations the buffer a package is built in (Encode,
-// Rewrite; see assemble) or the file contents (Decode).
+// decompressor, the scratch the segments are built in, the open data
+// run or the head members, and the one data-segment file being read.
+// Pooling it, and the compressors, leaves the exact-size package
+// (Encode, Rewrite) or the file contents (Decode) as the only per-call
+// payload allocation, except for a package whose data member outgrows
+// the data scratch: that one is built in a buffer of its own (see
+// dataWriter.room), which the package is cut from or copied out of
+// (see assemble).
 type codec struct {
-	zr   gzip.Reader
-	seg  [2]bytes.Buffer // signature, control
-	out  bytes.Buffer
-	file []byte
+	zr     gzip.Reader
+	seg    [3]bytes.Buffer // signature, control, data
+	out    bytes.Buffer
+	file   []byte
+	walked int // data-segment bytes walkData has read so far
 }
 
 // maxPooledScratch caps each scratch buffer a pooled codec keeps.
@@ -192,7 +196,7 @@ func getCodec() *codec {
 }
 
 func putCodec(c *codec) {
-	for _, b := range []*bytes.Buffer{&c.seg[0], &c.seg[1], &c.out} {
+	for _, b := range []*bytes.Buffer{&c.seg[0], &c.seg[1], &c.seg[2], &c.out} {
 		if b.Cap() > maxPooledScratch {
 			*b = bytes.Buffer{}
 		}
@@ -204,22 +208,29 @@ func putCodec(c *codec) {
 }
 
 // Encode serializes the package to its on-wire form. The data segment
-// is tarred once, straight into its compressed member in the returned
-// buffer; its digest goes into the control segment.
+// is tarred once, straight into its compressed member; its digest goes
+// into the control segment.
 func Encode(p *Package) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)
-	// Content and xattrs plus, per file, about a header block; deflate
-	// expands incompressible input by well under 1%.
-	n := 1 << 10
+	// Before the first run boundary, the member is taken to be content
+	// and xattrs plus, per file, about a header block (deflate expands
+	// incompressible input by well under 1%); past one, its size is
+	// projected from there, as the output written per content byte.
+	n, content := 1<<10, 0
 	for _, f := range p.Files {
+		content += len(f.Content)
 		n += len(f.Content) + 512
 		for _, v := range f.Xattrs {
 			n += len(v)
 		}
 	}
-	buf := newPackageBuffer(n + n>>7)
-	d := c.dataWriter(buf, nil)
+	d := c.dataWriter(nil, nil, func(out, written int) int {
+		if written == 0 {
+			return n + n>>7
+		}
+		return project(out, content, written)
+	})
 	if err := writeDataSegment(d, p.Files); err != nil {
 		return nil, err
 	}
@@ -233,7 +244,7 @@ func Encode(p *Package) ([]byte, error) {
 	if err := writeSignatureSegment(&c.seg[0], p.Signatures); err != nil {
 		return nil, err
 	}
-	return c.assemble(buf)
+	return c.assemble(d.dst)
 }
 
 // Decode parses an encoded package, verifying the control segment's
@@ -293,9 +304,10 @@ type Rewriter interface {
 // member file by file through rw.File into the output's compressed
 // data member, hashing both sides as they pass; last it renders the
 // control segment with the new data hash and signs it with rw.Sign.
-// Besides raw, only the output (built in one buffer; see assemble), one
-// file and the open run of the output tar stream (at most 256 KiB; see
-// dataWriter) are held.
+// Besides raw, only the output (in the pooled data scratch and its
+// exact-size copy, or, when larger, in the one buffer it is returned
+// in; see assemble), one file and the open run of the output tar stream
+// (at most 256 KiB; see dataWriter) are held.
 // Files keep their archive order, so a path-sorted input yields exactly
 // the bytes Encode gives for the rewritten package. The output's data
 // runs go through runs when it is not nil.
@@ -311,10 +323,17 @@ func Rewrite(raw []byte, rw Rewriter, runs *RunMemo) ([]byte, error) {
 	}
 
 	// The output's data member is the input's plus, per file, a
-	// signature that does not compress: about 450 bytes, a sixteenth of
-	// an 8 KiB file. Packages of smaller files outgrow the estimate.
-	buf := newPackageBuffer(r.Len() + r.Len()>>4 + 1<<10)
-	d := c.dataWriter(buf, runs)
+	// signature that does not compress. Past a run boundary its size is
+	// projected from there: the output written per data-segment byte
+	// read, times the input's data segment, whose size ends raw. Before
+	// one, the signatures are taken to add a sixteenth.
+	in, segment := r.Len(), int(binary.LittleEndian.Uint32(raw[len(raw)-4:]))
+	d := c.dataWriter(runs, func() int { return c.walked }, func(out, read int) int {
+		if read == 0 {
+			return in + in>>4 + 1<<10
+		}
+		return project(out, segment, read)
+	})
 	err = c.walkData(r, declared, func(f *File) error {
 		if err := rw.File(f); err != nil {
 			return err
@@ -341,34 +360,29 @@ func Rewrite(raw []byte, rw Rewriter, runs *RunMemo) ([]byte, error) {
 	if err := writeSignatureSegment(&c.seg[0], map[string][]byte{name: sig}); err != nil {
 		return nil, err
 	}
-	return c.assemble(buf)
+	return c.assemble(d.dst)
 }
 
-// HeadRoom is the space Encode and Rewrite reserve in front of the data
-// member, which they write first, for the signature and control
-// members, which they write last. With one signature those two take
-// about 420 bytes, more only with long scripts.
+// HeadRoom is the space reserved in front of a data member that
+// outgrows the data scratch, for the signature and control members,
+// which are written last. With one signature those two take about 420
+// bytes, more only with long scripts.
 const HeadRoom = 2 << 10
 
-// newPackageBuffer returns the buffer a package is built in: HeadRoom
-// bytes, then room for a data member of about n bytes.
-func newPackageBuffer(n int) *bytes.Buffer {
-	return bytes.NewBuffer(make([]byte, HeadRoom, HeadRoom+n))
-}
-
 // assemble returns the package whose signature and control segments
-// are c.seg[0] and c.seg[1] and whose compressed data member follows
-// the head room in buf. The two head members are compressed into c.out
-// and, when they fit, copied into the end of the head room, so the
-// package is buf's own array. It is copied once into an exact-size
-// slice instead when they do not fit, or when it would keep more than
-// an eighth of its length plus HeadRoom as spare capacity (buf's
-// estimate overshoots for compressible content, and a buffer that
-// outgrew it doubled), so a returned package never holds much memory
-// it does not use.
-func (c *codec) assemble(buf *bytes.Buffer) ([]byte, error) {
+// are c.seg[0] and c.seg[1] and whose compressed data member is data.
+// The two head members are compressed into c.out. A data member in the
+// pooled data scratch, c.seg[2], is copied with them into an exact-size
+// slice. One that outgrew the scratch follows HeadRoom in a buffer of
+// its own (see dataWriter.room); the head members are copied into the
+// end of the head room when they fit, and the package is that buffer's
+// array unless the array would hold more than an eighth of the
+// package's length that the package does not use — the head room's
+// unused front included. Otherwise, as when the head members do not
+// fit, the package is copied out into an exact-size slice.
+func (c *codec) assemble(data *bytes.Buffer) ([]byte, error) {
 	c.out.Reset()
-	for i := range c.seg {
+	for i := 0; i < 2; i++ {
 		seg := c.seg[i].Bytes()
 		c.out.Write(gzipHeader[:])
 		if err := deflateRun(&c.out, seg); err != nil {
@@ -376,16 +390,18 @@ func (c *codec) assemble(buf *bytes.Buffer) ([]byte, error) {
 		}
 		closeMember(&c.out, crc32.ChecksumIEEE(seg), uint32(len(seg)))
 	}
-	b, head := buf.Bytes(), c.out.Bytes()
-	if start := HeadRoom - len(head); start >= 0 {
-		pkg := b[start:]
-		copy(pkg, head)
-		if cap(pkg)-len(pkg) <= len(pkg)>>3+HeadRoom {
-			return pkg, nil
+	b, head := data.Bytes(), c.out.Bytes()
+	if data != &c.seg[2] {
+		if start := HeadRoom - len(head); start >= 0 {
+			pkg := b[start:]
+			copy(pkg, head)
+			if cap(b)-len(pkg) <= len(pkg)>>3 {
+				return pkg, nil
+			}
 		}
+		b = b[HeadRoom:]
 	}
-	data := b[HeadRoom:]
-	return append(append(make([]byte, 0, len(head)+len(data)), head...), data...), nil
+	return append(append(make([]byte, 0, len(head)+len(b)), head...), b...), nil
 }
 
 // Data-member runs: a run is closed at the end of the first tar entry
@@ -441,15 +457,61 @@ type dataWriter struct {
 	crc  uint32
 	size uint32        // mod 2^32, as the gzip trailer stores it
 	zw   *flate.Writer // set while an outgrown run streams
+
+	// Sizing a member that outgrows the scratch (see room): read, when
+	// set, reports how much of the caller's input is read, and content
+	// counts the file content written; at each run boundary outAt
+	// records the member's length and inAt read, or content when read
+	// is nil. expect estimates the member's final size from those two,
+	// which are 0 before the first boundary.
+	read        func() int
+	content     int
+	outAt, inAt int
+	expect      func(out, read int) int
+	spilled     bool // dst is no longer the scratch
 }
 
-// dataWriter returns a writer of a data member into dst, with the open
-// run in c.out.
-func (c *codec) dataWriter(dst *bytes.Buffer, runs *RunMemo) *dataWriter {
-	d := &dataWriter{h: sha256.New(), dst: dst, buf: &c.out, runs: runs}
+// dataWriter returns a writer of a data member into c.seg[2], with the
+// open run in c.out.
+func (c *codec) dataWriter(runs *RunMemo, read func() int, expect func(out, read int) int) *dataWriter {
+	d := &dataWriter{h: sha256.New(), dst: &c.seg[2], buf: &c.out, runs: runs, read: read, expect: expect}
 	d.tw = tar.NewWriter(d)
 	d.dst.Write(gzipHeader[:])
 	return d
+}
+
+// room makes room in dst for n more bytes. A data member starts in the
+// pooled data scratch; when it would outgrow maxPooledScratch it moves,
+// once, to a buffer of its own that keeps HeadRoom in front of it and
+// room for what d.expect estimates. So a package that fits the scratch
+// costs one exact-size copy (assemble), and a larger one is built where
+// it is returned, the one copy then being of at most maxPooledScratch
+// bytes.
+func (d *dataWriter) room(n int) {
+	if d.spilled || d.dst.Len()+n <= maxPooledScratch {
+		return
+	}
+	size := max(d.expect(d.outAt, d.inAt), d.dst.Len()+n)
+	buf := bytes.NewBuffer(make([]byte, HeadRoom, HeadRoom+size))
+	buf.Write(d.dst.Bytes())
+	d.dst, d.spilled = buf, true
+}
+
+// project estimates the final size of a member that is out bytes long
+// after done of the total units of input it is made from: out scaled
+// to total, plus a sixteenth for how the rest may differ.
+func project(out, total, done int) int {
+	size := int(float64(out) * float64(total) / float64(done))
+	return size + size>>4
+}
+
+// memberWriter is a dataWriter as the writer of its member's bytes.
+type memberWriter dataWriter
+
+func (m *memberWriter) Write(p []byte) (int, error) {
+	d := (*dataWriter)(m)
+	d.room(len(p))
+	return d.dst.Write(p)
 }
 
 // Write takes the tar stream.
@@ -466,7 +528,7 @@ func (d *dataWriter) Write(p []byte) (int, error) {
 	}
 	if d.zw == nil {
 		d.zw = deflaters.Get().(*flate.Writer)
-		d.zw.Reset(d.dst)
+		d.zw.Reset((*memberWriter)(d))
 		if _, err := d.zw.Write(d.buf.Bytes()); err != nil {
 			return 0, fmt.Errorf("apk: compressing segment: %w", err)
 		}
@@ -484,6 +546,7 @@ func (d *dataWriter) file(f *File) error {
 	if err := writeFile(d.tw, f); err != nil {
 		return err
 	}
+	d.content += len(f.Content)
 	if err := d.tw.Flush(); err != nil {
 		return fmt.Errorf("apk: data segment: %w", err)
 	}
@@ -502,11 +565,20 @@ func (d *dataWriter) endRun() error {
 		if err != nil {
 			return fmt.Errorf("apk: compressing segment: %w", err)
 		}
-		return nil
+	} else {
+		// Deflate expands a run by well under a 128th.
+		d.room(d.buf.Len() + d.buf.Len()>>7 + 64)
+		err := d.runs.deflate(d.dst, d.buf.Bytes())
+		d.buf.Reset()
+		if err != nil {
+			return err
+		}
 	}
-	err := d.runs.deflate(d.dst, d.buf.Bytes())
-	d.buf.Reset()
-	return err
+	d.outAt, d.inAt = d.dst.Len(), d.content
+	if d.read != nil {
+		d.inAt = d.read()
+	}
+	return nil
 }
 
 // close ends the tar stream, and the member if one is being written,
@@ -520,6 +592,7 @@ func (d *dataWriter) close() ([32]byte, error) {
 		if err := d.endRun(); err != nil {
 			return sum, err
 		}
+		d.room(13) // closeMember's end block and trailer
 		closeMember(d.dst, d.crc, d.size)
 	}
 	d.h.Sum(sum[:0])
@@ -585,6 +658,17 @@ func (c *codec) inflate(r *bytes.Reader, i int) error {
 	return nil
 }
 
+// tally hashes what is written to it and adds its length to *n.
+type tally struct {
+	hash.Hash
+	n *int
+}
+
+func (t tally) Write(p []byte) (int, error) {
+	*t.n += len(p)
+	return t.Hash.Write(p)
+}
+
 // openMember points c.zr at the next gzip member of r, segment i.
 // Reading from a bytes.Reader, the decompressor consumes exactly the
 // member, so r.Len() is what follows it.
@@ -611,7 +695,8 @@ func (c *codec) walkData(r *bytes.Reader, declared [32]byte, fn func(f *File) er
 		return err
 	}
 	h := sha256.New()
-	in := io.TeeReader(&c.zr, h)
+	c.walked = 0
+	in := io.TeeReader(&c.zr, tally{h, &c.walked})
 	tr := tar.NewReader(in)
 	for {
 		hdr, err := tr.Next()

@@ -120,18 +120,12 @@ func rawSegments(t *testing.T, raw []byte) [][]byte {
 	t.Helper()
 	var c codec
 	r := bytes.NewReader(raw)
-	segs := make([][]byte, 3)
-	for i := range segs {
-		if err := c.openMember(r, i); err != nil {
+	for i := range c.seg {
+		if err := c.inflate(r, i); err != nil {
 			t.Fatal(err)
 		}
-		seg, err := io.ReadAll(&c.zr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segs[i] = seg
 	}
-	return segs
+	return [][]byte{c.seg[0].Bytes(), c.seg[1].Bytes(), c.seg[2].Bytes()}
 }
 
 // rebuild re-gzips three segments into package wire format.

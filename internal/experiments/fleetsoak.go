@@ -225,10 +225,14 @@ type FleetSoakResult struct {
 	// version-bumped with every generation), manifest/range requests
 	// that reached the origin, streamed (hash-as-you-copy) serves, and
 	// verified 206 Range reads through the front handler.
+	// QuiesceDiffPulls are the chunked pulls quiesce forces, one per
+	// replica if the path works, counted apart so that DiffPulls shows
+	// what the run made under faults.
 	DiffPulls        int64 `json:"diff_pulls"`
 	DiffFallbacks    int64 `json:"diff_fallbacks"`
 	DiffBytesReused  int64 `json:"diff_bytes_reused"`
 	DiffBytesFetched int64 `json:"diff_bytes_fetched"`
+	QuiesceDiffPulls int64 `json:"quiesce_diff_pulls"`
 	OriginManifests  int64 `json:"origin_manifests"`
 	OriginRanges     int64 `json:"origin_ranges"`
 	StreamedServes   int64 `json:"streamed_serves"`
@@ -936,26 +940,26 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if err := rep.SyncCtx(context.Background()); err != nil {
 			return nil, fmt.Errorf("fleet-soak: quiesce sync %s: %w", s.name, err)
 		}
+		// The run's own counters, before the probe reads below.
+		st := rep.Stats()
+		res.CoalescedPulls += st.CoalescedPulls
+		res.CoalescedSyncs += st.CoalescedSyncs
+		res.DiffPulls += st.DiffPulls
+		res.DiffFallbacks += st.DiffFallbacks
+		res.DiffBytesReused += st.DiffBytesReused
+		res.DiffBytesFetched += st.DiffBytesFetched
+		res.StreamedServes += st.StreamedServes
 		// Hold the probe's current version: the diff base below.
 		if _, err := rep.FetchPackageCtx(context.Background(), soakWireName); err != nil {
 			return nil, fmt.Errorf("fleet-soak: quiesce probe read %s: %w", s.name, err)
 		}
 	}
-	// Bump the probe once more, so every replica makes at least one
-	// chunked differential pull however few the run's timing allowed.
-	ctlMu.Lock()
-	version := fmt.Sprintf("%d.0-r0", soakTicks+1)
-	err = publishProbe(cur, version)
-	if err == nil {
-		probeVersions = append(probeVersions, version)
-		for _, m := range cur.Mirrors {
-			m.Sync(cur.Repo)
-		}
-		_, err = tenantNow.RefreshCtx(context.Background())
-	}
-	ctlMu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("fleet-soak: quiesce probe bump: %w", err)
+	// One more generation bumps the probe, so every replica makes at
+	// least one chunked differential pull however few the run's timing
+	// allowed. A failed refresh shows as a chunked-pull violation.
+	doRefresh(soakTicks)
+	if err := firstCtlErr(); err != nil {
+		return nil, err
 	}
 	for _, s := range slots {
 		rep := s.rep.Load()
@@ -966,15 +970,9 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if _, err := rep.FetchPackageCtx(context.Background(), soakWireName); err != nil {
 			return nil, fmt.Errorf("fleet-soak: quiesce probe read %s: %w", s.name, err)
 		}
-		st := rep.Stats()
-		checker.ChunkedPull(s.name, st.DiffPulls-before)
-		res.CoalescedPulls += st.CoalescedPulls
-		res.CoalescedSyncs += st.CoalescedSyncs
-		res.DiffPulls += st.DiffPulls
-		res.DiffFallbacks += st.DiffFallbacks
-		res.DiffBytesReused += st.DiffBytesReused
-		res.DiffBytesFetched += st.DiffBytesFetched
-		res.StreamedServes += st.StreamedServes
+		pulls := rep.Stats().DiffPulls - before
+		checker.ChunkedPull(s.name, pulls)
+		res.QuiesceDiffPulls += pulls
 	}
 	for _, c := range clients {
 		signed, err := c.fc.FetchIndex()
@@ -1126,9 +1124,9 @@ func FleetSoak(cfg Config) (*Table, error) {
 				res.CrowdOffered, res.CrowdServed, res.CrowdShed, res.ShedRate*100,
 				res.FrontHTTP.PeakInflight, res.MaxInflight)},
 			{"coalesced pulls / syncs", fmt.Sprintf("%d / %d", res.CoalescedPulls, res.CoalescedSyncs)},
-			{"chunked differential pulls", fmt.Sprintf("%d (%d B reused / %d B fetched, %d fallbacks; origin saw %d manifests + %d ranges)",
+			{"chunked differential pulls", fmt.Sprintf("%d (%d B reused / %d B fetched, %d fallbacks; origin saw %d manifests + %d ranges), %d more at quiesce",
 				res.DiffPulls, res.DiffBytesReused, res.DiffBytesFetched, res.DiffFallbacks,
-				res.OriginManifests, res.OriginRanges)},
+				res.OriginManifests, res.OriginRanges, res.QuiesceDiffPulls)},
 			{"streamed serves / verified 206s", fmt.Sprintf("%d / %d", res.StreamedServes, res.RangeReads)},
 			{"origin warm restart under load", fmt.Sprintf("%v (%.1f ms)", res.OriginWarmRestart, res.WarmRestartMs)},
 			{"tenant churn", fmt.Sprintf("%d deploys (%d pkgs via journaled ingest) / %d undeploys",

@@ -50,8 +50,8 @@ func TestFleetSoak(t *testing.T) {
 	if res.InvariantChecks == 0 {
 		t.Fatal("invariant checker saw no reads")
 	}
-	if res.DiffPulls < int64(res.Edges) {
-		t.Fatalf("%d chunked differential pulls across %d replicas, want at least one each", res.DiffPulls, res.Edges)
+	if res.QuiesceDiffPulls < int64(res.Edges) {
+		t.Fatalf("%d chunked differential pulls at quiesce across %d replicas, want at least one each", res.QuiesceDiffPulls, res.Edges)
 	}
 
 	// The BENCH document round-trips and carries the violation count.

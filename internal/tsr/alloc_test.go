@@ -69,21 +69,54 @@ func writeNegotiatedBudget(gz []byte) uint64 {
 	return uint64(4*len(gz) + 4<<10)
 }
 
-// encodeBudget is what one Encode that returns out may allocate: the
-// one buffer the package is built in (out, the head room in front of it
-// and the spare capacity the returned slice may keep), then a fixed
-// allowance for the hash state, the tar writer, headers and the control
-// and signature segments. The compressors are pooled, and a second copy
-// of the package does not fit.
-func encodeBudget(out int) uint64 {
-	return uint64(out + out>>3 + apk.HeadRoom + 16<<10)
+// encodeBudget is what one Encode of files files that returns out may
+// allocate: the package, with at most an eighth of its length unused
+// when it is built in place, then 4 KiB for the hash state, the tar
+// writer and the head segments and 1 KiB per file for its headers. The
+// compressors and the data scratch are pooled, so a second copy of the
+// package does not fit, nor, at filler size, a head room kept with it.
+func encodeBudget(out, files int) uint64 {
+	return uint64(out + out>>3 + 4<<10 + files<<10)
 }
 
 // sanitizeBudget is what one streamed Sanitize of files files that
-// returns out may allocate: what Encode may, plus per file a signature
-// and the PAX records that carry it.
+// returns out may allocate: what Encode may, plus 8 KiB for the
+// verified head and the package signature, and per file 4 KiB for its
+// signature and the PAX records that carry it.
 func sanitizeBudget(out, files int) uint64 {
-	return encodeBudget(out) + uint64(files*6<<10)
+	return encodeBudget(out, files) + uint64(8<<10+files*4<<10)
+}
+
+// budgetShapes are the packages the Encode and Sanitize rows build: a
+// filler, the median Alpine package (about 12 KB in 8 files, as
+// internal/workload models it), 64 KiB, and two whose data member
+// outgrows the codec's 256 KiB pooled scratch and is built in place:
+// 1 MiB in 64 KiB files, and 384 KiB in median-sized files, where each
+// file's signature adds about a third and the output's size must be
+// projected from what was read, not guessed per file.
+var budgetShapes = []struct {
+	name            string
+	files, fileSize int
+}{
+	{"filler", 1, 512},
+	{"median", 8, 1536},
+	{"64KiB", 4, 16 << 10},
+	{"1MiB", 16, 64 << 10},
+	{"384KiB-small-files", 256, 1536},
+}
+
+// checkSpare fails when a package keeps more memory than it uses: one
+// that fits the scratch is an exact-size copy, one built in place may
+// keep at most an eighth of its length.
+func checkSpare(t *testing.T, what string, out []byte) {
+	t.Helper()
+	limit := 0
+	if len(out) > 256<<10-apk.HeadRoom {
+		limit = len(out) >> 3
+	}
+	if spare := cap(out) - len(out); spare > limit {
+		t.Errorf("%s returns %d B with %d B spare capacity, limit %d", what, len(out), spare, limit)
+	}
 }
 
 // textPackage is a package of compressible text, for which the size
@@ -121,10 +154,10 @@ func bytesPerCall(runs int, f func()) uint64 {
 }
 
 // TestAllocBudget fails when the package byte path starts allocating
-// more than its payload again: apk.Encode and apk.Decode of a 64 KiB
-// package, apk.DecodeMeta of a 64 KiB and a 1 MiB one, a streamed
-// Sanitize of a 16-file 256 KiB package, the spare capacity of an
-// encoded and a sanitized text package, a 1 MiB disk store Put, a
+// more than its payload again: apk.Encode and a streamed Sanitize of
+// each of budgetShapes, apk.Decode of a 64 KiB package, apk.DecodeMeta
+// of a 64 KiB and a 1 MiB one, the spare capacity of each encoded and
+// sanitized package and of text packages, a 1 MiB disk store Put, a
 // 1 MiB memory store Put and Get, and a 1 MiB copy through
 // NewVerifiedReader. It also holds WriteNegotiated
 // and the origin's read routes to their budgets (readRouteBudgets).
@@ -132,21 +165,66 @@ func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse")
 	}
+	signer, tsrKey := keys.Shared.MustGet("alpine-distro-key"), keys.Shared.MustGet("budget-tsr")
+	sanitizer := func(t *testing.T, p *apk.Package) *sanitize.Sanitizer {
+		plan, err := sanitize.BuildPlan(&sanitize.SliceSource{Packages: []*apk.Package{p}}, nil, tsrKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &sanitize.Sanitizer{Plan: plan, TrustRing: keys.NewRing(signer.Public()), SignKey: tsrKey}
+	}
+	pkgs := make([]*apk.Package, len(budgetShapes))
+	raws := make([][]byte, len(budgetShapes))
+	for i, shape := range budgetShapes {
+		pkgs[i] = bigPackage("budget-"+shape.name, "1.0-r0", shape.files, shape.fileSize)
+		if err := apk.Sign(pkgs[i], signer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("apk.Encode", func(t *testing.T) {
+		for i, shape := range budgetShapes {
+			t.Run(shape.name, func(t *testing.T) {
+				p := pkgs[i]
+				got := bytesPerCall(10, func() {
+					var err error
+					if raws[i], err = apk.Encode(p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if budget := encodeBudget(len(raws[i]), shape.files); got > budget {
+					t.Fatalf("Encode of %d files, %d B, to %d B allocates %d B/call, budget %d", shape.files, p.UncompressedSize(), len(raws[i]), got, budget)
+				}
+				checkSpare(t, "Encode", raws[i])
+			})
+		}
+	})
+	t.Run("sanitize.Sanitize", func(t *testing.T) {
+		for i, shape := range budgetShapes {
+			t.Run(shape.name, func(t *testing.T) {
+				if raws[i] == nil {
+					t.Skip("apk.Encode failed")
+				}
+				san := sanitizer(t, pkgs[i])
+				var out []byte
+				got := bytesPerCall(5, func() {
+					res, err := san.Sanitize(raws[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = res.Raw
+				})
+				if budget := sanitizeBudget(len(out), shape.files); got > budget {
+					t.Fatalf("Sanitize of %d files, %d B, to %d B allocates %d B/call, budget %d", shape.files, pkgs[i].UncompressedSize(), len(out), got, budget)
+				}
+				checkSpare(t, "Sanitize", out)
+			})
+		}
+	})
 	p := bigPackage("budget", "1.0-r0", 4, 16<<10)
 	raw, err := apk.Encode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Run("apk.Encode", func(t *testing.T) {
-		got := bytesPerCall(20, func() {
-			if _, err := apk.Encode(p); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if budget := encodeBudget(len(raw)); got > budget {
-			t.Fatalf("Encode of %d bytes to %d allocates %d B/call, budget %d", p.UncompressedSize(), len(raw), got, budget)
-		}
-	})
 	t.Run("apk.Decode", func(t *testing.T) {
 		budget := uint64(decodeBudgetFactor * p.UncompressedSize())
 		got := bytesPerCall(20, func() {
@@ -174,63 +252,24 @@ func TestAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	t.Run("sanitize.Sanitize", func(t *testing.T) {
-		const files, fileSize = 16, 16 << 10
-		signer, tsrKey := keys.Shared.MustGet("alpine-distro-key"), keys.Shared.MustGet("budget-tsr")
-		p := bigPackage("budget-san", "1.0-r0", files, fileSize)
-		if err := apk.Sign(p, signer); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := apk.Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := sanitize.BuildPlan(&sanitize.SliceSource{Packages: []*apk.Package{p}}, nil, tsrKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		san := &sanitize.Sanitizer{Plan: plan, TrustRing: keys.NewRing(signer.Public()), SignKey: tsrKey}
-		var out int
-		got := bytesPerCall(20, func() {
-			res, err := san.Sanitize(raw)
+	// Text compresses far below what its size suggests: neither eight
+	// 32 KiB text files nor one 1 MiB file, which streams, may come
+	// back with room sized for incompressible content.
+	t.Run("text package spare capacity", func(t *testing.T) {
+		for _, p := range []*apk.Package{textPackage("budget-text", "1.0-r0", 8, 32<<10), textPackage("budget-text-big", "1.0-r0", 1, 1<<20)} {
+			if err := apk.Sign(p, signer); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := apk.Encode(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = len(res.Raw)
-		})
-		if budget := sanitizeBudget(out, files); got > budget {
-			t.Fatalf("Sanitize of %d files, %d B, allocates %d B/call, budget %d", files, p.UncompressedSize(), got, budget)
-		}
-	})
-	// A text package compresses far below the size reserved for it, so
-	// the returned package must be the exact-size copy, not the buffer
-	// with its unused tail.
-	t.Run("text package spare capacity", func(t *testing.T) {
-		signer, tsrKey := keys.Shared.MustGet("alpine-distro-key"), keys.Shared.MustGet("budget-tsr")
-		p := textPackage("budget-text", "1.0-r0", 8, 32<<10)
-		if err := apk.Sign(p, signer); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := apk.Encode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := sanitize.BuildPlan(&sanitize.SliceSource{Packages: []*apk.Package{p}}, nil, tsrKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		san := &sanitize.Sanitizer{Plan: plan, TrustRing: keys.NewRing(signer.Public()), SignKey: tsrKey}
-		res, err := san.Sanitize(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range []struct {
-			what string
-			out  []byte
-		}{{"Encode", raw}, {"Sanitize", res.Raw}} {
-			if spare, limit := cap(c.out)-len(c.out), len(c.out)>>3+apk.HeadRoom; spare > limit {
-				t.Errorf("%s of %d text bytes returns %d B with %d B spare capacity, limit %d", c.what, p.UncompressedSize(), len(c.out), spare, limit)
+			res, err := sanitizer(t, p).Sanitize(raw)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkSpare(t, "Encode of "+p.Name, raw)
+			checkSpare(t, "Sanitize of "+p.Name, res.Raw)
 		}
 	})
 	t.Run("store.FS.Put", func(t *testing.T) {
