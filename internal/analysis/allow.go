@@ -36,7 +36,8 @@ type allowSet map[allowKey]bool
 
 // collectAllows scans a unit's comments for allow directives. It
 // returns the suppression set and diagnostics for malformed
-// directives. known is the set of valid analyzer names.
+// directives. known is the set of valid analyzer names: the whole
+// suite, whichever subset runs.
 func collectAllows(u *Unit, known map[string]bool) (allowSet, []Diagnostic) {
 	allows := make(allowSet)
 	var bad []Diagnostic

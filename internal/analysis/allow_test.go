@@ -62,3 +62,31 @@ func TestAllowDirectives(t *testing.T) {
 		}
 	}
 }
+
+// TestAllowDirectivesUnderSubset: a run of a subset of the suite (the
+// -checks form of tsrlint) checks allow directives against the whole
+// suite. An allow naming an analyzer outside the subset is well formed,
+// so it is not reported; one naming no analyzer at all still is.
+func TestAllowDirectivesUnderSubset(t *testing.T) {
+	unit, err := analysis.LoadDir(".", "testdata/src/lintallow", "tsr/internal/chaos")
+	if err != nil {
+		t.Fatalf("loading lintallow testdata: %v", err)
+	}
+	subset, ok := analysis.ByName([]string{"blobview"})
+	if !ok {
+		t.Fatal("blobview is not in the suite")
+	}
+	diags, err := analysis.RunUnit(unit, subset)
+	if err != nil {
+		t.Fatalf("running blobview: %v", err)
+	}
+	var got []string
+	for _, d := range diags {
+		got = append(got, filepath.Base(d.Pos.Filename)+" "+d.Analyzer+": "+d.Message)
+	}
+	if len(diags) != 2 ||
+		!strings.HasPrefix(got[0], "malformed.go lintallow") || !strings.Contains(got[0], "the reason is mandatory") ||
+		!strings.HasPrefix(got[1], "unknown.go lintallow") || !strings.Contains(got[1], `unknown analyzer "detrnad"`) {
+		t.Fatalf("diagnostics under -checks blobview:\n%s\nwant only the malformed and the unknown-analyzer directive", strings.Join(got, "\n"))
+	}
+}

@@ -13,7 +13,8 @@
 // what the signature covers, so Decode keeps them available for
 // verification and Encode is deterministic. Decode, DecodeMeta and
 // Rewrite read the data segment through one streamed walker, so they
-// make the same format and hash checks.
+// make the same format and hash checks; DecodeHead reads only the two
+// members before it.
 //
 // Each gzip member is a sequence of independently deflated runs: the
 // gzip header; per run, the output of a freshly Reset flate writer
@@ -259,6 +260,21 @@ func Decode(raw []byte) (*Package, error) { return decode(raw, true) }
 // the package with Files nil. What it allocates does not grow with the
 // data segment.
 func DecodeMeta(raw []byte) (*Package, error) { return decode(raw, false) }
+
+// DecodeHead parses the signature and control members only: it returns
+// the package's metadata, scripts and signatures (Files nil) without
+// inflating the data member, so its cost does not grow with the data
+// segment. It does not check the data member at all — a package it
+// accepts may still fail Decode — so it suits callers whose bytes go
+// on to a step that makes those checks: the fetch stage reads hook
+// scripts with it, and Rewrite, which checks every byte of the data
+// member before any output exists, sanitizes the same bytes next.
+func DecodeHead(raw []byte) (*Package, error) {
+	c := getCodec()
+	defer putCodec(c)
+	_, p, _, err := c.readHead(raw)
+	return p, err
+}
 
 func decode(raw []byte, files bool) (*Package, error) {
 	c := getCodec()

@@ -112,6 +112,16 @@ func TestDecodeRejectsTamperedData(t *testing.T) {
 	if _, err := Decode(tampered); !errors.Is(err, ErrContentHash) {
 		t.Fatalf("err = %v, want ErrContentHash", err)
 	}
+	// DecodeHead reads the two head members only: it returns the
+	// scripts of a package whose data member fails its hash, and leaves
+	// that failure to the step that reads the data (Rewrite).
+	head, err := DecodeHead(tampered)
+	if err != nil {
+		t.Fatalf("DecodeHead of a package with a bad data member: %v", err)
+	}
+	if head.Name != p.Name || !reflect.DeepEqual(head.Scripts, p.Scripts) || head.Files != nil {
+		t.Fatalf("DecodeHead = %+v, want %s's metadata and scripts without files", head, p.Name)
+	}
 }
 
 // rawSegments splits an encoded package into its three uncompressed
@@ -365,7 +375,8 @@ func TestEncodeConcurrent(t *testing.T) {
 // whatever it accepts survives Encode → Decode unchanged up to the
 // order Encode imposes (dependencies and files sorted). DecodeMeta
 // fails exactly where Decode fails and otherwise returns the same
-// package without its files.
+// package without its files; DecodeHead then returns that package too,
+// and fails only where Decode fails.
 func FuzzDecode(f *testing.F) {
 	f.Add(mustEncode(f, samplePackage()))
 	dup := samplePackage()
@@ -382,11 +393,21 @@ func FuzzDecode(f *testing.F) {
 		if (err == nil) != (metaErr == nil) {
 			t.Fatalf("Decode err = %v, DecodeMeta err = %v", err, metaErr)
 		}
+		head, headErr := DecodeHead(raw)
+		if headErr != nil && err == nil {
+			t.Fatalf("DecodeHead err = %v on a package Decode accepts", headErr)
+		}
+		if headErr != nil && !errors.Is(headErr, ErrFormat) {
+			t.Fatalf("DecodeHead: unexpected error %v", headErr)
+		}
 		if err == nil {
 			whole := *p
 			whole.Files = nil
 			if !reflect.DeepEqual(meta, &whole) {
 				t.Fatalf("DecodeMeta = %+v, Decode without files = %+v", meta, &whole)
+			}
+			if !reflect.DeepEqual(head, &whole) {
+				t.Fatalf("DecodeHead = %+v, Decode without files = %+v", head, &whole)
 			}
 		}
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
+
+	"tsr/internal/rotation"
 )
 
 // RunMemoBytes is the compressed bytes each of a RunMemo's two maps
@@ -28,14 +30,12 @@ const runSeenCap = 4096
 // key. Most runs a refresh compresses never recur, and holding their
 // bytes would grow the heap for nothing.
 //
-// Both the runs and the sightings are bounded by a two-map rotation, as
-// keys.Memo is: entries go into the current map; when it is full it
-// becomes the old map and the previous old map is dropped; a hit in
-// the old map is promoted. A RunMemo is safe for concurrent use.
+// Both the runs and the sightings are bounded by a two-map rotation
+// (package rotation). A RunMemo is safe for concurrent use.
 type RunMemo struct {
 	mu   sync.Mutex
-	runs rotation[[]byte]
-	seen rotation[struct{}]
+	runs rotation.Map[[32]byte, []byte]
+	seen rotation.Map[[32]byte, struct{}]
 
 	hits, deflated, deflatedBytes atomic.Int64
 }
@@ -53,10 +53,10 @@ type RunStats struct {
 func NewRunMemo() *RunMemo { return newRunMemo(RunMemoBytes, runSeenCap) }
 
 func newRunMemo(limitBytes, seenCap int) *RunMemo {
-	m := &RunMemo{}
-	m.runs = rotation[[]byte]{limit: limitBytes, cost: func(z []byte) int { return len(z) }}
-	m.seen = rotation[struct{}]{limit: seenCap, cost: func(struct{}) int { return 1 }}
-	return m
+	return &RunMemo{
+		runs: rotation.New[[32]byte](limitBytes, func(z []byte) int { return len(z) }),
+		seen: rotation.New[[32]byte, struct{}](seenCap, nil),
+	}
 }
 
 // Stats returns the memo's counts so far.
@@ -72,11 +72,11 @@ func (m *RunMemo) deflate(dst *bytes.Buffer, run []byte) error {
 	}
 	key := sha256.Sum256(run)
 	m.mu.Lock()
-	z, hit := m.runs.get(key)
+	z, hit := m.runs.Get(key)
 	admit := false
 	if !hit {
-		if _, admit = m.seen.get(key); !admit {
-			m.seen.put(key, struct{}{})
+		if _, admit = m.seen.Get(key); !admit {
+			m.seen.Put(key, struct{}{})
 		}
 	}
 	m.mu.Unlock()
@@ -97,44 +97,8 @@ func (m *RunMemo) deflate(dst *bytes.Buffer, run []byte) error {
 	if admit {
 		z := bytes.Clone(dst.Bytes()[start:])
 		m.mu.Lock()
-		m.runs.put(key, z)
+		m.runs.Put(key, z)
 		m.mu.Unlock()
 	}
 	return nil
-}
-
-// rotation is a two-map store bounded by the summed cost of the
-// current map's values.
-type rotation[V any] struct {
-	cur, old map[[32]byte]V
-	used     int // cost of cur's values
-	limit    int
-	cost     func(V) int
-}
-
-// get returns key's value, promoting it out of the old map.
-func (r *rotation[V]) get(key [32]byte) (V, bool) {
-	v, ok := r.cur[key]
-	if !ok {
-		if v, ok = r.old[key]; ok {
-			delete(r.old, key)
-			r.put(key, v)
-		}
-	}
-	return v, ok
-}
-
-// put stores v under key, rotating the maps when the current one is
-// full.
-func (r *rotation[V]) put(key [32]byte, v V) {
-	if prev, ok := r.cur[key]; ok {
-		r.used -= r.cost(prev)
-	} else if r.used+r.cost(v) > r.limit && len(r.cur) > 0 {
-		r.old, r.cur, r.used = r.cur, nil, 0
-	}
-	if r.cur == nil {
-		r.cur = make(map[[32]byte]V)
-	}
-	r.cur[key] = v
-	r.used += r.cost(v)
 }

@@ -93,11 +93,11 @@ func TestRunMemoHitsDecode(t *testing.T) {
 	}
 
 	var reused []byte
-	for _, z := range m.runs.cur {
+	m.runs.Range(func(_ [32]byte, z []byte) {
 		if len(z) > len(reused) {
 			reused = z
 		}
-	}
+	})
 	at := bytes.Index(out, reused)
 	if at < 0 {
 		t.Fatal("the output does not hold a remembered run")
@@ -174,16 +174,11 @@ func TestRunMemoBounded(t *testing.T) {
 		}
 	}
 	held := 0
-	for _, z := range m.runs.cur {
-		held += len(z)
-	}
-	for _, z := range m.runs.old {
-		held += len(z)
-	}
+	m.runs.Range(func(_ [32]byte, z []byte) { held += len(z) })
 	if held > 2*limit {
 		t.Fatalf("memo holds %d bytes of runs, bound %d", held, 2*limit)
 	}
-	if n := len(m.seen.cur) + len(m.seen.old); n > 2*seenCap {
+	if n := m.seen.Len(); n > 2*seenCap {
 		t.Fatalf("memo holds %d sightings, bound %d", n, 2*seenCap)
 	}
 }

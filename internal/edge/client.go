@@ -95,11 +95,20 @@ type FailoverClient struct {
 	PkgCache store.Store
 
 	mu       sync.Mutex
-	floor    index.Floor            // freshness floor of cachedIx
-	cachedIx *index.Index           // the accepted index (package hash lookups)
-	failures []int                  // consecutive failures per endpoint
-	lastPkg  map[string]index.Entry // package name -> last verified fetch (the diff base)
+	floor    index.Floor          // freshness floor of cachedIx
+	cachedIx *index.Index         // the accepted index (package hash lookups)
+	failures []int                // consecutive failures per endpoint
+	lastPkg  map[string]lastFetch // package name -> last verified fetch (the diff base)
 	stats    FailoverStats
+}
+
+// lastFetch is the version of a package a FailoverClient last verified:
+// its entry and, when a differential fetch produced it, the manifest
+// that fetch checked, so the next one diffs against it without cutting
+// and hashing the base again.
+type lastFetch struct {
+	entry    index.Entry
+	manifest *store.ChunkManifest // nil after a full fetch
 }
 
 // FailoverStats counts what the client observed.
@@ -424,23 +433,14 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 	var errs []error
 	for attempt, i := range c.rank() {
 		ep := c.Endpoints[i]
-		raw, wireBytes, err := c.fetchFromEndpoint(ctx, ep, name, entry)
+		raw, m, err := c.fetchFromEndpoint(ctx, ep, name, entry)
 		if err != nil {
 			c.noteFailure(i)
 			errs = append(errs, fmt.Errorf("%s: %w", ep.Name, err))
 			continue
 		}
-		c.charge(ep, wireBytes)
-		if !entry.Matches(raw) {
-			c.mu.Lock()
-			c.stats.RejectedBytes++
-			c.mu.Unlock()
-			c.noteFailure(i)
-			errs = append(errs, fmt.Errorf("%s: served bytes do not match the signed index entry", ep.Name))
-			continue
-		}
 		c.noteServed(i, attempt)
-		c.rememberPackage(name, entry, raw)
+		c.rememberPackage(name, entry, raw, m)
 		return raw, nil
 	}
 	return nil, fmt.Errorf("%w: package %s: %w", ErrAllEndpointsFailed, name, errors.Join(errs...))
@@ -462,51 +462,72 @@ func (c *FailoverClient) cachedPackage(entry index.Entry) []byte {
 }
 
 // rememberPackage stores verified package bytes in PkgCache, which
-// takes ownership of raw, and records entry as name's diff base.
-func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []byte) {
+// takes ownership of raw, and records entry, with m, raw's checked
+// manifest or nil, as name's diff base.
+func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []byte, m *store.ChunkManifest) {
 	if c.PkgCache == nil {
 		return
 	}
 	_ = c.PkgCache.Put(cacheKey(entry.Hash), raw)
 	c.mu.Lock()
 	if c.lastPkg == nil {
-		c.lastPkg = make(map[string]index.Entry)
+		c.lastPkg = make(map[string]lastFetch)
 	}
-	c.lastPkg[name] = index.Entry{Size: entry.Size, Hash: entry.Hash}
+	c.lastPkg[name] = lastFetch{entry: index.Entry{Size: entry.Size, Hash: entry.Hash}, manifest: m}
 	c.mu.Unlock()
 }
 
 // previousPackage returns the verified bytes of the version of name
 // last remembered, when they are still cached and differ from the
-// wanted entry — the base of a differential fetch. Like cachedPackage,
-// the bytes are read-only.
-func (c *FailoverClient) previousPackage(name string, entry index.Entry) []byte {
+// wanted entry — the base of a differential fetch — and their manifest
+// when the client holds one. Like cachedPackage, the bytes are
+// read-only.
+func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
 	c.mu.Lock()
 	prev, ok := c.lastPkg[name]
 	c.mu.Unlock()
-	if !ok || prev.Hash == entry.Hash {
-		return nil
+	if !ok || prev.entry.Hash == entry.Hash {
+		return nil, nil
 	}
-	return c.cachedPackage(prev)
+	return c.cachedPackage(prev.entry), prev.manifest
 }
 
+// errWrongBytes: an endpoint served bytes that do not hash to the entry.
+var errWrongBytes = errors.New("served bytes do not match the signed index entry")
+
 // fetchFromEndpoint pulls one package from one endpoint, differentially
-// when possible, and reports the modeled wire bytes the transfer cost.
-func (c *FailoverClient) fetchFromEndpoint(ctx context.Context, ep Endpoint, name string, entry index.Entry) ([]byte, int64, error) {
-	if old := c.previousPackage(name, entry); old != nil {
-		out, st, err := diffFetch(ctx, ep.Fetcher, name, entry, old)
-		if err == nil {
+// when a previous version is cached, charges the modeled transfer, and
+// checks whichever bytes came back against the entry, once: reassembled
+// bytes that do not match degrade to a full fetch from the same
+// endpoint, and full-fetch bytes that do not match are refused. A
+// differential fetch that matched also returns its manifest, the base
+// of the next one; a full fetch returns none.
+func (c *FailoverClient) fetchFromEndpoint(ctx context.Context, ep Endpoint, name string, entry index.Entry) ([]byte, *store.ChunkManifest, error) {
+	if old, oldM := c.previousPackage(name, entry); old != nil {
+		out, m, st, err := diffFetch(ctx, ep.Fetcher, name, entry, old, oldM)
+		if err == nil && entry.Matches(out) {
+			c.charge(ep, st.BytesFetched)
 			c.mu.Lock()
 			c.stats.DiffFetches++
 			c.mu.Unlock()
-			return out, st.BytesFetched, nil
+			return out, m, nil
 		}
 		c.mu.Lock()
 		c.stats.DiffFallbacks++
 		c.mu.Unlock()
 	}
 	raw, err := ep.Fetcher.FetchPackageCtx(ctx, name)
-	return raw, entry.Size, err
+	if err != nil {
+		return nil, nil, err
+	}
+	c.charge(ep, entry.Size)
+	if !entry.Matches(raw) {
+		c.mu.Lock()
+		c.stats.RejectedBytes++
+		c.mu.Unlock()
+		return nil, nil, errWrongBytes
+	}
+	return raw, nil, nil
 }
 
 // entryFor looks the package up in the verified index, fetching the

@@ -40,40 +40,38 @@ func fetchRange(ctx context.Context, src Fetcher, name string, off, length int64
 	return nil, fmt.Errorf("edge: %s: upstream %T serves no byte ranges", name, src)
 }
 
-// diffFetch reassembles name@entry from the old cached bytes plus the
-// upstream's chunk manifest and range fetches, verifying the result
-// against the signed entry. Any error means the attempt failed and the
+// diffFetch reassembles name@entry from the old cached bytes (with
+// oldM, their manifest, when the tier holds one) plus the upstream's
+// chunk manifest and range fetches. It returns the bytes with that
+// manifest, UNVERIFIED: the caller checks them against the signed entry
+// once, and only then may keep the manifest (see
+// tsr.ReassembleChunks). Any error means the attempt failed and the
 // caller should fall back to a full fetch.
-func diffFetch(ctx context.Context, src Fetcher, name string, entry index.Entry, old []byte) ([]byte, tsr.ReassembleStats, error) {
-	var st tsr.ReassembleStats
+func diffFetch(ctx context.Context, src Fetcher, name string, entry index.Entry, old []byte, oldM *store.ChunkManifest) ([]byte, *store.ChunkManifest, tsr.ReassembleStats, error) {
 	m, err := src.FetchChunkManifestCtx(ctx, name)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, tsr.ReassembleStats{}, err
 	}
-	// Root the manifest in the signed entry before trusting its shape.
+	// Root the manifest in the signed entry before trusting its shape;
+	// the size check also bounds what reassembly allocates.
 	if m.PackageHash != entry.Hash || m.TotalSize != entry.Size {
-		return nil, st, fmt.Errorf("edge: %s: chunk manifest does not match the signed index entry", name)
+		return nil, nil, tsr.ReassembleStats{}, fmt.Errorf("edge: %s: chunk manifest does not match the signed index entry", name)
 	}
-	out, st, err := tsr.ReassembleChunks(m, old, func(off, length int64) ([]byte, error) {
+	out, st, err := tsr.ReassembleChunks(m, old, oldM, func(off, length int64) ([]byte, error) {
 		return fetchRange(ctx, src, name, off, length, entry.ETag())
 	})
-	if err != nil {
-		return nil, st, err
-	}
-	if !entry.Matches(out) {
-		return nil, st, fmt.Errorf("edge: %s: differentially reassembled bytes do not match the signed index entry", name)
-	}
-	return out, st, nil
+	return out, m, st, err
 }
 
 // previousCached returns verified bytes of an older generation of name
-// still held in the cache — the diff base for a differential pull.
-// The retained generation history (the same window the delta endpoint
-// serves from) maps the name to its previous content hashes.
-func (rep *Replica) previousCached(name string, entry index.Entry) []byte {
+// still held in the cache — the diff base for a differential pull —
+// and their content hash. The retained generation history (the same
+// window the delta endpoint serves from) maps the name to its previous
+// content hashes.
+func (rep *Replica) previousCached(name string, entry index.Entry) ([]byte, [32]byte) {
 	st := rep.served.Load()
 	if st == nil {
-		return nil
+		return nil, [32]byte{}
 	}
 	cache := rep.store()
 	for i := len(st.History) - 1; i >= 0; i-- {
@@ -85,19 +83,22 @@ func (rep *Replica) previousCached(name string, entry index.Entry) []byte {
 		if err != nil || !old.Matches(raw) {
 			continue
 		}
-		return raw
+		return raw, old.Hash
 	}
-	return nil
+	return nil, [32]byte{}
 }
 
 // pullPackage fetches one package from the origin for the pull-through
 // cache: differentially against a cached previous generation, falling
-// back to a full verified fetch on any differential failure. Returned
-// bytes always match the entry.
+// back to a full fetch on any differential failure. Whichever bytes
+// come back are checked against the entry once, and returned only when
+// they match. A differential pull that matched seeds its manifest, so
+// the /chunks request that usually follows it cuts nothing.
 func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	if old := rep.previousCached(name, entry); old != nil {
-		out, st, err := diffFetch(ctx, rep.Origin, name, entry, old)
-		if err == nil {
+	if old, base := rep.previousCached(name, entry); old != nil {
+		out, m, st, err := diffFetch(ctx, rep.Origin, name, entry, old, rep.manifests.Lookup(name, base))
+		if err == nil && entry.Matches(out) {
+			rep.manifests.Seed(name, m)
 			rep.stats.diffPulls.Add(1)
 			rep.stats.diffBytesReused.Add(st.BytesReused)
 			rep.stats.diffBytesFetched.Add(st.BytesFetched)

@@ -291,3 +291,38 @@ func TestMeasureFileTwiceExtendsTwice(t *testing.T) {
 		t.Fatal("replay mismatch after re-measurement")
 	}
 }
+
+// TestMeasureChangedSkipsUnchangedContent: a file whose content still
+// hashes to the hash it was last measured with is neither logged nor
+// extended; once it changes, it is measured like MeasureFile measures
+// it. Both answers carry the current content hash.
+func TestMeasureChangedSkipsUnchangedContent(t *testing.T) {
+	fx := newFixture(t)
+	if err := fx.fs.WriteFile("/usr/bin/x", []byte("v1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	first, changed, err := fx.ima.MeasureChanged("/usr/bin/x", [32]byte{})
+	if err != nil || !changed || first.FileHash != sha256.Sum256([]byte("v1")) {
+		t.Fatalf("first measurement = %+v, changed %v, err %v", first, changed, err)
+	}
+	pcr, _ := fx.tpm.PCR(tpm.PCRIMA)
+	again, changed, err := fx.ima.MeasureChanged("/usr/bin/x", first.FileHash)
+	if err != nil || changed || again.FileHash != first.FileHash {
+		t.Fatalf("unchanged re-measurement = %+v, changed %v, err %v", again, changed, err)
+	}
+	if now, _ := fx.tpm.PCR(tpm.PCRIMA); now != pcr || len(fx.ima.Log()) != 1 {
+		t.Fatal("an unchanged file was logged or extended")
+	}
+	if err := fx.fs.WriteFile("/usr/bin/x", []byte("v2"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if e, changed, err := fx.ima.MeasureChanged("/usr/bin/x", first.FileHash); err != nil || !changed || e.FileHash != sha256.Sum256([]byte("v2")) {
+		t.Fatalf("changed re-measurement = %+v, changed %v, err %v", e, changed, err)
+	}
+	if _, _, err := fx.ima.MeasureChanged("/missing", [32]byte{}); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want vfs.ErrNotExist", err)
+	}
+	if got := len(fx.ima.Log()); got != 2 {
+		t.Fatalf("log holds %d entries, want 2", got)
+	}
+}

@@ -3,6 +3,8 @@ package keys
 import (
 	"crypto/sha256"
 	"sync"
+
+	"tsr/internal/rotation"
 )
 
 // MemoCap is the number of signatures each of a Memo's two maps holds
@@ -17,24 +19,21 @@ const MemoCap = 4096
 // whose version changed but most of whose files did not signs only the
 // files that changed.
 //
-// The bound is a two-map rotation: signatures go into the current map;
-// when it reaches the cap it becomes the old map and the previous old
-// map is dropped. A hit in the old map is promoted into the current
-// one, so what is in use survives a rotation. A Memo is safe for
-// concurrent use.
+// The bound is a two-map rotation (package rotation) of MemoCap
+// signatures per map, so what is in use survives a rotation. A Memo is
+// safe for concurrent use.
 type Memo struct {
 	pair *Pair
-	cap  int
 
-	mu       sync.Mutex
-	cur, old map[[32]byte][SignatureSize]byte
+	mu   sync.Mutex
+	sigs rotation.Map[[32]byte, [SignatureSize]byte]
 }
 
 // NewMemo returns an empty memo for pair's signatures.
 func NewMemo(pair *Pair) *Memo { return newMemo(pair, MemoCap) }
 
 func newMemo(pair *Pair, limit int) *Memo {
-	return &Memo{pair: pair, cap: limit, cur: make(map[[32]byte][SignatureSize]byte)}
+	return &Memo{pair: pair, sigs: rotation.New[[32]byte, [SignatureSize]byte](limit, nil)}
 }
 
 // Sign returns the pair's signature of SHA-256(data), from the memo
@@ -45,13 +44,7 @@ func (m *Memo) Sign(data []byte) ([]byte, error) {
 
 func (m *Memo) signDigest(digest [32]byte) ([]byte, error) {
 	m.mu.Lock()
-	sig, ok := m.cur[digest]
-	if !ok {
-		if sig, ok = m.old[digest]; ok {
-			delete(m.old, digest)
-			m.putLocked(digest, sig)
-		}
-	}
+	sig, ok := m.sigs.Get(digest)
 	m.mu.Unlock()
 	if ok {
 		out := make([]byte, SignatureSize)
@@ -67,24 +60,15 @@ func (m *Memo) signDigest(digest [32]byte) ([]byte, error) {
 	}
 	if len(fresh) == SignatureSize { // a key that is not RSA-2048 signs every time
 		m.mu.Lock()
-		m.putLocked(digest, [SignatureSize]byte(fresh))
+		m.sigs.Put(digest, [SignatureSize]byte(fresh))
 		m.mu.Unlock()
 	}
 	return fresh, nil
-}
-
-// putLocked stores sig under digest, rotating the maps when the
-// current one is full.
-func (m *Memo) putLocked(digest [32]byte, sig [SignatureSize]byte) {
-	if _, ok := m.cur[digest]; !ok && len(m.cur) >= m.cap {
-		m.old, m.cur = m.cur, make(map[[32]byte][SignatureSize]byte)
-	}
-	m.cur[digest] = sig
 }
 
 // size returns the number of signatures the memo holds.
 func (m *Memo) size() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.cur) + len(m.old)
+	return m.sigs.Len()
 }

@@ -24,6 +24,7 @@ import (
 	"tsr/internal/netsim"
 	"tsr/internal/osimage"
 	"tsr/internal/script"
+	"tsr/internal/vfs"
 )
 
 // DBPath is the installed-package database file.
@@ -203,7 +204,7 @@ func (m *Manager) Upgrade(name string) (Report, error) {
 	if !ok {
 		return Report{}, fmt.Errorf("%w: %q", ErrNotInstalled, name)
 	}
-	p, raw, rep, err := m.fetchVerified(name)
+	p, hash, rep, err := m.fetchVerified(name)
 	if err != nil {
 		return rep, err
 	}
@@ -244,7 +245,7 @@ func (m *Manager) Upgrade(name string) (Report, error) {
 	}
 	rep.Measure += time.Since(start)
 
-	m.recordInstalled(p, raw)
+	m.recordInstalled(p, hash)
 	if err := m.writeDB(); err != nil {
 		return rep, err
 	}
@@ -293,7 +294,7 @@ func (m *Manager) installRec(name string, visiting map[string]bool, upgrade bool
 		}
 	}
 
-	p, raw, fetchRep, err := m.fetchVerified(name)
+	p, hash, fetchRep, err := m.fetchVerified(name)
 	rep.add(fetchRep)
 	if err != nil {
 		return rep, err
@@ -323,7 +324,7 @@ func (m *Manager) installRec(name string, visiting map[string]bool, upgrade bool
 	}
 	rep.Measure += time.Since(start)
 
-	m.recordInstalled(p, raw)
+	m.recordInstalled(p, hash)
 	if err := m.writeDB(); err != nil {
 		return rep, err
 	}
@@ -331,33 +332,34 @@ func (m *Manager) installRec(name string, visiting map[string]bool, upgrade bool
 }
 
 // fetchVerified downloads a package and performs the index size/hash
-// checks plus the signature verification.
-func (m *Manager) fetchVerified(name string) (*apk.Package, []byte, Report, error) {
+// checks plus the signature verification. It returns the decoded
+// package and the content hash its bytes were checked against.
+func (m *Manager) fetchVerified(name string) (*apk.Package, [32]byte, Report, error) {
 	var rep Report
 	entry, err := m.idx.Lookup(name)
 	if err != nil {
-		return nil, nil, rep, err
+		return nil, [32]byte{}, rep, err
 	}
 	raw, err := m.src.FetchPackage(name)
 	if err != nil {
-		return nil, nil, rep, fmt.Errorf("pkgmgr: downloading %s: %w", name, err)
+		return nil, [32]byte{}, rep, fmt.Errorf("pkgmgr: downloading %s: %w", name, err)
 	}
 	rep.Bytes = int64(len(raw))
 	rep.Download = m.net.charge(int64(len(raw)))
 
 	start := time.Now()
 	if int64(len(raw)) != entry.Size {
-		return nil, nil, rep, fmt.Errorf("%w: %s: index %d, wire %d", ErrSizeMismatch, name, entry.Size, len(raw))
+		return nil, [32]byte{}, rep, fmt.Errorf("%w: %s: index %d, wire %d", ErrSizeMismatch, name, entry.Size, len(raw))
 	}
 	if !entry.Matches(raw) {
-		return nil, nil, rep, fmt.Errorf("%w: %s", ErrHashMismatch, name)
+		return nil, [32]byte{}, rep, fmt.Errorf("%w: %s", ErrHashMismatch, name)
 	}
 	p, _, err := apk.VerifyRaw(raw, m.pkgRing)
 	rep.Verify = time.Since(start)
 	if err != nil {
-		return nil, nil, rep, err
+		return nil, [32]byte{}, rep, err
 	}
-	return p, raw, rep, nil
+	return p, entry.Hash, rep, nil
 }
 
 // runScript executes the named hook against the OS image.
@@ -393,7 +395,8 @@ func (m *Manager) extract(p *apk.Package) error {
 
 // measureAfterChange measures every package file plus any predicted
 // configuration file whose content changed since its last measurement —
-// modeling IMA's measure-on-next-load of modified files.
+// modeling IMA's measure-on-next-load of modified files. Each file is
+// hashed once, by IMA.MeasureChanged.
 func (m *Manager) measureAfterChange(p *apk.Package) error {
 	paths := make([]string, 0, len(p.Files)+4)
 	for _, f := range p.Files {
@@ -401,25 +404,21 @@ func (m *Manager) measureAfterChange(p *apk.Package) error {
 	}
 	paths = append(paths, osimage.ConfigDigestPaths()...)
 	for _, path := range paths {
-		sum, err := m.img.FS.Digest(path)
+		e, _, err := m.img.IMA.MeasureChanged(path, m.measured[path])
 		if err != nil {
-			if strings.HasPrefix(path, "/etc/") {
+			if strings.HasPrefix(path, "/etc/") && (errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrIsDir)) {
 				continue // config file not present on this image
 			}
 			return err
 		}
-		if m.measured[path] == sum {
-			continue
-		}
-		if _, err := m.img.IMA.MeasureFile(path); err != nil {
-			return err
-		}
-		m.measured[path] = sum
+		m.measured[path] = e.FileHash
 	}
 	return nil
 }
 
-func (m *Manager) recordInstalled(p *apk.Package, raw []byte) {
+// recordInstalled records p as installed from the package bytes whose
+// hash, checked against the signed index, is hash.
+func (m *Manager) recordInstalled(p *apk.Package, hash [32]byte) {
 	files := make([]string, 0, len(p.Files))
 	for _, f := range p.Files {
 		files = append(files, f.Path)
@@ -428,7 +427,7 @@ func (m *Manager) recordInstalled(p *apk.Package, raw []byte) {
 	m.installed[p.Name] = Installed{
 		Name:    p.Name,
 		Version: p.Version,
-		Hash:    sha256.Sum256(raw),
+		Hash:    hash,
 		Files:   files,
 	}
 }

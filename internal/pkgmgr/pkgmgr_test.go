@@ -2,11 +2,13 @@ package pkgmgr
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"tsr/internal/apk"
+	"tsr/internal/attest"
 	"tsr/internal/ima"
 	"tsr/internal/index"
 	"tsr/internal/keys"
@@ -341,6 +343,58 @@ func TestUpgradeReplacesFilesAndRunsHooks(t *testing.T) {
 	}
 	if v, _ := fx.mgr.InstalledVersion("app"); v != "2.0-r0" {
 		t.Fatalf("version = %s", v)
+	}
+}
+
+// TestOneFileUpgradeMeasuresOneFile: upgrading an N-file package in
+// which one file changed adds exactly one IMA log entry, for that file,
+// and the image still attests clean against the package key.
+func TestOneFileUpgradeMeasuresOneFile(t *testing.T) {
+	fx := newFixture(t)
+	if err := fx.img.IMA.MeasureTree("/etc"); err != nil {
+		t.Fatal(err)
+	}
+	monitor := attest.NewVerifier(fx.img.TPM.AttestationKey(), keys.NewRing(fx.signer.Public()))
+	monitor.WhitelistImage(fx.img)
+
+	const n = 8
+	version := func(v string, changed int) *apk.Package {
+		p := &apk.Package{Name: "multi", Version: v}
+		for i := 0; i < n; i++ {
+			content := fmt.Sprintf("file %d of multi", i)
+			if i == changed {
+				content += " at " + v
+			}
+			p.Files = append(p.Files, signedFile(t, fx.signer, fmt.Sprintf("/usr/lib/multi/%d.so", i), []byte(content), 0o644))
+		}
+		return p
+	}
+	fx.publish(t, version("1.0-r0", -1))
+	if err := fx.mgr.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.mgr.Install("multi"); err != nil {
+		t.Fatal(err)
+	}
+	before := len(fx.img.IMA.Log())
+
+	fx.publish(t, version("1.0-r1", 3))
+	if err := fx.mgr.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.mgr.Upgrade("multi"); err != nil {
+		t.Fatal(err)
+	}
+	added := fx.img.IMA.Log()[before:]
+	if len(added) != 1 || added[0].Path != "/usr/lib/multi/3.so" {
+		t.Fatalf("a one-file upgrade of %d files logged %+v, want one entry for /usr/lib/multi/3.so", n, added)
+	}
+	verdict, err := monitor.Attest(fx.img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !verdict.OK {
+		t.Fatalf("image not IMA-clean after the upgrade: %+v", verdict.Violations())
 	}
 }
 

@@ -283,7 +283,7 @@ func (c *cycle) quorum() error {
 }
 
 // fetch obtains the originals of the work list in worker batches and
-// decodes their scripts for the plan scan. Each batch of concurrent
+// reads their scripts for the plan scan. Each batch of concurrent
 // transfers costs one round trip plus its aggregate payload at the path
 // bandwidth. Failures are per-package, not fatal.
 func (c *cycle) fetch() {
@@ -308,7 +308,11 @@ func (c *cycle) fetch() {
 		if out.err != nil {
 			return
 		}
-		if p, err := apk.DecodeMeta(out.raw); err == nil {
+		// The scripts come from the head members alone. The data member
+		// is inflated and checked once, by the sanitize stage's Rewrite,
+		// which fails a package whose data does not hash before any
+		// output of it exists.
+		if p, err := apk.DecodeHead(out.raw); err == nil {
 			out.scripts, out.decoded = p.Scripts, true
 		}
 	}, func(lo, hi int) {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"tsr/internal/index"
+	"tsr/internal/rotation"
 	"tsr/internal/store"
 	"tsr/internal/trace"
 )
@@ -358,19 +359,24 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 	})
 }
 
-// maxManifestMemo bounds a ManifestMemo. Manifests are keyed by content
-// hash, so the memo survives republishes of unchanged packages; when it
-// fills, it is cleared wholesale (the next requests rebuild — manifests
-// are cheap relative to a package fetch).
+// maxManifestMemo is the number of manifests each of a ManifestMemo's
+// two maps holds before they rotate (package rotation), so a memo holds
+// at most 256. Manifests are keyed by content hash, so the memo
+// survives republishes of unchanged packages; one rotated out is
+// rebuilt by the next request that needs it (manifests are cheap
+// relative to a package fetch).
 const maxManifestMemo = 128
 
 // ManifestMemo memoizes chunk manifests — content-defined chunk
 // boundaries plus per-chunk SHA-256, rooted in the signed entry via
 // PackageHash — and their wire forms, per package name and content
-// hash. The zero value is ready to use.
+// hash. A manifest gets in by being cut from bytes that hash to the
+// entry (Get), or by being seeded by a differential pull that checked
+// every chunk of it against bytes that did (Seed). The zero value is
+// ready to use.
 type ManifestMemo struct {
 	manifestMu sync.Mutex
-	manifests  map[manifestKey]*ManifestWire
+	manifests  rotation.Map[manifestKey, *ManifestWire]
 }
 
 type manifestKey struct {
@@ -397,36 +403,71 @@ func (mw *ManifestWire) encoded() (body, gz []byte) {
 	return mw.body, mw.gz
 }
 
+// lookup returns the memoized manifest under key.
+func (mm *ManifestMemo) lookup(key manifestKey) (*ManifestWire, bool) {
+	mm.manifestMu.Lock()
+	defer mm.manifestMu.Unlock()
+	return mm.manifests.Get(key)
+}
+
+// put memoizes mw under its name and package hash, unless the memo
+// already holds a manifest there (with its wire form, perhaps built).
+func (mm *ManifestMemo) put(mw *ManifestWire) {
+	key := manifestKey{mw.PackageHash, mw.name}
+	mm.manifestMu.Lock()
+	defer mm.manifestMu.Unlock()
+	if mm.manifests.Len() == 0 { // the zero memo takes its bound here
+		mm.manifests = rotation.New[manifestKey, *ManifestWire](maxManifestMemo, nil)
+	}
+	if _, ok := mm.manifests.Get(key); !ok {
+		mm.manifests.Put(key, mw)
+	}
+}
+
 // Get returns the manifest of entry's content, cutting it from the
-// bytes fetch returns on a miss. Bytes that do not hash to the entry
-// (the tier republished during the build, or a replica simulating
+// bytes fetch returns on a miss — unless fetching seeded it (an edge's
+// pull-through that diffed). Bytes that do not hash to the entry (the
+// tier republished during the build, or a replica simulating
 // corruption) are refused: a manifest over other bytes would only
 // mislead downstreams into useless range fetches, and their full-fetch
 // fallback meets the same bytes and rejects them end-to-end.
 func (mm *ManifestMemo) Get(name string, entry index.Entry, fetch func() ([]byte, error)) (*ManifestWire, error) {
 	key := manifestKey{entry.Hash, name}
-	mm.manifestMu.Lock()
-	mw, ok := mm.manifests[key]
-	mm.manifestMu.Unlock()
-	if ok {
+	if mw, ok := mm.lookup(key); ok {
 		return mw, nil
 	}
 	raw, err := fetch()
 	if err != nil {
 		return nil, err
 	}
+	if mw, ok := mm.lookup(key); ok {
+		return mw, nil
+	}
 	m := store.BuildManifest(raw)
 	if m.PackageHash != entry.Hash {
 		return nil, fmt.Errorf("tsr: %s: bytes served for the chunk manifest do not match the index entry", name)
 	}
-	mw = &ManifestWire{ChunkManifest: m, name: name}
-	mm.manifestMu.Lock()
-	if mm.manifests == nil || len(mm.manifests) >= maxManifestMemo {
-		mm.manifests = make(map[manifestKey]*ManifestWire)
-	}
-	mm.manifests[key] = mw
-	mm.manifestMu.Unlock()
+	mw := &ManifestWire{ChunkManifest: m, name: name}
+	mm.put(mw)
 	return mw, nil
+}
+
+// Lookup returns the memoized manifest of name at content hash, or nil:
+// the base manifest of a differential pull, which then need not re-cut
+// and re-hash the base bytes.
+func (mm *ManifestMemo) Lookup(name string, hash [32]byte) *store.ChunkManifest {
+	if mw, ok := mm.lookup(manifestKey{hash, name}); ok {
+		return mw.ChunkManifest
+	}
+	return nil
+}
+
+// Seed memoizes m as name's manifest at m.PackageHash. Only a manifest
+// every chunk of which was checked against bytes that hash to the
+// signed entry may be seeded: one a differential pull returned after
+// its output verified (see ReassembleChunks).
+func (mm *ManifestMemo) Seed(name string, m *store.ChunkManifest) {
+	mm.put(&ManifestWire{ChunkManifest: m, name: name})
 }
 
 // SliceRange returns a copy of length bytes of a package starting at

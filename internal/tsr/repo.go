@@ -507,8 +507,10 @@ func (s *scriptCacheSource) NextScripts() (string, map[string]string, bool) {
 	return "", nil, false
 }
 
-// fromStore decodes a package's scripts from the cached original,
-// verifying the bytes against the trusted index entry first.
+// fromStore reads a package's scripts from the cached original's head
+// members (apk.DecodeHead), verifying the bytes against the trusted
+// index entry first. Its data member is checked where it is read: by
+// the sanitize stage's Rewrite.
 func (s *scriptCacheSource) fromStore(entry index.Entry) (map[string]string, bool) {
 	cached, err := s.repo.svc.cfg.Store.Get(s.repo.origKey(entry.Name, entry.Hash))
 	if err != nil {
@@ -517,7 +519,7 @@ func (s *scriptCacheSource) fromStore(entry index.Entry) (map[string]string, boo
 	if !entry.Matches(cached) {
 		return nil, false // stale or tampered original cache; do not trust
 	}
-	p, err := apk.DecodeMeta(cached)
+	p, err := apk.DecodeHead(cached)
 	if err != nil {
 		return nil, false
 	}

@@ -467,21 +467,29 @@ type ReassembleStats struct {
 // ReassembleChunks rebuilds the package described by manifest m from
 // reusable chunks of old (matched by per-chunk hash) plus byte ranges
 // obtained via fetchRange; runs of consecutive missing chunks are
-// coalesced into single range fetches. The manifest and the old bytes
-// are UNTRUSTED inputs: the caller MUST verify the returned bytes
-// against the signed index entry before serving or caching them.
-func ReassembleChunks(m *store.ChunkManifest, old []byte, fetchRange func(off, length int64) ([]byte, error)) ([]byte, ReassembleStats, error) {
-	oldChunks := make(map[[sha256.Size]byte][]byte)
-	for _, s := range store.CutChunks(old) {
-		b := old[s.Offset : s.Offset+s.Size]
-		oldChunks[sha256.Sum256(b)] = b
+// coalesced into single range fetches, and every fetched chunk must
+// hash to its manifest entry. oldM is old's manifest when the caller
+// holds one, so old need not be cut and hashed again; nil, or one that
+// does not tile exactly len(old) bytes, re-cuts old.
+//
+// m, old and oldM are UNTRUSTED inputs: the caller MUST verify the
+// returned bytes against the signed index entry before serving or
+// caching them. Once it has, every chunk of m is known to describe
+// them — a fetched chunk was hashed, and a reused one copied from old
+// under the same hash — so m may then be kept as their manifest (see
+// ManifestMemo.Seed). A wrong oldM can make the output fail that check,
+// never pass it with wrong bytes.
+func ReassembleChunks(m *store.ChunkManifest, old []byte, oldM *store.ChunkManifest, fetchRange func(off, length int64) ([]byte, error)) ([]byte, ReassembleStats, error) {
+	var st ReassembleStats
+	if err := m.Valid(); err != nil {
+		return nil, st, err
 	}
+	oldChunks := baseChunks(old, oldM)
 	reusable := func(ch store.ManifestChunk) ([]byte, bool) {
 		b, ok := oldChunks[ch.Hash]
 		return b, ok && int64(len(b)) == ch.Size
 	}
 	out := make([]byte, m.TotalSize)
-	var st ReassembleStats
 	for i := 0; i < len(m.Chunks); {
 		ch := m.Chunks[i]
 		if b, ok := reusable(ch); ok {
@@ -507,12 +515,36 @@ func ReassembleChunks(m *store.ChunkManifest, old []byte, fetchRange func(off, l
 		if int64(len(raw)) != runEnd-runOff {
 			return nil, st, fmt.Errorf("tsr: range fetch returned %d bytes, want %d", len(raw), runEnd-runOff)
 		}
+		for _, c := range m.Chunks[i:j] {
+			if sha256.Sum256(raw[c.Offset-runOff:c.Offset-runOff+c.Size]) != c.Hash {
+				return nil, st, fmt.Errorf("tsr: fetched chunk at %d does not match its manifest hash", c.Offset)
+			}
+		}
 		copy(out[runOff:], raw)
 		st.ChunksFetched += int64(j - i)
 		st.BytesFetched += runEnd - runOff
 		i = j
 	}
 	return out, st, nil
+}
+
+// baseChunks maps the chunk hashes of old to their bytes: from oldM
+// when it tiles old exactly, otherwise by cutting and hashing old.
+func baseChunks(old []byte, oldM *store.ChunkManifest) map[[sha256.Size]byte][]byte {
+	if oldM != nil && oldM.TotalSize == int64(len(old)) && oldM.Valid() == nil {
+		chunks := make(map[[sha256.Size]byte][]byte, len(oldM.Chunks))
+		for _, c := range oldM.Chunks {
+			chunks[c.Hash] = old[c.Offset : c.Offset+c.Size]
+		}
+		return chunks
+	}
+	spans := store.CutChunks(old)
+	chunks := make(map[[sha256.Size]byte][]byte, len(spans))
+	for _, s := range spans {
+		b := old[s.Offset : s.Offset+s.Size]
+		chunks[sha256.Sum256(b)] = b
+	}
+	return chunks
 }
 
 func decodeHash32(s string, out *[sha256.Size]byte) error {

@@ -675,7 +675,7 @@ func layoutFiles(version string, bumped int) []apk.File {
 }
 
 // encodeSigned encodes a package of files, signed the way TSR signs.
-func encodeSigned(t *testing.T, version string, files []apk.File) []byte {
+func encodeSigned(t testing.TB, version string, files []apk.File) []byte {
 	t.Helper()
 	p := &apk.Package{Name: "layout", Version: version, Files: files}
 	if err := apk.Sign(p, keys.Shared.MustGet("layout-tsr")); err != nil {
