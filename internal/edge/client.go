@@ -481,7 +481,9 @@ func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []b
 // last remembered, when they are still cached and differ from the
 // wanted entry — the base of a differential fetch — and their manifest
 // when the client holds one. Like cachedPackage, the bytes are
-// read-only.
+// read-only. A base whose bytes have left PkgCache is forgotten, with
+// its manifest, so what the client keeps per package is bounded by
+// what PkgCache holds.
 func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
 	c.mu.Lock()
 	prev, ok := c.lastPkg[name]
@@ -489,7 +491,16 @@ func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte
 	if !ok || prev.entry.Hash == entry.Hash {
 		return nil, nil
 	}
-	return c.cachedPackage(prev.entry), prev.manifest
+	old := c.cachedPackage(prev.entry)
+	if old == nil {
+		c.mu.Lock()
+		if cur, ok := c.lastPkg[name]; ok && cur.entry.Hash == prev.entry.Hash {
+			delete(c.lastPkg, name)
+		}
+		c.mu.Unlock()
+		return nil, nil
+	}
+	return old, prev.manifest
 }
 
 // errWrongBytes: an endpoint served bytes that do not hash to the entry.

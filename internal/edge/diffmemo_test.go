@@ -192,3 +192,55 @@ func TestLyingBaseManifestCostsOnlyAFallback(t *testing.T) {
 		t.Fatal("the client kept a manifest from a fetch that failed its check")
 	}
 }
+
+// TestEvictedBaseIsForgotten: once the client's cache has dropped the
+// bytes of its diff base, the client forgets that base and its
+// manifest, and fetches the next version whole.
+func TestEvictedBaseIsForgotten(t *testing.T) {
+	w := newEdgeWorld(t)
+	c := newClient(w, Endpoint{Name: "origin", Continent: netsim.Europe, Fetcher: w.tenant})
+	c.PkgCache = store.NewMem()
+	for _, version := range []string{"1.0-r0", "2.0-r0"} {
+		w.publish(t, bigEdgePkg("bigapp", version, 16, 32<<10))
+		if _, err := w.tenant.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.FetchIndex(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.FetchPackage("bigapp"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := c.lastPkg["bigapp"]
+	if base.manifest == nil {
+		t.Fatal("fixture: the second fetch kept no manifest")
+	}
+	if err := c.PkgCache.Delete(cacheKey(base.entry.Hash)); err != nil {
+		t.Fatal(err)
+	}
+
+	w.publish(t, bigEdgePkg("bigapp", "3.0-r0", 16, 32<<10))
+	if _, err := w.tenant.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FetchIndex(); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := c.entryFor(context.Background(), "bigapp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old, m := c.previousPackage("bigapp", entry); old != nil || m != nil {
+		t.Fatal("an evicted base still served as a diff base")
+	}
+	if _, ok := c.lastPkg["bigapp"]; ok {
+		t.Fatal("the client still holds the record of an evicted base")
+	}
+	if _, err := c.FetchPackage("bigapp"); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.DiffFetches != 1 {
+		t.Fatalf("client stats %+v, want only the second version diffed", s)
+	}
+}

@@ -99,19 +99,18 @@ func (m *IMA) MeasureFile(path string) (Entry, error) {
 // MeasureChanged measures the file at path as MeasureFile does unless
 // its content still hashes to last, the hash it was last measured
 // with: the file is hashed once either way, and an unchanged file is
-// neither logged nor extended (changed is then false). The entry
-// returned carries the content hash in both cases — modeling IMA's
-// re-measurement of a file only after it was modified.
-func (m *IMA) MeasureChanged(path string, last [32]byte) (e Entry, changed bool, err error) {
+// neither logged nor extended. The entry returned carries the content
+// hash in both cases — modeling IMA's re-measurement of a file only
+// after it was modified.
+func (m *IMA) MeasureChanged(path string, last [32]byte) (Entry, error) {
 	sum, err := m.fs.Digest(path)
 	if err != nil {
-		return Entry{}, false, fmt.Errorf("ima: measuring %q: %w", path, err)
+		return Entry{}, fmt.Errorf("ima: measuring %q: %w", path, err)
 	}
 	if sum == last {
-		return Entry{PCR: tpm.PCRIMA, Path: path, FileHash: sum}, false, nil
+		return Entry{PCR: tpm.PCRIMA, Path: path, FileHash: sum}, nil
 	}
-	e, err = m.measure(path, sum)
-	return e, err == nil, err
+	return m.measure(path, sum)
 }
 
 // measure logs and extends the file at path, whose content hashes to

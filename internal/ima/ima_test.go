@@ -301,14 +301,14 @@ func TestMeasureChangedSkipsUnchangedContent(t *testing.T) {
 	if err := fx.fs.WriteFile("/usr/bin/x", []byte("v1"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	first, changed, err := fx.ima.MeasureChanged("/usr/bin/x", [32]byte{})
-	if err != nil || !changed || first.FileHash != sha256.Sum256([]byte("v1")) {
-		t.Fatalf("first measurement = %+v, changed %v, err %v", first, changed, err)
+	first, err := fx.ima.MeasureChanged("/usr/bin/x", [32]byte{})
+	if err != nil || first.FileHash != sha256.Sum256([]byte("v1")) || len(fx.ima.Log()) != 1 {
+		t.Fatalf("first measurement = %+v, err %v, log %d entries", first, err, len(fx.ima.Log()))
 	}
 	pcr, _ := fx.tpm.PCR(tpm.PCRIMA)
-	again, changed, err := fx.ima.MeasureChanged("/usr/bin/x", first.FileHash)
-	if err != nil || changed || again.FileHash != first.FileHash {
-		t.Fatalf("unchanged re-measurement = %+v, changed %v, err %v", again, changed, err)
+	again, err := fx.ima.MeasureChanged("/usr/bin/x", first.FileHash)
+	if err != nil || again.FileHash != first.FileHash {
+		t.Fatalf("unchanged re-measurement = %+v, err %v", again, err)
 	}
 	if now, _ := fx.tpm.PCR(tpm.PCRIMA); now != pcr || len(fx.ima.Log()) != 1 {
 		t.Fatal("an unchanged file was logged or extended")
@@ -316,10 +316,10 @@ func TestMeasureChangedSkipsUnchangedContent(t *testing.T) {
 	if err := fx.fs.WriteFile("/usr/bin/x", []byte("v2"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if e, changed, err := fx.ima.MeasureChanged("/usr/bin/x", first.FileHash); err != nil || !changed || e.FileHash != sha256.Sum256([]byte("v2")) {
-		t.Fatalf("changed re-measurement = %+v, changed %v, err %v", e, changed, err)
+	if e, err := fx.ima.MeasureChanged("/usr/bin/x", first.FileHash); err != nil || e.FileHash != sha256.Sum256([]byte("v2")) || len(fx.ima.Log()) != 2 {
+		t.Fatalf("changed re-measurement = %+v, err %v, log %d entries", e, err, len(fx.ima.Log()))
 	}
-	if _, _, err := fx.ima.MeasureChanged("/missing", [32]byte{}); !errors.Is(err, vfs.ErrNotExist) {
+	if _, err := fx.ima.MeasureChanged("/missing", [32]byte{}); !errors.Is(err, vfs.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want vfs.ErrNotExist", err)
 	}
 	if got := len(fx.ima.Log()); got != 2 {

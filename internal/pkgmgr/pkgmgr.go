@@ -404,7 +404,7 @@ func (m *Manager) measureAfterChange(p *apk.Package) error {
 	}
 	paths = append(paths, osimage.ConfigDigestPaths()...)
 	for _, path := range paths {
-		e, _, err := m.img.IMA.MeasureChanged(path, m.measured[path])
+		e, err := m.img.IMA.MeasureChanged(path, m.measured[path])
 		if err != nil {
 			if strings.HasPrefix(path, "/etc/") && (errors.Is(err, vfs.ErrNotExist) || errors.Is(err, vfs.ErrIsDir)) {
 				continue // config file not present on this image
