@@ -14,8 +14,8 @@ import (
 // re-verifies what it gets back against a signed entry), so a caller
 // that writes into such a slice would corrupt the bytes for everyone
 // sharing them. Within each function, the analyzer marks the
-// identifiers assigned from a store's Get, from the edge's fetchEntry
-// or previousCached, from the FailoverClient's cachedPackage or
+// identifiers assigned from a store's Get or tsr.GetVerified, from the
+// edge's fetchEntry or previousCached, from the FailoverClient's
 // previousPackage, from FetchPackage on a tsr.PackageFetcher or a
 // mirror.Mirror, or from an element of a repository's or snapshot's
 // package map, and the identifiers passed as data to a store's Put; it
@@ -37,14 +37,15 @@ var Blobview = &Analyzer{
 	Run: runBlobview,
 }
 
-// blobviewSources are the non-store methods that hand out read-only
-// views, by receiver type and method name, with what the diagnostic
-// says of them.
+// blobviewSources are the non-store methods and the functions that
+// hand out read-only views, by receiver type (a function: by package)
+// and name, with what the diagnostic says of them.
 var blobviewSources = map[string]map[string]string{
 	"Replica":        {"fetchEntry": whyStore, "previousCached": whyStore},
-	"FailoverClient": {"cachedPackage": whyStore, "previousPackage": whyStore},
+	"FailoverClient": {"previousPackage": whyStore},
 	"PackageFetcher": {"FetchPackage": whyMirror},
 	"Mirror":         {"FetchPackage": whyMirror},
+	"tsr":            {"GetVerified": whyStore},
 }
 
 // blobviewMaps are the map fields, by struct type and field name, whose
@@ -63,16 +64,17 @@ const (
 
 func runBlobview(pass *Pass) error {
 	iface := storeInterface(pass.Pkg)
-	// callee returns the method call calls, and whether its receiver is
-	// a store.
+	// callee returns the function or method call calls, and whether
+	// the method's receiver is a store.
 	callee := func(call *ast.CallExpr) (*types.Func, bool) {
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return nil, false
+		id, _ := call.Fun.(*ast.Ident)
+		sel, isSel := call.Fun.(*ast.SelectorExpr)
+		if isSel {
+			id = sel.Sel
 		}
-		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Type().(*types.Signature).Recv() == nil {
-			return nil, false
+		fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+		if fn == nil || !isSel || fn.Type().(*types.Signature).Recv() == nil {
+			return fn, false
 		}
 		tv, ok := pass.TypesInfo.Types[sel.X]
 		return fn, ok && iface != nil && implementsStore(tv.Type, iface)
@@ -82,11 +84,13 @@ func runBlobview(pass *Pass) error {
 		switch e := ast.Unparen(e).(type) {
 		case *ast.CallExpr:
 			fn, onStore := callee(e)
-			if fn == nil {
+			switch {
+			case fn == nil:
 				return ""
-			}
-			if onStore && fn.Name() == "Get" {
+			case onStore && fn.Name() == "Get":
 				return whyStore
+			case fn.Type().(*types.Signature).Recv() == nil:
+				return blobviewSources[fn.Pkg().Name()][fn.Name()]
 			}
 			recv := fn.Type().(*types.Signature).Recv().Type()
 			return blobviewSources[namedTypeName(recv)][fn.Name()]

@@ -1,7 +1,7 @@
 // Package blobview exercises the blobview analyzer. The harness loads
-// it under tsr/internal/edge: slices read from a store.Store, from the
-// edge's fetchEntry/previousCached, from the FailoverClient's
-// cachedPackage/previousPackage, from a PackageFetcher's or Mirror's
+// it under tsr/internal/edge: slices read from a store.Store or through
+// tsr.GetVerified, from the edge's fetchEntry/previousCached, from the
+// FailoverClient's previousPackage, from a PackageFetcher's or Mirror's
 // FetchPackage, or from a Repository's or Snapshot's package map, and
 // slices handed to a store's Put, are read-only.
 package blobview
@@ -9,7 +9,9 @@ package blobview
 import (
 	"crypto/sha256"
 
+	"tsr/internal/index"
 	"tsr/internal/store"
+	"tsr/internal/tsr"
 )
 
 type Replica struct{ cache store.Store }
@@ -23,7 +25,7 @@ func (rep *Replica) previousCached(name string) []byte {
 
 type FailoverClient struct{ PkgCache store.Store }
 
-func (c *FailoverClient) cachedPackage(key string) []byte {
+func (c *FailoverClient) previousPackage(key string) []byte {
 	raw, _ := c.PkgCache.Get(key)
 	return raw
 }
@@ -51,8 +53,11 @@ func sources(rep *Replica, c *FailoverClient) {
 	if old := rep.previousCached("p"); old != nil {
 		old[0] = 2 // want `old is a read-only blob view`
 	}
-	pkg := c.cachedPackage("p")
+	pkg := c.previousPackage("p")
 	pkg[0] = 3 // want `pkg is a read-only blob view`
+	if got, ok := tsr.GetVerified(c.PkgCache, "p", index.Entry{}); ok {
+		got[0] = 4 // want `got is a read-only blob view \(it came from a store read\)`
+	}
 }
 
 // reuseAfterPut keeps writing into a buffer the store now owns.

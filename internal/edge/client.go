@@ -14,6 +14,7 @@ import (
 	"tsr/internal/quorum"
 	"tsr/internal/store"
 	"tsr/internal/trace"
+	"tsr/internal/tsr"
 )
 
 // Client-side error sentinels.
@@ -420,45 +421,54 @@ func (c *FailoverClient) FetchPackageCtx(ctx context.Context, name string) (_ []
 // fetchPackageVerified tries endpoints in latency order until one
 // serves bytes matching the given index entry. With a PkgCache, exact
 // cached bytes short-circuit the network entirely, and each endpoint
-// is first tried differentially against the cached previous version —
-// any differential failure degrades to a full fetch from the same
+// is pulled differentially against the version last fetched — pull
+// degrades any differential failure to a full fetch from the same
 // endpoint, so the failover semantics are unchanged.
 func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	if raw := c.cachedPackage(entry); raw != nil {
-		c.mu.Lock()
-		c.stats.CacheHits++
-		c.mu.Unlock()
-		return raw, nil
+	var old []byte
+	var oldM *store.ChunkManifest
+	if c.PkgCache != nil {
+		if raw, ok := tsr.GetVerified(c.PkgCache, cacheKey(entry.Hash), entry); ok {
+			c.mu.Lock()
+			c.stats.CacheHits++
+			c.mu.Unlock()
+			return raw, nil
+		}
+		old, oldM = c.previousPackage(name, entry)
 	}
 	var errs []error
 	for attempt, i := range c.rank() {
 		ep := c.Endpoints[i]
-		raw, m, err := c.fetchFromEndpoint(ctx, ep, name, entry)
+		p, err := pull(ctx, ep.Fetcher, name, entry, old, oldM)
+		// Charge what moved: the changed chunks of a differential pull,
+		// the whole package of a full fetch.
+		if p.manifest != nil {
+			c.charge(ep, p.ledger.BytesFetched)
+		}
+		if p.full {
+			c.charge(ep, entry.Size)
+		}
+		c.mu.Lock()
+		switch {
+		case p.manifest != nil:
+			c.stats.DiffFetches++
+		case old != nil:
+			c.stats.DiffFallbacks++
+		}
+		if errors.Is(err, errWrongBytes) {
+			c.stats.RejectedBytes++
+		}
+		c.mu.Unlock()
 		if err != nil {
 			c.noteFailure(i)
 			errs = append(errs, fmt.Errorf("%s: %w", ep.Name, err))
 			continue
 		}
 		c.noteServed(i, attempt)
-		c.rememberPackage(name, entry, raw, m)
-		return raw, nil
+		c.rememberPackage(name, entry, p.raw, p.manifest)
+		return p.raw, nil
 	}
 	return nil, fmt.Errorf("%w: package %s: %w", ErrAllEndpointsFailed, name, errors.Join(errs...))
-}
-
-// cachedPackage returns entry's bytes from PkgCache when present and
-// verifying, or nil. PkgCache is untrusted (content-addressed in the
-// replica's cacheKey shape), so every read re-verifies. The bytes are
-// read-only: they may be the stored value itself.
-func (c *FailoverClient) cachedPackage(entry index.Entry) []byte {
-	if c.PkgCache == nil {
-		return nil
-	}
-	raw, err := c.PkgCache.Get(cacheKey(entry.Hash))
-	if err != nil || !entry.Matches(raw) {
-		return nil
-	}
-	return raw
 }
 
 // rememberPackage stores verified package bytes in PkgCache, which
@@ -480,10 +490,10 @@ func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []b
 // previousPackage returns the verified bytes of the version of name
 // last remembered, when they are still cached and differ from the
 // wanted entry — the base of a differential fetch — and their manifest
-// when the client holds one. Like cachedPackage, the bytes are
-// read-only. A base whose bytes have left PkgCache is forgotten, with
-// its manifest, so what the client keeps per package is bounded by
-// what PkgCache holds.
+// when the client holds one. The bytes are PkgCache's read-only view.
+// A base whose bytes have left PkgCache is forgotten, with its
+// manifest, so what the client keeps per package is bounded by what
+// PkgCache holds.
 func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
 	c.mu.Lock()
 	prev, ok := c.lastPkg[name]
@@ -491,8 +501,8 @@ func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte
 	if !ok || prev.entry.Hash == entry.Hash {
 		return nil, nil
 	}
-	old := c.cachedPackage(prev.entry)
-	if old == nil {
+	old, ok := tsr.GetVerified(c.PkgCache, cacheKey(prev.entry.Hash), prev.entry)
+	if !ok {
 		c.mu.Lock()
 		if cur, ok := c.lastPkg[name]; ok && cur.entry.Hash == prev.entry.Hash {
 			delete(c.lastPkg, name)
@@ -501,44 +511,6 @@ func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte
 		return nil, nil
 	}
 	return old, prev.manifest
-}
-
-// errWrongBytes: an endpoint served bytes that do not hash to the entry.
-var errWrongBytes = errors.New("served bytes do not match the signed index entry")
-
-// fetchFromEndpoint pulls one package from one endpoint, differentially
-// when a previous version is cached, charges the modeled transfer, and
-// checks whichever bytes came back against the entry, once: reassembled
-// bytes that do not match degrade to a full fetch from the same
-// endpoint, and full-fetch bytes that do not match are refused. A
-// differential fetch that matched also returns its manifest, the base
-// of the next one; a full fetch returns none.
-func (c *FailoverClient) fetchFromEndpoint(ctx context.Context, ep Endpoint, name string, entry index.Entry) ([]byte, *store.ChunkManifest, error) {
-	if old, oldM := c.previousPackage(name, entry); old != nil {
-		out, m, st, err := diffFetch(ctx, ep.Fetcher, name, entry, old, oldM)
-		if err == nil && entry.Matches(out) {
-			c.charge(ep, st.BytesFetched)
-			c.mu.Lock()
-			c.stats.DiffFetches++
-			c.mu.Unlock()
-			return out, m, nil
-		}
-		c.mu.Lock()
-		c.stats.DiffFallbacks++
-		c.mu.Unlock()
-	}
-	raw, err := ep.Fetcher.FetchPackageCtx(ctx, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	c.charge(ep, entry.Size)
-	if !entry.Matches(raw) {
-		c.mu.Lock()
-		c.stats.RejectedBytes++
-		c.mu.Unlock()
-		return nil, nil, errWrongBytes
-	}
-	return raw, nil, nil
 }
 
 // entryFor looks the package up in the verified index, fetching the

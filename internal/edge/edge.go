@@ -363,10 +363,10 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	rep.served.Store(&next)
 	st := rep.store()
 	// The keep-set spans every retained generation, not just the new
-	// index: bytes of a just-superseded version are the diff bases a
-	// differential pull-through reassembles the new version from
-	// (previousCached), so pruning them on publish would forfeit exactly
-	// the transfer the chunked sync saves. They age out when their
+	// index: bytes of a just-superseded version are the diff bases
+	// previousCached finds by walking this same window and hands to
+	// pull, so pruning them on publish would forfeit exactly the
+	// transfer the chunked sync saves. They age out when their
 	// generation leaves the delta window (or by LRU budget).
 	keep := make(map[string]struct{}, len(ix.Entries))
 	for _, gen := range next.History {
@@ -595,16 +595,14 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 	key := cacheKey(entry.Hash)
 	sp := trace.SpanFromContext(ctx)
 
+	// A tampered or truncated cache entry is dropped by the read and
+	// re-pulled.
 	cache := rep.store()
-	raw, cacheErr := cache.Get(key)
-	if cacheErr == nil && entry.Matches(raw) {
+	raw, hit := tsr.GetVerified(cache, key, entry)
+	if hit {
 		rep.stats.packageHits.Add(1)
 		sp.SetAttr("served_from", "cache")
 	} else {
-		if cacheErr == nil {
-			// Tampered or truncated cache entry: drop and re-pull.
-			_ = cache.Delete(key)
-		}
 		var leaderCtx context.Context
 		var leader bool
 		var err error
@@ -612,18 +610,17 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 			// Re-check the cache inside the flight: a miss that queued
 			// behind a completed fill (the flight ended, the bytes
 			// landed) must not pull the origin again.
-			if cached, err := cache.Get(key); err == nil && entry.Matches(cached) {
+			if cached, ok := tsr.GetVerified(cache, key, entry); ok {
 				return cached, nil
 			}
-			// pullPackage tries a differential fetch against a cached
-			// previous generation first, then a full verified fetch;
-			// either way the bytes match the entry before they land.
-			pulled, err := rep.pullPackage(ctx, name, entry)
+			// pullPackage returns only bytes that match the entry, so
+			// nothing unverified lands in the cache.
+			fresh, err := rep.pullPackage(ctx, name, entry)
 			if err != nil {
 				return nil, err
 			}
-			_ = cache.Put(key, pulled)
-			return pulled, nil
+			_ = cache.Put(key, fresh)
+			return fresh, nil
 		})
 		if err != nil {
 			return nil, err

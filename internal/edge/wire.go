@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"tsr/internal/index"
@@ -9,14 +10,15 @@ import (
 	"tsr/internal/tsr"
 )
 
-// Wire efficiency at the edge tier (ROADMAP item 18): chunk-aware
-// differential pull-through sync, chunk-manifest + byte-range serving
-// (so edges chain behind edges and clients diff against them exactly
-// like against the origin), and streaming verified serving off the
-// package cache. The trust model is the replica's usual one — nothing
-// here is trusted: manifests are transfer metadata, and every
-// reassembled package must hash to the signed index entry before it is
-// cached or served.
+// Wire efficiency at the edge tier: the one verified pull both the
+// replica's pull-through cache and the FailoverClient take package
+// bytes through (chunk-aware, differential against a held base),
+// chunk-manifest + byte-range serving (so edges chain behind edges and
+// clients diff against them exactly like against the origin), and
+// streaming verified serving off the package cache. The trust model is
+// the replica's usual one — nothing here is trusted: manifests are
+// transfer metadata, and every pulled package must hash to the signed
+// index entry before it is cached, served or installed.
 
 // fetchRange fetches length bytes of name at off for a differential
 // pull. The range read is the one upstream call outside Fetcher,
@@ -40,81 +42,107 @@ func fetchRange(ctx context.Context, src Fetcher, name string, off, length int64
 	return nil, fmt.Errorf("edge: %s: upstream %T serves no byte ranges", name, src)
 }
 
-// diffFetch reassembles name@entry from the old cached bytes (with
-// oldM, their manifest, when the tier holds one) plus the upstream's
-// chunk manifest and range fetches. It returns the bytes with that
-// manifest, UNVERIFIED: the caller checks them against the signed entry
-// once, and only then may keep the manifest (see
-// tsr.ReassembleChunks). Any error means the attempt failed and the
-// caller should fall back to a full fetch.
-func diffFetch(ctx context.Context, src Fetcher, name string, entry index.Entry, old []byte, oldM *store.ChunkManifest) ([]byte, *store.ChunkManifest, tsr.ReassembleStats, error) {
-	m, err := src.FetchChunkManifestCtx(ctx, name)
+// errWrongBytes: an upstream served bytes that do not hash to the entry.
+var errWrongBytes = errors.New("served bytes do not match the signed index entry")
+
+// pulled is what one pull produced, for the caller to keep and count.
+// A pull given a base that returns no manifest fell back to a full
+// fetch. The manifest of a pull that diffed had every chunk checked
+// against raw (see tsr.ReassembleChunks): it is the next pull's base.
+type pulled struct {
+	raw      []byte               // verified; nil when the pull failed
+	manifest *store.ChunkManifest // set when the pull diffed
+	ledger   tsr.ReassembleStats  // the differential pull's byte ledger
+	full     bool                 // a full fetch returned bytes, matching or not
+}
+
+// pull fetches name@entry from src: differentially against old (and
+// oldM, its manifest, when the tier holds one) when the caller has a
+// base, with a full fetch as the fallback for any differential
+// failure. It is the one place a downstream tier takes package bytes
+// from an upstream, so the paper's guarantee has one enforcement point
+// here: whichever bytes come back are checked against the signed entry
+// once, and only bytes that match are returned. Full-fetch bytes that
+// do not match are errWrongBytes. The outcome is returned on error too,
+// so the caller counts what the pull did either way.
+func pull(ctx context.Context, src Fetcher, name string, entry index.Entry, old []byte, oldM *store.ChunkManifest) (pulled, error) {
+	var p pulled
+	if old != nil {
+		m, err := src.FetchChunkManifestCtx(ctx, name)
+		// Root the manifest in the signed entry before trusting its
+		// shape; the size check also bounds what reassembly allocates.
+		if err == nil && (m.PackageHash != entry.Hash || m.TotalSize != entry.Size) {
+			err = fmt.Errorf("edge: %s: chunk manifest does not match the signed index entry", name)
+		}
+		var out []byte
+		if err == nil {
+			out, p.ledger, err = tsr.ReassembleChunks(m, old, oldM, func(off, length int64) ([]byte, error) {
+				return fetchRange(ctx, src, name, off, length, entry.ETag())
+			})
+		}
+		if err == nil && entry.Matches(out) {
+			p.raw, p.manifest = out, m
+			return p, nil
+		}
+	}
+	raw, err := src.FetchPackageCtx(ctx, name)
 	if err != nil {
-		return nil, nil, tsr.ReassembleStats{}, err
+		return p, err
 	}
-	// Root the manifest in the signed entry before trusting its shape;
-	// the size check also bounds what reassembly allocates.
-	if m.PackageHash != entry.Hash || m.TotalSize != entry.Size {
-		return nil, nil, tsr.ReassembleStats{}, fmt.Errorf("edge: %s: chunk manifest does not match the signed index entry", name)
+	p.full = true
+	if !entry.Matches(raw) {
+		return p, errWrongBytes
 	}
-	out, st, err := tsr.ReassembleChunks(m, old, oldM, func(off, length int64) ([]byte, error) {
-		return fetchRange(ctx, src, name, off, length, entry.ETag())
-	})
-	return out, m, st, err
+	p.raw = raw
+	return p, nil
 }
 
 // previousCached returns verified bytes of an older generation of name
 // still held in the cache — the diff base for a differential pull —
-// and their content hash. The retained generation history (the same
-// window the delta endpoint serves from) maps the name to its previous
-// content hashes.
-func (rep *Replica) previousCached(name string, entry index.Entry) ([]byte, [32]byte) {
+// and their manifest when the replica holds one. The retained
+// generation history (the same window the delta endpoint serves from)
+// maps the name to its previous content hashes; it is restored with the
+// journaled index, so a warm restart on a disk store still finds bases.
+func (rep *Replica) previousCached(name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
 	st := rep.served.Load()
 	if st == nil {
-		return nil, [32]byte{}
+		return nil, nil
 	}
-	cache := rep.store()
 	for i := len(st.History) - 1; i >= 0; i-- {
 		old, err := st.History[i].Index.Lookup(name)
 		if err != nil || old.Hash == entry.Hash {
 			continue
 		}
-		raw, err := cache.Get(cacheKey(old.Hash))
-		if err != nil || !old.Matches(raw) {
-			continue
+		if raw, ok := tsr.GetVerified(rep.store(), cacheKey(old.Hash), old); ok {
+			return raw, rep.manifests.Lookup(name, old.Hash)
 		}
-		return raw, old.Hash
 	}
-	return nil, [32]byte{}
+	return nil, nil
 }
 
-// pullPackage fetches one package from the origin for the pull-through
-// cache: differentially against a cached previous generation, falling
-// back to a full fetch on any differential failure. Whichever bytes
-// come back are checked against the entry once, and returned only when
-// they match. A differential pull that matched seeds its manifest, so
-// the /chunks request that usually follows it cuts nothing.
+// pullPackage is the edge's miss path: pull from the origin against
+// the newest cached previous generation, count the outcome, and seed
+// the manifest of a differential pull, so the /chunks request that
+// usually follows it cuts nothing.
 func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	if old, base := rep.previousCached(name, entry); old != nil {
-		out, m, st, err := diffFetch(ctx, rep.Origin, name, entry, old, rep.manifests.Lookup(name, base))
-		if err == nil && entry.Matches(out) {
-			rep.manifests.Seed(name, m)
-			rep.stats.diffPulls.Add(1)
-			rep.stats.diffBytesReused.Add(st.BytesReused)
-			rep.stats.diffBytesFetched.Add(st.BytesFetched)
-			return out, nil
-		}
+	old, oldM := rep.previousCached(name, entry)
+	p, err := pull(ctx, rep.Origin, name, entry, old, oldM)
+	switch {
+	case p.manifest != nil:
+		rep.stats.diffPulls.Add(1)
+		rep.stats.diffBytesReused.Add(p.ledger.BytesReused)
+		rep.stats.diffBytesFetched.Add(p.ledger.BytesFetched)
+		rep.manifests.Seed(name, p.manifest)
+	case old != nil:
 		rep.stats.diffFallbacks.Add(1)
 	}
-	pulled, err := rep.Origin.FetchPackageCtx(ctx, name)
+	if p.full {
+		rep.stats.originPackages.Add(1)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("edge: pull-through %s: %w", name, err)
 	}
-	rep.stats.originPackages.Add(1)
-	if !entry.Matches(pulled) {
-		return nil, fmt.Errorf("edge: origin served wrong bytes for %s (not cached)", name)
-	}
-	return pulled, nil
+	return p.raw, nil
 }
 
 // FetchChunkManifestCtx serves the chunk manifest of a package this

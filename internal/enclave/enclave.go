@@ -99,9 +99,6 @@ func (p *Platform) Launch(m Measurement) *Enclave {
 	return e
 }
 
-// Measurement returns the enclave's code measurement.
-func (e *Enclave) Measurement() Measurement { return e.measurement }
-
 // Seal encrypts data so that only this enclave (same code, same
 // platform) can recover it. The ciphertext is AES-256-GCM with a random
 // nonce prepended.

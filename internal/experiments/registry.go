@@ -32,7 +32,7 @@ func All() []Runner {
 		{"ablation-quorum", "DESIGN.md ablation 1", AblationQuorumStrategy},
 		{"ablation-parallel", "Table 3 future work", AblationParallelDownload},
 		{"ablation-workers", "refresh pipeline scaling", AblationRefreshWorkers},
-		{"fleet-soak", "ROADMAP item 5: composed-failure soak", FleetSoak},
+		{"fleet-soak", "composed-failure fleet soak", FleetSoak},
 	}
 }
 

@@ -28,13 +28,6 @@ func (g *RNG) Intn(n int) int {
 	return g.r.Intn(n)
 }
 
-// Int63n returns a uniform int64 in [0, n).
-func (g *RNG) Int63n(n int64) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.r.Int63n(n)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (g *RNG) Float64() float64 {
 	g.mu.Lock()
@@ -70,18 +63,4 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 // Jitter returns a multiplicative jitter factor in [1-f, 1+f].
 func (g *RNG) Jitter(f float64) float64 {
 	return 1 + f*(2*g.Float64()-1)
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.r.Perm(n)
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.r.Shuffle(n, swap)
 }

@@ -82,12 +82,6 @@ func New(opts Options) *Obs {
 	return o
 }
 
-// Tracer returns the wired tracer (nil when tracing is disabled).
-func (o *Obs) Tracer() *trace.Tracer { return o.tracer }
-
-// Metrics exposes the registry (for tests and in-process reporting).
-func (o *Obs) Metrics() *Metrics { return o.metrics }
-
 // Snapshot reads the full metrics document.
 func (o *Obs) Snapshot() Snapshot {
 	s := o.metrics.Snapshot()

@@ -134,9 +134,6 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Workers returns the configured global slot bound (0 = unbounded).
-func (s *Scheduler) Workers() int { return s.workers }
-
 // SetWeight sets a tenant's fair-queueing weight (default 1). A weight
 // of 2 halves the virtual cost of the tenant's jobs, doubling its
 // admission share under contention. Weights <= 0 reset to 1.

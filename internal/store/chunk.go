@@ -13,11 +13,12 @@ import (
 // and metadata (internal/tsr) and the edge replica's index journal
 // (internal/edge). One codec, one set of bounds checks.
 //
-// This file also holds the content-defined chunker (ROADMAP item 18):
-// package bytes are first split into pieces at the layout boundaries
-// the apk framing writes (the end of every deflate run, the start of
-// every gzip member), then each piece is cut into ~8–64KiB chunks by a
-// Gear rolling hash. A one-file version bump therefore shares every
+// This file also holds the content-defined chunker, whose cut rule
+// docs/API.md states as part of the wire contract: package bytes are
+// first split into pieces at the layout boundaries the apk framing
+// writes (the end of every deflate run, the start of every gzip
+// member), then each piece is cut into ~8–64KiB chunks by a Gear
+// rolling hash. A one-file version bump therefore shares every
 // chunk except the re-signed head, that file's run and the trailer.
 // Chunk hashes are untrusted transfer metadata — the reassembled bytes
 // must still match the signed index entry hash end-to-end.

@@ -98,9 +98,6 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *FS) Dir() string { return s.dir }
-
 // ScrubReport returns how many entries the boot scrub kept and dropped
 // (corrupt frames, bad CRCs, misplaced files, temp leftovers).
 func (s *FS) ScrubReport() (kept, dropped int) {

@@ -79,7 +79,7 @@ type Stater interface {
 }
 
 // Streamer hands back an entry as a stream instead of one buffered
-// slice — what the daemons' streaming serve path (ROADMAP item 4) uses
+// slice — what the daemons' streaming serve path (tsr.OpenVerified) uses
 // so large packages never sit fully in memory per request. The stream
 // carries the same trust caveat as Get: bytes are NOT verified by the
 // store (FS skips even the frame CRC on this path, to stay

@@ -92,9 +92,6 @@ func NewTracer(cfg Config) *Tracer {
 	}
 }
 
-// Tier returns the tier label this tracer stamps on root spans.
-func (t *Tracer) Tier() string { return t.tier }
-
 // Store returns the tracer's bounded trace store.
 func (t *Tracer) Store() *Store { return t.store }
 

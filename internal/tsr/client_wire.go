@@ -17,8 +17,9 @@ import (
 // and chunk-manifest + byte-range fetches. The client is a transport;
 // callers verify. Manifests and ranges are untrusted transfer metadata:
 // the chunk-differential engine that uses them (edge.Replica and
-// edge.FailoverClient, through edge.diffFetch) roots each manifest in
-// an accepted index entry and checks the reassembled bytes against it.
+// edge.FailoverClient, through their one shared pull) roots each
+// manifest in an accepted index entry and checks the reassembled bytes
+// against it.
 
 // wireCounters are the client's cumulative wire-traffic counters.
 type wireCounters struct {

@@ -498,3 +498,22 @@ func OpenVerified(st store.Store, key string, entry index.Entry) (io.ReadCloser,
 	}
 	return NewVerifiedReader(rc, entry.Hash, func() { _ = st.Delete(key) }), true
 }
+
+// GetVerified reads the blob at key and returns it only when it hashes
+// to entry: the one check every tier runs on what it reads back from
+// its own store, which is as untrusted as any upstream. A blob that is
+// there but does not match (tampered or truncated) is
+// dropped, as OpenVerified drops one, so the caller's refill heals it.
+// ok=false sends the caller to its fetch. The bytes are the store's
+// read-only view, returned without a copy.
+func GetVerified(st store.Store, key string, entry index.Entry) ([]byte, bool) {
+	raw, err := st.Get(key)
+	if err != nil {
+		return nil, false
+	}
+	if !entry.Matches(raw) {
+		_ = st.Delete(key)
+		return nil, false
+	}
+	return raw, true
+}

@@ -295,7 +295,7 @@ func TestReassembleChunksBadBaseManifest(t *testing.T) {
 
 // FuzzReassembleChunks: a pull against base bytes and a base manifest
 // that are both arbitrary never panics, allocates no more than the
-// signed entry's size (what diffFetch's size check lets through) plus a
+// signed entry's size (what the edge's pull lets through) plus a
 // bound in the input's size, and whatever it returns that verifies is
 // the wanted package, described by the manifest it was reassembled
 // from.

@@ -394,12 +394,10 @@ func (r *Repo) refreshScheduled(ctx context.Context, pri sched.Priority) (stats 
 // without holding the repository lock.
 func (r *Repo) obtainOriginal(cached bool, name string, entry index.Entry) ([]byte, int64, error) {
 	if cached {
-		if raw, err := r.svc.cfg.Store.Get(r.origKey(name, entry.Hash)); err == nil {
-			if entry.Matches(raw) {
-				return raw, 0, nil
-			}
-			// Tampered original cache: fall through to re-download.
+		if raw, ok := GetVerified(r.svc.cfg.Store, r.origKey(name, entry.Hash), entry); ok {
+			return raw, 0, nil
 		}
+		// Missing or tampered original cache: re-download.
 	}
 	var lastErr error
 	for _, f := range r.fetchers {
@@ -512,12 +510,9 @@ func (s *scriptCacheSource) NextScripts() (string, map[string]string, bool) {
 // index entry first. Its data member is checked where it is read: by
 // the sanitize stage's Rewrite.
 func (s *scriptCacheSource) fromStore(entry index.Entry) (map[string]string, bool) {
-	cached, err := s.repo.svc.cfg.Store.Get(s.repo.origKey(entry.Name, entry.Hash))
-	if err != nil {
+	cached, ok := GetVerified(s.repo.svc.cfg.Store, s.repo.origKey(entry.Name, entry.Hash), entry)
+	if !ok {
 		return nil, false
-	}
-	if !entry.Matches(cached) {
-		return nil, false // stale or tampered original cache; do not trust
 	}
 	p, err := apk.DecodeHead(cached)
 	if err != nil {

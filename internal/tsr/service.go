@@ -148,12 +148,6 @@ func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
 // Measurement returns the enclave measurement OS owners expect.
 func Measurement() enclave.Measurement { return enclave.MeasureCode(CodeIdentity) }
 
-// Attest produces an enclave report binding reportData (e.g. the hash
-// of a freshly returned public key) to the TSR code identity.
-func (s *Service) Attest(reportData [64]byte) (*enclave.Report, error) {
-	return s.enclave.Attest(reportData)
-}
-
 // repoIDPattern is the only id shape DeployPolicyID accepts from a
 // caller: the exact format DeployPolicy itself generates. Routers rely
 // on this to pre-compute a repo's shard placement before deploying it.

@@ -20,13 +20,13 @@ import (
 	"tsr/internal/store"
 )
 
-// Wire-efficiency helpers (ROADMAP item 4) shared by the origin and
-// edge HTTP tiers: negotiated gzip for the (canonically signed) index
-// text, single-range 206 serving over verified bytes, the chunk
-// manifest wire codec, and the hash-as-you-copy reader the streaming
-// serve path uses. Nothing here changes what is signed: gzip wraps the
-// canonical text after signing, ranges slice verified bytes, and chunk
-// manifests are untrusted metadata rooted in the signed entry hash.
+// Wire-efficiency helpers shared by the origin and edge HTTP tiers:
+// negotiated gzip for the (canonically signed) index text,
+// single-range 206 serving over verified bytes, the chunk manifest wire
+// codec, and the hash-as-you-copy reader the streaming serve path uses.
+// Nothing here changes what is signed: gzip wraps the canonical text
+// after signing, ranges slice verified bytes, and chunk manifests are
+// untrusted metadata rooted in the signed entry hash.
 
 // AcceptsGzip reports whether the request's Accept-Encoding admits
 // gzip (RFC 9110 §12.5.3): a gzip listing, or failing one a *, with a
