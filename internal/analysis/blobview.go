@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"path"
 )
 
 // Blobview enforces the copy-free blob contract of store.Store and of
@@ -14,10 +15,10 @@ import (
 // re-verifies what it gets back against a signed entry), so a caller
 // that writes into such a slice would corrupt the bytes for everyone
 // sharing them. Within each function, the analyzer marks the
-// identifiers assigned from a store's Get or tsr.GetVerified, from the
-// edge's fetchEntry or previousCached, from the FailoverClient's
-// previousPackage, from FetchPackage on a tsr.PackageFetcher or a
-// mirror.Mirror, or from an element of a repository's or snapshot's
+// identifiers assigned from a store's Get, from tsr.GetVerified or
+// tsr.StoredManifest, from the edge's fetchEntry or storedBase (a
+// tier's stored diff base), from FetchPackage on a tsr.PackageFetcher
+// or a mirror.Mirror, or from an element of a repository's or snapshot's
 // package map, and the identifiers passed as data to a store's Put; it
 // reports an element write to any of them or a copy into them. A
 // "store" is any type that implements store.Store. The rule is
@@ -38,14 +39,15 @@ var Blobview = &Analyzer{
 }
 
 // blobviewSources are the non-store methods and the functions that
-// hand out read-only views, by receiver type (a function: by package)
-// and name, with what the diagnostic says of them.
+// hand out read-only views, by receiver type (a function: by the last
+// element of its package path) and name, with what the diagnostic says
+// of them.
 var blobviewSources = map[string]map[string]string{
-	"Replica":        {"fetchEntry": whyStore, "previousCached": whyStore},
-	"FailoverClient": {"previousPackage": whyStore},
+	"Replica":        {"fetchEntry": whyStore},
 	"PackageFetcher": {"FetchPackage": whyMirror},
 	"Mirror":         {"FetchPackage": whyMirror},
-	"tsr":            {"GetVerified": whyStore},
+	"tsr":            {"GetVerified": whyStore, "StoredManifest": whyStore},
+	"edge":           {"storedBase": whyStore},
 }
 
 // blobviewMaps are the map fields, by struct type and field name, whose
@@ -90,7 +92,7 @@ func runBlobview(pass *Pass) error {
 			case onStore && fn.Name() == "Get":
 				return whyStore
 			case fn.Type().(*types.Signature).Recv() == nil:
-				return blobviewSources[fn.Pkg().Name()][fn.Name()]
+				return blobviewSources[path.Base(fn.Pkg().Path())][fn.Name()]
 			}
 			recv := fn.Type().(*types.Signature).Recv().Type()
 			return blobviewSources[namedTypeName(recv)][fn.Name()]

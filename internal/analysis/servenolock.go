@@ -42,7 +42,7 @@ var servenolockRoots = map[string]bool{
 	"FetchPackageTracedCtx": true,
 	"OpenPackageCtx":        true,
 	"FetchChunkManifestCtx": true,
-	"FetchManifestWireCtx":  true,
+	"FetchManifestBlobCtx":  true,
 	"FetchPackageRangeCtx":  true,
 	"CacheStats":            true,
 }

@@ -16,9 +16,8 @@ import (
 // fields may only be assigned inside the designated build/publish
 // functions, where the state is provably not yet shared. (Published
 // has none: tsr.Publish returns it as one composite literal.) A
-// generation's wire memo (tsr.wireMemo, tsr.deltaWire), like a
-// memoized chunk manifest's (tsr.ManifestWire), is shared from the
-// moment it is published and filled later, so its fields may be
+// generation's wire memo (tsr.wireMemo, tsr.deltaWire) is shared from
+// the moment it is published and filled later, so its fields may be
 // written only by its fill functions, each run under its sync.Once;
 // every reader, the serving routes included, sees them after the Once.
 var Snapfreeze = &Analyzer{
@@ -40,8 +39,6 @@ var snapfreezeTypes = map[string]map[string]bool{
 	"Published": {},
 	"wireMemo":  {"fillIndex": true},
 	"deltaWire": {"fill": true},
-	// A memoized chunk manifest's wire form (tsr.ManifestWire).
-	"ManifestWire": {"encoded": true},
 }
 
 func runSnapfreeze(pass *Pass) error {

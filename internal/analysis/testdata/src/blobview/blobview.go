@@ -1,9 +1,9 @@
 // Package blobview exercises the blobview analyzer. The harness loads
 // it under tsr/internal/edge: slices read from a store.Store or through
-// tsr.GetVerified, from the edge's fetchEntry/previousCached, from the
-// FailoverClient's previousPackage, from a PackageFetcher's or Mirror's
-// FetchPackage, or from a Repository's or Snapshot's package map, and
-// slices handed to a store's Put, are read-only.
+// tsr.GetVerified or tsr.StoredManifest, from the edge's fetchEntry or
+// storedBase, from a PackageFetcher's or Mirror's FetchPackage, or from
+// a Repository's or Snapshot's package map, and slices handed to a
+// store's Put, are read-only.
 package blobview
 
 import (
@@ -18,17 +18,14 @@ type Replica struct{ cache store.Store }
 
 func (rep *Replica) fetchEntry(name string) ([]byte, error) { return rep.cache.Get(name) }
 
-func (rep *Replica) previousCached(name string) []byte {
-	raw, _ := rep.cache.Get(name)
-	return raw
+// storedBase stands in for the edge's diff-base read, a package-level
+// function of the package loaded as tsr/internal/edge.
+func storedBase(st store.Store, name string) ([]byte, *store.ChunkManifest) {
+	raw, _ := st.Get(name)
+	return raw, nil
 }
 
 type FailoverClient struct{ PkgCache store.Store }
-
-func (c *FailoverClient) previousPackage(key string) []byte {
-	raw, _ := c.PkgCache.Get(key)
-	return raw
-}
 
 // corruptHit flips a byte of the shared cache entry itself.
 func corruptHit(st store.Store, key string) {
@@ -50,13 +47,15 @@ func concreteStore(m *store.Mem) {
 func sources(rep *Replica, c *FailoverClient) {
 	hit, _ := rep.fetchEntry("p")
 	hit[0] = 1 // want `hit is a read-only blob view`
-	if old := rep.previousCached("p"); old != nil {
+	if old, _ := storedBase(rep.cache, "p"); old != nil {
 		old[0] = 2 // want `old is a read-only blob view`
 	}
-	pkg := c.previousPackage("p")
-	pkg[0] = 3 // want `pkg is a read-only blob view`
 	if got, ok := tsr.GetVerified(c.PkgCache, "p", index.Entry{}); ok {
 		got[0] = 4 // want `got is a read-only blob view \(it came from a store read\)`
+	}
+	blob, err := tsr.StoredManifest(c.PkgCache, "p", "p", index.Entry{}, nil)
+	if err == nil {
+		copy(blob, "x") // want `blob is a read-only blob view \(it came from a store read\)`
 	}
 }
 

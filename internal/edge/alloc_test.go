@@ -39,8 +39,9 @@ const (
 	// size.
 	packageRouteBudget = 8 << 10
 	rangeRouteBudget   = 4 << 10
-	// A chunk manifest's wire form, JSON and gzip, is built once per
-	// package and content hash, so a manifest GET, like an index GET,
+	// A chunk manifest's wire form, JSON and gzip, is stored beside the
+	// package's bytes when the manifest is first cut or pulled, and a
+	// manifest GET slices it out of the store, so, like an index GET, it
 	// allocates only routing, headers and counters.
 	chunksRouteBudget = 2 << 10
 )

@@ -90,26 +90,16 @@ type FailoverClient struct {
 	QuorumK int
 	// PkgCache, when set, retains verified package bytes
 	// (content-addressed, untrusted — re-verified on every read) and
-	// enables chunk-aware differential fetch: a version bump transfers
-	// only the changed chunks. nil keeps the classic full-download
-	// behavior.
+	// their diff bases (see pull), and enables chunk-aware differential
+	// fetch: a version bump transfers only the changed chunks. nil
+	// keeps the classic full-download behavior.
 	PkgCache store.Store
 
 	mu       sync.Mutex
-	floor    index.Floor          // freshness floor of cachedIx
-	cachedIx *index.Index         // the accepted index (package hash lookups)
-	failures []int                // consecutive failures per endpoint
-	lastPkg  map[string]lastFetch // package name -> last verified fetch (the diff base)
+	floor    index.Floor  // freshness floor of cachedIx
+	cachedIx *index.Index // the accepted index (package hash lookups)
+	failures []int        // consecutive failures per endpoint
 	stats    FailoverStats
-}
-
-// lastFetch is the version of a package a FailoverClient last verified:
-// its entry and, when a differential fetch produced it, the manifest
-// that fetch checked, so the next one diffs against it without cutting
-// and hashing the base again.
-type lastFetch struct {
-	entry    index.Entry
-	manifest *store.ChunkManifest // nil after a full fetch
 }
 
 // FailoverStats counts what the client observed.
@@ -421,12 +411,10 @@ func (c *FailoverClient) FetchPackageCtx(ctx context.Context, name string) (_ []
 // fetchPackageVerified tries endpoints in latency order until one
 // serves bytes matching the given index entry. With a PkgCache, exact
 // cached bytes short-circuit the network entirely, and each endpoint
-// is pulled differentially against the version last fetched — pull
+// is pulled differentially against the diff base PkgCache holds — pull
 // degrades any differential failure to a full fetch from the same
 // endpoint, so the failover semantics are unchanged.
 func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	var old []byte
-	var oldM *store.ChunkManifest
 	if c.PkgCache != nil {
 		if raw, ok := tsr.GetVerified(c.PkgCache, cacheKey(entry.Hash), entry); ok {
 			c.mu.Lock()
@@ -434,15 +422,14 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 			c.mu.Unlock()
 			return raw, nil
 		}
-		old, oldM = c.previousPackage(name, entry)
 	}
 	var errs []error
 	for attempt, i := range c.rank() {
 		ep := c.Endpoints[i]
-		p, err := pull(ctx, ep.Fetcher, name, entry, old, oldM)
+		p, err := pull(ctx, ep.Fetcher, c.PkgCache, name, entry)
 		// Charge what moved: the changed chunks of a differential pull,
 		// the whole package of a full fetch.
-		if p.manifest != nil {
+		if p.diffed {
 			c.charge(ep, p.ledger.BytesFetched)
 		}
 		if p.full {
@@ -450,9 +437,9 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 		}
 		c.mu.Lock()
 		switch {
-		case p.manifest != nil:
+		case p.diffed:
 			c.stats.DiffFetches++
-		case old != nil:
+		case p.based:
 			c.stats.DiffFallbacks++
 		}
 		if errors.Is(err, errWrongBytes) {
@@ -465,52 +452,9 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 			continue
 		}
 		c.noteServed(i, attempt)
-		c.rememberPackage(name, entry, p.raw, p.manifest)
 		return p.raw, nil
 	}
 	return nil, fmt.Errorf("%w: package %s: %w", ErrAllEndpointsFailed, name, errors.Join(errs...))
-}
-
-// rememberPackage stores verified package bytes in PkgCache, which
-// takes ownership of raw, and records entry, with m, raw's checked
-// manifest or nil, as name's diff base.
-func (c *FailoverClient) rememberPackage(name string, entry index.Entry, raw []byte, m *store.ChunkManifest) {
-	if c.PkgCache == nil {
-		return
-	}
-	_ = c.PkgCache.Put(cacheKey(entry.Hash), raw)
-	c.mu.Lock()
-	if c.lastPkg == nil {
-		c.lastPkg = make(map[string]lastFetch)
-	}
-	c.lastPkg[name] = lastFetch{entry: index.Entry{Size: entry.Size, Hash: entry.Hash}, manifest: m}
-	c.mu.Unlock()
-}
-
-// previousPackage returns the verified bytes of the version of name
-// last remembered, when they are still cached and differ from the
-// wanted entry — the base of a differential fetch — and their manifest
-// when the client holds one. The bytes are PkgCache's read-only view.
-// A base whose bytes have left PkgCache is forgotten, with its
-// manifest, so what the client keeps per package is bounded by what
-// PkgCache holds.
-func (c *FailoverClient) previousPackage(name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
-	c.mu.Lock()
-	prev, ok := c.lastPkg[name]
-	c.mu.Unlock()
-	if !ok || prev.entry.Hash == entry.Hash {
-		return nil, nil
-	}
-	old, ok := tsr.GetVerified(c.PkgCache, cacheKey(prev.entry.Hash), prev.entry)
-	if !ok {
-		c.mu.Lock()
-		if cur, ok := c.lastPkg[name]; ok && cur.entry.Hash == prev.entry.Hash {
-			delete(c.lastPkg, name)
-		}
-		c.mu.Unlock()
-		return nil, nil
-	}
-	return old, prev.manifest
 }
 
 // entryFor looks the package up in the verified index, fetching the

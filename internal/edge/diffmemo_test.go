@@ -3,11 +3,38 @@ package edge
 import (
 	"context"
 	"crypto/sha256"
+	"reflect"
 	"testing"
 
+	"tsr/internal/index"
 	"tsr/internal/netsim"
 	"tsr/internal/store"
+	"tsr/internal/tsr"
 )
+
+// storedManifest is the manifest st keeps beside the bytes of hash, or
+// nil when it keeps none.
+func storedManifest(t *testing.T, st store.Store, hash [32]byte) *store.ChunkManifest {
+	t.Helper()
+	blob, err := st.Get(cacheKey(hash) + tsr.ManifestSuffix)
+	if err != nil {
+		return nil
+	}
+	_, m, err := tsr.DecodeManifestBlob(blob)
+	if err != nil {
+		t.Fatalf("stored manifest: %v", err)
+	}
+	return m
+}
+
+// baseOf is the entry st's base record for name names.
+func baseOf(st store.Store, name string) (index.Entry, bool) {
+	rec, err := st.Get(baseKey(name))
+	if err != nil {
+		return index.Entry{}, false
+	}
+	return decodeBaseRecord(rec)
+}
 
 // describes reports whether every chunk of m hashes to its entry over
 // raw.
@@ -23,12 +50,12 @@ func describes(m *store.ChunkManifest, raw []byte) bool {
 	return true
 }
 
-// TestDiffPullsCarryManifests: a differential pull hands back the
-// manifest it reassembled from, checked, and the tier keeps it. The
-// edge's /chunks request right after its own pull is then served from
-// the very manifest the origin sent (nothing re-cut at the edge), and
+// TestDiffPullsCarryManifests: a differential pull stores the manifest
+// it reassembled from, checked, beside the bytes. The edge's /chunks
+// request right after its own pull is then served from the very
+// manifest the origin sent (nothing read or re-cut at the edge), and
 // the next bump diffs, at the client and at the edge, against the base
-// manifests those pulls left behind.
+// manifests those pulls stored.
 func TestDiffPullsCarryManifests(t *testing.T) {
 	ctx := context.Background()
 	w := newEdgeWorld(t)
@@ -73,15 +100,16 @@ func TestDiffPullsCarryManifests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		atEdge := rep.manifests.Lookup("bigapp", entry.Hash)
-		if atEdge != origin {
+		atEdge := storedManifest(t, rep.store(), entry.Hash)
+		if !reflect.DeepEqual(atEdge, origin) {
 			t.Fatalf("%s: the edge holds a manifest other than the one the origin sent", version)
 		}
+		reads := rep.Stats().PackageReads
 		served, err := rep.FetchChunkManifestCtx(ctx, "bigapp")
-		if err != nil || served != origin {
-			t.Fatalf("%s: the edge's /chunks answer is not the seeded manifest (err %v)", version, err)
+		if err != nil || !reflect.DeepEqual(served, origin) || rep.Stats().PackageReads != reads {
+			t.Fatalf("%s: the edge's /chunks answer is not the stored manifest (err %v)", version, err)
 		}
-		if last := c.lastPkg["bigapp"]; last.entry.Hash != entry.Hash || !describes(last.manifest, got) {
+		if last, ok := baseOf(c.PkgCache, "bigapp"); !ok || last.Hash != entry.Hash || !describes(storedManifest(t, c.PkgCache, entry.Hash), got) {
 			t.Fatalf("%s: the client kept no manifest that describes the fetched bytes", version)
 		}
 	}
@@ -100,10 +128,10 @@ func lyingBase(size int64, claim store.ManifestChunk) *store.ChunkManifest {
 	return m
 }
 
-// TestLyingBaseManifestCostsOnlyAFallback: a base manifest that makes a
-// differential pull copy the wrong bytes costs a fall back to a full
-// fetch — at the edge and at the client — and never a wrong byte; the
-// failed pull keeps no manifest for the new version.
+// TestLyingBaseManifestCostsOnlyAFallback: a stored base manifest that
+// makes a differential pull copy the wrong bytes costs a fall back to
+// a full fetch — at the edge and at the client — and never a wrong
+// byte; the failed pull stores no manifest for the new version.
 func TestLyingBaseManifestCostsOnlyAFallback(t *testing.T) {
 	ctx := context.Background()
 	w := newEdgeWorld(t)
@@ -161,8 +189,8 @@ func TestLyingBaseManifestCostsOnlyAFallback(t *testing.T) {
 		t.Fatalf("fixture: %v", err)
 	}
 	lie.PackageHash = old.Hash
-	rep.manifests.Seed("bigapp", lie)
-	c.lastPkg["bigapp"] = lastFetch{entry: old, manifest: lie}
+	keepPulled(rep.store(), "bigapp", old, v1, lie)
+	keepPulled(c.PkgCache, "bigapp", old, v1, lie)
 
 	got, err := rep.FetchPackageCtx(ctx, "bigapp")
 	if err != nil {
@@ -174,7 +202,7 @@ func TestLyingBaseManifestCostsOnlyAFallback(t *testing.T) {
 	if s := rep.Stats(); s.DiffPulls != 0 || s.DiffFallbacks != 1 {
 		t.Fatalf("edge stats %+v, want the differential pull to fall back", s)
 	}
-	if rep.manifests.Lookup("bigapp", entry.Hash) != nil {
+	if storedManifest(t, rep.store(), entry.Hash) != nil {
 		t.Fatal("the edge kept a manifest from a pull that failed its check")
 	}
 
@@ -188,13 +216,13 @@ func TestLyingBaseManifestCostsOnlyAFallback(t *testing.T) {
 	if s := c.Stats(); s.DiffFetches != 0 || s.DiffFallbacks != 1 || s.RejectedBytes != 0 {
 		t.Fatalf("client stats %+v, want the differential fetch to fall back", s)
 	}
-	if last := c.lastPkg["bigapp"]; last.entry.Hash != entry.Hash || last.manifest != nil {
+	if last, ok := baseOf(c.PkgCache, "bigapp"); !ok || last.Hash != entry.Hash || storedManifest(t, c.PkgCache, entry.Hash) != nil {
 		t.Fatal("the client kept a manifest from a fetch that failed its check")
 	}
 }
 
 // TestEvictedBaseIsForgotten: once the client's cache has dropped the
-// bytes of its diff base, the client forgets that base and its
+// bytes of its diff base, the client drops that base's record and
 // manifest, and fetches the next version whole.
 func TestEvictedBaseIsForgotten(t *testing.T) {
 	w := newEdgeWorld(t)
@@ -212,11 +240,11 @@ func TestEvictedBaseIsForgotten(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := c.lastPkg["bigapp"]
-	if base.manifest == nil {
+	base, ok := baseOf(c.PkgCache, "bigapp")
+	if !ok || storedManifest(t, c.PkgCache, base.Hash) == nil {
 		t.Fatal("fixture: the second fetch kept no manifest")
 	}
-	if err := c.PkgCache.Delete(cacheKey(base.entry.Hash)); err != nil {
+	if err := c.PkgCache.Delete(cacheKey(base.Hash)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -231,10 +259,10 @@ func TestEvictedBaseIsForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old, m := c.previousPackage("bigapp", entry); old != nil || m != nil {
+	if old, m := storedBase(c.PkgCache, "bigapp", entry); old != nil || m != nil {
 		t.Fatal("an evicted base still served as a diff base")
 	}
-	if _, ok := c.lastPkg["bigapp"]; ok {
+	if _, ok := baseOf(c.PkgCache, "bigapp"); ok || storedManifest(t, c.PkgCache, base.Hash) != nil {
 		t.Fatal("the client still holds the record of an evicted base")
 	}
 	if _, err := c.FetchPackage("bigapp"); err != nil {

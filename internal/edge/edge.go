@@ -145,10 +145,6 @@ type Replica struct {
 	served   atomic.Pointer[tsr.Published]
 	behavior atomic.Int32
 	stats    replicaCounters
-
-	// manifests memoizes chunk manifests per content hash (see
-	// FetchChunkManifestCtx in wire.go).
-	manifests tsr.ManifestMemo
 }
 
 // replicaCounters are the cumulative counters behind Stats.
@@ -363,11 +359,11 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	rep.served.Store(&next)
 	st := rep.store()
 	// The keep-set spans every retained generation, not just the new
-	// index: bytes of a just-superseded version are the diff bases
-	// previousCached finds by walking this same window and hands to
-	// pull, so pruning them on publish would forfeit exactly the
-	// transfer the chunked sync saves. They age out when their
-	// generation leaves the delta window (or by LRU budget).
+	// index: bytes of a just-superseded version are the diff bases the
+	// base records name, so pruning them on publish would forfeit
+	// exactly the transfer the chunked sync saves. They age out, with
+	// their manifests, when their generation leaves the delta window (or
+	// by LRU budget).
 	keep := make(map[string]struct{}, len(ix.Entries))
 	for _, gen := range next.History {
 		for _, e := range gen.Index.Entries {
@@ -376,8 +372,13 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	}
 	var stale []string
 	_ = st.Iterate(func(info store.Info) bool {
-		if strings.HasPrefix(info.Key, pkgKeyPrefix) {
-			if _, ok := keep[info.Key]; !ok {
+		switch {
+		case strings.HasPrefix(info.Key, pkgKeyPrefix):
+			if _, ok := keep[strings.TrimSuffix(info.Key, tsr.ManifestSuffix)]; !ok {
+				stale = append(stale, info.Key)
+			}
+		case strings.HasPrefix(info.Key, baseKeyPrefix): // pinned: pruned with its name
+			if _, err := ix.Lookup(strings.TrimPrefix(info.Key, baseKeyPrefix)); err != nil {
 				stale = append(stale, info.Key)
 			}
 		}
@@ -393,11 +394,14 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	}
 }
 
-// Store keys: packages are content-addressed under pkg/, and the
-// journaled last-synced index lives under meta/ (pinned — never
-// evicted by the package cache's byte budget).
+// Store keys: packages are content-addressed under pkg/, each with its
+// chunk manifest beside it (tsr.ManifestSuffix); base/ records each
+// name's diff base (see pull); the journaled last-synced index lives
+// under meta/. meta/ and base/ are pinned — never evicted by the
+// package cache's byte budget, which a 40-byte record cannot help.
 const (
 	pkgKeyPrefix    = "pkg/"
+	baseKeyPrefix   = "base/"
 	metaKeyPrefix   = "meta/"
 	replicaStateKey = metaKeyPrefix + "index"
 )
@@ -613,14 +617,9 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 			if cached, ok := tsr.GetVerified(cache, key, entry); ok {
 				return cached, nil
 			}
-			// pullPackage returns only bytes that match the entry, so
+			// pullPackage caches only bytes that match the entry, so
 			// nothing unverified lands in the cache.
-			fresh, err := rep.pullPackage(ctx, name, entry)
-			if err != nil {
-				return nil, err
-			}
-			_ = cache.Put(key, fresh)
-			return fresh, nil
+			return rep.pullPackage(ctx, name, entry)
 		})
 		if err != nil {
 			return nil, err
@@ -651,7 +650,7 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 // journal) is pinned: package churn must not LRU-evict the journal,
 // and an index larger than the package budget must still persist —
 // otherwise a restart silently loses the warm resume the journal
-// exists for.
+// exists for. So are the base records.
 func (rep *Replica) store() store.Store {
 	rep.cacheOnce.Do(func() {
 		if rep.Cache == nil {
@@ -662,6 +661,7 @@ func (rep *Replica) store() store.Store {
 			rep.Cache = store.NewMemBudget(budget)
 		}
 		rep.Cache.Pin(metaKeyPrefix)
+		rep.Cache.Pin(baseKeyPrefix)
 	})
 	return rep.Cache
 }

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -103,6 +104,38 @@ func (l rangedLiar) FetchPackageRangeCtx(ctx context.Context, name string, off, 
 	return l.origin.FetchPackageRangeCtx(ctx, name, off, length)
 }
 
+// The ways a tier's own store can hold a bad diff base, each planted
+// alone after the bump, in both tiers' stores.
+const (
+	goodBase        = iota
+	lyingManifest   // a base manifest rooted in the base whose chunk hashes lie
+	garbageManifest // a base manifest that does not decode
+	otherManifest   // a base manifest rooted in another hash
+	malformedRecord // a base record that does not decode
+	danglingRecord  // a base record whose bytes are gone
+)
+
+// plantBase puts the bad base kind into st, which holds v1 (entry old)
+// as name's base.
+func plantBase(t *testing.T, w *edgeWorld, st store.Store, kind int, name string, v1 []byte, old index.Entry) {
+	t.Helper()
+	manifestKey := cacheKey(old.Hash) + tsr.ManifestSuffix
+	switch kind {
+	case lyingManifest:
+		keepPulled(st, name, old, v1, lyingBaseFor(t, w, name, v1, old))
+	case garbageManifest:
+		_ = st.Put(manifestKey, []byte("\x00\x00\x00\x00\x00\x00\x00\x03{]}"))
+	case otherManifest:
+		m := store.BuildManifest(v1)
+		m.PackageHash = sha256.Sum256([]byte("another package"))
+		_ = st.Put(manifestKey, tsr.EncodeManifestBlob(name, m))
+	case malformedRecord:
+		_ = st.Put(baseKey(name), []byte("not a base record"))
+	case danglingRecord:
+		_ = st.Delete(cacheKey(old.Hash))
+	}
+}
+
 // pullCounts are one pull's marks on a tier's counters.
 type pullCounts struct{ diffs, fallbacks, third int64 }
 
@@ -110,6 +143,11 @@ type pullCounts struct{ diffs, fallbacks, third int64 }
 // through the replica's pull-through and the client's fetch, against
 // an upstream that lies in one way per row, after a version bump that
 // leaves both tiers holding the previous version as their diff base.
+// Other rows plant a bad diff base in both tiers' stores instead: a
+// base manifest that fails to decode or is rooted in another hash is
+// dropped and the base re-cut, so the pull still diffs; one whose chunk
+// hashes lie costs a counted fallback; and a base record that is
+// malformed or names bytes that are gone costs a full fetch.
 // The rows share one origin, each with a package and tiers of its own.
 // Whatever the lie, only bytes that match the signed entry come back,
 // no manifest of a failed differential attempt is kept, and each tier
@@ -122,7 +160,7 @@ func TestPullRefusesLyingUpstreams(t *testing.T) {
 		name     string
 		lie      int32
 		noRanges bool // the upstream serves no byte ranges
-		lieBase  bool // both tiers hold a base manifest that lies
+		base     int  // the bad diff base both tiers hold
 		fails    bool
 		edge     pullCounts // DiffPulls, DiffFallbacks, OriginPackages
 		client   pullCounts // DiffFetches, DiffFallbacks, RejectedBytes
@@ -130,7 +168,11 @@ func TestPullRefusesLyingUpstreams(t *testing.T) {
 		{name: "honest", edge: pullCounts{1, 0, 0}, client: pullCounts{1, 0, 0}},
 		{name: "manifest not rooted in the entry", lie: unrootedManifest, edge: pullCounts{0, 1, 1}, client: pullCounts{0, 1, 0}},
 		{name: "lying range", lie: lyingRange, edge: pullCounts{0, 1, 1}, client: pullCounts{0, 1, 0}},
-		{name: "lying base manifest", lieBase: true, edge: pullCounts{0, 1, 1}, client: pullCounts{0, 1, 0}},
+		{name: "lying base manifest", base: lyingManifest, edge: pullCounts{0, 1, 1}, client: pullCounts{0, 1, 0}},
+		{name: "garbage base manifest", base: garbageManifest, edge: pullCounts{1, 0, 0}, client: pullCounts{1, 0, 0}},
+		{name: "base manifest rooted in another hash", base: otherManifest, edge: pullCounts{1, 0, 0}, client: pullCounts{1, 0, 0}},
+		{name: "malformed base record", base: malformedRecord, edge: pullCounts{0, 0, 1}, client: pullCounts{0, 0, 0}},
+		{name: "dangling base record", base: danglingRecord, edge: pullCounts{0, 0, 1}, client: pullCounts{0, 0, 0}},
 		{name: "reassembled bytes do not match", lie: wrongReassembly, edge: pullCounts{0, 1, 1}, client: pullCounts{0, 1, 0}},
 		{name: "full fetch with wrong bytes", lie: wrongFull, fails: true, edge: pullCounts{0, 1, 1}, client: pullCounts{0, 1, 1}},
 		{name: "full fetch fails", lie: failedFull, fails: true, edge: pullCounts{0, 1, 0}, client: pullCounts{0, 1, 0}},
@@ -175,11 +217,8 @@ func TestPullRefusesLyingUpstreams(t *testing.T) {
 				t.Fatal(err)
 			}
 			entry := entryOf(t, rep, name)
-			if tc.lieBase {
-				lie := lyingBaseFor(t, w, name, v1, old)
-				rep.manifests.Seed(name, lie)
-				c.lastPkg[name] = lastFetch{entry: old, manifest: lie}
-			}
+			plantBase(t, w, rep.store(), tc.base, name, v1, old)
+			plantBase(t, w, c.PkgCache, tc.base, name, v1, old)
 			l.lie.Store(tc.lie)
 			edgeBefore, clientBefore := rep.Stats(), c.Stats()
 
@@ -205,8 +244,8 @@ func TestPullRefusesLyingUpstreams(t *testing.T) {
 			if _, err := rep.store().Get(cacheKey(entry.Hash)); (err == nil) == tc.fails {
 				t.Errorf("edge cache holds the package: %v, want %v", err == nil, !tc.fails)
 			}
-			if m := rep.manifests.Lookup(name, entry.Hash); (m != nil) != (tc.edge.diffs == 1) {
-				t.Error("the edge's manifest memo disagrees with whether the pull diffed")
+			if m := storedManifest(t, rep.store(), entry.Hash); (m != nil) != (tc.edge.diffs == 1) {
+				t.Error("the edge's stored manifest disagrees with whether the pull diffed")
 			}
 
 			got, err = c.FetchPackage(name)
@@ -215,8 +254,15 @@ func TestPullRefusesLyingUpstreams(t *testing.T) {
 			if d := (pullCounts{cs.DiffFetches - clientBefore.DiffFetches, cs.DiffFallbacks - clientBefore.DiffFallbacks, cs.RejectedBytes - clientBefore.RejectedBytes}); d != tc.client {
 				t.Errorf("client counted {DiffFetches DiffFallbacks RejectedBytes} = %v, want %v", d, tc.client)
 			}
-			if last := c.lastPkg[name]; !tc.fails && (last.entry.Hash != entry.Hash || (last.manifest != nil) != (tc.client.diffs == 1)) {
+			if last, _ := baseOf(c.PkgCache, name); !tc.fails && (last.Hash != entry.Hash || (storedManifest(t, c.PkgCache, entry.Hash) != nil) != (tc.client.diffs == 1)) {
 				t.Error("the client's diff base disagrees with the pull it made")
+			}
+			if tc.base == garbageManifest || tc.base == otherManifest {
+				for tier, st := range map[string]store.Store{"edge": rep.store(), "client": c.PkgCache} {
+					if _, err := st.Get(cacheKey(old.Hash) + tsr.ManifestSuffix); err == nil {
+						t.Errorf("%s: kept the base manifest that failed its check", tier)
+					}
+				}
 			}
 		})
 	}

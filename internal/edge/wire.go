@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -45,29 +46,35 @@ func fetchRange(ctx context.Context, src Fetcher, name string, off, length int64
 // errWrongBytes: an upstream served bytes that do not hash to the entry.
 var errWrongBytes = errors.New("served bytes do not match the signed index entry")
 
-// pulled is what one pull produced, for the caller to keep and count.
-// A pull given a base that returns no manifest fell back to a full
-// fetch. The manifest of a pull that diffed had every chunk checked
-// against raw (see tsr.ReassembleChunks): it is the next pull's base.
+// pulled is what one pull produced, for the caller to count. A pull
+// that had a base but did not diff fell back to a full fetch.
 type pulled struct {
-	raw      []byte               // verified; nil when the pull failed
-	manifest *store.ChunkManifest // set when the pull diffed
-	ledger   tsr.ReassembleStats  // the differential pull's byte ledger
-	full     bool                 // a full fetch returned bytes, matching or not
+	raw    []byte              // verified; nil when the pull failed
+	based  bool                // the tier held a diff base
+	diffed bool                // the bytes were reassembled against it
+	ledger tsr.ReassembleStats // the differential pull's byte ledger
+	full   bool                // a full fetch returned bytes, matching or not
 }
 
-// pull fetches name@entry from src: differentially against old (and
-// oldM, its manifest, when the tier holds one) when the caller has a
-// base, with a full fetch as the fallback for any differential
-// failure. It is the one place a downstream tier takes package bytes
-// from an upstream, so the paper's guarantee has one enforcement point
-// here: whichever bytes come back are checked against the signed entry
-// once, and only bytes that match are returned. Full-fetch bytes that
-// do not match are errWrongBytes. The outcome is returned on error too,
-// so the caller counts what the pull did either way.
-func pull(ctx context.Context, src Fetcher, name string, entry index.Entry, old []byte, oldM *store.ChunkManifest) (pulled, error) {
+// pull fetches name@entry from src: differentially against the diff
+// base the tier's store st holds (storedBase), with a full fetch as the
+// fallback for any differential failure. It is the one place a
+// downstream tier takes package bytes from an upstream, so the paper's
+// guarantee has one enforcement point here: whichever bytes come back
+// are checked against the signed entry once, and only bytes that match
+// are returned and kept in st (keepPulled). Full-fetch bytes that do
+// not match are errWrongBytes. A nil st holds no base and keeps
+// nothing. The outcome is returned on error too, so the caller counts
+// what the pull did either way.
+func pull(ctx context.Context, src Fetcher, st store.Store, name string, entry index.Entry) (pulled, error) {
 	var p pulled
-	if old != nil {
+	var old []byte
+	var oldM *store.ChunkManifest
+	if st != nil {
+		old, oldM = storedBase(st, name, entry)
+	}
+	p.based = old != nil
+	if p.based {
 		m, err := src.FetchChunkManifestCtx(ctx, name)
 		// Root the manifest in the signed entry before trusting its
 		// shape; the size check also bounds what reassembly allocates.
@@ -81,7 +88,8 @@ func pull(ctx context.Context, src Fetcher, name string, entry index.Entry, old 
 			})
 		}
 		if err == nil && entry.Matches(out) {
-			p.raw, p.manifest = out, m
+			p.raw, p.diffed = out, true
+			keepPulled(st, name, entry, out, m)
 			return p, nil
 		}
 	}
@@ -94,46 +102,90 @@ func pull(ctx context.Context, src Fetcher, name string, entry index.Entry, old 
 		return p, errWrongBytes
 	}
 	p.raw = raw
+	if st != nil {
+		keepPulled(st, name, entry, raw, nil)
+	}
 	return p, nil
 }
 
-// previousCached returns verified bytes of an older generation of name
-// still held in the cache — the diff base for a differential pull —
-// and their manifest when the replica holds one. The retained
-// generation history (the same window the delta endpoint serves from)
-// maps the name to its previous content hashes; it is restored with the
-// journaled index, so a warm restart on a disk store still finds bases.
-func (rep *Replica) previousCached(name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
-	st := rep.served.Load()
-	if st == nil {
-		return nil, nil
+// A base record names the version of a package the tier last verified:
+// its content hash, then its size as 8 big-endian bytes.
+const baseRecordSize = 32 + 8
+
+func baseKey(name string) string { return baseKeyPrefix + name }
+
+func decodeBaseRecord(rec []byte) (entry index.Entry, ok bool) {
+	if len(rec) != baseRecordSize {
+		return entry, false
 	}
-	for i := len(st.History) - 1; i >= 0; i-- {
-		old, err := st.History[i].Index.Lookup(name)
-		if err != nil || old.Hash == entry.Hash {
-			continue
-		}
-		if raw, ok := tsr.GetVerified(rep.store(), cacheKey(old.Hash), old); ok {
-			return raw, rep.manifests.Lookup(name, old.Hash)
-		}
-	}
-	return nil, nil
+	return index.Entry{Hash: [32]byte(rec), Size: int64(binary.BigEndian.Uint64(rec[32:]))}, true
 }
 
-// pullPackage is the edge's miss path: pull from the origin against
-// the newest cached previous generation, count the outcome, and seed
-// the manifest of a differential pull, so the /chunks request that
-// usually follows it cuts nothing.
+// storedBase is the diff base st holds for name@entry: the verified
+// bytes (tsr.GetVerified, a read-only view) of the version name's base
+// record names, unless that is entry, and the manifest stored beside
+// them when it decodes and names that version's hash and size. A
+// manifest that does not is dropped, and reassembly re-cuts the base; a
+// record that does not decode, or whose bytes are gone, means a full
+// fetch, and one whose bytes are gone is dropped with their manifest.
+func storedBase(st store.Store, name string, entry index.Entry) ([]byte, *store.ChunkManifest) {
+	rec, err := st.Get(baseKey(name))
+	if err != nil {
+		return nil, nil
+	}
+	base, ok := decodeBaseRecord(rec)
+	if !ok || base.Hash == entry.Hash {
+		return nil, nil
+	}
+	key := cacheKey(base.Hash)
+	manifestKey := key + tsr.ManifestSuffix
+	old, ok := tsr.GetVerified(st, key, base)
+	if !ok {
+		_ = st.Delete(baseKey(name))
+		_ = st.Delete(manifestKey)
+		return nil, nil
+	}
+	blob, err := st.Get(manifestKey)
+	if err != nil {
+		return old, nil
+	}
+	if _, m, err := tsr.DecodeManifestBlob(blob); err == nil && m.PackageHash == base.Hash && m.TotalSize == base.Size {
+		return old, m
+	}
+	_ = st.Delete(manifestKey)
+	return old, nil
+}
+
+// keepPulled stores a verified pull in st, which takes ownership of
+// raw: the bytes, then the manifest m when the pull diffed (every chunk
+// of it was checked against raw, see tsr.ReassembleChunks), then name's
+// base record, so a record never names bytes not written first. Bytes
+// the store declines (larger than its whole budget) get neither.
+func keepPulled(st store.Store, name string, entry index.Entry, raw []byte, m *store.ChunkManifest) {
+	key := cacheKey(entry.Hash)
+	_ = st.Put(key, raw)
+	if _, err := st.Stat(key); err != nil {
+		return
+	}
+	if m != nil {
+		_ = st.Put(key+tsr.ManifestSuffix, tsr.EncodeManifestBlob(name, m))
+	}
+	rec := append(make([]byte, 0, baseRecordSize), entry.Hash[:]...)
+	_ = st.Put(baseKey(name), binary.BigEndian.AppendUint64(rec, uint64(entry.Size)))
+}
+
+// pullPackage is the edge's miss path: pull from the origin against the
+// cache's diff base and count the outcome. A differential pull stores
+// the manifest it checked, so the /chunks request that usually follows
+// it cuts nothing.
 func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	old, oldM := rep.previousCached(name, entry)
-	p, err := pull(ctx, rep.Origin, name, entry, old, oldM)
+	p, err := pull(ctx, rep.Origin, rep.store(), name, entry)
 	switch {
-	case p.manifest != nil:
+	case p.diffed:
 		rep.stats.diffPulls.Add(1)
 		rep.stats.diffBytesReused.Add(p.ledger.BytesReused)
 		rep.stats.diffBytesFetched.Add(p.ledger.BytesFetched)
-		rep.manifests.Seed(name, p.manifest)
-	case old != nil:
+	case p.based:
 		rep.stats.diffFallbacks.Add(1)
 	}
 	if p.full {
@@ -150,21 +202,30 @@ func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.En
 // replicas and clients diff against an edge exactly like against the
 // origin.
 func (rep *Replica) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
-	mw, err := rep.FetchManifestWireCtx(ctx, name)
+	blob, _, err := rep.FetchManifestBlobCtx(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return mw.ChunkManifest, nil
+	_, m, err := tsr.DecodeManifestBlob(blob)
+	return m, err
 }
 
-// FetchManifestWireCtx is FetchChunkManifestCtx with the manifest's
-// memoized wire form, for the /chunks route.
-func (rep *Replica) FetchManifestWireCtx(ctx context.Context, name string) (*tsr.ManifestWire, error) {
+// FetchManifestBlobCtx returns the package's chunk manifest as stored
+// beside its cached bytes (tsr.StoredManifest) — by the differential
+// pull that fetched them, or cut from them on the first request — with
+// the ETag of the entry it describes.
+func (rep *Replica) FetchManifestBlobCtx(ctx context.Context, name string) ([]byte, string, error) {
 	entry, err := rep.resolveEntry(name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return rep.manifests.Get(name, entry, func() ([]byte, error) { return rep.fetchEntry(ctx, name, entry) })
+	blob, err := tsr.StoredManifest(rep.store(), cacheKey(entry.Hash), name, entry, func() ([]byte, error) {
+		return rep.fetchEntry(ctx, name, entry)
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return blob, entry.ETag(), nil
 }
 
 // FetchPackageRangeCtx serves length bytes of a package starting at

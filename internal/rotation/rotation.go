@@ -1,6 +1,6 @@
 // Package rotation implements the two-map bound the repository's memos
-// share: apk.RunMemo (compressed runs), keys.Memo (signatures) and
-// tsr.ManifestMemo (chunk manifests). Entries go into the current map;
+// share: apk.RunMemo (compressed runs) and keys.Memo (signatures).
+// Entries go into the current map;
 // when adding one would take the current map past its limit, it becomes
 // the old map and the previous old map is dropped. A hit in the old map
 // is promoted into the current one, so what is in use survives a

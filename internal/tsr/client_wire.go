@@ -94,10 +94,10 @@ func readBodyCounted(resp *http.Response, limit int64, n *atomic.Int64) ([]byte,
 // maxIndexWireBytes bounds an index/delta response body (wire form).
 const maxIndexWireBytes = 256 << 20
 
-// maxManifestWireBytes bounds a chunk-manifest response body: ~128
+// maxManifestBodyBytes bounds a chunk-manifest response body: ~128
 // bytes per chunk at the minimum chunk size puts any real manifest far
 // under this.
-const maxManifestWireBytes = 16 << 20
+const maxManifestBodyBytes = 16 << 20
 
 // FetchChunkManifest fetches the package's chunk manifest
 // (GET .../packages/{name}/chunks). The result's shape is validated
@@ -125,7 +125,7 @@ func (c *Client) FetchChunkManifestCtx(ctx context.Context, name string) (_ *sto
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tsr client: chunks %s: %s", name, readErr(resp))
 	}
-	raw, err := readBodyCounted(resp, maxManifestWireBytes, &c.wire.manifestBytes)
+	raw, err := readBodyCounted(resp, maxManifestBodyBytes, &c.wire.manifestBytes)
 	if err != nil {
 		return nil, fmt.Errorf("tsr client: %w", err)
 	}

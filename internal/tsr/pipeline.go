@@ -547,7 +547,8 @@ func (c *cycle) retire() {
 	del := func(key string) { _ = r.svc.cfg.Store.Delete(key) }
 	// Byte blobs addressed by (name, hash) pairs that appear in the
 	// outgoing indexes but in neither the incoming ones nor the pinned
-	// set that on-demand rebuilds still need. Old-snapshot readers in
+	// set that on-demand rebuilds still need. A sanitized blob takes the
+	// chunk manifest stored beside it along. Old-snapshot readers in
 	// flight at publish time can race an eviction; FetchPackageTracedCtx
 	// retries against the fresh snapshot when that happens.
 	if c.old.local != nil {
@@ -555,7 +556,9 @@ func (c *cycle) retire() {
 			if ne, err := c.local.Lookup(e.Name); err == nil && ne.Hash == e.Hash {
 				continue
 			}
-			del(r.sanitizedKey(e.Name, e.Hash))
+			key := r.sanitizedKey(e.Name, e.Hash)
+			del(key)
+			del(key + ManifestSuffix)
 		}
 	}
 	evictOrig := func(name string, hash [32]byte) {
@@ -618,7 +621,9 @@ func (c *cycle) retire() {
 	if len(recorded) > 0 {
 		keep := make(map[string]struct{}, len(c.local.Entries)+len(c.upstream.Entries)+len(c.pinned))
 		for _, e := range c.local.Entries {
-			keep[r.sanitizedKey(e.Name, e.Hash)] = struct{}{}
+			key := r.sanitizedKey(e.Name, e.Hash)
+			keep[key] = struct{}{}
+			keep[key+ManifestSuffix] = struct{}{}
 		}
 		for _, e := range c.upstream.Entries {
 			keep[r.origKey(e.Name, e.Hash)] = struct{}{}

@@ -7,11 +7,9 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"tsr/internal/index"
-	"tsr/internal/rotation"
 	"tsr/internal/store"
 	"tsr/internal/trace"
 )
@@ -127,9 +125,10 @@ type ReadView interface {
 	// together with the ETag of the one resolution that produced them.
 	OpenPackageCtx(ctx context.Context, name string) (*PackageStream, error)
 	FetchPackageTracedCtx(ctx context.Context, name string) ([]byte, *FetchResult, error)
-	// FetchManifestWireCtx is a package's chunk manifest with its
-	// memoized wire form.
-	FetchManifestWireCtx(ctx context.Context, name string) (*ManifestWire, error)
+	// FetchManifestBlobCtx is a package's stored chunk manifest
+	// (StoredManifest) together with the ETag of the one resolution
+	// that found it.
+	FetchManifestBlobCtx(ctx context.Context, name string) ([]byte, string, error)
 	ReadCounters() *ReadCounters
 }
 
@@ -336,7 +335,7 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 		pkg := r.PathValue("pkg")
 		// The manifest is immutable per content hash, so it shares the
 		// package's strong ETag and revalidates the same way — against
-		// the resolved entry, BEFORE the manifest is built: on a memo
+		// the resolved entry, BEFORE the manifest is read: on a store
 		// miss that costs a full package fetch plus a chunking pass,
 		// which a 304 must not pay.
 		if etag, err := v.PackageETag(pkg); err == nil &&
@@ -345,129 +344,55 @@ func RegisterReadRoutes(mux *http.ServeMux, lookup func(id string) (ReadView, er
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		m, err := v.FetchManifestWireCtx(r.Context(), pkg)
+		blob, etag, err := v.FetchManifestBlobCtx(r.Context(), pkg)
 		if err != nil {
 			HTTPError(w, statusFor(err), err)
 			return
 		}
-		// Tagged from the manifest itself: the hash of the very bytes it
-		// was cut from.
-		tagged(w, index.Entry{Hash: m.PackageHash}.ETag())
+		tagged(w, etag)
 		w.Header().Set("Content-Type", "application/json")
-		body, gz := m.encoded()
+		body, gz, _ := splitManifestBlob(blob)
 		writeEncoded(w, r, body, gz)
 	})
 }
 
-// maxManifestMemo is the number of manifests each of a ManifestMemo's
-// two maps holds before they rotate (package rotation), so a memo holds
-// at most 256. Manifests are keyed by content hash, so the memo
-// survives republishes of unchanged packages; one rotated out is
-// rebuilt by the next request that needs it (manifests are cheap
-// relative to a package fetch).
-const maxManifestMemo = 128
+// ManifestSuffix turns a package blob's store key into the key of the
+// chunk manifest a tier keeps beside it, retired and pruned with it.
+const ManifestSuffix = ".chunks"
 
-// ManifestMemo memoizes chunk manifests — content-defined chunk
-// boundaries plus per-chunk SHA-256, rooted in the signed entry via
-// PackageHash — and their wire forms, per package name and content
-// hash. A manifest gets in by being cut from bytes that hash to the
-// entry (Get), or by being seeded by a differential pull that checked
-// every chunk of it against bytes that did (Seed). The zero value is
-// ready to use.
-type ManifestMemo struct {
-	manifestMu sync.Mutex
-	manifests  rotation.Map[manifestKey, *ManifestWire]
-}
-
-type manifestKey struct {
-	hash [32]byte
-	name string // the wire form names the package
-}
-
-// ManifestWire is one memoized manifest and its wire form, the JSON
-// body and its gzip, built once by the first request that needs them
-// (snapfreeze: written only in its once).
-type ManifestWire struct {
-	*store.ChunkManifest
-	name     string
-	once     sync.Once
-	body, gz []byte // gz is nil when gzip does not shrink body
-}
-
-// encoded returns the manifest's wire form.
-func (mw *ManifestWire) encoded() (body, gz []byte) {
-	mw.once.Do(func() {
-		mw.body = EncodeChunkManifest(mw.name, mw.ChunkManifest)
-		mw.gz = gzipped(mw.body)
-	})
-	return mw.body, mw.gz
-}
-
-// lookup returns the memoized manifest under key.
-func (mm *ManifestMemo) lookup(key manifestKey) (*ManifestWire, bool) {
-	mm.manifestMu.Lock()
-	defer mm.manifestMu.Unlock()
-	return mm.manifests.Get(key)
-}
-
-// put memoizes mw under its name and package hash, unless the memo
-// already holds a manifest there (with its wire form, perhaps built).
-func (mm *ManifestMemo) put(mw *ManifestWire) {
-	key := manifestKey{mw.PackageHash, mw.name}
-	mm.manifestMu.Lock()
-	defer mm.manifestMu.Unlock()
-	if mm.manifests.Len() == 0 { // the zero memo takes its bound here
-		mm.manifests = rotation.New[manifestKey, *ManifestWire](maxManifestMemo, nil)
+// StoredManifest returns the manifest blob (EncodeManifestBlob) st
+// keeps beside the package blob at key. On a miss — and a stored body
+// that does not name entry's hash and size is one, so a tier never
+// serves a manifest its signed entry refutes — it cuts the manifest
+// once from the bytes fetch returns, which must hash to entry, and
+// stores it, unless the fetch stored it (an edge's differential pull
+// stores the one it checked). The blob is read-only, and as untrusted
+// as any manifest.
+func StoredManifest(st store.Store, key, name string, entry index.Entry, fetch func() ([]byte, error)) ([]byte, error) {
+	stored := func() ([]byte, bool) {
+		blob, err := st.Get(key + ManifestSuffix)
+		body, _, ok := splitManifestBlob(blob)
+		return blob, err == nil && ok && rootedIn(body, entry)
 	}
-	if _, ok := mm.manifests.Get(key); !ok {
-		mm.manifests.Put(key, mw)
-	}
-}
-
-// Get returns the manifest of entry's content, cutting it from the
-// bytes fetch returns on a miss — unless fetching seeded it (an edge's
-// pull-through that diffed). Bytes that do not hash to the entry (the
-// tier republished during the build, or a replica simulating
-// corruption) are refused: a manifest over other bytes would only
-// mislead downstreams into useless range fetches, and their full-fetch
-// fallback meets the same bytes and rejects them end-to-end.
-func (mm *ManifestMemo) Get(name string, entry index.Entry, fetch func() ([]byte, error)) (*ManifestWire, error) {
-	key := manifestKey{entry.Hash, name}
-	if mw, ok := mm.lookup(key); ok {
-		return mw, nil
+	if blob, ok := stored(); ok {
+		return blob, nil
 	}
 	raw, err := fetch()
 	if err != nil {
 		return nil, err
 	}
-	if mw, ok := mm.lookup(key); ok {
-		return mw, nil
+	if blob, ok := stored(); ok {
+		return blob, nil
 	}
+	// Bytes that do not hash to the entry (a republish mid-fetch, a
+	// replica simulating corruption) would mislead downstreams.
 	m := store.BuildManifest(raw)
 	if m.PackageHash != entry.Hash {
 		return nil, fmt.Errorf("tsr: %s: bytes served for the chunk manifest do not match the index entry", name)
 	}
-	mw := &ManifestWire{ChunkManifest: m, name: name}
-	mm.put(mw)
-	return mw, nil
-}
-
-// Lookup returns the memoized manifest of name at content hash, or nil:
-// the base manifest of a differential pull, which then need not re-cut
-// and re-hash the base bytes.
-func (mm *ManifestMemo) Lookup(name string, hash [32]byte) *store.ChunkManifest {
-	if mw, ok := mm.lookup(manifestKey{hash, name}); ok {
-		return mw.ChunkManifest
-	}
-	return nil
-}
-
-// Seed memoizes m as name's manifest at m.PackageHash. Only a manifest
-// every chunk of which was checked against bytes that hash to the
-// signed entry may be seeded: one a differential pull returned after
-// its output verified (see ReassembleChunks).
-func (mm *ManifestMemo) Seed(name string, m *store.ChunkManifest) {
-	mm.put(&ManifestWire{ChunkManifest: m, name: name})
+	blob := EncodeManifestBlob(name, m)
+	_ = st.Put(key+ManifestSuffix, blob)
+	return blob, nil
 }
 
 // SliceRange returns a copy of length bytes of a package starting at

@@ -3,10 +3,8 @@ package tsr
 import (
 	"bytes"
 	"crypto/sha256"
-	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"tsr/internal/apk"
@@ -75,72 +73,53 @@ func TestFetchStageReadsScriptsFromHead(t *testing.T) {
 	}
 }
 
-// TestManifestMemoRotationKeepsNewest: a manifest put just before the
-// memo's bound is still returned after the put that crosses it, and a
-// manifest in use survives many rotations.
-func TestManifestMemoRotationKeepsNewest(t *testing.T) {
-	var mm ManifestMemo
-	manifest := func(i int) *store.ChunkManifest {
-		return store.BuildManifest([]byte(fmt.Sprintf("package %d", i)))
+// TestStoredManifestCutsOnceAndRefusesRefuted: a tier cuts a package's
+// manifest on the first request and serves the stored blob after; a
+// stored blob that does not frame, or whose body names another hash,
+// is cut again and replaced; and bytes that do not hash to the entry
+// store nothing.
+func TestStoredManifestCutsOnceAndRefusesRefuted(t *testing.T) {
+	raw := bytes.Repeat([]byte("chunk me "), 40<<10)
+	entry := index.Entry{Name: "p", Size: int64(len(raw)), Hash: sha256.Sum256(raw)}
+	st := store.NewMem()
+	cuts := 0
+	get := func() []byte {
+		t.Helper()
+		blob, err := StoredManifest(st, "k", "p", entry, func() ([]byte, error) { cuts++; return raw, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		name, m, err := DecodeManifestBlob(blob)
+		if err != nil || name != "p" || m.PackageHash != entry.Hash || m.TotalSize != entry.Size {
+			t.Fatalf("stored manifest %q %+v, %v: not the package's", name, m, err)
+		}
+		body, gz, _ := splitManifestBlob(blob)
+		if !bytes.Equal(body, EncodeChunkManifest("p", m)) || gz == nil {
+			t.Fatal("the stored blob is not the wire body and its gzip")
+		}
+		return blob
 	}
-	for i := 0; i < maxManifestMemo; i++ {
-		mm.Seed(fmt.Sprintf("p%d", i), manifest(i))
+	get()
+	get()
+	if cuts != 1 {
+		t.Fatalf("%d cuts for two requests, want 1", cuts)
 	}
-	last := manifest(maxManifestMemo - 1)
-	mm.Seed("over", manifest(-1)) // crosses the bound
-	if got := mm.Lookup(fmt.Sprintf("p%d", maxManifestMemo-1), last.PackageHash); got == nil {
-		t.Fatal("the manifest put just before the bound is gone after it")
-	}
-	hot := manifest(0)
-	for i := 0; i < 4*maxManifestMemo; i++ {
-		mm.Seed(fmt.Sprintf("q%d", i), manifest(maxManifestMemo+i))
-		if mm.Lookup("p0", hot.PackageHash) == nil {
-			t.Fatalf("the manifest in use was dropped after %d more", i+1)
+	other := store.BuildManifest(raw)
+	other.PackageHash = sha256.Sum256([]byte("another package"))
+	for i, bad := range [][]byte{[]byte("short"), EncodeManifestBlob("p", other)} {
+		_ = st.Put("k"+ManifestSuffix, bad)
+		get()
+		if cuts != 2+i {
+			t.Fatalf("bad blob %d: served without a cut", i)
 		}
 	}
-	if n := mm.manifests.Len(); n > 2*maxManifestMemo {
-		t.Fatalf("memo holds %d manifests, bound %d", n, 2*maxManifestMemo)
+	wrong := index.Entry{Name: "p", Size: entry.Size, Hash: sha256.Sum256([]byte("other bytes"))}
+	if _, err := StoredManifest(st, "w", "p", wrong, func() ([]byte, error) { return raw, nil }); err == nil {
+		t.Fatal("cut a manifest from bytes that do not hash to the entry")
 	}
-	// Get serves a seeded manifest without fetching.
-	entry := index.Entry{Hash: hot.PackageHash}
-	mw, err := mm.Get("p0", entry, func() ([]byte, error) {
-		t.Fatal("Get fetched a package whose manifest is memoized")
-		return nil, nil
-	})
-	if err != nil || mw.ChunkManifest != mm.Lookup("p0", hot.PackageHash) {
-		t.Fatalf("Get = %v, %v; want the seeded manifest", mw, err)
+	if _, err := st.Get("w" + ManifestSuffix); err == nil {
+		t.Fatal("stored a manifest of bytes that do not hash to the entry")
 	}
-}
-
-// TestManifestMemoConcurrent: seeds, lookups and Gets from several
-// goroutines at once, across rotations, each see a manifest of the
-// package they asked for (run under -race).
-func TestManifestMemoConcurrent(t *testing.T) {
-	var mm ManifestMemo
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 3*maxManifestMemo; i++ {
-				raw := []byte(fmt.Sprintf("package %d of %d", i, g))
-				m := store.BuildManifest(raw)
-				name := fmt.Sprintf("p%d", i%50)
-				if i%2 == 0 {
-					mm.Seed(name, m)
-				}
-				got := mm.Lookup(name, m.PackageHash)
-				if got != nil && got.PackageHash != m.PackageHash {
-					t.Errorf("Lookup returned another package's manifest")
-				}
-				mw, err := mm.Get(name, index.Entry{Hash: m.PackageHash}, func() ([]byte, error) { return raw, nil })
-				if err != nil || mw.PackageHash != m.PackageHash {
-					t.Errorf("Get = %v, %v", mw, err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // diffPair returns two versions of a package of the first n layout

@@ -170,10 +170,6 @@ type Repo struct {
 	// at most one refresh interval of extra storage, never a leak.
 	servedWritesMu sync.Mutex
 	servedWrites   map[string]struct{}
-
-	// manifests memoizes chunk manifests by content hash for the
-	// differential-sync endpoint; see stream.go.
-	manifests ManifestMemo
 }
 
 // newRepo builds the tenant repository and its quorum reader.

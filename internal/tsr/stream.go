@@ -16,35 +16,43 @@ import (
 // here adds trusted state.
 
 // FetchChunkManifestCtx returns the chunk manifest of a served package
-// (see ManifestMemo).
+// (see FetchManifestBlobCtx).
 func (r *Repo) FetchChunkManifestCtx(ctx context.Context, name string) (*store.ChunkManifest, error) {
-	mw, err := r.FetchManifestWireCtx(ctx, name)
+	blob, _, err := r.FetchManifestBlobCtx(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	return mw.ChunkManifest, nil
+	_, m, err := DecodeManifestBlob(blob)
+	return m, err
 }
 
-// FetchManifestWireCtx is FetchChunkManifestCtx with the manifest's
-// memoized wire form, for the /chunks route.
-func (r *Repo) FetchManifestWireCtx(ctx context.Context, name string) (*ManifestWire, error) {
+// FetchManifestBlobCtx returns the package's chunk manifest as stored
+// beside its sanitized bytes (StoredManifest), cut from them on the
+// first request for the version, with the ETag of the entry it
+// describes.
+func (r *Repo) FetchManifestBlobCtx(ctx context.Context, name string) ([]byte, string, error) {
 	snap := r.served.Load()
 	if snap == nil {
-		return nil, ErrNotInitialized
+		return nil, "", ErrNotInitialized
 	}
 	entry, err := snap.Index.Lookup(name)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	mw, err := r.manifests.Get(name, entry, func() ([]byte, error) {
+	key := r.sanitizedKey(name, entry.Hash)
+	blob, err := StoredManifest(r.svc.cfg.Store, key, name, entry, func() ([]byte, error) {
+		// A cut racing a publish may store the manifest of a retired
+		// generation: the next refresh reconciles it like any other
+		// serving-path write.
+		r.noteServedWrite(key + ManifestSuffix)
 		raw, _, err := r.FetchPackageTracedCtx(ctx, name)
 		return raw, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	r.totals.manifestReads.Add(1)
-	return mw, nil
+	return blob, entry.ETag(), nil
 }
 
 // FetchPackageRangeCtx returns length bytes of the package starting at

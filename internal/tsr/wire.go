@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -457,6 +458,55 @@ func DecodeChunkManifest(raw []byte) (string, *store.ChunkManifest, error) {
 	return doc.Package, m, nil
 }
 
+// EncodeManifestBlob frames a manifest for the store: the length of its
+// wire body (EncodeChunkManifest), the body, then the body's gzip
+// (none when gzip does not shrink it), so /chunks answers either
+// encoding by slicing the stored blob.
+func EncodeManifestBlob(name string, m *store.ChunkManifest) []byte {
+	body := EncodeChunkManifest(name, m)
+	gz := gzipped(body)
+	blob := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(body)+len(gz)), uint64(len(body)))
+	return append(append(blob, body...), gz...)
+}
+
+// DecodeManifestBlob is DecodeChunkManifest of a stored blob's body:
+// as UNTRUSTED as a wire manifest.
+func DecodeManifestBlob(blob []byte) (string, *store.ChunkManifest, error) {
+	body, _, ok := splitManifestBlob(blob)
+	if !ok {
+		return "", nil, errors.New("tsr: stored chunk manifest: bad framing")
+	}
+	return DecodeChunkManifest(body)
+}
+
+// splitManifestBlob slices a stored manifest blob into its wire body
+// and gzip (nil when none was stored), without copying.
+func splitManifestBlob(blob []byte) (body, gz []byte, ok bool) {
+	if len(blob) < 8 || binary.BigEndian.Uint64(blob) > uint64(len(blob)-8) {
+		return nil, nil, false
+	}
+	n := 8 + binary.BigEndian.Uint64(blob)
+	body, gz = blob[8:n], blob[n:]
+	if len(gz) == 0 {
+		gz = nil
+	}
+	return body, gz, true
+}
+
+// rootedIn reports whether a manifest body, as EncodeChunkManifest
+// renders it, names entry's hash and size, without decoding it (so
+// without allocating). JSON escapes every quote in the package name,
+// so only the hash field can match.
+func rootedIn(body []byte, entry index.Entry) bool {
+	var buf [128]byte
+	want := append(buf[:0], `,"hash":"`...)
+	want = hex.AppendEncode(want, entry.Hash[:])
+	want = append(want, `","size":`...)
+	want = strconv.AppendInt(want, entry.Size, 10)
+	want = append(want, `,"chunks":`...)
+	return bytes.Contains(body, want)
+}
+
 // ReassembleStats reports what a ReassembleChunks call transferred
 // versus reused.
 type ReassembleStats struct {
@@ -476,9 +526,9 @@ type ReassembleStats struct {
 // returned bytes against the signed index entry before serving or
 // caching them. Once it has, every chunk of m is known to describe
 // them — a fetched chunk was hashed, and a reused one copied from old
-// under the same hash — so m may then be kept as their manifest (see
-// ManifestMemo.Seed). A wrong oldM can make the output fail that check,
-// never pass it with wrong bytes.
+// under the same hash — so m may then be stored as their manifest. A
+// wrong oldM can make the output fail that check, never pass it with
+// wrong bytes.
 func ReassembleChunks(m *store.ChunkManifest, old []byte, oldM *store.ChunkManifest, fetchRange func(off, length int64) ([]byte, error)) ([]byte, ReassembleStats, error) {
 	var st ReassembleStats
 	if err := m.Valid(); err != nil {

@@ -370,9 +370,9 @@ func TestChunkManifestEndpoint(t *testing.T) {
 	}
 }
 
-// TestChunkManifestWireConcurrent: concurrent first requests for one
-// manifest, identity and gzip, all get the same memoized wire form
-// (run under -race, it checks the wire form is built once, safely).
+// TestChunkManifestWireConcurrent: concurrent requests for one
+// manifest, identity and gzip, all get the same stored wire form (run
+// under -race, it checks the stored blob is served safely).
 func TestChunkManifestWireConcurrent(t *testing.T) {
 	w, r := refreshedWorld(t)
 	h := Handler(w.svc)
