@@ -3,9 +3,9 @@
 // enforce the invariants the system depends on — edges never sign,
 // handler errors route through statusFor, published snapshots are
 // frozen, the serving path is lock-free, deterministic packages stay
-// deterministic, and outgoing HTTP carries contexts and timeouts.
-// docs/LINT.md documents each analyzer and the //lint:allow escape
-// hatch.
+// deterministic, outgoing HTTP carries contexts and timeouts, and
+// internal/ exports nothing that only tests use. docs/LINT.md
+// documents each analyzer and the //lint:allow escape hatch.
 //
 // Two modes:
 //
@@ -13,10 +13,12 @@
 //	go vet -vettool=$(which tsrlint) ./...  # driven by the go tool
 //
 // The standalone mode loads packages itself (via `go list -export`)
-// and exits 1 if any diagnostic survives the allow filter. The vet
-// mode speaks the cmd/go vettool protocol: -V=full for build
-// caching, -flags for flag discovery, and a JSON .cfg file per
-// compilation unit.
+// and exits 1 if any diagnostic survives the allow filter. Given the
+// whole module (./...), it also runs deadexport, the check that needs
+// every package at once. The vet mode speaks the cmd/go vettool
+// protocol: -V=full for build caching, -flags for flag discovery, and
+// a JSON .cfg file per compilation unit; it sees one unit at a time,
+// so it skips deadexport.
 //
 // Flags (standalone mode):
 //
@@ -86,18 +88,17 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exit := 0
-	for _, u := range units {
-		diags, err := analysis.RunUnit(u, analyzers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, d := range diags {
-			fmt.Println(d)
-			exit = 1
-		}
+	wholeModule := len(patterns) == 1 && patterns[0] == "./..."
+	diags, err := analysis.RunUnits(units, analyzers, wholeModule)
+	if err != nil {
+		log.Fatal(err)
 	}
-	os.Exit(exit)
+	for _, d := range diags {
+		fmt.Println(d)
+	}
+	if len(diags) > 0 {
+		os.Exit(1)
+	}
 }
 
 // versionFlag implements the -V=full protocol required by "go vet":

@@ -4,8 +4,9 @@
 // sign, handler errors route through statusFor, published snapshots
 // are frozen, the serving path is lock-free, deterministic packages
 // stay deterministic, outgoing HTTP always carries a context and a
-// timeout, and blobs read from a store are never written. docs/LINT.md describes each invariant and where it came
-// from.
+// timeout, blobs read from a store are never written, and internal/
+// exports nothing that only tests use. docs/LINT.md describes each
+// invariant and where it came from.
 //
 // The API deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis (Analyzer, Pass, Reportf) so the suite could be ported
@@ -39,6 +40,10 @@ type Analyzer struct {
 	// Run performs the check on one package unit, reporting findings
 	// through the Pass.
 	Run func(*Pass) error
+	// RunModule, set instead of Run, checks the whole module at once:
+	// RunUnits calls it with every unit when they are the whole module,
+	// and RunUnit, which sees one unit, skips it.
+	RunModule func(units []*Unit, report func(token.Position, string))
 }
 
 // A Pass carries one type-checked package unit through one analyzer.
@@ -65,8 +70,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // analyzers enforce production-code invariants and skip test files;
 // detrand's seed check deliberately does not.
 func (p *Pass) InTestFile(pos token.Pos) bool {
-	f := p.Fset.File(pos)
-	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
+	return isTestFile(p.Fset, pos)
+}
+
+func isTestFile(fset *token.FileSet, pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // A Diagnostic is one reported violation.
@@ -111,7 +119,7 @@ func NewInfo() *types.Info {
 func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.Applies != nil && !a.Applies(u.Path) {
+		if a.Run == nil || a.Applies != nil && !a.Applies(u.Path) {
 			continue
 		}
 		pass := &Pass{
@@ -133,6 +141,49 @@ func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 	allows, bad := collectAllows(u, analyzerNames(All()))
 	diags = allows.filter(diags)
 	diags = append(diags, bad...)
+	sortDiagnostics(diags)
+	return diags, nil
+}
+
+// RunUnits runs analyzers over each unit through RunUnit. When the
+// units are the whole module, each whole-module analyzer then runs
+// once over all of them, and every unit's allow directives apply to
+// its findings.
+func RunUnits(units []*Unit, analyzers []*Analyzer, wholeModule bool) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	for _, u := range units {
+		d, err := RunUnit(u, analyzers)
+		if err != nil {
+			return nil, err
+		}
+		diags = append(diags, d...)
+	}
+	if !wholeModule {
+		return diags, nil
+	}
+	var found []Diagnostic
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			a.RunModule(units, func(pos token.Position, msg string) {
+				found = append(found, Diagnostic{Analyzer: a.Name, Pos: pos, Message: msg})
+			})
+		}
+	}
+	allows := make(allowSet)
+	for _, u := range units {
+		s, _ := collectAllows(u, analyzerNames(All())) // RunUnit reported the malformed ones
+		for k := range s {
+			allows[k] = true
+		}
+	}
+	found = allows.filter(found)
+	sortDiagnostics(found)
+	return append(diags, found...), nil
+}
+
+// sortDiagnostics orders diagnostics by position, then analyzer and
+// message, so output is deterministic.
+func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -149,7 +200,6 @@ func RunUnit(u *Unit, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		return a.Message < b.Message
 	})
-	return diags, nil
 }
 
 func analyzerNames(analyzers []*Analyzer) map[string]bool {

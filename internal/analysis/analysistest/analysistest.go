@@ -3,7 +3,8 @@
 // mirroring golang.org/x/tools/go/analysis/analysistest on the standard
 // library only.
 //
-// Expectations are `// want "regexp"` comments: each quoted Go string
+// Expectations are `// want "regexp"` comments (or `/* want ... */`,
+// which can share a line with a // directive): each quoted Go string
 // on the comment is a regular expression that must match the message of
 // exactly one diagnostic reported on that line. Lines without a want
 // comment must produce no diagnostics. Because the harness runs the
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strconv"
@@ -36,6 +38,8 @@ type want struct {
 // directory) as if it had the given import path — which is what
 // analyzer Applies scoping keys on — runs a on it, and reports any
 // mismatch between the diagnostics and the // want comments through t.
+//
+//lint:allow deadexport the analyzer tests' harness: every analyzer test drives it
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	t.Helper()
 	unit, err := analysis.LoadDir(".", dir, importPath)
@@ -49,10 +53,46 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
+	check(t, []*analysis.Unit{unit}, diags)
+}
 
-	wants, err := collectWants(unit.Fset, unit.Files)
+// RunModule loads testdata packages as one whole module — dirs and
+// importPaths pair up, and each package may import the ones before
+// it by their import paths — runs the whole-module analyzer a over
+// them, and checks the diagnostics against every package's // want
+// comments.
+//
+//lint:allow deadexport the harness for whole-module analyzer tests
+func RunModule(t *testing.T, a *analysis.Analyzer, dirs, importPaths []string) {
+	t.Helper()
+	var units []*analysis.Unit
+	var deps []*types.Package
+	for i, dir := range dirs {
+		unit, err := analysis.LoadDir(".", dir, importPaths[i], deps...)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		units = append(units, unit)
+		deps = append(deps, unit.Pkg)
+	}
+	diags, err := analysis.RunUnits(units, []*analysis.Analyzer{a}, true)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	check(t, units, diags)
+}
+
+// check reports through t every mismatch between diags and the units'
+// // want comments.
+func check(t *testing.T, units []*analysis.Unit, diags []analysis.Diagnostic) {
+	t.Helper()
+	var wants []want
+	for _, u := range units {
+		w, err := collectWants(u.Fset, u.Files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, w...)
 	}
 
 	type key struct {
@@ -101,7 +141,10 @@ func collectWants(fset *token.FileSet, files []*ast.File) ([]want, error) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
+				// A /* want */ comment leaves room for a // directive on
+				// the same line.
 				text := strings.TrimPrefix(c.Text, "//")
+				text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
 				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {

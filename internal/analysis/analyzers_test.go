@@ -62,10 +62,18 @@ func TestBlobview(t *testing.T) {
 	analysistest.Run(t, analysis.Blobview, "testdata/src/blobview", "tsr/internal/edge")
 }
 
+// TestDeadexport loads an internal package, its tests and a main
+// package that imports it as one module.
+func TestDeadexport(t *testing.T) {
+	analysistest.RunModule(t, analysis.Deadexport,
+		[]string{"testdata/src/deadexport/lib", "testdata/src/deadexport/cmd"},
+		[]string{"tsr/internal/deadexport", "tsr/cmd/deadexport"})
+}
+
 func TestRegistryByName(t *testing.T) {
 	all, ok := analysis.ByName(nil)
-	if !ok || len(all) != 9 {
-		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 9", len(all), ok)
+	if !ok || len(all) != 10 {
+		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 10", len(all), ok)
 	}
 	subset, ok := analysis.ByName([]string{"detrand", "noresign"})
 	if !ok || len(subset) != 2 || subset[0].Name != "detrand" || subset[1].Name != "noresign" {

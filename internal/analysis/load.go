@@ -79,7 +79,9 @@ func goList(dir string, pkgs map[string]*listedPkg, patterns ...string) error {
 // tooling ignores) with real type information: their imports are
 // resolved through `go list -export` run in moduleDir, so testdata
 // may import both the standard library and this module's packages.
-func LoadDir(moduleDir, dir, importPath string) (*Unit, error) {
+// An import of a deps package's path resolves to that package, so
+// testdata packages loaded earlier can stand in for a module's own.
+func LoadDir(moduleDir, dir, importPath string, deps ...*types.Package) (*Unit, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
@@ -103,6 +105,11 @@ func LoadDir(moduleDir, dir, importPath string) (*Unit, error) {
 			}
 		}
 	}
+	local := make(map[string]*types.Package)
+	for _, dep := range deps {
+		local[dep.Path()] = dep
+		delete(imports, dep.Path())
+	}
 	pkgs := make(map[string]*listedPkg)
 	if len(imports) > 0 {
 		var paths []string
@@ -121,10 +128,16 @@ func LoadDir(moduleDir, dir, importPath string) (*Unit, error) {
 		}
 		return p.Export, nil
 	}
+	exported := ExportDataImporter(fset, exportFile, nil)
 	info := NewInfo()
 	conf := types.Config{
-		Importer: ExportDataImporter(fset, exportFile, nil),
-		Sizes:    types.SizesFor("gc", "amd64"),
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if pkg, ok := local[path]; ok {
+				return pkg, nil
+			}
+			return exported.Import(path)
+		}),
+		Sizes: types.SizesFor("gc", "amd64"),
 	}
 	pkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {

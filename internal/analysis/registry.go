@@ -13,6 +13,7 @@ func All() []*Analyzer {
 		Spanend,
 		Streamserve,
 		Blobview,
+		Deadexport,
 	}
 }
 

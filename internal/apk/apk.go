@@ -109,11 +109,10 @@ func (p *Package) ScriptNames() []string {
 	return names
 }
 
-// FileCount returns the number of files in the data segment.
-func (p *Package) FileCount() int { return len(p.Files) }
-
 // UncompressedSize returns the total content size of the data segment,
 // the "uncompressed package size" axis of Figure 8.
+//
+//lint:allow deadexport tests size packages along Figure 8's axis with it
 func (p *Package) UncompressedSize() int64 {
 	var n int64
 	for _, f := range p.Files {

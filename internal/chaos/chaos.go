@@ -332,13 +332,6 @@ func (c *Checker) ChunkedPull(actor string, pulls int64) {
 	}
 }
 
-// Sequence returns the highest sequence recorded for an actor.
-func (c *Checker) Sequence(actor string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq[actor]
-}
-
 // Checks returns how many invariant assertions ran.
 func (c *Checker) Checks() int64 {
 	c.mu.Lock()

@@ -86,6 +86,8 @@ func NewRouter(backends []string, replicas int, log *slog.Logger) (*Router, erro
 func (rt *Router) Nodes() []string { return append([]string(nil), rt.nodes...) }
 
 // Owner returns the backend that holds repository id.
+//
+//lint:allow deadexport tests ask the router where a repository lives
 func (rt *Router) Owner(id string) string { return rt.ring.Owner(id) }
 
 // Handler serves the router's API.

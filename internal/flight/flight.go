@@ -109,11 +109,3 @@ func (g *Group[V]) DoCtx(ctx context.Context, key string, fn func(context.Contex
 	completed = true
 	return c.val, ctx, true, c.err
 }
-
-// Inflight reports the number of keys currently being executed, for
-// tests and metrics.
-func (g *Group[V]) Inflight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.calls)
-}

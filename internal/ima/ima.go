@@ -71,17 +71,12 @@ func New(fs *vfs.FS, t *tpm.TPM) *IMA {
 
 // EnableAppraisal turns on IMA-appraisal against the given trusted
 // keyring: subsequently measured files must carry a valid signature.
+//
+//lint:allow deadexport tests turn appraisal on to check signed files end to end
 func (m *IMA) EnableAppraisal(ring *keys.Ring) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.appraisal = ring
-}
-
-// AppraisalEnabled reports whether appraisal is enforced.
-func (m *IMA) AppraisalEnabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.appraisal != nil
 }
 
 // MeasureFile measures the file at path: hashes its content, reads its

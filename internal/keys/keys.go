@@ -17,7 +17,6 @@ import (
 	"encoding/pem"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -72,6 +71,8 @@ func (p *Pair) SignDigest(digest [32]byte) ([]byte, error) {
 
 // PrivateOps returns how many private-key operations (signatures) the
 // pair has made. Tests use it to count what a memo saved.
+//
+//lint:allow deadexport tests count the signatures a memo saves
 func (p *Pair) PrivateOps() uint64 { return p.ops.Load() }
 
 // Public returns the public half of the pair.
@@ -176,18 +177,6 @@ func (r *Ring) Get(name string) (*Public, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKey, name)
 	}
 	return k, nil
-}
-
-// Names returns the sorted key names in the ring.
-func (r *Ring) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.keys))
-	for n := range r.keys {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Len returns the number of keys.

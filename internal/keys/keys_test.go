@@ -130,10 +130,6 @@ func TestRing(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "signer-a" || names[1] != "signer-b" {
-		t.Fatalf("Names = %v", names)
-	}
 	if _, err := r.Get("signer-a"); err != nil {
 		t.Fatal(err)
 	}

@@ -95,13 +95,6 @@ func (m *Mirror) SetBehavior(b Behavior) {
 	}
 }
 
-// Behavior returns the current behavior.
-func (m *Mirror) Behavior() Behavior {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.behavior
-}
-
 // Sync pulls the latest snapshot from the original repository. Replay,
 // Freeze and Offline mirrors record the new snapshot (so a later return
 // to honesty is possible) but keep serving the pinned one.

@@ -165,27 +165,6 @@ func (img *Image) seedGroups(content string) error {
 	return nil
 }
 
-// Users returns a copy of the account database.
-func (img *Image) Users() []script.User {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	return append([]script.User(nil), img.users...)
-}
-
-// Groups returns a copy of the group database.
-func (img *Image) Groups() []script.Group {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	return append([]script.Group(nil), img.groups...)
-}
-
-// Shells returns the registered login shells.
-func (img *Image) Shells() []string {
-	img.mu.Lock()
-	defer img.mu.Unlock()
-	return append([]string(nil), img.shells...)
-}
-
 // renderAccountsLocked rewrites /etc/passwd, /etc/shadow and /etc/group
 // from the account database *in database order* — installation order
 // leaks into file contents, which is precisely the nondeterminism the
@@ -375,6 +354,8 @@ func (img *Image) AddShell(path string) error {
 // installs the signatures as security.ima xattrs — the provisioning
 // step a real IMA-appraisal deployment performs on the golden image
 // before enabling enforcement ("evmctl ima_sign" over the filesystem).
+//
+//lint:allow deadexport tests provision a golden image for appraisal
 func (img *Image) LabelTree(root string, pair *keys.Pair) error {
 	var paths []string
 	err := img.FS.Walk(root, func(info vfs.FileInfo) error {
@@ -417,6 +398,8 @@ func ConfigDigestPaths() []string {
 
 // ConfigFingerprint summarizes the current contents of the predicted
 // configuration files, used by tests asserting order-independence.
+//
+//lint:allow deadexport tests compare configuration states across install orders
 func (img *Image) ConfigFingerprint() (string, error) {
 	var parts []string
 	for _, p := range ConfigDigestPaths() {

@@ -97,15 +97,6 @@ func (p *Policy) Allows(name string) bool {
 	return true
 }
 
-// MaxFaulty returns f, the number of Byzantine mirrors tolerated by the
-// quorum rule given the declared mirror count (n = 2f+1 → f = (n-1)/2).
-func (p *Policy) MaxFaulty() int {
-	if len(p.Mirrors) == 0 {
-		return 0
-	}
-	return (len(p.Mirrors) - 1) / 2
-}
-
 // Validate checks structural invariants.
 func (p *Policy) Validate() error {
 	if len(p.Mirrors) == 0 {

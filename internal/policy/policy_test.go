@@ -163,21 +163,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestMaxFaulty(t *testing.T) {
-	tests := []struct {
-		mirrors int
-		want    int
-	}{
-		{0, 0}, {1, 0}, {2, 0}, {3, 1}, {4, 1}, {5, 2}, {9, 4}, {10, 4},
-	}
-	for _, tt := range tests {
-		p := &Policy{Mirrors: make([]Mirror, tt.mirrors)}
-		if got := p.MaxFaulty(); got != tt.want {
-			t.Errorf("MaxFaulty(%d mirrors) = %d, want %d", tt.mirrors, got, tt.want)
-		}
-	}
-}
-
 func TestSignerRing(t *testing.T) {
 	p := samplePolicy(t)
 	ring, err := p.SignerRing()

@@ -23,7 +23,6 @@ var ErrNoPackage = errors.New("repo: no such package")
 // Repository is the original repository. All methods are safe for
 // concurrent use.
 type Repository struct {
-	origin string
 	signer *keys.Pair
 
 	mu sync.RWMutex
@@ -39,18 +38,11 @@ type Repository struct {
 // is the distribution's index signing key.
 func New(origin string, signer *keys.Pair) *Repository {
 	return &Repository{
-		origin:   origin,
 		signer:   signer,
 		packages: make(map[string][]byte),
 		idx:      &index.Index{Origin: origin, Sequence: 0},
 	}
 }
-
-// Origin returns the repository's origin name.
-func (r *Repository) Origin() string { return r.origin }
-
-// IndexKey returns the public index signing key end users trust.
-func (r *Repository) IndexKey() *keys.Public { return r.signer.Public() }
 
 // Publish encodes and stores packages, updates the index, and re-signs
 // it with an incremented sequence number. Publishing an already-present

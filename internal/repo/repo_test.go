@@ -98,7 +98,7 @@ func TestSignedIndexVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	signed := r.SignedIndex()
-	ring := keys.NewRing(r.IndexKey())
+	ring := keys.NewRing(r.signer.Public())
 	ix, err := signed.Verify(ring)
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,8 @@ func (r *Map[K, V]) Put(key K, v V) {
 }
 
 // Range calls fn with every entry of both maps, in no set order.
+//
+//lint:allow deadexport tests look inside the maps they bound
 func (r *Map[K, V]) Range(fn func(key K, v V)) {
 	for k, v := range r.cur {
 		fn(k, v)

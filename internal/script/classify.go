@@ -100,17 +100,6 @@ func (s ClassSet) Classes() []OpClass {
 	return out
 }
 
-// SafeBeforeTSR reports whether every class in the set is safe without
-// sanitization.
-func (s ClassSet) SafeBeforeTSR() bool {
-	for c := range s {
-		if !c.SafeBeforeTSR() {
-			return false
-		}
-	}
-	return true
-}
-
 // SafeAfterTSR reports whether every class in the set is sanitizable.
 func (s ClassSet) SafeAfterTSR() bool {
 	for c := range s {

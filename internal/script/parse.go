@@ -30,6 +30,8 @@ func Parse(src string) (*Script, error) {
 }
 
 // MustParse is Parse for statically known sources; it panics on error.
+//
+//lint:allow deadexport tests build script fixtures with it
 func MustParse(src string) *Script {
 	s, err := Parse(src)
 	if err != nil {

@@ -280,13 +280,10 @@ func TestSafetyTables(t *testing.T) {
 
 func TestClassSetSafety(t *testing.T) {
 	safe := ClassSet{OpFilesystem: true, OpEmpty: true}
-	if !safe.SafeBeforeTSR() || !safe.SafeAfterTSR() {
+	if !safe.SafeAfterTSR() {
 		t.Fatal("safe set misclassified")
 	}
 	sanitizable := ClassSet{OpUserGroup: true, OpFilesystem: true}
-	if sanitizable.SafeBeforeTSR() {
-		t.Fatal("user/group set should be unsafe before TSR")
-	}
 	if !sanitizable.SafeAfterTSR() {
 		t.Fatal("user/group set should be safe after TSR")
 	}

@@ -2,7 +2,7 @@
 // evaluation uses: percentiles and violin summaries (Figures 8-12),
 // trimmed means (§6.1's "20% trimmed mean from six independent experiment
 // executions"), Spearman rank correlations with significance levels
-// (Table 4), and simple density histograms (Figures 10-11).
+// (Table 4).
 package stats
 
 import (
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -80,20 +79,6 @@ func TrimmedMean(xs []float64, frac float64) (float64, error) {
 	return Mean(s)
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, _ := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1)), nil
-}
-
 // Summary holds the five percentiles the paper's boxplots annotate
 // ("Boxplots indicate 5th, 25th, 50th, 75th, and 95th percentile")
 // plus mean, min, max and sample count.
@@ -161,69 +146,4 @@ func Ratio(num, den Summary) Summary {
 		Max:  div(num.Max, den.Max),
 		Mean: div(num.Mean, den.Mean),
 	}
-}
-
-// Histogram is a fixed-bin density estimate used to render the density
-// plots of Figures 10 and 11 as text.
-type Histogram struct {
-	// Edges has len(Counts)+1 entries; bin i covers [Edges[i], Edges[i+1]).
-	Edges  []float64
-	Counts []int
-	total  int
-}
-
-// NewLogHistogram builds a histogram with logarithmically spaced bins
-// between lo and hi (both must be > 0), matching the log-scaled x axes of
-// the paper's latency plots.
-func NewLogHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if lo <= 0 || hi <= lo || bins < 1 {
-		return nil, fmt.Errorf("stats: invalid log histogram [%v, %v] bins=%d", lo, hi, bins)
-	}
-	h := &Histogram{Edges: make([]float64, bins+1), Counts: make([]int, bins)}
-	llo, lhi := math.Log10(lo), math.Log10(hi)
-	for i := 0; i <= bins; i++ {
-		h.Edges[i] = math.Pow(10, llo+(lhi-llo)*float64(i)/float64(bins))
-	}
-	return h, nil
-}
-
-// Add records x. Values outside the edge range are clamped to the first or
-// last bin so tail samples remain visible.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := sort.SearchFloat64s(h.Edges, x) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Render draws the histogram as rows of "edge | bar" text with the given
-// maximum bar width.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	max := 0
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		bar := 0
-		if max > 0 {
-			bar = c * width / max
-		}
-		fmt.Fprintf(&b, "%12.4g %s %d\n", h.Edges[i], strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }

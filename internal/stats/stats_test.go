@@ -116,19 +116,6 @@ func TestTrimmedMeanZeroTrimIsMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	got, err := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.138089935) > 1e-6 {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Error("single sample: want error")
-	}
-}
-
 func TestSummarizeOrdering(t *testing.T) {
 	xs := make([]float64, 1000)
 	for i := range xs {
@@ -311,41 +298,6 @@ func TestRegIncBetaBounds(t *testing.T) {
 		if got := regIncBeta(1, 1, x); math.Abs(got-x) > 1e-9 {
 			t.Errorf("I_%v(1,1) = %v", x, got)
 		}
-	}
-}
-
-func TestLogHistogram(t *testing.T) {
-	h, err := NewLogHistogram(0.001, 10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Edges) != 5 || len(h.Counts) != 4 {
-		t.Fatalf("edges/counts = %d/%d", len(h.Edges), len(h.Counts))
-	}
-	h.Add(0.002)
-	h.Add(5)
-	h.Add(1e9)   // clamps to last bin
-	h.Add(1e-12) // clamps to first bin
-	if h.Total() != 4 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[3] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if out := h.Render(20); out == "" {
-		t.Fatal("empty render")
-	}
-}
-
-func TestLogHistogramErrors(t *testing.T) {
-	if _, err := NewLogHistogram(0, 1, 4); err == nil {
-		t.Error("lo=0: want error")
-	}
-	if _, err := NewLogHistogram(1, 1, 4); err == nil {
-		t.Error("hi=lo: want error")
-	}
-	if _, err := NewLogHistogram(1, 2, 0); err == nil {
-		t.Error("bins=0: want error")
 	}
 }
 

@@ -220,6 +220,8 @@ func (m *Mem) maybeEvict() {
 // corrupting the cache. The flipped copy replaces the entry rather than
 // being written in place, because Get and Open hand the stored slice
 // itself to their callers.
+//
+//lint:allow deadexport the §5.5 adversary tests corrupt stored values with it
 func (m *Mem) Tamper(key string) error {
 	s := &m.shards[shardOf(key)]
 	s.mu.Lock()
@@ -238,6 +240,8 @@ func (m *Mem) Tamper(key string) error {
 }
 
 // Snapshot copies the full store state (for rollback attacks).
+//
+//lint:allow deadexport the §5.5 rollback tests save store state with it
 func (m *Mem) Snapshot() map[string][]byte {
 	out := make(map[string][]byte)
 	for i := range m.shards {
@@ -255,6 +259,8 @@ func (m *Mem) Snapshot() map[string][]byte {
 // attack of §5.5: "reverting software packages and the metadata index
 // to the outdated versions"). Like Put, it takes ownership of snap's
 // values.
+//
+//lint:allow deadexport the §5.5 rollback tests roll store state back with it
 func (m *Mem) Restore(snap map[string][]byte) {
 	for i := range m.shards {
 		s := &m.shards[i]

@@ -161,3 +161,45 @@ func FuzzParseRange(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeIngestBody asserts the ingest body decoder's contract on
+// arbitrary bytes (POST /repos/{id}/ingest takes them from the
+// operator's network): no panic, decoding allocates at most linearly
+// in the input — a frame's claimed length never buys an allocation
+// past the bytes that follow it — and a decoded batch re-encodes to a
+// body that decodes to the same packages.
+func FuzzDecodeIngestBody(f *testing.F) {
+	f.Add([]byte("garbage")) // the malformed body TestIngestHTTPAndServiceStats posts
+	f.Add([]byte{})
+	f.Add(EncodeIngestBody([][]byte{[]byte("pkg-a"), {}, []byte("pkg-b")}))
+	f.Add(EncodeIngestBody([][]byte{[]byte("truncated")})[:12])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 'x'})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		raws, err := DecodeIngestBody(body)
+		runtime.ReadMemStats(&after)
+		// An empty 8-byte frame adds a 24-byte slice header to the
+		// batch, and append's regrowth allocates up to 5x a large
+		// slice's final size over its life: about 17x the body for a
+		// body of empty frames.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 20*uint64(len(body))+16<<10 {
+			t.Fatalf("DecodeIngestBody allocated %d bytes for %d input bytes", n, len(body))
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeIngestBody(EncodeIngestBody(raws))
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if len(again) != len(raws) {
+			t.Fatalf("re-encoded batch has %d packages, want %d", len(again), len(raws))
+		}
+		for i := range raws {
+			if !bytes.Equal(again[i], raws[i]) {
+				t.Fatalf("package %d decodes differently after re-encoding", i)
+			}
+		}
+	})
+}

@@ -29,9 +29,6 @@ import (
 // and verified against the policy's signer ring exactly like mirror
 // downloads; the journal adds durability, never trust.
 
-// ErrNotIngestable marks batches the repository cannot accept.
-var ErrNotIngestable = errors.New("tsr: batch not ingestable")
-
 // IngestStats describes one RegisterPackages batch.
 type IngestStats struct {
 	// Received counts packages in the batch.
@@ -82,21 +79,6 @@ func (r *Repo) RegisterPackages(ctx context.Context, raws [][]byte) (*IngestStat
 		}
 	}
 	return stats, nil
-}
-
-// StageIngest journals a batch WITHOUT processing it — the crash shape
-// experiments exercise: the intent is durable, the effects never
-// happened, and the next warm restart replays the batch to completion.
-func (r *Repo) StageIngest(raws [][]byte) error {
-	if r.svc.journal == nil {
-		return fmt.Errorf("%w: service does not persist state (no journal)", ErrNotIngestable)
-	}
-	sealed, err := r.sealIngestPayload(raws)
-	if err != nil {
-		return err
-	}
-	_, err = r.svc.journal.Append(sealed)
-	return err
 }
 
 // registerScheduled admits the batch through the global scheduler and
@@ -270,24 +252,6 @@ func (r *Repo) rebuildPlanLocked() error {
 	r.plan = plan
 	r.planHash = plan.Hash()
 	return nil
-}
-
-// RegisteredPackages lists the operator-registered entries (original
-// bytes) in name order.
-func (r *Repo) RegisteredPackages() []index.Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.registeredEntriesLocked()
-}
-
-// EncodeIngestBody frames a batch for POST /repos/{id}/ingest: each
-// package is length-prefixed with the repo's chunk framing.
-func EncodeIngestBody(raws [][]byte) []byte {
-	var buf bytes.Buffer
-	for _, raw := range raws {
-		writeChunk(&buf, raw)
-	}
-	return buf.Bytes()
 }
 
 // DecodeIngestBody parses a chunk-framed ingest body.

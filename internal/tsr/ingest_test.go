@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tsr/internal/apk"
+	"tsr/internal/index"
 	"tsr/internal/keys"
 	"tsr/internal/store"
 )
@@ -402,4 +403,36 @@ func TestSchedBoundsConcurrentTenants(t *testing.T) {
 			t.Fatalf("tenant %s index has %d entries", r.ID, len(decoded.Entries))
 		}
 	}
+}
+
+// StageIngest journals a batch WITHOUT processing it — the crash shape
+// these tests exercise: the intent is durable, the effects never
+// happened, and the next warm restart replays the batch to completion.
+// The service must have a journal.
+func (r *Repo) StageIngest(raws [][]byte) error {
+	sealed, err := r.sealIngestPayload(raws)
+	if err != nil {
+		return err
+	}
+	_, err = r.svc.journal.Append(sealed)
+	return err
+}
+
+// RegisteredPackages lists the operator-registered entries (original
+// bytes) in name order.
+func (r *Repo) RegisteredPackages() []index.Entry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.registeredEntriesLocked()
+}
+
+// EncodeIngestBody frames a batch for POST /repos/{id}/ingest: each
+// package is length-prefixed with the repo's chunk framing. It is the
+// tests' reference encoder for DecodeIngestBody.
+func EncodeIngestBody(raws [][]byte) []byte {
+	var buf bytes.Buffer
+	for _, raw := range raws {
+		writeChunk(&buf, raw)
+	}
+	return buf.Bytes()
 }

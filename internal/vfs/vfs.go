@@ -289,6 +289,8 @@ func (fs *FS) Symlink(target, linkPath string) error {
 }
 
 // Readlink returns the target of the symlink at p.
+//
+//lint:allow deadexport tests check the symlinks scripts create
 func (fs *FS) Readlink(p string) (string, error) {
 	p, err := clean(p)
 	if err != nil {
@@ -466,26 +468,6 @@ func (fs *FS) GetXattr(p, name string) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-// ListXattrs returns the sorted extended attribute names of the node at p.
-func (fs *FS) ListXattrs(p string) ([]string, error) {
-	p, err := clean(p)
-	if err != nil {
-		return nil, err
-	}
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n, ok := fs.nodes[p]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotExist, p)
-	}
-	names := make([]string, 0, len(n.xattrs))
-	for name := range n.xattrs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // Walk calls fn for every node under root (inclusive) in sorted path
 // order. If fn returns an error the walk stops and returns it.
 func (fs *FS) Walk(root string, fn func(info FileInfo) error) error {
@@ -557,35 +539,4 @@ func (fs *FS) ReadDir(p string) ([]FileInfo, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
-}
-
-// Count returns the number of nodes (including the root directory).
-func (fs *FS) Count() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return len(fs.nodes)
-}
-
-// Clone returns a deep copy of the filesystem, used to snapshot an OS
-// image before an experiment trial and restore it afterwards.
-func (fs *FS) Clone() *FS {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := &FS{nodes: make(map[string]*node, len(fs.nodes))}
-	for p, n := range fs.nodes {
-		cp := &node{
-			typ:     n.typ,
-			mode:    n.mode,
-			owner:   n.owner,
-			content: append([]byte(nil), n.content...),
-		}
-		if n.xattrs != nil {
-			cp.xattrs = make(map[string][]byte, len(n.xattrs))
-			for k, v := range n.xattrs {
-				cp.xattrs[k] = append([]byte(nil), v...)
-			}
-		}
-		out.nodes[p] = cp
-	}
-	return out
 }

@@ -422,31 +422,6 @@ func TestReadDirRoot(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	fs := New()
-	if err := fs.WriteFile("/f", []byte("orig"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SetXattr("/f", "a", []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	cp := fs.Clone()
-	if err := cp.WriteFile("/f", []byte("changed"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.SetXattr("/f", "a", []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := fs.ReadFile("/f")
-	if string(orig) != "orig" {
-		t.Fatal("clone aliases original content")
-	}
-	x, _ := fs.GetXattr("/f", "a")
-	if x[0] != 1 {
-		t.Fatal("clone aliases original xattrs")
-	}
-}
-
 func TestContentIsolation(t *testing.T) {
 	fs := New()
 	data := []byte("abc")

@@ -350,13 +350,6 @@ func (g *Generator) Build(spec Spec) (*apk.Package, error) {
 	return p, nil
 }
 
-// BuildUpdate materializes the next version of a spec's package (a
-// security-fix release with changed contents).
-func (g *Generator) BuildUpdate(spec Spec) (*apk.Package, error) {
-	spec.Version = "1.0-r1"
-	return g.Build(spec)
-}
-
 // scriptFor renders the category's installation script.
 func (g *Generator) scriptFor(spec Spec) string {
 	name, svc := spec.Name, spec.Svc

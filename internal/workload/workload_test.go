@@ -280,27 +280,6 @@ func TestCVEPackagesHaveEmptyPassword(t *testing.T) {
 	}
 }
 
-func TestBuildUpdateChangesContent(t *testing.T) {
-	g := New(Config{Seed: 8, Scale: 0.01})
-	spec := g.Specs()[0]
-	v1, err := g.Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := g.BuildUpdate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Version != "1.0-r1" {
-		t.Fatalf("version = %s", v2.Version)
-	}
-	h1, _ := v1.DataHash()
-	h2, _ := v2.DataHash()
-	if h1 == h2 {
-		t.Fatal("update has identical contents")
-	}
-}
-
 func TestCategoryStringAndPredicates(t *testing.T) {
 	if CatUserGroupShell.String() != "usergroup+shell" {
 		t.Fatal("category string")
