@@ -14,14 +14,17 @@ import (
 // from it. No defensive copy protects any side any more (every reader
 // re-verifies what it gets back against a signed entry), so a caller
 // that writes into such a slice would corrupt the bytes for everyone
-// sharing them. Within each function, the analyzer marks the
-// identifiers assigned from a store's Get, from tsr.GetVerified or
-// tsr.StoredManifest, from the edge's fetchEntry or storedBase (a
-// tier's stored diff base), from FetchPackage on a tsr.PackageFetcher
-// or a mirror.Mirror, or from an element of a repository's or snapshot's
-// package map, and the identifiers passed as data to a store's Put; it
-// reports an element write to any of them or a copy into them. A
-// "store" is any type that implements store.Store. The rule is
+// sharing them. The package manager's installed-content view
+// (vfs.FS.Equal) is the stored bytes of a file on the client's image,
+// and vfs.FS.Adopt keeps the slice it is handed, as Put does. Within
+// each function, the analyzer marks the identifiers assigned from a
+// store's Get, from tsr.GetVerified or tsr.StoredManifest, from the
+// edge's fetchEntry or storedBase (a tier's stored diff base), from
+// FetchPackage on a tsr.PackageFetcher or a mirror.Mirror, from an FS's
+// Equal, or from an element of a repository's or snapshot's package
+// map, and the identifiers passed as data to a store's Put or an FS's
+// Adopt; it reports an element write to any of them or a copy into
+// them. A "store" is any type that implements store.Store. The rule is
 // flow-insensitive: a name that ever holds a view is a view for the
 // whole function, so a private copy takes a new name.
 var Blobview = &Analyzer{
@@ -43,6 +46,7 @@ var Blobview = &Analyzer{
 // element of its package path) and name, with what the diagnostic says
 // of them.
 var blobviewSources = map[string]map[string]string{
+	"FS":             {"Equal": whyInstalled},
 	"Replica":        {"fetchEntry": whyStore},
 	"PackageFetcher": {"FetchPackage": whyMirror},
 	"Mirror":         {"FetchPackage": whyMirror},
@@ -59,9 +63,10 @@ var blobviewMaps = map[string]map[string]bool{
 }
 
 const (
-	whyStore  = "came from a store read"
-	whyMirror = "came from a mirror's FetchPackage"
-	whyMap    = "is a repository's stored package"
+	whyStore     = "came from a store read"
+	whyMirror    = "came from a mirror's FetchPackage"
+	whyMap       = "is a repository's stored package"
+	whyInstalled = "is an installed file's bytes"
 )
 
 func runBlobview(pass *Pass) error {
@@ -143,8 +148,12 @@ func runBlobview(pass *Pass) error {
 					}
 					markAssigned(lhs, n.Values, source, mark)
 				case *ast.CallExpr:
-					if fn, onStore := callee(n); onStore && fn.Name() == "Put" && len(n.Args) == 2 {
+					fn, onStore := callee(n)
+					switch {
+					case onStore && fn.Name() == "Put" && len(n.Args) == 2:
 						mark(n.Args[1], "was handed to Put, which owns it")
+					case fn != nil && fn.Name() == "Adopt" && len(n.Args) == 3 && isMethodOf(fn, "FS"):
+						mark(n.Args[1], "was handed to Adopt, which owns it")
 					}
 				}
 				return true
@@ -194,6 +203,12 @@ func runBlobview(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// isMethodOf reports whether fn is a method of the named type typeName.
+func isMethodOf(fn *types.Func, typeName string) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && namedTypeName(recv.Type()) == typeName
 }
 
 // markAssigned marks each left-hand identifier whose value comes from a

@@ -1,9 +1,10 @@
 // Package blobview exercises the blobview analyzer. The harness loads
 // it under tsr/internal/edge: slices read from a store.Store or through
 // tsr.GetVerified or tsr.StoredManifest, from the edge's fetchEntry or
-// storedBase, from a PackageFetcher's or Mirror's FetchPackage, or from
+// storedBase, from a PackageFetcher's or Mirror's FetchPackage, from an
+// FS's Equal (the package manager's view of an installed file), or from
 // a Repository's or Snapshot's package map, and slices handed to a
-// store's Put, are read-only.
+// store's Put or an FS's Adopt, are read-only.
 package blobview
 
 import (
@@ -156,4 +157,27 @@ func otherMaps(r *Repository, local map[string][]byte) {
 	b[0] = 1
 	n := []byte(r.names["p"])
 	n[0] = 1
+}
+
+// FS stands in for vfs.FS: Equal hands out an installed file's stored
+// bytes, and Adopt keeps the slice it is handed.
+type FS struct{}
+
+func (fs *FS) Equal(p string, content []byte) ([]byte, bool) { return content, true }
+
+func (fs *FS) Adopt(p string, content []byte, mode uint32) error { return nil }
+
+// install keeps the installed view of an unchanged file, and hands the
+// filesystem its copy of a changed one; writing into either afterwards
+// would change the image behind the filesystem's back.
+func install(fs *FS, scratch []byte) {
+	view, ok := fs.Equal("/f", scratch)
+	if ok {
+		copy(view, "x") // want `view is a read-only blob view \(it is an installed file's bytes\)`
+		return
+	}
+	own := append([]byte(nil), scratch...)
+	_ = fs.Adopt("/f", own, 0o644)
+	own[0] = 1 // want `own is a read-only blob view \(it was handed to Adopt, which owns it\)`
+	scratch[0] = 2
 }

@@ -10,11 +10,16 @@
 //	  exactly as §5.3 describes.
 //
 // Both segments are tar archives. The control segment's exact bytes are
-// what the signature covers, so Decode keeps them available for
-// verification and Encode is deterministic. Decode, DecodeMeta and
-// Rewrite read the data segment through one streamed walker, so they
-// make the same format and hash checks; DecodeHead reads only the two
-// members before it.
+// what the signature covers, so Encode is deterministic and a reader
+// checks the signature over the bytes it inflated. Walk is the one
+// reader of a whole package: it inflates the head members once, checks
+// the signature before any data is inflated, and hands each file to its
+// caller in a reused scratch buffer, so a package manager can compare a
+// file in place with the installed one and copy only what differs.
+// Decode, DecodeMeta and VerifyRaw are Walk with a visitor that copies
+// each file or with none; they and Rewrite read the data segment through
+// one streamed walker, so they make the same format and hash checks;
+// DecodeHead reads only the two members before it.
 //
 // Each gzip member is a sequence of independently deflated runs: the
 // gzip header; per run, the output of a freshly Reset flate writer
@@ -47,6 +52,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"tsr/internal/keys"
 )
 
 // Signature and segment naming conventions.
@@ -247,9 +254,70 @@ func Encode(p *Package) ([]byte, error) {
 	return c.assemble(d.dst)
 }
 
+// Walk reads an encoded package in one pass, with the checks stock apk
+// makes before it installs anything. It inflates the signature and
+// control members once and, before it inflates any data, requires a
+// signature by a ring key, under that key's name, over the exact
+// control-segment bytes (a nil ring holds no key). It then streams the
+// data member, calling visit with each file in archive order, and last
+// checks the datahash over every byte, the framing and that nothing
+// trails. visit owns f.Path and f.Xattrs; f.Content is the codec's
+// reused scratch, valid until visit returns. A nil visit only hashes.
+// Walk returns the package's metadata, scripts and signatures (Files
+// nil) and the name of the key that verified it. A visit error stops
+// the walk and is returned as is. Until Walk returns nil, what visit
+// saw may come from a package that fails a check: a caller acts on the
+// files only after.
+//
+// This is the check both the package manager (§2.2, "verifies that a
+// trusted entity created the package") and TSR's sanitizer perform.
+func Walk(raw []byte, ring *keys.Ring, visit func(f *File) error) (*Package, string, error) {
+	if ring == nil {
+		ring = &keys.Ring{}
+	}
+	return walk(raw, ring, visit)
+}
+
+// walk is Walk; a nil ring skips the signature check.
+func walk(raw []byte, ring *keys.Ring, visit func(f *File) error) (*Package, string, error) {
+	c := getCodec()
+	defer putCodec(c)
+	r, p, declared, err := c.readHead(raw)
+	if err != nil {
+		return nil, "", err
+	}
+	var signer string
+	if ring != nil {
+		if signer, err = signedBy(p, c.seg[1].Bytes(), ring); err != nil {
+			return nil, "", err
+		}
+	}
+	if err := c.walkData(r, declared, visit); err != nil {
+		return nil, "", err
+	}
+	return p, signer, nil
+}
+
 // Decode parses an encoded package, verifying the control segment's
-// content hash against the data segment.
-func Decode(raw []byte) (*Package, error) { return decode(raw, true) }
+// content hash against the data segment. It checks no signature.
+func Decode(raw []byte) (*Package, error) {
+	var files []File
+	p, _, err := walk(raw, nil, collect(&files))
+	if err != nil {
+		return nil, err
+	}
+	p.Files = files
+	return p, nil
+}
+
+// collect returns a visitor that appends a copy of each file to files.
+func collect(files *[]File) func(f *File) error {
+	return func(f *File) error {
+		f.Content = append(make([]byte, 0, len(f.Content)), f.Content...)
+		*files = append(*files, *f)
+		return nil
+	}
+}
 
 // DecodeMeta is Decode without the file contents, for callers that read
 // only a package's metadata or scripts. It makes every check Decode
@@ -258,7 +326,10 @@ func Decode(raw []byte) (*Package, error) { return decode(raw, true) }
 // streams the data segment through the hash, discards it, and returns
 // the package with Files nil. What it allocates does not grow with the
 // data segment.
-func DecodeMeta(raw []byte) (*Package, error) { return decode(raw, false) }
+func DecodeMeta(raw []byte) (*Package, error) {
+	p, _, err := walk(raw, nil, nil)
+	return p, err
+}
 
 // DecodeHead parses the signature and control members only: it returns
 // the package's metadata, scripts and signatures (Files nil) without
@@ -273,27 +344,6 @@ func DecodeHead(raw []byte) (*Package, error) {
 	defer putCodec(c)
 	_, p, _, err := c.readHead(raw)
 	return p, err
-}
-
-func decode(raw []byte, files bool) (*Package, error) {
-	c := getCodec()
-	defer putCodec(c)
-	r, p, declared, err := c.readHead(raw)
-	if err != nil {
-		return nil, err
-	}
-	var keep func(f *File) error
-	if files {
-		keep = func(f *File) error {
-			f.Content = append(make([]byte, 0, len(f.Content)), f.Content...)
-			p.Files = append(p.Files, *f)
-			return nil
-		}
-	}
-	if err := c.walkData(r, declared, keep); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // A Rewriter supplies the caller's steps of Rewrite.
@@ -619,6 +669,8 @@ func (d *dataWriter) close() ([32]byte, error) {
 // Only the signature and control members are decompressed — the (much
 // larger) data segment is not touched, so the integrity check costs
 // roughly the same regardless of package size.
+//
+//lint:allow deadexport tests take the bytes a package's signatures cover with it
 func RawControlSegment(raw []byte) ([]byte, error) {
 	c := getCodec()
 	defer putCodec(c)

@@ -376,9 +376,18 @@ func TestEncodeConcurrent(t *testing.T) {
 // order Encode imposes (dependencies and files sorted). DecodeMeta
 // fails exactly where Decode fails and otherwise returns the same
 // package without its files; DecodeHead then returns that package too,
-// and fails only where Decode fails.
+// and fails only where Decode fails. Walk accepts exactly what Decode
+// accepts and a ring key signed, and hands its visitor exactly the
+// files Decode returns; with a nil ring it accepts nothing.
 func FuzzDecode(f *testing.F) {
+	signer := keys.Shared.MustGet("alpine@alpinelinux.org-4a40")
+	ring := keys.NewRing(signer.Public())
 	f.Add(mustEncode(f, samplePackage()))
+	signed := samplePackage()
+	if err := Sign(signed, signer); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mustEncode(f, signed))
 	dup := samplePackage()
 	for i := 0; i < 20; i++ {
 		dup.Files = append(dup.Files, File{Path: "/etc/ntp.conf", Mode: 0o600, Content: []byte{byte(i)}})
@@ -399,6 +408,28 @@ func FuzzDecode(f *testing.F) {
 		}
 		if headErr != nil && !errors.Is(headErr, ErrFormat) {
 			t.Fatalf("DecodeHead: unexpected error %v", headErr)
+		}
+		var walked []File
+		walkedP, keyName, walkErr := Walk(raw, ring, func(f *File) error {
+			f.Content = append(make([]byte, 0, len(f.Content)), f.Content...)
+			walked = append(walked, *f)
+			return nil
+		})
+		switch trusted := err == nil && trustedBy(t, raw, p, ring); {
+		case err != nil && walkErr == nil:
+			t.Fatalf("Walk accepted a package Decode rejects (%v)", err)
+		case trusted && walkErr != nil:
+			t.Fatalf("Walk err = %v on a signed package Decode accepts", walkErr)
+		case err == nil && !trusted && !errors.Is(walkErr, ErrUntrusted):
+			t.Fatalf("Walk err = %v on an unsigned package, want ErrUntrusted", walkErr)
+		case trusted:
+			walkedP.Files = walked
+			if !reflect.DeepEqual(walkedP, p) || p.Signatures[keyName] == nil {
+				t.Fatalf("Walk = %+v by %q, Decode = %+v", walkedP, keyName, p)
+			}
+		}
+		if _, _, nilErr := Walk(raw, nil, nil); nilErr == nil {
+			t.Fatal("Walk with a nil ring accepted a package")
 		}
 		if err == nil {
 			whole := *p
@@ -433,6 +464,21 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// trustedBy reports whether a ring key, under its own name, signed the
+// control segment of raw, which Decode parsed into p.
+func trustedBy(t *testing.T, raw []byte, p *Package, ring *keys.Ring) bool {
+	control, err := RawControlSegment(raw)
+	if err != nil {
+		t.Fatalf("RawControlSegment err = %v on a package Decode accepts", err)
+	}
+	for name, sig := range p.Signatures {
+		if ring.VerifyBy(name, control, sig) == nil {
+			return true
+		}
+	}
+	return false
+}
+
 // sortFiles orders files by every field, so two packages holding the
 // same files compare equal whatever order Encode left duplicate paths in.
 func sortFiles(files []File) {
@@ -457,6 +503,52 @@ func TestSignVerify(t *testing.T) {
 	}
 	if keyName != signer.Name || got.Name != "ntpd" {
 		t.Fatalf("verified as %q, pkg %q", keyName, got.Name)
+	}
+}
+
+// TestWalkChecksSignatureFirst: Walk rejects an untrusted package
+// before it inflates any data, so a data member that is not even a
+// tar stream yields ErrUntrusted and no visit; the same bytes under a
+// trusted signature reach the data checks. A trusted package's files
+// arrive in archive order with their metadata.
+func TestWalkChecksSignatureFirst(t *testing.T) {
+	good := keys.Shared.MustGet("alpine@alpinelinux.org-4a40")
+	ring := keys.NewRing(good.Public())
+	build := func(signer *keys.Pair) []byte {
+		p := samplePackage()
+		if err := Sign(p, signer); err != nil {
+			t.Fatal(err)
+		}
+		segs := rawSegments(t, mustEncode(t, p))
+		return rebuild(t, segs[0], segs[1], []byte("not a tar stream"))
+	}
+	visits := 0
+	visit := func(*File) error { visits++; return nil }
+	if _, _, err := Walk(build(keys.Shared.MustGet("evil-signer")), ring, visit); !errors.Is(err, ErrUntrusted) || visits != 0 {
+		t.Fatalf("untrusted, bad data: err = %v after %d visits, want ErrUntrusted before any", err, visits)
+	}
+	if _, _, err := Walk(build(good), ring, visit); !errors.Is(err, ErrFormat) && !errors.Is(err, ErrContentHash) {
+		t.Fatalf("trusted, bad data: err = %v, want a data-segment error", err)
+	}
+
+	p := samplePackage()
+	if err := Sign(p, good); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	got, name, err := Walk(mustEncode(t, p), ring, func(f *File) error {
+		paths = append(paths, fmt.Sprintf("%s %o %x", f.Path, f.Mode, f.Xattrs[XattrIMA]))
+		return nil
+	})
+	if err != nil || name != good.Name || got.Files != nil || got.Name != "ntpd" {
+		t.Fatalf("Walk = %+v by %q, %v", got, name, err)
+	}
+	if want := []string{"/etc/ntp.conf 644 aabb", "/usr/sbin/ntpd 755 "}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("visited %q, want %q", paths, want)
+	}
+	stop := errors.New("stop")
+	if _, _, err := Walk(mustEncode(t, p), ring, func(*File) error { return stop }); err != stop {
+		t.Fatalf("a visit error came back as %v", err)
 	}
 }
 

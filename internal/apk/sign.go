@@ -29,27 +29,26 @@ func Sign(p *Package, pair *keys.Pair) error {
 	return nil
 }
 
-// VerifyRaw checks that an encoded package carries a signature by a ring
-// key over its exact control segment bytes, then fully decodes it (which
-// also verifies the data-segment hash). It returns the package and the
-// name of the key that verified it.
-//
-// This is the check both the package manager (§2.2, "verifies that a
-// trusted entity created the package") and TSR's sanitizer perform.
+// VerifyRaw is Walk that keeps a copy of every file: it returns the
+// whole package, verified, and the name of the key that vouched for it.
 func VerifyRaw(raw []byte, ring *keys.Ring) (*Package, string, error) {
-	control, err := RawControlSegment(raw)
+	var files []File
+	p, name, err := Walk(raw, ring, collect(&files))
 	if err != nil {
 		return nil, "", err
 	}
-	p, err := Decode(raw)
-	if err != nil {
-		return nil, "", err
-	}
+	p.Files = files
+	return p, name, nil
+}
+
+// signedBy returns the name of a ring key whose signature, under its
+// own name, p carries over control.
+func signedBy(p *Package, control []byte, ring *keys.Ring) (string, error) {
 	for name, sig := range p.Signatures {
 		if err := ring.VerifyBy(name, control, sig); err == nil {
-			return p, name, nil
+			return name, nil
 		}
 	}
-	return nil, "", fmt.Errorf("%w: %s-%s (have %d signatures, %d trusted keys)",
+	return "", fmt.Errorf("%w: %s-%s (have %d signatures, %d trusted keys)",
 		ErrUntrusted, p.Name, p.Version, len(p.Signatures), ring.Len())
 }

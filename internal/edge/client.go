@@ -426,7 +426,7 @@ func (c *FailoverClient) fetchPackageVerified(ctx context.Context, name string, 
 	var errs []error
 	for attempt, i := range c.rank() {
 		ep := c.Endpoints[i]
-		p, err := pull(ctx, ep.Fetcher, c.PkgCache, name, entry)
+		p, err := pull(ctx, ep.Fetcher, c.PkgCache, name, entry, false)
 		// Charge what moved: the changed chunks of a differential pull,
 		// the whole package of a full fetch.
 		if p.diffed {

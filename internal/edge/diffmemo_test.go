@@ -3,6 +3,7 @@ package edge
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -25,6 +26,17 @@ func storedManifest(t *testing.T, st store.Store, hash [32]byte) *store.ChunkMan
 		t.Fatalf("stored manifest: %v", err)
 	}
 	return m
+}
+
+// manifestGzipped reports whether the manifest blob st keeps beside the
+// bytes of hash carries a gzip after its body.
+func manifestGzipped(t *testing.T, st store.Store, hash [32]byte) bool {
+	t.Helper()
+	blob, err := st.Get(cacheKey(hash) + tsr.ManifestSuffix)
+	if err != nil || len(blob) < 8 {
+		t.Fatalf("no stored manifest blob (%v)", err)
+	}
+	return binary.BigEndian.Uint64(blob) < uint64(len(blob)-8)
 }
 
 // baseOf is the entry st's base record for name names.
@@ -112,6 +124,9 @@ func TestDiffPullsCarryManifests(t *testing.T) {
 		if last, ok := baseOf(c.PkgCache, "bigapp"); !ok || last.Hash != entry.Hash || !describes(storedManifest(t, c.PkgCache, entry.Hash), got) {
 			t.Fatalf("%s: the client kept no manifest that describes the fetched bytes", version)
 		}
+		if !manifestGzipped(t, rep.store(), entry.Hash) || manifestGzipped(t, c.PkgCache, entry.Hash) {
+			t.Fatalf("%s: the edge, which serves /chunks, must keep the manifest's gzip, and the client, which does not, only its body", version)
+		}
 	}
 }
 
@@ -189,8 +204,8 @@ func TestLyingBaseManifestCostsOnlyAFallback(t *testing.T) {
 		t.Fatalf("fixture: %v", err)
 	}
 	lie.PackageHash = old.Hash
-	keepPulled(rep.store(), "bigapp", old, v1, lie)
-	keepPulled(c.PkgCache, "bigapp", old, v1, lie)
+	keepPulled(rep.store(), "bigapp", old, v1, lie, true)
+	keepPulled(c.PkgCache, "bigapp", old, v1, lie, false)
 
 	got, err := rep.FetchPackageCtx(ctx, "bigapp")
 	if err != nil {

@@ -364,17 +364,18 @@ func (rep *Replica) publish(signed *index.Signed, ix *index.Index) {
 	// exactly the transfer the chunked sync saves. They age out, with
 	// their manifests, when their generation leaves the delta window (or
 	// by LRU budget).
-	keep := make(map[string]struct{}, len(ix.Entries))
+	keep := make(map[[32]byte]struct{}, len(ix.Entries))
 	for _, gen := range next.History {
 		for _, e := range gen.Index.Entries {
-			keep[cacheKey(e.Hash)] = struct{}{}
+			keep[e.Hash] = struct{}{}
 		}
 	}
 	var stale []string
 	_ = st.Iterate(func(info store.Info) bool {
 		switch {
 		case strings.HasPrefix(info.Key, pkgKeyPrefix):
-			if _, ok := keep[strings.TrimSuffix(info.Key, tsr.ManifestSuffix)]; !ok {
+			hash, ok := cacheKeyHash(strings.TrimSuffix(info.Key, tsr.ManifestSuffix))
+			if _, kept := keep[hash]; !ok || !kept {
 				stale = append(stale, info.Key)
 			}
 		case strings.HasPrefix(info.Key, baseKeyPrefix): // pinned: pruned with its name
@@ -414,6 +415,17 @@ const StateKey = replicaStateKey
 
 // cacheKey addresses a cached package purely by content.
 func cacheKey(hash [32]byte) string { return pkgKeyPrefix + hex.EncodeToString(hash[:]) }
+
+// cacheKeyHash is cacheKey's inverse: the hash key names, and whether
+// key is exactly what cacheKey makes of it.
+func cacheKeyHash(key string) (hash [32]byte, ok bool) {
+	digits, ok := strings.CutPrefix(key, pkgKeyPrefix)
+	if !ok || len(digits) != hex.EncodedLen(len(hash)) || strings.ToLower(digits) != digits {
+		return hash, false
+	}
+	_, err := hex.Decode(hash[:], []byte(digits))
+	return hash, err == nil
+}
 
 // encodeReplicaState frames a signed index for the journal entry.
 func encodeReplicaState(signed *index.Signed) []byte {

@@ -122,13 +122,13 @@ func plantBase(t *testing.T, w *edgeWorld, st store.Store, kind int, name string
 	manifestKey := cacheKey(old.Hash) + tsr.ManifestSuffix
 	switch kind {
 	case lyingManifest:
-		keepPulled(st, name, old, v1, lyingBaseFor(t, w, name, v1, old))
+		keepPulled(st, name, old, v1, lyingBaseFor(t, w, name, v1, old), true)
 	case garbageManifest:
 		_ = st.Put(manifestKey, []byte("\x00\x00\x00\x00\x00\x00\x00\x03{]}"))
 	case otherManifest:
 		m := store.BuildManifest(v1)
 		m.PackageHash = sha256.Sum256([]byte("another package"))
-		_ = st.Put(manifestKey, tsr.EncodeManifestBlob(name, m))
+		_ = st.Put(manifestKey, tsr.EncodeManifestBlob(name, m, true))
 	case malformedRecord:
 		_ = st.Put(baseKey(name), []byte("not a base record"))
 	case danglingRecord:

@@ -76,7 +76,7 @@ func TestReplicaRestartDiffsAgainstStoredBase(t *testing.T) {
 	}
 
 	bumpBig(t, w, "3.0-r0")
-	keepPulled(rep.store(), "bigapp", old, v2, lyingBaseFor(t, w, "bigapp", v2, old))
+	keepPulled(rep.store(), "bigapp", old, v2, lyingBaseFor(t, w, "bigapp", v2, old), true)
 	rep, _ = restart()
 	if s := rep.Stats(); s.DiffPulls != 0 || s.DiffFallbacks != 1 {
 		t.Fatalf("stats %+v: the restarted edge did not diff against the manifest it stored", s)
@@ -114,7 +114,7 @@ func TestClientRestartDiffsAgainstStoredBase(t *testing.T) {
 	}
 
 	bumpBig(t, w, "3.0-r0")
-	keepPulled(pkgs, "bigapp", old, v2, lyingBaseFor(t, w, "bigapp", v2, old))
+	keepPulled(pkgs, "bigapp", old, v2, lyingBaseFor(t, w, "bigapp", v2, old), false)
 	c, _ = restart()
 	if s := c.Stats(); s.DiffFetches != 0 || s.DiffFallbacks != 1 || s.RejectedBytes != 0 {
 		t.Fatalf("stats %+v: the new client did not diff against the manifest stored", s)

@@ -64,9 +64,11 @@ type pulled struct {
 // are checked against the signed entry once, and only bytes that match
 // are returned and kept in st (keepPulled). Full-fetch bytes that do
 // not match are errWrongBytes. A nil st holds no base and keeps
-// nothing. The outcome is returned on error too, so the caller counts
-// what the pull did either way.
-func pull(ctx context.Context, src Fetcher, st store.Store, name string, entry index.Entry) (pulled, error) {
+// nothing; gz says whether the tier serves /chunks, and so keeps a
+// manifest's gzip beside its body (see keepPulled). The outcome is
+// returned on error too, so the caller counts what the pull did either
+// way.
+func pull(ctx context.Context, src Fetcher, st store.Store, name string, entry index.Entry, gz bool) (pulled, error) {
 	var p pulled
 	var old []byte
 	var oldM *store.ChunkManifest
@@ -89,7 +91,7 @@ func pull(ctx context.Context, src Fetcher, st store.Store, name string, entry i
 		}
 		if err == nil && entry.Matches(out) {
 			p.raw, p.diffed = out, true
-			keepPulled(st, name, entry, out, m)
+			keepPulled(st, name, entry, out, m, gz)
 			return p, nil
 		}
 	}
@@ -103,7 +105,7 @@ func pull(ctx context.Context, src Fetcher, st store.Store, name string, entry i
 	}
 	p.raw = raw
 	if st != nil {
-		keepPulled(st, name, entry, raw, nil)
+		keepPulled(st, name, entry, raw, nil, gz)
 	}
 	return p, nil
 }
@@ -160,15 +162,17 @@ func storedBase(st store.Store, name string, entry index.Entry) ([]byte, *store.
 // raw: the bytes, then the manifest m when the pull diffed (every chunk
 // of it was checked against raw, see tsr.ReassembleChunks), then name's
 // base record, so a record never names bytes not written first. Bytes
-// the store declines (larger than its whole budget) get neither.
-func keepPulled(st store.Store, name string, entry index.Entry, raw []byte, m *store.ChunkManifest) {
+// the store declines (larger than its whole budget) get neither. The
+// manifest is stored with its gzip when gz is set, for an edge that
+// serves it; a client only reads the body, as its next diff base.
+func keepPulled(st store.Store, name string, entry index.Entry, raw []byte, m *store.ChunkManifest, gz bool) {
 	key := cacheKey(entry.Hash)
 	_ = st.Put(key, raw)
 	if _, err := st.Stat(key); err != nil {
 		return
 	}
 	if m != nil {
-		_ = st.Put(key+tsr.ManifestSuffix, tsr.EncodeManifestBlob(name, m))
+		_ = st.Put(key+tsr.ManifestSuffix, tsr.EncodeManifestBlob(name, m, gz))
 	}
 	rec := append(make([]byte, 0, baseRecordSize), entry.Hash[:]...)
 	_ = st.Put(baseKey(name), binary.BigEndian.AppendUint64(rec, uint64(entry.Size)))
@@ -179,7 +183,7 @@ func keepPulled(st store.Store, name string, entry index.Entry, raw []byte, m *s
 // the manifest it checked, so the /chunks request that usually follows
 // it cuts nothing.
 func (rep *Replica) pullPackage(ctx context.Context, name string, entry index.Entry) ([]byte, error) {
-	p, err := pull(ctx, rep.Origin, rep.store(), name, entry)
+	p, err := pull(ctx, rep.Origin, rep.store(), name, entry, true)
 	switch {
 	case p.diffed:
 		rep.stats.diffPulls.Add(1)

@@ -617,3 +617,25 @@ func TestCorruptReplicaRefusesManifest(t *testing.T) {
 		t.Fatalf("chunks from a corrupt replica: HTTP %d, want 502", resp.StatusCode)
 	}
 }
+
+// TestCacheKeyHashInvertsCacheKey: the pruning keep-set is keyed by
+// hash, so cacheKeyHash must accept exactly the keys cacheKey makes,
+// with or without the manifest suffix trimmed by the caller.
+func TestCacheKeyHashInvertsCacheKey(t *testing.T) {
+	hash := sha256.Sum256([]byte("pkg"))
+	if got, ok := cacheKeyHash(cacheKey(hash)); !ok || got != hash {
+		t.Fatalf("cacheKeyHash(cacheKey(h)) = %x, %v", got, ok)
+	}
+	for _, key := range []string{
+		"pkg/" + strings.ToUpper(hex.EncodeToString(hash[:])),
+		"pkg/" + hex.EncodeToString(hash[:31]),
+		"pkg/" + hex.EncodeToString(hash[:]) + "0",
+		"pkg/" + hex.EncodeToString(hash[:31]) + "zz",
+		"base/" + hex.EncodeToString(hash[:]),
+		cacheKey(hash) + tsr.ManifestSuffix,
+	} {
+		if _, ok := cacheKeyHash(key); ok {
+			t.Errorf("cacheKeyHash accepted %q, which cacheKey never makes", key)
+		}
+	}
+}

@@ -11,6 +11,7 @@
 package pkgmgr
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -332,8 +333,13 @@ func (m *Manager) installRec(name string, visiting map[string]bool, upgrade bool
 }
 
 // fetchVerified downloads a package and performs the index size/hash
-// checks plus the signature verification. It returns the decoded
-// package and the content hash its bytes were checked against.
+// checks plus, in one pass over its bytes (apk.Walk), the signature and
+// datahash checks. It returns the package and the content hash its
+// bytes were checked against. Each file comes back either as a
+// read-only view of the installed bytes (vfs.FS.Equal), when the file
+// installed at its path already holds them, or as the one copy made of
+// it, which extract hands over to the filesystem; an unchanged file
+// costs a compare, not a copy.
 func (m *Manager) fetchVerified(name string) (*apk.Package, [32]byte, Report, error) {
 	var rep Report
 	entry, err := m.idx.Lookup(name)
@@ -354,11 +360,21 @@ func (m *Manager) fetchVerified(name string) (*apk.Package, [32]byte, Report, er
 	if !entry.Matches(raw) {
 		return nil, [32]byte{}, rep, fmt.Errorf("%w: %s", ErrHashMismatch, name)
 	}
-	p, _, err := apk.VerifyRaw(raw, m.pkgRing)
+	var files []apk.File
+	p, _, err := apk.Walk(raw, m.pkgRing, func(f *apk.File) error {
+		if view, ok := m.img.FS.Equal(f.Path, f.Content); ok {
+			f.Content = view
+		} else {
+			f.Content = bytes.Clone(f.Content)
+		}
+		files = append(files, *f)
+		return nil
+	})
 	rep.Verify = time.Since(start)
 	if err != nil {
 		return nil, [32]byte{}, rep, err
 	}
+	p.Files = files
 	return p, entry.Hash, rep, nil
 }
 
@@ -378,10 +394,12 @@ func (m *Manager) runScript(p *apk.Package, hook string) error {
 	return nil
 }
 
-// extract writes package files (and their xattrs) into the filesystem.
+// extract writes package files (and their xattrs) into the filesystem,
+// handing it the contents fetchVerified made or viewed: a file a script
+// rewrote or removed since is restored to the package's bytes.
 func (m *Manager) extract(p *apk.Package) error {
 	for _, f := range p.Files {
-		if err := m.img.FS.WriteFile(f.Path, f.Content, f.Mode); err != nil {
+		if err := m.img.FS.Adopt(f.Path, f.Content, f.Mode); err != nil {
 			return fmt.Errorf("pkgmgr: extracting %s: %w", f.Path, err)
 		}
 		for name, value := range f.Xattrs {

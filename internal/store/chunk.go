@@ -34,9 +34,14 @@ func WriteChunk(buf *bytes.Buffer, data []byte) {
 // ReadChunk consumes one length-prefixed chunk from buf.
 func ReadChunk(buf *bytes.Reader) ([]byte, error) {
 	var n [8]byte
-	// io.ReadFull, not Read: a truncated frame must surface as
-	// io.ErrUnexpectedEOF instead of a silent short read.
-	if _, err := io.ReadFull(buf, n[:]); err != nil {
+	// A truncated frame must surface as io.ErrUnexpectedEOF instead of
+	// a silent short read, as io.ReadFull reports it; read through the
+	// concrete reader, n stays on the stack.
+	if got, _ := buf.Read(n[:]); got < len(n) {
+		err := io.ErrUnexpectedEOF
+		if got == 0 {
+			err = io.EOF
+		}
 		return nil, fmt.Errorf("store: chunk: %w", err)
 	}
 	size := binary.BigEndian.Uint64(n[:])

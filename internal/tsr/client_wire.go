@@ -1,12 +1,14 @@
 package tsr
 
 import (
+	"bufio"
 	"compress/gzip"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"tsr/internal/store"
@@ -79,17 +81,34 @@ func (cr *countReader) Read(p []byte) (int, error) {
 // callers verify signatures/hashes over the canonical representation.
 func readBodyCounted(resp *http.Response, limit int64, n *atomic.Int64) ([]byte, error) {
 	var r io.Reader = &countReader{r: io.LimitReader(resp.Body, limit), n: n}
-	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, fmt.Errorf("tsr client: gzip body: %w", err)
-		}
-		defer gz.Close()
-		r = gz
+	if !strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+		//lint:allow streamserve client buffers the decoded body to verify it against the signed form; bounded by limit
+		return io.ReadAll(r)
+	}
+	g := gunzips.Get().(*gunzipper)
+	g.br.Reset(r)
+	if err := g.zr.Reset(&g.br); err != nil {
+		return nil, fmt.Errorf("tsr client: gzip body: %w", err)
 	}
 	//lint:allow streamserve client buffers the decoded body to verify it against the signed form; bounded by limit
-	return io.ReadAll(r)
+	raw, err := io.ReadAll(&g.zr)
+	if err == nil {
+		g.br.Reset(nil) // let go of the response body
+		gunzips.Put(g)
+	}
+	return raw, err
 }
+
+// A gunzipper is a gzip reader with the read-ahead buffer it reads
+// through, pooled for readBodyCounted: its flate state and 32 KiB
+// window survive a Reset, and a gunzipper goes back to the pool only
+// after a clean read.
+type gunzipper struct {
+	br bufio.Reader
+	zr gzip.Reader
+}
+
+var gunzips = sync.Pool{New: func() any { return new(gunzipper) }}
 
 // maxIndexWireBytes bounds an index/delta response body (wire form).
 const maxIndexWireBytes = 256 << 20

@@ -254,10 +254,21 @@ func (r *Repo) rebuildPlanLocked() error {
 	return nil
 }
 
-// DecodeIngestBody parses a chunk-framed ingest body.
+// DecodeIngestBody parses a chunk-framed ingest body. The frames are
+// counted first, so the batch's slice is allocated once, at its size:
+// decoding then allocates at most 3 times the body, for a body of empty
+// 8-byte frames.
 func DecodeIngestBody(body []byte) ([][]byte, error) {
+	frames := 0
+	for rest := body; len(rest) >= 8; frames++ {
+		size := binary.BigEndian.Uint64(rest)
+		if size > uint64(len(rest)-8) {
+			break
+		}
+		rest = rest[8+size:]
+	}
 	buf := bytes.NewReader(body)
-	var raws [][]byte
+	raws := make([][]byte, 0, frames)
 	for buf.Len() > 0 {
 		raw, err := readChunk(buf)
 		if err != nil {

@@ -390,7 +390,7 @@ func StoredManifest(st store.Store, key, name string, entry index.Entry, fetch f
 	if m.PackageHash != entry.Hash {
 		return nil, fmt.Errorf("tsr: %s: bytes served for the chunk manifest do not match the index entry", name)
 	}
-	blob := EncodeManifestBlob(name, m)
+	blob := EncodeManifestBlob(name, m, true)
 	_ = st.Put(key+ManifestSuffix, blob)
 	return blob, nil
 }

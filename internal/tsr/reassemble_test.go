@@ -106,7 +106,7 @@ func TestStoredManifestCutsOnceAndRefusesRefuted(t *testing.T) {
 	}
 	other := store.BuildManifest(raw)
 	other.PackageHash = sha256.Sum256([]byte("another package"))
-	for i, bad := range [][]byte{[]byte("short"), EncodeManifestBlob("p", other)} {
+	for i, bad := range [][]byte{[]byte("short"), EncodeManifestBlob("p", other, true)} {
 		_ = st.Put("k"+ManifestSuffix, bad)
 		get()
 		if cuts != 2+i {

@@ -459,14 +459,18 @@ func DecodeChunkManifest(raw []byte) (string, *store.ChunkManifest, error) {
 }
 
 // EncodeManifestBlob frames a manifest for the store: the length of its
-// wire body (EncodeChunkManifest), the body, then the body's gzip
-// (none when gzip does not shrink it), so /chunks answers either
-// encoding by slicing the stored blob.
-func EncodeManifestBlob(name string, m *store.ChunkManifest) []byte {
+// wire body (EncodeChunkManifest), the body, then, when gz is set, the
+// body's gzip (none when gzip does not shrink it), so a tier that serves
+// /chunks answers either encoding by slicing the stored blob. A client,
+// which never serves /chunks, stores the body alone.
+func EncodeManifestBlob(name string, m *store.ChunkManifest, gz bool) []byte {
 	body := EncodeChunkManifest(name, m)
-	gz := gzipped(body)
-	blob := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(body)+len(gz)), uint64(len(body)))
-	return append(append(blob, body...), gz...)
+	var zipped []byte
+	if gz {
+		zipped = gzipped(body)
+	}
+	blob := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(body)+len(zipped)), uint64(len(body)))
+	return append(append(blob, body...), zipped...)
 }
 
 // DecodeManifestBlob is DecodeChunkManifest of a stored blob's body:

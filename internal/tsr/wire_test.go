@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 
@@ -789,4 +790,42 @@ func TestChunksFollowPackageLayout(t *testing.T) {
 	}
 	t.Logf("%d of %d bytes unshared: head %d, run %d, tail %d", fetched, len(newRaw),
 		dataStart, ends[bumped]-ends[bumped-1], int64(len(newRaw))-ends[len(ends)-1])
+}
+
+// TestReadBodyCountedReusesGzipReader: bodies read one after another
+// through the pooled gzip reader decode and count as fresh ones do, and
+// a corrupt body fails with the same error text without spoiling the
+// next read.
+func TestReadBodyCountedReusesGzipReader(t *testing.T) {
+	gz := func(body string) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		zw.Write([]byte(body))
+		zw.Close()
+		return buf.Bytes()
+	}
+	read := func(wire []byte, limit int64) (string, int64, error) {
+		resp := &http.Response{Header: http.Header{"Content-Encoding": {"gzip"}}, Body: io.NopCloser(bytes.NewReader(wire))}
+		var n atomic.Int64
+		raw, err := readBodyCounted(resp, limit, &n)
+		return string(raw), n.Load(), err
+	}
+	for i, body := range []string{"first body", strings.Repeat("second ", 10000), ""} {
+		wire := gz(body)
+		got, n, err := read(wire, 1<<20)
+		if err != nil || got != body || n != int64(len(wire)) {
+			t.Fatalf("body %d: %d B (%v), %d wire B counted, want %d B and %d", i, len(got), err, n, len(body), len(wire))
+		}
+		corrupt := append([]byte(nil), wire...)
+		corrupt[len(corrupt)-5] ^= 0xff // the CRC-32
+		if _, _, err := read(corrupt, 1<<20); err == nil {
+			t.Fatalf("body %d: a corrupt body decoded", i)
+		}
+		if _, _, err := read([]byte("not gzip"), 1<<20); err == nil || !strings.HasPrefix(err.Error(), "tsr client: gzip body: ") {
+			t.Fatalf("body %d: a non-gzip body: err = %v", i, err)
+		}
+		if _, n, err := read(wire, 10); err == nil || n != 10 {
+			t.Fatalf("body %d: a body over the limit: err = %v after %d wire B", i, err, n)
+		}
+	}
 }

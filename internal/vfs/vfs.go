@@ -145,12 +145,36 @@ func (fs *FS) mkdirAllLocked(p string, mode uint32) error {
 // The file keeps its own copy of content, made only when the content
 // differs from what the file already holds.
 func (fs *FS) WriteFile(p string, content []byte, mode uint32) error {
+	return fs.write(p, content, mode, false)
+}
+
+// Adopt is WriteFile for content the caller hands over: when it differs
+// from what the file holds, the file keeps content itself, not a copy,
+// so the caller must never write into it afterwards. A view from Equal
+// may be handed over too, to this or any other path.
+func (fs *FS) Adopt(p string, content []byte, mode uint32) error {
+	return fs.write(p, content, mode, true)
+}
+
+// write is WriteFile, keeping content itself when own is set. The
+// filesystem never writes a file's bytes in place: a write replaces the
+// file's slice, and AppendFile appends past its length. A kept slice is
+// capped at its length, so an append to it reallocates too, and no
+// file's bytes are ever shared with spare capacity another file may
+// append into. That is what makes the views Equal hands out safe.
+func (fs *FS) write(p string, content []byte, mode uint32, own bool) error {
 	p, err := clean(p)
 	if err != nil {
 		return err
 	}
 	if p == "/" {
 		return fmt.Errorf("%w: %q", ErrIsDir, p)
+	}
+	keep := func() []byte {
+		if own {
+			return content[:len(content):len(content)]
+		}
+		return append([]byte(nil), content...)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -162,18 +186,13 @@ func (fs *FS) WriteFile(p string, content []byte, mode uint32) error {
 			return fmt.Errorf("%w: %q", ErrIsDir, p)
 		}
 		if !bytes.Equal(n.content, content) {
-			n.content = append([]byte(nil), content...)
+			n.content = keep()
 		}
 		n.typ = Regular
 		n.mode = mode
 		return nil
 	}
-	fs.nodes[p] = &node{
-		typ:     Regular,
-		mode:    mode,
-		owner:   "root",
-		content: append([]byte(nil), content...),
-	}
+	fs.nodes[p] = &node{typ: Regular, mode: mode, owner: "root", content: keep()}
 	return nil
 }
 
@@ -208,6 +227,21 @@ func (fs *FS) AppendFile(p string, content []byte, mode uint32) error {
 func (fs *FS) ReadFile(p string) (out []byte, err error) {
 	err = fs.withContent(p, func(content []byte) { out = append([]byte(nil), content...) })
 	return out, err
+}
+
+// Equal reports whether the file at p holds exactly content, comparing
+// in place under the read lock. When it does, it also returns the
+// file's stored bytes as a read-only view, capped at their length: a
+// caller can keep the view instead of a copy of content. The view's
+// bytes never change, whatever later happens to the file (see write);
+// the caller must not write into them.
+func (fs *FS) Equal(p string, content []byte) (view []byte, ok bool) {
+	err := fs.withContent(p, func(stored []byte) {
+		if ok = bytes.Equal(stored, content); ok {
+			view = stored[:len(stored):len(stored)]
+		}
+	})
+	return view, err == nil && ok
 }
 
 // Digest returns the SHA-256 of the content of the regular file at p,
@@ -429,8 +463,9 @@ func (fs *FS) Chown(p, owner string) error {
 	return nil
 }
 
-// SetXattr sets extended attribute name on the node at p. IMA signatures
-// live under "security.ima".
+// SetXattr sets extended attribute name on the node at p to a copy of
+// value, made only when the attribute does not already hold it. IMA
+// signatures live under "security.ima".
 func (fs *FS) SetXattr(p, name string, value []byte) error {
 	p, err := clean(p)
 	if err != nil {
@@ -441,6 +476,9 @@ func (fs *FS) SetXattr(p, name string, value []byte) error {
 	n, ok := fs.nodes[p]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotExist, p)
+	}
+	if old, ok := n.xattrs[name]; ok && bytes.Equal(old, value) {
+		return nil
 	}
 	if n.xattrs == nil {
 		n.xattrs = make(map[string][]byte)

@@ -460,6 +460,120 @@ func TestWriteFileKeepsNoCallerSlice(t *testing.T) {
 	}
 }
 
+// TestEqualViewOutlivesTheFile: Equal hands out the stored bytes of a
+// file that holds the content, capped at their length, and nothing for
+// one that does not; whatever later happens to the file, the view's
+// bytes stay those it was taken with, and an append to it cannot reach
+// the file's.
+func TestEqualViewOutlivesTheFile(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/f", []byte("abc"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fs.Equal("/f", []byte("abd")); ok {
+		t.Fatal("Equal matched different content")
+	}
+	if _, ok := fs.Equal("/missing", nil); ok {
+		t.Fatal("Equal matched a missing file")
+	}
+	view, ok := fs.Equal("/f", []byte("abc"))
+	if !ok || string(view) != "abc" || cap(view) != len(view) {
+		t.Fatalf("Equal = %q (cap %d), %v", view, cap(view), ok)
+	}
+	_ = append(view, 'X')
+	if err := fs.AppendFile("/f", []byte("de"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/f", []byte("xyz"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if string(view) != "abc" {
+		t.Fatalf("the view changed to %q", view)
+	}
+}
+
+// TestEqualViewUnderConcurrentWrites: views are read outside the lock
+// while other goroutines append to, rewrite and adopt into the file; the
+// filesystem never writes stored bytes in place, so under -race no read
+// of a view races a write, and a view never changes.
+func TestEqualViewUnderConcurrentWrites(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/f", []byte("seed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			_ = fs.AppendFile("/f", []byte("+"), 0o644)
+			if i%50 == 0 {
+				_ = fs.WriteFile("/f", []byte("seed"), 0o644)
+				_ = fs.Adopt("/f", []byte("seed"), 0o644)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var kept []byte
+		var want string
+		for i := 0; i < 500; i++ {
+			content, err := fs.ReadFile("/f")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if view, ok := fs.Equal("/f", content); ok {
+				kept, want = view, string(content)
+			}
+			if string(kept) != want {
+				t.Errorf("a view of %q changed to %q", want, kept)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestAdoptKeepsTheSlice: Adopt stores changed content without a copy,
+// capped so that appending to the file cannot write into spare capacity
+// the caller's slice shares, and leaves a file that holds equal content
+// as it is.
+func TestAdoptKeepsTheSlice(t *testing.T) {
+	fs := New()
+	content := append(make([]byte, 0, 16), "abc"...)
+	if err := fs.Adopt("/f", content, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	view, _ := fs.Equal("/f", content)
+	if &view[0] != &content[0] {
+		t.Fatal("Adopt copied the content")
+	}
+	if err := fs.AppendFile("/f", []byte("de"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if got := content[:5]; string(got) != "abc\x00\x00" {
+		t.Fatalf("appending to the file wrote into the adopted slice's spare capacity: %q", got)
+	}
+	kept, _ := fs.Equal("/f", []byte("abcde"))
+	if err := fs.Adopt("/f", []byte("abcde"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := fs.Equal("/f", []byte("abcde"))
+	if &again[0] != &kept[0] {
+		t.Fatal("Adopt of equal content replaced the stored bytes")
+	}
+	if info, _ := fs.Stat("/f"); info.Mode != 0o644 {
+		t.Fatalf("mode = %o, want the adopted 644", info.Mode)
+	}
+	if err := fs.Adopt("/", nil, 0o644); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("Adopt over the root: err = %v", err)
+	}
+}
+
 // TestWriteFileEqualContentUpdatesMode: a WriteFile that keeps the
 // stored bytes still applies the new mode and keeps the xattrs.
 func TestWriteFileEqualContentUpdatesMode(t *testing.T) {
