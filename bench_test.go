@@ -137,7 +137,7 @@ func BenchmarkFleetSoak(b *testing.B) {
 // benchmarks (the initial tenant is refreshed during construction).
 func refreshWorld(b *testing.B, scale float64) *experiments.World {
 	b.Helper()
-	w, err := experiments.NewWorld(experiments.Config{Scale: scale, Seed: 1}, nil, false)
+	w, err := experiments.NewWorld(experiments.Config{Scale: scale, Seed: 1}, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,11 +154,7 @@ func BenchmarkRefreshParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				id, _, _, err := w.Service.DeployPolicy(w.PolicyRaw)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tenant, err := w.Service.Repo(id)
+				tenant, err := w.Deploy(w.Policy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -251,14 +247,8 @@ func BenchmarkConcurrentReads(b *testing.B) {
 			Files:   []apk.File{{Path: "/usr/bin/bench-acct", Mode: 0o755, Content: []byte("bench")}},
 			Scripts: map[string]string{"post-install": fmt.Sprintf("adduser -S acct%d\n", i)},
 		}
-		if err := apk.Sign(p, w.Distro); err != nil {
+		if err := w.Publish(p); err != nil {
 			b.Fatal(err)
-		}
-		if err := w.Repo.Publish(p); err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range w.Mirrors {
-			m.Sync(w.Repo)
 		}
 		b.StartTimer()
 		done := make(chan error, 1)

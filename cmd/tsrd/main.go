@@ -37,11 +37,12 @@
 // the TPM monotonic counter (§5.5).
 //
 // The -host-state file models the trusted HARDWARE that survives a
-// restart — the CPU's fused sealing root and the TPM's NV counter
-// bank (plus, simulation bootstrap, the synthetic distro signing key).
-// It defaults to <data-dir>.hoststate, deliberately OUTSIDE the data
-// dir: the §5.5 adversary can snapshot and roll back the disk cache
-// but cannot roll back hardware. Restart with the same -scale/-seed so
+// restart — the CPU's fused sealing root (plus, simulation bootstrap,
+// the synthetic distro signing key) — and the TPM's NV counter bank
+// lives beside it in <host-state>.nv, written durably before each
+// counter value is used. The file defaults to <data-dir>.hoststate,
+// deliberately OUTSIDE the data dir: the §5.5 adversary can snapshot
+// and roll back the disk cache but cannot roll back hardware. Restart with the same -scale/-seed so
 // the regenerated upstream world matches the persisted state.
 //
 // A client session:
@@ -61,23 +62,17 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"sync"
 
-	"tsr/internal/apk"
 	"tsr/internal/daemon"
 	"tsr/internal/enclave"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
 	"tsr/internal/netsim"
 	"tsr/internal/obs"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
 	"tsr/internal/store"
+	"tsr/internal/testbed"
 	"tsr/internal/tpm"
 	"tsr/internal/trace"
 	"tsr/internal/tsr"
-	"tsr/internal/workload"
 )
 
 func main() { daemon.Main("tsrd", run) }
@@ -93,7 +88,7 @@ func run(ctx context.Context, args []string) error {
 	autoRefresh := fs.Duration("auto-refresh", 0, "refresh every deployed repository at this interval (0 disables); reads keep serving the previous snapshot while cycles run")
 	dataDir := fs.String("data-dir", "", "durable untrusted cache + sealed checkpoints; restarts warm-boot deployed repositories")
 	fsyncF := fs.Bool("fsync", false, "fsync every data-dir write (with -data-dir)")
-	hostStatePath := fs.String("host-state", "", "trusted host hardware state (seal root, TPM counters); default <data-dir>.hoststate, keep OUTSIDE -data-dir")
+	hostStatePath := fs.String("host-state", "", "trusted host hardware state (seal root; TPM counters in <host-state>.nv); default <data-dir>.hoststate, keep OUTSIDE -data-dir")
 	maxInflight := fs.Int64("max-inflight", 256, "admission control: max concurrently served requests, excess sheds with 429 (0 = unlimited)")
 	logFormat := fs.String("log-format", "text", "operational log format: text or json (json lines carry trace_id/span_id for joining against /debug/traces)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables; keep it off the public listen address)")
@@ -113,7 +108,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if deps.persist {
+	if deps.host.AutoPersist {
 		restored, err := svc.RestoreAll()
 		if err != nil {
 			return fmt.Errorf("restoring %s: %w", *dataDir, err)
@@ -157,49 +152,32 @@ func run(ctx context.Context, args []string) error {
 }
 
 // hostDeps are the host-side pieces a service is built on. The memory
-// profile (no -data-dir) generates everything fresh; the durable
-// profile reopens the data dir and the host-state file so sealed blobs
-// unseal and the TPM counters carry over — modeling the same physical
-// machine rebooting.
+// profile (no -data-dir) leaves every one to the testbed's defaults;
+// the durable profile reopens the data dir, the host-state file and
+// the TPM's NV bank so sealed blobs unseal and the counters carry over
+// — modeling the same physical machine rebooting.
 type hostDeps struct {
-	store    store.Store
-	tpm      *tpm.TPM
-	platform *enclave.Platform
-	distro   *keys.Pair
-	persist  bool
+	host   tsr.Config // store, TPM, platform and AutoPersist
+	distro *keys.Pair // the synthetic upstream's signer; nil: the testbed's
 }
 
 // hostState is the JSON body of the -host-state file: the hardware
-// that survives restarts. SealRoot is the CPU's fused sealing secret,
-// TPMCounters the NV counter bank; DistroKeyPEM bootstraps the
-// simulated upstream world so a restart regenerates identically-signed
-// packages. None of it may live in the untrusted data dir — rolling
-// the data dir back must NOT roll these back, or rollback detection
-// would be self-defeating.
+// that survives restarts. SealRoot is the CPU's fused sealing secret;
+// DistroKeyPEM bootstraps the simulated upstream world so a restart
+// regenerates identically-signed packages. The TPM's NV counter bank
+// lives beside it, in <host-state>.nv. None of it may live in the
+// untrusted data dir — rolling the data dir back must NOT roll these
+// back, or rollback detection would be self-defeating.
 type hostState struct {
-	SealRoot    string            `json:"seal_root"`
-	TPMCounters map[uint32]uint64 `json:"tpm_counters"`
-	DistroPEM   string            `json:"distro_key_pem"`
+	SealRoot  string `json:"seal_root"`
+	DistroPEM string `json:"distro_key_pem"`
 }
 
 // openHost builds hostDeps. Without a data dir everything is
 // in-memory and ephemeral.
 func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger) (hostDeps, error) {
 	if dataDir == "" {
-		distro, err := keys.Generate("alpine-distro")
-		if err != nil {
-			return hostDeps{}, err
-		}
-		platform, err := enclave.NewPlatform(keys.Shared.MustGet("tsrd-quoting"))
-		if err != nil {
-			return hostDeps{}, err
-		}
-		return hostDeps{
-			store:    store.NewMem(),
-			tpm:      tpm.New(keys.Shared.MustGet("tsrd-tpm-ak")),
-			platform: platform,
-			distro:   distro,
-		}, nil
+		return hostDeps{}, nil
 	}
 	if hostStatePath == "" {
 		hostStatePath = dataDir + ".hoststate"
@@ -219,17 +197,9 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 	if err != nil {
 		return hostDeps{}, fmt.Errorf("host state %s: %w", hostStatePath, err)
 	}
-	hostTPM := tpm.New(keys.Shared.MustGet("tsrd-tpm-ak"))
-	hostTPM.RestoreCounters(hs.TPMCounters)
-	// Persist the NV bank on every counter bump, like hardware would.
-	var saveMu sync.Mutex
-	hostTPM.OnIncrement = func(uint32, uint64) {
-		saveMu.Lock()
-		defer saveMu.Unlock()
-		hs.TPMCounters = hostTPM.Counters()
-		if err := saveHostState(hostStatePath, hs); err != nil {
-			log.Error("persisting host state failed", "path", hostStatePath, "err", err)
-		}
+	hostTPM, err := tpm.Open(keys.Shared.MustGet("tsrd-tpm-ak"), hostStatePath+".nv")
+	if err != nil {
+		return hostDeps{}, err
 	}
 	st, err := store.OpenFS(dataDir, store.FSOptions{Fsync: fsync})
 	if err != nil {
@@ -237,11 +207,14 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 	}
 	kept, dropped := st.ScrubReport()
 	log.Info("data dir opened", "path", dataDir, "entries_kept", kept, "dropped_by_scrub", dropped)
-	return hostDeps{store: st, tpm: hostTPM, platform: platform, distro: distro, persist: true}, nil
+	return hostDeps{
+		host:   tsr.Config{Store: st, TPM: hostTPM, Platform: platform, AutoPersist: true},
+		distro: distro,
+	}, nil
 }
 
 // loadOrInitHostState reads the host-state file, creating it (fresh
-// seal root, zero counters, fresh distro key) on first boot.
+// seal root, fresh distro key) on first boot.
 func loadOrInitHostState(path string) (*hostState, error) {
 	raw, err := os.ReadFile(path)
 	if err == nil {
@@ -266,28 +239,17 @@ func loadOrInitHostState(path string) (*hostState, error) {
 	if err != nil {
 		return nil, err
 	}
-	hs := &hostState{
-		SealRoot:    hex.EncodeToString(root[:]),
-		TPMCounters: map[uint32]uint64{},
-		DistroPEM:   string(pem),
-	}
-	if err := saveHostState(path, hs); err != nil {
+	hs := &hostState{SealRoot: hex.EncodeToString(root[:]), DistroPEM: string(pem)}
+	raw, err = json.MarshalIndent(hs, "", "  ")
+	if err != nil {
 		return nil, err
 	}
-	return hs, nil
-}
-
-// saveHostState writes the file atomically (temp + rename).
-func saveHostState(path string, hs *hostState) error {
-	raw, err := json.MarshalIndent(hs, "", "  ")
-	if err != nil {
-		return err
-	}
+	// Atomic (temp + rename), so a crash never leaves half a file.
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, raw, 0o600); err != nil {
-		return err
+		return nil, err
 	}
-	return os.Rename(tmp, path)
+	return hs, os.Rename(tmp, path)
 }
 
 // svcLimits groups the concurrency knobs a service is built with: the
@@ -299,70 +261,17 @@ type svcLimits struct {
 }
 
 // buildService generates the synthetic deployment (repository, mirrors,
-// TSR service) on the given host and returns the service plus a
-// ready-to-use policy text.
+// TSR service on a real clock) on the given host and returns the
+// service plus a ready-to-use policy text.
 func buildService(scale float64, seed int64, lim svcLimits, deps hostDeps, log *slog.Logger) (*tsr.Service, string, error) {
 	log.Info("generating synthetic repository", "scale", scale)
-	origin := repo.New("alpine", deps.distro)
-	gen := workload.New(workload.Config{Seed: seed, Scale: scale})
-	for _, spec := range gen.Specs() {
-		p, err := gen.Build(spec)
-		if err != nil {
-			return nil, "", err
-		}
-		if err := apk.Sign(p, deps.distro); err != nil {
-			return nil, "", err
-		}
-		if err := origin.Publish(p); err != nil {
-			return nil, "", err
-		}
-	}
-	log.Info("published synthetic packages", "count", len(gen.Specs()))
-
-	mirrors := map[string]*mirror.Mirror{}
-	for i, c := range []netsim.Continent{netsim.Europe, netsim.Europe, netsim.NorthAmerica} {
-		host := fmt.Sprintf("https://mirror%d/", i)
-		m := mirror.New(host, c)
-		m.Sync(origin)
-		mirrors[host] = m
-	}
-
-	svc, err := tsr.New(tsr.Config{
-		Platform:       deps.platform,
-		TPM:            deps.tpm,
-		Clock:          netsim.RealClock{},
-		Link:           netsim.DefaultLinkModel(netsim.NewRNG(seed)),
-		Local:          netsim.Europe,
-		Store:          deps.store,
-		AutoPersist:    deps.persist,
-		EPC:            enclave.DefaultCostModel(),
-		Workers:        lim.workers,
-		RefreshWorkers: lim.refreshWorkers,
-		SchedMaxActive: lim.schedMaxActive,
-		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := mirrors[m.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown mirror %q (tsrd serves %d simulated mirrors: https://mirror0..2/)", m.Hostname, len(mirrors))
-			}
-			return mm, mm, nil
-		},
-	})
+	host := deps.host
+	host.Clock = netsim.RealClock{}
+	host.Workers, host.RefreshWorkers, host.SchedMaxActive = lim.workers, lim.refreshWorkers, lim.schedMaxActive
+	tb, err := testbed.New(testbed.Options{Scale: scale, Seed: seed, Distro: deps.distro, Host: host})
 	if err != nil {
 		return nil, "", err
 	}
-
-	// A ready-to-use policy for the simulated mirrors.
-	pem, err := deps.distro.Public().MarshalPEM()
-	if err != nil {
-		return nil, "", err
-	}
-	example := policy.Policy{
-		Mirrors: []policy.Mirror{
-			{Hostname: "https://mirror0/", Location: "Europe"},
-			{Hostname: "https://mirror1/", Location: "Europe"},
-			{Hostname: "https://mirror2/", Location: "North America"},
-		},
-		SignerKeys: []string{string(pem)},
-	}
-	return svc, string(example.Marshal()), nil
+	log.Info("published synthetic repository", "mirrors", len(tb.Mirrors))
+	return tb.Service, string(tb.Policy.Marshal()), nil
 }

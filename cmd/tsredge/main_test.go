@@ -26,7 +26,7 @@ import (
 // replica through edge.Handler. The second origin refresh must reach
 // the replica as a delta.
 func TestReplicateOverHTTP(t *testing.T) {
-	w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, nil, false)
+	w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,8 @@ func TestReplicateOverHTTP(t *testing.T) {
 	// A new origin generation: publish, mirror-sync, refresh.
 	p := &apk.Package{Name: "zzz-edge", Version: "1.0-r0",
 		Files: []apk.File{{Path: "/usr/bin/zzz-edge", Mode: 0o755, Content: []byte("edge")}}}
-	if err := apk.Sign(p, w.Distro); err != nil {
+	if err := w.Publish(p); err != nil {
 		t.Fatal(err)
-	}
-	if err := w.Repo.Publish(p); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range w.Mirrors {
-		m.Sync(w.Repo)
 	}
 	if _, err := w.Tenant.Refresh(); err != nil {
 		t.Fatal(err)
@@ -140,7 +134,7 @@ func TestReplicateOverHTTP(t *testing.T) {
 // another's bytes. After the churn quiesces, a final sync must leave
 // every published package served and verified.
 func TestEdgeETagBodyUnderConcurrentSync(t *testing.T) {
-	w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, nil, false)
+	w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,16 +192,9 @@ func TestEdgeETagBodyUnderConcurrentSync(t *testing.T) {
 			p := &apk.Package{Name: fmt.Sprintf("zzz-soak-%d", gen), Version: "1.0-r0",
 				Files: []apk.File{{Path: "/usr/bin/zzz-soak", Mode: 0o755,
 					Content: []byte(fmt.Sprintf("gen-%d", gen))}}}
-			if err := apk.Sign(p, w.Distro); err != nil {
+			if err := w.Publish(p); err != nil {
 				t.Error(err)
 				return
-			}
-			if err := w.Repo.Publish(p); err != nil {
-				t.Error(err)
-				return
-			}
-			for _, m := range w.Mirrors {
-				m.Sync(w.Repo)
 			}
 			if _, err := w.Tenant.Refresh(); err != nil {
 				t.Error(err)
@@ -274,7 +261,7 @@ func TestRunRequiresRepo(t *testing.T) {
 // TestRunShutsDownGracefully: cancellation drains the server and stops
 // the sync loop; run returns nil.
 func TestRunShutsDownGracefully(t *testing.T) {
-	w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, nil, false)
+	w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,21 +15,13 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"tsr/internal/apk"
 	"tsr/internal/attest"
-	"tsr/internal/enclave"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
-	"tsr/internal/netsim"
 	"tsr/internal/osimage"
 	"tsr/internal/pkgmgr"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
-	"tsr/internal/tpm"
-	"tsr/internal/tsr"
+	"tsr/internal/testbed"
 )
 
 func main() {
@@ -38,14 +30,14 @@ func main() {
 	}
 }
 
-// newOS boots a fresh integrity-enforced OS and a verifier that has
-// whitelisted its golden image.
-func newOS(trusted *keys.Ring) (*osimage.Image, *attest.Verifier, error) {
-	img, err := osimage.New(keys.Shared.MustGet("attest-os-ak"), nil)
+// newOS boots a fresh integrity-enforced OS from the organization's
+// golden configuration and a verifier that has whitelisted its image.
+func newOS(tb *testbed.Testbed) (*osimage.Image, *attest.Verifier, error) {
+	img, err := osimage.New(keys.Shared.MustGet("attest-os-ak"), tb.Policy.InitConfigFiles)
 	if err != nil {
 		return nil, nil, err
 	}
-	v := attest.NewVerifier(img.TPM.AttestationKey(), trusted)
+	v := attest.NewVerifier(img.TPM.AttestationKey(), keys.NewRing(tb.Distro.Public()))
 	if err := img.IMA.MeasureTree("/etc"); err != nil {
 		return nil, nil, err
 	}
@@ -54,31 +46,26 @@ func newOS(trusted *keys.Ring) (*osimage.Image, *attest.Verifier, error) {
 }
 
 func run() error {
-	distro, err := keys.Generate("alpine@example.org")
-	if err != nil {
-		return err
-	}
-	origin := repo.New("alpine-main", distro)
 	update := &apk.Package{
 		Name: "zlib", Version: "1.2.12-r0",
 		Scripts: map[string]string{"post-install": "adduser -S -s /sbin/nologin zsvc\n"},
 		Files:   []apk.File{{Path: "/usr/lib/libz.so", Mode: 0o755, Content: []byte("libz 1.2.12 security fix")}},
 	}
-	if err := apk.Sign(update, distro); err != nil {
-		return err
-	}
-	if err := origin.Publish(update); err != nil {
-		return err
-	}
-	m := mirror.New("https://mirror0/", netsim.Europe)
-	m.Sync(origin)
-
-	// --- Scenario A: plain mirror update -> false positive. ----------
-	imgA, verifierA, err := newOS(keys.NewRing(distro.Public()))
+	tb, err := testbed.New(testbed.Options{})
 	if err != nil {
 		return err
 	}
-	mgrA := pkgmgr.New(imgA, m, keys.NewRing(distro.Public()), keys.NewRing(distro.Public()))
+	if err := tb.Publish(update); err != nil {
+		return err
+	}
+	distro := keys.NewRing(tb.Distro.Public())
+
+	// --- Scenario A: plain mirror update -> false positive. ----------
+	imgA, verifierA, err := newOS(tb)
+	if err != nil {
+		return err
+	}
+	mgrA := pkgmgr.New(imgA, tb.Mirrors[0], distro, distro)
 	if err := mgrA.Refresh(); err != nil {
 		return err
 	}
@@ -96,7 +83,7 @@ func run() error {
 	}
 
 	// --- Scenario B: actual compromise -> true positive. -------------
-	imgB, verifierB, err := newOS(keys.NewRing(distro.Public()))
+	imgB, verifierB, err := newOS(tb)
 	if err != nil {
 		return err
 	}
@@ -115,53 +102,16 @@ func run() error {
 	fmt.Println("   -> the verifier cannot distinguish A from B: that is the paper's problem statement")
 
 	// --- Scenario C: the same update through TSR. ---------------------
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("attest-quoting"))
-	if err != nil {
-		return err
-	}
-	mirrorsByHost := map[string]*mirror.Mirror{"https://mirror0/": m}
-	svc, err := tsr.New(tsr.Config{
-		Platform: platform,
-		TPM:      tpm.New(keys.Shared.MustGet("attest-host-tpm")),
-		Link:     netsim.DefaultLinkModel(netsim.NewRNG(1)),
-		Clock:    netsim.NewVirtualClock(netsim.RealClock{}.Now()),
-		Local:    netsim.Europe,
-		Resolve: func(pm policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := mirrorsByHost[pm.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown mirror %q", pm.Hostname)
-			}
-			return mm, mm, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	pem, err := distro.Public().MarshalPEM()
-	if err != nil {
-		return err
-	}
-	pol := policy.Policy{
-		Mirrors:    []policy.Mirror{{Hostname: "https://mirror0/", Location: "Europe"}},
-		SignerKeys: []string{strings.TrimRight(string(pem), "\n")},
-	}
-	repoID, pubPEM, _, err := svc.DeployPolicy(pol.Marshal())
-	if err != nil {
-		return err
-	}
-	tenant, err := svc.Repo(repoID)
+	tenant, err := tb.Deploy(tb.Policy)
 	if err != nil {
 		return err
 	}
 	if _, err := tenant.Refresh(); err != nil {
 		return err
 	}
-	tsrPub, err := keys.ParsePEM("tsr-"+repoID, pubPEM)
-	if err != nil {
-		return err
-	}
+	tsrPub := tenant.PublicKey()
 
-	imgC, verifierC, err := newOS(keys.NewRing(distro.Public()))
+	imgC, verifierC, err := newOS(tb)
 	if err != nil {
 		return err
 	}

@@ -10,17 +10,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"tsr/internal/apk"
-	"tsr/internal/enclave"
-	"tsr/internal/keys"
 	"tsr/internal/mirror"
-	"tsr/internal/netsim"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
-	"tsr/internal/tpm"
+	"tsr/internal/testbed"
 	"tsr/internal/tsr"
 )
 
@@ -31,67 +24,21 @@ func main() {
 }
 
 func run() error {
-	distro, err := keys.Generate("alpine@example.org")
-	if err != nil {
-		return err
-	}
-	origin := repo.New("alpine-main", distro)
-	publish := func(version, payload string) error {
-		p := &apk.Package{
+	openssl := func(version, payload string) *apk.Package {
+		return &apk.Package{
 			Name: "openssl", Version: version,
 			Files: []apk.File{{Path: "/usr/lib/libssl.so", Mode: 0o755, Content: []byte(payload)}},
 		}
-		if err := apk.Sign(p, distro); err != nil {
-			return err
-		}
-		return origin.Publish(p)
 	}
-	if err := publish("1.1.1f-r0", "vulnerable to CVE-XXXX"); err != nil {
-		return err
-	}
-
 	// Five mirrors: the policy tolerates f = 2 Byzantine ones.
-	mirrors := map[string]*mirror.Mirror{}
-	var pol policy.Policy
-	for i := 0; i < 5; i++ {
-		host := fmt.Sprintf("https://mirror%d/", i)
-		m := mirror.New(host, netsim.Europe)
-		m.Sync(origin)
-		mirrors[host] = m
-		pol.Mirrors = append(pol.Mirrors, policy.Mirror{Hostname: host, Location: "Europe"})
-	}
-	pem, err := distro.Public().MarshalPEM()
+	tb, err := testbed.New(testbed.Options{Mirrors: 5})
 	if err != nil {
 		return err
 	}
-	pol.SignerKeys = []string{strings.TrimRight(string(pem), "\n")}
-
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("byz-quoting"))
-	if err != nil {
+	if err := tb.Publish(openssl("1.1.1f-r0", "vulnerable to CVE-XXXX")); err != nil {
 		return err
 	}
-	svc, err := tsr.New(tsr.Config{
-		Platform: platform,
-		TPM:      tpm.New(keys.Shared.MustGet("byz-host-tpm")),
-		Link:     netsim.DefaultLinkModel(netsim.NewRNG(7)),
-		Clock:    netsim.NewVirtualClock(netsim.RealClock{}.Now()),
-		Local:    netsim.Europe,
-		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := mirrors[m.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown mirror %q", m.Hostname)
-			}
-			return mm, mm, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	repoID, _, _, err := svc.DeployPolicy(pol.Marshal())
-	if err != nil {
-		return err
-	}
-	tenant, err := svc.Repo(repoID)
+	tenant, err := tb.Deploy(tb.Policy)
 	if err != nil {
 		return err
 	}
@@ -102,16 +49,13 @@ func run() error {
 
 	// The adversary compromises two mirrors BEFORE the security update
 	// propagates: one replays the old snapshot, one freezes.
-	mirrors["https://mirror0/"].SetBehavior(mirror.Replay)
-	mirrors["https://mirror1/"].SetBehavior(mirror.Freeze)
+	tb.Mirrors[0].SetBehavior(mirror.Replay)
+	tb.Mirrors[1].SetBehavior(mirror.Freeze)
 	fmt.Println("2. adversary compromises 2/5 mirrors (replay + freeze)")
 
 	// The distribution ships the security fix; honest mirrors sync.
-	if err := publish("1.1.1g-r0", "CVE fixed"); err != nil {
+	if err := tb.Publish(openssl("1.1.1g-r0", "CVE fixed")); err != nil {
 		return err
-	}
-	for _, m := range mirrors {
-		m.Sync(origin)
 	}
 
 	stats, err := tenant.Refresh()
@@ -129,12 +73,9 @@ func run() error {
 	// mirrors are now a majority and can pin the old (validly signed)
 	// index — the freeze attack succeeds, which is exactly why the
 	// paper's assumption is a minority of faulty mirrors.
-	mirrors["https://mirror2/"].SetBehavior(mirror.Replay)
-	if err := publish("1.1.1h-r0", "next fix"); err != nil {
+	tb.Mirrors[2].SetBehavior(mirror.Replay)
+	if err := tb.Publish(openssl("1.1.1h-r0", "next fix")); err != nil {
 		return err
-	}
-	for _, m := range mirrors {
-		m.Sync(origin)
 	}
 	if _, err := tenant.Refresh(); err != nil {
 		fmt.Printf("4. with 3/5 mirrors Byzantine the refresh fails closed: %v\n", err)

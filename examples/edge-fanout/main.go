@@ -15,20 +15,13 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"tsr/internal/apk"
 	"tsr/internal/edge"
-	"tsr/internal/enclave"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
 	"tsr/internal/netsim"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
-	"tsr/internal/store"
-	"tsr/internal/tpm"
+	"tsr/internal/testbed"
 	"tsr/internal/tsr"
 )
 
@@ -41,78 +34,20 @@ func main() {
 func run() error {
 	ctx := context.Background()
 	// --- the origin: a TSR service with one refreshed tenant ----------
-	distro, err := keys.Generate("alpine@example.org")
-	if err != nil {
-		return err
-	}
-	origin := repo.New("alpine-main", distro)
-	publish := func(name, version string) error {
-		p := &apk.Package{
+	pkg := func(name, version string) *apk.Package {
+		return &apk.Package{
 			Name: name, Version: version,
 			Files: []apk.File{{Path: "/usr/bin/" + name, Mode: 0o755, Content: []byte(name + version)}},
 		}
-		if err := apk.Sign(p, distro); err != nil {
-			return err
-		}
-		if err := origin.Publish(p); err != nil {
-			return err
-		}
-		return nil
 	}
-	for _, name := range []string{"busybox", "musl", "openssl"} {
-		if err := publish(name, "1.0-r0"); err != nil {
-			return err
-		}
-	}
-
-	mirrors := map[string]*mirror.Mirror{}
-	var pol policy.Policy
-	for i := 0; i < 3; i++ {
-		host := fmt.Sprintf("https://mirror%d/", i)
-		m := mirror.New(host, netsim.Europe)
-		m.Sync(origin)
-		mirrors[host] = m
-		pol.Mirrors = append(pol.Mirrors, policy.Mirror{Hostname: host, Location: "Europe"})
-	}
-	syncMirrors := func() {
-		for _, m := range mirrors {
-			m.Sync(origin)
-		}
-	}
-	pem, err := distro.Public().MarshalPEM()
+	tb, err := testbed.New(testbed.Options{})
 	if err != nil {
 		return err
 	}
-	pol.SignerKeys = []string{strings.TrimRight(string(pem), "\n")}
-
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("example-edge-quoting"))
-	if err != nil {
+	if err := tb.Publish(pkg("busybox", "1.0-r0"), pkg("musl", "1.0-r0"), pkg("openssl", "1.0-r0")); err != nil {
 		return err
 	}
-	svc, err := tsr.New(tsr.Config{
-		Platform: platform,
-		TPM:      tpm.New(keys.Shared.MustGet("example-edge-tpm")),
-		Clock:    netsim.NewVirtualClock(time.Time{}),
-		Link:     netsim.DefaultLinkModel(nil),
-		Local:    netsim.Europe,
-		Store:    store.NewMem(),
-		EPC:      enclave.DefaultCostModel(),
-		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := mirrors[m.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown mirror %q", m.Hostname)
-			}
-			return mm, mm, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	id, _, _, err := svc.DeployPolicy(pol.Marshal())
-	if err != nil {
-		return err
-	}
-	tenant, err := svc.Repo(id)
+	tenant, err := tb.Deploy(tb.Policy)
 	if err != nil {
 		return err
 	}
@@ -120,7 +55,7 @@ func run() error {
 		return err
 	}
 	trust := keys.NewRing(tenant.PublicKey())
-	fmt.Printf("origin: tenant %s refreshed, serving %s\n\n", id, short(tenant))
+	fmt.Printf("origin: tenant %s refreshed, serving %s\n\n", tenant.ID, short(tenant))
 
 	// --- three edge replicas on three continents ----------------------
 	fmt.Println("== edge tier: untrusted replicas, verified end-to-end ==")
@@ -128,7 +63,7 @@ func run() error {
 	replicas := make([]*edge.Replica, len(conts))
 	endpoints := make([]edge.Endpoint, 0, len(conts)+1)
 	for i, cont := range conts {
-		replicas[i] = &edge.Replica{RepoID: id, Origin: tenant, Continent: cont, TrustRing: trust}
+		replicas[i] = &edge.Replica{RepoID: tenant.ID, Origin: tenant, Continent: cont, TrustRing: trust}
 		if err := replicas[i].SyncCtx(ctx); err != nil {
 			return err
 		}
@@ -142,10 +77,9 @@ func run() error {
 	// A new origin generation reaches the replicas as a DELTA: only the
 	// changed entries travel, under the origin's signature over the new
 	// index, which each replica reproduces byte-for-byte and self-checks.
-	if err := publish("openssl", "1.1-r0"); err != nil {
+	if err := tb.Publish(pkg("openssl", "1.1-r0")); err != nil {
 		return err
 	}
-	syncMirrors()
 	if _, err := tenant.Refresh(); err != nil {
 		return err
 	}
@@ -187,12 +121,11 @@ func run() error {
 
 	// --- byzantine replica: frozen snapshot replay --------------------
 	fmt.Println("\n== byzantine edge: frozen replay + tampering, detected client-side ==")
-	replicas[2].SetBehavior(edge.Freeze)                 // nearest to our client: replays the past
-	replicas[1].SetBehavior(edge.Corrupt)                // tampers with package bodies (its index stays honest)
-	if err := publish("openssl", "1.2-r0"); err != nil { // the update the frozen edge hides
+	replicas[2].SetBehavior(edge.Freeze)                         // nearest to our client: replays the past
+	replicas[1].SetBehavior(edge.Corrupt)                        // tampers with package bodies (its index stays honest)
+	if err := tb.Publish(pkg("openssl", "1.2-r0")); err != nil { // the update the frozen edge hides
 		return err
 	}
-	syncMirrors()
 	if _, err := tenant.Refresh(); err != nil {
 		return err
 	}

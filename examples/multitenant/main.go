@@ -11,17 +11,13 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 
 	"tsr/internal/apk"
-	"tsr/internal/enclave"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
-	"tsr/internal/netsim"
 	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
-	"tsr/internal/tpm"
+	"tsr/internal/testbed"
 	"tsr/internal/tsr"
 )
 
@@ -31,19 +27,7 @@ func main() {
 	}
 }
 
-func pemOf(p *keys.Pair) (string, error) {
-	b, err := p.Public().MarshalPEM()
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(string(b), "\n"), nil
-}
-
 func run() error {
-	distro, err := keys.Generate("alpine@example.org")
-	if err != nil {
-		return err
-	}
 	vendor, err := keys.Generate("vendor@acme.example")
 	if err != nil {
 		return err
@@ -52,13 +36,9 @@ func run() error {
 	// The original repository carries one distribution package and one
 	// vendor-signed package (e.g. a commercial agent shipped through
 	// the same mirror network).
-	origin := repo.New("alpine-main", distro)
 	base := &apk.Package{
 		Name: "busybox", Version: "1.35-r0",
 		Files: []apk.File{{Path: "/bin/busybox", Mode: 0o755, Content: []byte("busybox")}},
-	}
-	if err := apk.Sign(base, distro); err != nil {
-		return err
 	}
 	agent := &apk.Package{
 		Name: "acme-agent", Version: "2.0-r0",
@@ -67,69 +47,38 @@ func run() error {
 	if err := apk.Sign(agent, vendor); err != nil {
 		return err
 	}
-	if err := origin.Publish(base, agent); err != nil {
-		return err
-	}
-	m := mirror.New("https://mirror0/", netsim.Europe)
-	m.Sync(origin)
-
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("mt-quoting"))
+	tb, err := testbed.New(testbed.Options{})
 	if err != nil {
 		return err
 	}
-	svc, err := tsr.New(tsr.Config{
-		Platform: platform,
-		TPM:      tpm.New(keys.Shared.MustGet("mt-host-tpm")),
-		Link:     netsim.DefaultLinkModel(netsim.NewRNG(3)),
-		Clock:    netsim.NewVirtualClock(netsim.RealClock{}.Now()),
-		Local:    netsim.Europe,
-		Resolve: func(pm policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			if pm.Hostname != "https://mirror0/" {
-				return nil, nil, fmt.Errorf("unknown mirror %q", pm.Hostname)
-			}
-			return m, m, nil
-		},
-	})
-	if err != nil {
+	if err := tb.Publish(base, agent); err != nil {
 		return err
 	}
 
-	distroPEM, err := pemOf(distro)
-	if err != nil {
-		return err
-	}
-	vendorPEM, err := pemOf(vendor)
-	if err != nil {
-		return err
-	}
-	deploy := func(signerPEMs ...string) (*tsr.Repo, string, error) {
-		pol := policy.Policy{
-			Mirrors:    []policy.Mirror{{Hostname: "https://mirror0/", Location: "Europe"}},
-			SignerKeys: signerPEMs,
-		}
-		id, _, _, err := svc.DeployPolicy(pol.Marshal())
+	deploy := func(pol policy.Policy) (*tsr.Repo, error) {
+		r, err := tb.Deploy(pol)
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
-		r, err := svc.Repo(id)
-		if err != nil {
-			return nil, "", err
-		}
-		if _, err := r.Refresh(); err != nil {
-			return nil, "", err
-		}
-		return r, id, nil
+		_, err = r.Refresh()
+		return r, err
 	}
+	vendorPEM, err := vendor.Public().MarshalPEM()
+	if err != nil {
+		return err
+	}
+	polB := tb.Policy
+	polB.SignerKeys = append(slices.Clone(polB.SignerKeys), strings.TrimRight(string(vendorPEM), "\n"))
 
-	tenantA, idA, err := deploy(distroPEM)
+	tenantA, err := deploy(tb.Policy)
 	if err != nil {
 		return err
 	}
-	tenantB, idB, err := deploy(distroPEM, vendorPEM)
+	tenantB, err := deploy(polB)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("1. one TSR instance, two tenants: %s (distro key only) and %s (distro + vendor)\n", idA, idB)
+	fmt.Printf("1. one TSR instance, two tenants: %s (distro key only) and %s (distro + vendor)\n", tenantA.ID, tenantB.ID)
 	fmt.Printf("   tenant keys differ: %s vs %s\n",
 		tenantA.PublicKey().Fingerprint(), tenantB.PublicKey().Fingerprint())
 

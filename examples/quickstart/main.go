@@ -22,16 +22,10 @@ import (
 
 	"tsr/internal/apk"
 	"tsr/internal/attest"
-	"tsr/internal/enclave"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
-	"tsr/internal/netsim"
 	"tsr/internal/osimage"
 	"tsr/internal/pkgmgr"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
-	"tsr/internal/tpm"
+	"tsr/internal/testbed"
 	"tsr/internal/tsr"
 )
 
@@ -43,11 +37,6 @@ func main() {
 
 func run() error {
 	// --- 1. The distribution publishes packages; mirrors sync. -------
-	distro, err := keys.Generate("alpine@example.org")
-	if err != nil {
-		return err
-	}
-	origin := repo.New("alpine-main", distro)
 	ntpd := &apk.Package{
 		Name: "ntpd", Version: "4.2.8-r0",
 		Scripts: map[string]string{
@@ -58,67 +47,24 @@ func run() error {
 			{Path: "/etc/ntp.conf.sample", Mode: 0o644, Content: []byte("server pool.ntp.org\n")},
 		},
 	}
-	if err := apk.Sign(ntpd, distro); err != nil {
+	tb, err := testbed.New(testbed.Options{})
+	if err != nil {
 		return err
 	}
-	if err := origin.Publish(ntpd); err != nil {
+	if err := tb.Publish(ntpd); err != nil {
 		return err
 	}
-	mirrors := map[string]*mirror.Mirror{}
-	for i := 0; i < 3; i++ {
-		host := fmt.Sprintf("https://mirror%d.example.org/", i)
-		m := mirror.New(host, netsim.Europe)
-		m.Sync(origin)
-		mirrors[host] = m
-	}
-	fmt.Println("1. published ntpd-4.2.8-r0 to the original repository; 3 mirrors synced")
+	fmt.Printf("1. published ntpd-4.2.8-r0 to the original repository; %d mirrors synced\n", len(tb.Mirrors))
 
-	// --- 2. Launch TSR and deploy the organization's policy. ---------
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("quickstart-quoting"))
-	if err != nil {
-		return err
-	}
-	svc, err := tsr.New(tsr.Config{
-		Platform: platform,
-		TPM:      tpm.New(keys.Shared.MustGet("quickstart-host-tpm")),
-		Link:     netsim.DefaultLinkModel(netsim.NewRNG(1)),
-		Clock:    netsim.NewVirtualClock(netsim.RealClock{}.Now()),
-		Local:    netsim.Europe,
-		EPC:      enclave.DefaultCostModel(),
-		Resolve: func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-			mm, ok := mirrors[m.Hostname]
-			if !ok {
-				return nil, nil, fmt.Errorf("unknown mirror %q", m.Hostname)
-			}
-			return mm, mm, nil
-		},
-	})
-	if err != nil {
-		return err
-	}
-	pem, err := distro.Public().MarshalPEM()
-	if err != nil {
-		return err
-	}
-	pol := policy.Policy{
-		Mirrors: []policy.Mirror{
-			{Hostname: "https://mirror0.example.org/", Location: "Europe"},
-			{Hostname: "https://mirror1.example.org/", Location: "Europe"},
-			{Hostname: "https://mirror2.example.org/", Location: "Europe"},
-		},
-		SignerKeys: []string{strings.TrimRight(string(pem), "\n")},
-		InitConfigFiles: []policy.ConfigFile{
-			{Path: osimage.PasswdPath, Content: "root:x:0:0:root:/root:/bin/ash"},
-			{Path: osimage.GroupPath, Content: "root:x:0:"},
-		},
-	}
-	repoID, pubPEM, report, err := svc.DeployPolicy(pol.Marshal())
+	// --- 2. Deploy the organization's policy to TSR. -----------------
+	pol := tb.Policy
+	repoID, pubPEM, report, err := tb.Service.DeployPolicy(pol.Marshal())
 	if err != nil {
 		return err
 	}
 	// The OS owner verifies the attestation report before trusting the
 	// returned key (Figure 7, steps 1-5).
-	if err := report.Verify(platform.QuotingKey(), tsr.Measurement()); err != nil {
+	if err := report.Verify(tb.Host.Platform.QuotingKey(), tsr.Measurement()); err != nil {
 		return fmt.Errorf("enclave attestation failed: %w", err)
 	}
 	tsrPub, err := keys.ParsePEM("tsr-"+repoID, pubPEM)
@@ -129,7 +75,7 @@ func run() error {
 		repoID, tsrPub.Fingerprint())
 
 	// --- 3. TSR refreshes: quorum read + sanitization. ----------------
-	tenant, err := svc.Repo(repoID)
+	tenant, err := tb.Service.Repo(repoID)
 	if err != nil {
 		return err
 	}

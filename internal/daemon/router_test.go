@@ -58,12 +58,12 @@ func TestRouterSendsEveryTenantToItsOwner(t *testing.T) {
 	var origins []*origin
 	var policy []byte
 	for range 2 {
-		w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, nil, false)
+		w, err := experiments.NewWorld(experiments.Config{Scale: 0.003, Seed: 5}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		origins = append(origins, startOrigin(t, w.Service))
-		policy = w.PolicyRaw
+		policy = w.Policy.Marshal()
 	}
 	rt, err := NewRouter([]string{origins[0].url(), origins[1].url()}, 0,
 		slog.New(slog.NewTextHandler(io.Discard, nil)))

@@ -90,15 +90,15 @@ func feedTenant(t *testing.T, w *edgeWorld, f *feed) *tsr.Repo {
 // cache, calls its floor step).
 func TestOneAcceptanceRule(t *testing.T) {
 	w := newEdgeWorld(t)
-	first := w.repo.Snapshot()
+	first := w.Upstream.Snapshot()
 	w.publish(t, testPkg("app", "1.1-r0"))
-	second := w.repo.Snapshot()
+	second := w.Upstream.Snapshot()
 	forked, err := index.Decode(second.Signed.Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forked.Origin += "-fork"
-	forkSigned, err := index.Sign(forked, w.signer)
+	forkSigned, err := index.Sign(forked, w.Distro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestOneAcceptanceRule(t *testing.T) {
 		{"fork", fork, index.ErrFork},
 		{"same index again", second, nil},
 	}
-	ring := keys.NewRing(w.signer.Public())
+	ring := keys.NewRing(w.Distro.Public())
 	f := &feed{}
 	consumers := []struct {
 		name   string
@@ -164,7 +164,7 @@ func TestOneAcceptanceRule(t *testing.T) {
 func TestReplicaFollowsOriginColdStart(t *testing.T) {
 	w := newEdgeWorld(t)
 	st := store.NewMem()
-	r1 := w.deploy(t, w.newService(t, tsr.Config{Store: st, AutoPersist: true, Resolve: w.resolve}))
+	r1 := w.deploy(t, w.newService(t, tsr.Config{Store: st, AutoPersist: true}))
 	if _, err := r1.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestReplicaFollowsOriginColdStart(t *testing.T) {
 
 	st2 := store.NewMem()
 	st2.Restore(rolledBack)
-	svc2 := w.newService(t, tsr.Config{Store: st2, AutoPersist: true, Resolve: w.resolve})
+	svc2 := w.newService(t, tsr.Config{Store: st2, AutoPersist: true})
 	restored, err := svc2.RestoreAll()
 	if err != nil {
 		t.Fatal(err)
@@ -221,13 +221,13 @@ func TestFailoverClientConcurrentAcceptNeverMovesBack(t *testing.T) {
 		if v > 0 {
 			w.publish(t, testPkg("app", fmt.Sprintf("1.%d-r0", v)))
 		}
-		gens = append(gens, w.repo.Snapshot().Signed)
+		gens = append(gens, w.Upstream.Snapshot().Signed)
 	}
 	newest, err := index.Decode(gens[len(gens)-1].Raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &FailoverClient{TrustRing: keys.NewRing(w.signer.Public())}
+	c := &FailoverClient{TrustRing: keys.NewRing(w.Distro.Public())}
 	var (
 		wg      sync.WaitGroup
 		highest atomic.Uint64 // the highest floor any completed accept returned

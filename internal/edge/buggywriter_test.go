@@ -32,7 +32,7 @@ func TestBuggyWriterCannotReachClients(t *testing.T) {
 			setup: func(t *testing.T, w *edgeWorld) (http.Handler, *store.Mem, string, func() ([]byte, error), func(*testing.T)) {
 				// The edge pulls over HTTP, so its cache holds bytes of
 				// its own, not a view of the origin's store.
-				origin := httptest.NewServer(tsr.Handler(w.svc))
+				origin := httptest.NewServer(tsr.Handler(w.Service))
 				t.Cleanup(origin.Close)
 				cache := store.NewMem()
 				rep := &Replica{RepoID: w.tenant.ID, Cache: cache, TrustRing: w.trust(),
@@ -83,7 +83,7 @@ func TestBuggyWriterCannotReachClients(t *testing.T) {
 						t.Fatalf("read after the flip was served from the sanitized cache, want the re-sanitize path")
 					}
 				}
-				return tsr.Handler(w.svc), w.store, key, read, healed
+				return tsr.Handler(w.Service), w.store, key, read, healed
 			},
 		},
 	} {

@@ -123,7 +123,7 @@ func TestReadAPIConformance(t *testing.T) {
 	}
 	// Not-ready: a deployed but never refreshed tenant at the origin, a
 	// never synced replica at the edge.
-	cold, _, _, err := w.svc.DeployPolicy(w.policy)
+	cold, _, _, err := w.Service.DeployPolicy(w.Policy.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestReadAPIConformance(t *testing.T) {
 		name string
 		h    http.Handler
 	}{
-		{"origin", tsr.Handler(w.svc)},
+		{"origin", tsr.Handler(w.Service)},
 		{"edge", Handler(map[string]*Replica{ready: rep, cold: {RepoID: cold, Origin: w.tenant}}, "conf-edge")},
 	}
 
@@ -323,7 +323,7 @@ func TestChunksRevalidationSkipsTheManifest(t *testing.T) {
 	}
 	row := readRow{path: "/packages/app/chunks", request: map[string]string{"If-None-Match": entryOf(t, rep, "app").ETag()}, wantStatus: 304}
 	checkRow(t, row, serve(Handler(map[string]*Replica{w.tenant.ID: rep}, "e"), w.tenant.ID, row))
-	checkRow(t, row, serve(tsr.Handler(w.svc), w.tenant.ID, row))
+	checkRow(t, row, serve(tsr.Handler(w.Service), w.tenant.ID, row))
 	if st := rep.Stats(); st.PackageReads != 0 || st.OriginPackages != 0 {
 		t.Errorf("edge read %d packages (%d pulled) to answer a 304", st.PackageReads, st.OriginPackages)
 	}

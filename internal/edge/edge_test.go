@@ -9,96 +9,49 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"tsr/internal/apk"
-	"tsr/internal/enclave"
 	"tsr/internal/index"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
 	"tsr/internal/netsim"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
 	"tsr/internal/store"
-	"tsr/internal/tpm"
+	"tsr/internal/testbed"
 	"tsr/internal/tsr"
 )
 
-// edgeWorld is an origin deployment (repository, mirrors, TSR service,
-// one refreshed tenant) for edge tests.
+// edgeWorld is an origin deployment (a testbed and its one refreshed
+// tenant) for edge tests.
 type edgeWorld struct {
-	repo     *repo.Repository
-	mirrors  []*mirror.Mirror
-	signer   *keys.Pair
-	svc      *tsr.Service
-	store    *store.Mem // the origin's package store
-	tenant   *tsr.Repo
-	policy   []byte // the deployed policy, for deploying further tenants
-	platform *enclave.Platform
-	tpm      *tpm.TPM
-	resolve  func(policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) // the world's mirrors
+	*testbed.Testbed
+	store  *store.Mem // the origin's package store
+	tenant *tsr.Repo
 }
 
 func newEdgeWorld(t *testing.T) *edgeWorld {
 	t.Helper()
-	signer := keys.Shared.MustGet("edge-test-distro")
-	w := &edgeWorld{repo: repo.New("alpine-main", signer), signer: signer, store: store.NewMem()}
-	byHost := make(map[string]*mirror.Mirror)
-	var pol strings.Builder
-	pol.WriteString("mirrors:\n")
-	for i := 0; i < 3; i++ {
-		host := fmt.Sprintf("https://mirror%d/", i)
-		m := mirror.New(host, netsim.Europe)
-		w.mirrors = append(w.mirrors, m)
-		byHost[host] = m
-		fmt.Fprintf(&pol, "  - hostname: %s\n", host)
-	}
-	pem, err := signer.Public().MarshalPEM()
+	w := &edgeWorld{store: store.NewMem()}
+	var err error
+	w.Testbed, err = testbed.New(testbed.Options{Host: tsr.Config{Store: w.store}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol.WriteString("signers_keys:\n  - |-\n")
-	for _, line := range strings.Split(strings.TrimRight(string(pem), "\n"), "\n") {
-		pol.WriteString("    " + line + "\n")
-	}
-
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("edge-test-quoting"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.platform, w.tpm = platform, tpm.New(keys.Shared.MustGet("edge-test-tpm"))
-	w.resolve = func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-		mm, ok := byHost[m.Hostname]
-		if !ok {
-			return nil, nil, fmt.Errorf("no mirror %q", m.Hostname)
-		}
-		return mm, mm, nil
-	}
-	w.svc = w.newService(t, tsr.Config{
-		Store:   w.store,
-		Link:    netsim.DefaultLinkModel(netsim.NewRNG(11)),
-		Resolve: w.resolve,
-	})
 	w.publish(t, testPkg("app", "1.0-r0"), testPkg("lib", "1.0-r0"), testPkg("tool", "1.0-r0"))
-	w.policy = []byte(pol.String())
-	w.tenant = w.deploy(t, w.svc)
+	w.tenant = w.deploy(t, w.Service)
 	if _, err := w.tenant.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	return w
 }
 
-// newService starts an origin on the world's host hardware (enclave
-// platform and TPM survive across the services of one world, as they
-// would across restarts) with cfg's store, link, resolver and
-// persistence.
+// newService starts another origin on the world's host hardware and,
+// unless cfg resolves mirrors itself, its mirrors, as a restart would;
+// the store and persistence are cfg's.
 func (w *edgeWorld) newService(t *testing.T, cfg tsr.Config) *tsr.Service {
 	t.Helper()
-	cfg.Platform, cfg.TPM = w.platform, w.tpm
-	cfg.Clock = netsim.NewVirtualClock(time.Time{})
-	cfg.Local = netsim.Europe
-	cfg.EPC = enclave.DefaultCostModel()
+	cfg.Platform, cfg.TPM, cfg.Clock, cfg.Link, cfg.EPC = w.Host.Platform, w.Host.TPM, w.Host.Clock, w.Host.Link, w.Host.EPC
+	if cfg.Resolve == nil {
+		cfg.Resolve = w.Host.Resolve
+	}
 	svc, err := tsr.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +62,7 @@ func (w *edgeWorld) newService(t *testing.T, cfg tsr.Config) *tsr.Service {
 // deploy deploys the world's policy on svc.
 func (w *edgeWorld) deploy(t *testing.T, svc *tsr.Service) *tsr.Repo {
 	t.Helper()
-	id, _, _, err := svc.DeployPolicy(w.policy)
+	id, _, _, err := svc.DeployPolicy(w.Policy.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +82,8 @@ func testPkg(name, version string) *apk.Package {
 
 func (w *edgeWorld) publish(t *testing.T, pkgs ...*apk.Package) {
 	t.Helper()
-	for _, p := range pkgs {
-		if err := apk.Sign(p, w.signer); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.repo.Publish(pkgs...); err != nil {
+	if err := w.Publish(pkgs...); err != nil {
 		t.Fatal(err)
-	}
-	for _, m := range w.mirrors {
-		m.Sync(w.repo)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestMemoizedFormsMatchTheGeneration(t *testing.T) {
 		h    http.Handler
 		view tsr.ReadView
 	}{
-		{"origin", tsr.Handler(w.svc), w.tenant},
+		{"origin", tsr.Handler(w.Service), w.tenant},
 		{"edge", Handler(map[string]*Replica{w.tenant.ID: rep}, "memo-edge"), rep},
 	}
 	prefix := "/repos/" + w.tenant.ID + "/index"
@@ -146,7 +146,7 @@ func TestMemoUnderConcurrentPublishes(t *testing.T) {
 	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	handlers := []http.Handler{tsr.Handler(w.svc), Handler(map[string]*Replica{w.tenant.ID: rep}, "memo-edge")}
+	handlers := []http.Handler{tsr.Handler(w.Service), Handler(map[string]*Replica{w.tenant.ID: rep}, "memo-edge")}
 	prefix := "/repos/" + w.tenant.ID + "/index"
 
 	const readers, publishes = 8, 20

@@ -349,7 +349,7 @@ func TestFailoverClientDiffTamperedManifestFallsBack(t *testing.T) {
 	if _, err := w.tenant.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	inner := tsr.Handler(w.svc)
+	inner := tsr.Handler(w.Service)
 	// A corrupting middlebox: chunk-manifest responses get their
 	// package hash zeroed; everything else passes through.
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {

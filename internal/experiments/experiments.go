@@ -14,19 +14,12 @@ import (
 	"strings"
 	"time"
 
-	"tsr/internal/apk"
 	"tsr/internal/enclave"
 	"tsr/internal/keys"
-	"tsr/internal/mirror"
 	"tsr/internal/netsim"
-	"tsr/internal/osimage"
-	"tsr/internal/policy"
-	"tsr/internal/quorum"
-	"tsr/internal/repo"
-	"tsr/internal/store"
+	"tsr/internal/testbed"
 	"tsr/internal/tpm"
 	"tsr/internal/tsr"
-	"tsr/internal/workload"
 )
 
 // Config parameterizes an experiment run.
@@ -108,50 +101,27 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// World is the full simulated deployment used by the latency and
-// end-to-end experiments: original repository, mirrors, and a TSR
-// service with one deployed tenant repository.
+// World is the simulated deployment the latency and end-to-end
+// experiments run on: a testbed with one deployed, refreshed tenant.
 type World struct {
-	Cfg       Config
-	Gen       *workload.Generator
-	Repo      *repo.Repository
-	Mirrors   []*mirror.Mirror
-	Service   *tsr.Service
-	Tenant    *tsr.Repo
-	Clock     *netsim.VirtualClock
-	Distro    *keys.Pair
-	PolicyRaw []byte
+	*testbed.Testbed
+	Tenant *tsr.Repo
 }
 
-// mirrorLayout describes the mirror fleet to build.
-type mirrorSpec struct {
-	host      string
-	continent netsim.Continent
-	location  string
-}
-
-// NewWorld builds the deployment: generates the scaled population,
-// publishes it to the original repository, syncs the mirrors, deploys a
-// policy, and runs the initial Refresh.
-func NewWorld(cfg Config, mirrors []mirrorSpec, dataCenterLink bool) (*World, error) {
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("exp-quoting"))
+// NewWorld builds the deployment: it publishes the scaled population,
+// syncs the mirrors, deploys the testbed's policy and runs the initial
+// Refresh. dataCenterLink swaps in the data-center link model.
+func NewWorld(cfg Config, dataCenterLink bool) (*World, error) {
+	cfg = cfg.withDefaults()
+	var host tsr.Config
+	if dataCenterLink {
+		host.Link = netsim.DataCenterLinkModel(netsim.NewRNG(cfg.Seed + 1))
+	}
+	w, err := newWorld(cfg, host)
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWorld(cfg, mirrors, dataCenterLink, tsr.Config{
-		Platform: platform,
-		TPM:      newHostTPM(),
-		Store:    store.NewMem(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	id, _, _, err := w.Service.DeployPolicy(w.PolicyRaw)
-	if err != nil {
-		return nil, err
-	}
-	w.Tenant, err = w.Service.Repo(id)
-	if err != nil {
+	if w.Tenant, err = w.Deploy(w.Policy); err != nil {
 		return nil, err
 	}
 	if _, err := w.Tenant.Refresh(); err != nil {
@@ -160,101 +130,17 @@ func NewWorld(cfg Config, mirrors []mirrorSpec, dataCenterLink bool) (*World, er
 	return w, nil
 }
 
-// newWorld publishes the population, syncs the mirrors, writes the
-// policy, and starts a service on host — the caller's store, TPM, SGX
+// newWorld builds the testbed on host — the caller's store, TPM, SGX
 // platform and scheduler bounds, which the fleet soak carries across
 // simulated process lifetimes — without deploying a tenant.
-func newWorld(cfg Config, mirrors []mirrorSpec, dataCenterLink bool, host tsr.Config) (*World, error) {
+func newWorld(cfg Config, host tsr.Config) (*World, error) {
 	cfg = cfg.withDefaults()
-	if len(mirrors) == 0 {
-		mirrors = []mirrorSpec{
-			{"https://mirror0/", netsim.Europe, "Europe"},
-			{"https://mirror1/", netsim.Europe, "Europe"},
-			{"https://mirror2/", netsim.Europe, "Europe"},
-		}
-	}
-	distro, err := keys.Shared.Get("exp-distro-key")
-	if err != nil {
-		return nil, err
-	}
-	w := &World{
-		Cfg:    cfg,
-		Gen:    workload.New(workload.Config{Seed: cfg.Seed, Scale: cfg.Scale}),
-		Repo:   repo.New("alpine", distro),
-		Clock:  netsim.NewVirtualClock(time.Time{}),
-		Distro: distro,
-	}
-
-	// Publish the population.
-	var pkgs []*apk.Package
-	for _, spec := range w.Gen.Specs() {
-		p, err := w.Gen.Build(spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := apk.Sign(p, distro); err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-		// Publish in batches to bound memory.
-		if len(pkgs) >= 64 {
-			if err := w.Repo.Publish(pkgs...); err != nil {
-				return nil, err
-			}
-			pkgs = pkgs[:0]
-		}
-	}
-	if len(pkgs) > 0 {
-		if err := w.Repo.Publish(pkgs...); err != nil {
-			return nil, err
-		}
-	}
-
-	byHost := make(map[string]*mirror.Mirror, len(mirrors))
-	for _, ms := range mirrors {
-		m := mirror.New(ms.host, ms.continent)
-		m.Sync(w.Repo)
-		w.Mirrors = append(w.Mirrors, m)
-		byHost[ms.host] = m
-	}
-
-	// Policy.
-	pem, err := distro.Public().MarshalPEM()
-	if err != nil {
-		return nil, err
-	}
-	pol := policy.Policy{
-		SignerKeys: []string{strings.TrimRight(string(pem), "\n")},
-		InitConfigFiles: []policy.ConfigFile{
-			{Path: osimage.PasswdPath, Content: "root:x:0:0:root:/root:/bin/ash"},
-			{Path: osimage.GroupPath, Content: "root:x:0:"},
-		},
-	}
-	for _, ms := range mirrors {
-		pol.Mirrors = append(pol.Mirrors, policy.Mirror{Hostname: ms.host, Location: ms.location})
-	}
-	w.PolicyRaw = pol.Marshal()
-
-	link := netsim.DefaultLinkModel(netsim.NewRNG(cfg.Seed + 1))
-	if dataCenterLink {
-		link = netsim.DataCenterLinkModel(netsim.NewRNG(cfg.Seed + 1))
-	}
-	host.Clock = w.Clock
-	host.Link = link
-	host.Local = netsim.Europe
 	host.EPC = cfg.EPC
-	host.Resolve = func(m policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
-		mm, ok := byHost[m.Hostname]
-		if !ok {
-			return nil, nil, fmt.Errorf("experiments: unknown mirror %q", m.Hostname)
-		}
-		return mm, mm, nil
-	}
-	w.Service, err = tsr.New(host)
+	tb, err := testbed.New(testbed.Options{Scale: cfg.Scale, Seed: cfg.Seed, Host: host})
 	if err != nil {
 		return nil, err
 	}
-	return w, nil
+	return &World{Testbed: tb}, nil
 }
 
 func newHostTPM() *tpm.TPM {

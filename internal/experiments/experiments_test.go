@@ -306,7 +306,7 @@ func documentedIDs(doc string) []string {
 }
 
 func TestWorldRejectsKnownUnsupported(t *testing.T) {
-	w, err := NewWorld(testCfg(), nil, false)
+	w, err := NewWorld(testCfg(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

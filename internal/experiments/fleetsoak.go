@@ -345,7 +345,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newWorld(cfg, nil, false, tsr.Config{
+		return newWorld(cfg, tsr.Config{
 			Store: st, TPM: hostTPM, Platform: platform, AutoPersist: true,
 			RefreshWorkers: soakRefreshWorkers, SchedMaxActive: soakSchedMaxActive,
 		})
@@ -356,14 +356,11 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	repoID, _, _, err := w.Service.DeployPolicy(w.PolicyRaw)
+	tenant, err := w.Deploy(w.Policy)
 	if err != nil {
 		return nil, err
 	}
-	tenant, err := w.Service.Repo(repoID)
-	if err != nil {
-		return nil, err
-	}
+	repoID := tenant.ID
 	// The chunking probe's first generation goes out with the initial
 	// refresh; every Refresh event bumps it. The full version history
 	// is kept because the origin restart must replay every publish —
@@ -371,18 +368,8 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	// upstream with fewer publishes would (correctly) trip the tenant's
 	// TPM anti-rollback check.
 	probeVersions := []string{"0.0-r0"}
-	publishProbe := func(w *World, version string) error {
-		p := soakWireProbe(version)
-		if err := apk.Sign(p, w.Distro); err != nil {
-			return err
-		}
-		return w.Repo.Publish(p)
-	}
-	if err := publishProbe(w, probeVersions[0]); err != nil {
+	if err := w.Publish(soakWireProbe(probeVersions[0])); err != nil {
 		return nil, err
-	}
-	for _, m := range w.Mirrors {
-		m.Sync(w.Repo)
 	}
 	if _, err := tenant.Refresh(); err != nil {
 		return nil, err
@@ -512,7 +499,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		// Bump the chunking probe into this generation: replicas that
 		// cached the previous version pull the new one differentially.
 		version := fmt.Sprintf("%d.0-r0", tick+1)
-		if err := publishProbe(cur, version); err != nil {
+		if err := cur.Publish(soakWireProbe(version)); err != nil {
 			ctlFail(fmt.Errorf("fleet-soak: probe publish: %w", err))
 			return
 		}
@@ -537,14 +524,9 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	var churnPending bool // deploy arrived while the origin was down
 	var churnTick int
 	deployChurnLocked := func(tick int) {
-		id, _, _, err := cur.Service.DeployPolicy(cur.PolicyRaw)
+		churn, err := cur.Deploy(cur.Policy)
 		if err != nil {
 			ctlFail(fmt.Errorf("fleet-soak: churn deploy: %w", err))
-			return
-		}
-		churn, err := cur.Service.Repo(id)
-		if err != nil {
-			ctlFail(err)
 			return
 		}
 		raws := make([][]byte, 0, soakChurnBatch)
@@ -566,7 +548,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			ctlFail(fmt.Errorf("fleet-soak: churn ingest: %w", err))
 			return
 		}
-		churnID = id
+		churnID = churn.ID
 		res.ChurnDeploys++
 		res.ChurnIngested += st.Registered
 	}
@@ -608,21 +590,14 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		// before the next refresh, so no generation ever retracts
 		// packages clients already verified.
 		for _, name := range published {
-			p := soakPackage(name)
-			if err := apk.Sign(p, w2.Distro); err != nil {
-				return err
-			}
-			if err := w2.Repo.Publish(p); err != nil {
+			if err := w2.Publish(soakPackage(name)); err != nil {
 				return err
 			}
 		}
 		for _, v := range probeVersions {
-			if err := publishProbe(w2, v); err != nil {
+			if err := w2.Publish(soakWireProbe(v)); err != nil {
 				return err
 			}
-		}
-		for _, m := range w2.Mirrors {
-			m.Sync(w2.Repo)
 		}
 		if _, err := tenant2.Refresh(); err != nil {
 			return err
@@ -1159,15 +1134,8 @@ var edgeContinents = []netsim.Continent{
 // ctx yields an origin.refresh span tree per generation (the soak
 // reports the per-stage breakdown from these).
 func publishGeneration(ctx context.Context, w *World, name string) error {
-	p := soakPackage(name)
-	if err := apk.Sign(p, w.Distro); err != nil {
+	if err := w.Publish(soakPackage(name)); err != nil {
 		return err
-	}
-	if err := w.Repo.Publish(p); err != nil {
-		return err
-	}
-	for _, m := range w.Mirrors {
-		m.Sync(w.Repo)
 	}
 	_, err := w.Tenant.RefreshCtx(ctx)
 	return err

@@ -103,7 +103,7 @@ func TestFleetSoakTableAndBenchEmission(t *testing.T) {
 // trace ID: a wrapper that dropped the context would end the trace at
 // the edge.
 func TestSoakSlotTraceReachesOrigin(t *testing.T) {
-	w, err := NewWorld(testCfg(), nil, false)
+	w, err := NewWorld(testCfg(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // download plus sanitization for the no-cache case.
 func Fig10(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	w, err := NewWorld(cfg, nil, false)
+	w, err := NewWorld(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +86,7 @@ func Fig11(cfg Config) (*Table, error) {
 	if cfg.MaxPackages == 0 {
 		cfg.MaxPackages = 150
 	}
-	w, err := NewWorld(cfg, nil, true)
+	w, err := NewWorld(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func Fig11(cfg Config) (*Table, error) {
 			Local:  netsim.Europe,
 			Remote: netsim.Europe,
 			Link:   netsim.DataCenterLinkModel(netsim.NewRNG(cfg.Seed + 2)),
-			Clock:  w.Clock,
+			Clock:  w.Host.Clock,
 		})
 		if err := mgr.Refresh(); err != nil {
 			return nil, err
@@ -386,7 +386,7 @@ func minFloat(a, b float64) float64 {
 func AblationParallelDownload(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	cfg.Scale = minFloat(cfg.Scale, 0.01) // downloads dominate; a small population suffices
-	w, err := NewWorld(cfg, nil, false)
+	w, err := NewWorld(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -398,11 +398,7 @@ func AblationParallelDownload(cfg Config) (*Table, error) {
 		// Each parallelism level gets a fresh tenant on the shared
 		// service; tenants have isolated caches, so every refresh
 		// downloads the full population again.
-		id, _, _, err := w.Service.DeployPolicy(w.PolicyRaw)
-		if err != nil {
-			return nil, err
-		}
-		tenant, err := w.Service.Repo(id)
+		tenant, err := w.Deploy(w.Policy)
 		if err != nil {
 			return nil, err
 		}

@@ -28,15 +28,11 @@ func AblationRefreshWorkers(cfg Config) (*Table, error) {
 		// A fresh world per row: sharing one store across rows would
 		// grow the heap with every tenant's private cache copy and
 		// penalize the later (wider) rows with GC pressure.
-		w, err := NewWorld(cfg, nil, false)
+		w, err := NewWorld(cfg, false)
 		if err != nil {
 			return nil, err
 		}
-		id, _, _, err := w.Service.DeployPolicy(w.PolicyRaw)
-		if err != nil {
-			return nil, err
-		}
-		tenant, err := w.Service.Repo(id)
+		tenant, err := w.Deploy(w.Policy)
 		if err != nil {
 			return nil, err
 		}

@@ -37,8 +37,11 @@ type call[V any] struct {
 	// (coalesced=true) instead of inventing an upstream call that
 	// never happened.
 	ctx context.Context
-	val V
-	err error
+	// joined counts the callers sharing this flight, the leader
+	// included. The group lock guards it.
+	joined int
+	val    V
+	err    error
 }
 
 // Group coalesces concurrent calls by key. The zero value is ready to
@@ -78,11 +81,12 @@ func (g *Group[V]) DoCtx(ctx context.Context, key string, fn func(context.Contex
 		g.calls = make(map[string]*call[V])
 	}
 	if c, ok := g.calls[key]; ok {
+		c.joined++
 		g.mu.Unlock()
 		<-c.done
 		return c.val, c.ctx, false, c.err
 	}
-	c := &call[V]{done: make(chan struct{}), ctx: ctx}
+	c := &call[V]{done: make(chan struct{}), ctx: ctx, joined: 1}
 	g.calls[key] = c
 	g.mu.Unlock()
 

@@ -17,7 +17,6 @@ func TestDoCoalesces(t *testing.T) {
 	var g Group[int]
 	var execs, leaders atomic.Int64
 	gate := make(chan struct{})
-	entered := make(chan struct{}, k)
 
 	var wg sync.WaitGroup
 	results := make([]int, k)
@@ -25,7 +24,6 @@ func TestDoCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			entered <- struct{}{}
 			v, leader, err := g.Do("key", func() (int, error) {
 				execs.Add(1)
 				<-gate // hold the flight open until all K have joined
@@ -40,9 +38,7 @@ func TestDoCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	for i := 0; i < k; i++ {
-		<-entered
-	}
+	awaitJoined(t, &g, "key", k)
 	close(gate)
 	wg.Wait()
 
@@ -83,13 +79,13 @@ func TestDoDistinctKeys(t *testing.T) {
 	if err != nil || v != "B" || !leader {
 		t.Fatalf("key b: %q leader=%v err=%v", v, leader, err)
 	}
-	if g.Inflight() != 1 {
-		t.Fatalf("inflight = %d, want 1 (key a still held)", g.Inflight())
+	if a, b := g.Joined("a"), g.Joined("b"); a != 1 || b != 0 {
+		t.Fatalf("joined a=%d b=%d, want 1 and 0 (key a still held, b done)", a, b)
 	}
 	close(gate)
 	<-done
-	if g.Inflight() != 0 {
-		t.Fatalf("inflight = %d after completion, want 0", g.Inflight())
+	if a := g.Joined("a"); a != 0 {
+		t.Fatalf("joined a=%d after completion, want 0", a)
 	}
 }
 
@@ -120,8 +116,7 @@ func TestDoLeaderPanic(t *testing.T) {
 	}()
 
 	// Let the waiter join the open flight, then detonate the leader.
-	<-joined
-	time.Sleep(10 * time.Millisecond)
+	awaitJoined(t, &g, "k", 2)
 	close(boom)
 
 	if p := <-leaderDone; p != "leader exploded" {
@@ -140,8 +135,8 @@ func TestDoLeaderPanic(t *testing.T) {
 	if err != nil || v != 9 || !leader {
 		t.Fatalf("post-panic call: v=%d leader=%v err=%v", v, leader, err)
 	}
-	if g.Inflight() != 0 {
-		t.Fatalf("inflight = %d, want 0", g.Inflight())
+	if n := g.Joined("k"); n != 0 {
+		t.Fatalf("joined = %d, want 0", n)
 	}
 }
 
@@ -206,15 +201,8 @@ func TestDoCtxExposesLeaderContext(t *testing.T) {
 			t.Errorf("follower leaderCtx value = %v, want leader's", gotCtx)
 		}
 	}()
-	// The follower may not have joined yet; poll until it blocks on the
-	// flight, then release the leader.
-	for i := 0; i < 200; i++ {
-		if g.Inflight() == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
+	// Release the leader once the follower shares its flight.
+	awaitJoined(t, &g, "key", 2)
 	close(gate)
 	<-done
 

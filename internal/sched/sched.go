@@ -7,9 +7,10 @@
 //
 //   - Job admission. Run() admits at most MaxActive refresh/ingest jobs
 //     at once, picking the next job by start-time fair queueing (SFQ):
-//     per-tenant virtual finish tags, weighted, so a tenant that
-//     refreshes ten 10x-size repos cannot starve a small tenant — its
-//     jobs simply carry later finish tags. Two priority bands sit above
+//     every tenant gets an equal share, each job carrying a virtual
+//     finish tag one past its start tag, so a tenant that refreshes
+//     ten 10x-size repos cannot starve a small tenant — its jobs
+//     simply carry later finish tags. Two priority bands sit above
 //     the tags: an Interactive job (operator POST /refresh, bulk
 //     ingest) always dispatches before any queued Background job
 //     (auto-refresh), whatever the tags say.
@@ -51,7 +52,7 @@ type Priority int
 
 const (
 	// Background is the auto-refresh band: queued work is dispatched in
-	// weighted-fair order, but always behind Interactive.
+	// fair order, but always behind Interactive.
 	Background Priority = iota
 	// Interactive is the operator band (POST /refresh, bulk ingest):
 	// it preempts every queued Background job.
@@ -109,7 +110,6 @@ type Scheduler struct {
 	slotCond   *sync.Cond // waiters for pool slots
 	vtime      float64    // SFQ global virtual time
 	lastFinish map[string]float64
-	weights    map[string]float64
 	queue      []*waiter // admission queue, picked by pickLocked
 	seq        uint64
 	active     int
@@ -127,18 +127,10 @@ func New(cfg Config) *Scheduler {
 		workers:    max(cfg.Workers, 0),
 		maxActive:  max(cfg.MaxActive, 0),
 		lastFinish: make(map[string]float64),
-		weights:    make(map[string]float64),
 		tenants:    make(map[string]*tenantStats),
 	}
 	s.slotCond = sync.NewCond(&s.mu)
 	return s
-}
-
-func (s *Scheduler) weightLocked(tenant string) float64 {
-	if w, ok := s.weights[tenant]; ok {
-		return w
-	}
-	return 1
 }
 
 func (s *Scheduler) statsLocked(tenant string) *tenantStats {
@@ -220,7 +212,7 @@ func (s *Scheduler) Run(ctx context.Context, tenant string, pri Priority, fn fun
 	if lf := s.lastFinish[tenant]; lf > start {
 		start = lf
 	}
-	finish := start + 1/s.weightLocked(tenant)
+	finish := start + 1
 	s.lastFinish[tenant] = finish
 	w := &waiter{tenant: tenant, pri: pri, start: start, finish: finish, seq: s.seq, ready: make(chan struct{})}
 	s.seq++

@@ -84,36 +84,6 @@ func TestFairInterleaving(t *testing.T) {
 	}
 }
 
-// TestWeightedShare doubles one tenant's weight and expects it to win
-// two admissions for every one of an equal-backlog competitor.
-func TestWeightedShare(t *testing.T) {
-	s := New(Config{MaxActive: 1})
-	s.SetWeight("heavy", 2)
-	release, running := block(t, s, "warm", Background)
-	<-running
-
-	var order []string
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		enqueue(t, s, "heavy", Background, &order, &mu, &wg)
-	}
-	for i := 0; i < 3; i++ {
-		enqueue(t, s, "light", Background, &order, &mu, &wg)
-	}
-	release()
-	wg.Wait()
-
-	// heavy tags: .5 1 1.5 2 2.5 3 — light tags: 1 2 3. Ties go FIFO
-	// (heavy enqueued first), so the drain is h h l h h l h h l.
-	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "heavy", "light"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("admission order %v, want %v", order, want)
-		}
-	}
-}
-
 // TestInteractivePreemptsQueuedBackground backlogs the Background band
 // and then submits an Interactive job: it must be admitted before every
 // queued Background job regardless of its later finish tag.

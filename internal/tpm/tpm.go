@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"tsr/internal/keys"
@@ -38,14 +39,9 @@ type TPM struct {
 	pcrs     [NumPCRs][32]byte
 	counters map[uint32]uint64
 	ak       *keys.Pair // attestation key (AIK)
-
-	// OnIncrement, when set, is invoked (outside the TPM lock) after
-	// every successful IncrementCounter with the counter id and its new
-	// value. Hardware TPM NV counters survive reboots; a host that
-	// simulates one must persist the bank somewhere durable — and
-	// trusted, NOT the rollback-prone data dir — on every bump. Set it
-	// before the TPM is shared across goroutines.
-	OnIncrement func(id uint32, value uint64)
+	// nvPath is the file the counter bank persists to (see Open);
+	// empty keeps the bank in memory only.
+	nvPath string
 }
 
 // New creates a TPM with zeroed PCRs and the given attestation key.
@@ -147,41 +143,26 @@ func (q *Quote) Verify(ak *keys.Public, nonce []byte) error {
 	return nil
 }
 
-// IncrementCounter increases monotonic counter id by one and returns the
-// new value. Counters start at zero.
-func (t *TPM) IncrementCounter(id uint32) uint64 {
-	t.mu.Lock()
-	t.counters[id]++
-	v := t.counters[id]
-	t.mu.Unlock()
-	if t.OnIncrement != nil {
-		t.OnIncrement(id, v)
-	}
-	return v
-}
-
-// Counters returns a copy of the monotonic counter bank — the NVRAM
-// snapshot a simulated host persists so the TPM survives restarts.
-func (t *TPM) Counters() map[uint32]uint64 {
+// IncrementCounter increases monotonic counter id by one and returns
+// the new value. Counters start at zero. On a TPM made by Open the new
+// value is durable before it is returned: the whole bank is written to
+// the NV file (see writeBank). If that write fails the counter does not
+// move and the error is returned, so a caller that would sign with the
+// value signs nothing. The write happens under the lock, so banks reach
+// the file in the order their values were issued.
+func (t *TPM) IncrementCounter(id uint32) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[uint32]uint64, len(t.counters))
-	for id, v := range t.counters {
-		out[id] = v
+	v := t.counters[id] + 1
+	if t.nvPath != "" {
+		bank := maps.Clone(t.counters)
+		bank[id] = v
+		if err := writeBank(t.nvPath, bank); err != nil {
+			return 0, fmt.Errorf("tpm: persisting counter %d = %d: %w", id, v, err)
+		}
 	}
-	return out
-}
-
-// RestoreCounters overwrites the counter bank from a persisted NVRAM
-// snapshot. Only for host-restart simulation — real NV counters cannot
-// be written, which is the whole point of using them.
-func (t *TPM) RestoreCounters(bank map[uint32]uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.counters = make(map[uint32]uint64, len(bank))
-	for id, v := range bank {
-		t.counters[id] = v
-	}
+	t.counters[id] = v
+	return v, nil
 }
 
 // ReadCounter returns the current value of monotonic counter id.

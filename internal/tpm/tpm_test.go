@@ -148,11 +148,10 @@ func TestMonotonicCounter(t *testing.T) {
 	if got := tp.ReadCounter(1); got != 0 {
 		t.Fatalf("fresh counter = %d", got)
 	}
-	if got := tp.IncrementCounter(1); got != 1 {
-		t.Fatalf("first increment = %d", got)
-	}
-	if got := tp.IncrementCounter(1); got != 2 {
-		t.Fatalf("second increment = %d", got)
+	for want := uint64(1); want <= 2; want++ {
+		if got, err := tp.IncrementCounter(1); got != want || err != nil {
+			t.Fatalf("increment = %d, %v, want %d", got, err, want)
+		}
 	}
 	if got := tp.ReadCounter(2); got != 0 {
 		t.Fatalf("independent counter = %d", got)
@@ -167,7 +166,9 @@ func TestMonotonicCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tp.IncrementCounter(7)
+				if _, err := tp.IncrementCounter(7); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}

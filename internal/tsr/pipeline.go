@@ -132,10 +132,16 @@ func (r *Repo) sanitizeCached(san *sanitize.Sanitizer, planHash [32]byte, e inde
 // repository cold with the counter intact. Only after signing does
 // commit (nil for none) move the caller's refresh-side state, and the
 // new index and that state become visible together in one atomic
-// publish. A signing failure leaves the repository untouched and the
-// sequence a harmless gap. Caller holds r.mu.
+// publish. A reservation the TPM could not make durable returns its
+// error before anything is signed; a signing failure leaves the
+// repository untouched and the sequence a harmless gap. Caller holds
+// r.mu.
 func (r *Repo) publishNextLocked(newLocal *index.Index, commit func()) error {
-	newLocal.Sequence = r.svc.cfg.TPM.IncrementCounter(r.counterID())
+	seq, err := r.svc.cfg.TPM.IncrementCounter(r.counterID())
+	if err != nil {
+		return fmt.Errorf("tsr: reserving the next sequence: %w", err)
+	}
+	newLocal.Sequence = seq
 	signed, err := index.Sign(newLocal, r.signKey)
 	if err != nil {
 		return err

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"tsr/internal/index"
 	"tsr/internal/keys"
+	"tsr/internal/tpm"
 )
 
 // TestEveryPublishSignsTheNextSequenceOnce walks refresh and ingest
@@ -176,4 +178,85 @@ func coldStartRows(t *testing.T) {
 			t.Fatalf("edge refuses the healed origin: %v", err)
 		}
 	})
+}
+
+// TestFailedCounterWriteSignsNothing: the host's TPM NV bank cannot be
+// written (a directory sits where its temporary file goes), so no
+// sequence reservation is durable. The refreshes that meet the failure
+// must sign nothing, and after a restart on the bank as it was last
+// written the origin must never sign a sequence it already signed.
+func TestFailedCounterWriteSignsNothing(t *testing.T) {
+	h := newPersistHost(t)
+	nv := filepath.Join(t.TempDir(), "host.nv")
+	restartTPM := func() {
+		var err error
+		if h.tpm, err = tpm.Open(keys.Shared.MustGet("persist-tpm-ak"), nv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restartTPM()
+	signed := make(map[uint64][32]byte) // every served index's digest, by sequence
+	served := func(r *Repo) uint64 {
+		t.Helper()
+		s, err := r.FetchIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := s.Verify(keys.NewRing(r.PublicKey()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := signed[ix.Sequence]; ok && prev != s.Digest() {
+			t.Fatalf("sequence %d signed twice", ix.Sequence)
+		}
+		signed[ix.Sequence] = s.Digest()
+		return ix.Sequence
+	}
+
+	w1 := h.boot(t)
+	w1.publish(t, pkgWithScript("app", "1.0-r0", ""))
+	r1 := w1.deploy(t)
+	if _, err := r1.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	served(r1)
+	if err := os.Mkdir(nv+".tmp", 0o700); err != nil {
+		t.Fatal(err)
+	}
+	var failed []error
+	for _, v := range []string{"1.1-r0", "1.2-r0"} {
+		w1.publish(t, pkgWithScript("app", v, ""))
+		_, err := r1.Refresh()
+		failed = append(failed, err)
+		served(r1)
+	}
+
+	// Restart: the bank is writable again and holds what was last
+	// written; the upstream replays its history and moves on.
+	if err := os.Remove(nv + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	restartTPM()
+	w2 := h.boot(t)
+	for _, v := range []string{"1.0-r0", "1.1-r0", "1.2-r0", "1.3-r0"} {
+		w2.publish(t, pkgWithScript("app", v, ""))
+	}
+	if _, err := w2.svc.RestoreAll(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := w2.svc.Repo(r1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r2.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if seq := served(r2); seq != 2 {
+		t.Fatalf("after the restart the origin signs sequence %d, want 2", seq)
+	}
+	for i, err := range failed {
+		if err == nil {
+			t.Fatalf("refresh %d succeeded though its sequence could not be made durable", i+1)
+		}
+	}
 }

@@ -356,7 +356,7 @@ func (r *Repo) RefreshBackgroundCtx(ctx context.Context) (*RefreshStats, error) 
 }
 
 // refreshScheduled wraps the refresh cycle in its trace span and runs
-// it as one scheduler job: admission (weighted-fair, priority-banded)
+// it as one scheduler job: admission (fair, priority-banded)
 // happens first, then the cycle leases worker slots from the global
 // pool batch by batch via the Grant.
 func (r *Repo) refreshScheduled(ctx context.Context, pri sched.Priority) (stats *RefreshStats, err error) {

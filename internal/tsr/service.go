@@ -74,7 +74,7 @@ type Config struct {
 	RefreshWorkers int
 	// SchedMaxActive bounds how many refresh/ingest jobs run
 	// concurrently through the scheduler; queued jobs are admitted in
-	// weighted-fair order with operator (Interactive) priority first.
+	// fair order with operator (Interactive) priority first.
 	// 0 = unbounded.
 	SchedMaxActive int
 	// AutoPersist journals sealed repository metadata (at DeployPolicy)
@@ -142,7 +142,7 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Scheduler exposes the global refresh scheduler (stats, weights).
+// Scheduler exposes the global refresh scheduler and its stats.
 func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
 
 // Measurement returns the enclave measurement OS owners expect.
