@@ -118,7 +118,9 @@ func run(ctx context.Context, args []string) error {
 			case r.Warm:
 				log.Info("restored repository warm (serving previous signed index, no re-sanitization)", "repo", r.ID)
 			case r.RolledBack():
-				log.Error("checkpoint REFUSED, counter mismatch — a rolled-back data dir, or a crash mid-checkpoint; repository is cold until the next refresh", "repo", r.ID, "err", r.Err)
+				log.Error("checkpoint REFUSED, older than the TPM counter — a rolled-back data dir, or a crash mid-checkpoint; repository is cold until the next refresh", "repo", r.ID, "err", r.Err)
+			case r.CounterBehind():
+				log.Error("checkpoint is AHEAD of the TPM counter — the counter bank (<host-state>.nv) was lost or reset, e.g. a host-state file from before the bank existed; repository REFUSES to publish until the bank is restored and tsrd restarted", "repo", r.ID, "err", r.Err)
 			default:
 				log.Warn("repository restored cold", "repo", r.ID, "err", r.Err)
 			}

@@ -12,6 +12,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -471,5 +472,127 @@ func TestWarmRestartSmoke(t *testing.T) {
 	resp.Body.Close()
 	if rstats.Sanitized != 0 || rstats.CacheHits == 0 {
 		t.Fatalf("post-restart refresh sanitized=%d cacheHits=%d, want all cache hits", rstats.Sanitized, rstats.CacheHits)
+	}
+}
+
+// TestRestartOnHostStateWithoutNVBank: a data dir from before the TPM
+// counters moved into <host-state>.nv kept them in the host-state file
+// itself, under "tpm_counters", which tsrd no longer reads. Restarting
+// on such a host-state file, with a checkpoint and no .nv file, finds
+// the checkpoint ahead of a zero counter. The origin must say so and
+// refuse to publish, so that it never signs a sequence twice.
+func TestRestartOnHostStateWithoutNVBank(t *testing.T) {
+	dataDir := t.TempDir() + "/data"
+	hostState := dataDir + ".hoststate"
+	boot := func() (*httptest.Server, []tsr.RestoredRepo, string) {
+		deps, err := openHost(dataDir, false, "", testLogger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, policy, err := buildService(0.003, 9, svcLimits{workers: 4}, deps, testLogger())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := svc.RestoreAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(tsr.Handler(svc))
+		t.Cleanup(srv.Close)
+		return srv, restored, policy
+	}
+	signed := make(map[uint64][32]byte) // every served index's digest, by sequence
+	serve := func(srv *httptest.Server, id string) (int, uint64) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/repos/" + id + "/index")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, 0
+		}
+		ix, err := index.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := signed[ix.Sequence]; ok && prev != sha256.Sum256(raw) {
+			t.Fatalf("sequence %d signed over two different indexes", ix.Sequence)
+		}
+		signed[ix.Sequence] = sha256.Sum256(raw)
+		return resp.StatusCode, ix.Sequence
+	}
+	refresh := func(srv *httptest.Server, id string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/repos/"+id+"/refresh", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// First life: deploy and publish two generations.
+	srv1, _, policy := boot()
+	resp, err := srv1.Client().Post(srv1.URL+"/policies", "application/yaml", strings.NewReader(policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deployed struct {
+		RepositoryID string `json:"repository_id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&deployed); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := deployed.RepositoryID
+	for i := 0; i < 2; i++ {
+		if code := refresh(srv1, id); code != http.StatusOK {
+			t.Fatalf("refresh status = %d", code)
+		}
+	}
+	if code, seq := serve(srv1, id); code != http.StatusOK || seq != 2 {
+		t.Fatalf("first life serves status %d, sequence %d; want 200 and 2", code, seq)
+	}
+	srv1.Close()
+
+	// Rewrite the host state as it was before the .nv bank: the
+	// counters inside it, and no bank beside it.
+	bank, err := os.ReadFile(hostState + ".nv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs map[string]json.RawMessage
+	raw, err := os.ReadFile(hostState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &hs); err != nil {
+		t.Fatal(err)
+	}
+	hs["tpm_counters"] = bank
+	if raw, err = json.Marshal(hs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(hostState, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(hostState + ".nv"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second life: the checkpoint is ahead of a zero counter.
+	srv2, restored, _ := boot()
+	if len(restored) != 1 || restored[0].Warm || !restored[0].CounterBehind() {
+		t.Fatalf("RestoreAll = %+v, want one repository refused with ErrCounterBehind", restored)
+	}
+	for i := 0; i < 3; i++ {
+		if code := refresh(srv2, id); code != http.StatusInternalServerError {
+			t.Fatalf("refresh %d on a lost counter: status %d, want 500", i+1, code)
+		}
+		if code, seq := serve(srv2, id); code != http.StatusServiceUnavailable {
+			t.Fatalf("index with the counter lost: status %d, sequence %d; want 503", code, seq)
+		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // ReadAll on a multi-hundred-MB package path undoes the memory-bound
 // argument for the serving tier. The analyzer flags every io.ReadAll
 // in non-test code of those packages; the handful of sites that
-// legitimately buffer (client-side whole-body verification, bounded
-// policy uploads, bounded error snippets) carry //lint:allow
-// streamserve annotations with their bounds documented.
+// legitimately buffer (bounded policy and ingest uploads, bounded
+// error snippets) carry //lint:allow streamserve annotations with
+// their bounds documented.
 var Streamserve = &Analyzer{
 	Name: "streamserve",
 	Doc:  "serving-tier code must stream packages; io.ReadAll needs a documented bound",

@@ -83,7 +83,10 @@ func (p *Platform) QuotingKey() *keys.Public { return p.quoting.Public() }
 type Enclave struct {
 	platform    *Platform
 	measurement Measurement
-	sealKey     [32]byte
+	// seal is AES-256-GCM under the sealing key. It is built once at
+	// launch and holds only read-only state after that, so concurrent
+	// Seal and Unseal calls share it.
+	seal cipher.AEAD
 }
 
 // Launch instantiates enclave code on a platform. The sealing key is
@@ -94,49 +97,40 @@ func (p *Platform) Launch(m Measurement) *Enclave {
 	h := sha256.New()
 	h.Write(p.sealRoot[:])
 	h.Write(m[:])
-	e := &Enclave{platform: p, measurement: m}
-	copy(e.sealKey[:], h.Sum(nil))
-	return e
+	block, err := aes.NewCipher(h.Sum(nil))
+	if err != nil {
+		panic("enclave: a 32-byte key is a valid AES-256 key: " + err.Error())
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		panic("enclave: AES has a 16-byte block, as GCM requires: " + err.Error())
+	}
+	return &Enclave{platform: p, measurement: m, seal: gcm}
 }
 
 // Seal encrypts data so that only this enclave (same code, same
 // platform) can recover it. The ciphertext is AES-256-GCM with a random
 // nonce prepended.
 func (e *Enclave) Seal(data []byte) ([]byte, error) {
-	gcm, err := e.aead()
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, gcm.NonceSize())
-	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+	ns := e.seal.NonceSize()
+	out := make([]byte, ns, ns+len(data)+e.seal.Overhead())
+	if _, err := io.ReadFull(rand.Reader, out); err != nil {
 		return nil, fmt.Errorf("enclave: sealing: %w", err)
 	}
-	return gcm.Seal(nonce, nonce, data, e.measurement[:]), nil
+	return e.seal.Seal(out, out, data, e.measurement[:]), nil
 }
 
 // Unseal decrypts a blob produced by Seal on the same enclave identity.
 func (e *Enclave) Unseal(blob []byte) ([]byte, error) {
-	gcm, err := e.aead()
-	if err != nil {
-		return nil, err
-	}
-	if len(blob) < gcm.NonceSize() {
+	ns := e.seal.NonceSize()
+	if len(blob) < ns {
 		return nil, fmt.Errorf("%w: too short", ErrSealBroken)
 	}
-	nonce, ct := blob[:gcm.NonceSize()], blob[gcm.NonceSize():]
-	pt, err := gcm.Open(nil, nonce, ct, e.measurement[:])
+	pt, err := e.seal.Open(nil, blob[:ns], blob[ns:], e.measurement[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSealBroken, err)
 	}
 	return pt, nil
-}
-
-func (e *Enclave) aead() (cipher.AEAD, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("enclave: cipher: %w", err)
-	}
-	return cipher.NewGCM(block)
 }
 
 // Report is a remote attestation report: it binds enclave-chosen report

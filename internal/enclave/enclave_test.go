@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,6 +40,50 @@ func TestSealUnsealRoundtrip(t *testing.T) {
 	if !bytes.Equal(got, secret) {
 		t.Fatalf("unsealed = %q", got)
 	}
+}
+
+// TestSealConcurrent: one launched enclave's AES-GCM instance is shared
+// by every call, so goroutines interleave Seal and Unseal on it, each
+// sealing its own payloads and unsealing them again, as well as blobs
+// another goroutine sealed before the start.
+func TestSealConcurrent(t *testing.T) {
+	e := newTestPlatform(t).Launch(MeasureCode("tsr-v1"))
+	const workers, rounds = 8, 200
+	shared := make([][]byte, workers)
+	for i := range shared {
+		blob, err := e.Seal([]byte(fmt.Sprintf("shared payload %d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared[i] = blob
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				want := bytes.Repeat([]byte(fmt.Sprintf("worker %d round %d;", w, i)), 1+i%16)
+				blob, err := e.Seal(want)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := e.Unseal(blob)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("worker %d round %d: unsealed %q, %v", w, i, got, err)
+					return
+				}
+				other := (w + i) % workers
+				got, err = e.Unseal(shared[other])
+				if err != nil || string(got) != fmt.Sprintf("shared payload %d", other) {
+					t.Errorf("worker %d round %d: shared blob %d unsealed %q, %v", w, i, other, got, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestUnsealRejectsDifferentEnclave(t *testing.T) {

@@ -126,20 +126,71 @@ func (ix *Index) TotalSize() int64 {
 //	origin = <origin>
 //	sequence = <n>
 //	package = <name> <version> <size> <hex hash> [dep,dep,...]
+//
+// Dependencies that join to the empty string are written as "-".
+// Encode sizes the text first and writes it into one buffer of that
+// size.
 func (ix *Index) Encode() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "origin = %s\n", ix.Origin)
-	fmt.Fprintf(&b, "sequence = %d\n", ix.Sequence)
-	entries := append([]Entry(nil), ix.Entries...)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
-	for _, e := range entries {
-		deps := strings.Join(e.Depends, ",")
-		if deps == "" {
-			deps = "-"
-		}
-		fmt.Fprintf(&b, "package = %s %s %d %x %s\n", e.Name, e.Version, e.Size, e.Hash, deps)
+	entries := ix.Entries
+	if !entriesSorted(entries) {
+		entries = append([]Entry(nil), entries...)
+		sort.Slice(entries, func(i, j int) bool { return entries[i].Name < entries[j].Name })
 	}
-	return []byte(b.String())
+	var num [20]byte // the longest uint64 or int64 in decimal
+	n := len("origin = \nsequence = \n") + len(ix.Origin) + len(strconv.AppendUint(num[:0], ix.Sequence, 10))
+	for i := range entries {
+		e := &entries[i]
+		n += len("package =     \n") + len(e.Name) + len(e.Version) + len(strconv.AppendInt(num[:0], e.Size, 10)) +
+			2*len(e.Hash) + max(joinedLen(e.Depends), 1)
+	}
+	b := make([]byte, 0, n)
+	b = append(b, "origin = "...)
+	b = append(b, ix.Origin...)
+	b = append(b, "\nsequence = "...)
+	b = strconv.AppendUint(b, ix.Sequence, 10)
+	for i := range entries {
+		e := &entries[i]
+		b = append(b, "\npackage = "...)
+		b = append(b, e.Name...)
+		b = append(b, ' ')
+		b = append(b, e.Version...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, e.Size, 10)
+		b = append(b, ' ')
+		b = hex.AppendEncode(b, e.Hash[:])
+		b = append(b, ' ')
+		if joinedLen(e.Depends) == 0 {
+			b = append(b, '-')
+		}
+		for j, d := range e.Depends {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, d...)
+		}
+	}
+	return append(b, '\n')
+}
+
+// entriesSorted reports whether entries are in name order. sort.Slice
+// leaves such a slice as it is, equal names included, so Encode writes
+// it without sorting a copy.
+func entriesSorted(entries []Entry) bool {
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Name < entries[i-1].Name {
+			return false
+		}
+	}
+	return true
+}
+
+// joinedLen is len(strings.Join(deps, ",")).
+func joinedLen(deps []string) int {
+	n := max(len(deps)-1, 0)
+	for _, d := range deps {
+		n += len(d)
+	}
+	return n
 }
 
 // cutKV splits a "key = value" line. An empty field encodes as

@@ -60,6 +60,10 @@ const (
 	// manifest GET slices it out of the store, so, like an index GET, it
 	// allocates only routing, headers and counters.
 	chunksRouteBudget = 2 << 10
+	// A client range read keeps the range in one buffer of its declared
+	// length; beyond it go the request and response of both ends of a
+	// loopback round trip, whatever the range's size.
+	clientRangeOverhead = 16 << 10
 )
 
 // writeNegotiatedBudget is what one WriteNegotiated that sends gz may
@@ -444,5 +448,20 @@ func readRouteBudgets(t *testing.T) {
 	})
 	t.Run("origin/range", func(t *testing.T) {
 		check(t, "/repos/"+pkgTenant.ID+"/packages/big", map[string]string{"Range": "bytes=0-65535"}, http.StatusPartialContent, rangeRouteBudget)
+	})
+	t.Run("client range read", func(t *testing.T) {
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		c := &Client{BaseURL: srv.URL, RepoID: pkgTenant.ID, HTTPClient: srv.Client()}
+		const length = 256 << 10
+		got := bytesPerCall(20, func() {
+			if raw, err := c.FetchPackageRange("big", 4096, length); err != nil || len(raw) != length {
+				t.Fatalf("range: %d bytes, %v", len(raw), err)
+			}
+		})
+		if budget := uint64(length + clientRangeOverhead); got > budget {
+			t.Fatalf("a %d B range read allocates %d B/call, budget %d", length, got, budget)
+		}
+		t.Logf("%d B range read: %d B/call", length, got)
 	})
 }

@@ -2,6 +2,7 @@ package tsr
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"fmt"
@@ -75,40 +76,88 @@ func (cr *countReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readBodyCounted reads a (possibly gzip transfer-encoded) response
-// body: wire bytes — the compressed form when the server negotiated
-// gzip — are counted into n, and the DECODED bytes are returned, so
-// callers verify signatures/hashes over the canonical representation.
-func readBodyCounted(resp *http.Response, limit int64, n *atomic.Int64) ([]byte, error) {
-	var r io.Reader = &countReader{r: io.LimitReader(resp.Body, limit), n: n}
-	if !strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
-		//lint:allow streamserve client buffers the decoded body to verify it against the signed form; bounded by limit
-		return io.ReadAll(r)
+// readBody reads a response body of at most limit bytes, counting its
+// wire bytes into n, and returns the DECODED bytes, so callers verify
+// signatures and hashes over the canonical representation. The
+// server's Content-Length is a claim: one above limit is refused before
+// anything is read, and it presizes the buffer only up to
+// maxBodyPresize, so a hostile length costs no more memory than the
+// bytes that actually arrive; without one the buffer grows as bytes
+// do. (net/http itself fails a body shorter than its Content-Length,
+// and returns io.EOF with the last bytes of one that matches it, so
+// such a body fills its buffer exactly.) A gzip body is held to limit
+// both as transferred and as decoded.
+func readBody(resp *http.Response, limit int64, n *atomic.Int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("Content-Length %d exceeds the %d-byte cap", resp.ContentLength, limit)
 	}
+	wire := &countReader{r: resp.Body, n: n}
+	if strings.EqualFold(resp.Header.Get("Content-Encoding"), "gzip") {
+		return gunzipBody(io.LimitReader(wire, limit), limit)
+	}
+	return readAtMost(make([]byte, 0, min(max(resp.ContentLength, 0), maxBodyPresize)), wire, limit)
+}
+
+// readAtMost appends what r holds to buf, which it grows only when it
+// is full, and fails once more than limit bytes have arrived.
+func readAtMost(buf []byte, r io.Reader, limit int64) ([]byte, error) {
+	r = io.LimitReader(r, limit+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case int64(len(buf)) > limit:
+			return nil, fmt.Errorf("body exceeds the %d-byte cap", limit)
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return nil, err
+		}
+	}
+}
+
+// gunzipBody decodes a gzip body into a pooled scratch buffer and
+// returns an exact-size copy: the decoded size is unknown until the
+// stream ends, so the buffer grows once per pooled gunzipper, not once
+// per body.
+func gunzipBody(r io.Reader, limit int64) ([]byte, error) {
 	g := gunzips.Get().(*gunzipper)
 	g.br.Reset(r)
 	if err := g.zr.Reset(&g.br); err != nil {
 		return nil, fmt.Errorf("tsr client: gzip body: %w", err)
 	}
-	//lint:allow streamserve client buffers the decoded body to verify it against the signed form; bounded by limit
-	raw, err := io.ReadAll(&g.zr)
-	if err == nil {
-		g.br.Reset(nil) // let go of the response body
-		gunzips.Put(g)
+	raw, err := readAtMost(g.out[:0], &g.zr, limit)
+	if err != nil {
+		return nil, fmt.Errorf("tsr client: gzip body: %w", err)
 	}
-	return raw, err
+	g.br.Reset(nil) // let go of the response body
+	g.out = nil
+	if cap(raw) <= maxPooledGunzipBytes {
+		g.out = raw
+	}
+	raw = bytes.Clone(raw)
+	gunzips.Put(g)
+	return raw, nil
 }
 
 // A gunzipper is a gzip reader with the read-ahead buffer it reads
-// through, pooled for readBodyCounted: its flate state and 32 KiB
-// window survive a Reset, and a gunzipper goes back to the pool only
-// after a clean read.
+// through and the scratch buffer it decodes into, pooled for
+// gunzipBody: its flate state and 32 KiB window survive a Reset, and a
+// gunzipper goes back to the pool only after a clean read.
 type gunzipper struct {
-	br bufio.Reader
-	zr gzip.Reader
+	br  bufio.Reader
+	zr  gzip.Reader
+	out []byte
 }
 
 var gunzips = sync.Pool{New: func() any { return new(gunzipper) }}
+
+// maxPooledGunzipBytes caps the scratch capacity a pooled gunzipper
+// keeps, so the pool cannot pin the buffer of an unusually large index.
+const maxPooledGunzipBytes = 1 << 20
 
 // maxIndexWireBytes bounds an index/delta response body (wire form).
 const maxIndexWireBytes = 256 << 20
@@ -144,7 +193,7 @@ func (c *Client) FetchChunkManifestCtx(ctx context.Context, name string) (_ *sto
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tsr client: chunks %s: %s", name, readErr(resp))
 	}
-	raw, err := readBodyCounted(resp, maxManifestBodyBytes, &c.wire.manifestBytes)
+	raw, err := readBody(resp, maxManifestBodyBytes, &c.wire.manifestBytes)
 	if err != nil {
 		return nil, fmt.Errorf("tsr client: %w", err)
 	}
@@ -185,7 +234,7 @@ func (c *Client) FetchPackageRangeCtx(ctx context.Context, name string, off, len
 		if cr := resp.Header.Get("Content-Range"); !strings.HasPrefix(cr, wantCR) {
 			return nil, fmt.Errorf("tsr client: range %s: Content-Range %q does not match requested [%d,%d)", name, cr, off, off+length)
 		}
-		raw, err := readBodyCounted(resp, length+1, &c.wire.packageBytes)
+		raw, err := readBody(resp, length, &c.wire.packageBytes)
 		if err != nil {
 			return nil, fmt.Errorf("tsr client: %w", err)
 		}
@@ -196,7 +245,7 @@ func (c *Client) FetchPackageRangeCtx(ctx context.Context, name string, off, len
 	case http.StatusOK:
 		// The server ignored the Range (or If-Range failed): the full
 		// body arrived. Satisfy the caller from it when possible.
-		raw, err := readPackageBody(resp, &c.wire.packageBytes)
+		raw, err := readBody(resp, maxPackageBytes, &c.wire.packageBytes)
 		if err != nil {
 			return nil, fmt.Errorf("tsr client: %w", err)
 		}

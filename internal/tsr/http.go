@@ -1,7 +1,6 @@
 package tsr
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/hex"
@@ -13,7 +12,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tsr/internal/index"
@@ -27,9 +25,9 @@ const maxPolicyBytes = 10 << 20
 // maxIngestBytes caps POST /repos/{id}/ingest request bodies.
 const maxIngestBytes = 64 << 20
 
-// maxPackagePresize caps the buffer a client reserves for a package
-// before its bytes arrive; larger packages grow the buffer as they read.
-const maxPackagePresize = 16 << 20
+// maxBodyPresize caps the buffer a client reserves for a body before
+// its bytes arrive; larger bodies grow the buffer as they read.
+const maxBodyPresize = 16 << 20
 
 // maxPackageBytes caps every package body a client reads: a full
 // download, or the full body a server answers a range request with.
@@ -409,7 +407,7 @@ func (c *Client) FetchIndexTaggedCtx(ctx context.Context) (_ *index.Signed, _ st
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", fmt.Errorf("tsr client: index: %s", readErr(resp))
 	}
-	raw, err := readBodyCounted(resp, maxIndexWireBytes, &c.wire.indexBytes)
+	raw, err := readBody(resp, maxIndexWireBytes, &c.wire.indexBytes)
 	if err != nil {
 		return nil, "", fmt.Errorf("tsr client: %w", err)
 	}
@@ -485,7 +483,7 @@ func (c *Client) FetchIndexDeltaCtx(ctx context.Context, sinceETag string) (_ *i
 	default:
 		return nil, fmt.Errorf("tsr client: index delta: %s", readErr(resp))
 	}
-	raw, err := readBodyCounted(resp, maxIndexWireBytes, &c.wire.indexBytes)
+	raw, err := readBody(resp, maxIndexWireBytes, &c.wire.indexBytes)
 	if err != nil {
 		return nil, fmt.Errorf("tsr client: %w", err)
 	}
@@ -520,33 +518,12 @@ func (c *Client) FetchPackageCtx(ctx context.Context, name string) (_ []byte, er
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("tsr client: package %s: %s", name, readErr(resp))
 	}
-	raw, err := readPackageBody(resp, &c.wire.packageBytes)
+	raw, err := readBody(resp, maxPackageBytes, &c.wire.packageBytes)
 	if err != nil {
 		return nil, fmt.Errorf("tsr client: package %s: %w", name, err)
 	}
 	c.wire.fullFetches.Add(1)
 	return raw, nil
-}
-
-// readPackageBody reads a package body of at most maxPackageBytes.
-// The server's Content-Length is a claim: one above the cap is refused
-// before anything is read, and it presizes the buffer only up to
-// maxPackagePresize, so a hostile length costs no more memory than the
-// bytes that actually arrive. (net/http itself fails a body shorter
-// than its Content-Length.)
-func readPackageBody(resp *http.Response, n *atomic.Int64) ([]byte, error) {
-	if resp.ContentLength > maxPackageBytes {
-		return nil, fmt.Errorf("Content-Length %d exceeds the %d-byte package cap", resp.ContentLength, maxPackageBytes)
-	}
-	// The MinRead slack lets ReadFrom meet EOF without growing the buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), maxPackagePresize)+bytes.MinRead))
-	if _, err := buf.ReadFrom(io.LimitReader(&countReader{r: resp.Body, n: n}, maxPackageBytes+1)); err != nil {
-		return nil, err
-	}
-	if buf.Len() > maxPackageBytes {
-		return nil, fmt.Errorf("body exceeds the %d-byte package cap", maxPackageBytes)
-	}
-	return buf.Bytes(), nil
 }
 
 func readErr(resp *http.Response) string {

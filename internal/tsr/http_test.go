@@ -1,6 +1,8 @@
 package tsr
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"tsr/internal/store"
 )
 
 // TestETagMatch covers RFC 9110 §13.1.2 If-None-Match semantics: `*`,
@@ -54,46 +58,111 @@ func TestETagMatch(t *testing.T) {
 }
 
 // TestFetchPackageBodyBound: the client is a transport, so what bounds
-// a package read is the Content-Length the server claims, checked
-// against one cap. A body that matches its length arrives whole; a
-// short one is an error; a huge claim is refused before reading or
-// presizes no more than maxPackagePresize, never the claimed size.
+// a body it reads is the Content-Length the server claims, checked
+// against the path's cap: maxPackageBytes for a package, the requested
+// length for a range, maxManifestBodyBytes for a chunk manifest and
+// maxIndexWireBytes for an index. On each path a body that matches its
+// length arrives whole; a short one is an error; a claim above the cap
+// is refused before a byte is read, and no claim presizes more than
+// maxBodyPresize; a body without a length, or sent gzip-encoded,
+// arrives whole.
 func TestFetchPackageBodyBound(t *testing.T) {
-	body := []byte("sanitized package bytes")
+	// Compressible, so that its gzip form fits a range's cap too.
+	body := bytes.Repeat([]byte("sanitized package bytes "), 8)
 	n := int64(len(body))
+	manifest := EncodeChunkManifest("p", store.BuildManifest(body))
+	type path struct {
+		name  string
+		body  []byte
+		cap   int64
+		fetch func(c *Client) ([]byte, error)
+		serve func(w http.ResponseWriter) // headers beyond the length
+	}
+	paths := []path{
+		{"package", body, maxPackageBytes, func(c *Client) ([]byte, error) { return c.FetchPackage("p") }, func(http.ResponseWriter) {}},
+		{"range", body, n, func(c *Client) ([]byte, error) { return c.FetchPackageRange("p", 0, n) }, func(w http.ResponseWriter) {
+			w.Header().Set("Content-Range", fmt.Sprintf("bytes 0-%d/%d", n-1, n))
+			w.WriteHeader(http.StatusPartialContent)
+		}},
+		{"manifest", manifest, maxManifestBodyBytes, func(c *Client) ([]byte, error) {
+			m, err := c.FetchChunkManifest("p")
+			if err != nil {
+				return nil, err
+			}
+			return EncodeChunkManifest("p", m), nil
+		}, func(http.ResponseWriter) {}},
+		{"index", body, maxIndexWireBytes, func(c *Client) ([]byte, error) {
+			s, err := c.FetchIndex()
+			if err != nil {
+				return nil, err
+			}
+			return s.Raw, nil
+		}, func(w http.ResponseWriter) {
+			w.Header().Set(headerKeyName, "k")
+			w.Header().Set(headerSignature, "c2ln")
+		}},
+	}
+	const absent = -1
 	for _, tc := range []struct {
-		name          string
-		contentLength int64
-		ok            bool
+		name  string
+		claim func(size, cap int64) int64 // the Content-Length sent, or absent
+		gzip  bool
 	}{
-		{"matching length", n, true},
-		{"short body", n + 10, false},
-		{"claim at the cap, short body", maxPackageBytes, false},
-		{"claim of 1<<40", 1 << 40, false},
-		{"claim above the cap", maxPackageBytes + 1, false},
+		{"matching length", func(size, _ int64) int64 { return size }, false},
+		{"short body", func(size, _ int64) int64 { return size + 10 }, false},
+		{"claim at the cap, short body", func(_, cap int64) int64 { return cap }, false},
+		{"claim of 1<<40", func(int64, int64) int64 { return 1 << 40 }, false},
+		{"claim above the cap", func(_, cap int64) int64 { return cap + 1 }, false},
+		{"absent length", func(int64, int64) int64 { return absent }, false},
+		{"gzip body", func(int64, int64) int64 { return absent }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Content-Length", strconv.FormatInt(tc.contentLength, 10))
-				w.Write(body)
-			}))
-			defer srv.Close()
-			c := &Client{BaseURL: srv.URL, RepoID: "r", HTTPClient: srv.Client()}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			raw, err := c.FetchPackage("p")
-			runtime.ReadMemStats(&after)
-			if tc.ok && (err != nil || string(raw) != string(body)) {
-				t.Fatalf("got %q, %v", raw, err)
-			}
-			if !tc.ok && err == nil {
-				t.Fatalf("accepted a %d-byte body claiming %d bytes", n, tc.contentLength)
-			}
-			if a := after.TotalAlloc - before.TotalAlloc; a > maxPackagePresize+1<<20 {
-				t.Fatalf("allocated %d bytes for a %d-byte body claiming %d", a, n, tc.contentLength)
-			}
-			if tc.contentLength > maxPackageBytes && !strings.Contains(fmt.Sprint(err), "exceeds") {
-				t.Fatalf("err = %v, want the claim refused against the cap", err)
+			for _, p := range paths {
+				t.Run(p.name, func(t *testing.T) {
+					size := int64(len(p.body))
+					claim := tc.claim(size, p.cap)
+					srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						wire := p.body
+						if tc.gzip {
+							var buf bytes.Buffer
+							zw := gzip.NewWriter(&buf)
+							zw.Write(p.body)
+							zw.Close()
+							wire = buf.Bytes()
+							w.Header().Set("Content-Encoding", "gzip")
+						}
+						if claim != absent {
+							w.Header().Set("Content-Length", strconv.FormatInt(claim, 10))
+						}
+						p.serve(w)
+						if claim == absent {
+							w.(http.Flusher).Flush() // no length: chunked
+						}
+						w.Write(wire)
+					}))
+					defer srv.Close()
+					c := &Client{BaseURL: srv.URL, RepoID: "r", HTTPClient: srv.Client()}
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					raw, err := p.fetch(c)
+					runtime.ReadMemStats(&after)
+					if ok := claim == size || claim == absent; ok && (err != nil || !bytes.Equal(raw, p.body)) {
+						t.Fatalf("got %q, %v", raw, err)
+					} else if !ok && err == nil {
+						t.Fatalf("accepted a %d-byte body claiming %d bytes", size, claim)
+					}
+					if a := after.TotalAlloc - before.TotalAlloc; a > maxBodyPresize+1<<20 {
+						t.Fatalf("allocated %d bytes for a %d-byte body claiming %d", a, size, claim)
+					}
+					if claim > p.cap {
+						if !strings.Contains(fmt.Sprint(err), "exceeds") {
+							t.Fatalf("err = %v, want the claim refused against the cap", err)
+						}
+						if read := c.WireStats().TotalBytes(); read != 0 {
+							t.Fatalf("read %d body bytes before refusing the claim", read)
+						}
+					}
+				})
 			}
 		})
 	}

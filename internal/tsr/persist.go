@@ -274,14 +274,18 @@ func (s *Service) restoreOne(metaKey string) RestoredRepo {
 		// §5.5 guarantee) but keep the repository deployed cold. Note
 		// ErrRollback here can also be an ordinary crash that landed
 		// between a publish (which advances the TPM counter) and its
-		// checkpoint write —
-		// the two are indistinguishable from the disk alone, and the
-		// check deliberately fails CLOSED: a cold re-sanitization,
-		// never possibly-stale state.
+		// checkpoint write — the two are indistinguishable from the
+		// disk alone, and the check deliberately fails CLOSED: a cold
+		// re-sanitization, never possibly-stale state. ErrCounterBehind
+		// is the other direction, a checkpoint ahead of a lost or reset
+		// counter: the repository stays deployed but refuses to publish
+		// until an operator restores the counter, since a cold refresh
+		// would re-sign sequences it already signed.
 		return RestoredRepo{ID: id, Err: err}
 	}
 	return RestoredRepo{ID: id, Warm: true}
 }
 
-// Errors.Is helper used by daemons to summarize restore outcomes.
-func (r RestoredRepo) RolledBack() bool { return errors.Is(r.Err, ErrRollback) }
+// Errors.Is helpers used by daemons to summarize restore outcomes.
+func (r RestoredRepo) RolledBack() bool    { return errors.Is(r.Err, ErrRollback) }
+func (r RestoredRepo) CounterBehind() bool { return errors.Is(r.Err, ErrCounterBehind) }

@@ -134,9 +134,14 @@ func (r *Repo) sanitizeCached(san *sanitize.Sanitizer, planHash [32]byte, e inde
 // new index and that state become visible together in one atomic
 // publish. A reservation the TPM could not make durable returns its
 // error before anything is signed; a signing failure leaves the
-// repository untouched and the sequence a harmless gap. Caller holds
-// r.mu.
+// repository untouched and the sequence a harmless gap. A repository
+// whose sealed state is ahead of its counter (ErrCounterBehind)
+// reserves nothing: the counter would hand out sequences it already
+// signed. Caller holds r.mu.
 func (r *Repo) publishNextLocked(newLocal *index.Index, commit func()) error {
+	if r.counterBehind != nil {
+		return r.counterBehind
+	}
 	seq, err := r.svc.cfg.TPM.IncrementCounter(r.counterID())
 	if err != nil {
 		return fmt.Errorf("tsr: reserving the next sequence: %w", err)

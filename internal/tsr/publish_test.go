@@ -21,7 +21,9 @@ import (
 // data dir back under the same key and TPM: the repository restarts
 // cold, and its next index must still be ahead of every sequence the
 // previous life signed, so a downstream that synced before the crash
-// follows it without operator action.
+// follows it without operator action. The counter-behind rows restart
+// it on a lost TPM counter instead: there it must publish nothing
+// until the counter is back.
 func TestEveryPublishSignsTheNextSequenceOnce(t *testing.T) {
 	w := newWorld(t, 3)
 	w.publish(t, pkgWithScript("a", "1.0-r0", ""), pkgWithScript("b", "1.0-r0", ""))
@@ -85,6 +87,107 @@ func TestEveryPublishSignsTheNextSequenceOnce(t *testing.T) {
 	}
 	t.Run("cold start", func(t *testing.T) {
 		coldStartRows(t)
+	})
+	t.Run("counter behind", func(t *testing.T) {
+		counterBehindRows(t)
+	})
+}
+
+// counterBehindRows are the rows of TestEveryPublishSignsTheNextSequenceOnce
+// that restart an origin whose TPM counter bank was lost: its newest
+// checkpoint is ahead of the counter. The repository must refuse to
+// publish, by refresh or ingest, until the bank is back; then it
+// resumes where the previous life stopped.
+func counterBehindRows(t *testing.T) {
+	h := newPersistHost(t)
+	w1 := h.boot(t)
+	w1.publish(t, pkgWithScript("app", "1.0-r0", ""))
+	r1 := w1.deploy(t)
+	ring := keys.NewRing(r1.PublicKey())
+	signed := make(map[uint64][32]byte) // every served index's digest, by sequence
+	served := func(t *testing.T, r *Repo) uint64 {
+		t.Helper()
+		s, err := r.FetchIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := s.Verify(ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := signed[ix.Sequence]; ok && prev != s.Digest() {
+			t.Fatalf("sequence %d signed over two different indexes", ix.Sequence)
+		}
+		signed[ix.Sequence] = s.Digest()
+		return ix.Sequence
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := r1.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seq := served(t, r1); seq != 3 {
+		t.Fatalf("three refreshes signed sequence %d, want 3", seq)
+	}
+
+	// Restart on the same data dir with a fresh counter bank.
+	bank := h.tpm
+	h.tpm = tpm.New(keys.Shared.MustGet("persist-tpm-ak"))
+	w2 := h.boot(t)
+	w2.publish(t, pkgWithScript("app", "1.0-r0", ""))
+	var r2 *Repo
+	if !t.Run("restore trips ErrCounterBehind", func(t *testing.T) {
+		restored, err := w2.svc.RestoreAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(restored) != 1 || restored[0].Warm || !restored[0].CounterBehind() || restored[0].RolledBack() {
+			t.Fatalf("RestoreAll = %+v, want one repository refused with ErrCounterBehind", restored)
+		}
+		if r2, err = w2.svc.Repo(r1.ID); err != nil {
+			t.Fatal(err)
+		}
+	}) {
+		return
+	}
+	t.Run("refresh and ingest sign nothing", func(t *testing.T) {
+		w2.publish(t, pkgWithScript("app", "1.1-r0", ""))
+		if _, err := r2.Refresh(); !errors.Is(err, ErrCounterBehind) {
+			t.Fatalf("refresh: err = %v, want ErrCounterBehind", err)
+		}
+		private := w2.encodePkg(t, pkgWithScript("private-tool", "1.0-r0", ""))
+		if _, err := r2.RegisterPackages(context.Background(), [][]byte{private}); !errors.Is(err, ErrCounterBehind) {
+			t.Fatalf("ingest: err = %v, want ErrCounterBehind", err)
+		}
+		if mc := h.tpm.ReadCounter(r2.counterID()); mc != 0 {
+			t.Fatalf("the lost counter reads %d after the refused publishes, want 0: a sequence was reserved", mc)
+		}
+		if s, err := r2.FetchIndex(); err == nil {
+			t.Fatalf("serves an index of %d bytes with its counter lost", len(s.Raw))
+		}
+	})
+	t.Run("restored bank resumes", func(t *testing.T) {
+		h.tpm = bank
+		w3 := h.boot(t)
+		w3.publish(t, pkgWithScript("app", "1.0-r0", ""), pkgWithScript("app", "1.1-r0", ""))
+		restored, err := w3.svc.RestoreAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(restored) != 1 || !restored[0].Warm {
+			t.Fatalf("RestoreAll = %+v, want the repository warm", restored)
+		}
+		r3, err := w3.svc.Repo(r1.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served(t, r3)
+		if _, err := r3.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if seq := served(t, r3); seq <= 3 {
+			t.Fatalf("after the bank is restored the origin signs sequence %d, which the first life already signed", seq)
+		}
 	})
 }
 

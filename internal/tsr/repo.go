@@ -30,13 +30,19 @@ import (
 // Cache behaviour errors.
 var (
 	ErrCacheTampered  = errors.New("tsr: cached package does not match the trusted index (tamper or rollback)")
-	ErrRollback       = errors.New("tsr: sealed state is older than the TPM monotonic counter (rollback attack)")
+	ErrRollback       = errors.New("tsr: rollback: state older than its freshness counter (a sealed checkpoint behind the TPM counter, or a replayed upstream index)")
 	ErrUnsupportedPkg = errors.New("tsr: package rejected by sanitization policy")
 	// ErrUpstream marks refresh failures caused by the mirror fleet —
 	// quorum reads, upstream index verification, upstream replay. The
 	// HTTP layer maps these to 502 Bad Gateway; local failures
 	// (planning, sealing, signing) are not wrapped and map to 500.
 	ErrUpstream = errors.New("tsr: upstream mirror failure")
+	// ErrCounterBehind marks sealed state AHEAD of the TPM counter: the
+	// enclave sealed it, so the counter really reached that value and
+	// was since lost or reset. The repository refuses to publish until
+	// an operator restores the counter, since the next sequence it
+	// reserved would be one it already signed.
+	ErrCounterBehind = errors.New("tsr: TPM monotonic counter is behind the sealed state (counter lost or reset); publishing refused until the counter is restored")
 )
 
 // CacheMode selects which cache levels are active — the three scenarios
@@ -150,6 +156,7 @@ type Repo struct {
 	planDebt       map[string]bool         // packages whose current-version scripts did not inform the plan (fetch failed); re-fetched and re-planned next refresh
 	registered     map[string]index.Entry  // operator-registered original packages (batched ingest): name -> entry describing the ORIGINAL bytes; refresh sanitizes them alongside upstream targets unless an upstream package of the same name shadows the registration
 	seq            uint64                  // local index sequence
+	counterBehind  error                   // set by RestoreState on ErrCounterBehind: publishNextLocked refuses
 
 	// served is the published read state; see snapshot.go. Swapped in
 	// one atomic store at the end of a successful Refresh/RestoreState.
@@ -567,7 +574,10 @@ func (r *Repo) registeredEntriesLocked() []index.Entry {
 }
 
 // RestoreState unseals a blob and verifies its monotonic counter value
-// matches the TPM's current value, rejecting rolled-back state files.
+// matches the TPM's current value. A blob behind the counter is a
+// rolled-back state file: ErrRollback, and the repository stays cold.
+// A blob ahead of it means the counter was lost: ErrCounterBehind, and
+// the repository also refuses every publish from then on.
 func (r *Repo) RestoreState(sealed []byte) error {
 	blob, err := r.svc.Unseal(sealed)
 	if err != nil {
@@ -578,8 +588,15 @@ func (r *Repo) RestoreState(sealed []byte) error {
 		return err
 	}
 	current := r.svc.cfg.TPM.ReadCounter(r.counterID())
-	if mc != current {
+	if mc < current {
 		return fmt.Errorf("%w: sealed MC %d, TPM MC %d", ErrRollback, mc, current)
+	}
+	if mc > current {
+		err := fmt.Errorf("%w: sealed MC %d, TPM MC %d", ErrCounterBehind, mc, current)
+		r.mu.Lock()
+		r.counterBehind = err
+		r.mu.Unlock()
+		return err
 	}
 	upstream, err := index.Decode(upstreamRaw)
 	if err != nil {

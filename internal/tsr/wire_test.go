@@ -792,11 +792,11 @@ func TestChunksFollowPackageLayout(t *testing.T) {
 		dataStart, ends[bumped]-ends[bumped-1], int64(len(newRaw))-ends[len(ends)-1])
 }
 
-// TestReadBodyCountedReusesGzipReader: bodies read one after another
-// through the pooled gzip reader decode and count as fresh ones do, and
-// a corrupt body fails with the same error text without spoiling the
-// next read.
-func TestReadBodyCountedReusesGzipReader(t *testing.T) {
+// TestReadBodyReusesGzipReader: bodies read one after another
+// through the pooled gzip reader decode and count as fresh ones do, a
+// corrupt body fails with the same error text without spoiling the
+// next read, and no returned body shares the pool's scratch buffer.
+func TestReadBodyReusesGzipReader(t *testing.T) {
 	gz := func(body string) []byte {
 		var buf bytes.Buffer
 		zw := gzip.NewWriter(&buf)
@@ -807,7 +807,7 @@ func TestReadBodyCountedReusesGzipReader(t *testing.T) {
 	read := func(wire []byte, limit int64) (string, int64, error) {
 		resp := &http.Response{Header: http.Header{"Content-Encoding": {"gzip"}}, Body: io.NopCloser(bytes.NewReader(wire))}
 		var n atomic.Int64
-		raw, err := readBodyCounted(resp, limit, &n)
+		raw, err := readBody(resp, limit, &n)
 		return string(raw), n.Load(), err
 	}
 	for i, body := range []string{"first body", strings.Repeat("second ", 10000), ""} {
@@ -827,5 +827,21 @@ func TestReadBodyCountedReusesGzipReader(t *testing.T) {
 		if _, n, err := read(wire, 10); err == nil || n != 10 {
 			t.Fatalf("body %d: a body over the limit: err = %v after %d wire B", i, err, n)
 		}
+	}
+	// A returned body is the caller's: the next body decoded through the
+	// pooled scratch buffer leaves it as it was.
+	var kept []byte
+	for _, body := range []string{"kept body", "a later body, decoded into the same scratch"} {
+		resp := &http.Response{Header: http.Header{"Content-Encoding": {"gzip"}}, Body: io.NopCloser(bytes.NewReader(gz(body)))}
+		raw, err := readBody(resp, 1<<20, new(atomic.Int64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept == nil {
+			kept = raw
+		}
+	}
+	if string(kept) != "kept body" {
+		t.Fatalf("a returned body changed to %q when the next one was read", kept)
 	}
 }
