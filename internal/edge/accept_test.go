@@ -74,12 +74,16 @@ func (f *feed) FetchChunkManifestCtx(context.Context, string) (*store.ChunkManif
 // every policy mirror is f, so the tenant's upstream check reads f.
 func feedTenant(t *testing.T, w *edgeWorld, f *feed) *tsr.Repo {
 	t.Helper()
-	return w.deploy(t, w.newService(t, tsr.Config{
+	svc, err := w.Restart(tsr.Config{
 		Store: store.NewMem(),
 		Resolve: func(policy.Mirror) (quorum.Source, tsr.PackageFetcher, error) {
 			return f, f, nil
 		},
-	}))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.deploy(t, svc)
 }
 
 // TestOneAcceptanceRule feeds the same signed sequence — an index, a
@@ -164,7 +168,11 @@ func TestOneAcceptanceRule(t *testing.T) {
 func TestReplicaFollowsOriginColdStart(t *testing.T) {
 	w := newEdgeWorld(t)
 	st := store.NewMem()
-	r1 := w.deploy(t, w.newService(t, tsr.Config{Store: st, AutoPersist: true}))
+	svc1, err := w.Restart(tsr.Config{Store: st, AutoPersist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := w.deploy(t, svc1)
 	if _, err := r1.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,10 @@ func TestReplicaFollowsOriginColdStart(t *testing.T) {
 
 	st2 := store.NewMem()
 	st2.Restore(rolledBack)
-	svc2 := w.newService(t, tsr.Config{Store: st2, AutoPersist: true})
+	svc2, err := w.Restart(tsr.Config{Store: st2, AutoPersist: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	restored, err := svc2.RestoreAll()
 	if err != nil {
 		t.Fatal(err)

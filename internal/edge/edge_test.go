@@ -43,22 +43,6 @@ func newEdgeWorld(t *testing.T) *edgeWorld {
 	return w
 }
 
-// newService starts another origin on the world's host hardware and,
-// unless cfg resolves mirrors itself, its mirrors, as a restart would;
-// the store and persistence are cfg's.
-func (w *edgeWorld) newService(t *testing.T, cfg tsr.Config) *tsr.Service {
-	t.Helper()
-	cfg.Platform, cfg.TPM, cfg.Clock, cfg.Link, cfg.EPC = w.Host.Platform, w.Host.TPM, w.Host.Clock, w.Host.Link, w.Host.EPC
-	if cfg.Resolve == nil {
-		cfg.Resolve = w.Host.Resolve
-	}
-	svc, err := tsr.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
-}
-
 // deploy deploys the world's policy on svc.
 func (w *edgeWorld) deploy(t *testing.T, svc *tsr.Service) *tsr.Repo {
 	t.Helper()

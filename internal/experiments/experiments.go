@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"tsr/internal/enclave"
-	"tsr/internal/keys"
 	"tsr/internal/netsim"
 	"tsr/internal/testbed"
-	"tsr/internal/tpm"
 	"tsr/internal/tsr"
 )
 
@@ -130,9 +128,8 @@ func NewWorld(cfg Config, dataCenterLink bool) (*World, error) {
 	return w, nil
 }
 
-// newWorld builds the testbed on host — the caller's store, TPM, SGX
-// platform and scheduler bounds, which the fleet soak carries across
-// simulated process lifetimes — without deploying a tenant.
+// newWorld builds the testbed on host — the caller's store, link and
+// scheduler bounds — without deploying a tenant.
 func newWorld(cfg Config, host tsr.Config) (*World, error) {
 	cfg = cfg.withDefaults()
 	host.EPC = cfg.EPC
@@ -141,10 +138,6 @@ func newWorld(cfg Config, host tsr.Config) (*World, error) {
 		return nil, err
 	}
 	return &World{Testbed: tb}, nil
-}
-
-func newHostTPM() *tpm.TPM {
-	return tpm.New(keys.Shared.MustGet("exp-host-tpm"))
 }
 
 // fmtDuration renders a duration in the paper's preferred unit (ms with

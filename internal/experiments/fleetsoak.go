@@ -20,7 +20,6 @@ import (
 	"tsr/internal/apk"
 	"tsr/internal/chaos"
 	"tsr/internal/edge"
-	"tsr/internal/enclave"
 	"tsr/internal/index"
 	"tsr/internal/keys"
 	"tsr/internal/mirror"
@@ -272,8 +271,7 @@ type FleetSoakResult struct {
 }
 
 // soakPackage builds the deterministic package a Refresh event
-// publishes; the origin restart republishes the same list byte-for-byte
-// so regenerated entries hash identically to what clients already hold.
+// publishes.
 func soakPackage(name string) *apk.Package {
 	const version = "1.0-r0"
 	return &apk.Package{
@@ -329,30 +327,27 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// Host hardware that survives the origin crash: the platform sealing
-	// root and the TPM counters. The store handle does not — each life
-	// reopens and re-scrubs the data dir.
-	platform, err := enclave.NewPlatform(keys.Shared.MustGet("exp-quoting"))
-	if err != nil {
-		return nil, err
-	}
-	hostTPM := newHostTPM()
-	// newLife boots one origin process over the data dir, with no tenant
-	// deployed yet: the first life deploys the policy, later lives
-	// restore it with RestoreAll.
-	newLife := func() (*World, error) {
+	// originConfig is what one origin process boots with: the data dir,
+	// opened and re-scrubbed afresh by each life, and the scheduler
+	// bounds. The host hardware (platform, TPM) and the mirrors are the
+	// testbed's, and outlive every crash.
+	originConfig := func() (tsr.Config, error) {
 		st, err := store.OpenFS(dir, store.FSOptions{})
 		if err != nil {
-			return nil, err
+			return tsr.Config{}, err
 		}
-		return newWorld(cfg, tsr.Config{
-			Store: st, TPM: hostTPM, Platform: platform, AutoPersist: true,
+		return tsr.Config{
+			Store: st, AutoPersist: true,
 			RefreshWorkers: soakRefreshWorkers, SchedMaxActive: soakSchedMaxActive,
-		})
+		}, nil
 	}
 
 	// --- first life --------------------------------------------------
-	w, err := newLife()
+	host, err := originConfig()
+	if err != nil {
+		return nil, err
+	}
+	w, err := newWorld(cfg, host)
 	if err != nil {
 		return nil, err
 	}
@@ -362,13 +357,8 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	}
 	repoID := tenant.ID
 	// The chunking probe's first generation goes out with the initial
-	// refresh; every Refresh event bumps it. The full version history
-	// is kept because the origin restart must replay every publish —
-	// the upstream index sequence is monotonic, and a regenerated
-	// upstream with fewer publishes would (correctly) trip the tenant's
-	// TPM anti-rollback check.
-	probeVersions := []string{"0.0-r0"}
-	if err := w.Publish(soakWireProbe(probeVersions[0])); err != nil {
+	// refresh; every Refresh event bumps it.
+	if err := w.Publish(soakWireProbe("0.0-r0")); err != nil {
 		return nil, err
 	}
 	if _, err := tenant.Refresh(); err != nil {
@@ -382,11 +372,11 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	gate.tenant.Store(tenant)
 
 	// Control-plane state. ctlMu serializes the control goroutines
-	// (refreshes, origin restart, mirror toggles) against each other;
-	// the data plane reads only through the gate and slot atomics.
+	// (refreshes, origin restart, tenant churn) and the mirror toggles
+	// against each other, so a mirror fault lands between control
+	// actions, never inside one; the data plane reads only through the
+	// gate and slot atomics.
 	var ctlMu sync.Mutex
-	cur := w
-	var published []string
 	// ctlErrs has its own mutex: several ctlFail callers (doRefresh, the
 	// churn deploy) already hold ctlMu when they fail, so reporting the
 	// error must not re-acquire it.
@@ -494,17 +484,16 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			res.RefreshesSkipped++
 			return
 		}
-		name := fmt.Sprintf("soak-gen-%03d", tick)
-		published = append(published, name)
-		// Bump the chunking probe into this generation: replicas that
-		// cached the previous version pull the new one differentially.
-		version := fmt.Sprintf("%d.0-r0", tick+1)
-		if err := cur.Publish(soakWireProbe(version)); err != nil {
-			ctlFail(fmt.Errorf("fleet-soak: probe publish: %w", err))
+		// Each generation adds a package and bumps the chunking probe:
+		// replicas that cached the previous probe pull the new one
+		// differentially. The traced refresh yields the origin.refresh
+		// span tree the per-stage breakdown is built from.
+		gen := soakPackage(fmt.Sprintf("soak-gen-%03d", tick))
+		if err := w.Publish(gen, soakWireProbe(fmt.Sprintf("%d.0-r0", tick+1))); err != nil {
+			ctlFail(fmt.Errorf("fleet-soak: publish: %w", err))
 			return
 		}
-		probeVersions = append(probeVersions, version)
-		if err := publishGeneration(trace.NewContext(context.Background(), originTracer), cur, name); err != nil {
+		if _, err := w.Tenant.RefreshCtx(trace.NewContext(context.Background(), originTracer)); err != nil {
 			// A refresh failing during a mirror outage is availability;
 			// the previous snapshot keeps serving.
 			res.RefreshesFailed++
@@ -524,7 +513,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	var churnPending bool // deploy arrived while the origin was down
 	var churnTick int
 	deployChurnLocked := func(tick int) {
-		churn, err := cur.Deploy(cur.Policy)
+		churn, err := w.Deploy(w.Policy)
 		if err != nil {
 			ctlFail(fmt.Errorf("fleet-soak: churn deploy: %w", err))
 			return
@@ -532,7 +521,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		raws := make([][]byte, 0, soakChurnBatch)
 		for i := 0; i < soakChurnBatch; i++ {
 			p := soakPackage(fmt.Sprintf("churn-tool-%02d-%d", tick, i))
-			if err := apk.Sign(p, cur.Distro); err != nil {
+			if err := apk.Sign(p, w.Distro); err != nil {
 				ctlFail(err)
 				return
 			}
@@ -559,13 +548,20 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if gate.tenant.Load() != nil {
 			return nil
 		}
-		w2, err := newLife()
+		// Only the origin process restarts: the upstream, the mirrors
+		// and any mirror outage in force carry on, and the next Refresh
+		// event meets them.
+		host, err := originConfig()
+		if err != nil {
+			return err
+		}
+		svc, err := w.Restart(host)
 		if err != nil {
 			return err
 		}
 		//lint:allow detrand timing block: the warm-restart-under-load duration is a headline soak metric, measured in real time
 		t0 := time.Now()
-		restored, err := w2.Service.RestoreAll()
+		restored, err := svc.RestoreAll()
 		if err != nil {
 			return err
 		}
@@ -581,31 +577,12 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if prim == nil {
 			return fmt.Errorf("fleet-soak: RestoreAll restored %d repositories, primary %s missing", len(restored), repoID)
 		}
-		tenant2, err := w2.Service.Repo(repoID)
-		if err != nil {
+		if w.Tenant, err = svc.Repo(repoID); err != nil {
 			return err
 		}
-		w2.Tenant = tenant2
-		// Republish the soak generations into the regenerated upstream
-		// before the next refresh, so no generation ever retracts
-		// packages clients already verified.
-		for _, name := range published {
-			if err := w2.Publish(soakPackage(name)); err != nil {
-				return err
-			}
-		}
-		for _, v := range probeVersions {
-			if err := w2.Publish(soakWireProbe(v)); err != nil {
-				return err
-			}
-		}
-		if _, err := tenant2.Refresh(); err != nil {
-			return err
-		}
-		cur = w2
 		res.OriginWarmRestart = prim.Warm
 		res.WarmRestartMs = float64(restoreDur) / float64(time.Millisecond)
-		gate.tenant.Store(tenant2)
+		gate.tenant.Store(w.Tenant)
 		if churnPending {
 			// A churn deploy queued while the origin was down: the
 			// operator's retry lands right after the warm restart, so the
@@ -724,7 +701,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 		if churnID == "" || gate.tenant.Load() == nil {
 			return // nothing deployed (or queued), or the origin is down
 		}
-		if err := cur.Service.Undeploy(churnID); err != nil {
+		if err := w.Service.Undeploy(churnID); err != nil {
 			ctlFail(fmt.Errorf("fleet-soak: churn undeploy: %w", err))
 			return
 		}
@@ -735,9 +712,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	setMirror := func(i int, b mirror.Behavior) {
 		ctlMu.Lock()
 		defer ctlMu.Unlock()
-		if i < len(cur.Mirrors) {
-			cur.Mirrors[i].SetBehavior(b)
-		}
+		w.Mirrors[i].SetBehavior(b)
 	}
 
 	// Long-running control actions (refresh, origin restart) run
@@ -897,12 +872,10 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 			return nil, err
 		}
 	}
-	ctlMu.Lock()
-	for _, m := range cur.Mirrors {
+	for _, m := range w.Mirrors {
 		m.SetBehavior(mirror.Honest)
 	}
 	tenantNow := gate.tenant.Load()
-	ctlMu.Unlock()
 	for _, s := range slots {
 		if s.rep.Load() == nil {
 			restartEdge(s)
@@ -974,9 +947,7 @@ func FleetSoakRun(cfg Config) (*FleetSoakResult, error) {
 	// Scheduler bound: the current life's peaks must respect the
 	// configured pool, with the churn tenant's ingest and every refresh
 	// counted against the same slots.
-	ctlMu.Lock()
-	res.Sched = cur.Service.Scheduler().Snapshot()
-	ctlMu.Unlock()
+	res.Sched = w.Service.Scheduler().Snapshot()
 	checker.SchedSnapshot("origin", res.Sched)
 
 	// The quiesce-time origin restart can replay a queued churn deploy,
@@ -1127,18 +1098,6 @@ func FleetSoak(cfg Config) (*Table, error) {
 // mirror continents first, then the edge-only ones.
 var edgeContinents = []netsim.Continent{
 	netsim.Europe, netsim.NorthAmerica, netsim.Asia, netsim.SouthAmerica, netsim.Oceania,
-}
-
-// publishGeneration publishes soakPackage(name) and refreshes the
-// tenant under ctx, producing a new origin index generation; a traced
-// ctx yields an origin.refresh span tree per generation (the soak
-// reports the per-stage breakdown from these).
-func publishGeneration(ctx context.Context, w *World, name string) error {
-	if err := w.Publish(soakPackage(name)); err != nil {
-		return err
-	}
-	_, err := w.Tenant.RefreshCtx(ctx)
-	return err
 }
 
 // inParallel runs fn in k goroutines released together and waits for

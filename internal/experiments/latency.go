@@ -386,7 +386,7 @@ func minFloat(a, b float64) float64 {
 func AblationParallelDownload(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	cfg.Scale = minFloat(cfg.Scale, 0.01) // downloads dominate; a small population suffices
-	w, err := NewWorld(cfg, false)
+	w, err := newWorld(cfg, tsr.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,8 @@ package experiments
 import (
 	"fmt"
 	"time"
+
+	"tsr/internal/tsr"
 )
 
 // AblationRefreshWorkers sweeps the refresh pipeline concurrency over a
@@ -27,8 +29,9 @@ func AblationRefreshWorkers(cfg Config) (*Table, error) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		// A fresh world per row: sharing one store across rows would
 		// grow the heap with every tenant's private cache copy and
-		// penalize the later (wider) rows with GC pressure.
-		w, err := NewWorld(cfg, false)
+		// penalize the later (wider) rows with GC pressure. The row's
+		// tenant is the world's only one.
+		w, err := newWorld(cfg, tsr.Config{})
 		if err != nil {
 			return nil, err
 		}

@@ -47,7 +47,8 @@ type Options struct {
 
 // Testbed is one simulated deployment: the upstream repository, its
 // mirrors, a policy over them and a TSR service with no tenant yet.
-// Publish adds packages to the upstream; Deploy adds tenants.
+// Publish adds packages to the upstream; Deploy adds tenants; Restart
+// replaces the service as an origin crash and restart would.
 type Testbed struct {
 	Distro   *keys.Pair
 	Upstream *repo.Repository
@@ -55,10 +56,12 @@ type Testbed struct {
 	// Policy names every mirror, trusts Distro, and seeds
 	// configuration prediction with a root-only passwd and group.
 	Policy policy.Policy
-	// Host is the configuration Service was started with, every
-	// default filled in: another service on the same host hardware
-	// and mirrors starts from it.
-	Host    tsr.Config
+	// Host is the configuration the first Service was started with,
+	// every default filled in: Restart takes its host hardware and
+	// mirrors from it.
+	Host tsr.Config
+	// Service is the live origin: New starts it and Restart replaces
+	// it.
 	Service *tsr.Service
 }
 
@@ -119,6 +122,27 @@ func New(opts Options) (*Testbed, error) {
 		return nil, err
 	}
 	return tb, nil
+}
+
+// Restart starts a new service, the origin process after a restart,
+// and makes it the testbed's Service. Only the process comes back:
+// the upstream, the mirrors and whatever faults they carry stay as
+// they are, and the service keeps the host's platform, TPM, clock,
+// link and EPC cost model. cfg supplies the rest (the store,
+// persistence and scheduler bounds); its Resolve, when set, replaces
+// the testbed's mirrors. The caller restores tenants with RestoreAll.
+func (tb *Testbed) Restart(cfg tsr.Config) (*tsr.Service, error) {
+	h := tb.Host
+	cfg.Platform, cfg.TPM, cfg.Clock, cfg.Link, cfg.EPC = h.Platform, h.TPM, h.Clock, h.Link, h.EPC
+	if cfg.Resolve == nil {
+		cfg.Resolve = h.Resolve
+	}
+	svc, err := tsr.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tb.Service = svc
+	return svc, nil
 }
 
 // publishPopulation signs and publishes every package gen specifies,

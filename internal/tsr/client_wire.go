@@ -127,11 +127,11 @@ func gunzipBody(r io.Reader, limit int64) ([]byte, error) {
 	g := gunzips.Get().(*gunzipper)
 	g.br.Reset(r)
 	if err := g.zr.Reset(&g.br); err != nil {
-		return nil, fmt.Errorf("tsr client: gzip body: %w", err)
+		return nil, fmt.Errorf("gzip body: %w", err)
 	}
 	raw, err := readAtMost(g.out[:0], &g.zr, limit)
 	if err != nil {
-		return nil, fmt.Errorf("tsr client: gzip body: %w", err)
+		return nil, fmt.Errorf("gzip body: %w", err)
 	}
 	g.br.Reset(nil) // let go of the response body
 	g.out = nil

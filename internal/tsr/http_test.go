@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tsr/internal/store"
@@ -65,7 +66,8 @@ func TestETagMatch(t *testing.T) {
 // length arrives whole; a short one is an error; a claim above the cap
 // is refused before a byte is read, and no claim presizes more than
 // maxBodyPresize; a body without a length, or sent gzip-encoded,
-// arrives whole.
+// arrives whole, and a corrupt gzip body is an error that names the
+// client once.
 func TestFetchPackageBodyBound(t *testing.T) {
 	// Compressible, so that its gzip form fits a range's cap too.
 	body := bytes.Repeat([]byte("sanitized package bytes "), 8)
@@ -121,9 +123,13 @@ func TestFetchPackageBodyBound(t *testing.T) {
 				t.Run(p.name, func(t *testing.T) {
 					size := int64(len(p.body))
 					claim := tc.claim(size, p.cap)
+					var corrupt atomic.Bool // serve a gzip body that does not decode
 					srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 						wire := p.body
-						if tc.gzip {
+						if corrupt.Load() {
+							wire = []byte("not gzip")
+							w.Header().Set("Content-Encoding", "gzip")
+						} else if tc.gzip {
 							var buf bytes.Buffer
 							zw := gzip.NewWriter(&buf)
 							zw.Write(p.body)
@@ -160,6 +166,12 @@ func TestFetchPackageBodyBound(t *testing.T) {
 						}
 						if read := c.WireStats().TotalBytes(); read != 0 {
 							t.Fatalf("read %d body bytes before refusing the claim", read)
+						}
+					}
+					if tc.gzip {
+						corrupt.Store(true)
+						if _, err := p.fetch(c); err == nil || strings.Count(err.Error(), "tsr client: ") != 1 {
+							t.Fatalf("corrupt gzip body: err = %v, want one that says \"tsr client: \" once", err)
 						}
 					}
 				})

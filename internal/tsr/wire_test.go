@@ -821,7 +821,7 @@ func TestReadBodyReusesGzipReader(t *testing.T) {
 		if _, _, err := read(corrupt, 1<<20); err == nil {
 			t.Fatalf("body %d: a corrupt body decoded", i)
 		}
-		if _, _, err := read([]byte("not gzip"), 1<<20); err == nil || !strings.HasPrefix(err.Error(), "tsr client: gzip body: ") {
+		if _, _, err := read([]byte("not gzip"), 1<<20); err == nil || !strings.HasPrefix(err.Error(), "gzip body: ") {
 			t.Fatalf("body %d: a non-gzip body: err = %v", i, err)
 		}
 		if _, n, err := read(wire, 10); err == nil || n != 10 {
