@@ -64,6 +64,7 @@ import (
 	"os"
 
 	"tsr/internal/daemon"
+	"tsr/internal/durable"
 	"tsr/internal/enclave"
 	"tsr/internal/keys"
 	"tsr/internal/netsim"
@@ -87,7 +88,7 @@ func run(ctx context.Context, args []string) error {
 	schedMaxActive := fs.Int("sched-max-active", 8, "max concurrently admitted refresh/ingest cycles across all repositories (0 = unbounded)")
 	autoRefresh := fs.Duration("auto-refresh", 0, "refresh every deployed repository at this interval (0 disables); reads keep serving the previous snapshot while cycles run")
 	dataDir := fs.String("data-dir", "", "durable untrusted cache + sealed checkpoints; restarts warm-boot deployed repositories")
-	fsyncF := fs.Bool("fsync", false, "fsync every data-dir write (with -data-dir)")
+	fsyncF := fs.Bool("fsync", false, "fsync every data-dir store write (with -data-dir); the host-state file and the TPM's NV bank are always written durably")
 	hostStatePath := fs.String("host-state", "", "trusted host hardware state (seal root; TPM counters in <host-state>.nv); default <data-dir>.hoststate, keep OUTSIDE -data-dir")
 	maxInflight := fs.Int64("max-inflight", 256, "admission control: max concurrently served requests, excess sheds with 429 (0 = unlimited)")
 	logFormat := fs.String("log-format", "text", "operational log format: text or json (json lines carry trace_id/span_id for joining against /debug/traces)")
@@ -184,7 +185,7 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 	if hostStatePath == "" {
 		hostStatePath = dataDir + ".hoststate"
 	}
-	hs, err := loadOrInitHostState(hostStatePath)
+	hs, err := loadOrInitHostState(durable.OS, hostStatePath)
 	if err != nil {
 		return hostDeps{}, err
 	}
@@ -216,8 +217,11 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 }
 
 // loadOrInitHostState reads the host-state file, creating it (fresh
-// seal root, fresh distro key) on first boot.
-func loadOrInitHostState(path string) (*hostState, error) {
+// seal root, fresh distro key) on first boot. The first boot's file is
+// written through fsys with durable.WriteFile, so the seal root and the
+// distro key are on disk before anything is sealed or signed under
+// them.
+func loadOrInitHostState(fsys durable.FS, path string) (*hostState, error) {
 	raw, err := os.ReadFile(path)
 	if err == nil {
 		hs := &hostState{}
@@ -246,12 +250,10 @@ func loadOrInitHostState(path string) (*hostState, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Atomic (temp + rename), so a crash never leaves half a file.
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o600); err != nil {
+	if err := durable.WriteFile(fsys, path, raw); err != nil {
 		return nil, err
 	}
-	return hs, os.Rename(tmp, path)
+	return hs, nil
 }
 
 // svcLimits groups the concurrency knobs a service is built with: the

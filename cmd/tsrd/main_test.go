@@ -7,12 +7,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +22,8 @@ import (
 	"time"
 
 	"tsr/internal/chaos"
+	"tsr/internal/durable"
+	"tsr/internal/durable/durabletest"
 	"tsr/internal/index"
 	"tsr/internal/obs"
 	"tsr/internal/tsr"
@@ -593,6 +597,54 @@ func TestRestartOnHostStateWithoutNVBank(t *testing.T) {
 		}
 		if code, seq := serve(srv2, id); code != http.StatusServiceUnavailable {
 			t.Fatalf("index with the counter lost: status %d, sequence %d; want 503", code, seq)
+		}
+	}
+}
+
+// TestHostStateFirstBootCrash walks a power loss over every operation
+// of a first boot's host-state write, with the unsynced names lost and
+// kept. The next boot always parses the file. It gets back the crashed
+// boot's seal root and distro key if that boot's write had returned,
+// since checkpoints may already be sealed under them; otherwise it gets
+// a first boot, which the boot after it keeps.
+func TestHostStateFirstBootCrash(t *testing.T) {
+	// run returns the number of operations the shim saw, even when a
+	// check fails, so the walk is sized by the first call.
+	run := func(t *testing.T, crashAt int, keepNames bool) (ops int) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "hoststate")
+		shim, err := durabletest.New(dir, crashAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashed, err := loadOrInitHostState(shim, path)
+		if err != nil && !errors.Is(err, durabletest.ErrCrashed) {
+			t.Fatal(err)
+		}
+		ops = shim.Ops()
+		if err := shim.Rewind(keepNames); err != nil {
+			t.Fatal(err)
+		}
+		next, err := loadOrInitHostState(durable.OS, path)
+		switch {
+		case err != nil:
+			t.Errorf("boot after the crash: %v", err)
+		case crashed != nil && *next != *crashed:
+			t.Error("the boot after the crash has a new seal root or key, though the first boot's write returned")
+		default:
+			if again, err := loadOrInitHostState(durable.OS, path); err != nil || *again != *next {
+				t.Errorf("the boot after that does not keep its host state (err %v)", err)
+			}
+		}
+		return ops
+	}
+	n := run(t, 0, false)
+	for k := 0; k <= n; k++ {
+		for _, keepNames := range []bool{false, true} {
+			t.Run(fmt.Sprintf("op%d/keepNames=%v", k, keepNames), func(t *testing.T) {
+				t.Parallel() // each boot generates an RSA key
+				run(t, k, keepNames)
+			})
 		}
 	}
 }

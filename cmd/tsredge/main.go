@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string) error {
 	cacheMB := fs.Int64("cache-mb", 256, "pull-through package cache budget in MiB")
 	name := fs.String("name", "", "edge name reported in X-Tsr-Edge (default: the listen address)")
 	dataDir := fs.String("data-dir", "", "persist the package cache and last-synced index here; restarts resume warm via delta sync")
-	fsyncF := fs.Bool("fsync", false, "fsync every data-dir write (with -data-dir)")
+	fsyncF := fs.Bool("fsync", false, "fsync every data-dir store write (with -data-dir)")
 	maxInflight := fs.Int64("max-inflight", 512, "admission control: max concurrently served requests, excess sheds with 429 (0 = unlimited)")
 	logFormat := fs.String("log-format", "text", "operational log format: text or json (json lines carry trace_id/span_id for joining against /debug/traces)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address (empty disables; keep it off the public listen address)")

@@ -70,10 +70,38 @@ func TestDeadexport(t *testing.T) {
 		[]string{"tsr/internal/deadexport", "tsr/cmd/deadexport"})
 }
 
+func TestDurablewrite(t *testing.T) {
+	analysistest.Run(t, analysis.Durablewrite, "testdata/src/durablewrite", "tsr/internal/tpm")
+}
+
+// TestDurablewriteScope: the rule covers internal/ and the two daemons
+// that keep durable files, but not the one package that implements
+// the durable write, nor the tools that write plain output.
+func TestDurablewriteScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"tsr/internal/tpm":                 true,
+		"tsr/internal/store":               true,
+		"tsr/internal/experiments":         true,
+		"tsr/cmd/tsrd":                     true,
+		"tsr/cmd/tsredge":                  true,
+		"tsr/internal/durable":             false,
+		"tsr/internal/durable/durabletest": false,
+		"tsr/internal/durablex":            true,
+		"tsr/cmd/mkrepo":                   false,
+		"tsr/cmd/tsrlint":                  false,
+		"tsr/cmd/tsrrouter":                false,
+		"tsr/examples/edge-fanout":         false,
+	} {
+		if got := analysis.Durablewrite.Applies(path); got != want {
+			t.Errorf("durablewrite applies to %s = %v, want %v", path, got, want)
+		}
+	}
+}
+
 func TestRegistryByName(t *testing.T) {
 	all, ok := analysis.ByName(nil)
-	if !ok || len(all) != 10 {
-		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 10", len(all), ok)
+	if !ok || len(all) != 11 {
+		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 11", len(all), ok)
 	}
 	subset, ok := analysis.ByName([]string{"detrand", "noresign"})
 	if !ok || len(subset) != 2 || subset[0].Name != "detrand" || subset[1].Name != "noresign" {

@@ -14,6 +14,7 @@ func All() []*Analyzer {
 		Streamserve,
 		Blobview,
 		Deadexport,
+		Durablewrite,
 	}
 }
 

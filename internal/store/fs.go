@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,16 +15,18 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"tsr/internal/durable"
 )
 
 // FS is the durable disk-backed Store behind `tsrd -data-dir` and
 // `tsredge -data-dir`. Entries live under fan-out subdirectories
 // (objects/<aa>/<bb>/<hash>, keyed by the SHA-256 of the key, so one
 // directory never accumulates the whole repository). Every write goes
-// through a temp file in the target directory followed by an atomic
-// rename, so a crash at any instant leaves either the old entry, the
-// new entry, or a *.tmp leftover the boot scrub removes — never a
-// half-written entry that Get could return.
+// through durable.WriteFile, a temp file in the target directory
+// followed by an atomic rename, so a crash at any instant leaves either
+// the old entry, the new entry, or a *.tmp leftover the boot scrub
+// removes — never a half-written entry that Get could return.
 //
 // Each file carries a small frame (magic, key, sizes, CRC32 of the
 // payload) that is re-checked on every read and during the boot scrub:
@@ -35,8 +38,8 @@ import (
 type FS struct {
 	dir    string
 	budget int64
-	fsync  bool
-	pins   []string // pinned key prefixes (see Pinner); set before sharing
+	fsys   durable.FS // durable.OS, or with syncs off when not Fsync
+	pins   []string   // pinned key prefixes (see Pinner); set before sharing
 
 	clock     atomic.Uint64
 	evictions atomic.Int64
@@ -61,10 +64,15 @@ type FSOptions struct {
 	// budget the store is a cache: least-recently-used entries are
 	// evicted (by logical access clock) once the budget is exceeded.
 	Budget int64
-	// Fsync makes every Put fsync the entry file and its directory
+	// Fsync makes every Put sync the entry file and its directory
 	// before returning, trading write latency for power-loss
-	// durability. Off, a crash can lose recent writes but — thanks to
-	// the temp+rename protocol — never corrupt old ones.
+	// durability: an entry whose Put returned nil survives. Off, a
+	// power loss can lose recent Puts. An entry then reads as its old
+	// value, its new one or a miss (ErrNotFound), and an overwrite can
+	// lose the old value too when its rename reached the disk before
+	// its bytes did, but it never reads as other bytes: the frame check
+	// turns an empty or torn file into a miss. TestFSPutCrash walks a
+	// power loss over every step of a Put both ways.
 	Fsync bool
 }
 
@@ -86,8 +94,11 @@ func OpenFS(dir string, opts FSOptions) (*FS, error) {
 	s := &FS{
 		dir:    dir,
 		budget: opts.Budget,
-		fsync:  opts.Fsync,
+		fsys:   durable.OS,
 		index:  make(map[string]*fsEntry),
+	}
+	if !opts.Fsync {
+		s.fsys = durable.NoSync(durable.OS)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, fsObjectDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
@@ -132,8 +143,11 @@ func (s *FS) scrub() error {
 			s.scrubDropped++
 			return nil
 		}
-		key, size, err := readFrameHeader(path)
-		if err != nil || s.pathFor(key) != path {
+		f, key, size, err := openFrame(path)
+		if err == nil {
+			f.Close()
+		}
+		if err != nil || s.pathFor(string(key)) != path {
 			// Corrupt or truncated frame, or a file moved under a
 			// different key's path (entry-swapping): drop it. Callers
 			// treat the missing entry as a cache miss and heal. The
@@ -146,7 +160,7 @@ func (s *FS) scrub() error {
 		}
 		e := &fsEntry{size: size}
 		e.atime.Store(s.clock.Add(1))
-		s.index[key] = e
+		s.index[string(key)] = e
 		s.bytes += size
 		s.scrubKept++
 		return nil
@@ -164,109 +178,98 @@ func frameHeader(key string, data []byte) []byte {
 	return append(buf, key...)
 }
 
-// readFrameHeader parses one entry file's frame header and key,
-// validating lengths against the file size without reading the
-// payload.
-func readFrameHeader(path string) (key string, size int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", 0, err
+// errBadFrame is every frame check's error: the file is not an entry
+// this store wrote, and callers drop it as a miss.
+var errBadFrame = errors.New("store: invalid entry frame")
+
+// parseFrameHeader checks an entry's 20-byte frame header against the
+// size of the file it heads and returns the key and payload lengths.
+// Neither length is trusted: the key must fit in what follows the
+// header and the payload must fill the rest exactly, and both checks
+// are made without a sum that could wrap.
+func parseFrameHeader(hdr []byte, size int64) (keyLen int, dataLen int64, err error) {
+	if len(hdr) < fsHeaderLen || size < fsHeaderLen || string(hdr[0:4]) != fsMagic {
+		return 0, 0, errBadFrame
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return "", 0, err
+	k := uint64(binary.BigEndian.Uint32(hdr[4:8]))
+	rest := uint64(size) - fsHeaderLen
+	if k > rest || binary.BigEndian.Uint64(hdr[8:16]) != rest-k {
+		return 0, 0, errBadFrame
 	}
-	var hdr [fsHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return "", 0, fmt.Errorf("store: %s: short frame header", path)
-	}
-	if string(hdr[0:4]) != fsMagic {
-		return "", 0, fmt.Errorf("store: %s: bad frame magic", path)
-	}
-	keyLen := binary.BigEndian.Uint32(hdr[4:8])
-	dataLen := binary.BigEndian.Uint64(hdr[8:16])
-	if uint64(st.Size()) != uint64(fsHeaderLen)+uint64(keyLen)+dataLen {
-		return "", 0, fmt.Errorf("store: %s: truncated frame", path)
-	}
-	rawKey := make([]byte, keyLen)
-	if _, err := io.ReadFull(f, rawKey); err != nil {
-		return "", 0, fmt.Errorf("store: %s: short key", path)
-	}
-	return string(rawKey), int64(dataLen), nil
+	return int(k), int64(rest - k), nil
 }
 
-// readFrame parses and validates one entry file, payload CRC included.
-func readFrame(path string) (key string, data []byte, err error) {
-	raw, err := os.ReadFile(path)
+// decodeFrame splits a whole entry file into its key and payload, both
+// aliasing raw, and checks the payload CRC.
+func decodeFrame(raw []byte) (key, data []byte, err error) {
+	keyLen, _, err := parseFrameHeader(raw, int64(len(raw)))
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	if len(raw) < fsHeaderLen || string(raw[0:4]) != fsMagic {
-		return "", nil, fmt.Errorf("store: %s: bad frame header", path)
-	}
-	keyLen := binary.BigEndian.Uint32(raw[4:8])
-	dataLen := binary.BigEndian.Uint64(raw[8:16])
-	crc := binary.BigEndian.Uint32(raw[16:20])
-	if uint64(len(raw)) != uint64(fsHeaderLen)+uint64(keyLen)+dataLen {
-		return "", nil, fmt.Errorf("store: %s: truncated frame", path)
-	}
-	key = string(raw[fsHeaderLen : fsHeaderLen+keyLen])
-	data = raw[fsHeaderLen+keyLen:]
-	if crc32.ChecksumIEEE(data) != crc {
-		return "", nil, fmt.Errorf("store: %s: CRC mismatch", path)
+	key, data = raw[fsHeaderLen:fsHeaderLen+keyLen], raw[fsHeaderLen+keyLen:]
+	if crc32.ChecksumIEEE(data) != binary.BigEndian.Uint32(raw[16:20]) {
+		return nil, nil, errBadFrame
 	}
 	return key, data, nil
+}
+
+// readFrameHead reads the frame header and key of an entry of size
+// bytes from r, leaving r at the payload. It does not check the CRC.
+func readFrameHead(r io.Reader, size int64) (key []byte, dataLen int64, err error) {
+	var hdr [fsHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, 0, errBadFrame
+	}
+	keyLen, dataLen, err := parseFrameHeader(hdr[:], size)
+	if err != nil {
+		return nil, 0, err
+	}
+	key = make([]byte, keyLen)
+	if _, err := io.ReadFull(r, key); err != nil {
+		return nil, 0, errBadFrame
+	}
+	return key, dataLen, nil
+}
+
+// openFrame opens the entry file at path and reads its frame head,
+// leaving the file at the payload. A frame it cannot read is
+// errBadFrame.
+func openFrame(path string) (f *os.File, key []byte, dataLen int64, err error) {
+	f, err = os.Open(path)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	st, err := f.Stat()
+	if err == nil {
+		key, dataLen, err = readFrameHead(f, st.Size())
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, 0, err
+	}
+	return f, key, dataLen, nil
 }
 
 // Pin implements Pinner.
 func (s *FS) Pin(prefix string) { s.pins = append(s.pins, prefix) }
 
-// Put implements Store: temp-write then rename, so the entry becomes
-// visible atomically. Under a budget, an unpinned blob larger than the
-// whole budget is dropped silently (cache semantics).
+// Put implements Store through durable.WriteFile, so the entry becomes
+// visible atomically (and, with Fsync, durably). Under a budget, an
+// unpinned blob larger than the whole budget is dropped silently
+// (cache semantics).
 func (s *FS) Put(key string, data []byte) error {
 	if s.budget > 0 && int64(len(data)) > s.budget && !pinned(s.pins, key) {
 		return nil
 	}
 	final := s.pathFor(key)
-	parent := filepath.Dir(final)
-	if err := os.MkdirAll(parent, 0o755); err != nil {
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	tmp, err := os.CreateTemp(parent, ".put-*"+fsTmpSuffix)
-	if err != nil {
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	tmpName := tmp.Name()
-	// Header and payload go out as two writes, so the payload is never
-	// copied into a frame buffer.
-	_, err = tmp.Write(frameHeader(key, data))
+	err := os.MkdirAll(filepath.Dir(final), 0o755)
 	if err == nil {
-		_, err = tmp.Write(data)
+		// Header and payload go out as two writes, so the payload is
+		// never copied into a frame buffer.
+		err = durable.WriteFile(s.fsys, final, frameHeader(key, data), data)
 	}
 	if err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
 		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if s.fsync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return fmt.Errorf("store: put %q: %w", key, err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: put %q: %w", key, err)
-	}
-	if s.fsync {
-		syncDir(parent)
 	}
 	e := &fsEntry{size: int64(len(data))}
 	e.atime.Store(s.clock.Add(1))
@@ -294,8 +297,12 @@ func (s *FS) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	gotKey, data, err := readFrame(s.pathFor(key))
-	if err != nil || gotKey != key {
+	raw, err := os.ReadFile(s.pathFor(key))
+	var gotKey, data []byte
+	if err == nil {
+		gotKey, data, err = decodeFrame(raw)
+	}
+	if err != nil || string(gotKey) != key {
 		// Invalid on disk: drop the entry so the caller's heal path
 		// (re-download, re-sanitize) repairs it.
 		_ = s.Delete(key)
@@ -320,26 +327,20 @@ func (s *FS) Open(key string) (io.ReadCloser, int64, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	f, err := os.Open(s.pathFor(key))
+	f, gotKey, dataLen, err := openFrame(s.pathFor(key))
+	if err == nil && string(gotKey) != key {
+		f.Close()
+		err = errBadFrame
+	}
+	if errors.Is(err, errBadFrame) {
+		_ = s.Delete(key)
+		return nil, 0, fmt.Errorf("%w: %q (invalid on disk)", ErrNotFound, key)
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	var hdr [fsHeaderLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil || string(hdr[0:4]) != fsMagic {
-		f.Close()
-		_ = s.Delete(key)
-		return nil, 0, fmt.Errorf("%w: %q (invalid on disk)", ErrNotFound, key)
-	}
-	keyLen := binary.BigEndian.Uint32(hdr[4:8])
-	dataLen := binary.BigEndian.Uint64(hdr[8:16])
-	rawKey := make([]byte, keyLen)
-	if _, err := io.ReadFull(f, rawKey); err != nil || string(rawKey) != key {
-		f.Close()
-		_ = s.Delete(key)
-		return nil, 0, fmt.Errorf("%w: %q (invalid on disk)", ErrNotFound, key)
-	}
 	e.atime.Store(s.clock.Add(1))
-	return &fsStream{f: f, r: io.LimitReader(f, int64(dataLen))}, int64(dataLen), nil
+	return &fsStream{f: f, r: io.LimitReader(f, dataLen)}, dataLen, nil
 }
 
 // fsStream is an open entry payload: a bounded reader over the fd.
@@ -442,15 +443,4 @@ func (s *FS) maybeEvict() {
 			s.evictions.Add(1)
 		}
 	}
-}
-
-// syncDir fsyncs a directory so a rename survives power loss.
-// Best-effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }

@@ -12,11 +12,13 @@ package tpm
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"sync"
 
+	"tsr/internal/durable"
 	"tsr/internal/keys"
 )
 
@@ -39,9 +41,10 @@ type TPM struct {
 	pcrs     [NumPCRs][32]byte
 	counters map[uint32]uint64
 	ak       *keys.Pair // attestation key (AIK)
-	// nvPath is the file the counter bank persists to (see Open);
-	// empty keeps the bank in memory only.
+	// nvPath is the file the counter bank persists to (see Open),
+	// through fsys; empty keeps the bank in memory only.
 	nvPath string
+	fsys   durable.FS
 }
 
 // New creates a TPM with zeroed PCRs and the given attestation key.
@@ -146,10 +149,10 @@ func (q *Quote) Verify(ak *keys.Public, nonce []byte) error {
 // IncrementCounter increases monotonic counter id by one and returns
 // the new value. Counters start at zero. On a TPM made by Open the new
 // value is durable before it is returned: the whole bank is written to
-// the NV file (see writeBank). If that write fails the counter does not
-// move and the error is returned, so a caller that would sign with the
-// value signs nothing. The write happens under the lock, so banks reach
-// the file in the order their values were issued.
+// the NV file with durable.WriteFile. If that write fails the counter
+// does not move and the error is returned, so a caller that would sign
+// with the value signs nothing. The write happens under the lock, so
+// banks reach the file in the order their values were issued.
 func (t *TPM) IncrementCounter(id uint32) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -157,7 +160,11 @@ func (t *TPM) IncrementCounter(id uint32) (uint64, error) {
 	if t.nvPath != "" {
 		bank := maps.Clone(t.counters)
 		bank[id] = v
-		if err := writeBank(t.nvPath, bank); err != nil {
+		raw, err := json.Marshal(bank)
+		if err == nil {
+			err = durable.WriteFile(t.fsys, t.nvPath, raw)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("tpm: persisting counter %d = %d: %w", id, v, err)
 		}
 	}

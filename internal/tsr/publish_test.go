@@ -284,7 +284,7 @@ func coldStartRows(t *testing.T) {
 }
 
 // TestFailedCounterWriteSignsNothing: the host's TPM NV bank cannot be
-// written (a directory sits where its temporary file goes), so no
+// written (a directory sits where the bank is renamed to), so no
 // sequence reservation is durable. The refreshes that meet the failure
 // must sign nothing, and after a restart on the bank as it was last
 // written the origin must never sign a sequence it already signed.
@@ -323,7 +323,10 @@ func TestFailedCounterWriteSignsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	served(r1)
-	if err := os.Mkdir(nv+".tmp", 0o700); err != nil {
+	if err := os.Rename(nv, nv+".saved"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(nv, "occupied"), 0o700); err != nil {
 		t.Fatal(err)
 	}
 	var failed []error
@@ -336,7 +339,10 @@ func TestFailedCounterWriteSignsNothing(t *testing.T) {
 
 	// Restart: the bank is writable again and holds what was last
 	// written; the upstream replays its history and moves on.
-	if err := os.Remove(nv + ".tmp"); err != nil {
+	if err := os.RemoveAll(nv); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(nv+".saved", nv); err != nil {
 		t.Fatal(err)
 	}
 	restartTPM()
