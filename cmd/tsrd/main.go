@@ -220,8 +220,10 @@ func openHost(dataDir string, fsync bool, hostStatePath string, log *slog.Logger
 // seal root, fresh distro key) on first boot. The first boot's file is
 // written through fsys with durable.WriteFile, so the seal root and the
 // distro key are on disk before anything is sealed or signed under
-// them.
+// them. Temporary files that a crashed first boot left beside the file
+// are removed first.
 func loadOrInitHostState(fsys durable.FS, path string) (*hostState, error) {
+	durable.RemoveTemps(fsys, path)
 	raw, err := os.ReadFile(path)
 	if err == nil {
 		hs := &hostState{}

@@ -636,6 +636,9 @@ func TestHostStateFirstBootCrash(t *testing.T) {
 				t.Errorf("the boot after that does not keep its host state (err %v)", err)
 			}
 		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); keepNames && len(tmps) > 0 {
+			t.Errorf("the boot after the crash left %q beside the host-state file", tmps)
+		}
 		return ops
 	}
 	n := run(t, 0, false)

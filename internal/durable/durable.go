@@ -86,15 +86,16 @@ type noSyncFile struct{ File }
 func (noSyncFile) Sync() error { return nil }
 
 // WriteFile replaces the file at path with the concatenation of parts.
-// It creates a temporary file in path's directory (a hidden name
-// unique to the call and ending in ".tmp"), writes parts to it in
-// order, syncs and closes it, renames it over path and syncs the
-// directory, so the new bytes are on disk, whole, when it returns nil.
+// It creates a temporary file in path's directory (".<base>.<n>.tmp",
+// base being path's last element and n unique to the call), writes
+// parts to it in order, syncs and closes it, renames it over path and
+// syncs the directory, so the new bytes are on disk, whole, when it
+// returns nil.
 // It returns every error, and on an error it removes the temporary
 // file; path then holds the old bytes or the new ones.
 func WriteFile(fsys FS, path string, parts ...[]byte) error {
 	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, ".*.tmp")
+	f, err := fsys.CreateTemp(dir, "."+filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
@@ -118,4 +119,14 @@ func WriteFile(fsys FS, path string, parts ...[]byte) error {
 		return err
 	}
 	return fsys.SyncDir(dir)
+}
+
+// RemoveTemps removes the temporary files of WriteFile(fsys, path)
+// that a crash left beside path. They never held bytes path needs, so
+// one it cannot find or remove is left as litter, not an error.
+func RemoveTemps(fsys FS, path string) {
+	tmps, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".[0-9]*.tmp"))
+	for _, tmp := range tmps {
+		_ = fsys.Remove(tmp)
+	}
 }

@@ -427,27 +427,24 @@ func cacheKeyHash(key string) (hash [32]byte, ok bool) {
 	return hash, err == nil
 }
 
-// encodeReplicaState frames a signed index for the journal entry.
+// encodeReplicaState frames a signed index for the journal entry:
+// chunk(key name) + chunk(signature) + chunk(index).
 func encodeReplicaState(signed *index.Signed) []byte {
-	var buf bytes.Buffer
-	store.WriteChunk(&buf, []byte(signed.KeyName))
-	store.WriteChunk(&buf, signed.Sig)
-	store.WriteChunk(&buf, signed.Raw)
-	return buf.Bytes()
+	b := make([]byte, 0, 3*8+len(signed.KeyName)+len(signed.Sig)+len(signed.Raw))
+	b = store.AppendChunk(b, []byte(signed.KeyName))
+	b = store.AppendChunk(b, signed.Sig)
+	return store.AppendChunk(b, signed.Raw)
 }
 
-// decodeReplicaState parses a journal entry back into a signed index.
+// decodeReplicaState parses a journal entry back into a signed index,
+// copying the bytes it keeps out of the store's read-only view.
 func decodeReplicaState(raw []byte) (*index.Signed, error) {
-	buf := bytes.NewReader(raw)
-	var chunks [][]byte
-	for i := 0; i < 3; i++ {
-		chunk, err := store.ReadChunk(buf)
-		if err != nil {
-			return nil, fmt.Errorf("edge: persisted index state: %w", err)
-		}
-		chunks = append(chunks, chunk)
+	rec := store.NewRecord(raw)
+	keyName, sig, ix := rec.Chunk(), rec.Chunk(), rec.Chunk()
+	if err := rec.Err(); err != nil {
+		return nil, fmt.Errorf("edge: persisted index state: %w", err)
 	}
-	return &index.Signed{KeyName: string(chunks[0]), Sig: chunks[1], Raw: chunks[2]}, nil
+	return &index.Signed{KeyName: string(keyName), Sig: bytes.Clone(sig), Raw: bytes.Clone(ix)}, nil
 }
 
 // LoadState restores the replica's last-synced signed index from its

@@ -2,7 +2,6 @@ package edge
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -110,17 +109,21 @@ func pull(ctx context.Context, src Fetcher, st store.Store, name string, entry i
 	return p, nil
 }
 
-// A base record names the version of a package the tier last verified:
-// its content hash, then its size as 8 big-endian bytes.
-const baseRecordSize = 32 + 8
-
 func baseKey(name string) string { return baseKeyPrefix + name }
 
+// baseRecord is the 40 bytes naming the version of a package the tier
+// last verified: its content hash, then its size as 8 big-endian bytes.
+func baseRecord(entry index.Entry) []byte {
+	return store.AppendUint64(append(make([]byte, 0, 40), entry.Hash[:]...), uint64(entry.Size))
+}
+
 func decodeBaseRecord(rec []byte) (entry index.Entry, ok bool) {
-	if len(rec) != baseRecordSize {
+	r := store.NewRecord(rec)
+	hash, size := r.Bytes(len(entry.Hash)), r.Uint64()
+	if r.Err() != nil || r.Len() != 0 {
 		return entry, false
 	}
-	return index.Entry{Hash: [32]byte(rec), Size: int64(binary.BigEndian.Uint64(rec[32:]))}, true
+	return index.Entry{Hash: [32]byte(hash), Size: int64(size)}, true
 }
 
 // storedBase is the diff base st holds for name@entry: the verified
@@ -174,8 +177,7 @@ func keepPulled(st store.Store, name string, entry index.Entry, raw []byte, m *s
 	if m != nil {
 		_ = st.Put(key+tsr.ManifestSuffix, tsr.EncodeManifestBlob(name, m, gz))
 	}
-	rec := append(make([]byte, 0, baseRecordSize), entry.Hash[:]...)
-	_ = st.Put(baseKey(name), binary.BigEndian.AppendUint64(rec, uint64(entry.Size)))
+	_ = st.Put(baseKey(name), baseRecord(entry))
 }
 
 // pullPackage is the edge's miss path: pull from the origin against the

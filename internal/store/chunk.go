@@ -3,17 +3,10 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
 )
 
-// Length-prefixed chunk framing (8-byte big-endian length + payload),
-// shared by every persisted composite blob: sealed repository state
-// and metadata (internal/tsr) and the edge replica's index journal
-// (internal/edge). One codec, one set of bounds checks.
-//
-// This file also holds the content-defined chunker, whose cut rule
+// This file holds the content-defined chunker, whose cut rule
 // docs/API.md states as part of the wire contract: package bytes are
 // first split into pieces at the layout boundaries the apk framing
 // writes (the end of every deflate run, the start of every gzip
@@ -22,38 +15,6 @@ import (
 // chunk except the re-signed head, that file's run and the trailer.
 // Chunk hashes are untrusted transfer metadata — the reassembled bytes
 // must still match the signed index entry hash end-to-end.
-
-// WriteChunk appends one length-prefixed chunk to buf.
-func WriteChunk(buf *bytes.Buffer, data []byte) {
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(data)))
-	buf.Write(n[:])
-	buf.Write(data)
-}
-
-// ReadChunk consumes one length-prefixed chunk from buf.
-func ReadChunk(buf *bytes.Reader) ([]byte, error) {
-	var n [8]byte
-	// A truncated frame must surface as io.ErrUnexpectedEOF instead of
-	// a silent short read, as io.ReadFull reports it; read through the
-	// concrete reader, n stays on the stack.
-	if got, _ := buf.Read(n[:]); got < len(n) {
-		err := io.ErrUnexpectedEOF
-		if got == 0 {
-			err = io.EOF
-		}
-		return nil, fmt.Errorf("store: chunk: %w", err)
-	}
-	size := binary.BigEndian.Uint64(n[:])
-	if size > uint64(buf.Len()) {
-		return nil, fmt.Errorf("store: chunk size %d exceeds remainder", size)
-	}
-	out := make([]byte, size)
-	if _, err := io.ReadFull(buf, out); err != nil {
-		return nil, fmt.Errorf("store: chunk: %w", err)
-	}
-	return out, nil
-}
 
 // Content-defined chunking parameters. MinChunkSize bytes are skipped
 // before the rolling hash is consulted, AvgChunkMask picks an expected

@@ -9,45 +9,6 @@ import (
 	"testing"
 )
 
-func TestChunkFramingRoundtrip(t *testing.T) {
-	var buf bytes.Buffer
-	WriteChunk(&buf, []byte("alpha"))
-	WriteChunk(&buf, nil)
-	WriteChunk(&buf, []byte("bravo charlie"))
-	r := bytes.NewReader(buf.Bytes())
-	for i, want := range [][]byte{[]byte("alpha"), nil, []byte("bravo charlie")} {
-		got, err := ReadChunk(r)
-		if err != nil {
-			t.Fatalf("chunk %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("chunk %d: got %q want %q", i, got, want)
-		}
-	}
-	if _, err := ReadChunk(r); err == nil {
-		t.Fatal("read past end: want error")
-	}
-}
-
-// Regression: a frame truncated mid-header or mid-payload must fail
-// loudly. The old bytes.Reader.Read-based decoder could short-read a
-// partial header without error and misparse the remainder.
-func TestReadChunkTruncatedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	WriteChunk(&buf, bytes.Repeat([]byte("x"), 100))
-	whole := buf.Bytes()
-	for _, cut := range []int{0, 1, 7, 8, 9, len(whole) - 1} {
-		r := bytes.NewReader(whole[:cut])
-		got, err := ReadChunk(r)
-		if err == nil {
-			t.Fatalf("cut=%d: want error, got %d bytes", cut, len(got))
-		}
-		if cut > 0 && cut < 8 && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut=%d: want io.ErrUnexpectedEOF in %v", cut, err)
-		}
-	}
-}
-
 func randBytes(t *testing.T, seed int64, n int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -64,15 +64,16 @@ type FSOptions struct {
 	// budget the store is a cache: least-recently-used entries are
 	// evicted (by logical access clock) once the budget is exceeded.
 	Budget int64
-	// Fsync makes every Put sync the entry file and its directory
-	// before returning, trading write latency for power-loss
-	// durability: an entry whose Put returned nil survives. Off, a
-	// power loss can lose recent Puts. An entry then reads as its old
-	// value, its new one or a miss (ErrNotFound), and an overwrite can
-	// lose the old value too when its rename reached the disk before
-	// its bytes did, but it never reads as other bytes: the frame check
-	// turns an empty or torn file into a miss. TestFSPutCrash walks a
-	// power loss over every step of a Put both ways.
+	// Fsync makes every Put sync the entry file, its directory and any
+	// fan-out directory it creates before returning, trading write
+	// latency for power-loss durability: an entry whose Put returned
+	// nil survives. Off, a power loss can lose recent Puts. An entry
+	// then reads as its old value, its new one or a miss (ErrNotFound),
+	// and an overwrite can lose the old value too when its rename
+	// reached the disk before its bytes did, but it never reads as other
+	// bytes: the frame check turns an empty or torn file into a miss.
+	// TestFSPutCrash walks a power loss over every step of a Put both
+	// ways.
 	Fsync bool
 }
 
@@ -262,7 +263,21 @@ func (s *FS) Put(key string, data []byte) error {
 		return nil
 	}
 	final := s.pathFor(key)
-	err := os.MkdirAll(filepath.Dir(final), 0o755)
+	fanout := filepath.Dir(final)
+	_, err := os.Stat(fanout)
+	if err != nil {
+		// The names of a new objects/<aa>/<bb> must be as durable as the
+		// entry renamed into it: sync both parents, even when a
+		// concurrent Put made the directory and has not synced yet.
+		for _, d := range [2]string{filepath.Dir(fanout), fanout} {
+			if err = os.Mkdir(d, 0o755); err == nil || errors.Is(err, fs.ErrExist) {
+				err = s.fsys.SyncDir(filepath.Dir(d))
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
 	if err == nil {
 		// Header and payload go out as two writes, so the payload is
 		// never copied into a frame buffer.

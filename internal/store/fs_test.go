@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tsr/internal/durable"
@@ -80,6 +82,52 @@ func TestFSPutCrash(t *testing.T) {
 					t.Run(name, func(t *testing.T) { run(t, fsync, old, k, keepNames) })
 				}
 			}
+		}
+	}
+}
+
+// syncRecorder is a durable.FS that records the directories it syncs.
+type syncRecorder struct {
+	durable.FS
+	dirs []string
+}
+
+func (r *syncRecorder) SyncDir(dir string) error {
+	r.dirs = append(r.dirs, dir)
+	return r.FS.SyncDir(dir)
+}
+
+// TestFSPutSyncsNewFanout: with Fsync, the first Put into a fan-out
+// directory syncs the parents of both directories it creates, so their
+// names survive a power loss with the entry's; a second Put into the
+// same fan-out syncs only the entry's own directory.
+func TestFSPutSyncsNewFanout(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFS(dir, FSOptions{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &syncRecorder{FS: s.fsys}
+	s.fsys = rec
+	fanout := filepath.Dir(s.pathFor("k"))
+	other := "k"
+	for i := 0; filepath.Dir(s.pathFor(other)) != fanout || other == "k"; i++ {
+		other = fmt.Sprintf("k%d", i)
+	}
+	objects := filepath.Join(dir, fsObjectDir)
+	for _, tc := range []struct {
+		key  string
+		want []string
+	}{
+		{"k", []string{objects, filepath.Dir(fanout), fanout}},
+		{other, []string{fanout}},
+	} {
+		rec.dirs = nil
+		if err := s.Put(tc.key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rec.dirs, tc.want) {
+			t.Errorf("Put(%q) synced %q, want %q", tc.key, rec.dirs, tc.want)
 		}
 	}
 }

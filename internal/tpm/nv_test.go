@@ -146,6 +146,9 @@ func TestNVBankCrash(t *testing.T) {
 				t.Errorf("counter %d reads %d after the crash, but %d was returned", id, got, v)
 			}
 		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); keepNames && len(tmps) > 0 {
+			t.Errorf("the reopen left %q beside the bank", tmps)
+		}
 		return ops
 	}
 	n := run(t, 0, false)

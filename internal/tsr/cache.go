@@ -1,11 +1,11 @@
 package tsr
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync/atomic"
+
+	"tsr/internal/store"
 )
 
 // The content-addressed sanitization cache maps (original package
@@ -41,15 +41,12 @@ type cacheEntry struct {
 	Hash [32]byte
 }
 
-// storeCacheEntry seals and writes one cache entry.
+// storeCacheEntry seals and writes one cache entry: chunk(key) +
+// size + hash.
 func (r *Repo) storeCacheEntry(e cacheEntry) error {
-	var buf bytes.Buffer
-	writeChunk(&buf, []byte(e.Key))
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(e.Size))
-	buf.Write(n[:])
-	buf.Write(e.Hash[:])
-	sealed, err := r.svc.Seal(buf.Bytes())
+	b := store.AppendChunk(make([]byte, 0, 8+len(e.Key)+8+len(e.Hash)), []byte(e.Key))
+	b = store.AppendUint64(b, uint64(e.Size))
+	sealed, err := r.svc.Seal(append(b, e.Hash[:]...))
 	if err != nil {
 		return err
 	}
@@ -57,8 +54,8 @@ func (r *Repo) storeCacheEntry(e cacheEntry) error {
 }
 
 // loadCacheEntry reads, unseals and validates the entry stored under
-// key. Any failure — absent, tampered, or swapped from another key —
-// is reported as an error; the caller falls back to sanitizing.
+// key. Any failure — absent, tampered, truncated, or swapped from
+// another key — is an error; the caller falls back to sanitizing.
 func (r *Repo) loadCacheEntry(key string) (cacheEntry, error) {
 	sealed, err := r.svc.cfg.Store.Get(key)
 	if err != nil {
@@ -68,24 +65,15 @@ func (r *Repo) loadCacheEntry(key string) (cacheEntry, error) {
 	if err != nil {
 		return cacheEntry{}, fmt.Errorf("%w: %v", ErrCacheTampered, err)
 	}
-	buf := bytes.NewReader(blob)
-	rawKey, err := readChunk(buf)
-	if err != nil {
-		return cacheEntry{}, err
-	}
-	e := cacheEntry{Key: string(rawKey)}
-	var n [8]byte
-	if _, err := buf.Read(n[:]); err != nil {
+	rec := store.NewRecord(blob)
+	rawKey, size, hash := rec.Chunk(), rec.Uint64(), rec.Bytes(len(cacheEntry{}.Hash))
+	if err := rec.Err(); err != nil {
 		return cacheEntry{}, fmt.Errorf("tsr: cache entry: %w", err)
 	}
-	e.Size = int64(binary.BigEndian.Uint64(n[:]))
-	if _, err := buf.Read(e.Hash[:]); err != nil {
-		return cacheEntry{}, fmt.Errorf("tsr: cache entry: %w", err)
+	if string(rawKey) != key {
+		return cacheEntry{}, fmt.Errorf("%w: cache entry moved from %q", ErrCacheTampered, rawKey)
 	}
-	if e.Key != key {
-		return cacheEntry{}, fmt.Errorf("%w: cache entry moved from %q", ErrCacheTampered, e.Key)
-	}
-	return e, nil
+	return cacheEntry{Key: key, Size: int64(size), Hash: [32]byte(hash)}, nil
 }
 
 // counters are the cumulative per-repository counters. They are plain

@@ -2,13 +2,16 @@ package tsr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 
+	"tsr/internal/index"
 	"tsr/internal/store"
 )
 
@@ -201,6 +204,55 @@ func FuzzDecodeIngestBody(f *testing.F) {
 			if !bytes.Equal(again[i], raws[i]) {
 				t.Fatalf("package %d decodes differently after re-encoding", i)
 			}
+		}
+	})
+}
+
+// FuzzDecodeState asserts the checkpoint decoder's contract on
+// arbitrary unsealed bytes: no panic; decoding allocates at most the
+// input's size plus 64 KiB, beyond what index.Decode spends on the
+// registered entries (FuzzIndexDecode bounds that at 64 times their
+// size); and every accepted input re-encodes to the same bytes up to
+// its registered chunk, an index, whose encoding is a fixed point as
+// FuzzIndexDecode checks an index's.
+func FuzzDecodeState(f *testing.F) {
+	signed := &index.Signed{Raw: []byte("raw"), KeyName: "k", Sig: []byte("sig")}
+	registered := []index.Entry{{Name: "a", Version: "1.0", Size: 1, Depends: []string{"b"}}}
+	whole := encodeState(1, []byte("up"), signed, 2, registered)
+	f.Add(whole)
+	f.Add(encodeState(1, []byte("up"), signed, 2, nil))
+	f.Add(whole[:5])                                                               // a truncated uint64
+	f.Add(append(binary.BigEndian.AppendUint64(whole[:16:16], 3), "up"...))        // a chunk length past the remainder
+	f.Add(append(binary.BigEndian.AppendUint64(whole[:16:16], math.MaxUint64), 1)) // a chunk length of 2^64-1
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		rec := store.NewRecord(blob)
+		rec.Uint64()
+		rec.Uint64()
+		for range 4 {
+			rec.Chunk()
+		}
+		indexBytes := uint64(len(rec.Chunk()))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mc, upstream, sig, seq, registered, err := decodeState(blob)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > uint64(len(blob))+64*indexBytes+64<<10 {
+			t.Fatalf("decodeState allocated %d bytes for %d input bytes", n, len(blob))
+		}
+		if err != nil {
+			return
+		}
+		head := encodeState(mc, upstream, sig, seq, nil)
+		if !bytes.HasPrefix(blob, head) || indexBytes == 0 && len(head) != len(blob) {
+			t.Fatal("an accepted checkpoint does not re-encode to the same bytes")
+		}
+		enc := encodeState(mc, upstream, sig, seq, registered)
+		mc, upstream, sig, seq, registered, err = decodeState(enc)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeState(mc, upstream, sig, seq, registered), enc) {
+			t.Fatal("checkpoint encoding is not a fixed point")
 		}
 	})
 }

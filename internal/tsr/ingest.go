@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -13,6 +12,7 @@ import (
 	"tsr/internal/index"
 	"tsr/internal/sanitize"
 	"tsr/internal/sched"
+	"tsr/internal/store"
 	"tsr/internal/trace"
 )
 
@@ -255,29 +255,23 @@ func (r *Repo) rebuildPlanLocked() error {
 }
 
 // DecodeIngestBody parses a chunk-framed ingest body. The frames are
-// counted first, so the batch's slice is allocated once, at its size:
-// decoding then allocates at most 3 times the body, for a body of empty
-// 8-byte frames.
+// checked and counted first, so the batch's slice is allocated once, at
+// its size; with each package copied out for Store.Put, decoding then
+// allocates at most 3 times the body, for a body of empty 8-byte frames.
 func DecodeIngestBody(body []byte) ([][]byte, error) {
 	frames := 0
-	for rest := body; len(rest) >= 8; frames++ {
-		size := binary.BigEndian.Uint64(rest)
-		if size > uint64(len(rest)-8) {
-			break
+	for rec := store.NewRecord(body); rec.Len() > 0; frames++ {
+		if rec.Chunk(); rec.Err() != nil {
+			return nil, fmt.Errorf("tsr: ingest body: %w", rec.Err())
 		}
-		rest = rest[8+size:]
 	}
-	buf := bytes.NewReader(body)
-	raws := make([][]byte, 0, frames)
-	for buf.Len() > 0 {
-		raw, err := readChunk(buf)
-		if err != nil {
-			return nil, fmt.Errorf("tsr: ingest body: %w", err)
-		}
-		raws = append(raws, raw)
-	}
-	if len(raws) == 0 {
+	if frames == 0 {
 		return nil, errors.New("tsr: ingest body: empty batch")
+	}
+	raws := make([][]byte, frames)
+	rec := store.NewRecord(body)
+	for i := range raws {
+		raws[i] = bytes.Clone(rec.Chunk())
 	}
 	return raws, nil
 }
@@ -290,43 +284,33 @@ func DecodeIngestBody(body []byte) ([][]byte, error) {
 // store adversary from splicing packages into someone else's pending
 // batch.
 func (r *Repo) sealIngestPayload(raws [][]byte) ([]byte, error) {
-	var buf bytes.Buffer
-	writeChunk(&buf, []byte(r.ID))
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], uint64(len(raws)))
-	buf.Write(n[:])
+	n := 2*8 + len(r.ID)
 	for _, raw := range raws {
-		writeChunk(&buf, raw)
+		n += 8 + len(raw)
 	}
-	return r.svc.Seal(buf.Bytes())
+	b := store.AppendChunk(make([]byte, 0, n), []byte(r.ID))
+	b = store.AppendUint64(b, uint64(len(raws)))
+	for _, raw := range raws {
+		b = store.AppendChunk(b, raw)
+	}
+	return r.svc.Seal(b)
 }
 
-// decodeIngestPayload unseals and parses a journaled batch.
+// decodeIngestPayload unseals and parses a journaled batch, copying
+// each package out as DecodeIngestBody does. The batch grows as its
+// packages are read, so the count buys no allocation.
 func decodeIngestPayload(s *Service, payload []byte) (id string, raws [][]byte, err error) {
 	blob, err := s.Unseal(payload)
 	if err != nil {
 		return "", nil, fmt.Errorf("tsr: ingest journal entry: %w", err)
 	}
-	buf := bytes.NewReader(blob)
-	rawID, err := readChunk(buf)
-	if err != nil {
-		return "", nil, err
+	rec := store.NewRecord(blob)
+	rawID, count := rec.Chunk(), rec.Uint64()
+	for i := uint64(0); i < count && rec.Err() == nil; i++ {
+		raws = append(raws, bytes.Clone(rec.Chunk()))
 	}
-	var n [8]byte
-	if _, err := buf.Read(n[:]); err != nil {
+	if err := rec.Err(); err != nil {
 		return "", nil, fmt.Errorf("tsr: ingest journal entry: %w", err)
-	}
-	count := binary.BigEndian.Uint64(n[:])
-	if count > 1<<20 {
-		return "", nil, fmt.Errorf("tsr: ingest journal entry: absurd package count %d", count)
-	}
-	raws = make([][]byte, 0, count)
-	for i := uint64(0); i < count; i++ {
-		raw, err := readChunk(buf)
-		if err != nil {
-			return "", nil, err
-		}
-		raws = append(raws, raw)
 	}
 	return string(rawID), raws, nil
 }

@@ -430,9 +430,9 @@ func (r *Repo) RegisteredPackages() []index.Entry {
 // package is length-prefixed with the repo's chunk framing. It is the
 // tests' reference encoder for DecodeIngestBody.
 func EncodeIngestBody(raws [][]byte) []byte {
-	var buf bytes.Buffer
+	var b []byte
 	for _, raw := range raws {
-		writeChunk(&buf, raw)
+		b = store.AppendChunk(b, raw)
 	}
-	return buf.Bytes()
+	return b
 }

@@ -1,7 +1,6 @@
 package tsr
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -62,38 +61,29 @@ func (r *Repo) counterID() uint32 {
 	return h.Sum32()
 }
 
-// persistMeta seals the repository's identity — id, policy, signing
-// key — and writes it under the meta key. Called once at deploy time.
+// persistMeta seals the repository's identity — chunk(id) +
+// chunk(policy) + chunk(signing key) — and writes it under the meta
+// key. Called once at deploy time.
 func (s *Service) persistMeta(r *Repo, policyRaw []byte) error {
 	privPEM, err := r.signKey.MarshalPrivatePEM()
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	writeChunk(&buf, []byte(r.ID))
-	writeChunk(&buf, policyRaw)
-	writeChunk(&buf, privPEM)
-	sealed, err := s.Seal(buf.Bytes())
+	b := store.AppendChunk(make([]byte, 0, 3*8+len(r.ID)+len(policyRaw)+len(privPEM)), []byte(r.ID))
+	b = store.AppendChunk(b, policyRaw)
+	sealed, err := s.Seal(store.AppendChunk(b, privPEM))
 	if err != nil {
 		return err
 	}
 	return s.cfg.Store.Put(MetaStoreKey(r.ID), sealed)
 }
 
-// decodeMeta parses an unsealed meta blob.
+// decodeMeta parses an unsealed meta blob; the slices alias it.
 func decodeMeta(blob []byte) (id string, policyRaw, privPEM []byte, err error) {
-	buf := bytes.NewReader(blob)
-	rawID, err := readChunk(buf)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	policyRaw, err = readChunk(buf)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	privPEM, err = readChunk(buf)
-	if err != nil {
-		return "", nil, nil, err
+	rec := store.NewRecord(blob)
+	rawID, policyRaw, privPEM := rec.Chunk(), rec.Chunk(), rec.Chunk()
+	if err := rec.Err(); err != nil {
+		return "", nil, nil, fmt.Errorf("tsr: sealed meta: %w", err)
 	}
 	return string(rawID), policyRaw, privPEM, nil
 }

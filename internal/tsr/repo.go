@@ -1,9 +1,7 @@
 package tsr
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -629,75 +627,52 @@ func (r *Repo) RestoreState(sealed []byte) error {
 // of tenants that never ingested are byte-identical to the historical
 // format (and historical checkpoints decode cleanly).
 func encodeState(mc uint64, upstream []byte, localSig *index.Signed, seq uint64, registered []index.Entry) []byte {
-	var buf bytes.Buffer
-	var n [8]byte
-	binary.BigEndian.PutUint64(n[:], mc)
-	buf.Write(n[:])
-	binary.BigEndian.PutUint64(n[:], seq)
-	buf.Write(n[:])
-	writeChunk(&buf, upstream)
-	writeChunk(&buf, localSig.Raw)
-	writeChunk(&buf, []byte(localSig.KeyName))
-	writeChunk(&buf, localSig.Sig)
+	var reg []byte
 	if len(registered) > 0 {
-		reg := &index.Index{Origin: "registered"}
+		ix := &index.Index{Origin: "registered"}
 		for _, e := range registered {
-			reg.Add(e)
+			ix.Add(e)
 		}
-		writeChunk(&buf, reg.Encode())
+		reg = ix.Encode()
 	}
-	return buf.Bytes()
+	b := make([]byte, 0, 7*8+len(upstream)+len(localSig.Raw)+len(localSig.KeyName)+len(localSig.Sig)+len(reg))
+	b = store.AppendUint64(b, mc)
+	b = store.AppendUint64(b, seq)
+	b = store.AppendChunk(b, upstream)
+	b = store.AppendChunk(b, localSig.Raw)
+	b = store.AppendChunk(b, []byte(localSig.KeyName))
+	b = store.AppendChunk(b, localSig.Sig)
+	if reg != nil {
+		b = store.AppendChunk(b, reg)
+	}
+	return b
 }
 
+// decodeState parses an unsealed checkpoint. The slices it returns
+// alias blob, which Unseal made for the caller alone.
 func decodeState(blob []byte) (mc uint64, upstream []byte, localSig *index.Signed, seq uint64, registered []index.Entry, err error) {
-	buf := bytes.NewReader(blob)
-	var n [8]byte
-	if _, err = buf.Read(n[:]); err != nil {
+	rec := store.NewRecord(blob)
+	mc, seq = rec.Uint64(), rec.Uint64()
+	upstream = rec.Chunk()
+	raw, keyName, sig := rec.Chunk(), rec.Chunk(), rec.Chunk()
+	var regRaw []byte
+	if rec.Len() > 0 {
+		regRaw = rec.Chunk()
+	}
+	if err := rec.Err(); err != nil {
 		return 0, nil, nil, 0, nil, fmt.Errorf("tsr: sealed state: %w", err)
 	}
-	mc = binary.BigEndian.Uint64(n[:])
-	if _, err = buf.Read(n[:]); err != nil {
-		return 0, nil, nil, 0, nil, fmt.Errorf("tsr: sealed state: %w", err)
+	if rec.Len() > 0 {
+		return 0, nil, nil, 0, nil, fmt.Errorf("tsr: sealed state: %d bytes after the registered entries", rec.Len())
 	}
-	seq = binary.BigEndian.Uint64(n[:])
-	upstream, err = readChunk(buf)
-	if err != nil {
-		return 0, nil, nil, 0, nil, err
-	}
-	raw, err := readChunk(buf)
-	if err != nil {
-		return 0, nil, nil, 0, nil, err
-	}
-	keyName, err := readChunk(buf)
-	if err != nil {
-		return 0, nil, nil, 0, nil, err
-	}
-	sig, err := readChunk(buf)
-	if err != nil {
-		return 0, nil, nil, 0, nil, err
-	}
-	if buf.Len() > 0 {
-		regRaw, rerr := readChunk(buf)
-		if rerr != nil {
-			return 0, nil, nil, 0, nil, rerr
-		}
-		reg, rerr := index.Decode(regRaw)
-		if rerr != nil {
-			return 0, nil, nil, 0, nil, fmt.Errorf("tsr: sealed state: registered entries: %w", rerr)
+	if regRaw != nil {
+		reg, err := index.Decode(regRaw)
+		if err != nil {
+			return 0, nil, nil, 0, nil, fmt.Errorf("tsr: sealed state: registered entries: %w", err)
 		}
 		registered = reg.Entries
 	}
 	return mc, upstream, &index.Signed{Raw: raw, KeyName: string(keyName), Sig: sig}, seq, registered, nil
-}
-
-func writeChunk(buf *bytes.Buffer, data []byte) { store.WriteChunk(buf, data) }
-
-func readChunk(buf *bytes.Reader) ([]byte, error) {
-	out, err := store.ReadChunk(buf)
-	if err != nil {
-		return nil, fmt.Errorf("tsr: sealed state: %w", err)
-	}
-	return out, nil
 }
 
 // Plan exposes the published sanitization plan (for examples and

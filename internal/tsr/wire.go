@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -469,8 +468,8 @@ func EncodeManifestBlob(name string, m *store.ChunkManifest, gz bool) []byte {
 	if gz {
 		zipped = gzipped(body)
 	}
-	blob := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(body)+len(zipped)), uint64(len(body)))
-	return append(append(blob, body...), zipped...)
+	blob := store.AppendChunk(make([]byte, 0, 8+len(body)+len(zipped)), body)
+	return append(blob, zipped...)
 }
 
 // DecodeManifestBlob is DecodeChunkManifest of a stored blob's body:
@@ -486,15 +485,12 @@ func DecodeManifestBlob(blob []byte) (string, *store.ChunkManifest, error) {
 // splitManifestBlob slices a stored manifest blob into its wire body
 // and gzip (nil when none was stored), without copying.
 func splitManifestBlob(blob []byte) (body, gz []byte, ok bool) {
-	if len(blob) < 8 || binary.BigEndian.Uint64(blob) > uint64(len(blob)-8) {
-		return nil, nil, false
-	}
-	n := 8 + binary.BigEndian.Uint64(blob)
-	body, gz = blob[8:n], blob[n:]
+	rec := store.NewRecord(blob)
+	body, gz = rec.Chunk(), rec.Rest()
 	if len(gz) == 0 {
 		gz = nil
 	}
-	return body, gz, true
+	return body, gz, rec.Err() == nil
 }
 
 // rootedIn reports whether a manifest body, as EncodeChunkManifest
