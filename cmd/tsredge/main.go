@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string) error {
 	originURL := fs.String("origin", "http://localhost:8473", "TSR origin base URL")
 	repoID := fs.String("repo", "", "tenant repository id to replicate (required)")
 	syncEvery := fs.Duration("sync", 30*time.Second, "origin sync interval ±10% jitter (delta syncs once warm)")
-	cacheMB := fs.Int64("cache-mb", 256, "pull-through package cache budget in MiB")
+	cacheMB := fs.Int64("cache-mb", 256, "pull-through package cache budget in MiB (0 = unbounded)")
 	name := fs.String("name", "", "edge name reported in X-Tsr-Edge (default: the listen address)")
 	dataDir := fs.String("data-dir", "", "persist the package cache and last-synced index here; restarts resume warm via delta sync")
 	fsyncF := fs.Bool("fsync", false, "fsync every data-dir store write (with -data-dir)")
@@ -92,11 +92,7 @@ func run(ctx context.Context, args []string) error {
 		HTTPClient: &http.Client{Timeout: 2 * time.Minute},
 		Context:    ctx,
 	}
-	rep := &edge.Replica{
-		RepoID:      *repoID,
-		Origin:      origin,
-		CacheBudget: *cacheMB << 20,
-	}
+	rep := &edge.Replica{RepoID: *repoID, Origin: origin, Cache: store.NewMemBudget(*cacheMB << 20)}
 	if *dataDir != "" {
 		st, err := store.OpenFS(*dataDir, store.FSOptions{Budget: *cacheMB << 20, Fsync: *fsyncF})
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 	"tsr/internal/index"
 	"tsr/internal/keys"
 	"tsr/internal/obs"
+	"tsr/internal/store"
 	"tsr/internal/tsr"
 )
 
@@ -34,7 +35,7 @@ func TestReplicateOverHTTP(t *testing.T) {
 	defer originSrv.Close()
 
 	origin := &tsr.Client{BaseURL: originSrv.URL, RepoID: w.Tenant.ID, HTTPClient: originSrv.Client()}
-	rep := &edge.Replica{RepoID: w.Tenant.ID, Origin: origin, CacheBudget: 64 << 20}
+	rep := &edge.Replica{RepoID: w.Tenant.ID, Origin: origin, Cache: store.NewMemBudget(64 << 20)}
 	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestEdgeETagBodyUnderConcurrentSync(t *testing.T) {
 	defer originSrv.Close()
 	ring := keys.NewRing(w.Tenant.PublicKey())
 	origin := &tsr.Client{BaseURL: originSrv.URL, RepoID: w.Tenant.ID, HTTPClient: originSrv.Client()}
-	rep := &edge.Replica{RepoID: w.Tenant.ID, Origin: origin, CacheBudget: 64 << 20, TrustRing: ring}
+	rep := &edge.Replica{RepoID: w.Tenant.ID, Origin: origin, Cache: store.NewMemBudget(64 << 20), TrustRing: ring}
 	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}

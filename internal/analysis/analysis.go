@@ -98,9 +98,9 @@ type Unit struct {
 	TypesInfo *types.Info
 }
 
-// NewInfo returns a types.Info populated with every map the analyzers
+// newInfo returns a types.Info populated with every map the analyzers
 // rely on.
-func NewInfo() *types.Info {
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

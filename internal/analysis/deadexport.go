@@ -23,8 +23,7 @@ import (
 // when its name is a method of any interface the module declares or
 // imports (io.WriterTo's WriteTo, fmt.Stringer's String, error's
 // Error). The check needs every unit at once, so it runs only when
-// the standalone driver is given the whole module; go vet hands the
-// tool one unit at a time and skips it.
+// tsrlint is given the whole module.
 var Deadexport = &Analyzer{
 	Name:      "deadexport",
 	Doc:       "exported identifiers under internal/ must be used by non-test code somewhere in the module",

@@ -128,8 +128,8 @@ func LoadDir(moduleDir, dir, importPath string, deps ...*types.Package) (*Unit, 
 		}
 		return p.Export, nil
 	}
-	exported := ExportDataImporter(fset, exportFile, nil)
-	info := NewInfo()
+	exported := newExportImporter(fset, exportFile)
+	info := newInfo()
 	conf := types.Config{
 		Importer: importerFunc(func(path string) (*types.Package, error) {
 			if pkg, ok := local[path]; ok {
@@ -146,19 +146,10 @@ func LoadDir(moduleDir, dir, importPath string, deps ...*types.Package) (*Unit, 
 	return &Unit{Path: importPath, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }
 
-// ExportDataImporter builds a types.Importer that resolves import
-// paths through importMap and reads compiler export data from the
-// file exportFile returns for each resolved path. Both the standalone
-// loader and the go vet unit mode (cmd/tsrlint) type-check through
-// it.
-func ExportDataImporter(fset *token.FileSet, exportFile func(path string) (string, error), importMap map[string]string) types.Importer {
-	return mapImports(newExportImporter(fset, exportFile), importMap)
-}
-
-// newExportImporter builds the shared types.Importer that reads
-// compiler export data files; callers wrap it per-unit with mapImports
-// to apply that unit's import remapping. Sharing one importer across
-// units means every dependency's export data is decoded exactly once.
+// newExportImporter builds the types.Importer that reads compiler
+// export data files. Load shares one across its units and wraps it per
+// unit with mapImports to apply that unit's import remapping, so every
+// dependency's export data is decoded exactly once.
 func newExportImporter(fset *token.FileSet, exportFile func(path string) (string, error)) types.ImporterFrom {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, err := exportFile(path)
@@ -283,7 +274,7 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 	base := newExportImporter(fset, exportFile)
 	var result []*Unit
 	for _, u := range units {
-		info := NewInfo()
+		info := newInfo()
 		conf := types.Config{
 			Importer: mapImports(base, u.pkg.ImportMap),
 			Sizes:    types.SizesFor("gc", "amd64"),

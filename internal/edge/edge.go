@@ -86,8 +86,8 @@ func (b Behavior) String() string {
 	}
 }
 
-// DefaultCacheBudget bounds the pull-through package cache when the
-// replica does not set one.
+// DefaultCacheBudget bounds the pull-through package cache of a
+// replica that is given no Cache.
 const DefaultCacheBudget = 64 << 20
 
 // Replica is one edge replica of a single TSR tenant repository.
@@ -104,16 +104,13 @@ type Replica struct {
 	// instead of at the clients. The replica works without it: it is an
 	// untrusted cache, and clients verify end-to-end regardless.
 	TrustRing *keys.Ring
-	// CacheBudget bounds the package cache in bytes (default
-	// DefaultCacheBudget). Only consulted when Cache is nil.
-	CacheBudget int64
 	// Cache is the replica's blob store — the shared content-addressed
-	// abstraction of internal/store. Nil defaults to a byte-budgeted
-	// in-memory store. Give it a disk store (store.OpenFS, the tsredge
-	// -data-dir flag) and the package cache survives restarts: cached
-	// bytes are hash-verified against the signed index before every
-	// serve, so stale or tampered disk degrades to a pull-through miss,
-	// exactly like the in-memory case.
+	// abstraction of internal/store. Nil defaults to an in-memory store
+	// of DefaultCacheBudget bytes. Give it a disk store (store.OpenFS,
+	// the tsredge -data-dir flag) and the package cache survives
+	// restarts: cached bytes are hash-verified against the signed index
+	// before every serve, so stale or tampered disk degrades to a
+	// pull-through miss, exactly like the in-memory case.
 	Cache store.Store
 	// PersistIndex additionally journals the last-synced signed index
 	// into Cache on every publish; LoadState restores it on boot so a
@@ -663,11 +660,7 @@ func (rep *Replica) fetchEntry(ctx context.Context, name string, entry index.Ent
 func (rep *Replica) store() store.Store {
 	rep.cacheOnce.Do(func() {
 		if rep.Cache == nil {
-			budget := rep.CacheBudget
-			if budget <= 0 {
-				budget = DefaultCacheBudget
-			}
-			rep.Cache = store.NewMemBudget(budget)
+			rep.Cache = store.NewMemBudget(DefaultCacheBudget)
 		}
 		rep.Cache.Pin(metaKeyPrefix)
 		rep.Cache.Pin(baseKeyPrefix)

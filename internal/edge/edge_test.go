@@ -269,7 +269,7 @@ func TestReplicaPullThroughCacheVerifies(t *testing.T) {
 
 func TestReplicaCacheBudgetEvicts(t *testing.T) {
 	w := newEdgeWorld(t)
-	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Oceania, CacheBudget: 1}
+	rep := &Replica{RepoID: w.tenant.ID, Origin: w.tenant, Continent: netsim.Oceania, Cache: store.NewMemBudget(1)}
 	if err := rep.SyncCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 	"tsr/internal/netsim"
 )
 
-func signerPEM(t *testing.T, name string) string {
+func signerPEM(t testing.TB, name string) string {
 	t.Helper()
 	pair := keys.Shared.MustGet(name)
 	pem, err := pair.Public().MarshalPEM()
@@ -51,10 +51,11 @@ func TestMarshalParseRoundtrip(t *testing.T) {
 	}
 }
 
-func TestParseListing1Shape(t *testing.T) {
-	// The exact shape of the paper's Listing 1 (with the simulation's
-	// location field standing in for real-world DNS geography).
-	src := `mirrors:
+// listing1 is the exact shape of the paper's Listing 1 (with the
+// simulation's location field standing in for real-world DNS
+// geography), trusting the signer key signerPEM.
+func listing1(signerPEM string) string {
+	return `mirrors:
   - hostname: https://alpinelinux/v3.10/
     certificate_chain: |-
       -----BEGIN CERTIFICATE-----
@@ -64,14 +65,17 @@ func TestParseListing1Shape(t *testing.T) {
     location: Europe
 signers_keys:
   - |-
-` + indent(signerPEM(t, "alpine-4a40"), "    ") + `
+` + indent(signerPEM, "    ") + `
 init_config_files:
   - path: /etc/passwd
     content: |-
       root:x:0:0:root:/root:/bin/ash
       daemon:x:2:2:daemon:/sbin:/sbin/nologin
 `
-	p, err := Parse([]byte(src))
+}
+
+func TestParseListing1Shape(t *testing.T) {
+	p, err := Parse([]byte(listing1(signerPEM(t, "alpine-4a40"))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +107,20 @@ func indent(s, prefix string) string {
 	return strings.Join(lines, "\n")
 }
 
+// parseErrorCases are malformed policies Parse must refuse with
+// ErrFormat.
+var parseErrorCases = []string{
+	"bogus_section:\n",
+	"  indented:\n",
+	"mirrors:\n  hostname: x\n", // not a list item
+	"mirrors:\n  - hostname: x\n    certificate_chain: inline\n", // not a block
+	"signers_keys:\n  - inline\n",                                // not a block scalar
+	"init_config_files:\n  - content: |-\n",                      // missing path
+	"mirrors:\n  - weird: x\n",                                   // unknown key
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"bogus_section:\n",
-		"  indented:\n",
-		"mirrors:\n  hostname: x\n", // not a list item
-		"mirrors:\n  - hostname: x\n    certificate_chain: inline\n", // not a block
-		"signers_keys:\n  - inline\n",                                // not a block scalar
-		"init_config_files:\n  - content: |-\n",                      // missing path
-		"mirrors:\n  - weird: x\n",                                   // unknown key
-	}
-	for _, src := range cases {
+	for _, src := range parseErrorCases {
 		if _, err := Parse([]byte(src)); !errors.Is(err, ErrFormat) {
 			t.Errorf("%q: err = %v", src, err)
 		}

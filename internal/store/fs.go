@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -64,14 +65,15 @@ type FSOptions struct {
 	// budget the store is a cache: least-recently-used entries are
 	// evicted (by logical access clock) once the budget is exceeded.
 	Budget int64
-	// Fsync makes every Put sync the entry file, its directory and any
-	// fan-out directory it creates before returning, trading write
-	// latency for power-loss durability: an entry whose Put returned
-	// nil survives. Off, a power loss can lose recent Puts. An entry
-	// then reads as its old value, its new one or a miss (ErrNotFound),
-	// and an overwrite can lose the old value too when its rename
-	// reached the disk before its bytes did, but it never reads as other
-	// bytes: the frame check turns an empty or torn file into a miss.
+	// Fsync makes OpenFS sync the directories it creates, and every
+	// Put sync the entry file, its directory and any fan-out directory
+	// it creates before returning, trading write latency for power-loss
+	// durability: an entry whose Put returned nil survives. Off, a
+	// power loss can lose recent Puts. An entry then reads as its old
+	// value, its new one or a miss (ErrNotFound), and an overwrite can
+	// lose the old value too when its rename reached the disk before its
+	// bytes did, but it never reads as other bytes: the frame check
+	// turns an empty or torn file into a miss.
 	// TestFSPutCrash walks a power loss over every step of a Put both
 	// ways.
 	Fsync bool
@@ -92,22 +94,55 @@ const (
 // every Get rather than at boot, keeping restart cost proportional to
 // the entry count instead of the cache size.
 func OpenFS(dir string, opts FSOptions) (*FS, error) {
+	fsys := durable.OS
+	if !opts.Fsync {
+		fsys = durable.NoSync(fsys)
+	}
+	return openFS(dir, opts.Budget, fsys)
+}
+
+// openFS is OpenFS over fsys.
+func openFS(dir string, budget int64, fsys durable.FS) (*FS, error) {
 	s := &FS{
 		dir:    dir,
-		budget: opts.Budget,
-		fsys:   durable.OS,
+		budget: budget,
+		fsys:   fsys,
 		index:  make(map[string]*fsEntry),
 	}
-	if !opts.Fsync {
-		s.fsys = durable.NoSync(durable.OS)
+	// dir, each missing parent of it, and objects/.
+	var levels []string
+	for d := filepath.Clean(dir); ; d = filepath.Dir(d) {
+		levels = append(levels, d)
+		if _, err := os.Stat(filepath.Dir(d)); err == nil || filepath.Dir(d) == d {
+			break
+		}
 	}
-	if err := os.MkdirAll(filepath.Join(dir, fsObjectDir), 0o755); err != nil {
+	slices.Reverse(levels)
+	if err := mkdirs(fsys, append(levels, filepath.Join(dir, fsObjectDir))...); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
 	if err := s.scrub(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// mkdirs creates each directory of levels, outermost first, and syncs
+// its parent, so its name is as durable as the entries later renamed
+// under it. A level that already exists has its parent synced too: the
+// process that made it, a concurrent Put or one that crashed, may not
+// have synced it.
+func mkdirs(fsys durable.FS, levels ...string) error {
+	for _, d := range levels {
+		err := os.Mkdir(d, 0o755)
+		if err == nil || errors.Is(err, fs.ErrExist) {
+			err = fsys.SyncDir(filepath.Dir(d))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ScrubReport returns how many entries the boot scrub kept and dropped
@@ -266,17 +301,8 @@ func (s *FS) Put(key string, data []byte) error {
 	fanout := filepath.Dir(final)
 	_, err := os.Stat(fanout)
 	if err != nil {
-		// The names of a new objects/<aa>/<bb> must be as durable as the
-		// entry renamed into it: sync both parents, even when a
-		// concurrent Put made the directory and has not synced yet.
-		for _, d := range [2]string{filepath.Dir(fanout), fanout} {
-			if err = os.Mkdir(d, 0o755); err == nil || errors.Is(err, fs.ErrExist) {
-				err = s.fsys.SyncDir(filepath.Dir(d))
-			}
-			if err != nil {
-				break
-			}
-		}
+		// A new objects/<aa>/<bb>.
+		err = mkdirs(s.fsys, filepath.Dir(fanout), fanout)
 	}
 	if err == nil {
 		// Header and payload go out as two writes, so the payload is

@@ -97,6 +97,28 @@ func (r *syncRecorder) SyncDir(dir string) error {
 	return r.FS.SyncDir(dir)
 }
 
+// TestOpenFSSyncsNewDirs: with Fsync, OpenFS syncs the parent of the
+// data dir, of each missing parent it creates and of objects/, so those
+// names survive a power loss with the entries later renamed under them.
+// Reopening syncs the data dir's and objects/' parents again: a process
+// that crashed after making them may not have synced them.
+func TestOpenFSSyncsNewDirs(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "host", "data")
+	for _, want := range [][]string{
+		{root, filepath.Dir(dir), dir},
+		{filepath.Dir(dir), dir},
+	} {
+		rec := &syncRecorder{FS: durable.OS}
+		if _, err := openFS(dir, 0, rec); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rec.dirs, want) {
+			t.Errorf("OpenFS synced %q, want %q", rec.dirs, want)
+		}
+	}
+}
+
 // TestFSPutSyncsNewFanout: with Fsync, the first Put into a fan-out
 // directory syncs the parents of both directories it creates, so their
 // names survive a power loss with the entry's; a second Put into the

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"tsr/internal/apk"
@@ -173,13 +174,15 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		outs[i] = r.sanitizeCached(san, planHash, jb.entry, jb.raw, true)
 	}, nil)
 
-	// Merge the accepted packages into the local index. A batch whose
-	// every package is already registered at the same content (a
-	// journal replay racing a late commit) publishes nothing.
+	// Merge the accepted packages into the local index and the
+	// registrations. A batch whose every package is already registered
+	// at the same content (a journal replay racing a late commit)
+	// publishes nothing.
 	newLocal := &index.Index{Origin: "tsr-" + r.ID}
 	if r.local != nil {
 		newLocal = r.local.Clone()
 	}
+	registered := maps.Clone(r.registered)
 	changed := false
 	var firstErr error
 	for i := range outs {
@@ -198,8 +201,8 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 				newLocal.Add(o.entry)
 				changed = true
 			}
-			if re, ok := r.registered[jb.entry.Name]; !ok || re.Hash != jb.entry.Hash {
-				r.registered[jb.entry.Name] = jb.entry
+			if !mapsTo(registered, jb.entry) {
+				registered[jb.entry.Name] = jb.entry
 				changed = true
 			}
 			r.scripts[jb.entry.Name] = scriptsEntry{digest: jb.entry.Hash, scripts: jb.pkg.Scripts}
@@ -224,9 +227,13 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		return stats, nil
 	}
 
-	if err := r.publishNextLocked(newLocal, nil); err != nil {
+	// A re-registration replaces a version: the eviction a refresh ends
+	// in deletes the keys only the replaced one referenced.
+	old := r.generationLocked()
+	if err := r.publishNextLocked(newLocal, func() { r.registered = registered }); err != nil {
 		return stats, err
 	}
+	r.evictLocked(old, r.generationLocked())
 	stats.Sequence = r.seq
 	r.totals.ingested.Add(int64(stats.Registered))
 	r.totals.sanitized.Add(int64(stats.Sanitized))

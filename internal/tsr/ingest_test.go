@@ -3,6 +3,8 @@ package tsr
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -148,6 +150,71 @@ func TestRegisterPackagesIngest(t *testing.T) {
 	regs := r.RegisteredPackages()
 	if len(regs) != 1 || regs[0].Name != "private-tool" {
 		t.Fatalf("registered entries = %+v", regs)
+	}
+}
+
+// TestReRegistrationEvictsReplacedVersion: registering a new version
+// of a package replaces the old one, so the old original, its sanitized
+// bytes and its sanitization-cache entry leave the store, at the
+// ingest and across the next refresh, as an upstream version bump's do.
+func TestReRegistrationEvictsReplacedVersion(t *testing.T) {
+	w := newWorld(t, 3)
+	w.publish(t, pkgWithScript("upstream-pkg", "1.0-r0", ""))
+	r := w.deploy(t)
+	if _, err := r.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	var origs [][32]byte
+	for _, v := range []string{"1.0-r0", "2.0-r0", "3.0-r0"} {
+		raw := w.encodePkg(t, pkgWithScript("private-tool", v, ""))
+		if _, err := r.RegisterPackages(context.Background(), [][]byte{raw}); err != nil {
+			t.Fatal(err)
+		}
+		origs = append(origs, sha256.Sum256(raw))
+	}
+	// held lists the tenant's stored keys that belong to private-tool:
+	// originals and sanitized blobs by name, cache entries by digest.
+	held := func() (orig, san, cache []string) {
+		t.Helper()
+		err := w.store.Iterate(func(info store.Info) bool {
+			k := strings.TrimPrefix(info.Key, r.ID+"/")
+			switch {
+			case strings.HasPrefix(k, "orig/private-tool@"):
+				orig = append(orig, k)
+			case strings.HasPrefix(k, "san/private-tool@") && !strings.HasSuffix(k, ManifestSuffix):
+				san = append(san, k)
+			case strings.HasPrefix(k, "sancache/"):
+				for _, h := range origs {
+					if strings.HasPrefix(k, "sancache/"+hex.EncodeToString(h[:])) {
+						cache = append(cache, k)
+					}
+				}
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return orig, san, cache
+	}
+	check := func(when string) {
+		t.Helper()
+		orig, san, cache := held()
+		if len(orig) != 1 || len(san) != 1 || len(cache) != 1 {
+			t.Fatalf("%s: private-tool keys: orig %v, san %v, sancache %v; want one of each", when, orig, san, cache)
+		}
+		cur := origs[len(origs)-1]
+		if want := strings.TrimPrefix(r.origKey("private-tool", cur), r.ID+"/"); orig[0] != want {
+			t.Fatalf("%s: kept original %s, want the current version's %s", when, orig[0], want)
+		}
+	}
+	check("after re-registration")
+	if _, err := r.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	check("after refresh")
+	if _, err := r.FetchPackage("private-tool"); err != nil {
+		t.Fatal(err)
 	}
 }
 

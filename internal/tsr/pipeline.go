@@ -197,11 +197,7 @@ type cycle struct {
 	souts          []sanOut      // sanitize outcome per target
 	local          *index.Index  // the index this cycle signs
 	pinned         map[string]index.Entry
-	old            struct { // the generation this cycle replaces, captured at commit
-		local, upstream *index.Index
-		pinned          map[string]index.Entry
-		planHash        [32]byte
-	}
+	old            generation // the generation this cycle replaces, captured at commit
 }
 
 func (c *cycle) next(stage string) {
@@ -522,8 +518,8 @@ func (c *cycle) commit() {
 	c.next("refresh.publish")
 	// Evict state for packages that left the upstream: script cache and
 	// rejection bookkeeping would otherwise grow forever under churn.
-	// Registered packages live outside the upstream index, so their
-	// state survives until Unregister.
+	// Registered packages live outside the upstream index and are
+	// never unregistered, so their state stays; ingest replaces it.
 	for name := range r.scripts {
 		if _, ok := r.registered[name]; ok {
 			continue
@@ -541,7 +537,7 @@ func (c *cycle) commit() {
 			delete(r.rejectedKey, name)
 		}
 	}
-	c.old.local, c.old.upstream, c.old.pinned, c.old.planHash = r.local, r.upstream, r.pinned, r.planHash
+	c.old = r.generationLocked()
 	r.upstream = c.upstream
 	r.upstreamFloor = c.upstreamFloor
 	r.upstreamDigest = c.upstreamDigest
@@ -555,16 +551,63 @@ func (c *cycle) commit() {
 // referenced, then books the cycle into the cumulative counters.
 func (c *cycle) retire() {
 	r := c.r
+	r.evictLocked(c.old, r.generationLocked())
+	r.totals.refreshes.Add(1)
+	r.totals.cacheHits.Add(int64(c.stats.CacheHits))
+	r.totals.sanitized.Add(int64(c.stats.Sanitized))
+	r.totals.rejected.Add(int64(c.stats.Rejected))
+	r.totals.downloaded.Add(int64(c.stats.Downloaded))
+	r.totals.failed.Add(int64(len(c.stats.Errors)))
+}
+
+// generation is the part of a repository's published state that holds
+// cache keys alive: sanitized blobs through local, originals through
+// upstream, pinned and registered, and sanitization-cache metadata
+// through those originals' digests under planHash.
+type generation struct {
+	local, upstream    *index.Index
+	pinned, registered map[string]index.Entry
+	planHash           [32]byte
+}
+
+// generationLocked returns the repository's current generation. Caller
+// holds r.mu.
+func (r *Repo) generationLocked() generation {
+	return generation{local: r.local, upstream: r.upstream, pinned: r.pinned, registered: r.registered, planHash: r.planHash}
+}
+
+// lists reports whether ix (possibly nil) holds e's name at e's hash.
+func lists(ix *index.Index, e index.Entry) bool {
+	if ix == nil {
+		return false
+	}
+	ne, err := ix.Lookup(e.Name)
+	return err == nil && ne.Hash == e.Hash
+}
+
+// mapsTo reports whether m holds e's name at e's hash.
+func mapsTo(m map[string]index.Entry, e index.Entry) bool {
+	me, ok := m[e.Name]
+	return ok && me.Hash == e.Hash
+}
+
+// evictLocked deletes the cache keys that only the replaced generation
+// old referenced, once cur, which has a local index, is published.
+// Refresh and ingest both end here, so a refresh's upstream churn and
+// an ingest's re-registration leave the same store behind. Caller
+// holds r.mu.
+func (r *Repo) evictLocked(old, cur generation) {
 	del := func(key string) { _ = r.svc.cfg.Store.Delete(key) }
 	// Byte blobs addressed by (name, hash) pairs that appear in the
-	// outgoing indexes but in neither the incoming ones nor the pinned
-	// set that on-demand rebuilds still need. A sanitized blob takes the
-	// chunk manifest stored beside it along. Old-snapshot readers in
-	// flight at publish time can race an eviction; FetchPackageTracedCtx
-	// retries against the fresh snapshot when that happens.
-	if c.old.local != nil {
-		for _, e := range c.old.local.Entries {
-			if ne, err := c.local.Lookup(e.Name); err == nil && ne.Hash == e.Hash {
+	// outgoing state but not in the incoming one, which includes the
+	// pinned set that on-demand rebuilds still need. A sanitized blob
+	// takes the chunk manifest stored beside it along. Old-snapshot
+	// readers in flight at publish time can race an eviction;
+	// FetchPackageTracedCtx retries against the fresh snapshot when that
+	// happens.
+	if old.local != nil {
+		for _, e := range old.local.Entries {
+			if lists(cur.local, e) {
 				continue
 			}
 			key := r.sanitizedKey(e.Name, e.Hash)
@@ -572,25 +615,21 @@ func (c *cycle) retire() {
 			del(key + ManifestSuffix)
 		}
 	}
-	evictOrig := func(name string, hash [32]byte) {
-		if pe, ok := c.pinned[name]; ok && pe.Hash == hash {
-			return
-		}
-		if re, ok := r.registered[name]; ok && re.Hash == hash {
-			return
-		}
-		if ne, err := c.upstream.Lookup(name); err == nil && ne.Hash == hash {
-			return
-		}
-		del(r.origKey(name, hash))
-	}
-	if c.old.upstream != nil {
-		for _, e := range c.old.upstream.Entries {
-			evictOrig(e.Name, e.Hash)
+	evictOrig := func(e index.Entry) {
+		if !lists(cur.upstream, e) && !mapsTo(cur.pinned, e) && !mapsTo(cur.registered, e) {
+			del(r.origKey(e.Name, e.Hash))
 		}
 	}
-	for name, pe := range c.old.pinned {
-		evictOrig(name, pe.Hash)
+	if old.upstream != nil {
+		for _, e := range old.upstream.Entries {
+			evictOrig(e)
+		}
+	}
+	for _, e := range old.pinned {
+		evictOrig(e)
+	}
+	for _, e := range old.registered {
+		evictOrig(e)
 	}
 	// The sealed sanitization-cache metadata follows its generation:
 	// (digest, plan) pairs the new state no longer produces are deleted
@@ -598,23 +637,21 @@ func (c *cycle) retire() {
 	// an upstream version rollback A→B→A — would cache-hit metadata
 	// whose sanitized bytes were evicted with the old generation and
 	// publish an index entry with no bytes behind it. (After a
-	// ForceReplan oldPlanHash is zero and these deletes address keys
-	// that never existed — harmless no-ops.) Registered packages'
-	// metadata under an outgoing plan is equally stale (their bytes were
-	// re-sanitized above).
-	if c.old.planHash != c.planHash {
-		for _, e := range r.registered {
-			del(r.sanCacheKey(e.Hash, c.old.planHash))
+	// ForceReplan the old plan hash is zero and these deletes address
+	// keys that never existed — harmless no-ops.) A registered package's
+	// metadata goes when its registration is replaced or the plan
+	// changes (its bytes were re-sanitized above).
+	samePlan := old.planHash == cur.planHash
+	if old.upstream != nil {
+		for _, e := range old.upstream.Entries {
+			if !samePlan || !lists(cur.upstream, e) {
+				del(r.sanCacheKey(e.Hash, old.planHash))
+			}
 		}
 	}
-	if c.old.upstream != nil {
-		for _, e := range c.old.upstream.Entries {
-			if c.old.planHash == c.planHash {
-				if ne, err := c.upstream.Lookup(e.Name); err == nil && ne.Hash == e.Hash {
-					continue
-				}
-			}
-			del(r.sanCacheKey(e.Hash, c.old.planHash))
+	for _, e := range old.registered {
+		if !samePlan || !mapsTo(cur.registered, e) {
+			del(r.sanCacheKey(e.Hash, old.planHash))
 		}
 	}
 	// Reconcile serving-path writes: a reader racing an earlier publish
@@ -629,35 +666,31 @@ func (c *cycle) retire() {
 		r.servedWrites = make(map[string]struct{})
 	}
 	r.servedWritesMu.Unlock()
-	if len(recorded) > 0 {
-		keep := make(map[string]struct{}, len(c.local.Entries)+len(c.upstream.Entries)+len(c.pinned))
-		for _, e := range c.local.Entries {
-			key := r.sanitizedKey(e.Name, e.Hash)
-			keep[key] = struct{}{}
-			keep[key+ManifestSuffix] = struct{}{}
-		}
-		for _, e := range c.upstream.Entries {
+	if len(recorded) == 0 {
+		return
+	}
+	keep := make(map[string]struct{})
+	for _, e := range cur.local.Entries {
+		key := r.sanitizedKey(e.Name, e.Hash)
+		keep[key] = struct{}{}
+		keep[key+ManifestSuffix] = struct{}{}
+	}
+	if cur.upstream != nil {
+		for _, e := range cur.upstream.Entries {
 			keep[r.origKey(e.Name, e.Hash)] = struct{}{}
 		}
-		for name, pe := range c.pinned {
-			keep[r.origKey(name, pe.Hash)] = struct{}{}
-		}
-		for name, re := range r.registered {
-			keep[r.origKey(name, re.Hash)] = struct{}{}
-		}
-		for key := range recorded {
-			if _, ok := keep[key]; !ok {
-				del(key)
-			}
+	}
+	for _, e := range cur.pinned {
+		keep[r.origKey(e.Name, e.Hash)] = struct{}{}
+	}
+	for _, e := range cur.registered {
+		keep[r.origKey(e.Name, e.Hash)] = struct{}{}
+	}
+	for key := range recorded {
+		if _, ok := keep[key]; !ok {
+			del(key)
 		}
 	}
-
-	r.totals.refreshes.Add(1)
-	r.totals.cacheHits.Add(int64(c.stats.CacheHits))
-	r.totals.sanitized.Add(int64(c.stats.Sanitized))
-	r.totals.rejected.Add(int64(c.stats.Rejected))
-	r.totals.downloaded.Add(int64(c.stats.Downloaded))
-	r.totals.failed.Add(int64(len(c.stats.Errors)))
 }
 
 // seal checkpoints the published generation under AutoPersist.

@@ -5,7 +5,8 @@
 #
 # Counts the lines of every .go file that is not a _test.go file and
 # is not under bench/ — in the working tree (tracked files plus
-# untracked, non-ignored ones), or, given REV, in that commit. DIR
+# untracked, non-ignored ones; a tracked file deleted from the working
+# tree counts as gone), or, given REV, in that commit. DIR
 # narrows the count to one subtree (e.g. internal/tsr); pass . as REV
 # to narrow the working tree. The net delta of a change is the
 # difference of two runs:
@@ -20,7 +21,7 @@ keep() { grep '\.go$' | grep -v '_test\.go$' | grep -v '^bench/' || true; }
 
 if [ "$rev" = . ]; then
 	git ls-files --cached --others --exclude-standard -- "$dir" | keep |
-		while read -r f; do [ -f "$f" ] && cat "$f"; done | wc -l
+		while read -r f; do if [ -f "$f" ]; then cat "$f"; fi; done | wc -l
 else
 	git ls-tree -r --name-only "$rev" -- "$dir" | keep |
 		while read -r f; do git show "$rev:$f"; done | wc -l
