@@ -48,6 +48,7 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -179,19 +180,46 @@ const maxPooledScratch = 256 << 10
 
 var codecs = sync.Pool{New: func() any { return new(codec) }}
 
-// deflaters pools flate writers apart from the codecs. A writer is
-// taken only for the run it compresses, so it is most likely the one
-// this P used last, its 640 KiB of deflate tables still in cache. Held
-// through a whole Rewrite, as a codec is, it went cold while the files
-// were signed: in a CPU profile of the benchmark on a 2-vCPU host,
-// deflate then cost about a third more per sanitized package.
-var deflaters = sync.Pool{New: func() any {
-	zw, err := flate.NewWriter(nil, flate.DefaultCompression)
-	if err != nil {
-		panic(err) // only an invalid level fails
+// deflaters keeps up to GOMAXPROCS idle flate writers, apart from the
+// codecs. A writer is taken only for the run it compresses, so it is
+// most likely one a worker used moments ago, its 640 KiB of deflate
+// tables still in cache. Held through a whole Rewrite, as a codec is,
+// it went cold while the files were signed: in a CPU profile of the
+// benchmark on a 2-vCPU host, deflate then cost about a third more per
+// sanitized package. A collection empties a sync.Pool, after which
+// every compression built its writer again, so the writers in the
+// bounded list outlive collections. Writers idle beyond it, held by
+// workers descheduled mid-run, go to spareDeflaters, a pool: kept
+// forever, they would only raise the heap goal and the resident size.
+var (
+	deflaters      = make(chan *flate.Writer, runtime.GOMAXPROCS(0))
+	spareDeflaters = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			panic(err) // only an invalid level fails
+		}
+		return zw
+	}}
+)
+
+// getDeflater returns an idle flate writer, or a new one.
+func getDeflater() *flate.Writer {
+	select {
+	case zw := <-deflaters:
+		return zw
+	default:
+		return spareDeflaters.Get().(*flate.Writer)
 	}
-	return zw
-}}
+}
+
+// putDeflater keeps zw idle for reuse.
+func putDeflater(zw *flate.Writer) {
+	select {
+	case deflaters <- zw:
+	default:
+		spareDeflaters.Put(zw)
+	}
+}
 
 func getCodec() *codec {
 	c := codecs.Get().(*codec)
@@ -488,8 +516,8 @@ var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
 // writer, ended by a sync flush so that the next run starts on a byte
 // boundary with no back-references into this one.
 func deflateRun(dst *bytes.Buffer, p []byte) error {
-	zw := deflaters.Get().(*flate.Writer)
-	defer deflaters.Put(zw)
+	zw := getDeflater()
+	defer putDeflater(zw)
 	zw.Reset(dst)
 	if _, err := zw.Write(p); err != nil {
 		return fmt.Errorf("apk: compressing segment: %w", err)
@@ -592,7 +620,7 @@ func (d *dataWriter) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	if d.zw == nil {
-		d.zw = deflaters.Get().(*flate.Writer)
+		d.zw = getDeflater()
 		d.zw.Reset((*memberWriter)(d))
 		if _, err := d.zw.Write(d.buf.Bytes()); err != nil {
 			return 0, fmt.Errorf("apk: compressing segment: %w", err)
@@ -625,7 +653,7 @@ func (d *dataWriter) file(f *File) error {
 func (d *dataWriter) endRun() error {
 	if d.zw != nil {
 		err := d.zw.Flush()
-		deflaters.Put(d.zw)
+		putDeflater(d.zw)
 		d.zw = nil
 		if err != nil {
 			return fmt.Errorf("apk: compressing segment: %w", err)

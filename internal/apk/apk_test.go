@@ -236,6 +236,32 @@ func TestDecodeDistrustsSizeTrailer(t *testing.T) {
 	}
 }
 
+// TestDeflatersSurviveGC: an idle flate writer outlives a collection,
+// so a run compressed after one builds no new writer, which would cost
+// its 600 KiB and more of deflate tables.
+func TestDeflatersSurviveGC(t *testing.T) {
+	run := bytes.Repeat([]byte("a run of tar bytes "), 256)
+	var dst bytes.Buffer
+	deflate := func() {
+		dst.Reset()
+		if err := deflateRun(&dst, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deflate() // leaves a writer idle
+	for i := 0; i < 3; i++ {
+		runtime.GC() // a sync.Pool keeps its objects through one
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		deflate()
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Fatalf("after a collection, compressing a run allocated %d bytes: it built a new writer", n)
+		}
+	}
+}
+
 func mustEncode(t testing.TB, p *Package) []byte {
 	t.Helper()
 	raw, err := Encode(p)

@@ -16,12 +16,12 @@
 //     (auto-refresh), whatever the tags say.
 //
 //   - Worker slots. An admitted job does its parallel work (mirror
-//     fetches, sanitizations) in batches of slots leased from one
-//     shared pool of Config.Workers via Grant.Acquire, sized to the
-//     job's fair share of the pool. The pool is the global bound: the
-//     sum of every tenant's in-flight pipeline goroutines never exceeds
-//     Workers, no matter how many repos are deployed — which also
-//     bounds the enclave paging working set the batches generate.
+//     fetches, sanitizations) on slots leased from one shared pool of
+//     Config.Workers via Grant.Acquire, one goroutine per slot, holding
+//     at most the job's fair share of the pool. The pool is the global
+//     bound: the sum of every tenant's in-flight pipeline goroutines
+//     never exceeds Workers, no matter how many repos are deployed —
+//     which also bounds the enclave paging working set they generate.
 //
 // The scheduler owns no goroutines: the caller's goroutine IS the
 // worker, blocking in Run until admitted. That keeps lifecycle trivial
@@ -79,7 +79,7 @@ type Config struct {
 	Workers int
 	// MaxActive bounds concurrently admitted jobs. 0 = unbounded.
 	// Values above Workers still make progress: Acquire always grants
-	// at least one slot to a job that waits its turn.
+	// at least one slot to a job that holds none and waits its turn.
 	MaxActive int
 }
 
@@ -273,18 +273,24 @@ func (s *Scheduler) Run(ctx context.Context, tenant string, pri Priority, fn fun
 }
 
 // Grant is an admitted job's lease interface to the shared slot pool.
-// It is not safe for concurrent use by multiple goroutines — one
-// pipeline loop acquires, fans out that many goroutines, and releases.
+// It is not safe for concurrent use by multiple goroutines: one
+// dispatcher loop owns it, starting a goroutine per leased slot and
+// releasing each slot as its goroutine finishes, then leasing again.
 type Grant struct {
 	s    *Scheduler
 	held int
 }
 
-// Acquire leases up to want slots, blocking until at least one is
-// free. The lease is capped at the job's fair share of the pool —
-// max(1, Workers/active) — so one early job cannot camp on the whole
-// pool while others are admitted. With an unbounded pool (Workers 0)
-// it returns want outright. Returns 0 only when want <= 0.
+// Acquire leases up to want slots. The grant's lease is capped at the
+// job's fair share of the pool — max(1, Workers/active) — minus what it
+// already holds, so one early job cannot camp on the whole pool while
+// others are admitted. A grant that holds nothing blocks until a slot
+// is free and then gets at least one. A grant that holds slots never
+// blocks: it gets what is free within its share, possibly 0, and waits
+// for its own slots to come back instead. So no job waits on the pool
+// while holding slots its finished work no longer needs. With an
+// unbounded pool (Workers 0) it returns want outright. Returns 0 when
+// want <= 0.
 func (g *Grant) Acquire(want int) int {
 	if want <= 0 {
 		return 0
@@ -293,28 +299,29 @@ func (g *Grant) Acquire(want int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.workers == 0 {
-		g.held += want
-		s.slotsInUse += want
-		if s.slotsInUse > s.peakSlots {
-			s.peakSlots = s.slotsInUse
-		}
+		g.lease(want)
 		return want
 	}
-	for s.slotsInUse >= s.workers {
+	for g.held == 0 && s.slotsInUse >= s.workers {
 		s.slotCond.Wait()
 	}
 	share := 1
 	if s.active > 0 {
 		share = max(1, s.workers/s.active)
 	}
-	n := min(want, share)
-	n = min(n, s.workers-s.slotsInUse)
+	n := max(0, min(want, share-g.held, s.workers-s.slotsInUse))
+	g.lease(n)
+	return n
+}
+
+// lease accounts n more slots to the grant. Caller holds s.mu.
+func (g *Grant) lease(n int) {
+	s := g.s
 	g.held += n
 	s.slotsInUse += n
 	if s.slotsInUse > s.peakSlots {
 		s.peakSlots = s.slotsInUse
 	}
-	return n
 }
 
 // Release returns n slots to the pool.

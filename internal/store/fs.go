@@ -65,17 +65,19 @@ type FSOptions struct {
 	// budget the store is a cache: least-recently-used entries are
 	// evicted (by logical access clock) once the budget is exceeded.
 	Budget int64
-	// Fsync makes OpenFS sync the directories it creates, and every
-	// Put sync the entry file, its directory and any fan-out directory
-	// it creates before returning, trading write latency for power-loss
-	// durability: an entry whose Put returned nil survives. Off, a
-	// power loss can lose recent Puts. An entry then reads as its old
+	// Fsync makes OpenFS sync the directories it creates, every Put
+	// sync the entry file, its directory and any fan-out directory it
+	// creates before returning, and every Delete sync the entry's
+	// directory, trading write latency for power-loss durability: an
+	// entry whose Put returned nil survives, and one whose Delete
+	// returned nil stays gone. Off, a power loss can lose recent Puts
+	// and Deletes. An entry then reads as its old
 	// value, its new one or a miss (ErrNotFound), and an overwrite can
 	// lose the old value too when its rename reached the disk before its
 	// bytes did, but it never reads as other bytes: the frame check
 	// turns an empty or torn file into a miss.
-	// TestFSPutCrash walks a power loss over every step of a Put both
-	// ways.
+	// TestFSPutCrash and TestFSDeleteCrash walk a power loss over
+	// every step of a Put and of a Delete both ways.
 	Fsync bool
 }
 
@@ -393,7 +395,9 @@ type fsStream struct {
 func (st *fsStream) Read(p []byte) (int, error) { return st.r.Read(p) }
 func (st *fsStream) Close() error               { return st.f.Close() }
 
-// Delete implements Store.
+// Delete implements Store. With Fsync, the entry's directory is synced
+// after the remove, so an entry whose Delete returned nil stays gone
+// after a power loss.
 func (s *FS) Delete(key string) error {
 	s.mu.Lock()
 	if e, ok := s.index[key]; ok {
@@ -401,7 +405,14 @@ func (s *FS) Delete(key string) error {
 		delete(s.index, key)
 	}
 	s.mu.Unlock()
-	if err := os.Remove(s.pathFor(key)); err != nil && !os.IsNotExist(err) {
+	path := s.pathFor(key)
+	if err := s.fsys.Remove(path); err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("store: delete %q: %w", key, err)
+	}
+	if err := s.fsys.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("store: delete %q: %w", key, err)
 	}
 	return nil

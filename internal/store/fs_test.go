@@ -86,6 +86,68 @@ func TestFSPutCrash(t *testing.T) {
 	}
 }
 
+// TestFSDeleteCrash walks a power loss over every operation of a
+// Delete, with and without Fsync, with the unsynced names lost and
+// kept. The remove is one of those operations, so a crash can land on
+// it. After a reopen, Get returns the old value or misses. With Fsync
+// it misses if the Delete returned nil.
+func TestFSDeleteCrash(t *testing.T) {
+	old := []byte("old-value")
+	run := func(t *testing.T, fsync bool, crashAt int, keepNames bool) (ops int) {
+		dir := t.TempDir()
+		s, err := OpenFS(dir, FSOptions{Fsync: fsync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("k", old); err != nil {
+			t.Fatal(err)
+		}
+		shim, err := durabletest.New(dir, crashAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.fsys = shim
+		if !fsync {
+			s.fsys = durable.NoSync(shim)
+		}
+		delErr := s.Delete("k")
+		if delErr != nil && !errors.Is(delErr, durabletest.ErrCrashed) {
+			t.Fatal(delErr)
+		}
+		ops = shim.Ops()
+		if err := shim.Rewind(keepNames); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenFS(dir, FSOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reopened.Get("k")
+		switch {
+		case errors.Is(err, ErrNotFound):
+		case err == nil && bytes.Equal(got, old):
+			if fsync && delErr == nil {
+				t.Error("Delete returned nil, but after the crash Get returns the old value")
+			}
+		default:
+			t.Errorf("after the crash Get = %q, %v", got, err)
+		}
+		return ops
+	}
+	for _, fsync := range []bool{true, false} {
+		n := run(t, fsync, 0, false)
+		if n == 0 {
+			t.Fatalf("fsync=%v: the shim saw no operation of the Delete", fsync)
+		}
+		for k := 0; k <= n; k++ {
+			for _, keepNames := range []bool{false, true} {
+				name := fmt.Sprintf("fsync=%v/op%d/keepNames=%v", fsync, k, keepNames)
+				t.Run(name, func(t *testing.T) { run(t, fsync, k, keepNames) })
+			}
+		}
+	}
+}
+
 // syncRecorder is a durable.FS that records the directories it syncs.
 type syncRecorder struct {
 	durable.FS

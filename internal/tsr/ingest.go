@@ -118,7 +118,7 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 		}
 	}
 	// Decode and screen the batch sequentially (cheap), then sanitize
-	// the survivors in worker batches leased from the global pool.
+	// the survivors on workers leased from the global pool.
 	type job struct {
 		raw   []byte
 		entry index.Entry // describes the ORIGINAL bytes
@@ -163,7 +163,7 @@ func (r *Repo) registerGranted(_ context.Context, g *sched.Grant, raws [][]byte)
 	san := r.sanitizer(r.plan, true)
 	planHash := r.planHash
 	outs := make([]sanOut, len(jobs))
-	runBatches(g, r.workers, len(jobs), func(i int) {
+	lease(g, r.workers, len(jobs), func(i int) {
 		jb := &jobs[i]
 		// Original bytes first: refresh re-sanitization and on-demand
 		// serving read them back by content hash.

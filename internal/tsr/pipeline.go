@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"tsr/internal/apk"
@@ -19,33 +18,54 @@ import (
 // The origin pipeline (§5.4): sanitize inside the enclave, sign the next
 // local index, publish it. Refresh runs it over the upstream index as a
 // cycle of stages; ingest runs it over an operator batch. Both lease
-// their worker batches through runBatches, resolve each package through
+// their workers through runRolling, resolve each package through
 // sanitizeCached, and end in publishNextLocked — the one place a
 // repository signs, so each sequence number is signed exactly once.
 
-// runBatches runs work(i) for every i in [0, n) in batches of at most
-// workers goroutines leased from the global pool (a batch shrinks while
-// other tenants hold slots, bounding the fleet-wide total). done, when
-// non-nil, accounts each batch [lo, hi) before its slots are released.
-func runBatches(g *sched.Grant, workers, n int, work func(i int), done func(lo, hi int)) {
-	for lo := 0; lo < n; {
-		hi := lo + g.Acquire(min(workers, n-lo))
-		var wg sync.WaitGroup
-		for i := lo; i < hi; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work(i)
-			}()
+// runRolling runs work(i) for every i in [0, n), each on its own
+// goroutine, with at most workers of them in flight on slots leased
+// from the global pool. The calling goroutine owns g: as soon as an
+// item finishes it releases that item's slot and leases again, so a
+// slow package holds one slot, not a batch of them (the lease shrinks
+// while other tenants hold slots, bounding the fleet-wide total).
+// window, when non-nil, runs on the calling goroutine once for each
+// window [lo, hi) of workers consecutive items, in order, as soon as
+// the window's items and every earlier one have finished: the unit in
+// which modeled costs are charged.
+func runRolling(g *sched.Grant, workers, n int, work func(i int), window func(lo, hi int)) {
+	finished := make(chan int, workers) // one per item in flight: a finished worker never waits
+	isDone := make([]bool, n)
+	next, running, charged := 0, 0, 0
+	for next < n || running > 0 {
+		if next < n && running < workers {
+			// Blocks only while nothing runs; otherwise it leases what
+			// is free within the share, possibly nothing.
+			for k := g.Acquire(min(workers-running, n-next)); k > 0; k-- {
+				go func(i int) {
+					work(i)
+					finished <- i
+				}(next)
+				next++
+				running++
+			}
 		}
-		wg.Wait()
-		if done != nil {
-			done(lo, hi)
+		i := <-finished
+		running--
+		g.Release(1)
+		isDone[i] = true
+		for charged < n && isDone[charged] {
+			charged++
+			if window != nil && (charged%workers == 0 || charged == n) {
+				window((charged-1)/workers*workers, charged)
+			}
 		}
-		g.Release(hi - lo)
-		lo = hi
 	}
 }
+
+// lease is the worker loop the stages and ingest run on: runRolling.
+// A test swaps in a reference loop to check that the modeled costs do
+// not depend on it.
+var lease = runRolling
 
 // sanitizer returns the enclave sanitizer for plan under this
 // repository's signer ring and signing key. With memoized, the per-file
@@ -187,7 +207,7 @@ type cycle struct {
 	upstreamDigest [32]byte
 	work           []string          // added/changed packages, plus plan debt, to fetch
 	inWork         map[string]bool   // work as a set
-	raws           map[string][]byte // fetched originals awaiting sanitization
+	raws           map[string][]byte // fetched originals, until the sanitize stage takes them
 	failed         map[string]string // per-package failures: name -> message
 	planDebt       map[string]bool   // packages whose current scripts did not inform the plan
 	plan           *sanitize.Plan
@@ -289,9 +309,10 @@ func (c *cycle) quorum() error {
 	return nil
 }
 
-// fetch obtains the originals of the work list in worker batches and
-// reads their scripts for the plan scan. Each batch of concurrent
-// transfers costs one round trip plus its aggregate payload at the path
+// fetch obtains the originals of the work list on leased workers and
+// reads their scripts for the plan scan. Each window of workers
+// consecutive transfers is charged as one round of concurrent
+// transfers: one round trip plus its aggregate payload at the path
 // bandwidth. Failures are per-package, not fatal.
 func (c *cycle) fetch() {
 	r := c.r
@@ -304,7 +325,7 @@ func (c *cycle) fetch() {
 		err     error
 	}
 	outs := make([]fetchOut, len(c.work))
-	runBatches(c.g, r.workers, len(c.work), func(i int) {
+	lease(c.g, r.workers, len(c.work), func(i int) {
 		out := &outs[i]
 		entry, err := c.upstream.Lookup(c.work[i])
 		if err != nil {
@@ -323,7 +344,7 @@ func (c *cycle) fetch() {
 			out.scripts, out.decoded = p.Scripts, true
 		}
 	}, func(lo, hi int) {
-		r.chargeBatchDownloads(c.stats, hi-lo, func(i int) int64 { return outs[lo+i].dlBytes })
+		r.chargeWindowDownloads(c.stats, hi-lo, func(i int) int64 { return outs[lo+i].dlBytes })
 	})
 	// Plan debt: packages whose scripts at the current upstream version
 	// are still unknown after the fetch. They keep forcing plan rebuilds
@@ -372,8 +393,8 @@ func (c *cycle) buildPlan() error {
 }
 
 // sanitize resolves every policy-allowed package of the upstream index
-// (plus the operator-registered ones) through sanitizeCached in worker
-// batches. The content-addressed cache decides which actually get
+// (plus the operator-registered ones) through sanitizeCached on leased
+// workers. The content-addressed cache decides which actually get
 // sanitized, so unchanged packages under an unchanged plan cost one
 // sealed-metadata read regardless of why they were targeted. Packages
 // that failed the fetch are skipped; previously rejected packages stay
@@ -415,38 +436,41 @@ func (c *cycle) sanitize() {
 	}
 
 	// Peak memory is the fetched originals still awaiting sanitization
-	// plus one batch of in-flight packages — not the whole repository's
-	// results: each batch's originals are released once it completes.
+	// plus the packages in flight — not the whole repository's results:
+	// each original is released as soon as its own package is done.
+	raws := make([][]byte, len(c.targets))
+	for i, e := range c.targets {
+		raws[i] = c.raws[e.Name]
+	}
+	c.raws = nil
 	san := r.sanitizer(c.plan, true)
 	c.souts = make([]sanOut, len(c.targets))
-	runBatches(c.g, r.workers, len(c.targets), func(i int) {
-		e := c.targets[i]
-		c.souts[i] = r.sanitizeCached(san, c.planHash, e, c.raws[e.Name], r.mode != CacheNone)
-	}, func(lo, hi int) {
-		// Charge the batch's modeled costs: downloads as one round of
-		// concurrent transfers, and SGX paging from the batch's
-		// combined working set (worker threads share the EPC).
-		batch := c.souts[lo:hi]
-		r.chargeBatchDownloads(c.stats, len(batch), func(i int) int64 { return batch[i].dlBytes })
-		var workingSets []int64
-		for i := range batch {
-			if batch[i].fresh() {
-				workingSets = append(workingSets, batch[i].workingSet)
+	lease(c.g, r.workers, len(c.targets), func(i int) {
+		raw := raws[i]
+		raws[i] = nil
+		c.souts[i] = r.sanitizeCached(san, c.planHash, c.targets[i], raw, r.mode != CacheNone)
+	}, func(lo, hi int) { r.chargeSanitizeWindow(c.stats, c.souts[lo:hi]) })
+}
+
+// chargeSanitizeWindow charges the modeled costs of one window of
+// concurrently resolved packages: their downloads as one round of
+// concurrent transfers, and SGX paging from their combined working set
+// (worker threads share the EPC).
+func (r *Repo) chargeSanitizeWindow(stats *RefreshStats, outs []sanOut) {
+	r.chargeWindowDownloads(stats, len(outs), func(i int) int64 { return outs[i].dlBytes })
+	var workingSets []int64
+	for i := range outs {
+		if outs[i].fresh() {
+			workingSets = append(workingSets, outs[i].workingSet)
+		}
+	}
+	if f := r.svc.cfg.EPC.SharedFactor(workingSets); f > 1 && len(workingSets) > 0 {
+		for i := range outs {
+			if outs[i].fresh() {
+				stats.SGXOverhead += time.Duration(float64(outs[i].native) * (f - 1))
 			}
 		}
-		if f := r.svc.cfg.EPC.SharedFactor(workingSets); f > 1 && len(workingSets) > 0 {
-			for i := range batch {
-				if batch[i].fresh() {
-					c.stats.SGXOverhead += time.Duration(float64(batch[i].native) * (f - 1))
-				}
-			}
-		}
-		// The originals of this batch are no longer needed in memory
-		// (serving paths re-read them from the original cache).
-		for _, e := range c.targets[lo:hi] {
-			delete(c.raws, e.Name)
-		}
-	})
+	}
 }
 
 // sign rebuilds the local index from cache hits plus fresh results and

@@ -96,8 +96,9 @@ type RefreshStats struct {
 	// (native, excluding the SGX model), summed over workers.
 	SanitizeTime time.Duration
 	// SGXOverhead is the modeled additional in-enclave time, charged
-	// per worker batch: concurrent sanitizations share the EPC, so the
-	// paging factor is driven by the batch's combined working set.
+	// per window of Workers consecutive packages: concurrent
+	// sanitizations share the EPC, so the paging factor is driven by
+	// the window's combined working set.
 	SGXOverhead time.Duration
 	// Downloaded, Sanitized, Rejected, Unchanged count packages.
 	Downloaded, Sanitized, Rejected, Unchanged int
@@ -248,7 +249,7 @@ func (r *Repo) SetCacheMode(m CacheMode) {
 }
 
 // SetWorkers bounds this repository's refresh pipeline concurrency:
-// downloads and sanitizations run in batches of n goroutines. The
+// downloads and sanitizations run on up to n goroutines at a time. The
 // paper's prototype is sequential and notes that "the download time
 // can be greatly reduced by enabling parallel downloading. This
 // performance improvement is left as part of future work" (Table 3) —
@@ -322,8 +323,10 @@ func (r *Repo) sanitizedKey(name string, hash [32]byte) string {
 // signed local index.
 //
 // The cycle runs as a bounded-concurrency pipeline: originals are
-// fetched and packages sanitized in batches of SetWorkers goroutines,
-// with modeled download and EPC costs charged per batch. The signed
+// fetched and packages sanitized on up to SetWorkers goroutines at a
+// time, a finished package's slot going straight to the next one, with
+// modeled download and EPC costs charged per window of SetWorkers
+// consecutive packages. The signed
 // local index is rebuilt incrementally from the content-addressed
 // sanitization cache plus fresh results, so a refresh over an unchanged
 // upstream — or after a forced replan or restart that left the plan
@@ -363,7 +366,7 @@ func (r *Repo) RefreshBackgroundCtx(ctx context.Context) (*RefreshStats, error) 
 // refreshScheduled wraps the refresh cycle in its trace span and runs
 // it as one scheduler job: admission (fair, priority-banded)
 // happens first, then the cycle leases worker slots from the global
-// pool batch by batch via the Grant.
+// pool via the Grant, one slot per package in flight.
 func (r *Repo) refreshScheduled(ctx context.Context, pri sched.Priority) (stats *RefreshStats, err error) {
 	ctx, sp := trace.Start(ctx, "origin.refresh")
 	defer func() {
@@ -424,10 +427,10 @@ func (r *Repo) obtainOriginal(cached bool, name string, entry index.Entry) ([]by
 	return nil, 0, fmt.Errorf("tsr: downloading %s: %w", name, lastErr)
 }
 
-// chargeBatchDownloads accounts one worker batch of n items, item i
-// having downloaded dlBytes(i) bytes (zero means a cache hit): the
-// downloads are charged as one round of concurrent transfers.
-func (r *Repo) chargeBatchDownloads(stats *RefreshStats, n int, dlBytes func(i int) int64) {
+// chargeWindowDownloads accounts one window of n concurrently worked
+// items, item i having downloaded dlBytes(i) bytes (zero means a cache
+// hit): the downloads are charged as one round of concurrent transfers.
+func (r *Repo) chargeWindowDownloads(stats *RefreshStats, n int, dlBytes func(i int) int64) {
 	var total int64
 	count := 0
 	for i := 0; i < n; i++ {
@@ -440,11 +443,11 @@ func (r *Repo) chargeBatchDownloads(stats *RefreshStats, n int, dlBytes func(i i
 	stats.DownloadTime += r.chargeDownload(total, count)
 }
 
-// chargeDownload charges the modeled transfer time for a batch of
+// chargeDownload charges the modeled transfer time for a round of
 // packageCount transfers totaling bytes, issued concurrently: one round
-// trip for the batch plus the payload at the path bandwidth (the link
+// trip for the round plus the payload at the path bandwidth (the link
 // is work-conserving, so concurrent transfers do not waste capacity —
-// batching saves the per-package round trips).
+// overlapping them saves the per-package round trips).
 func (r *Repo) chargeDownload(bytes int64, packageCount int) time.Duration {
 	if r.svc.cfg.Link == nil || packageCount == 0 {
 		return 0

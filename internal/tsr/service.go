@@ -62,8 +62,8 @@ type Config struct {
 	// "TSR without SGX" baseline of Figure 12).
 	EPC enclave.CostModel
 	// Workers bounds EACH repository's refresh pipeline concurrency:
-	// a refresh downloads originals and sanitizes packages in batches
-	// of up to Workers goroutines. 0 or 1 runs the paper's sequential
+	// a refresh downloads originals and sanitizes packages on up to
+	// Workers goroutines at a time. 0 or 1 runs the paper's sequential
 	// prototype.
 	Workers int
 	// RefreshWorkers bounds the GLOBAL refresh slot pool shared by

@@ -12,6 +12,7 @@ import (
 	"hash"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,22 +71,37 @@ func nonzeroWeight(params string) bool {
 	return true
 }
 
-// gzipPool recycles gzip writers across requests; compression level is
-// fixed, so pooled writers are interchangeable after Reset.
-var gzipPool = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(io.Discard, gzip.DefaultCompression)
-	return zw
-}}
+// gzippers keeps up to GOMAXPROCS idle gzip writers across requests,
+// and spareGzippers, a sync.Pool, any further ones; compression level
+// is fixed, so they are interchangeable after Reset. The bounded list
+// outlives collections, which empty a pool: as apk's deflaters, where
+// the sizes are argued.
+var (
+	gzippers      = make(chan *gzip.Writer, runtime.GOMAXPROCS(0))
+	spareGzippers = sync.Pool{New: func() any {
+		zw, _ := gzip.NewWriterLevel(io.Discard, gzip.DefaultCompression)
+		return zw
+	}}
+)
 
 // gzipped returns body compressed at the fixed gzip level, or nil when
 // that does not make it smaller — the body is then always sent as is.
 func gzipped(body []byte) []byte {
+	var zw *gzip.Writer
+	select {
+	case zw = <-gzippers:
+	default:
+		zw = spareGzippers.Get().(*gzip.Writer)
+	}
 	var buf bytes.Buffer
-	zw := gzipPool.Get().(*gzip.Writer)
 	zw.Reset(&buf)
 	_, werr := zw.Write(body)
 	cerr := zw.Close()
-	gzipPool.Put(zw)
+	select {
+	case gzippers <- zw:
+	default:
+		spareGzippers.Put(zw)
+	}
 	if werr != nil || cerr != nil || buf.Len() >= len(body) {
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -790,6 +791,27 @@ func TestChunksFollowPackageLayout(t *testing.T) {
 	}
 	t.Logf("%d of %d bytes unshared: head %d, run %d, tail %d", fetched, len(newRaw),
 		dataStart, ends[bumped]-ends[bumped-1], int64(len(newRaw))-ends[len(ends)-1])
+}
+
+// TestGzipWritersSurviveGC: an idle gzip writer outlives a
+// collection, so an index gzipped after one builds no new writer,
+// which would cost its 600 KiB and more of deflate tables.
+func TestGzipWritersSurviveGC(t *testing.T) {
+	body := bytes.Repeat([]byte("package = name 1.0-r0 4096 hash\n"), 64)
+	if gzipped(body) == nil { // leaves a writer idle
+		t.Fatal("a repetitive body did not compress")
+	}
+	for i := 0; i < 3; i++ {
+		runtime.GC() // a sync.Pool keeps its objects through one
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		gzipped(body)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Fatalf("after a collection, gzipping a body allocated %d bytes: it built a new writer", n)
+		}
+	}
 }
 
 // TestReadBodyReusesGzipReader: bodies read one after another
